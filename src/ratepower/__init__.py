@@ -10,6 +10,7 @@ from .core import (
     ChannelModel,
     Strategy,
     UserParams,
+    UserTable,
     UtilityParamsBase,
     alpha_ratio_for_target,
     effective_interference,
@@ -30,6 +31,7 @@ from .engine import (
     IterationRecord,
     IterationTrace,
     bounded_step,
+    bounded_step_array,
     convergence_metric,
     iterate_to_convergence,
     njrpcg_equilibrium,
@@ -52,6 +54,7 @@ from .admission import (
     AT_TARGET,
     BELOW_TARGET,
     EscalationResult,
+    NotConvergedError,
     PricingRule,
     RemovalResult,
     classify_users,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChannelModel, UserParams, target_sinr
+from .core import ChannelModel, UserParams, _require_finite, target_sinr
 from .engine import CLAMP, SYNCHRONOUS, ConvergenceConfig, IterationTrace, iterate_to_convergence
 from .multicell import njrpcgpb_iterate
 
@@ -17,6 +17,7 @@ __all__ = [
     "PRICING_KINDS",
     "PricingRule",
     "pricing_rule_eval",
+    "NotConvergedError",
     "classify_users",
     "EscalationResult",
     "escalate_pricing",
@@ -53,6 +54,7 @@ class PricingRule:
     dc: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(c=self.c, dc=self.dc)
         if self.kind not in PRICING_KINDS:
             raise ValueError(f"kind must be one of {PRICING_KINDS}, got {self.kind!r}")
         if self.c <= 0:
@@ -100,12 +102,19 @@ def pricing_rule_eval(
     return coeff * alpha1 / alpha2
 
 
+class NotConvergedError(RuntimeError):
+    """A run that must be classified stopped at max_iterations without converging."""
+
+
 def classify_users(
     trace: IterationTrace, targets, tolerance: float = DEFAULT_AT_TARGET_TOL
 ) -> list[str]:
     """Per-user outcome of a converged run, relative to the target SINRs."""
     if not trace.converged:
-        raise RuntimeError("cannot classify an unconverged trace")
+        raise NotConvergedError(
+            f"run did not converge within {trace.iterations_used} iterations; "
+            "cannot classify its users (raise max_iterations or delta)"
+        )
     t = np.asarray(targets, dtype=float)
     sinrs = trace.final_sinrs
     if t.shape != sinrs.shape:

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from .admission import PricingRule, escalate_pricing, removal_loop
+from .admission import NotConvergedError, PricingRule, escalate_pricing, removal_loop
 from .reference import REPRODUCE_TARGETS, reproduce
 from .scenario import (
     ScenarioFormatError,
@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ScenarioFormatError, ValueError, OSError) as exc:
+    except (ScenarioFormatError, ValueError, OSError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

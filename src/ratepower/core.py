@@ -1,20 +1,25 @@
 """Core uplink model: channel gains, effective interference, SINR, utilities.
 
-Everything here is a pure function of its arguments and works in SI units
-throughout (watts, bps, hertz); channel gains are dimensionless. No shared
-mutable state, so every operation is safe to call concurrently.
+Everything here works in SI units throughout (watts, bps, hertz); channel
+gains are dimensionless. Every constructor rejects NaN and infinite numbers.
+A ``ChannelModel`` evaluates its (n_users x n_stations) gain matrix once, when
+it is built, and ``gains`` hands out that cached read-only array; a channel
+that changes (a removal, an arrival, a move) is a new ``ChannelModel`` with
+its own gains. The functions are pure and nothing mutable is shared, so every
+operation is safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "ChannelModel",
     "UserParams",
+    "UserTable",
     "Strategy",
     "UtilityParamsBase",
     "path_gain",
@@ -29,6 +34,12 @@ __all__ = [
 ]
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def path_gain(distance_m: float, pathloss_exponent: float, shadowing: float) -> float:
     """Channel gain xi / d**eta for a transmitter at distance d."""
     if distance_m <= 0:
@@ -36,13 +47,15 @@ def path_gain(distance_m: float, pathloss_exponent: float, shadowing: float) -> 
     return shadowing / distance_m ** pathloss_exponent
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelModel:
     """Static uplink geometry and radio constants.
 
     ``distances_m`` is a (n_users x n_stations) matrix; a 1-D sequence is
     read as a single-station column. Gains follow the power-law model
-    ``g[i, a] = shadowing / d[i, a] ** pathloss_exponent``.
+    ``g[i, a] = shadowing / d[i, a] ** pathloss_exponent``. The model is
+    immutable (fields frozen, arrays read-only), so the gains cached at
+    construction always match the geometry.
     """
 
     distances_m: np.ndarray
@@ -50,6 +63,7 @@ class ChannelModel:
     shadowing: float = 0.097
     noise_w: float = 5e-15
     bandwidth_hz: float = 1e6
+    _gains: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         d = np.array(self.distances_m, dtype=float)
@@ -59,6 +73,12 @@ class ChannelModel:
             raise ValueError("distances_m must be a non-empty users x stations matrix")
         if not np.all(np.isfinite(d)) or np.any(d <= 0):
             raise ValueError("all distances must be positive and finite")
+        _require_finite(
+            pathloss_exponent=self.pathloss_exponent,
+            shadowing=self.shadowing,
+            noise_w=self.noise_w,
+            bandwidth_hz=self.bandwidth_hz,
+        )
         if self.pathloss_exponent <= 0:
             raise ValueError("pathloss_exponent must be positive")
         if self.shadowing <= 0:
@@ -67,10 +87,13 @@ class ChannelModel:
             raise ValueError("noise_w must be non-negative")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
-        self.distances_m = d
-        g = self.gains
+        g = self.shadowing / d**self.pathloss_exponent
         if not np.all(np.isfinite(g)) or np.any(g <= 0):
             raise ValueError("derived gains must be finite and positive")
+        d.flags.writeable = False
+        g.flags.writeable = False
+        object.__setattr__(self, "distances_m", d)
+        object.__setattr__(self, "_gains", g)
 
     @property
     def n_users(self) -> int:
@@ -82,8 +105,8 @@ class ChannelModel:
 
     @property
     def gains(self) -> np.ndarray:
-        """Per-user, per-station gain matrix (n_users x n_stations)."""
-        return self.shadowing / self.distances_m ** self.pathloss_exponent
+        """Per-user, per-station gain matrix (n_users x n_stations), read-only."""
+        return self._gains
 
     def subset(self, user_indices) -> "ChannelModel":
         """Channel restricted to the given users, e.g. after removals."""
@@ -148,6 +171,17 @@ class UserParams:
     r_init: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(
+            alpha1=self.alpha1,
+            alpha2=self.alpha2,
+            lam=self.lam,
+            p_min=self.p_min,
+            p_max=self.p_max,
+            r_min=self.r_min,
+            r_max=self.r_max,
+            p_init=self.p_init,
+            r_init=self.r_init,
+        )
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ValueError("alpha1 and alpha2 must be positive")
         if self.lam <= 0:
@@ -168,6 +202,30 @@ class UserParams:
     @property
     def initial_rate(self) -> float:
         return self.r_min if self.r_init is None else self.r_init
+
+
+@dataclass(frozen=True)
+class UserTable:
+    """Struct-of-arrays form of a user list: one float column per constant.
+
+    Array solvers build it once per solve and index it like the list.
+    """
+
+    alpha1: np.ndarray
+    alpha2: np.ndarray
+    lam: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+    r_min: np.ndarray
+    r_max: np.ndarray
+
+    @classmethod
+    def from_users(cls, users) -> "UserTable":
+        """Table of ``users``; a table passes through unchanged."""
+        if isinstance(users, UserTable):
+            return users
+        rows = [(u.alpha1, u.alpha2, u.lam, u.p_min, u.p_max, u.r_min, u.r_max) for u in users]
+        return cls(*np.array(rows, dtype=float).reshape(-1, 7).T.copy())
 
 
 @dataclass(frozen=True)

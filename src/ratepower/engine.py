@@ -6,6 +6,10 @@ the strategy box, "kkt" re-optimizes the free coordinate from the boundary
 stationarity quadratics), and the fixed-point iteration loop with synchronous
 or sequential scheduling.
 
+The scalar ``bounded_step`` serves one user; ``bounded_step_array`` serves a
+whole ``UserTable`` at once with the same floating-point operations, so both
+give equal results. Trace records evaluate SINRs and utilities as arrays.
+
 Within one iteration the per-user updates are pure; the loop itself is
 sequential. A trace belongs to one run; independent runs can execute in
 parallel.
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelModel, Strategy, UserParams, utility_priced
+from .core import ChannelModel, Strategy, UserParams, UserTable, _require_finite
 from .rates import RateSet
 
 __all__ = [
@@ -38,6 +42,8 @@ __all__ = [
     "power_update_rate_bounded",
     "rate_update_power_bounded",
     "bounded_step",
+    "bounded_step_array",
+    "make_record",
     "iterate_to_convergence",
     "symmetric_fixed_point",
     "convergence_metric",
@@ -73,6 +79,7 @@ class ConvergenceConfig:
     metric: str = METRIC_RELATIVE
 
     def __post_init__(self) -> None:
+        _require_finite(delta=self.delta)
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.max_iterations < 1:
@@ -226,6 +233,40 @@ def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strateg
     )
 
 
+def bounded_step_array(
+    users: UserTable, r_eff, policy: str = CLAMP
+) -> tuple[np.ndarray, np.ndarray]:
+    """``bounded_step`` for every user of the table at once; returns (powers, rates).
+
+    Evaluates the same expressions in the same order as the scalar path, so
+    the results are equal, not merely close. Under "kkt" a coordinate that
+    leaves its box is clamped onto the violated bound, which is exactly the
+    value the scalar path pins, and the other coordinate is re-optimized from
+    it only when it alone violates.
+    """
+    _check_policy(policy)
+    r_eff = np.asarray(r_eff, dtype=float)
+    if not np.all(r_eff > 0):
+        raise ValueError("effective interference must be positive")
+    a1, a2, lam = users.alpha1, users.alpha2, users.lam
+    p = np.sqrt(0.5 * (a2 / a1) * r_eff / lam)
+    r = np.sqrt(0.5 * (a1 / a2) / (lam * r_eff))
+    p_box = np.minimum(np.maximum(p, users.p_min), users.p_max)
+    r_box = np.minimum(np.maximum(r, users.r_min), users.r_max)
+    if policy == CLAMP:
+        return p_box, r_box
+    p_ok = (users.p_min <= p) & (p <= users.p_max)
+    r_ok = (users.r_min <= r) & (r <= users.r_max)
+    disc = 4.0 * a1 * a2 * lam * r_eff
+    b = a2 * lam * r_eff * r_box
+    p_at_r = (-b + np.sqrt(b * b + disc)) / (2.0 * a1 * lam)
+    b = a1 * lam * p_box
+    r_at_p = (-b + np.sqrt(b * b + disc)) / (2.0 * a2 * lam * r_eff)
+    powers = np.where(p_ok & ~r_ok, np.minimum(np.maximum(p_at_r, users.p_min), users.p_max), p_box)
+    rates = np.where(r_ok & ~p_ok, np.minimum(np.maximum(r_at_p, users.r_min), users.r_max), r_box)
+    return powers, rates
+
+
 def convergence_metric(
     prev_powers, prev_rates, powers, rates, kind: str = METRIC_RELATIVE
 ) -> float:
@@ -274,6 +315,7 @@ def iterate_to_convergence(
 
     powers = _initial_vector(users, initial_powers, "power")
     rates = _initial_vector(users, initial_rates, "rate")
+    table = UserTable.from_users(users)
     user_ids = np.arange(len(users))
     assignment = np.zeros(len(users), dtype=int)
     step_set = None if quantize_at_convergence else rate_set
@@ -290,15 +332,15 @@ def iterate_to_convergence(
         metric = convergence_metric(powers, rates, new_p, new_r, config.metric)
         powers, rates = new_p, new_r
         records.append(
-            make_record(channel, users, iteration, 1, user_ids, assignment, powers, rates, metric)
+            make_record(channel, table, iteration, 1, user_ids, assignment, powers, rates, metric)
         )
         if metric <= config.delta:
             converged = True
             break
 
     trace = IterationTrace(records, converged, iterations)
-    if converged and quantize_at_convergence and rate_set is not None:
-        _quantize_final_record(trace, channel, users, rate_set)
+    if quantize_at_convergence:
+        _quantize_final_record(trace, channel, table, rate_set)
     return trace
 
 
@@ -412,7 +454,7 @@ def _sequential_step(channel, users, powers, rates, policy, rate_set):
 
 def make_record(
     channel: ChannelModel,
-    users: list[UserParams],
+    users: list[UserParams] | UserTable,
     iteration: int,
     step: int,
     user_ids: np.ndarray,
@@ -421,25 +463,27 @@ def make_record(
     rates: np.ndarray,
     metric: float,
 ) -> IterationRecord:
-    """Build a trace record; SINR and utility are evaluated at the given state."""
+    """Build a trace record; SINR and utility are evaluated at the given state.
+
+    The utilities are ``core.utility_priced`` evaluated for all users at once.
+    """
+    table = UserTable.from_users(users)
+    assignment = np.asarray(assignment, dtype=int)
     g = channel.gains
+    own_g = g[np.arange(assignment.shape[0]), assignment]
     totals = powers @ g
-    reffs = np.empty(len(users))
-    for i, a in enumerate(assignment):
-        own = g[i, a] * powers[i]
-        reffs[i] = (max(totals[a] - own, 0.0) + channel.noise_w) / g[i, a]
+    reffs = (np.maximum(totals[assignment] - own_g * powers, 0.0) + channel.noise_w) / own_g
+    if not np.all(reffs > 0):
+        raise ValueError("effective interference must be positive")
     sinrs = (channel.bandwidth_hz / rates) * (powers / reffs)
-    utilities = np.array(
-        [
-            utility_priced(Strategy(powers[i], rates[i]), reffs[i], u.alpha1, u.alpha2, u.lam)
-            for i, u in enumerate(users)
-        ]
-    )
+    a1, a2, lam = table.alpha1, table.alpha2, table.lam
+    price = 0.5 * lam * ((a2 / a1) * reffs * rates**2 + (a1 / a2) * powers**2 / reffs)
+    utilities = np.log(a2 * reffs * rates + a1 * powers) - price
     return IterationRecord(
         iteration,
         step,
         np.asarray(user_ids, dtype=int).copy(),
-        np.asarray(assignment, dtype=int).copy(),
+        assignment.copy(),
         powers.copy(),
         rates.copy(),
         sinrs,
@@ -449,6 +493,9 @@ def make_record(
 
 
 def _quantize_final_record(trace, channel, users, rate_set) -> None:
+    """Snap a converged trace's final rates down onto ``rate_set``, in place."""
+    if not trace.converged or rate_set is None:
+        return
     last = trace.records[-1]
     rates = np.array([rate_set.floor(r) for r in last.rates])
     trace.records[-1] = make_record(

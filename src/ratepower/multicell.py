@@ -6,6 +6,17 @@ single-cell engine against that station. Because the update power falls and
 the update rate rises as effective interference falls, choosing the minimum
 station simultaneously minimizes the power update and maximizes the rate
 update.
+
+The synchronous sweep works on whole arrays: one ``p @ g`` gives every
+station's received total, from which the (users x stations) matrix of
+effective interference, every user's station and every best response
+(``engine.bounded_step_array``) follow without a per-user loop. The
+sequential sweep visits users in order against the freshest powers; it keeps
+running per-station totals, updated after each user's step, so a user costs
+O(stations) rather than a fresh O(users x stations) product. The scalar
+``effective_interference_by_station`` and ``assign_base_station`` state the
+rule one user at a time and are the oracles the array forms are tested
+against.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelModel, Strategy, UserParams
+from .core import ChannelModel, Strategy, UserParams, UserTable
 from .engine import (
     CLAMP,
     SYNCHRONOUS,
@@ -23,7 +34,9 @@ from .engine import (
     _check_policy,
     _check_schedule,
     _initial_vector,
+    _quantize_final_record,
     bounded_step,
+    bounded_step_array,
     convergence_metric,
     make_record,
 )
@@ -95,29 +108,41 @@ def assign_base_station(
     return int(tied[0])
 
 
+def _least_station(values: list[float], current: int) -> int:
+    # assign_base_station's rule on one user's plain-float station values.
+    bound = min(values) * (1.0 + TIE_REL_TOL)
+    if values[current] <= bound:
+        return current
+    return next(k for k, v in enumerate(values) if v <= bound)
+
+
 def multicell_step(
     channel: ChannelModel,
-    users: list[UserParams],
+    users: list[UserParams] | UserTable,
     state: NetworkState,
     policy: str = CLAMP,
     rate_set: RateSet | None = None,
 ) -> NetworkState:
     """One synchronous sweep: reassign every user, then update its strategy.
 
-    All effective interferences are evaluated on the powers in ``state``.
+    All effective interferences are evaluated on the powers in ``state``. The
+    result equals ``assign_base_station`` followed by ``bounded_step`` for
+    each user in turn, computed as arrays.
     """
     _check_policy(policy)
-    n = len(users)
-    new_a = np.empty(n, dtype=int)
-    new_p = np.empty(n)
-    new_r = np.empty(n)
-    for i, user in enumerate(users):
-        reffs = effective_interference_by_station(channel, state.powers, i)
-        a = assign_base_station(channel, state.powers, i, int(state.assignment[i]))
-        s = bounded_step(user, float(reffs[a]), policy)
-        new_a[i] = a
-        new_p[i] = s.power
-        new_r[i] = s.rate if rate_set is None else rate_set.floor(s.rate)
+    _check_assignment(state.assignment, channel.n_stations)
+    g = channel.gains
+    p = state.powers
+    totals = p @ g
+    reffs = (np.maximum(totals - g * p[:, None], 0.0) + channel.noise_w) / g
+    best = reffs.min(axis=1)
+    tied = reffs <= (best * (1.0 + TIE_REL_TOL))[:, None]
+    rows = np.arange(p.shape[0])
+    current = state.assignment
+    new_a = np.where(tied[rows, current], current, tied.argmax(axis=1))
+    new_p, new_r = bounded_step_array(UserTable.from_users(users), reffs[rows, new_a], policy)
+    if rate_set is not None:
+        new_r = np.array([rate_set.floor(r) for r in new_r])
     return NetworkState(new_p, new_r, new_a)
 
 
@@ -158,9 +183,9 @@ def njrpcgpb_iterate(
             initial_state.rates.copy(),
             initial_state.assignment.copy(),
         )
-        if np.any(state.assignment < 0) or np.any(state.assignment >= channel.n_stations):
-            raise ValueError("initial assignment references a missing station")
+        _check_assignment(state.assignment, channel.n_stations)
 
+    table = UserTable.from_users(users)
     user_ids = np.arange(len(users))
     step_set = None if quantize_at_convergence else rate_set
     records = []
@@ -169,7 +194,7 @@ def njrpcgpb_iterate(
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
         if schedule == SYNCHRONOUS:
-            new_state = multicell_step(channel, users, state, policy, step_set)
+            new_state = multicell_step(channel, table, state, policy, step_set)
         else:
             new_state = _sequential_multicell_step(channel, users, state, policy, step_set)
         metric = convergence_metric(
@@ -179,7 +204,7 @@ def njrpcgpb_iterate(
         records.append(
             make_record(
                 channel,
-                users,
+                table,
                 iteration,
                 1,
                 user_ids,
@@ -194,20 +219,8 @@ def njrpcgpb_iterate(
             break
 
     trace = IterationTrace(records, converged, iterations)
-    if converged and quantize_at_convergence and rate_set is not None:
-        last = trace.records[-1]
-        rates = np.array([rate_set.floor(r) for r in last.rates])
-        trace.records[-1] = make_record(
-            channel,
-            users,
-            last.iteration,
-            last.step,
-            last.user_ids,
-            last.assignment,
-            last.powers,
-            rates,
-            last.metric,
-        )
+    if quantize_at_convergence:
+        _quantize_final_record(trace, channel, table, rate_set)
     return trace
 
 
@@ -228,14 +241,29 @@ def min_power_update_map(channel: ChannelModel, users: list[UserParams]):
     return apply
 
 
+def _check_assignment(assignment: np.ndarray, n_stations: int) -> None:
+    if np.any(assignment < 0) or np.any(assignment >= n_stations):
+        raise ValueError("assignment references a missing station")
+
+
 def _sequential_multicell_step(channel, users, state, policy, rate_set):
+    gains = channel.gains
+    g = gains.tolist()
+    noise = channel.noise_w
     new_p = state.powers.copy()
     new_r = state.rates.copy()
     new_a = state.assignment.copy()
+    # Received total at every station, kept current as each user moves. Plain
+    # floats: for one user's few stations they beat array calls.
+    totals = (new_p @ gains).tolist()
     for i, user in enumerate(users):
-        reffs = effective_interference_by_station(channel, new_p, i)
-        a = assign_base_station(channel, new_p, i, int(new_a[i]))
-        s = bounded_step(user, float(reffs[a]), policy)
+        g_i = g[i]
+        p_i = float(new_p[i])
+        reffs = [(max(t - gk * p_i, 0.0) + noise) / gk for t, gk in zip(totals, g_i)]
+        a = _least_station(reffs, int(new_a[i]))
+        s = bounded_step(user, reffs[a], policy)
+        step = s.power - p_i
+        totals = [t + gk * step for t, gk in zip(totals, g_i)]
         new_a[i] = a
         new_p[i] = s.power
         new_r[i] = s.rate if rate_set is None else rate_set.floor(s.rate)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 __all__ = ["RateSet", "NoFeasibleRateError", "quantize_down"]
@@ -22,6 +23,8 @@ class RateSet:
         values = tuple(sorted({float(x) for x in self.rates}))
         if not values:
             raise ValueError("rate set must not be empty")
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("all admissible rates must be finite")
         if values[0] <= 0:
             raise ValueError("all admissible rates must be positive")
         object.__setattr__(self, "rates", values)

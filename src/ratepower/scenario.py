@@ -9,18 +9,19 @@ A scenario file is line-oriented, sectioned key = value text:
     [event arrival]      a user that starts transmitting mid-run
     [event move]         a user whose distances change between solver steps
 
-Numbers accept scientific notation; lists (distances_m, rates) are whitespace
-separated; '#' starts a comment. Arrival and move events cannot be combined
-in one scenario.
+Numbers accept scientific notation and must be finite; lists (distances_m,
+rates) are whitespace separated; '#' starts a comment. Arrival and move events
+cannot be combined in one scenario.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ChannelModel, Strategy, UserParams, sinr as core_sinr, target_sinr
+from .core import ChannelModel, Strategy, UserParams, UserTable, sinr as core_sinr, target_sinr
 from .engine import (
     CLAMP,
     KKT,
@@ -32,6 +33,7 @@ from .engine import (
     IterationRecord,
     IterationTrace,
     _initial_vector,
+    _quantize_final_record,
     _sequential_step,
     _synchronous_step,
     convergence_metric,
@@ -373,9 +375,12 @@ def _check_keys(body, allowed, where):
 
 def _float_value(raw, line_no):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioFormatError(f"line {line_no}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioFormatError(f"line {line_no}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _get_float(body, key, default):
@@ -619,6 +624,7 @@ def _run_arrival_scenario(scenario: Scenario):
 
     raw_users = list(scenario.users)
     active_users = _apply_pricing(scenario, channel, raw_users)
+    table = UserTable.from_users(active_users)
     names = list(scenario.user_names)
     pending = sorted(scenario.arrivals, key=lambda e: e.iteration)
     powers = _initial_vector(active_users, None, "power")
@@ -635,6 +641,7 @@ def _run_arrival_scenario(scenario: Scenario):
             raw_users.append(ev.user)
             # re-price everyone: count- or gain-based rules see the new network
             active_users = _apply_pricing(scenario, channel, raw_users)
+            table = UserTable.from_users(active_users)
             names.append(ev.name)
             powers = np.append(powers, active_users[-1].initial_power)
             rates = np.append(rates, active_users[-1].initial_rate)
@@ -651,7 +658,7 @@ def _run_arrival_scenario(scenario: Scenario):
         records.append(
             make_record(
                 channel,
-                active_users,
+                table,
                 iterations,
                 1,
                 np.arange(len(active_users)),
@@ -666,20 +673,8 @@ def _run_arrival_scenario(scenario: Scenario):
             break
 
     trace = IterationTrace(records, converged, iterations)
-    if converged and scenario.quantize_at_convergence and scenario.rate_set is not None:
-        last = trace.records[-1]
-        q_rates = np.array([scenario.rate_set.floor(r) for r in last.rates])
-        trace.records[-1] = make_record(
-            channel,
-            active_users,
-            last.iteration,
-            last.step,
-            last.user_ids,
-            last.assignment,
-            last.powers,
-            q_rates,
-            last.metric,
-        )
+    if scenario.quantize_at_convergence:
+        _quantize_final_record(trace, channel, table, scenario.rate_set)
     summary = summarize_run(channel, active_users, names, trace)
     return trace, summary
 

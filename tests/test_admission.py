@@ -4,6 +4,7 @@ from ratepower.admission import (
     ABOVE_TARGET,
     AT_TARGET,
     BELOW_TARGET,
+    NotConvergedError,
     PricingRule,
     classify_users,
     escalate_pricing,
@@ -64,6 +65,12 @@ class TestPricingRuleEval:
         with pytest.raises(ValueError):
             PricingRule("quadratic", c=1.0)
 
+    def test_non_finite_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            PricingRule("constant", c=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            PricingRule("constant", c=1e-4, dc=float("inf"))
+
 
 class TestClassifyUsers:
     def test_low_pricing_block(self):
@@ -87,7 +94,7 @@ class TestClassifyUsers:
         trace = iterate_to_convergence(
             channel, users, config=ConvergenceConfig(delta=1e-30, max_iterations=3)
         )
-        with pytest.raises(RuntimeError):
+        with pytest.raises(NotConvergedError):
             classify_users(trace, [20.0] * 3)
 
 

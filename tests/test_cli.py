@@ -121,6 +121,15 @@ class TestTuneAndRemove:
         out = capsys.readouterr().out
         assert "achieved" in out and "5.0000000000e-04" in out
 
+    @pytest.mark.parametrize("command", ["tune-pricing", "remove-loop"])
+    def test_unconverged_solve_fails_cleanly(self, command, tmp_path, capsys):
+        path = tmp_path / "short.scn"
+        path.write_text(SIX_USER_CROWDED + "\n[run]\nmax_iterations = 1\n")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "converge" in err
+        assert "Traceback" not in err
+
     def test_remove_loop_drops_cap_pinned_user(self, three_user_file, capsys):
         code = main(["remove-loop", three_user_file])
         assert code == 0

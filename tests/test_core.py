@@ -226,6 +226,29 @@ class TestChannelModel:
         with pytest.raises(ValueError):
             ChannelModel([110], bandwidth_hz=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"noise_w": math.nan},
+            {"bandwidth_hz": math.nan},
+            {"bandwidth_hz": math.inf},
+            {"shadowing": math.inf},
+            {"pathloss_exponent": math.nan},
+        ],
+    )
+    def test_non_finite_constants_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelModel([110], **kwargs)
+
+    def test_gains_computed_once_and_read_only(self):
+        ch = ChannelModel([[110, 410], [130, 390]], pathloss_exponent=3.5)
+        assert ch.gains is ch.gains
+        np.testing.assert_array_equal(ch.gains, 0.097 / ch.distances_m**3.5)
+        with pytest.raises(ValueError):
+            ch.gains[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ch.distances_m[0, 0] = 1.0
+
     def test_subset_and_with_user_and_moved(self):
         ch = ChannelModel([[110, 410], [130, 390]])
         sub = ch.subset([1])
@@ -254,6 +277,21 @@ class TestUserParams:
             UserParams(p_init=10.0)  # above default p_max
         with pytest.raises(ValueError):
             UserParams(r_init=0.01)  # below default r_min
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha1": math.nan},
+            {"alpha2": math.nan},
+            {"lam": math.inf},
+            {"p_max": math.inf},
+            {"r_max": math.inf},
+            {"p_init": math.nan},
+        ],
+    )
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            UserParams(**kwargs)
 
     def test_strategy_positivity(self):
         with pytest.raises(ValueError):

@@ -253,6 +253,10 @@ class TestIterateToConvergence:
         assert trace.iterations_used == 5
         assert len(trace.records) == 5  # trace length never exceeds max_iterations
 
+    def test_non_finite_delta_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ConvergenceConfig(delta=float("nan"))
+
     def test_initial_strategy_outside_box_rejected(self):
         channel = equidistant_channel(2)
         users = table3_users(2)

@@ -34,6 +34,10 @@ class TestQuantizeDown:
             RateSet(())
         with pytest.raises(ValueError):
             RateSet((0.0, 100.0))
+        with pytest.raises(ValueError):
+            RateSet((9600.0, float("inf")))
+        with pytest.raises(ValueError):
+            RateSet((float("nan"), 9600.0))
 
 
 class TestQuantizedRuns:

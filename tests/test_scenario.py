@@ -136,6 +136,19 @@ class TestParsing:
         with pytest.raises(ScenarioFormatError, match="number"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[user a]\ndistances_m = 110\nalpha2 = nan\n",
+            "[user a]\ndistances_m = 110\nlambda = inf\n",
+            "[network]\nnoise_w = nan\n[user a]\ndistances_m = 110\n",
+            "[user a]\ndistances_m = 110\n[run]\ndelta = nan\n",
+        ],
+    )
+    def test_non_finite_number_rejected(self, text):
+        with pytest.raises(ScenarioFormatError, match="finite"):
+            parse_scenario(text)
+
     def test_arrival_and_move_cannot_mix(self):
         text = (
             MINIMAL
