@@ -42,12 +42,9 @@ from .engine import (
     unconstrained_best_response,
 )
 from .multicell import (
-    NetworkState,
     assign_base_station,
     effective_interference_by_station,
     min_power_update_map,
-    multicell_step,
-    njrpcgpb_iterate,
 )
 from .admission import (
     ABOVE_TARGET,
@@ -62,7 +59,7 @@ from .admission import (
     pricing_rule_eval,
     removal_loop,
 )
-from .rates import NoFeasibleRateError, RateSet, quantize_down
+from .rates import NoFeasibleRateError, RateSet
 from .oracle import (
     StandardFunctionReport,
     fd_gradient_check,

@@ -8,7 +8,6 @@ import numpy as np
 
 from .core import ChannelModel, UserParams, _require_finite, target_sinr
 from .engine import CLAMP, SYNCHRONOUS, ConvergenceConfig, IterationTrace, iterate_to_convergence
-from .multicell import njrpcgpb_iterate
 
 __all__ = [
     "BELOW_TARGET",
@@ -203,7 +202,7 @@ def escalate_pricing(
     for k in range(max_steps):
         c = start + k * step
         priced = priced_users(rule, channel, users, c=c)
-        trace = _solve(channel, priced, policy, config, schedule)
+        trace = iterate_to_convergence(channel, priced, policy, config, schedule)
         tested.append(c)
         outcomes = classify_users(trace, targets, tolerance)
         if BELOW_TARGET not in outcomes:
@@ -248,7 +247,7 @@ def removal_loop(
     while active:
         ch = channel.subset(active)
         us = [users[i] for i in active]
-        trace = _solve(ch, us, policy, config, schedule)
+        trace = iterate_to_convergence(ch, us, policy, config, schedule)
         targets = np.array([target_sinr(u.alpha1, u.alpha2, ch.bandwidth_hz) for u in us])
         outcomes = classify_users(trace, targets, tolerance)
         below = [k for k, o in enumerate(outcomes) if o == BELOW_TARGET]
@@ -258,9 +257,3 @@ def removal_loop(
         worst = min(below, key=lambda k: sinrs[k] / targets[k])
         removed.append(active.pop(worst))
     return RemovalResult(removed, [], None, True)
-
-
-def _solve(channel, users, policy, config, schedule) -> IterationTrace:
-    if channel.n_stations == 1:
-        return iterate_to_convergence(channel, users, policy, config, schedule)
-    return njrpcgpb_iterate(channel, users, policy, config, schedule)

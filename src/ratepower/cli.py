@@ -10,6 +10,7 @@ import numpy as np
 from .admission import NotConvergedError, PricingRule, escalate_pricing, removal_loop
 from .reference import REPRODUCE_TARGETS, reproduce
 from .scenario import (
+    _SCHEDULE_ALIASES,
     ScenarioFormatError,
     emit_trace,
     parse_scenario,
@@ -21,8 +22,6 @@ from .scenario import (
 )
 
 _POLICY_CHOICES = ("clamp", "kkt")
-_SCHEDULE_CHOICES = ("sync", "seq", "synchronous", "sequential")
-_SCHEDULE_MAP = {"sync": "synchronous", "seq": "sequential"}
 
 
 def main(argv=None) -> int:
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--trace", help="write the per-iteration CSV here")
     p_run.add_argument("--summary", help="write the converged summary here")
     p_run.add_argument("--policy", choices=_POLICY_CHOICES)
-    p_run.add_argument("--schedule", choices=_SCHEDULE_CHOICES)
+    p_run.add_argument("--schedule", choices=tuple(_SCHEDULE_ALIASES))
 
     p_rep = sub.add_parser("reproduce", help="rerun a built-in experiment")
     p_rep.add_argument("target", choices=REPRODUCE_TARGETS + ("all",))
@@ -85,7 +84,7 @@ def _load(args):
     if getattr(args, "policy", None):
         scenario.policy = args.policy
     if getattr(args, "schedule", None):
-        scenario.schedule = _SCHEDULE_MAP.get(args.schedule, args.schedule)
+        scenario.schedule = _SCHEDULE_ALIASES[args.schedule]
     return scenario
 
 

@@ -1,9 +1,10 @@
 """Independent verification machinery.
 
 A brute-force grid argmax for the priced utility, central finite differences
-for its gradient and Hessian, and a sampler that hunts for counterexamples to
-the positivity / monotonicity / scalability properties of a power-update map.
-Deliberately unoptimized; correctness reference only.
+for its gradient and Hessian, a sampler that hunts for counterexamples to
+the positivity / monotonicity / scalability properties of a power-update map,
+and a per-user SINR recomputation of a trace record. Deliberately
+unoptimized; correctness reference only.
 """
 
 from __future__ import annotations
@@ -12,13 +13,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Strategy, utility_priced, utility_priced_gradient, utility_priced_hessian
+from .core import (
+    ChannelModel,
+    Strategy,
+    sinr,
+    utility_priced,
+    utility_priced_gradient,
+    utility_priced_hessian,
+)
+from .engine import IterationRecord
 
 __all__ = [
     "grid_best_response",
     "fd_gradient_check",
     "StandardFunctionReport",
     "standard_function_check",
+    "recompute_sinrs",
 ]
 
 
@@ -167,3 +177,18 @@ def standard_function_check(
                 {"property": "scalability", "p": p.copy(), "a": a, "mapped": mapped, "scaled": scaled}
             )
     return report
+
+
+def recompute_sinrs(channel: ChannelModel, record: IterationRecord) -> np.ndarray:
+    """Recompute per-user SINRs from a trace record via the scalar model ops."""
+    out = np.empty(len(record.user_ids))
+    for k in range(len(record.user_ids)):
+        a = int(record.assignment[k])
+        gains = channel.gains[:, a]
+        r_eff = float(
+            (np.delete(gains * record.powers, k).sum() + channel.noise_w) / gains[k]
+        )
+        out[k] = sinr(
+            channel.bandwidth_hz, Strategy(record.powers[k], record.rates[k]), r_eff
+        )
+    return out

@@ -6,7 +6,7 @@ import bisect
 import math
 from dataclasses import dataclass
 
-__all__ = ["RateSet", "NoFeasibleRateError", "quantize_down"]
+__all__ = ["RateSet", "NoFeasibleRateError"]
 
 
 class NoFeasibleRateError(ValueError):
@@ -30,7 +30,12 @@ class RateSet:
         object.__setattr__(self, "rates", values)
 
     def floor(self, rate: float) -> float:
-        """Largest admissible rate not exceeding ``rate``."""
+        """Largest admissible rate not exceeding ``rate``.
+
+        Lowering the rate can only raise the SINR, so a user quantized this
+        way never ends up below the SINR its continuous rate would have given
+        it.
+        """
         idx = bisect.bisect_right(self.rates, rate) - 1
         if idx < 0:
             raise NoFeasibleRateError(
@@ -40,12 +45,3 @@ class RateSet:
 
     def __len__(self) -> int:
         return len(self.rates)
-
-
-def quantize_down(rate: float, rate_set: RateSet) -> float:
-    """Snap a rate down to the nearest admissible value.
-
-    Lowering the rate can only raise the SINR, so a user quantized this way
-    never ends up below the SINR its continuous rate would have given it.
-    """
-    return rate_set.floor(rate)

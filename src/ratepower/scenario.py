@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ChannelModel, Strategy, UserParams, UserTable, sinr as core_sinr, target_sinr
+from .core import ChannelModel, UserParams, target_sinr
 from .engine import (
     CLAMP,
     KKT,
@@ -32,16 +32,9 @@ from .engine import (
     ConvergenceConfig,
     IterationRecord,
     IterationTrace,
-    _initial_vector,
-    _quantize_final_record,
-    _sequential_step,
-    _synchronous_step,
-    convergence_metric,
     iterate_to_convergence,
-    make_record,
 )
 from .admission import PRICING_KINDS, PricingRule, classify_users, priced_users
-from .multicell import njrpcgpb_iterate
 from .rates import RateSet
 
 __all__ = [
@@ -550,21 +543,29 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
     """
     if scenario.moves:
         return _run_move_scenario(scenario)
-    if scenario.arrivals:
-        return _run_arrival_scenario(scenario)
 
-    users = _apply_pricing(scenario, scenario.channel, scenario.users)
-    trace = _solve(
+    def reprice(channel, users):
+        return _apply_pricing(scenario, channel, users)
+
+    trace = iterate_to_convergence(
         scenario.channel,
-        users,
+        reprice(scenario.channel, scenario.users),
         scenario.policy,
         scenario.config,
         scenario.schedule,
         scenario.rate_set,
         scenario.quantize_at_convergence,
+        arrivals=scenario.arrivals,
+        reprice=reprice,
     )
-    names = list(scenario.user_names)
-    summary = summarize_run(scenario.channel, users, names, trace)
+    # Rebuild the network the run ended on: the arrivals it reached.
+    arrived = [ev for ev in scenario.arrivals if ev.iteration <= trace.iterations_used]
+    channel = scenario.channel
+    for ev in arrived:
+        channel = channel.with_user(ev.distances_m)
+    users = reprice(channel, list(scenario.users) + [ev.user for ev in arrived])
+    names = list(scenario.user_names) + [ev.name for ev in arrived]
+    summary = summarize_run(channel, users, names, trace)
     return trace, summary
 
 
@@ -593,92 +594,6 @@ def _apply_pricing(scenario, channel, users) -> list[UserParams]:
     return priced_users(scenario.pricing, channel, users)
 
 
-def _solve(channel, users, policy, config, schedule, rate_set, quantize_at_convergence):
-    if channel.n_stations == 1:
-        return iterate_to_convergence(
-            channel,
-            users,
-            policy,
-            config,
-            schedule,
-            rate_set=rate_set,
-            quantize_at_convergence=quantize_at_convergence,
-        )
-    return njrpcgpb_iterate(
-        channel,
-        users,
-        policy,
-        config,
-        schedule,
-        rate_set=rate_set,
-        quantize_at_convergence=quantize_at_convergence,
-    )
-
-
-def _run_arrival_scenario(scenario: Scenario):
-    channel = scenario.channel
-    if channel.n_stations != 1:
-        raise ValueError("arrival events are supported for single-station scenarios")
-    config = scenario.config
-    step_set = None if scenario.quantize_at_convergence else scenario.rate_set
-
-    raw_users = list(scenario.users)
-    active_users = _apply_pricing(scenario, channel, raw_users)
-    table = UserTable.from_users(active_users)
-    names = list(scenario.user_names)
-    pending = sorted(scenario.arrivals, key=lambda e: e.iteration)
-    powers = _initial_vector(active_users, None, "power")
-    rates = _initial_vector(active_users, None, "rate")
-
-    records: list[IterationRecord] = []
-    converged = False
-    iterations = 0
-    while iterations < config.max_iterations:
-        iterations += 1
-        while pending and pending[0].iteration == iterations:
-            ev = pending.pop(0)
-            channel = channel.with_user(ev.distances_m)
-            raw_users.append(ev.user)
-            # re-price everyone: count- or gain-based rules see the new network
-            active_users = _apply_pricing(scenario, channel, raw_users)
-            table = UserTable.from_users(active_users)
-            names.append(ev.name)
-            powers = np.append(powers, active_users[-1].initial_power)
-            rates = np.append(rates, active_users[-1].initial_rate)
-        if scenario.schedule == SYNCHRONOUS:
-            new_p, new_r = _synchronous_step(
-                channel, active_users, powers, rates, scenario.policy, step_set
-            )
-        else:
-            new_p, new_r = _sequential_step(
-                channel, active_users, powers, rates, scenario.policy, step_set
-            )
-        metric = convergence_metric(powers, rates, new_p, new_r, config.metric)
-        powers, rates = new_p, new_r
-        records.append(
-            make_record(
-                channel,
-                table,
-                iterations,
-                1,
-                np.arange(len(active_users)),
-                np.zeros(len(active_users), dtype=int),
-                powers,
-                rates,
-                metric,
-            )
-        )
-        if metric <= config.delta and not pending:
-            converged = True
-            break
-
-    trace = IterationTrace(records, converged, iterations)
-    if scenario.quantize_at_convergence:
-        _quantize_final_record(trace, channel, table, scenario.rate_set)
-    summary = summarize_run(channel, active_users, names, trace)
-    return trace, summary
-
-
 def _run_move_scenario(scenario: Scenario):
     # Every step is an independent solve of the new geometry from the default
     # initial strategies. The converged point is initialization-independent,
@@ -702,7 +617,7 @@ def _run_move_scenario(scenario: Scenario):
         for ev in moves_by_step.get(step_no, []):
             channel = channel.moved(ev.user, ev.distances_m)
         users = _apply_pricing(scenario, channel, scenario.users)
-        trace = _solve(
+        trace = iterate_to_convergence(
             channel,
             users,
             scenario.policy,
@@ -839,18 +754,3 @@ def _write_text(destination, text: str) -> None:
         return
     with open(destination, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
-
-
-def recompute_sinrs(channel: ChannelModel, record: IterationRecord) -> np.ndarray:
-    """Recompute per-user SINRs from a trace record via the scalar model ops."""
-    out = np.empty(len(record.user_ids))
-    for k in range(len(record.user_ids)):
-        a = int(record.assignment[k])
-        gains = channel.gains[:, a]
-        r_eff = float(
-            (np.delete(gains * record.powers, k).sum() + channel.noise_w) / gains[k]
-        )
-        out[k] = core_sinr(
-            channel.bandwidth_hz, Strategy(record.powers[k], record.rates[k]), r_eff
-        )
-    return out

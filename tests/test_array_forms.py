@@ -2,37 +2,53 @@
 
 The array forms evaluate the same floating-point operations in the same order
 as the scalar functions they replace, so most comparisons here are exact.
-The exceptions carry a tolerance fixed from float64: the sequential sweep
-keeps running per-station totals instead of a fresh ``p @ g`` per user, and
-``make_record`` takes its logarithms through numpy instead of ``math``.
+The exceptions carry a tolerance fixed from float64: the loop subtracts each
+user's own term from a station total where the oracles skip it, the
+sequential sweep keeps running per-station totals instead of a fresh
+``p @ g`` per user, and ``make_record`` takes its logarithms through numpy
+instead of ``math``.
+
+The sweeps are reached through ``iterate_to_convergence``: one iteration from
+a given state is one sweep.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ratepower.core import ChannelModel, Strategy, UserParams, UserTable, sinr, utility_priced
+from ratepower.core import (
+    ChannelModel,
+    Strategy,
+    UserParams,
+    UserTable,
+    effective_interference,
+    sinr,
+    utility_priced,
+)
 from ratepower.engine import (
     CLAMP,
     KKT,
     SEQUENTIAL,
+    SYNCHRONOUS,
     ConvergenceConfig,
     bounded_step,
     bounded_step_array,
+    convergence_metric,
+    iterate_to_convergence,
     make_record,
     unconstrained_best_response,
 )
 from ratepower.multicell import (
     TIE_REL_TOL,
-    NetworkState,
     assign_base_station,
     effective_interference_by_station,
-    multicell_step,
-    njrpcgpb_iterate,
 )
 from ratepower.rates import RateSet
+
+EPS = np.finfo(float).eps
 
 POLICIES = st.sampled_from([CLAMP, KKT])
 
@@ -125,6 +141,12 @@ class TestBestResponseKernel:
         np.testing.assert_array_equal(table.alpha2, [12.0])
 
 
+class State(NamedTuple):
+    powers: np.ndarray
+    rates: np.ndarray
+    assignment: np.ndarray
+
+
 @st.composite
 def networks(draw, max_users=8, max_stations=4):
     n = draw(st.integers(1, max_users))
@@ -144,8 +166,25 @@ def networks(draw, max_users=8, max_stations=4):
         )
         powers.append(draw(st.floats(1e-6, p_max)))
     assignment = [draw(st.integers(0, b - 1)) for _ in range(n)]
-    state = NetworkState(np.array(powers), np.full(n, 1000.0), np.array(assignment))
+    state = State(np.array(powers), np.full(n, 1000.0), np.array(assignment))
     return channel, users, state
+
+
+def sweep(channel, users, state, policy=CLAMP, rate_set=None, schedule=SYNCHRONOUS):
+    """One iteration of the loop from ``state``."""
+    trace = iterate_to_convergence(
+        channel,
+        users,
+        policy,
+        ConvergenceConfig(max_iterations=1),
+        schedule,
+        rate_set,
+        initial_powers=state.powers,
+        initial_rates=state.rates,
+        initial_assignment=state.assignment,
+    )
+    record = trace.final
+    return State(record.powers, record.rates, record.assignment)
 
 
 def loop_step(channel, users, state, policy, rate_set=None):
@@ -158,7 +197,7 @@ def loop_step(channel, users, state, policy, rate_set=None):
         s = bounded_step(user, r_eff, policy)
         p[i] = s.power
         r[i] = s.rate if rate_set is None else rate_set.floor(s.rate)
-    return NetworkState(p, r, a)
+    return State(p, r, a)
 
 
 def loop_sequential_sweep(channel, users, state, policy):
@@ -168,7 +207,7 @@ def loop_sequential_sweep(channel, users, state, policy):
         a[i] = assign_base_station(channel, p, i, int(a[i]))
         s = bounded_step(user, float(effective_interference_by_station(channel, p, i)[a[i]]), policy)
         p[i], r[i] = s.power, s.rate
-    return NetworkState(p, r, a)
+    return State(p, r, a)
 
 
 def assert_states_equal(got, want):
@@ -195,14 +234,14 @@ class TestSynchronousSweep:
     @given(networks(), POLICIES)
     def test_equals_per_user_oracle_loop(self, network, policy):
         channel, users, state = network
-        assert_states_equal(multicell_step(channel, users, state, policy), loop_step(channel, users, state, policy))
+        assert_states_equal(sweep(channel, users, state, policy), loop_step(channel, users, state, policy))
 
     @settings(max_examples=50, deadline=None)
     @given(networks(), POLICIES)
     def test_equals_oracle_loop_on_a_rate_ladder(self, network, policy):
         channel, users, state = network
         ladder = RateSet((0.1, 1e3, 1e4, 5e4))
-        got = multicell_step(channel, UserTable.from_users(users), state, policy, ladder)
+        got = sweep(channel, users, state, policy, ladder)
         assert_states_equal(got, loop_step(channel, users, state, policy, ladder))
 
     # eps = 0 is an exact tie; 2.4e-10 puts the two stations about 9.6e-10 apart,
@@ -214,15 +253,15 @@ class TestSynchronousSweep:
         reffs = effective_interference_by_station(channel, powers, 2)
         assert abs(reffs[1] / reffs[0] - 1.0) <= TIE_REL_TOL
         assignment = np.array([0, 0, current, 1, 1])
-        state = NetworkState(powers, np.full(5, 1000.0), assignment)
-        got = multicell_step(channel, users, state, CLAMP)
+        state = State(powers, np.full(5, 1000.0), assignment)
+        got = sweep(channel, users, state, CLAMP)
         assert got.assignment[2] == current
         assert_states_equal(got, loop_step(channel, users, state, CLAMP))
 
     def test_walker_outside_the_tie_band_switches(self):
         channel, users, powers = mirror_network(1e-9)
-        state = NetworkState(powers, np.full(5, 1000.0), np.array([0, 0, 1, 1, 1]))
-        got = multicell_step(channel, users, state, KKT)
+        state = State(powers, np.full(5, 1000.0), np.array([0, 0, 1, 1, 1]))
+        got = sweep(channel, users, state, KKT)
         assert got.assignment[2] == 0
         assert_states_equal(got, loop_step(channel, users, state, KKT))
 
@@ -231,38 +270,128 @@ class TestSynchronousSweep:
         channel = ChannelModel([[110, 410, 120], [200, 200, 900], [410, 110, 120]])
         users = [UserParams() for _ in range(3)]
         powers = np.array([0.1, 0.3, 0.1])
-        state = NetworkState(powers, np.full(3, 1000.0), np.array([0, 2, 1]))
-        got = multicell_step(channel, users, state, CLAMP)
+        state = State(powers, np.full(3, 1000.0), np.array([0, 2, 1]))
+        got = sweep(channel, users, state, CLAMP)
         assert got.assignment[1] == 0
         assert_states_equal(got, loop_step(channel, users, state, CLAMP))
 
     def test_rejects_a_missing_station(self):
         channel, users, powers = mirror_network(0.0)
-        state = NetworkState(powers, np.full(5, 1000.0), np.array([0, 0, 2, 1, 1]))
-        with pytest.raises(ValueError):
-            multicell_step(channel, users, state)
+        state = State(powers, np.full(5, 1000.0), np.array([0, 0, 2, 1, 1]))
+        with pytest.raises(ValueError, match="missing station"):
+            sweep(channel, users, state)
+
+
+# Subtracting a user's own term from its station total, as the loop does,
+# loses about eps * total, so the relative error of its effective
+# interference is about eps * kappa, kappa = total / (other + noise). No order
+# of the sums avoids that where the own term dominates, so comparisons with
+# the scalar oracles allow KAPPA_C * eps * max(1, kappa).
+KAPPA_C = 64
+
+
+def kappa(channel, powers, assignment):
+    """Largest station total over a user's effective interference times its gain."""
+    g = channel.gains
+    worst = 1.0
+    for i, a in enumerate(assignment):
+        other = effective_interference(g[:, a], powers, i, channel.noise_w) * g[i, a]
+        worst = max(worst, float(powers @ g[:, a]) / other)
+    return worst
+
+
+def assert_close_within_kappa(got, want, k):
+    rtol = KAPPA_C * EPS * k
+    np.testing.assert_allclose(got.powers, want.powers, rtol=rtol, atol=0)
+    np.testing.assert_allclose(got.rates, want.rates, rtol=rtol, atol=0)
+
+
+# Own terms dominate both station totals: kappa is about 5e4, and the loop
+# and the oracle differ by 2.8e-12 relative.
+OWN_TERM_DOMINATES = (
+    ChannelModel([[50, 366.5], [50, 51]]),
+    [UserParams(alpha2=6, lam=1e-3, p_max=1), UserParams(alpha2=5, lam=1e-3, p_max=1)],
+    State(np.ones(2), np.full(2, 1000.0), np.zeros(2, dtype=int)),
+)
 
 
 class TestSequentialSweep:
     @settings(max_examples=150, deadline=None)
     @given(networks(), POLICIES)
+    @example(network=OWN_TERM_DOMINATES, policy=CLAMP)
     def test_running_totals_match_recomputed_interference(self, network, policy):
+        # Each sweep against the oracle sweep from the same state, so rounding
+        # does not compound from one sweep to the next.
         channel, users, state = network
-        sweeps = 3
-        trace = njrpcgpb_iterate(
+        for _ in range(3):
+            got = sweep(channel, users, state, policy, schedule=SEQUENTIAL)
+            want = loop_sequential_sweep(channel, users, state, policy)
+            np.testing.assert_array_equal(got.assignment, want.assignment)
+            k = max(kappa(channel, p, want.assignment) for p in (state.powers, want.powers))
+            assert_close_within_kappa(got, want, k)
+            state = got
+
+
+class Arrival(NamedTuple):
+    iteration: int
+    distances_m: list
+    user: UserParams
+
+
+def oracle_loop(channel, users, state, policy, schedule, config, arrival=None):
+    """The one-station loop from scalar pieces, interference recomputed per user."""
+    users, p, r = list(users), list(state.powers), list(state.rates)
+    for iteration in range(1, config.max_iterations + 1):
+        if arrival is not None and arrival.iteration == iteration:
+            channel = channel.with_user(arrival.distances_m)
+            users.append(arrival.user)
+            p.append(arrival.user.initial_power)
+            r.append(arrival.user.initial_rate)
+        gains = channel.gains[:, 0]
+        new_p, new_r = list(p), list(r)
+        seen = new_p if schedule == SEQUENTIAL else p
+        for i, user in enumerate(users):
+            s = bounded_step(user, effective_interference(gains, seen, i, channel.noise_w), policy)
+            new_p[i], new_r[i] = s.power, s.rate
+        metric = convergence_metric(p, r, new_p, new_r)
+        p, r = new_p, new_r
+        if metric <= config.delta and (arrival is None or iteration >= arrival.iteration):
+            break
+    return iteration, channel, State(np.array(p), np.array(r), np.zeros(len(p), dtype=int))
+
+
+@st.composite
+def arrivals(draw):
+    distances = [draw(st.floats(50.0, 600.0))]
+    user = UserParams(alpha2=draw(st.floats(5.0, 30.0)), lam=10 ** draw(st.floats(-6.0, -3.0)))
+    return Arrival(draw(st.integers(1, 12)), distances, user)
+
+
+class TestOneStationLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        networks(max_stations=1),
+        POLICIES,
+        st.sampled_from([SYNCHRONOUS, SEQUENTIAL]),
+        st.none() | arrivals(),
+    )
+    def test_equals_scalar_oracle_loop(self, network, policy, schedule, arrival):
+        channel, users, state = network
+        config = ConvergenceConfig(max_iterations=300)
+        trace = iterate_to_convergence(
             channel,
             users,
             policy,
-            ConvergenceConfig(delta=1e-300, max_iterations=sweeps),
-            SEQUENTIAL,
-            initial_state=state,
+            config,
+            schedule,
+            initial_powers=state.powers,
+            initial_rates=state.rates,
+            arrivals=[] if arrival is None else [arrival],
         )
-        want = state
-        for record in trace.records:
-            want = loop_sequential_sweep(channel, users, want, policy)
-            np.testing.assert_array_equal(record.assignment, want.assignment)
-            np.testing.assert_allclose(record.powers, want.powers, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(record.rates, want.rates, rtol=1e-12, atol=0)
+        iterations, channel, want = oracle_loop(channel, users, state, policy, schedule, config, arrival)
+        assert trace.iterations_used == iterations
+        np.testing.assert_array_equal(trace.final_assignment, want.assignment)
+        assert_close_within_kappa(trace.final, want, kappa(channel, want.powers, want.assignment))
 
 
 class TestRecords:

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from ratepower.cli import main
 from ratepower.scenario import TRACE_HEADER
+
+SHIPPED_SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
 
 THREE_USER = """
 [user u1]
@@ -78,6 +82,36 @@ class TestRun:
         bad.write_text("[user a]\ndistances_m = 110\nbogus = 1\n")
         assert main(["run", str(bad)]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    def test_lone_noise_free_user_fails_cleanly(self, tmp_path, capsys):
+        lone = tmp_path / "lone.scn"
+        lone.write_text("[network]\nnoise_w = 0\n\n[user a]\ndistances_m = 110\n")
+        assert main(["run", str(lone)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lone user with zero noise" in err
+
+
+class TestShippedScenarios:
+    @pytest.mark.parametrize("policy", ["clamp", "kkt"])
+    @pytest.mark.parametrize("schedule", ["sync", "seq"])
+    @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+    def test_converges_and_trace_ends_at_summary(self, path, schedule, policy, tmp_path, capsys):
+        trace_path = tmp_path / "trace.csv"
+        summary_path = tmp_path / "summary.txt"
+        argv = ["run", str(path), "--schedule", schedule, "--policy", policy]
+        argv += ["--trace", str(trace_path), "--summary", str(summary_path)]
+        assert main(argv) == 0
+        summary = dict(line.split(" = ") for line in summary_path.read_text().splitlines())
+        assert summary["converged"] == "true"
+        rows = [line.split(",") for line in trace_path.read_text().splitlines()[1:]]
+        final = [row for row in rows if row[0] == rows[-1][0]]
+        # user keys come first; per-step keys of movement runs follow them
+        n_users = int(summary["n_users"])
+        names = [key[: -len(".bs")] for key in summary if key.endswith(".bs")][:n_users]
+        assert len(final) == len(names) == n_users
+        for row, name in zip(final, names):
+            want = [summary[f"{name}.{field}"] for field in ("bs", "p_w", "r_bps")]
+            assert row[2:5] == want
 
 
 class TestReproduce:

@@ -36,6 +36,15 @@ def equidistant_channel(n_users, d=110.0, noise_w=5e-15):
     return ChannelModel([d] * n_users, noise_w=noise_w)
 
 
+def one_step(channel, users, powers, rates):
+    """Powers and rates after one synchronous clamp iteration from (powers, rates)."""
+    config = ConvergenceConfig(max_iterations=1)
+    trace = iterate_to_convergence(
+        channel, users, config=config, initial_powers=powers, initial_rates=rates
+    )
+    return trace.final_powers, trace.final_rates
+
+
 def table3_users(n_users, lam=4e-4):
     return [
         UserParams(alpha2=12.9492, lam=lam, p_max=0.0647, r_max=96000.0)
@@ -262,11 +271,36 @@ class TestIterateToConvergence:
         users = table3_users(2)
         with pytest.raises(ValueError):
             iterate_to_convergence(channel, users, initial_powers=[1.0, 1.0])
+        # the same check holds on any number of stations
+        two_cells = ChannelModel([[110, 410], [410, 110]])
+        with pytest.raises(ValueError, match="outside"):
+            iterate_to_convergence(
+                two_cells,
+                [UserParams(p_max=3.0), UserParams(p_max=3.0)],
+                initial_powers=[1e3, 1e3],
+                initial_rates=[1.0, 1.0],
+                initial_assignment=[0, 0],
+            )
 
-    def test_multistation_channel_rejected(self):
-        channel = ChannelModel([[110, 410]])
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("distances", [[110], [[110, 410]]])
+    def test_lone_noise_free_user_rejected_before_iteration_1(self, distances):
+        channel = ChannelModel(distances, noise_w=0.0)
+        with pytest.raises(ValueError, match="lone user with zero noise"):
             iterate_to_convergence(channel, [UserParams()])
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"initial_powers": [0.1]},
+            {"initial_rates": [1000.0, 1000.0, 1000.0]},
+            {"initial_assignment": [0]},
+            {"initial_assignment": [0.0, 1.0]},
+        ],
+    )
+    def test_initial_state_needs_one_entry_per_user(self, override):
+        channel = ChannelModel([[110, 410], [410, 110]])
+        with pytest.raises(ValueError):
+            iterate_to_convergence(channel, [UserParams(), UserParams()], **override)
 
     def test_fixed_point_residual_small_at_convergence(self):
         for n, lam in ((5, 4e-4), (6, 4e-4)):
@@ -281,17 +315,15 @@ class TestIterateToConvergence:
 
     def test_rate_decoupling_between_users(self):
         # nudging one user's rate leaves everyone else's next update untouched
-        from ratepower.engine import _synchronous_step
-
         channel = ChannelModel([110, 130, 210])
         users = [UserParams(alpha2=20, lam=1e-4, r_max=47000.0) for _ in range(3)]
         powers = np.array([0.1, 0.2, 0.4])
         rates = np.array([1000.0, 2000.0, 3000.0])
-        base_p, base_r = _synchronous_step(channel, users, powers, rates, CLAMP, None)
+        base_p, base_r = one_step(channel, users, powers, rates)
         for j in range(3):
             bumped = rates.copy()
             bumped[j] *= 7.5
-            new_p, new_r = _synchronous_step(channel, users, powers, bumped, CLAMP, None)
+            new_p, new_r = one_step(channel, users, powers, bumped)
             others = [i for i in range(3) if i != j]
             assert np.array_equal(new_p[others], base_p[others])
             assert np.array_equal(new_r[others], base_r[others])

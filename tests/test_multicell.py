@@ -5,17 +5,15 @@ from ratepower.core import ChannelModel, UserParams, target_sinr
 from ratepower.engine import (
     CLAMP,
     SEQUENTIAL,
+    ConvergenceConfig,
     bounded_step,
     iterate_to_convergence,
     unconstrained_best_response,
 )
 from ratepower.multicell import (
-    NetworkState,
     assign_base_station,
     effective_interference_by_station,
     min_power_update_map,
-    multicell_step,
-    njrpcgpb_iterate,
 )
 
 
@@ -32,6 +30,21 @@ def two_cell_channel(walker_d1=210.0, walker_d2=310.0):
 
 def five_users():
     return [UserParams(alpha2=20, lam=1e-4, r_max=96000.0) for _ in range(5)]
+
+
+def one_step(channel, users, powers, rates, assignment):
+    """The final record of a one-iteration clamp solve from the given state."""
+    config = ConvergenceConfig(max_iterations=1)
+    trace = iterate_to_convergence(
+        channel,
+        users,
+        CLAMP,
+        config,
+        initial_powers=powers,
+        initial_rates=rates,
+        initial_assignment=assignment,
+    )
+    return trace.final
 
 
 class TestAssignBaseStation:
@@ -68,8 +81,7 @@ class TestMulticellStep:
         users = [UserParams(alpha2=20, lam=1e-4) for _ in range(3)]
         powers = np.array([0.1, 0.2, 0.4])
         rates = np.array([1000.0, 1000.0, 1000.0])
-        state = NetworkState(powers, rates, np.zeros(3, dtype=int))
-        new = multicell_step(channel, users, state, CLAMP)
+        new = one_step(channel, users, powers, rates, np.zeros(3, dtype=int))
         gains = channel.gains[:, 0]
         for i, user in enumerate(users):
             cross = gains * powers
@@ -101,22 +113,22 @@ class TestMulticellStep:
     def test_assignment_optimality_after_step(self):
         channel = two_cell_channel()
         users = five_users()
-        state = NetworkState(
-            np.full(5, 0.2), np.full(5, 1000.0), np.zeros(5, dtype=int)
-        )
-        new = multicell_step(channel, users, state, CLAMP)
+        powers = np.full(5, 0.2)
+        new = one_step(channel, users, powers, np.full(5, 1000.0), np.zeros(5, dtype=int))
         for i in range(5):
-            reffs = effective_interference_by_station(channel, state.powers, i)
+            reffs = effective_interference_by_station(channel, powers, i)
             assert reffs[new.assignment[i]] <= reffs.min() * (1 + 1e-9)
 
 
 class TestNjrpcgpbIterate:
+    """The joint assignment + rate/power game (NJRPCG-PB) on two stations."""
+
     def test_duplicate_stations_match_single_cell(self):
         single = ChannelModel([110, 130, 210])
         duplicated = ChannelModel([[110, 110], [130, 130], [210, 210]])
         users = [UserParams(alpha2=20, lam=1e-4, r_max=96000.0) for _ in range(3)]
         trace_single = iterate_to_convergence(single, users)
-        trace_multi = njrpcgpb_iterate(duplicated, users)
+        trace_multi = iterate_to_convergence(duplicated, users)
         assert trace_multi.converged
         assert trace_multi.final_powers == pytest.approx(trace_single.final_powers, rel=1e-9)
         assert trace_multi.final_rates == pytest.approx(trace_single.final_rates, rel=1e-9)
@@ -124,7 +136,7 @@ class TestNjrpcgpbIterate:
     def test_interior_convergence_hits_targets_at_assigned_station(self):
         channel = two_cell_channel()
         users = five_users()
-        trace = njrpcgpb_iterate(channel, users)
+        trace = iterate_to_convergence(channel, users)
         assert trace.converged
         targets = [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]
         assert trace.final_sinrs == pytest.approx(targets, rel=1e-6)
@@ -135,13 +147,8 @@ class TestNjrpcgpbIterate:
     def test_two_initial_assignments_converge_identically(self):
         channel = two_cell_channel()
         users = five_users()
-        a = njrpcgpb_iterate(channel, users)
-        forced = NetworkState(
-            np.array([u.initial_power for u in users]),
-            np.array([u.initial_rate for u in users]),
-            np.ones(5, dtype=int),
-        )
-        b = njrpcgpb_iterate(channel, users, initial_state=forced)
+        a = iterate_to_convergence(channel, users)
+        b = iterate_to_convergence(channel, users, initial_assignment=np.ones(5, dtype=int))
         assert a.converged and b.converged
         assert a.final_powers == pytest.approx(b.final_powers, rel=1e-6)
         assert a.final_rates == pytest.approx(b.final_rates, rel=1e-6)
@@ -149,8 +156,8 @@ class TestNjrpcgpbIterate:
     def test_sequential_schedule_agrees(self):
         channel = two_cell_channel()
         users = five_users()
-        sync = njrpcgpb_iterate(channel, users)
-        seq = njrpcgpb_iterate(channel, users, schedule=SEQUENTIAL)
+        sync = iterate_to_convergence(channel, users)
+        seq = iterate_to_convergence(channel, users, schedule=SEQUENTIAL)
         assert seq.converged
         assert seq.final_powers == pytest.approx(sync.final_powers, rel=1e-6)
 
@@ -158,8 +165,8 @@ class TestNjrpcgpbIterate:
         # step-7 geometry: the walker prefers station 2; by the end of the
         # walk it spends less power and sends faster than at the crossing
         users = five_users()
-        at_270 = njrpcgpb_iterate(two_cell_channel(270.0, 250.0), users)
-        at_240 = njrpcgpb_iterate(two_cell_channel(310.0, 210.0), users)
+        at_270 = iterate_to_convergence(two_cell_channel(270.0, 250.0), users)
+        at_240 = iterate_to_convergence(two_cell_channel(310.0, 210.0), users)
         assert at_270.final_assignment[2] == 1
         assert at_240.final_assignment[2] == 1
         assert at_240.final_powers[2] < at_270.final_powers[2]
@@ -168,13 +175,8 @@ class TestNjrpcgpbIterate:
     def test_bad_initial_assignment_rejected(self):
         channel = two_cell_channel()
         users = five_users()
-        state = NetworkState(
-            np.array([u.initial_power for u in users]),
-            np.array([u.initial_rate for u in users]),
-            np.full(5, 9, dtype=int),
-        )
-        with pytest.raises(ValueError):
-            njrpcgpb_iterate(channel, users, initial_state=state)
+        with pytest.raises(ValueError, match="missing station"):
+            iterate_to_convergence(channel, users, initial_assignment=np.full(5, 9))
 
 
 class TestMinPowerUpdateMap:

@@ -3,29 +3,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ratepower.core import ChannelModel, UserParams, target_sinr
-from ratepower.engine import CLAMP, iterate_to_convergence
-from ratepower.rates import NoFeasibleRateError, RateSet, quantize_down
+from ratepower.engine import CLAMP, ConvergenceConfig, iterate_to_convergence
+from ratepower.rates import NoFeasibleRateError, RateSet
 
 LADDER = RateSet((9600.0, 19200.0, 38400.0))
 
 
 class TestQuantizeDown:
     def test_nearest_lower(self):
-        assert quantize_down(19306.0, LADDER) == 19200.0
+        assert LADDER.floor(19306.0) == 19200.0
 
     def test_member_maps_to_itself(self):
-        assert quantize_down(19200.0, LADDER) == 19200.0
+        assert LADDER.floor(19200.0) == 19200.0
 
     def test_below_minimum_raises(self):
         with pytest.raises(NoFeasibleRateError):
-            quantize_down(9599.0, LADDER)
+            LADDER.floor(9599.0)
 
     @given(st.floats(min_value=9600.0, max_value=1e6, allow_nan=False))
     def test_never_exceeds_and_idempotent(self, rate):
-        q = quantize_down(rate, LADDER)
+        q = LADDER.floor(rate)
         assert q <= rate
         assert q in LADDER.rates
-        assert quantize_down(q, LADDER) == q
+        assert LADDER.floor(q) == q
 
     def test_rate_set_normalizes_and_validates(self):
         rs = RateSet((38400.0, 9600.0, 9600.0, 19200.0))
@@ -67,15 +67,21 @@ class TestQuantizedRuns:
     def test_quantizing_one_user_leaves_other_updates_unchanged(self):
         # user 0's rate never enters anyone's effective interference, so
         # quantizing it cannot move the other users' next steps
-        from ratepower.engine import _synchronous_step
-
         channel = ChannelModel([110, 130, 210])
         users = [UserParams(alpha2=20, lam=1e-4, r_max=96000.0) for _ in range(3)]
         powers = np.array([0.1, 0.2, 0.4])
         rates = np.array([11111.0, 22222.0, 33333.0])
-        base_p, base_r = _synchronous_step(channel, users, powers, rates, CLAMP, None)
+
+        def one_step(rates):
+            config = ConvergenceConfig(max_iterations=1)
+            trace = iterate_to_convergence(
+                channel, users, CLAMP, config, initial_powers=powers, initial_rates=rates
+            )
+            return trace.final_powers, trace.final_rates
+
+        base_p, base_r = one_step(rates)
         quantized = rates.copy()
         quantized[0] = LADDER.floor(rates[0])
-        new_p, new_r = _synchronous_step(channel, users, powers, quantized, CLAMP, None)
+        new_p, new_r = one_step(quantized)
         assert np.array_equal(new_p[1:], base_p[1:])
         assert np.array_equal(new_r[1:], base_r[1:])

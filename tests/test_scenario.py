@@ -9,12 +9,12 @@ from ratepower.engine import (
     ConvergenceConfig,
     iterate_to_convergence,
 )
+from ratepower.oracle import recompute_sinrs
 from ratepower.scenario import (
     ScenarioFormatError,
     TRACE_HEADER,
     emit_trace,
     parse_scenario,
-    recompute_sinrs,
     run_scenario,
     scenario_to_text,
     summary_to_text,
@@ -241,14 +241,25 @@ class TestRunScenario:
         assert summary.converged
         # both users priced at c * 2 once the second one is transmitting
         assert summary.lam == pytest.approx([1e-4, 1e-4])
+        # and the run solved at that price: it ends where a solve of both users does
+        users = [UserParams(alpha2=20, lam=1e-4), UserParams(alpha2=20, lam=1e-4)]
+        direct = iterate_to_convergence(ChannelModel([110, 130]), users)
+        assert summary.powers == pytest.approx(direct.final_powers, rel=1e-6)
+        assert summary.rates == pytest.approx(direct.final_rates, rel=1e-6)
 
-    def test_arrival_needs_single_station(self):
+    def test_arrival_on_two_stations(self):
         text = (
             TWO_CELL
-            + "[event arrival]\niteration = 5\nuser = late\ndistances_m = 200 200\n"
+            + "[event arrival]\niteration = 5\nuser = late\ndistances_m = 400 120\nalpha2 = 20\n"
         )
-        with pytest.raises(ValueError, match="single-station"):
-            run_scenario(parse_scenario(text))
+        trace, summary = run_scenario(parse_scenario(text))
+        assert summary.converged
+        assert summary.user_names == ["near1", "near2", "late"]
+        assert list(summary.assignment) == [0, 1, 1]
+        assert "late.bs = 1" in summary_to_text(summary)
+        # the newcomer joins on station 0 and moves to the nearer one on its first step
+        first = next(rec for rec in trace.records if rec.iteration == 5)
+        assert len(first.user_ids) == 3 and first.assignment[2] == 1
 
     def test_moves_produce_per_step_summaries(self):
         text = (
