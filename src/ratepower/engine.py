@@ -10,12 +10,13 @@ one-station case of the joint one.
 
 Each iterate's (users x stations) effective-interference matrix comes from
 one ``p @ g``; it feeds that iterate's trace record and the next synchronous
-sweep, which assigns every user at once and, with more than one station,
-takes every best response from ``bounded_step_array``. The sequential sweep
-visits users in order and keeps running per-station totals. The scalar
-``bounded_step`` serves one user; ``bounded_step_array`` serves a whole
-``UserTable`` with the same floating-point operations, so both give equal
-results.
+sweep, which assigns every user at once and takes every best response from
+``bounded_step_array``. The sequential sweep visits users in order, keeps
+running per-station totals and takes each best response from a plain-float
+scalar kernel. The public ``bounded_step`` is that kernel behind input
+checks and serves as the oracle; ``bounded_step_array`` evaluates the same
+floating-point operations for a whole ``UserTable``, so all three agree
+exactly.
 
 Within one iteration the per-user updates are pure; the loop itself is
 sequential. A trace belongs to one run; independent runs can execute in
@@ -218,31 +219,36 @@ def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strateg
     coordinate is re-optimized from the matching stationarity quadratic (then
     projected too, in case the re-optimized value leaves the box); when both
     coordinates violate, both are projected. The result always lies in the
-    box.
+    box. This is the scalar oracle of the sweeps, which run the same kernel.
     """
     _check_policy(policy)
-    cand = unconstrained_best_response(r_eff, user.alpha1, user.alpha2, user.lam)
-    if policy == CLAMP:
-        return Strategy(
-            min(max(cand.power, user.p_min), user.p_max),
-            min(max(cand.rate, user.r_min), user.r_max),
-        )
-    p_ok = user.p_min <= cand.power <= user.p_max
-    r_ok = user.r_min <= cand.rate <= user.r_max
-    if p_ok and r_ok:
-        return cand
-    if p_ok and not r_ok:
-        r = user.r_min if cand.rate < user.r_min else user.r_max
-        p = power_update_rate_bounded(r_eff, r, user.alpha1, user.alpha2, user.lam)
-        return Strategy(min(max(p, user.p_min), user.p_max), r)
-    if r_ok and not p_ok:
-        p = user.p_min if cand.power < user.p_min else user.p_max
-        r = rate_update_power_bounded(r_eff, p, user.alpha1, user.alpha2, user.lam)
-        return Strategy(p, min(max(r, user.r_min), user.r_max))
-    return Strategy(
-        min(max(cand.power, user.p_min), user.p_max),
-        min(max(cand.rate, user.r_min), user.r_max),
-    )
+    if user.alpha1 <= 0 or user.alpha2 <= 0 or user.lam <= 0:
+        raise ValueError("alpha1, alpha2 and lam must be positive")
+    limits = (user.p_min, user.p_max, user.r_min, user.r_max)
+    p, r = _best_response(r_eff, user.alpha1, user.alpha2, user.lam, *limits, policy == KKT)
+    return Strategy(p, r)
+
+
+def _best_response(r_eff, a1, a2, lam, p_min, p_max, r_min, r_max, kkt: bool) -> tuple:
+    # bounded_step on one user's plain-float constants; returns (power, rate).
+    # The formulas are those of unconstrained_best_response and the two
+    # boundary updates above, evaluated in the same order.
+    if r_eff <= 0:
+        raise ValueError(f"effective interference must be positive, got {r_eff}")
+    p = math.sqrt(0.5 * (a2 / a1) * r_eff / lam)
+    r = math.sqrt(0.5 * (a1 / a2) / (lam * r_eff))
+    p_box = min(max(p, p_min), p_max)
+    r_box = min(max(r, r_min), r_max)
+    p_ok = p_box == p
+    if not kkt or p_ok == (r_box == r):
+        return p_box, r_box
+    if p_ok:
+        b = a2 * lam * r_eff * r_box
+        p = (-b + math.sqrt(b * b + 4.0 * a1 * a2 * lam * r_eff)) / (2.0 * a1 * lam)
+        return min(max(p, p_min), p_max), r_box
+    b = a1 * lam * p_box
+    r = (-b + math.sqrt(b * b + 4.0 * a1 * a2 * lam * r_eff)) / (2.0 * a2 * lam * r_eff)
+    return p_box, min(max(r, r_min), r_max)
 
 
 def bounded_step_array(
@@ -258,7 +264,7 @@ def bounded_step_array(
     """
     _check_policy(policy)
     r_eff = np.asarray(r_eff, dtype=float)
-    if not np.all(r_eff > 0):
+    if not (r_eff > 0).all():
         raise ValueError("effective interference must be positive")
     a1, a2, lam = users.alpha1, users.alpha2, users.lam
     p = np.sqrt(0.5 * (a2 / a1) * r_eff / lam)
@@ -267,8 +273,9 @@ def bounded_step_array(
     r_box = np.minimum(np.maximum(r, users.r_min), users.r_max)
     if policy == CLAMP:
         return p_box, r_box
-    p_ok = (users.p_min <= p) & (p <= users.p_max)
-    r_ok = (users.r_min <= r) & (r <= users.r_max)
+    # Equal to the in-box test, since every box has lo <= hi.
+    p_ok = p_box == p
+    r_ok = r_box == r
     disc = 4.0 * a1 * a2 * lam * r_eff
     b = a2 * lam * r_eff * r_box
     p_at_r = (-b + np.sqrt(b * b + disc)) / (2.0 * a1 * lam)
@@ -370,11 +377,11 @@ def iterate_to_convergence(
             reffs = _station_reffs(channel, powers)
         if schedule == SYNCHRONOUS:
             new_p, new_r, assignment = _synchronous_sweep(
-                users, table, reffs, assignment, policy, step_set
+                table, reffs, assignment, policy, step_set
             )
         else:
             new_p, new_r, assignment = _sequential_sweep(
-                channel, users, powers, assignment, policy, step_set
+                channel, table, powers, assignment, policy, step_set
             )
         metric = convergence_metric(powers, rates, new_p, new_r, config.metric)
         powers, rates = new_p, new_r
@@ -503,27 +510,24 @@ def _least_station(values: list[float], current: int) -> int:
     return next(k for k, v in enumerate(values) if v <= bound)
 
 
-def _synchronous_sweep(users, table, reffs, assignment, policy, rate_set):
+def _synchronous_sweep(table, reffs, assignment, policy, rate_set):
     """Every user against the previous iterate's interference; returns (p, r, stations)."""
     if reffs.shape[1] == 1:
-        # One station: each best response stays a scalar bounded_step call,
-        # because perfbench's `cell` wiring check counts one per user per
-        # iteration. Move it to bounded_step_array when that check accepts it.
-        steps = [bounded_step(u, r, policy) for u, r in zip(users, reffs[:, 0].tolist())]
-        new_p = np.array([s.power for s in steps])
-        new_r = np.array([s.rate for s in steps])
+        # One station: every user stays on it.
+        r_eff = reffs[:, 0]
     else:
         best = reffs.min(axis=1)
         tied = reffs <= (best * (1.0 + TIE_REL_TOL))[:, None]
         rows = np.arange(assignment.shape[0])
         assignment = np.where(tied[rows, assignment], assignment, tied.argmax(axis=1))
-        new_p, new_r = bounded_step_array(table, reffs[rows, assignment], policy)
+        r_eff = reffs[rows, assignment]
+    new_p, new_r = bounded_step_array(table, r_eff, policy)
     if rate_set is not None:
         new_r = np.array([rate_set.floor(r) for r in new_r])
     return new_p, new_r, assignment
 
 
-def _sequential_sweep(channel, users, powers, assignment, policy, rate_set):
+def _sequential_sweep(channel, table, powers, assignment, policy, rate_set):
     """Users in order against the freshest powers; returns (p, r, stations).
 
     The received total at every station is kept current as each user moves,
@@ -535,17 +539,19 @@ def _sequential_sweep(channel, users, powers, assignment, policy, rate_set):
     totals = (powers @ channel.gains).tolist()
     p = powers.tolist()
     a = assignment.tolist()
+    kkt = policy == KKT
+    t = table
+    columns = (t.alpha1, t.alpha2, t.lam, t.p_min, t.p_max, t.r_min, t.r_max)
     r = []
-    for i, user in enumerate(users):
+    for i, row in enumerate(zip(*(c.tolist() for c in columns))):
         g_i = g[i]
         p_i = p[i]
         reffs = [(max(t - gk * p_i, 0.0) + noise) / gk for t, gk in zip(totals, g_i)]
         a[i] = _least_station(reffs, a[i])
-        s = bounded_step(user, reffs[a[i]], policy)
-        step = s.power - p_i
+        p[i], r_i = _best_response(reffs[a[i]], *row, kkt)
+        step = p[i] - p_i
         totals = [t + gk * step for t, gk in zip(totals, g_i)]
-        p[i] = s.power
-        r.append(s.rate if rate_set is None else rate_set.floor(s.rate))
+        r.append(r_i if rate_set is None else rate_set.floor(r_i))
     return np.array(p), np.array(r), np.array(a)
 
 
@@ -572,7 +578,7 @@ def make_record(
     if reffs is None:
         reffs = _station_reffs(channel, powers)
     reffs = reffs[np.arange(assignment.shape[0]), assignment]
-    if not np.all(reffs > 0):
+    if not (reffs > 0).all():
         raise ValueError("effective interference must be positive")
     sinrs = (channel.bandwidth_hz / rates) * (powers / reffs)
     a1, a2, lam = table.alpha1, table.alpha2, table.lam

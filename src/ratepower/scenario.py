@@ -547,9 +547,10 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
     def reprice(channel, users):
         return _apply_pricing(scenario, channel, users)
 
+    users = reprice(scenario.channel, scenario.users)
     trace = iterate_to_convergence(
         scenario.channel,
-        reprice(scenario.channel, scenario.users),
+        users,
         scenario.policy,
         scenario.config,
         scenario.schedule,
@@ -563,7 +564,8 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
     channel = scenario.channel
     for ev in arrived:
         channel = channel.with_user(ev.distances_m)
-    users = reprice(channel, list(scenario.users) + [ev.user for ev in arrived])
+    if arrived:
+        users = reprice(channel, list(scenario.users) + [ev.user for ev in arrived])
     names = list(scenario.user_names) + [ev.name for ev in arrived]
     summary = summarize_run(channel, users, names, trace)
     return trace, summary
@@ -696,26 +698,19 @@ def emit_trace(trace: IterationTrace, destination) -> None:
     """Write the run history as CSV, one row per user per iteration.
 
     Rows are ordered by iteration then user id; floats carry 11 significant
-    digits so re-running a scenario produces byte-identical files.
+    digits so re-running a scenario produces byte-identical files. Each
+    record is formatted in one pass of a row template repeated per user.
     """
-    lines = [TRACE_HEADER]
+    chunks = [TRACE_HEADER + "\n"]
     for rec in trace.records:
-        for k in range(len(rec.user_ids)):
-            lines.append(
-                ",".join(
-                    [
-                        str(rec.iteration),
-                        str(int(rec.user_ids[k])),
-                        str(int(rec.assignment[k])),
-                        _fmt(rec.powers[k]),
-                        _fmt(rec.rates[k]),
-                        _fmt(rec.sinrs[k]),
-                        _fmt(rec.utilities[k]),
-                        _fmt(rec.metric),
-                    ]
-                )
-            )
-    _write_text(destination, "\n".join(lines) + "\n")
+        n = len(rec.user_ids)
+        columns = (rec.user_ids, rec.assignment, rec.powers, rec.rates, rec.sinrs, rec.utilities)
+        values = [None] * (len(columns) * n)
+        for k, column in enumerate(columns):
+            values[k :: len(columns)] = column.tolist()
+        row = f"{rec.iteration},%d,%d,%.10e,%.10e,%.10e,%.10e,{_fmt(rec.metric)}\n"
+        chunks.append((row * n) % tuple(values))
+    _write_text(destination, "".join(chunks))
 
 
 def summary_to_text(summary: RunSummary) -> str:

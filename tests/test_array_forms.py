@@ -37,8 +37,11 @@ from ratepower.engine import (
     bounded_step,
     bounded_step_array,
     convergence_metric,
+    _best_response,
     iterate_to_convergence,
     make_record,
+    power_update_rate_bounded,
+    rate_update_power_bounded,
     unconstrained_best_response,
 )
 from ratepower.multicell import (
@@ -96,11 +99,45 @@ def users_and_reffs(draw):
     return out
 
 
+def reference_step(user, r_eff, policy):
+    """The bounded best response written out with explicit in-box tests."""
+    a1, a2, lam = user.alpha1, user.alpha2, user.lam
+    cand = unconstrained_best_response(r_eff, a1, a2, lam)
+    p_ok = user.p_min <= cand.power <= user.p_max
+    r_ok = user.r_min <= cand.rate <= user.r_max
+    if policy == KKT and p_ok and not r_ok:
+        r = user.r_min if cand.rate < user.r_min else user.r_max
+        p = power_update_rate_bounded(r_eff, r, a1, a2, lam)
+        return min(max(p, user.p_min), user.p_max), r
+    if policy == KKT and r_ok and not p_ok:
+        p = user.p_min if cand.power < user.p_min else user.p_max
+        r = rate_update_power_bounded(r_eff, p, a1, a2, lam)
+        return p, min(max(r, user.r_min), user.r_max)
+    return (
+        min(max(cand.power, user.p_min), user.p_max),
+        min(max(cand.rate, user.r_min), user.r_max),
+    )
+
+
+def kernel_step(user, r_eff, policy):
+    constants = (user.alpha1, user.alpha2, user.lam, user.p_min, user.p_max, user.r_min, user.r_max)
+    return _best_response(r_eff, *constants, policy == KKT)
+
+
+def on_bound(p_place, r_place, policy, r_eff=0.05):
+    return example(drawn=[(user_for(r_eff, p_place, r_place), r_eff)], policy=policy)
+
+
 def assert_kernel_matches_scalar(users, reffs, policy):
+    """The array form, ``bounded_step`` and the sequential sweep's kernel all
+    equal the reference exactly."""
     powers, rates = bounded_step_array(UserTable.from_users(users), np.array(reffs), policy)
     for k, (user, r_eff) in enumerate(zip(users, reffs)):
+        want = reference_step(user, r_eff, policy)
         s = bounded_step(user, r_eff, policy)
-        assert (powers[k], rates[k]) == (s.power, s.rate)
+        assert kernel_step(user, r_eff, policy) == want
+        assert (s.power, s.rate) == want
+        assert (powers[k], rates[k]) == want
 
 
 class TestBestResponseKernel:
@@ -126,6 +163,12 @@ class TestBestResponseKernel:
 
     @settings(max_examples=300, deadline=None)
     @given(users_and_reffs(), POLICIES)
+    @on_bound("on_lower", "above_box", KKT)
+    @on_bound("on_upper", "below_box", KKT)
+    @on_bound("above_box", "on_lower", KKT)
+    @on_bound("below_box", "on_upper", KKT)
+    @on_bound("on_upper", "on_lower", KKT)
+    @on_bound("on_lower", "on_upper", CLAMP)
     def test_equals_scalar_bounded_step(self, drawn, policy):
         users, reffs = zip(*drawn)
         assert_kernel_matches_scalar(list(users), list(reffs), policy)
@@ -139,6 +182,27 @@ class TestBestResponseKernel:
         table = UserTable.from_users([UserParams(alpha2=12.0)])
         assert UserTable.from_users(table) is table
         np.testing.assert_array_equal(table.alpha2, [12.0])
+
+
+class TestScalarKernel:
+    def test_candidate_on_a_bound_counts_as_inside(self):
+        # A candidate exactly on p_min is in the box, so kkt re-optimizes the
+        # power from the pinned rate rather than clamping both coordinates.
+        user = user_for(0.05, "on_lower", "above_box")
+        cand = unconstrained_best_response(0.05, user.alpha1, user.alpha2, user.lam)
+        assert cand.power == user.p_min
+        p, r = kernel_step(user, 0.05, KKT)
+        assert r == user.r_max
+        assert p == power_update_rate_bounded(0.05, r, user.alpha1, user.alpha2, user.lam)
+        assert user.p_min < p < user.p_max
+
+    @pytest.mark.parametrize("r_eff", [0.0, -1.0])
+    @pytest.mark.parametrize("policy", [CLAMP, KKT])
+    def test_rejects_nonpositive_interference(self, r_eff, policy):
+        with pytest.raises(ValueError, match="effective interference must be positive"):
+            kernel_step(UserParams(), r_eff, policy)
+        with pytest.raises(ValueError, match="effective interference must be positive"):
+            bounded_step(UserParams(), r_eff, policy)
 
 
 class State(NamedTuple):

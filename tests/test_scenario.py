@@ -1,12 +1,20 @@
 import io
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
+    CLAMP,
     KKT,
     SEQUENTIAL,
+    SYNCHRONOUS,
     ConvergenceConfig,
+    IterationRecord,
+    IterationTrace,
     iterate_to_convergence,
 )
 from ratepower.oracle import recompute_sinrs
@@ -58,6 +66,8 @@ delta = 1e-9
 max_iterations = 500
 metric = relative
 """
+
+SHIPPED_SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
 
 TWO_CELL = """
 [user near1]
@@ -326,6 +336,102 @@ class TestTraceOutput:
         path = tmp_path / "trace.csv"
         emit_trace(trace, path)
         assert path.read_text().startswith(TRACE_HEADER)
+
+
+def per_field_trace(trace):
+    """The CSV trace formatted field by field, as the writer's golden oracle."""
+
+    def fmt(x):
+        return format(float(x), ".10e")
+
+    lines = [TRACE_HEADER]
+    for rec in trace.records:
+        for k in range(len(rec.user_ids)):
+            lines.append(
+                ",".join(
+                    [
+                        str(rec.iteration),
+                        str(int(rec.user_ids[k])),
+                        str(int(rec.assignment[k])),
+                        fmt(rec.powers[k]),
+                        fmt(rec.rates[k]),
+                        fmt(rec.sinrs[k]),
+                        fmt(rec.utilities[k]),
+                        fmt(rec.metric),
+                    ]
+                )
+            )
+    return "\n".join(lines) + "\n"
+
+
+def written_trace(trace):
+    buf = io.StringIO()
+    emit_trace(trace, buf)
+    return buf.getvalue()
+
+
+# Zeros, subnormals, negatives and values that round up to the next power of
+# ten at 11 significant digits.
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 9.99999999996e-5, -9.99999999999951e10, 1.0, -3.5]
+FLOATS = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats())
+
+
+@st.composite
+def records(draw):
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 5))
+        columns = [np.array([draw(FLOATS) for _ in range(n)], dtype=float) for _ in range(4)]
+        out.append(
+            IterationRecord(
+                draw(st.integers(1, 10**6)),
+                1,
+                np.array([draw(st.integers(0, 10**4)) for _ in range(n)], dtype=int),
+                np.array([draw(st.integers(0, 20)) for _ in range(n)], dtype=int),
+                *columns,
+                draw(FLOATS),
+            )
+        )
+    return IterationTrace(out, False, len(out))
+
+
+def constant_record(value, metric, iteration=7):
+    c = np.full(3, value)
+    return IterationRecord(iteration, 1, np.arange(3), np.zeros(3, dtype=int), c, c, c, c, metric)
+
+
+class TestTraceWriterGolden:
+    @pytest.mark.parametrize("policy", [CLAMP, KKT])
+    @pytest.mark.parametrize("schedule", [SYNCHRONOUS, SEQUENTIAL])
+    @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+    def test_shipped_scenarios(self, path, schedule, policy):
+        scenario = replace(parse_scenario(path.read_text()), policy=policy, schedule=schedule)
+        trace, _ = run_scenario(scenario)
+        assert written_trace(trace) == per_field_trace(trace)
+
+    def test_shipped_traces_cover_growing_and_offset_records(self):
+        traces = {p.stem: run_scenario(parse_scenario(p.read_text()))[0] for p in SHIPPED_SCENARIOS}
+        sizes = [len(rec.user_ids) for rec in traces["new_user"].records]
+        assert sizes[0] < sizes[-1]
+        walk = traces["station_walk"].records
+        # Move steps number their iterations on from the previous step's last.
+        assert len({rec.step for rec in walk}) > 1
+        assert [rec.iteration for rec in walk] == list(range(1, len(walk) + 1))
+
+    def test_rate_ladder_run(self):
+        ladder = (0.1, 9600.0, 19200.0, 38400.0, 96000.0)
+        text = TWO_CELL + "[run]\nrates = " + " ".join(map(str, ladder)) + "\n"
+        trace, _ = run_scenario(parse_scenario(text))
+        assert set(np.concatenate([rec.rates for rec in trace.records]).tolist()) <= set(ladder)
+        assert written_trace(trace) == per_field_trace(trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records())
+    @example(IterationTrace([constant_record(-3.5, 0.0)], True, 1))
+    @example(IterationTrace([constant_record(5e-324, 9.99999999996e-5)], True, 1))
+    @example(IterationTrace([constant_record(9.99999999996e-5, -2.5e-310, iteration=12)], True, 12))
+    def test_drawn_records(self, trace):
+        assert written_trace(trace) == per_field_trace(trace)
 
 
 class TestSummary:
