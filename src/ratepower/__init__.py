@@ -41,11 +41,7 @@ from .engine import (
     symmetric_fixed_point,
     unconstrained_best_response,
 )
-from .multicell import (
-    assign_base_station,
-    effective_interference_by_station,
-    min_power_update_map,
-)
+from .multicell import assign_base_station, effective_interference_by_station
 from .admission import (
     ABOVE_TARGET,
     AT_TARGET,

@@ -158,14 +158,14 @@ class EscalationResult:
     """Outcome of a pricing escalation sweep.
 
     ``achieved`` is False when the step budget ran out with some user still
-    below target, which signals that removal is the remaining lever.
+    below target, which signals that removal is the remaining lever. The
+    users priced at ``c_final`` are ``trace.users``.
     """
 
     c_final: float
     achieved: bool
     trace: IterationTrace
     tested: list[float]
-    users: list[UserParams]
 
 
 def escalate_pricing(
@@ -198,7 +198,6 @@ def escalate_pricing(
     targets = [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]
     tested: list[float] = []
     trace = None
-    priced = users
     for k in range(max_steps):
         c = start + k * step
         priced = priced_users(rule, channel, users, c=c)
@@ -206,8 +205,8 @@ def escalate_pricing(
         tested.append(c)
         outcomes = classify_users(trace, targets, tolerance)
         if BELOW_TARGET not in outcomes:
-            return EscalationResult(c, True, trace, tested, priced)
-    return EscalationResult(tested[-1], False, trace, tested, priced)
+            return EscalationResult(c, True, trace, tested)
+    return EscalationResult(tested[-1], False, trace, tested)
 
 
 @dataclass

@@ -10,6 +10,7 @@ import numpy as np
 from .admission import NotConvergedError, PricingRule, escalate_pricing, removal_loop
 from .reference import REPRODUCE_TARGETS, reproduce
 from .scenario import (
+    _POLICY_ALIASES,
     _SCHEDULE_ALIASES,
     ScenarioFormatError,
     emit_trace,
@@ -20,8 +21,6 @@ from .scenario import (
     sweep_lambda,
     write_summary,
 )
-
-_POLICY_CHOICES = ("clamp", "kkt")
 
 
 def main(argv=None) -> int:
@@ -35,7 +34,7 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario")
     p_run.add_argument("--trace", help="write the per-iteration CSV here")
     p_run.add_argument("--summary", help="write the converged summary here")
-    p_run.add_argument("--policy", choices=_POLICY_CHOICES)
+    p_run.add_argument("--policy", choices=tuple(_POLICY_ALIASES))
     p_run.add_argument("--schedule", choices=tuple(_SCHEDULE_ALIASES))
 
     p_rep = sub.add_parser("reproduce", help="rerun a built-in experiment")
@@ -159,10 +158,7 @@ def _cmd_tune(args) -> int:
     for k, (rate, s) in enumerate(zip(result.trace.final_rates, result.trace.final_sinrs)):
         print(f"user {k}: r_bps = {rate:.10e} sinr = {s:.10e}")
     if args.summary:
-        write_summary(
-            summarize_run(scenario.channel, result.users, scenario.user_names, result.trace),
-            args.summary,
-        )
+        write_summary(summarize_run(result.trace, scenario.user_names), args.summary)
     return 0 if result.achieved else 1
 
 
@@ -185,15 +181,7 @@ def _cmd_remove(args) -> int:
     for name, rate, s in zip(remaining, result.trace.final_rates, result.trace.final_sinrs):
         print(f"user {name}: r_bps = {rate:.10e} sinr = {s:.10e}")
     if args.summary:
-        write_summary(
-            summarize_run(
-                scenario.channel.subset(result.remaining),
-                [scenario.users[i] for i in result.remaining],
-                remaining,
-                result.trace,
-            ),
-            args.summary,
-        )
+        write_summary(summarize_run(result.trace, remaining), args.summary)
     return 0
 
 

@@ -118,11 +118,18 @@ class IterationRecord:
 
 @dataclass
 class IterationTrace:
-    """Full history of a run plus its terminal convergence flag."""
+    """Full history of a run plus its terminal convergence flag.
+
+    ``channel`` and ``users`` are the network the run ended on: the users
+    that arrived before it stopped are included, and ``users`` carry the
+    pricing the last iteration played.
+    """
 
     records: list[IterationRecord]
     converged: bool
     iterations_used: int
+    channel: ChannelModel | None = None
+    users: list[UserParams] | None = None
 
     @property
     def final(self) -> IterationRecord:
@@ -335,7 +342,8 @@ def iterate_to_convergence(
     just before that iteration's sweep; ``reprice(channel, users)``, when
     given, then returns the users to play on the grown network, so pricing
     that depends on the user count or the gains sees the newcomer. The run
-    only converges once no arrival is pending. Non-convergence within
+    only converges once no arrival is pending. Every arrival's distances are
+    checked before the first iteration. Non-convergence within
     max_iterations is reported on the trace, not raised.
     """
     _check_policy(policy)
@@ -354,6 +362,9 @@ def iterate_to_convergence(
     pending = sorted(arrivals, key=lambda ev: ev.iteration)
     if pending and pending[0].iteration < 1:
         raise ValueError("arrival iterations must be at least 1")
+    for ev in pending:
+        # Grow a throwaway channel so a bad row fails here, not when it fires.
+        channel.with_user(ev.distances_m)
 
     table = UserTable.from_users(users)
     step_set = None if quantize_at_convergence else rate_set
@@ -405,9 +416,9 @@ def iterate_to_convergence(
             converged = True
             break
 
-    trace = IterationTrace(records, converged, iteration)
+    trace = IterationTrace(records, converged, iteration, channel, users)
     if quantize_at_convergence:
-        _quantize_final_record(trace, channel, table, rate_set)
+        _quantize_final_record(trace, rate_set)
     return trace
 
 
@@ -439,17 +450,18 @@ def symmetric_fixed_point(
 def power_update_map(channel: ChannelModel, users: list[UserParams], clamped: bool = False):
     """Vector power-update map as a callable p -> I(p), for property checks.
 
-    With ``clamped=True`` the output is projected onto each user's power box.
+    Each user's unconstrained power update is taken at every station and the
+    least one is kept, which is the station the assignment picks; with one
+    station this is the single-cell map. With ``clamped=True`` the output is
+    projected onto each user's power box.
     """
-    if channel.n_stations != 1:
-        raise ValueError("single-cell map; see multicell.min_power_update_map")
     half_ratio = np.array([0.5 * u.alpha2 / (u.alpha1 * u.lam) for u in users])
     lo = np.array([u.p_min for u in users])
     hi = np.array([u.p_max for u in users])
 
     def apply(powers) -> np.ndarray:
-        reffs = _station_reffs(channel, np.asarray(powers, dtype=float))[:, 0]
-        out = np.sqrt(half_ratio * reffs)
+        reffs = _station_reffs(channel, np.asarray(powers, dtype=float))
+        out = np.sqrt(half_ratio[:, None] * reffs).min(axis=1)
         if clamped:
             out = np.clip(out, lo, hi)
         return out
@@ -597,15 +609,15 @@ def make_record(
     )
 
 
-def _quantize_final_record(trace, channel, users, rate_set) -> None:
+def _quantize_final_record(trace, rate_set) -> None:
     """Snap a converged trace's final rates down onto ``rate_set``, in place."""
     if not trace.converged or rate_set is None:
         return
     last = trace.records[-1]
     rates = np.array([rate_set.floor(r) for r in last.rates])
     trace.records[-1] = make_record(
-        channel,
-        users,
+        trace.channel,
+        trace.users,
         last.iteration,
         last.step,
         last.user_ids,

@@ -9,8 +9,8 @@ update and maximizes the rate update.
 
 The loop does this on whole arrays. The scalar
 ``effective_interference_by_station`` and ``assign_base_station`` here state
-the rule one user at a time and are the oracles the loop is tested against;
-``min_power_update_map`` is the power map of the joint game, for property
+the rule one user at a time and are the oracles the loop is tested against.
+``engine.power_update_map`` is the power map of the joint game, for property
 checks.
 """
 
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import ChannelModel, UserParams
+from .core import ChannelModel
 from .engine import TIE_REL_TOL
 
 __all__ = [
     "effective_interference_by_station",
     "assign_base_station",
-    "min_power_update_map",
 ]
 
 
@@ -59,19 +58,3 @@ def assign_base_station(
             return int(current)
     return int(tied[0])
 
-
-def min_power_update_map(channel: ChannelModel, users: list[UserParams]):
-    """Across-station minimum of the per-station power updates, as p -> I(p)."""
-    g = channel.gains
-    noise = channel.noise_w
-    half_ratio = np.array([0.5 * u.alpha2 / (u.alpha1 * u.lam) for u in users])
-
-    def apply(powers) -> np.ndarray:
-        p = np.asarray(powers, dtype=float)
-        totals = p @ g
-        other = np.maximum(totals[None, :] - g * p[:, None], 0.0)
-        reffs = (other + noise) / g
-        candidates = np.sqrt(half_ratio[:, None] * reffs)
-        return candidates.min(axis=1)
-
-    return apply

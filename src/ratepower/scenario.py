@@ -10,8 +10,9 @@ A scenario file is line-oriented, sectioned key = value text:
     [event move]         a user whose distances change between solver steps
 
 Numbers accept scientific notation and must be finite; lists (distances_m,
-rates) are whitespace separated; '#' starts a comment. Arrival and move events
-cannot be combined in one scenario.
+rates) are whitespace separated; '#' starts a comment. Events share one
+timeline: arrivals fire at their iteration of solver step 1, and each later
+step applies its moves to the network, arrivals included, and solves it cold.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ from .engine import (
     IterationTrace,
     iterate_to_convergence,
 )
-from .admission import PRICING_KINDS, PricingRule, classify_users, priced_users
+from .admission import (
+    GAIN_DEPENDENT_KINDS,
+    PRICING_KINDS,
+    PricingRule,
+    classify_users,
+    priced_users,
+)
 from .rates import RateSet
 
 __all__ = [
@@ -245,7 +252,7 @@ def parse_scenario(text: str) -> Scenario:
             )
         except ValueError as exc:
             raise ScenarioFormatError(f"[pricing]: {exc}") from exc
-        if channel.n_stations > 1 and kind_raw in ("direct_gain", "inverse_gain"):
+        if channel.n_stations > 1 and kind_raw in GAIN_DEPENDENT_KINDS:
             raise ScenarioFormatError(
                 f"line {kind_line}: gain-dependent pricing cannot be used with "
                 f"{channel.n_stations} stations"
@@ -296,9 +303,6 @@ def parse_scenario(text: str) -> Scenario:
                 f"line {line_no}: move has {len(d)} distances, expected {channel.n_stations}"
             )
         moves.append(MoveEvent(step, names.index(name), name, np.array(d)))
-
-    if arrivals and moves:
-        raise ScenarioFormatError("arrival and move events cannot be combined in one scenario")
 
     return Scenario(
         channel=channel,
@@ -533,41 +537,67 @@ class RunSummary:
 def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
     """Execute a scenario and summarize its converged state.
 
-    Arrival events insert their user at the stated iteration with its initial
-    strategy and the loop keeps going until it converges with no event
-    pending. Move events split the run into outer steps, each an independent
-    solve of the updated geometry; the summary then carries one entry per
-    step. A [pricing] rule is re-evaluated whenever the user set or the
-    geometry it depends on changes. Non-convergence is flagged in the
-    summary, not raised.
+    Runs step 1, then one step per distinct move step; each step applies its
+    moves and solves to convergence. Arrivals insert their user at their
+    iteration of step 1, which converges only with no arrival pending. A
+    [pricing] rule is re-evaluated whenever the user set or the geometry it
+    depends on changes. Records are numbered on one iteration count across
+    steps; with moves, the summary carries one entry per step.
+    Non-convergence is flagged in the summary, not raised.
     """
-    if scenario.moves:
-        return _run_move_scenario(scenario)
 
     def reprice(channel, users):
-        return _apply_pricing(scenario, channel, users)
+        if scenario.pricing is None:
+            return list(users)
+        return priced_users(scenario.pricing, channel, users)
 
-    users = reprice(scenario.channel, scenario.users)
-    trace = iterate_to_convergence(
-        scenario.channel,
-        users,
-        scenario.policy,
-        scenario.config,
-        scenario.schedule,
-        scenario.rate_set,
-        scenario.quantize_at_convergence,
-        arrivals=scenario.arrivals,
-        reprice=reprice,
-    )
-    # Rebuild the network the run ended on: the arrivals it reached.
-    arrived = [ev for ev in scenario.arrivals if ev.iteration <= trace.iterations_used]
-    channel = scenario.channel
-    for ev in arrived:
-        channel = channel.with_user(ev.distances_m)
-    if arrived:
-        users = reprice(channel, list(scenario.users) + [ev.user for ev in arrived])
-    names = list(scenario.user_names) + [ev.name for ev in arrived]
-    summary = summarize_run(channel, users, names, trace)
+    moves_by_step: dict[int, list[MoveEvent]] = {}
+    for ev in scenario.moves:
+        moves_by_step.setdefault(ev.step, []).append(ev)
+
+    # Every step is an independent solve of the new geometry from the default
+    # initial strategies. The converged point is initialization-independent,
+    # and a cold start keeps a geometrically symmetric step actually
+    # symmetric, so the assignment tie-break can hold a walker at its current
+    # station instead of inheriting the previous geometry's power skew.
+    channel, users = scenario.channel, scenario.users
+    records: list[IterationRecord] = []
+    step_results: list[StepResult] = []
+    offset = 0
+    converged = True
+    for step_no in sorted({1} | set(moves_by_step)):
+        for ev in moves_by_step.get(step_no, []):
+            channel = channel.moved(ev.user, ev.distances_m)
+        trace = iterate_to_convergence(
+            channel,
+            reprice(channel, users),
+            scenario.policy,
+            scenario.config,
+            scenario.schedule,
+            scenario.rate_set,
+            scenario.quantize_at_convergence,
+            arrivals=scenario.arrivals if step_no == 1 else (),
+            reprice=reprice,
+        )
+        channel, users = trace.channel, trace.users
+        converged = converged and trace.converged
+        # Step 1's records already carry their stamp; later steps are re-stamped.
+        records.extend(
+            rec if step_no == 1 else replace(rec, iteration=offset + rec.iteration, step=step_no)
+            for rec in trace.records
+        )
+        offset += trace.iterations_used
+        f = trace.final
+        state = (f.powers, f.rates, f.sinrs, f.assignment)
+        step_results.append(StepResult(step_no, trace.converged, trace.iterations_used, *state))
+
+    trace = replace(trace, records=records, converged=converged, iterations_used=offset)
+    # Arrivals join in iteration order, after the scenario's own users.
+    arrived = sorted(scenario.arrivals, key=lambda ev: ev.iteration)
+    names = scenario.user_names + [ev.name for ev in arrived][: len(users) - len(scenario.users)]
+    summary = summarize_run(trace, names)
+    if scenario.moves:
+        summary.steps = step_results
     return trace, summary
 
 
@@ -576,97 +606,29 @@ def sweep_lambda(
 ) -> list[tuple[float, IterationTrace, RunSummary]]:
     """Run the scenario once per pricing value, uniform across users.
 
-    The swept value wins over any [pricing] section the scenario carries.
+    Arriving users are priced at the swept value too. The swept value wins
+    over any [pricing] section the scenario carries.
     """
     results = []
     for lam in lambdas:
+        lam = float(lam)
         swept = replace(
             scenario,
             pricing=None,
-            users=[replace(u, lam=float(lam)) for u in scenario.users],
+            users=[replace(u, lam=lam) for u in scenario.users],
+            arrivals=[replace(ev, user=replace(ev.user, lam=lam)) for ev in scenario.arrivals],
         )
         trace, summary = run_scenario(swept)
-        results.append((float(lam), trace, summary))
+        results.append((lam, trace, summary))
     return results
 
 
-def _apply_pricing(scenario, channel, users) -> list[UserParams]:
-    if scenario.pricing is None:
-        return list(users)
-    return priced_users(scenario.pricing, channel, users)
-
-
-def _run_move_scenario(scenario: Scenario):
-    # Every step is an independent solve of the new geometry from the default
-    # initial strategies. The converged point is initialization-independent,
-    # and a cold start keeps a geometrically symmetric step actually
-    # symmetric, so the assignment tie-break can hold a walker at its current
-    # station instead of inheriting the previous geometry's power skew.
-    channel = scenario.channel
-    config = scenario.config
-
-    moves_by_step: dict[int, list[MoveEvent]] = {}
-    for ev in scenario.moves:
-        moves_by_step.setdefault(ev.step, []).append(ev)
-    step_numbers = sorted(set([1]) | set(moves_by_step))
-
-    records: list[IterationRecord] = []
-    step_results: list[StepResult] = []
-    offset = 0
-    all_converged = True
-    users = list(scenario.users)
-    for step_no in step_numbers:
-        for ev in moves_by_step.get(step_no, []):
-            channel = channel.moved(ev.user, ev.distances_m)
-        users = _apply_pricing(scenario, channel, scenario.users)
-        trace = iterate_to_convergence(
-            channel,
-            users,
-            scenario.policy,
-            config,
-            scenario.schedule,
-            scenario.rate_set,
-            scenario.quantize_at_convergence,
-        )
-        all_converged = all_converged and trace.converged
-        for rec in trace.records:
-            records.append(
-                IterationRecord(
-                    offset + rec.iteration,
-                    step_no,
-                    rec.user_ids,
-                    rec.assignment,
-                    rec.powers,
-                    rec.rates,
-                    rec.sinrs,
-                    rec.utilities,
-                    rec.metric,
-                )
-            )
-        offset += trace.iterations_used
-        final = trace.final
-        step_results.append(
-            StepResult(
-                step_no,
-                trace.converged,
-                trace.iterations_used,
-                final.powers,
-                final.rates,
-                final.sinrs,
-                final.assignment,
-            )
-        )
-
-    trace = IterationTrace(records, all_converged, offset)
-    summary = summarize_run(channel, users, list(scenario.user_names), trace)
-    summary.steps = step_results
-    return trace, summary
-
-
-def summarize_run(channel, users, names, trace: IterationTrace) -> RunSummary:
-    """Condense a finished trace into a RunSummary over the given users."""
+def summarize_run(trace: IterationTrace, names) -> RunSummary:
+    """Condense a finished trace into a RunSummary of the network it ended on."""
     final = trace.final
-    targets = np.array([target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users])
+    users = trace.users
+    bandwidth = trace.channel.bandwidth_hz
+    targets = np.array([target_sinr(u.alpha1, u.alpha2, bandwidth) for u in users])
     if trace.converged:
         outcomes = classify_users(trace, targets)
     else:

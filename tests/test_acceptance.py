@@ -20,7 +20,6 @@ from ratepower.engine import (
     power_update_rate_bounded,
     unconstrained_best_response,
 )
-from ratepower.multicell import min_power_update_map
 from ratepower.oracle import fd_gradient_check, grid_best_response, standard_function_check
 from ratepower.rates import RateSet
 from ratepower.reference import (
@@ -246,7 +245,7 @@ def test_criterion_11_standard_function_suite():
         for name, update in (
             ("plain", power_update_map(single, users)),
             ("clamped", power_update_map(single, users, clamped=True)),
-            ("multicell", min_power_update_map(multi, users)),
+            ("multicell", power_update_map(multi, users)),
         ):
             result = standard_function_check(update, samples, rng=rng)
             total[name] += result.n_samples

@@ -170,3 +170,20 @@ class TestTuneAndRemove:
         out = capsys.readouterr().out
         assert "removed: u3" in out
         assert "remaining: u1 u2" in out
+
+    def test_tune_pricing_summary_is_priced_at_c_final(self, crowded_file, tmp_path):
+        summary_path = tmp_path / "tuned.txt"
+        assert main(["tune-pricing", crowded_file, "--dc", "1e-4", "--summary", str(summary_path)]) == 0
+        summary = dict(line.split(" = ") for line in summary_path.read_text().splitlines())
+        assert summary["n_users"] == "6"
+        for k in range(1, 7):
+            assert summary[f"u{k}.lambda"] == "5.0000000000e-04"
+            assert summary[f"u{k}.outcome"] != "below_target"
+
+    def test_remove_loop_summary_covers_the_survivors(self, three_user_file, tmp_path):
+        summary_path = tmp_path / "survivors.txt"
+        assert main(["remove-loop", three_user_file, "--summary", str(summary_path)]) == 0
+        summary = dict(line.split(" = ") for line in summary_path.read_text().splitlines())
+        assert summary["n_users"] == "2"
+        assert "u3.bs" not in summary
+        assert summary["u1.outcome"] != "below_target" and summary["u2.outcome"] != "below_target"

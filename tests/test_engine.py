@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ratepower import engine
 from ratepower.core import ChannelModel, Strategy, UserParams, target_sinr
 from ratepower.engine import (
     CLAMP,
@@ -19,6 +20,7 @@ from ratepower.engine import (
     symmetric_fixed_point,
     unconstrained_best_response,
 )
+from ratepower.scenario import ArrivalEvent
 
 RATIO_12_9 = 1.29492e-5  # alpha2 / alpha1 giving a 12.9492 target at 1 MHz
 
@@ -301,6 +303,35 @@ class TestIterateToConvergence:
         channel = ChannelModel([[110, 410], [410, 110]])
         with pytest.raises(ValueError):
             iterate_to_convergence(channel, [UserParams(), UserParams()], **override)
+
+    def test_trace_carries_its_network(self):
+        channel = ChannelModel([110, 130])
+        users = [UserParams(alpha2=20), UserParams(alpha2=25)]
+        trace = iterate_to_convergence(channel, users)
+        assert trace.channel is channel
+        assert trace.users == users
+
+    @pytest.mark.parametrize(
+        "stations, row, match",
+        [
+            (1, [130.0, 200.0], "2 distances, network has 1 stations"),
+            (2, [130.0], "1 distances, network has 2 stations"),
+            (1, [0.0], "positive"),
+            (2, [130.0, -5.0], "positive"),
+            (1, [np.inf], "finite"),
+        ],
+    )
+    def test_bad_arrival_rejected_before_iteration_1(self, monkeypatch, stations, row, match):
+        channel = ChannelModel([[110.0] * stations, [130.0] * stations])
+        users = [UserParams(alpha2=20), UserParams(alpha2=20)]
+        late = ArrivalEvent(50, "late", np.array(row), UserParams(alpha2=20))
+
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran before the arrival was checked")
+
+        monkeypatch.setattr(engine, "_synchronous_sweep", no_sweep)
+        with pytest.raises(ValueError, match=match):
+            iterate_to_convergence(channel, users, arrivals=[late])
 
     def test_fixed_point_residual_small_at_convergence(self):
         for n, lam in ((5, 4e-4), (6, 4e-4)):

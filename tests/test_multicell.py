@@ -8,13 +8,10 @@ from ratepower.engine import (
     ConvergenceConfig,
     bounded_step,
     iterate_to_convergence,
+    power_update_map,
     unconstrained_best_response,
 )
-from ratepower.multicell import (
-    assign_base_station,
-    effective_interference_by_station,
-    min_power_update_map,
-)
+from ratepower.multicell import assign_base_station, effective_interference_by_station
 
 
 def two_cell_channel(walker_d1=210.0, walker_d2=310.0):
@@ -183,7 +180,7 @@ class TestMinPowerUpdateMap:
     def test_matches_min_over_stations(self):
         channel = two_cell_channel()
         users = five_users()
-        update = min_power_update_map(channel, users)
+        update = power_update_map(channel, users)
         rng = np.random.default_rng(41)
         for _ in range(20):
             p = rng.uniform(1e-4, 2.0, 5)
@@ -196,7 +193,7 @@ class TestMinPowerUpdateMap:
     def test_spot_standard_function_properties(self):
         channel = two_cell_channel()
         users = five_users()
-        update = min_power_update_map(channel, users)
+        update = power_update_map(channel, users)
         rng = np.random.default_rng(43)
         for _ in range(100):
             p = rng.uniform(1e-5, 3.0, 5)
@@ -206,3 +203,13 @@ class TestMinPowerUpdateMap:
             assert np.all(update(smaller) <= out * (1 + 1e-12))
             a = rng.uniform(1.5, 9.0)
             assert np.all(a * out >= update(a * p) * (1 - 1e-12))
+
+    def test_clamped_projects_the_minimum_onto_the_power_box(self):
+        channel = two_cell_channel()
+        users = [UserParams(alpha2=20, p_max=0.01) for _ in range(5)]
+        plain = power_update_map(channel, users)
+        clamped = power_update_map(channel, users, clamped=True)
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            p = rng.uniform(1e-4, 2.0, 5)
+            assert np.array_equal(clamped(p), np.clip(plain(p), 1e-6, 0.01))

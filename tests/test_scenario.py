@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ratepower.admission import priced_users
 from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
     CLAMP,
@@ -67,7 +68,8 @@ max_iterations = 500
 metric = relative
 """
 
-SHIPPED_SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED_SCENARIOS = sorted(SCENARIO_DIR.glob("*.scn"))
 
 TWO_CELL = """
 [user near1]
@@ -157,15 +159,6 @@ class TestParsing:
     )
     def test_non_finite_number_rejected(self, text):
         with pytest.raises(ScenarioFormatError, match="finite"):
-            parse_scenario(text)
-
-    def test_arrival_and_move_cannot_mix(self):
-        text = (
-            MINIMAL
-            + "[event arrival]\niteration = 5\nuser = bob\ndistances_m = 130\n"
-            + "[event move]\nstep = 2\nuser = alice\ndistances_m = 150\n"
-        )
-        with pytest.raises(ScenarioFormatError, match="combined"):
             parse_scenario(text)
 
     def test_event_ordering_must_increase(self):
@@ -282,6 +275,58 @@ class TestRunScenario:
         assert all(sr.converged for sr in summary.steps)
         iters = [rec.iteration for rec in trace.records]
         assert iters == sorted(iters) and len(set(iters)) == len(iters)
+
+    def test_arrival_and_moves_share_one_timeline(self):
+        # station_walk's five users and eleven steps, plus a user joining step 1
+        text = (SCENARIO_DIR / "station_walk.scn").read_text() + (
+            "\n[event arrival]\niteration = 5\nuser = late\n"
+            "distances_m = 400 120\nalpha2 = 20\n"
+        )
+        first = parse_scenario(text)
+        for s in (first, parse_scenario(scenario_to_text(first))):
+            trace, summary = run_scenario(s)
+            n = len(s.users) + 1
+            assert summary.converged
+            assert summary.user_names == ["u1", "u2", "u3", "u4", "u5", "late"]
+            assert len(summary.powers) == len(summary.lam) == len(summary.outcomes) == n
+            assert [sr.step for sr in summary.steps] == list(range(1, 12))
+            for sr in summary.steps:
+                assert sr.converged
+                assert len(sr.powers) == len(sr.rates) == len(sr.sinrs) == n
+                assert len(sr.assignment) == n
+            assert [rec.iteration for rec in trace.records] == list(
+                range(1, summary.iterations_used + 1)
+            )
+            steps = [rec.step for rec in trace.records]
+            assert steps == sorted(steps) and sorted(set(steps)) == list(range(1, 12))
+            # the newcomer joins at iteration 5 and stays for every later step
+            sizes = [len(rec.user_ids) for rec in trace.records]
+            assert sizes[:4] == [n - 1] * 4 and sizes[4:] == [n] * (len(sizes) - 4)
+            assert trace.channel.n_users == len(trace.users) == n
+
+    def test_trace_carries_the_grown_network(self):
+        text = (
+            "[user a]\ndistances_m = 110\nalpha2 = 20\n\n"
+            "[pricing]\nrule = per_user_count\nc = 5e-5\n\n"
+            "[event arrival]\niteration = 10\nuser = b\ndistances_m = 130\nalpha2 = 25\n"
+        )
+        s = parse_scenario(text)
+        trace, summary = run_scenario(s)
+        grown = s.channel.with_user(s.arrivals[0].distances_m)
+        assert np.array_equal(trace.channel.distances_m, grown.distances_m)
+        assert np.array_equal(trace.channel.gains, grown.gains)
+        assert trace.channel.noise_w == grown.noise_w
+        assert trace.channel.bandwidth_hz == grown.bandwidth_hz
+        assert trace.users == priced_users(s.pricing, grown, s.users + [s.arrivals[0].user])
+        assert [u.lam for u in trace.users] == pytest.approx([1e-4, 1e-4])
+        assert list(summary.lam) == [u.lam for u in trace.users]
+
+    def test_sweep_lambda_prices_arriving_users(self):
+        s = parse_scenario((SCENARIO_DIR / "new_user.scn").read_text())
+        [(lam, trace, summary)] = sweep_lambda(s, [0.05])
+        assert summary.user_names == ["u1", "u2", "u3", "u4"]
+        assert list(summary.lam) == [0.05] * 4
+        assert [u.lam for u in trace.users] == [0.05] * 4
 
     def test_sweep_lambda_sets_uniform_price(self):
         s = parse_scenario(FULL)
