@@ -1,0 +1,136 @@
+"""Byte-for-byte guard on the CLI's outputs.
+
+Pins sha256 digests of the ``reproduce all`` stdout; of the ``run`` stdout,
+``--trace`` CSV and ``--summary`` file for every shipped scenario under both
+schedules and both policies; and of the ``tune-pricing`` and ``remove-loop``
+stdout on every shipped scenario. Each stdout digest covers the exit code
+too. A change that is meant to leave outputs alone must keep every digest;
+one that changes an output on purpose says so and re-pins that entry.
+``PYTHONPATH=src python tests/test_golden_outputs.py`` prints the current
+table.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from ratepower.cli import main
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
+
+
+def _call(argv) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"exit {code}\n{out.getvalue()}".encode()
+
+
+def _outputs(tmp: Path) -> dict[str, bytes]:
+    outputs = {"reproduce all": _call(["reproduce", "all"])}
+    for path in SCENARIOS:
+        for schedule in ("sync", "seq"):
+            for policy in ("clamp", "kkt"):
+                key = f"run {path.name} {schedule} {policy}"
+                trace, summary = tmp / "trace.csv", tmp / "summary.txt"
+                argv = ["run", str(path), "--schedule", schedule, "--policy", policy]
+                outputs[key + " stdout"] = _call(
+                    argv + ["--trace", str(trace), "--summary", str(summary)]
+                )
+                outputs[key + " trace"] = trace.read_bytes()
+                outputs[key + " summary"] = summary.read_bytes()
+                trace.unlink()
+                summary.unlink()
+        outputs[f"tune-pricing {path.name}"] = _call(["tune-pricing", str(path)])
+        outputs[f"remove-loop {path.name}"] = _call(["remove-loop", str(path)])
+    return outputs
+
+
+def _digests(tmp: Path) -> dict[str, str]:
+    return {key: hashlib.sha256(data).hexdigest() for key, data in _outputs(tmp).items()}
+
+
+GOLDEN = {
+    "reproduce all": "38d31ceedf8e13a76d9ccdda57a6f3f95a33d2fe220f040169b0a80e363ba2a9",
+    "run crowded_cell.scn sync clamp stdout": "7214ed72e98097df0e83149097a55354d400c8d6b21a104939574d5137dccd4e",
+    "run crowded_cell.scn sync clamp trace": "04743d4d04f778aa2963e0c3ce8118e04cb6e06d4b7af23a9f9ece46644102c6",
+    "run crowded_cell.scn sync clamp summary": "c80bee5fdeb7762ccb50c4015f265c12cf97d9bd832ca74f3745cda4b061012c",
+    "run crowded_cell.scn sync kkt stdout": "47d34119efde3d7c47a59f15db660ebcb5db20cb5c4a6a4fba231625391a1cbb",
+    "run crowded_cell.scn sync kkt trace": "aa46ec865e89f6d928c7b0279b0e12ee620eb041ad4c7840b1e8e76cafc01fd5",
+    "run crowded_cell.scn sync kkt summary": "841274381a382ddca7895938b75ea15f40a11734000f66625b3364af809e3990",
+    "run crowded_cell.scn seq clamp stdout": "4dbfb8c5b98fa01e83778a330726c0da1861a8c830d23f0024da0d819c338f2b",
+    "run crowded_cell.scn seq clamp trace": "dfb5e836c4c4cd215b64020d9f694105c7c8add01fecb63bf7cb60c25c74e030",
+    "run crowded_cell.scn seq clamp summary": "947ceae471f4dad62497dce8ec92171bad48d6c6a8414a8df7d360b2250aa896",
+    "run crowded_cell.scn seq kkt stdout": "0c3c914432bb6b5ee5abd26277ab88726059136e7217d00eca90394233879e45",
+    "run crowded_cell.scn seq kkt trace": "a9fa80102bdd63a587601b04a4bbe550a9397a017aa0d65eeb224e2906c2b357",
+    "run crowded_cell.scn seq kkt summary": "3d461dd8e8c8ee8131681b297eb91e8ed5cbc161151e65e003ec1ea2d840b203",
+    "tune-pricing crowded_cell.scn": "4bf929970e4744d064508aab0a3f0068d4740ebacb6daa57ff07826a8f124e3c",
+    "remove-loop crowded_cell.scn": "5c15688247e407248fd266e2cac1c7cdb3770e78a53d90ae25f6bf314d401c74",
+    "run new_user.scn sync clamp stdout": "483a3610a1b5573e738dd42586ddbf9b8d2f9eb211f99b4c13e4f76e76fae88f",
+    "run new_user.scn sync clamp trace": "4c5a419db522084c44733918fe5bd6e875f784db7b3714a076b614d301fde717",
+    "run new_user.scn sync clamp summary": "505491e5aa6f0dba78fa70e629f62216950c8168d17c6f985f43fd9a3d2f20b4",
+    "run new_user.scn sync kkt stdout": "483a3610a1b5573e738dd42586ddbf9b8d2f9eb211f99b4c13e4f76e76fae88f",
+    "run new_user.scn sync kkt trace": "37b3455e8ae65fa732d2f31cb44d14a248996318317339893569d4dd626aa1c5",
+    "run new_user.scn sync kkt summary": "505491e5aa6f0dba78fa70e629f62216950c8168d17c6f985f43fd9a3d2f20b4",
+    "run new_user.scn seq clamp stdout": "abe0bd2a76f38f461ab3dfcb5ff58fef56fb6d6c5883e0d64e56f14d3b2096c4",
+    "run new_user.scn seq clamp trace": "fdc530d4983c97840916c45b02291ab9dfbf0c036eb73a0bb91026f4352f4263",
+    "run new_user.scn seq clamp summary": "3b4efd88f8d39ef2d911ddaf93f9dc1b4616f2ce5817dcf959776e68bc1bf514",
+    "run new_user.scn seq kkt stdout": "abe0bd2a76f38f461ab3dfcb5ff58fef56fb6d6c5883e0d64e56f14d3b2096c4",
+    "run new_user.scn seq kkt trace": "b1044fb4b9ba7a0b0f69b6f4492fa3a03912a0e69a7bc9f6174b59b69d051778",
+    "run new_user.scn seq kkt summary": "3b4efd88f8d39ef2d911ddaf93f9dc1b4616f2ce5817dcf959776e68bc1bf514",
+    "tune-pricing new_user.scn": "32ac8d6a8911081843a375bee8d32aa372455a441f761a7a2466c944a3150ab3",
+    "remove-loop new_user.scn": "a443f6b33670de87be129a8f4e9af16a1c1e5ea3a34d6d7044ff91fc47d7fff6",
+    "run station_walk.scn sync clamp stdout": "f7622aa62d9345595ba481bc8e4b5417d549540cf345197cc4517eb9ab45eb38",
+    "run station_walk.scn sync clamp trace": "ac172ee10138e3e7b41dd955a69205f2381ba3363aeaf0e60ba06f205b0fd852",
+    "run station_walk.scn sync clamp summary": "a3b1104cfee06eaf31913b439a2929a81bcdafa04df187a717ed9896991b4784",
+    "run station_walk.scn sync kkt stdout": "4463cc417f0103f631d3a0fa2225fd942fc642e46798a7a28dc07a7088991916",
+    "run station_walk.scn sync kkt trace": "a78a3a558779c57d9cfa1895059b505a74b26485c321f8b971a5444bac3dae53",
+    "run station_walk.scn sync kkt summary": "d7553e3c39e480e461acbb39c96b874581456625f28668762247a64b624d0f22",
+    "run station_walk.scn seq clamp stdout": "197e0fd0160cdaa9c5192fc7933c218cbf9ad85bd5e023eecaacd5e4f6b70171",
+    "run station_walk.scn seq clamp trace": "15bc3534a7c231b87ce933e617e96d9969a0256e0475c4c7b024a1781c031e01",
+    "run station_walk.scn seq clamp summary": "6acc511a5a7bdbb5cdf7c4f7eada05b37244bbb79bdab8ab860244704d60418b",
+    "run station_walk.scn seq kkt stdout": "8426870b81237956d48bcfc227cb4e798512ef8c9011818d7fdd7318ce8f858f",
+    "run station_walk.scn seq kkt trace": "07e64b1ad0702fda00bf6c6b094789ee4a7340f649bc3efa4a6b5e24b1b21e4d",
+    "run station_walk.scn seq kkt summary": "8fb6bb4c868dfae88c05bec8c87db8e3997995c424deb004e4245be82c6c8897",
+    "tune-pricing station_walk.scn": "8f9c8c1fa2067e66947ddf9ae6d10c13f2385e5923a0bb10277fcfcfec06071b",
+    "remove-loop station_walk.scn": "0c4d7a4b56f0cfc0f5464b33195d0858bc05ee007d993195e8b530e52206150d",
+    "run three_users.scn sync clamp stdout": "179a600e092cbc9bd3302031fcd03076fbd2681b9937e9a3663d119c47e3ff77",
+    "run three_users.scn sync clamp trace": "eb36b37609a02bbab4769c5bc6d71bf5d3d2774f9345d65e00c6982261ece2b4",
+    "run three_users.scn sync clamp summary": "223503f5cef27c382694b8602398856e8d348bf6d6a3ca04cf284df214eba03e",
+    "run three_users.scn sync kkt stdout": "2004c4a86c0dc8d820e973aae68e1686d778c619037f6078b937b8e0e3389b9c",
+    "run three_users.scn sync kkt trace": "88e015f9591e5c94ba5a418ccf0eca10009033a080ed02f2022233466b8cff98",
+    "run three_users.scn sync kkt summary": "b94bbcb99b01bba58a650b37a9dbcf36bc6778ca597b27d20c690cbf449ba758",
+    "run three_users.scn seq clamp stdout": "bbee8839b143cc5b79908b2ba33c810da06116493ae86182d477ae421bf64410",
+    "run three_users.scn seq clamp trace": "f8b3caf96255348080e618cab7c5dda7bd4e4de4a751fff3f95c6a3ce0ff8856",
+    "run three_users.scn seq clamp summary": "9d0446673daf0b20744dbde0daeb0aadf6b60b8e6ae844a05f7de8d9956c7335",
+    "run three_users.scn seq kkt stdout": "aed5b2fac82cf922f460e683f6e5dbc6c9f5a0d386a97af73bc15edb2b2be189",
+    "run three_users.scn seq kkt trace": "1810a06bb0b893e01eb68b48a434108808721a960701217c99e1e0dbc3009436",
+    "run three_users.scn seq kkt summary": "c02d561882fb7cdf43a90ecaca2808adaaeca29bbcdf7632a0907dddd414ad39",
+    "tune-pricing three_users.scn": "2b579b6b6e9ff38b1e35f26ae6c50ae75003c617591cb920e52d544701dbac4d",
+    "remove-loop three_users.scn": "a0be7b14140767e5825d5ec200c33c604d123ed01edd90a7d3afa0ced9cba827",
+}
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return _digests(tmp_path_factory.mktemp("golden"))
+
+
+def test_every_output_is_pinned(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_output_is_unchanged(digests, key):
+    assert digests[key] == GOLDEN[key]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, digest in _digests(Path(tmp)).items():
+            print(f'    "{key}": "{digest}",')
