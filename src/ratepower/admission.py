@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChannelModel, UserParams, _require_finite, target_sinr
+from .core import ChannelModel, UserParams, _require_count, _require_finite, target_sinr
 from .engine import CLAMP, SYNCHRONOUS, ConvergenceConfig, IterationTrace, iterate_to_convergence
 
 __all__ = [
@@ -192,8 +192,7 @@ def escalate_pricing(
         raise ValueError("starting coefficient must be positive")
     if step <= 0:
         raise ValueError("escalation step must be positive")
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+    max_steps = _require_count("max_steps", max_steps)
 
     targets = [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]
     tested: list[float] = []

@@ -12,6 +12,7 @@ operation is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,19 @@ def _require_finite(**values) -> None:
     for name, value in values.items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _require_count(name: str, value) -> int:
+    # ``value`` as an int of at least 1: floats, NaN, inf and bools are refused.
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return count
 
 
 def path_gain(distance_m: float, pathloss_exponent: float, shadowing: float) -> float:

@@ -18,6 +18,13 @@ checks and serves as the oracle; ``bounded_step_array`` evaluates the same
 floating-point operations for a whole ``UserTable``, so all three agree
 exactly.
 
+The loop keeps each iteration's state and step metric, and builds the trace
+records once per segment, a run of iterations at a fixed user count: an
+arrival closes a segment before the network grows and the users are
+re-priced, and the end of the run closes the last one. SINR and utility
+for a whole segment come from one vectorised pass over the channel and
+users those iterations played; ``make_record`` is the one-row case.
+
 Within one iteration the per-user updates are pure; the loop itself is
 sequential. A trace belongs to one run; independent runs can execute in
 parallel.
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelModel, Strategy, UserParams, UserTable, _require_finite
+from .core import ChannelModel, Strategy, UserParams, UserTable, _require_count, _require_finite
 from .rates import RateSet
 
 __all__ = [
@@ -95,8 +102,7 @@ class ConvergenceConfig:
         _require_finite(delta=self.delta)
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        self.max_iterations = _require_count("max_iterations", self.max_iterations)
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
@@ -296,15 +302,26 @@ def bounded_step_array(
 def convergence_metric(
     prev_powers, prev_rates, powers, rates, kind: str = METRIC_RELATIVE
 ) -> float:
-    """Largest per-user step between consecutive iterates."""
+    """Largest per-user step between consecutive iterates.
+
+    The loop computes the same value from ``_step_metric`` on its arrays.
+    """
     if kind not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {kind!r}")
-    dp = np.abs(np.asarray(powers) - np.asarray(prev_powers))
-    dr = np.abs(np.asarray(rates) - np.asarray(prev_rates))
+    vectors = [np.asarray(v, dtype=float) for v in (prev_powers, prev_rates, powers, rates)]
+    if len({v.shape for v in vectors}) != 1 or vectors[0].ndim != 1:
+        raise ValueError("metric needs four vectors of one length")
+    return _step_metric(*vectors, kind)
+
+
+def _step_metric(prev_powers, prev_rates, powers, rates, kind: str) -> float:
+    # convergence_metric on float arrays of one shape and a valid kind.
+    dp = np.abs(powers - prev_powers)
+    dr = np.abs(rates - prev_rates)
     if kind == METRIC_ABSOLUTE:
-        return float(np.max(dp + dr))
+        return float((dp + dr).max())
     rel = dp / np.maximum(np.abs(powers), _EPS) + dr / np.maximum(np.abs(rates), _EPS)
-    return float(np.max(rel))
+    return float(rel.max())
 
 
 def iterate_to_convergence(
@@ -369,12 +386,18 @@ def iterate_to_convergence(
     table = UserTable.from_users(users)
     step_set = None if quantize_at_convergence else rate_set
     reffs = _station_reffs(channel, powers)
+    rows = np.arange(len(users))
     records: list[IterationRecord] = []
+    # This segment's (iteration, assignment, powers, rates, metric, assigned r_eff)
+    # rows; its records are built when the user count changes or the run ends.
+    segment: list[tuple] = []
     converged = False
     iteration = 0
     while iteration < config.max_iterations:
         iteration += 1
         if pending and pending[0].iteration == iteration:
+            records += _segment_records(channel, table, segment, rows)
+            segment = []
             while pending and pending[0].iteration == iteration:
                 ev = pending.pop(0)
                 channel = channel.with_user(ev.distances_m)
@@ -386,6 +409,7 @@ def iterate_to_convergence(
                 users = list(reprice(channel, users))
             table = UserTable.from_users(users)
             reffs = _station_reffs(channel, powers)
+            rows = np.arange(len(users))
         if schedule == SYNCHRONOUS:
             new_p, new_r, assignment = _synchronous_sweep(
                 table, reffs, assignment, policy, step_set
@@ -394,28 +418,16 @@ def iterate_to_convergence(
             new_p, new_r, assignment = _sequential_sweep(
                 channel, table, powers, assignment, policy, step_set
             )
-        metric = convergence_metric(powers, rates, new_p, new_r, config.metric)
+        metric = _step_metric(powers, rates, new_p, new_r, config.metric)
         powers, rates = new_p, new_r
         # One interference matrix per iterate serves its record and the next sweep.
         reffs = _station_reffs(channel, powers)
-        records.append(
-            make_record(
-                channel,
-                table,
-                iteration,
-                1,
-                np.arange(len(users)),
-                assignment,
-                powers,
-                rates,
-                metric,
-                reffs=reffs,
-            )
-        )
+        segment.append((iteration, assignment, powers, rates, metric, reffs[rows, assignment]))
         if metric <= config.delta and not pending:
             converged = True
             break
 
+    records += _segment_records(channel, table, segment, rows)
     trace = IterationTrace(records, converged, iteration, channel, users)
     if quantize_at_convergence:
         _quantize_final_record(trace, rate_set)
@@ -583,30 +595,43 @@ def make_record(
 
     The utilities are ``core.utility_priced`` evaluated for all users at once.
     ``reffs`` is the users x stations effective interference at ``powers``,
-    for a caller that already has it.
+    for a caller that already has it. The loop builds its records with the
+    same formulas, one segment at a time.
     """
-    table = UserTable.from_users(users)
     assignment = np.asarray(assignment, dtype=int)
     if reffs is None:
         reffs = _station_reffs(channel, powers)
-    reffs = reffs[np.arange(assignment.shape[0]), assignment]
+    r_eff = reffs[np.arange(assignment.shape[0]), assignment]
+    row = (iteration, assignment, powers, rates, metric, r_eff)
+    (record,) = _segment_records(channel, UserTable.from_users(users), [row], user_ids, step)
+    return record
+
+
+def _segment_records(channel, table, segment, user_ids, step=1) -> list[IterationRecord]:
+    """Records of one segment, a run of iterations at a fixed user count.
+
+    ``segment`` holds (iteration, assignment, powers, rates, metric, assigned
+    r_eff) rows played on ``channel`` by ``table``. The rows are stacked into
+    (iterations x users) arrays, SINR and utility come from one vectorised
+    pass over them, and each record's arrays are row views of the stacks.
+    """
+    if not segment:
+        return []
+    iterations, assignment, powers, rates, metrics, reffs = zip(*segment)
+    assignment = np.array(assignment, dtype=int)
+    powers = np.array(powers, dtype=float)
+    rates = np.array(rates, dtype=float)
+    reffs = np.array(reffs, dtype=float)
     if not (reffs > 0).all():
         raise ValueError("effective interference must be positive")
     sinrs = (channel.bandwidth_hz / rates) * (powers / reffs)
     a1, a2, lam = table.alpha1, table.alpha2, table.lam
     price = 0.5 * lam * ((a2 / a1) * reffs * rates**2 + (a1 / a2) * powers**2 / reffs)
     utilities = np.log(a2 * reffs * rates + a1 * powers) - price
-    return IterationRecord(
-        iteration,
-        step,
-        np.asarray(user_ids, dtype=int).copy(),
-        assignment.copy(),
-        powers.copy(),
-        rates.copy(),
-        sinrs,
-        utilities,
-        metric,
-    )
+    ids = np.tile(np.asarray(user_ids, dtype=int), (len(segment), 1))
+    steps = [step] * len(segment)
+    columns = (iterations, steps, ids, assignment, powers, rates, sinrs, utilities, metrics)
+    return [IterationRecord(*fields) for fields in zip(*columns)]
 
 
 def _quantize_final_record(trace, rate_set) -> None:

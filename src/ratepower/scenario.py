@@ -581,11 +581,13 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
         )
         channel, users = trace.channel, trace.users
         converged = converged and trace.converged
-        # Step 1's records already carry their stamp; later steps are re-stamped.
-        records.extend(
-            rec if step_no == 1 else replace(rec, iteration=offset + rec.iteration, step=step_no)
-            for rec in trace.records
-        )
+        # Step 1's records already carry their stamp; a later step's trace is
+        # local to this loop, so its records are re-stamped in place.
+        if step_no > 1:
+            for rec in trace.records:
+                rec.iteration += offset
+                rec.step = step_no
+        records += trace.records
         offset += trace.iterations_used
         f = trace.final
         state = (f.powers, f.rates, f.sinrs, f.assignment)

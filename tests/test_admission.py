@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from ratepower.admission import (
@@ -136,6 +139,31 @@ class TestEscalatePricing:
         )
         assert not result.achieved
         assert len(result.tested) == 3
+
+    # A float used to fail with a TypeError from range().
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (2.5, "must be an integer"),
+            (3.0, "must be an integer"),
+            (math.inf, "must be an integer"),
+            (math.nan, "must be an integer"),
+            (True, "must be an integer"),
+            (0, "must be at least 1"),
+            (-2, "must be at least 1"),
+        ],
+    )
+    def test_max_steps_must_be_a_positive_integer(self, bad, match):
+        channel, users = table3_setup(6)
+        with pytest.raises(ValueError, match=f"max_steps {match}"):
+            escalate_pricing(channel, users, PricingRule("constant", 4e-4), max_steps=bad)
+
+    def test_numpy_integer_max_steps_accepted(self):
+        channel, users = table3_setup(6)
+        result = escalate_pricing(
+            channel, users, PricingRule("constant", 4e-4), dc=1e-6, max_steps=np.int64(2)
+        )
+        assert not result.achieved and len(result.tested) == 2
 
     def test_default_step_is_quarter_of_start(self):
         channel, users = table3_setup(5)

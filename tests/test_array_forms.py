@@ -12,7 +12,9 @@ The sweeps are reached through ``iterate_to_convergence``: one iteration from
 a given state is one sweep.
 """
 
+import bisect
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +33,8 @@ from ratepower.core import (
 from ratepower.engine import (
     CLAMP,
     KKT,
+    METRIC_ABSOLUTE,
+    METRIC_RELATIVE,
     SEQUENTIAL,
     SYNCHRONOUS,
     ConvergenceConfig,
@@ -212,8 +216,8 @@ class State(NamedTuple):
 
 
 @st.composite
-def networks(draw, max_users=8, max_stations=4):
-    n = draw(st.integers(1, max_users))
+def networks(draw, max_users=8, max_stations=4, min_users=1):
+    n = draw(st.integers(min_users, max_users))
     b = draw(st.integers(1, max_stations))
     distances = [[draw(st.floats(50.0, 600.0)) for _ in range(b)] for _ in range(n)]
     channel = ChannelModel(distances)
@@ -480,3 +484,153 @@ class TestRecords:
             assert record.sinrs[i] == pytest.approx(
                 sinr(channel.bandwidth_hz, strategy, r_eff), rel=1e-14
             )
+
+
+# Records are built once per segment, a run of iterations at a fixed user
+# count: SINR and utility for the whole segment come from one vectorised pass.
+# The pass must equal ``make_record`` on each row exactly, priced as that
+# segment was played.
+
+RECORD_FIELDS = ("user_ids", "assignment", "powers", "rates", "sinrs", "utilities")
+LADDER = RateSet((0.1, 1e3, 1e4, 5e4))
+
+
+class CountPricing:
+    """A ``reprice`` that sets lambda = c * N and logs every network it prices."""
+
+    def __init__(self, c=1e-5):
+        self.c = c
+        self.segments = []
+
+    def __call__(self, channel, users):
+        priced = [replace(u, lam=self.c * len(users)) for u in users]
+        self.segments.append((channel, priced))
+        return priced
+
+
+@st.composite
+def runs_with_arrivals(draw):
+    """1-3 stations, 2-8 users from a drawn state, and 0-2 arrivals."""
+    channel, users, state = draw(networks(max_users=8, max_stations=3, min_users=2))
+    events = []
+    for iteration in sorted(draw(st.lists(st.integers(1, 12), max_size=2))):
+        distances = [draw(st.floats(50.0, 600.0)) for _ in range(channel.n_stations)]
+        events.append(Arrival(iteration, distances, UserParams(alpha2=draw(st.floats(5.0, 30.0)))))
+    return channel, users, state, events
+
+
+def run_priced(run, policy, schedule, rate_set=None, quantize=False, metric=METRIC_RELATIVE):
+    channel, users, state, events = run
+    pricing = CountPricing()
+    trace = iterate_to_convergence(
+        channel,
+        pricing(channel, users),
+        policy,
+        ConvergenceConfig(max_iterations=60, metric=metric),
+        schedule,
+        rate_set,
+        quantize,
+        initial_powers=state.powers,
+        initial_rates=state.rates,
+        initial_assignment=state.assignment,
+        arrivals=events,
+        reprice=pricing,
+    )
+    return trace, pricing.segments
+
+
+SCHEDULES = st.sampled_from([SYNCHRONOUS, SEQUENTIAL])
+
+
+class TestSegmentRecords:
+    @settings(max_examples=150, deadline=None)
+    @given(runs_with_arrivals(), POLICIES, SCHEDULES, st.sampled_from([None, False, True]))
+    def test_every_record_equals_make_record_on_its_row(self, run, policy, schedule, ladder):
+        # ladder: None runs without a rate ladder; False quantizes every
+        # iteration and True only the converged record.
+        rate_set = None if ladder is None else LADDER
+        trace, segments = run_priced(run, policy, schedule, rate_set, bool(ladder))
+        # Segment k starts at its arrival iteration; arrivals at one iteration
+        # share a segment, and one at iteration 1 leaves segment 0 empty.
+        starts = [1] + sorted({ev.iteration for ev in run[3]})
+        assert len(segments) == len(starts)
+        assert [rec.iteration for rec in trace.records] == list(range(1, trace.iterations_used + 1))
+        for rec in trace.records:
+            channel, users = segments[bisect.bisect_right(starts, rec.iteration) - 1]
+            assert len(rec.powers) == channel.n_users == len(users)
+            want = make_record(
+                channel,
+                users,
+                rec.iteration,
+                rec.step,
+                np.arange(len(users)),
+                rec.assignment,
+                rec.powers,
+                rec.rates,
+                rec.metric,
+            )
+            for name in RECORD_FIELDS:
+                assert np.array_equal(getattr(rec, name), getattr(want, name)), name
+            assert (rec.step, rec.metric) == (1, want.metric)
+
+    @settings(max_examples=50, deadline=None)
+    @given(runs_with_arrivals(), POLICIES, SCHEDULES)
+    def test_records_share_no_memory(self, run, policy, schedule):
+        trace, _ = run_priced(run, policy, schedule)
+        # Write a distinct value through every array of every record; if any
+        # two arrays overlapped, a later write would show in an earlier one.
+        for k, rec in enumerate(trace.records):
+            for f, name in enumerate(RECORD_FIELDS):
+                getattr(rec, name)[...] = k * len(RECORD_FIELDS) + f
+        for k, rec in enumerate(trace.records):
+            for f, name in enumerate(RECORD_FIELDS):
+                assert (getattr(rec, name) == k * len(RECORD_FIELDS) + f).all()
+
+    def test_make_record_copies_its_inputs(self):
+        channel = ChannelModel([110, 130])
+        powers, rates = np.array([0.1, 0.2]), np.array([1e3, 2e3])
+        record = make_record(channel, [UserParams()] * 2, 1, 1, [0, 1], [0, 0], powers, rates, 0.0)
+        powers[:] = rates[:] = 7.0
+        np.testing.assert_array_equal(record.powers, [0.1, 0.2])
+        np.testing.assert_array_equal(record.rates, [1e3, 2e3])
+
+    def test_nonpositive_interference_rejected(self):
+        # A lone noise-free user sees no interference at all.
+        channel = ChannelModel([110], noise_w=0.0)
+        with pytest.raises(ValueError, match="effective interference must be positive"):
+            make_record(channel, [UserParams()], 1, 1, [0], [0], np.array([0.1]), np.array([1e3]), 0.0)
+
+
+class TestInlineMetric:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        runs_with_arrivals(),
+        POLICIES,
+        SCHEDULES,
+        st.sampled_from([METRIC_RELATIVE, METRIC_ABSOLUTE]),
+        st.booleans(),
+    )
+    def test_every_metric_equals_convergence_metric(self, run, policy, schedule, kind, ladder):
+        trace, _ = run_priced(run, policy, schedule, LADDER if ladder else None, metric=kind)
+        _, _, state, events = run
+        powers, rates = state.powers, state.rates
+        for rec in trace.records:
+            # An arrival joins the previous state at its initial strategy.
+            for ev in events:
+                if ev.iteration == rec.iteration:
+                    powers = np.append(powers, ev.user.initial_power)
+                    rates = np.append(rates, ev.user.initial_rate)
+            assert rec.metric == convergence_metric(powers, rates, rec.powers, rec.rates, kind)
+            powers, rates = rec.powers, rec.rates
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            ([1.0, 2.0], [1.0], [1.0, 2.0], [1.0, 2.0]),
+            ([1.0], [1.0], [1.0], [1.0, 2.0]),
+            ([[1.0]], [[1.0]], [[1.0]], [[1.0]]),
+        ],
+    )
+    def test_public_metric_checks_its_vectors(self, vectors):
+        with pytest.raises(ValueError, match="four vectors of one length"):
+            convergence_metric(*vectors)

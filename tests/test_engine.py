@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,25 @@ class TestIterateToConvergence:
     def test_non_finite_delta_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             ConvergenceConfig(delta=float("nan"))
+
+    # 2.5 used to run 3 iterations, inf never stopped, nan ran none and left
+    # an empty trace, and True counted as 1.
+    @pytest.mark.parametrize("bad", [2.5, 3.0, math.inf, math.nan, True, False, np.True_, "5", None])
+    def test_max_iterations_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            ConvergenceConfig(max_iterations=bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, np.int64(0)])
+    def test_max_iterations_must_be_at_least_1(self, bad):
+        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+            ConvergenceConfig(max_iterations=bad)
+
+    @pytest.mark.parametrize("count", [1, 7, np.int64(7), np.int32(7)])
+    def test_integer_max_iterations_accepted_as_int(self, count):
+        config = ConvergenceConfig(delta=1e-30, max_iterations=count)
+        assert type(config.max_iterations) is int and config.max_iterations == count
+        trace = iterate_to_convergence(equidistant_channel(3), table3_users(3), config=config)
+        assert trace.iterations_used == len(trace.records) == count
 
     def test_initial_strategy_outside_box_rejected(self):
         channel = equidistant_channel(2)

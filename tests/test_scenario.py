@@ -304,6 +304,30 @@ class TestRunScenario:
             assert sizes[:4] == [n - 1] * 4 and sizes[4:] == [n] * (len(sizes) - 4)
             assert trace.channel.n_users == len(trace.users) == n
 
+    @pytest.mark.parametrize("arrival", [False, True])
+    def test_in_place_restamp_does_not_leak_into_a_rerun(self, arrival):
+        # Later steps' records are re-stamped in place; a second run of the
+        # same Scenario must number and fill its records as the first did.
+        text = (SCENARIO_DIR / "station_walk.scn").read_text()
+        if arrival:
+            text += "\n[event arrival]\niteration = 5\nuser = late\ndistances_m = 400 120\n"
+        s = parse_scenario(text)
+        first, _ = run_scenario(s)
+        second, _ = run_scenario(s)
+        stamps = [(rec.iteration, rec.step) for rec in first.records]
+        assert stamps == [(rec.iteration, rec.step) for rec in second.records]
+        assert [it for it, _ in stamps] == list(range(1, first.iterations_used + 1))
+        assert {step for _, step in stamps} == set(range(1, 12))
+        for a, b in zip(first.records, second.records):
+            for name in ("user_ids", "assignment", "powers", "rates", "sinrs", "utilities"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert a.metric == b.metric
+        step1 = iterate_to_convergence(
+            s.channel, s.users, s.policy, s.config, s.schedule, arrivals=s.arrivals
+        )
+        n1 = step1.iterations_used
+        assert [rec.step for rec in second.records[: n1 + 1]] == [1] * n1 + [2]
+
     def test_trace_carries_the_grown_network(self):
         text = (
             "[user a]\ndistances_m = 110\nalpha2 = 20\n\n"
