@@ -188,6 +188,7 @@ def escalate_pricing(
     rule = rule if rule is not None else PricingRule()
     start = rule.c if c0 is None else c0
     step = dc if dc is not None else (rule.dc if rule.dc is not None else 0.25 * start)
+    _require_finite(c0=start, dc=step)
     if start <= 0:
         raise ValueError("starting coefficient must be positive")
     if step <= 0:

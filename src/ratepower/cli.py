@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -13,6 +14,7 @@ from .scenario import (
     _POLICY_ALIASES,
     _SCHEDULE_ALIASES,
     ScenarioFormatError,
+    _write_text,
     emit_trace,
     parse_scenario,
     run_scenario,
@@ -92,9 +94,10 @@ def _cmd_run(args) -> int:
     trace, summary = run_scenario(scenario)
     if args.trace:
         emit_trace(trace, args.trace)
+    text = summary_to_text(summary)
     if args.summary:
-        write_summary(summary, args.summary)
-    print(summary_to_text(summary), end="")
+        _write_text(args.summary, text)
+    print(text, end="")
     return 0 if summary.converged else 1
 
 
@@ -112,6 +115,8 @@ def _cmd_sweep(args) -> int:
     scenario = _load(args)
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
+    if not (math.isfinite(args.lam_from) and math.isfinite(args.lam_to)):
+        raise ValueError("pricing values must be finite")
     if args.lam_from <= 0 or args.lam_to <= 0:
         raise ValueError("pricing values must be positive")
     lambdas = np.geomspace(args.lam_from, args.lam_to, args.steps)

@@ -158,6 +158,15 @@ class TestEscalatePricing:
         with pytest.raises(ValueError, match=f"max_steps {match}"):
             escalate_pricing(channel, users, PricingRule("constant", 4e-4), max_steps=bad)
 
+    # nan slipped past the positivity checks and failed later as "lam must be
+    # finite"; an infinite step did the same through 0 * inf.
+    @pytest.mark.parametrize("name", ["c0", "dc"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_start_or_step_rejected(self, name, bad):
+        channel, users = table3_setup(6)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            escalate_pricing(channel, users, PricingRule("constant", 4e-4), **{name: bad})
+
     def test_numpy_integer_max_steps_accepted(self):
         channel, users = table3_setup(6)
         result = escalate_pricing(

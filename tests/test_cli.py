@@ -147,6 +147,16 @@ class TestSweep:
         assert lines[0] == "lambda,user,bs,p_w,r_bps,sinr,converged"
         assert len(lines) == 1 + 3 * 3
 
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_bound_rejected_before_sweeping(self, three_user_file, flag, bad, capsys):
+        bounds = {"--from": "0.05", "--to": "0.2", flag: bad}
+        argv = ["sweep-lambda", three_user_file, "--steps", "3"]
+        code = main(argv + [item for pair in bounds.items() for item in pair])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: pricing values must be finite"]
+
 
 class TestTuneAndRemove:
     def test_tune_pricing_reference(self, crowded_file, capsys):
@@ -163,6 +173,12 @@ class TestTuneAndRemove:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "converge" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_step_names_dc(self, crowded_file, bad, capsys):
+        assert main(["tune-pricing", crowded_file, "--dc", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: dc must be finite, got {bad}"]
 
     def test_remove_loop_drops_cap_pinned_user(self, three_user_file, capsys):
         code = main(["remove-loop", three_user_file])

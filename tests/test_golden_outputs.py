@@ -4,8 +4,11 @@ Pins sha256 digests of the ``reproduce all`` stdout; of the ``run`` stdout,
 ``--trace`` CSV and ``--summary`` file for every shipped scenario under both
 schedules and both policies; and of the ``tune-pricing`` and ``remove-loop``
 stdout on every shipped scenario. Each stdout digest covers the exit code
-too. A change that is meant to leave outputs alone must keep every digest;
-one that changes an output on purpose says so and re-pins that entry.
+too. A 100-user, one-station network written by this module, modelled on
+the perfbench ``cell`` workload, pins the same ``run`` outputs at large N:
+both schedules and both policies, plus one run on a discrete rate ladder.
+A change that is meant to leave outputs alone must keep every digest; one
+that changes an output on purpose says so and re-pins that entry.
 ``PYTHONPATH=src python tests/test_golden_outputs.py`` prints the current
 table.
 """
@@ -114,9 +117,88 @@ GOLDEN = {
 }
 
 
+# A deterministic 100-user cell: one distance per 1.6 m band with a fixed
+# jitter, four targets in equal shares, users listed in a scrambled order,
+# per-user-count pricing, and a rate ladder whose lowest rung is r_min.
+LARGE_N = 100
+LARGE_N_ALPHA2 = (12.9492, 16.0, 20.0, 25.0)
+LARGE_N_LADDER = (0.1, 64.0, 91.0, 128.0, 182.0, 258.0, 365.0, 517.0, 733.0, 1038.0, 1470.0)
+LARGE_N_LADDER += (2083.0, 2950.0, 4179.0, 5920.0, 8386.0, 11880.0, 16829.0, 23840.0)
+LARGE_N_LADDER += (33771.0, 47839.0, 67769.0, 96000.0)
+# (policy, schedule, uses the ladder)
+LARGE_N_RUNS = (
+    ("clamp", "sync", False),
+    ("kkt", "sync", False),
+    ("clamp", "seq", False),
+    ("kkt", "seq", False),
+    ("clamp", "seq", True),
+)
+
+
+def large_n_text(ladder: bool) -> str:
+    parts = [
+        "[network]\nbandwidth_hz = 1e6\nnoise_w = 5e-15\n"
+        "pathloss_exponent = 4.0\nshadowing = 0.097\n"
+    ]
+    for j in range(LARGE_N):
+        k = (37 * j) % LARGE_N
+        distance = 60.0 + 160.0 * (k + ((61 * k) % 97) / 97) / LARGE_N
+        parts.append(
+            f"[user u{k:04d}]\ndistances_m = {distance!r}\nalpha1 = 1e6\n"
+            f"alpha2 = {LARGE_N_ALPHA2[(3 * k + k // 5) % 4]!r}\np_min = 1e-6\n"
+            "p_max = 3.0\nr_min = 0.1\nr_max = 96000.0\n"
+        )
+    parts.append("[pricing]\nrule = per_user_count\nc = 1e-5\n")
+    if ladder:
+        parts.append("[run]\nrates = " + " ".join(map(repr, LARGE_N_LADDER)) + "\n")
+    return "\n".join(parts)
+
+
+def _large_n_outputs(tmp: Path) -> dict[str, bytes]:
+    outputs = {}
+    for policy, schedule, ladder in LARGE_N_RUNS:
+        path = tmp / ("cell_ladder.scn" if ladder else "cell.scn")
+        path.write_text(large_n_text(ladder))
+        key = f"run large-N {schedule} {policy}" + (" ladder" if ladder else "")
+        trace, summary = tmp / "trace.csv", tmp / "summary.txt"
+        argv = ["run", str(path), "--schedule", schedule, "--policy", policy]
+        outputs[key + " stdout"] = _call(argv + ["--trace", str(trace), "--summary", str(summary)])
+        outputs[key + " trace"] = trace.read_bytes()
+        outputs[key + " summary"] = summary.read_bytes()
+    return outputs
+
+
+def _large_n_digests(tmp: Path) -> dict[str, str]:
+    return {key: hashlib.sha256(data).hexdigest() for key, data in _large_n_outputs(tmp).items()}
+
+
+LARGE_N_GOLDEN = {
+    "run large-N sync clamp stdout": "82041a321e4c2ec9c9560d7af8d70ab927dedb46592040f6c7588f6e42907c99",
+    "run large-N sync clamp trace": "171677025bc4c789c2d993e40ba53a24263f9b7692209fc699fcfeba09343bf5",
+    "run large-N sync clamp summary": "251e1433fe78c86c32d83cb7caa9c4c864ed2afe7e8204638b588dfe4303ba61",
+    "run large-N sync kkt stdout": "2228e6730c2b532fa64628e82ebfc6f8161f632f7d15c802acc0d018bfd38aed",
+    "run large-N sync kkt trace": "de7b41226cf1a0d4581f24662887fbdc60bd1259bcf854f0602964bf9b2b6275",
+    "run large-N sync kkt summary": "0911fccd50c9471138fca3b696ded54d8e35c22dde76bfe0d11c3e63efca7104",
+    "run large-N seq clamp stdout": "eefacb83cc171c74c5bc3f59a81936c5d5cd884670a5f3e2054e0229037f24ed",
+    "run large-N seq clamp trace": "50cdacf70dab594b2e36947918640e5b69211f26af45691dc92bb012fb4b7a22",
+    "run large-N seq clamp summary": "652dda3c47ecb2f07018dd5c4d83a01d2656f599912a33d5a9d7be25bd74f381",
+    "run large-N seq kkt stdout": "e3e2df1e434b971d61f85455ae0c8ad6ac5c43dbfddaa4c4664d1396248d9a28",
+    "run large-N seq kkt trace": "6f7c295236e54ca6e004998fdd99d0e944c9f8ff7c02f2f763557a74e2dc4e93",
+    "run large-N seq kkt summary": "1221e90e6e2c74dbd4af69de122553cb5e9416459c4c4989105c2befeb6506cf",
+    "run large-N seq clamp ladder stdout": "8b004465021c6973cfad53b7b80c8f9501819d1c042d5cc304571c0cf402a6f9",
+    "run large-N seq clamp ladder trace": "3894f7fe0a72e69db22d414193967392c8f6840097fb63895f0e20d924457f91",
+    "run large-N seq clamp ladder summary": "ffee9f6b3f897f9469917763080d53b8f71215550ae57b4ed350205d8ebfe46e",
+}
+
+
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     return _digests(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def large_n_digests(tmp_path_factory):
+    return _large_n_digests(tmp_path_factory.mktemp("golden_large_n"))
 
 
 def test_every_output_is_pinned(digests):
@@ -128,9 +210,19 @@ def test_output_is_unchanged(digests, key):
     assert digests[key] == GOLDEN[key]
 
 
+def test_every_large_n_output_is_pinned(large_n_digests):
+    assert sorted(large_n_digests) == sorted(LARGE_N_GOLDEN)
+
+
+@pytest.mark.parametrize("key", sorted(LARGE_N_GOLDEN))
+def test_large_n_output_is_unchanged(large_n_digests, key):
+    assert large_n_digests[key] == LARGE_N_GOLDEN[key]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for key, digest in _digests(Path(tmp)).items():
-            print(f'    "{key}": "{digest}",')
+        for table in (_digests(Path(tmp)), _large_n_digests(Path(tmp))):
+            for key, digest in table.items():
+                print(f'    "{key}": "{digest}",')

@@ -1,4 +1,5 @@
 import io
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ratepower import scenario as scenario_module
 from ratepower.admission import priced_users
 from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
@@ -500,6 +502,110 @@ class TestTraceWriterGolden:
     @example(IterationTrace([constant_record(5e-324, 9.99999999996e-5)], True, 1))
     @example(IterationTrace([constant_record(9.99999999996e-5, -2.5e-310, iteration=12)], True, 12))
     def test_drawn_records(self, trace):
+        assert written_trace(trace) == per_field_trace(trace)
+
+
+def nudged(x, ulps):
+    """x moved by the given number of ulps, up for positive counts."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def half_ties(draw):
+    """A value whose 12th significant digit is an exact or near half, then nudged."""
+    digits = draw(st.integers(10**10, 10**11 - 1))
+    half = draw(st.sampled_from(["5", "49999999", "50000001", "4999999999999", "5000000000001"]))
+    exponent = draw(st.integers(-40, 40))
+    return nudged(float(f"{digits}{half}e{exponent}"), draw(st.integers(-3, 3)))
+
+
+@st.composite
+def powers_of_ten(draw):
+    return nudged(float(f"1e{draw(st.integers(-323, 308))}"), draw(st.integers(-3, 3)))
+
+
+@st.composite
+def extreme_exponents(draw):
+    """Exponents -100..-98 and 98..100, where the printed exponent gains a digit."""
+    exponent = draw(st.sampled_from([-100, -99, -98, 98, 99, 100]))
+    mantissa = draw(st.one_of(st.just("9.99999999995"), st.floats(1.0, 9.999999999999998).map(repr)))
+    return float(f"{mantissa}e{exponent}")
+
+
+SUBNORMALS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+SPECIALS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324])
+ENCODER_FLOATS = st.tuples(
+    st.one_of(half_ties(), powers_of_ten(), extreme_exponents(), SUBNORMALS, SPECIALS, st.floats()),
+    st.booleans(),
+).map(lambda drawn: -drawn[0] if drawn[1] else drawn[0])
+
+
+def record_of(values, iteration=3, metric=0.5):
+    """One record whose four float columns are permutations of the values."""
+    v = np.array(values, dtype=float)
+    n = len(v)
+    return IterationRecord(
+        iteration, 1, np.arange(n), np.arange(n) % 3, v, v[::-1], np.roll(v, 1), np.roll(v, 2), metric
+    )
+
+
+class TestTraceEncoder:
+    """The vectorised writer against format(x, ".10e"), on values chosen to break it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ENCODER_FLOATS, min_size=1, max_size=40), ENCODER_FLOATS)
+    @example([1.00000000005, 9.99999999995e99, -0.0, 1e23, 1e-13, 99999999999.5], math.inf)
+    def test_adversarial_values(self, values, metric):
+        trace = IterationTrace([record_of(values, metric=metric)], False, 1)
+        assert written_trace(trace) == per_field_trace(trace)
+
+    def test_fast_and_fallback_values_in_one_chunk(self):
+        trace, _ = run_scenario(parse_scenario(FULL))
+        first, second = trace.records[1:3]
+        # Zeros, non-finite values, a near tie, an exponent past the exact
+        # powers of ten, a 3-digit exponent and a subnormal, beside solver
+        # output in the same chunk.
+        first.powers[:] = [0.0, math.nan]
+        first.rates[:] = [-math.inf, 1.00000000005]
+        second.utilities[:] = [-1e-300, 9.99999999995e99]
+        second.sinrs[0] = -2.5e-310
+        second.metric = math.nan
+        assert written_trace(trace) == per_field_trace(trace)
+
+    def test_trace_longer_than_one_chunk(self, monkeypatch):
+        encoded = []
+        encode_rows = scenario_module._encode_rows
+        monkeypatch.setattr(
+            scenario_module, "_encode_rows", lambda recs: encoded.append(recs) or encode_rows(recs)
+        )
+        rng = np.random.default_rng(7)
+        chunk = scenario_module._TRACE_CHUNK_ROWS
+        # Record sizes straddle the chunk boundary, and one record alone is
+        # longer than a chunk.
+        sizes = [1, chunk - 1, 2, chunk // 3, chunk + 5, 0, 7]
+        records = []
+        for iteration, n in enumerate(sizes, start=1):
+            values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-15, 35, n)
+            values[rng.random(n) < 0.01] = 0.0
+            records.append(record_of(values, iteration=iteration * 997, metric=10.0**-iteration))
+        trace = IterationTrace(records, False, len(records))
+        written = written_trace(trace)
+        assert written.count("\n") == 1 + sum(sizes) > 2 * chunk
+        assert written == per_field_trace(trace)
+        # Chunks close once they reach the chunk size, so none holds more
+        # than a chunk beyond its last record.
+        chunk_rows = [[len(rec.user_ids) for rec in recs] for recs in encoded]
+        assert len(chunk_rows) > 2
+        assert all(sum(rows) - rows[-1] < chunk for rows in chunk_rows)
+
+    @pytest.mark.parametrize("value", [-(2**63), -1, 0, 9999, 10**4, 2**53 + 1, 2**63 - 1])
+    def test_integer_columns(self, value):
+        rec = constant_record(1.5, 0.25, iteration=value)
+        rec.user_ids = np.array([value, 0, 10**12])
+        rec.assignment = np.array([0, value, 99999])
+        trace = IterationTrace([rec], False, 1)
         assert written_trace(trace) == per_field_trace(trace)
 
 
