@@ -6,7 +6,9 @@ schedules and both policies; and of the ``tune-pricing`` and ``remove-loop``
 stdout on every shipped scenario. Each stdout digest covers the exit code
 too. A 100-user, one-station network written by this module, modelled on
 the perfbench ``cell`` workload, pins the same ``run`` outputs at large N:
-both schedules and both policies, plus one run on a discrete rate ladder.
+both schedules and both policies, plus one run on a discrete rate ladder,
+and every schedule and policy on that ladder with ``quantize =
+at_convergence``.
 A change that is meant to leave outputs alone must keep every digest; one
 that changes an output on purpose says so and re-pins that entry.
 ``PYTHONPATH=src python tests/test_golden_outputs.py`` prints the current
@@ -125,17 +127,21 @@ LARGE_N_ALPHA2 = (12.9492, 16.0, 20.0, 25.0)
 LARGE_N_LADDER = (0.1, 64.0, 91.0, 128.0, 182.0, 258.0, 365.0, 517.0, 733.0, 1038.0, 1470.0)
 LARGE_N_LADDER += (2083.0, 2950.0, 4179.0, 5920.0, 8386.0, 11880.0, 16829.0, 23840.0)
 LARGE_N_LADDER += (33771.0, 47839.0, 67769.0, 96000.0)
-# (policy, schedule, uses the ladder)
+# (policy, schedule, rate ladder: None, "per_iteration" or "at_convergence")
 LARGE_N_RUNS = (
-    ("clamp", "sync", False),
-    ("kkt", "sync", False),
-    ("clamp", "seq", False),
-    ("kkt", "seq", False),
-    ("clamp", "seq", True),
+    ("clamp", "sync", None),
+    ("kkt", "sync", None),
+    ("clamp", "seq", None),
+    ("kkt", "seq", None),
+    ("clamp", "seq", "per_iteration"),
+    ("clamp", "sync", "at_convergence"),
+    ("kkt", "sync", "at_convergence"),
+    ("clamp", "seq", "at_convergence"),
+    ("kkt", "seq", "at_convergence"),
 )
 
 
-def large_n_text(ladder: bool) -> str:
+def large_n_text(ladder: str | None) -> str:
     parts = [
         "[network]\nbandwidth_hz = 1e6\nnoise_w = 5e-15\n"
         "pathloss_exponent = 4.0\nshadowing = 0.097\n"
@@ -149,17 +155,22 @@ def large_n_text(ladder: bool) -> str:
             "p_max = 3.0\nr_min = 0.1\nr_max = 96000.0\n"
         )
     parts.append("[pricing]\nrule = per_user_count\nc = 1e-5\n")
-    if ladder:
-        parts.append("[run]\nrates = " + " ".join(map(repr, LARGE_N_LADDER)) + "\n")
+    if ladder is not None:
+        run = "[run]\nrates = " + " ".join(map(repr, LARGE_N_LADDER)) + "\n"
+        if ladder == "at_convergence":
+            run += "quantize = at_convergence\n"
+        parts.append(run)
     return "\n".join(parts)
 
 
 def _large_n_outputs(tmp: Path) -> dict[str, bytes]:
     outputs = {}
     for policy, schedule, ladder in LARGE_N_RUNS:
-        path = tmp / ("cell_ladder.scn" if ladder else "cell.scn")
+        path = tmp / ("cell.scn" if ladder is None else f"cell_{ladder}.scn")
         path.write_text(large_n_text(ladder))
-        key = f"run large-N {schedule} {policy}" + (" ladder" if ladder else "")
+        key = f"run large-N {schedule} {policy}"
+        if ladder is not None:
+            key += " ladder" + (" at_convergence" if ladder == "at_convergence" else "")
         trace, summary = tmp / "trace.csv", tmp / "summary.txt"
         argv = ["run", str(path), "--schedule", schedule, "--policy", policy]
         outputs[key + " stdout"] = _call(argv + ["--trace", str(trace), "--summary", str(summary)])
@@ -188,6 +199,18 @@ LARGE_N_GOLDEN = {
     "run large-N seq clamp ladder stdout": "8b004465021c6973cfad53b7b80c8f9501819d1c042d5cc304571c0cf402a6f9",
     "run large-N seq clamp ladder trace": "3894f7fe0a72e69db22d414193967392c8f6840097fb63895f0e20d924457f91",
     "run large-N seq clamp ladder summary": "ffee9f6b3f897f9469917763080d53b8f71215550ae57b4ed350205d8ebfe46e",
+    "run large-N sync clamp ladder at_convergence stdout": "1352ceba80833dc2efc44601d63ee8bb71dda6b236d9f52dbf8413b4aef757db",
+    "run large-N sync clamp ladder at_convergence trace": "92f9ac6d716a723a5025cb7cdf23321f3afe8cab2c386c0d2079ea0a8ba174b7",
+    "run large-N sync clamp ladder at_convergence summary": "95860092fbca63c46bbe9de40b94d9534d342b369c3218d91aa476c0bc6dbaaa",
+    "run large-N sync kkt ladder at_convergence stdout": "a3f320e8f90f9d19f2809e46e7bc010716c27a9cedf5c95f45ed8763f3dc1b85",
+    "run large-N sync kkt ladder at_convergence trace": "90a43c30231f4c563787c6e831ea0da766cb0ad9753d60028103a783cda5fef6",
+    "run large-N sync kkt ladder at_convergence summary": "7afd768697016b0b62c65f16bed57e8732ab3811c4d125e378c4833e31d6a1bc",
+    "run large-N seq clamp ladder at_convergence stdout": "2b323fcbb0263d2a026953ddd8643b06b79a3a6facdcef2abe89748921a50658",
+    "run large-N seq clamp ladder at_convergence trace": "7a1095bfe4104989e980af732bd2cd7f0c4ed80790c897af2cbbfa717d5a4543",
+    "run large-N seq clamp ladder at_convergence summary": "6b82a26785fc54a201d9a7e8e99e711bc6bf7d7233c136966aa9fe316ef3335a",
+    "run large-N seq kkt ladder at_convergence stdout": "f3a1e1c6ef6c3e69c9a1ac3af66b1706a28784db35cca3fdfef8d4763b5be50f",
+    "run large-N seq kkt ladder at_convergence trace": "73e5d0b2e7a02a157ef4155a8f8f87c149b6fcf927d76cdcb729e4e711accb89",
+    "run large-N seq kkt ladder at_convergence summary": "237434032eb7400bf54fd07ad797e2dd3d86795911375a3818f3ffa444c915c8",
 }
 
 
