@@ -11,16 +11,9 @@ from .core import (
     Strategy,
     UserParams,
     UserTable,
-    UtilityParamsBase,
     alpha_ratio_for_target,
-    effective_interference,
     path_gain,
-    sinr,
     target_sinr,
-    utility_base,
-    utility_priced,
-    utility_priced_gradient,
-    utility_priced_hessian,
 )
 from .engine import (
     CLAMP,
@@ -34,14 +27,7 @@ from .engine import (
     bounded_step_array,
     convergence_metric,
     iterate_to_convergence,
-    njrpcg_equilibrium,
-    power_update_map,
-    power_update_rate_bounded,
-    rate_update_power_bounded,
-    symmetric_fixed_point,
-    unconstrained_best_response,
 )
-from .multicell import assign_base_station, effective_interference_by_station
 from .admission import (
     ABOVE_TARGET,
     AT_TARGET,
@@ -58,9 +44,24 @@ from .admission import (
 from .rates import NoFeasibleRateError, RateSet
 from .oracle import (
     StandardFunctionReport,
+    UtilityParamsBase,
+    assign_base_station,
+    effective_interference,
+    effective_interference_by_station,
     fd_gradient_check,
     grid_best_response,
+    njrpcg_equilibrium,
+    power_update_map,
+    power_update_rate_bounded,
+    rate_update_power_bounded,
+    sinr,
     standard_function_check,
+    symmetric_fixed_point,
+    unconstrained_best_response,
+    utility_base,
+    utility_priced,
+    utility_priced_gradient,
+    utility_priced_hessian,
 )
 from .scenario import (
     ArrivalEvent,

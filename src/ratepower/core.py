@@ -1,4 +1,4 @@
-"""Core uplink model: channel gains, effective interference, SINR, utilities.
+"""Core uplink model types: the channel, the users and their array table.
 
 Everything here works in SI units throughout (watts, bps, hertz); channel
 gains are dimensionless. Every constructor rejects NaN and infinite numbers.
@@ -7,6 +7,10 @@ it is built, and ``gains`` hands out that cached read-only array; a channel
 that changes (a removal, an arrival, a move) is a new ``ChannelModel`` with
 its own gains. The functions are pure and nothing mutable is shared, so every
 operation is safe to call concurrently.
+
+The scalar formulas of the model (effective interference, SINR and the
+utilities) are stated in ``oracle``; the solver in ``engine`` runs them as
+array code.
 """
 
 from __future__ import annotations
@@ -22,14 +26,7 @@ __all__ = [
     "UserParams",
     "UserTable",
     "Strategy",
-    "UtilityParamsBase",
     "path_gain",
-    "effective_interference",
-    "sinr",
-    "utility_base",
-    "utility_priced",
-    "utility_priced_gradient",
-    "utility_priced_hessian",
     "target_sinr",
     "alpha_ratio_for_target",
 ]
@@ -254,119 +251,6 @@ class Strategy:
             raise ValueError(f"power must be positive, got {self.power}")
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class UtilityParamsBase:
-    """Weights of the unpriced log utility; k2 conventionally carries the bandwidth."""
-
-    k1: float = 1.0
-    k2: float = 1e6
-
-    def __post_init__(self) -> None:
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
-
-    @classmethod
-    def for_bandwidth(cls, bandwidth_hz: float) -> "UtilityParamsBase":
-        return cls(1.0, float(bandwidth_hz))
-
-
-def effective_interference(gains_to_bs, powers, i: int, noise_w: float = 0.0) -> float:
-    """Interference plus noise at the receiver, normalized by user i's own gain.
-
-    Returns ``(sum_{j != i} g_j p_j + noise_w) / g_i``. The sum deliberately
-    skips user i's own term instead of subtracting it, so no cancellation
-    error creeps in when one power dominates.
-    """
-    g = np.asarray(gains_to_bs, dtype=float)
-    p = np.asarray(powers, dtype=float)
-    if g.shape != p.shape or g.ndim != 1:
-        raise ValueError("gains and powers must be 1-D and of equal length")
-    if not 0 <= i < g.size:
-        raise IndexError(f"user index {i} out of range for {g.size} users")
-    if g[i] <= 0:
-        raise ValueError("own channel gain must be positive")
-    if np.any(p < 0):
-        raise ValueError("powers must be non-negative")
-    if noise_w < 0:
-        raise ValueError("noise must be non-negative")
-    cross = g * p
-    total = float(cross.sum() - cross[i])
-    return (total + noise_w) / float(g[i])
-
-
-def sinr(bandwidth_hz: float, strategy: Strategy, r_eff: float) -> float:
-    """SINR with CDMA processing gain: (W / r) * (p / R_eff)."""
-    if bandwidth_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    if r_eff <= 0:
-        raise ValueError(f"effective interference must be positive, got {r_eff}")
-    return (bandwidth_hz / strategy.rate) * (strategy.power / r_eff)
-
-
-def utility_base(strategy: Strategy, r_eff: float, k1: float = 1.0, k2: float = 1e6) -> float:
-    """Unpriced log utility log(k1 * r + k2 * p / R_eff), in nats.
-
-    Increasing in both coordinates, which is why the unpriced game ends at
-    every user's top corner.
-    """
-    if r_eff <= 0:
-        raise ValueError(f"effective interference must be positive, got {r_eff}")
-    arg = k1 * strategy.rate + k2 * strategy.power / r_eff
-    if arg <= 0:
-        raise ValueError(f"log argument must be positive, got {arg}")
-    return math.log(arg)
-
-
-def utility_priced(
-    strategy: Strategy, r_eff: float, alpha1: float, alpha2: float, lam: float
-) -> float:
-    """Priced utility, in nats.
-
-    u = log(a2 * R * r + a1 * p)
-        - (lam / 2) * ((a2 / a1) * R * r**2 + (a1 / a2) * p**2 / R)
-
-    with R the effective interference. The interference weighting pushes a
-    user toward less rate and more power as R grows.
-    """
-    if r_eff <= 0:
-        raise ValueError(f"effective interference must be positive, got {r_eff}")
-    p, r = strategy.power, strategy.rate
-    s = alpha2 * r_eff * r + alpha1 * p
-    if s <= 0:
-        raise ValueError(f"log argument must be positive, got {s}")
-    price = 0.5 * lam * ((alpha2 / alpha1) * r_eff * r**2 + (alpha1 / alpha2) * p**2 / r_eff)
-    return math.log(s) - price
-
-
-def utility_priced_gradient(
-    power: float, rate: float, r_eff: float, alpha1: float, alpha2: float, lam: float
-) -> tuple[float, float]:
-    """Analytic (du/dp, du/dr) of the priced utility."""
-    if r_eff <= 0:
-        raise ValueError("effective interference must be positive")
-    s = alpha1 * power + alpha2 * r_eff * rate
-    du_dp = alpha1 / s - lam * (alpha1 / alpha2) * power / r_eff
-    du_dr = alpha2 * r_eff / s - lam * (alpha2 / alpha1) * r_eff * rate
-    return du_dp, du_dr
-
-
-def utility_priced_hessian(
-    power: float, rate: float, r_eff: float, alpha1: float, alpha2: float, lam: float
-) -> np.ndarray:
-    """Analytic 2x2 Hessian of the priced utility in (p, r) order.
-
-    Both diagonal entries are negative and the determinant is positive for
-    any admissible arguments, so the utility is strictly concave.
-    """
-    if r_eff <= 0:
-        raise ValueError("effective interference must be positive")
-    s = alpha1 * power + alpha2 * r_eff * rate
-    d2p = -((alpha1 / s) ** 2) - lam * (alpha1 / alpha2) / r_eff
-    d2r = -((alpha2 * r_eff / s) ** 2) - lam * (alpha2 / alpha1) * r_eff
-    dpr = -(alpha1 * alpha2 * r_eff) / s**2
-    return np.array([[d2p, dpr], [dpr, d2r]])
 
 
 def target_sinr(alpha1: float, alpha2: float, bandwidth_hz: float) -> float:

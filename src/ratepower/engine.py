@@ -1,12 +1,14 @@
-"""Game solvers and the one fixed-point loop.
+"""The solver: the bounded best response and the one fixed-point loop.
 
-Holds the trivial unpriced equilibrium, the closed-form priced best response,
-the two boundary policies ("clamp" projects the unconstrained response onto
-the strategy box, "kkt" re-optimizes the free coordinate from the boundary
-stationarity quadratics), and ``iterate_to_convergence``, the fixed-point
-iteration every solve runs: single-cell, multi-cell with base-station
-assignment, and runs with arriving users. The single-cell game is the
-one-station case of the joint one.
+Holds the convergence config, the trace types, the bounded best response
+under its two boundary policies ("clamp" projects the unconstrained response
+onto the strategy box, "kkt" re-optimizes the free coordinate from the
+boundary stationarity quadratics) as a scalar kernel and as array code, and
+``iterate_to_convergence``, the fixed-point iteration every solve runs:
+single-cell, multi-cell with base-station assignment, and runs with arriving
+users. The single-cell game is the one-station case of the joint one. The
+scalar statements of the formulas it runs live in ``oracle``, which this
+module does not import.
 
 Each iterate's (users x stations) effective-interference matrix comes from
 one ``p @ g``; it feeds that iterate's trace record and the next synchronous
@@ -52,17 +54,11 @@ __all__ = [
     "ConvergenceConfig",
     "IterationRecord",
     "IterationTrace",
-    "njrpcg_equilibrium",
-    "unconstrained_best_response",
-    "power_update_rate_bounded",
-    "rate_update_power_bounded",
     "bounded_step",
     "bounded_step_array",
     "make_record",
     "iterate_to_convergence",
-    "symmetric_fixed_point",
     "convergence_metric",
-    "power_update_map",
 ]
 
 CLAMP = "clamp"
@@ -164,65 +160,6 @@ class IterationTrace:
         return self.final.user_ids
 
 
-def njrpcg_equilibrium(users: list[UserParams]) -> list[Strategy]:
-    """Equilibrium of the unpriced game: every user at (p_max, r_max).
-
-    The unpriced utility increases in both coordinates, so the top corner of
-    each box is reached no matter the gains or the pricing of anyone else.
-    """
-    return [Strategy(u.p_max, u.r_max) for u in users]
-
-
-def unconstrained_best_response(
-    r_eff: float, alpha1: float, alpha2: float, lam: float
-) -> Strategy:
-    """Interior maximizer of the priced utility at effective interference r_eff.
-
-    p = sqrt(0.5 * (a2/a1) * R / lam),  r = sqrt(0.5 * (a1/a2) / (lam * R)).
-    The pair always satisfies p / (r * R) = a2 / a1.
-    """
-    if r_eff <= 0:
-        raise ValueError(f"effective interference must be positive, got {r_eff}")
-    if alpha1 <= 0 or alpha2 <= 0 or lam <= 0:
-        raise ValueError("alpha1, alpha2 and lam must be positive")
-    p = math.sqrt(0.5 * (alpha2 / alpha1) * r_eff / lam)
-    r = math.sqrt(0.5 * (alpha1 / alpha2) / (lam * r_eff))
-    return Strategy(p, r)
-
-
-def power_update_rate_bounded(
-    r_eff: float, r_bound: float, alpha1: float, alpha2: float, lam: float
-) -> float:
-    """Stationary power when the rate sits at a box bound.
-
-    Positive root of a1*lam*p**2 + a2*lam*R*r_bound*p - a2*R = 0; the
-    discriminant is always positive so the root exists for any r_bound >= 0.
-    """
-    if r_eff <= 0 or alpha1 <= 0 or alpha2 <= 0 or lam <= 0:
-        raise ValueError("r_eff, alpha1, alpha2 and lam must be positive")
-    if r_bound < 0:
-        raise ValueError("r_bound must be non-negative")
-    b = alpha2 * lam * r_eff * r_bound
-    return (-b + math.sqrt(b * b + 4.0 * alpha1 * alpha2 * lam * r_eff)) / (2.0 * alpha1 * lam)
-
-
-def rate_update_power_bounded(
-    r_eff: float, p_bound: float, alpha1: float, alpha2: float, lam: float
-) -> float:
-    """Stationary rate when the power sits at a box bound.
-
-    Positive root of a2*lam*R*r**2 + a1*lam*p_bound*r - a1 = 0.
-    """
-    if r_eff <= 0 or alpha1 <= 0 or alpha2 <= 0 or lam <= 0:
-        raise ValueError("r_eff, alpha1, alpha2 and lam must be positive")
-    if p_bound < 0:
-        raise ValueError("p_bound must be non-negative")
-    b = alpha1 * lam * p_bound
-    return (-b + math.sqrt(b * b + 4.0 * alpha1 * alpha2 * lam * r_eff)) / (
-        2.0 * alpha2 * lam * r_eff
-    )
-
-
 def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strategy:
     """One user's constrained update against effective interference r_eff.
 
@@ -244,8 +181,8 @@ def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strateg
 
 def _best_response(r_eff, a1, a2, lam, p_min, p_max, r_min, r_max, kkt: bool) -> tuple:
     # bounded_step on one user's plain-float constants; returns (power, rate).
-    # The formulas are those of unconstrained_best_response and the two
-    # boundary updates above, evaluated in the same order.
+    # The formulas are those of oracle.unconstrained_best_response and the
+    # two boundary updates there, evaluated in the same order.
     if r_eff <= 0:
         raise ValueError(f"effective interference must be positive, got {r_eff}")
     p = math.sqrt(0.5 * (a2 / a1) * r_eff / lam)
@@ -351,8 +288,9 @@ def iterate_to_convergence(
 
     When ``rate_set`` is given, each user's updated rate is snapped down to
     the ladder after its step (or only once at convergence with
-    ``quantize_at_convergence=True``; the converged powers are identical
-    either way because rates never enter the power update).
+    ``quantize_at_convergence=True``, in the last iteration's row before its
+    record is built; the converged powers are identical either way because
+    rates never enter the power update).
 
     ``arrivals`` are events with ``iteration``, ``distances_m`` and ``user``
     attributes. Each adds its user, at its initial strategy on station 0,
@@ -427,58 +365,11 @@ def iterate_to_convergence(
             converged = True
             break
 
+    if converged and quantize_at_convergence and rate_set is not None:
+        it, a, p, r, *tail = segment[-1]
+        segment[-1] = (it, a, p, np.array([rate_set.floor(x) for x in r]), *tail)
     records += _segment_records(channel, table, segment, rows)
-    trace = IterationTrace(records, converged, iteration, channel, users)
-    if quantize_at_convergence:
-        _quantize_final_record(trace, rate_set)
-    return trace
-
-
-def symmetric_fixed_point(
-    n_users: int, target_ratio: float, lam: float, noise_w: float, gain: float
-) -> Strategy:
-    """Closed-form converged strategy when all users share one gain and target.
-
-    Solves p = sqrt((rho / (2 lam)) * ((M - 1) p + N0 / g)) directly, then
-    reads the rate off the interior stationarity pair at that interference.
-    Serves as an analytic oracle for the iteration on symmetric scenarios.
-    """
-    if n_users < 1:
-        raise ValueError("need at least one user")
-    if target_ratio <= 0 or lam <= 0 or gain <= 0:
-        raise ValueError("target_ratio, lam and gain must be positive")
-    if noise_w < 0:
-        raise ValueError("noise must be non-negative")
-    if n_users == 1 and noise_w == 0:
-        raise ValueError("a lone user with zero noise has no positive fixed point")
-    b = target_ratio * (n_users - 1) / (2.0 * lam)
-    c = target_ratio * noise_w / (2.0 * lam * gain)
-    p = 0.5 * (b + math.sqrt(b * b + 4.0 * c))
-    r_eff = (n_users - 1) * p + noise_w / gain
-    r = math.sqrt(0.5 / (target_ratio * lam * r_eff))
-    return Strategy(p, r)
-
-
-def power_update_map(channel: ChannelModel, users: list[UserParams], clamped: bool = False):
-    """Vector power-update map as a callable p -> I(p), for property checks.
-
-    Each user's unconstrained power update is taken at every station and the
-    least one is kept, which is the station the assignment picks; with one
-    station this is the single-cell map. With ``clamped=True`` the output is
-    projected onto each user's power box.
-    """
-    half_ratio = np.array([0.5 * u.alpha2 / (u.alpha1 * u.lam) for u in users])
-    lo = np.array([u.p_min for u in users])
-    hi = np.array([u.p_max for u in users])
-
-    def apply(powers) -> np.ndarray:
-        reffs = _station_reffs(channel, np.asarray(powers, dtype=float))
-        out = np.sqrt(half_ratio[:, None] * reffs).min(axis=1)
-        if clamped:
-            out = np.clip(out, lo, hi)
-        return out
-
-    return apply
+    return IterationTrace(records, converged, iteration, channel, users)
 
 
 # Internals.
@@ -527,7 +418,7 @@ def _station_reffs(channel: ChannelModel, powers: np.ndarray) -> np.ndarray:
 
 
 def _least_station(values: list[float], current: int) -> int:
-    # The station rule of multicell.assign_base_station on one user's plain floats.
+    # The station rule of oracle.assign_base_station on one user's plain floats.
     bound = min(values) * (1.0 + TIE_REL_TOL)
     if values[current] <= bound:
         return current
@@ -593,7 +484,7 @@ def make_record(
 ) -> IterationRecord:
     """Build a trace record; SINR and utility are evaluated at the given state.
 
-    The utilities are ``core.utility_priced`` evaluated for all users at once.
+    The utilities are ``oracle.utility_priced`` evaluated for all users at once.
     ``reffs`` is the users x stations effective interference at ``powers``,
     for a caller that already has it. The loop builds its records with the
     same formulas, one segment at a time.
@@ -633,21 +524,3 @@ def _segment_records(channel, table, segment, user_ids, step=1) -> list[Iteratio
     columns = (iterations, steps, ids, assignment, powers, rates, sinrs, utilities, metrics)
     return [IterationRecord(*fields) for fields in zip(*columns)]
 
-
-def _quantize_final_record(trace, rate_set) -> None:
-    """Snap a converged trace's final rates down onto ``rate_set``, in place."""
-    if not trace.converged or rate_set is None:
-        return
-    last = trace.records[-1]
-    rates = np.array([rate_set.floor(r) for r in last.rates])
-    trace.records[-1] = make_record(
-        trace.channel,
-        trace.users,
-        last.iteration,
-        last.step,
-        last.user_ids,
-        last.assignment,
-        last.powers,
-        rates,
-        last.metric,
-    )

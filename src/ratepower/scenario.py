@@ -631,9 +631,15 @@ def sweep_lambda(
 
 
 def summarize_run(trace: IterationTrace, names) -> RunSummary:
-    """Condense a finished trace into a RunSummary of the network it ended on."""
+    """Condense a finished trace into a RunSummary of the network it ended on.
+
+    ``names`` holds one name per user of that network, in table order.
+    """
     final = trace.final
     users = trace.users
+    names = list(names)
+    if len(names) != len(users):
+        raise ValueError(f"{len(names)} names for a trace of {len(users)} users")
     bandwidth = trace.channel.bandwidth_hz
     targets = np.array([target_sinr(u.alpha1, u.alpha2, bandwidth) for u in users])
     if trace.converged:
@@ -643,7 +649,7 @@ def summarize_run(trace: IterationTrace, names) -> RunSummary:
     return RunSummary(
         converged=trace.converged,
         iterations_used=trace.iterations_used,
-        user_names=list(names),
+        user_names=names,
         powers=final.powers.copy(),
         rates=final.rates.copy(),
         sinrs=final.sinrs.copy(),

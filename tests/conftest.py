@@ -11,7 +11,7 @@ def sample_calculus_point(rng):
     best response by factors in [0.25, 4]. This keeps every derivative at a
     meaningful scale, so entrywise relative error is well defined.
     """
-    from ratepower.engine import unconstrained_best_response
+    from ratepower.oracle import unconstrained_best_response
 
     a1 = float(rng.uniform(1e4, 1e7))
     a2 = float(rng.uniform(1.0, 100.0))

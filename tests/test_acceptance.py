@@ -12,15 +12,16 @@ import pytest
 from conftest import sample_calculus_point
 from ratepower.admission import PricingRule, escalate_pricing
 from ratepower.core import ChannelModel, UserParams, target_sinr
-from ratepower.engine import (
-    KKT,
-    iterate_to_convergence,
+from ratepower.engine import KKT, iterate_to_convergence
+from ratepower.oracle import (
+    fd_gradient_check,
+    grid_best_response,
     power_update_map,
-    rate_update_power_bounded,
     power_update_rate_bounded,
+    rate_update_power_bounded,
+    standard_function_check,
     unconstrained_best_response,
 )
-from ratepower.oracle import fd_gradient_check, grid_best_response, standard_function_check
 from ratepower.rates import RateSet
 from ratepower.reference import (
     FIG2_LAMBDAS,

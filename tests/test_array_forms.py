@@ -1,12 +1,15 @@
 """Array fast paths checked against the scalar per-user oracles.
 
-The array forms evaluate the same floating-point operations in the same order
-as the scalar functions they replace, so most comparisons here are exact.
-The exceptions carry a tolerance fixed from float64: the loop subtracts each
-user's own term from a station total where the oracles skip it, the
-sequential sweep keeps running per-station totals instead of a fresh
-``p @ g`` per user, and ``make_record`` takes its logarithms through numpy
-instead of ``math``.
+The oracles are the scalar statements in ``ratepower.oracle`` and the scalar
+kernel ``engine.bounded_step``. The array forms evaluate the same
+floating-point operations in the same order as the scalar functions, so most
+comparisons here are exact; ``oracle.effective_interference_by_station``
+subtracts the own term and clips, as the loop does, so the synchronous sweep
+equals it bit for bit. The exceptions carry a tolerance fixed from float64:
+the loop subtracts each user's own term from a station total where
+``oracle.effective_interference`` skips it, the sequential sweep keeps
+running per-station totals instead of a fresh ``p @ g`` per user, and
+``make_record`` takes its logarithms through numpy instead of ``math``.
 
 The sweeps are reached through ``iterate_to_convergence``: one iteration from
 a given state is one sweep.
@@ -21,15 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratepower.core import (
-    ChannelModel,
-    Strategy,
-    UserParams,
-    UserTable,
-    effective_interference,
-    sinr,
-    utility_priced,
-)
+from ratepower.core import ChannelModel, Strategy, UserParams, UserTable
 from ratepower.engine import (
     CLAMP,
     KKT,
@@ -37,6 +32,7 @@ from ratepower.engine import (
     METRIC_RELATIVE,
     SEQUENTIAL,
     SYNCHRONOUS,
+    TIE_REL_TOL,
     ConvergenceConfig,
     bounded_step,
     bounded_step_array,
@@ -44,14 +40,16 @@ from ratepower.engine import (
     _best_response,
     iterate_to_convergence,
     make_record,
+)
+from ratepower.oracle import (
+    assign_base_station,
+    effective_interference,
+    effective_interference_by_station,
     power_update_rate_bounded,
     rate_update_power_bounded,
+    sinr,
     unconstrained_best_response,
-)
-from ratepower.multicell import (
-    TIE_REL_TOL,
-    assign_base_station,
-    effective_interference_by_station,
+    utility_priced,
 )
 from ratepower.rates import RateSet
 

@@ -8,18 +8,20 @@ from ratepower.core import (
     ChannelModel,
     Strategy,
     UserParams,
-    UtilityParamsBase,
     alpha_ratio_for_target,
-    effective_interference,
     path_gain,
-    sinr,
     target_sinr,
+)
+from ratepower.oracle import (
+    UtilityParamsBase,
+    effective_interference,
+    sinr,
+    unconstrained_best_response,
     utility_base,
     utility_priced,
     utility_priced_gradient,
     utility_priced_hessian,
 )
-from ratepower.engine import unconstrained_best_response
 
 
 class TestPathGain:
@@ -51,6 +53,10 @@ class TestEffectiveInterference:
         expected = (g[0] * p[0] + g[2] * p[2]) / g[1]
         assert r_eff == pytest.approx(expected, rel=1e-12)
         assert r_eff == pytest.approx(2.413, rel=1e-3)
+
+    def test_own_term_is_skipped_not_subtracted(self):
+        # Subtracting the dominant own term from the total would return 0.0.
+        assert effective_interference([1, 1], [1.0, 1e-17], 0, 0.0) == 1e-17
 
     def test_empty_sum_is_zero(self):
         assert effective_interference([1e-9, 1e-9], [0.0, 5.0], 1, noise_w=0.0) == 0.0

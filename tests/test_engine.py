@@ -15,6 +15,8 @@ from ratepower.engine import (
     bounded_step,
     convergence_metric,
     iterate_to_convergence,
+)
+from ratepower.oracle import (
     njrpcg_equilibrium,
     power_update_map,
     power_update_rate_bounded,

@@ -8,10 +8,13 @@ from ratepower.engine import (
     ConvergenceConfig,
     bounded_step,
     iterate_to_convergence,
+)
+from ratepower.oracle import (
+    assign_base_station,
+    effective_interference_by_station,
     power_update_map,
     unconstrained_best_response,
 )
-from ratepower.multicell import assign_base_station, effective_interference_by_station
 
 
 def two_cell_channel(walker_d1=210.0, walker_d2=310.0):

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ratepower.core import ChannelModel, UserParams, utility_priced_hessian
-from ratepower.engine import (
-    power_update_map,
-    rate_update_power_bounded,
-    unconstrained_best_response,
-)
+from ratepower.core import ChannelModel, UserParams
 from ratepower.oracle import (
     fd_gradient_check,
     grid_best_response,
+    power_update_map,
+    rate_update_power_bounded,
     standard_function_check,
+    unconstrained_best_response,
+    utility_priced_hessian,
 )
 
 

@@ -28,6 +28,7 @@ from ratepower.scenario import (
     parse_scenario,
     run_scenario,
     scenario_to_text,
+    summarize_run,
     summary_to_text,
     sweep_lambda,
 )
@@ -616,6 +617,13 @@ class TestSummary:
             trace, summary = run_scenario(s)
             recomputed = recompute_sinrs(s.channel, trace.final)
             assert recomputed == pytest.approx(summary.sinrs, rel=1e-9)
+
+    @pytest.mark.parametrize("names", [["u1", "u2"], ["u1", "u2", "u3", "u4"]])
+    def test_names_must_match_the_users(self, names):
+        s = parse_scenario((SCENARIO_DIR / "three_users.scn").read_text())
+        trace, _ = run_scenario(s)
+        with pytest.raises(ValueError, match=f"{len(names)} names for a trace of 3 users"):
+            summarize_run(trace, names)
 
     def test_summary_text_fields(self):
         s = parse_scenario(FULL)
