@@ -1,4 +1,9 @@
-"""Pricing rules, pricing escalation, outcome classification, and user removal."""
+"""Pricing rules, pricing escalation, outcome classification, and user removal.
+
+A ``PricingRule`` is the one home of the pricing coefficient: escalation
+tests each coefficient as ``replace(rule, c=c)``. A user counts as at target
+when its SINR lies within the relative band ``AT_TARGET_TOL`` of its target.
+"""
 
 from __future__ import annotations
 
@@ -41,7 +46,7 @@ PRICING_KINDS = (
 # on where it is served and break the fixed-point guarantees in multi-cell.
 GAIN_DEPENDENT_KINDS = ("direct_gain", "inverse_gain")
 
-DEFAULT_AT_TARGET_TOL = 1e-3
+AT_TARGET_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,46 +73,39 @@ def pricing_rule_eval(
     gain: float | None = None,
     alpha1: float | None = None,
     alpha2: float | None = None,
-    c: float | None = None,
     multicell: bool = False,
 ) -> float:
-    """Evaluate one user's pricing factor under ``rule`` at coefficient ``c``.
+    """Evaluate one user's pricing factor under ``rule`` at its coefficient ``rule.c``.
 
-    ``c`` overrides the rule's own coefficient during escalation sweeps.
     Gain-dependent kinds are rejected in multi-cell mode.
     """
-    coeff = rule.c if c is None else c
-    if coeff <= 0:
-        raise ValueError("pricing coefficient must be positive")
     if multicell and rule.kind in GAIN_DEPENDENT_KINDS:
         raise ValueError(
             f"pricing rule {rule.kind!r} depends on the channel gain and cannot "
             "be used with more than one station"
         )
     if rule.kind == "constant":
-        return coeff
+        return rule.c
     if rule.kind == "per_user_count":
         if n_users < 1:
             raise ValueError("n_users must be at least 1")
-        return coeff * n_users
+        return rule.c * n_users
     if rule.kind in GAIN_DEPENDENT_KINDS:
         if gain is None or gain <= 0:
             raise ValueError("gain-dependent rules need a positive gain")
-        return coeff * gain if rule.kind == "direct_gain" else coeff / gain
+        return rule.c * gain if rule.kind == "direct_gain" else rule.c / gain
     if alpha1 is None or alpha2 is None or alpha1 <= 0 or alpha2 <= 0:
         raise ValueError("target-ratio rules need positive alpha1 and alpha2")
     if rule.kind == "target_ratio":
-        return coeff * alpha2 / alpha1
-    return coeff * alpha1 / alpha2
+        return rule.c * alpha2 / alpha1
+    return rule.c * alpha1 / alpha2
 
 
 class NotConvergedError(RuntimeError):
     """A run that must be classified stopped at max_iterations without converging."""
 
 
-def classify_users(
-    trace: IterationTrace, targets, tolerance: float = DEFAULT_AT_TARGET_TOL
-) -> list[str]:
+def classify_users(trace: IterationTrace, targets) -> list[str]:
     """Per-user outcome of a converged run, relative to the target SINRs."""
     if not trace.converged:
         raise NotConvergedError(
@@ -120,9 +118,9 @@ def classify_users(
         raise ValueError("one target per user required")
     out = []
     for s, target in zip(sinrs, t):
-        if s < target * (1.0 - tolerance):
+        if s < target * (1.0 - AT_TARGET_TOL):
             out.append(BELOW_TARGET)
-        elif s > target * (1.0 + tolerance):
+        elif s > target * (1.0 + AT_TARGET_TOL):
             out.append(ABOVE_TARGET)
         else:
             out.append(AT_TARGET)
@@ -130,10 +128,7 @@ def classify_users(
 
 
 def priced_users(
-    rule: PricingRule,
-    channel: ChannelModel,
-    users: list[UserParams],
-    c: float | None = None,
+    rule: PricingRule, channel: ChannelModel, users: list[UserParams]
 ) -> list[UserParams]:
     """Users with their pricing factor replaced by the rule's value."""
     multicell = channel.n_stations > 1
@@ -146,7 +141,6 @@ def priced_users(
             gain=None if gains is None else float(gains[i]),
             alpha1=u.alpha1,
             alpha2=u.alpha2,
-            c=c,
             multicell=multicell,
         )
         out.append(replace(u, lam=lam))
@@ -171,26 +165,21 @@ class EscalationResult:
 def escalate_pricing(
     channel: ChannelModel,
     users: list[UserParams],
-    rule: PricingRule | None = None,
-    c0: float | None = None,
+    rule: PricingRule,
     dc: float | None = None,
     max_steps: int = 40,
     policy: str = CLAMP,
     config: ConvergenceConfig | None = None,
     schedule: str = SYNCHRONOUS,
-    tolerance: float = DEFAULT_AT_TARGET_TOL,
 ) -> EscalationResult:
     """Raise the pricing coefficient in steps of dc until nobody is below target.
 
-    Runs the game at c0, c0 + dc, ... and stops at the first (hence least)
-    tested coefficient whose converged outcome has no below-target user.
+    Runs the game at rule.c, rule.c + dc, ... and stops at the first (hence
+    least) tested coefficient whose converged outcome has no below-target
+    user. The step is ``dc``, else ``rule.dc``, else a quarter of ``rule.c``.
     """
-    rule = rule if rule is not None else PricingRule()
-    start = rule.c if c0 is None else c0
-    step = dc if dc is not None else (rule.dc if rule.dc is not None else 0.25 * start)
-    _require_finite(c0=start, dc=step)
-    if start <= 0:
-        raise ValueError("starting coefficient must be positive")
+    step = dc if dc is not None else (rule.dc if rule.dc is not None else 0.25 * rule.c)
+    _require_finite(dc=step)
     if step <= 0:
         raise ValueError("escalation step must be positive")
     max_steps = _require_count("max_steps", max_steps)
@@ -199,11 +188,11 @@ def escalate_pricing(
     tested: list[float] = []
     trace = None
     for k in range(max_steps):
-        c = start + k * step
-        priced = priced_users(rule, channel, users, c=c)
+        c = rule.c + k * step
+        priced = priced_users(replace(rule, c=c), channel, users)
         trace = iterate_to_convergence(channel, priced, policy, config, schedule)
         tested.append(c)
-        outcomes = classify_users(trace, targets, tolerance)
+        outcomes = classify_users(trace, targets)
         if BELOW_TARGET not in outcomes:
             return EscalationResult(c, True, trace, tested)
     return EscalationResult(tested[-1], False, trace, tested)
@@ -233,7 +222,6 @@ def removal_loop(
     policy: str = CLAMP,
     config: ConvergenceConfig | None = None,
     schedule: str = SYNCHRONOUS,
-    tolerance: float = DEFAULT_AT_TARGET_TOL,
 ) -> RemovalResult:
     """Remove below-target users one at a time until none remain below target.
 
@@ -248,7 +236,7 @@ def removal_loop(
         us = [users[i] for i in active]
         trace = iterate_to_convergence(ch, us, policy, config, schedule)
         targets = np.array([target_sinr(u.alpha1, u.alpha2, ch.bandwidth_hz) for u in us])
-        outcomes = classify_users(trace, targets, tolerance)
+        outcomes = classify_users(trace, targets)
         below = [k for k, o in enumerate(outcomes) if o == BELOW_TARGET]
         if not below:
             return RemovalResult(removed, active, trace, False)

@@ -51,7 +51,7 @@ def main(argv=None) -> int:
 
     p_tune = sub.add_parser("tune-pricing", help="escalate pricing until no user is below target")
     p_tune.add_argument("scenario")
-    p_tune.add_argument("--dc", type=float, help="escalation step (default c0 / 4)")
+    p_tune.add_argument("--dc", type=float, help="escalation step (default: rule dc, else c / 4)")
     p_tune.add_argument("--max-steps", type=int, default=40)
     p_tune.add_argument("--summary", help="write the final summary here")
 
@@ -87,6 +87,23 @@ def _load(args):
     if getattr(args, "schedule", None):
         scenario.schedule = _SCHEDULE_ALIASES[args.schedule]
     return scenario
+
+
+def _reject_unrun_sections(scenario, command: str, pricing: bool) -> None:
+    # Escalation and removal solve the listed users once, continuously, and
+    # removal prices users by their own lambda; refuse what they would drop.
+    dropped = [
+        name
+        for name, present in (
+            ("[run] rates", scenario.rate_set is not None),
+            ("[pricing]", not pricing and scenario.pricing is not None),
+            ("[event arrival]", bool(scenario.arrivals)),
+            ("[event move]", bool(scenario.moves)),
+        )
+        if present
+    ]
+    if dropped:
+        raise ValueError(f"{command} cannot run a scenario with {', '.join(dropped)}")
 
 
 def _cmd_run(args) -> int:
@@ -140,6 +157,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_tune(args) -> int:
     scenario = _load(args)
+    _reject_unrun_sections(scenario, "tune-pricing", pricing=True)
     rule = scenario.pricing
     if rule is None:
         lams = {u.lam for u in scenario.users}
@@ -169,6 +187,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_remove(args) -> int:
     scenario = _load(args)
+    _reject_unrun_sections(scenario, "remove-loop", pricing=False)
     result = removal_loop(
         scenario.channel,
         scenario.users,

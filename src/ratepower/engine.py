@@ -25,7 +25,13 @@ records once per segment, a run of iterations at a fixed user count: an
 arrival closes a segment before the network grows and the users are
 re-priced, and the end of the run closes the last one. SINR and utility
 for a whole segment come from one vectorised pass over the channel and
-users those iterations played; ``make_record`` is the one-row case.
+users those iterations played.
+
+A solve starts at each user's own initial strategy (``UserParams.p_init``
+and ``r_init``, checked against its box when the user is built). With a rate
+ladder the loop, not the sweeps, snaps the rates: every iteration's, or only
+the converged row's. Rates never enter the power update or the station rule,
+so both placements give the powers and stations of the continuous game.
 
 Within one iteration the per-user updates are pure; the loop itself is
 sequential. A trace belongs to one run; independent runs can execute in
@@ -56,7 +62,6 @@ __all__ = [
     "IterationTrace",
     "bounded_step",
     "bounded_step_array",
-    "make_record",
     "iterate_to_convergence",
     "convergence_metric",
 ]
@@ -269,8 +274,6 @@ def iterate_to_convergence(
     schedule: str = SYNCHRONOUS,
     rate_set: RateSet | None = None,
     quantize_at_convergence: bool = False,
-    initial_powers=None,
-    initial_rates=None,
     initial_assignment=None,
     arrivals=(),
     reprice=None,
@@ -282,12 +285,11 @@ def iterate_to_convergence(
     bounded best response there; with one station this is the single-cell
     game. The synchronous schedule evaluates every user against the previous
     iterate; the sequential schedule updates users in order against the
-    freshest powers. Users start at their initial strategies (or the given
-    ``initial_powers`` and ``initial_rates``) on station 0 (or
-    ``initial_assignment``).
+    freshest powers. Users start at their initial strategies on station 0
+    (or ``initial_assignment``).
 
-    When ``rate_set`` is given, each user's updated rate is snapped down to
-    the ladder after its step (or only once at convergence with
+    When ``rate_set`` is given, every iteration's rates are snapped down to
+    the ladder after its sweep (or only once at convergence with
     ``quantize_at_convergence=True``, in the last iteration's row before its
     record is built; the converged powers are identical either way because
     rates never enter the power update).
@@ -297,8 +299,9 @@ def iterate_to_convergence(
     just before that iteration's sweep; ``reprice(channel, users)``, when
     given, then returns the users to play on the grown network, so pricing
     that depends on the user count or the gains sees the newcomer. The run
-    only converges once no arrival is pending. Every arrival's distances are
-    checked before the first iteration. Non-convergence within
+    only converges once no arrival is pending. Every arrival's iteration and
+    distances are checked before the first iteration; an arrival after
+    ``config.max_iterations`` could never fire. Non-convergence within
     max_iterations is reported on the trace, not raised.
     """
     _check_policy(policy)
@@ -311,18 +314,22 @@ def iterate_to_convergence(
         raise ValueError("need at least one user")
     if len(users) == 1 and channel.noise_w == 0:
         raise ValueError("a lone user with zero noise has no positive fixed point")
-    powers = _initial_vector(users, initial_powers, "power")
-    rates = _initial_vector(users, initial_rates, "rate")
+    powers = np.array([u.initial_power for u in users], dtype=float)
+    rates = np.array([u.initial_rate for u in users], dtype=float)
     assignment = _initial_assignment(initial_assignment, len(users), channel.n_stations)
     pending = sorted(arrivals, key=lambda ev: ev.iteration)
     if pending and pending[0].iteration < 1:
         raise ValueError("arrival iterations must be at least 1")
+    if pending and pending[-1].iteration > config.max_iterations:
+        raise ValueError(
+            f"arrival at iteration {pending[-1].iteration} comes after "
+            f"max_iterations = {config.max_iterations} and would never fire"
+        )
     for ev in pending:
         # Grow a throwaway channel so a bad row fails here, not when it fires.
         channel.with_user(ev.distances_m)
 
     table = UserTable.from_users(users)
-    step_set = None if quantize_at_convergence else rate_set
     reffs = _station_reffs(channel, powers)
     rows = np.arange(len(users))
     records: list[IterationRecord] = []
@@ -349,13 +356,13 @@ def iterate_to_convergence(
             reffs = _station_reffs(channel, powers)
             rows = np.arange(len(users))
         if schedule == SYNCHRONOUS:
-            new_p, new_r, assignment = _synchronous_sweep(
-                table, reffs, assignment, policy, step_set
-            )
+            new_p, new_r, assignment = _synchronous_sweep(table, reffs, assignment, policy)
         else:
             new_p, new_r, assignment = _sequential_sweep(
-                channel, table, powers, assignment, policy, step_set
+                channel, table, powers, assignment, policy
             )
+        if rate_set is not None and not quantize_at_convergence:
+            new_r = _snap(rate_set, new_r)
         metric = _step_metric(powers, rates, new_p, new_r, config.metric)
         powers, rates = new_p, new_r
         # One interference matrix per iterate serves its record and the next sweep.
@@ -367,7 +374,7 @@ def iterate_to_convergence(
 
     if converged and quantize_at_convergence and rate_set is not None:
         it, a, p, r, *tail = segment[-1]
-        segment[-1] = (it, a, p, np.array([rate_set.floor(x) for x in r]), *tail)
+        segment[-1] = (it, a, p, _snap(rate_set, r), *tail)
     records += _segment_records(channel, table, segment, rows)
     return IterationTrace(records, converged, iteration, channel, users)
 
@@ -383,21 +390,6 @@ def _check_policy(policy: str) -> None:
 def _check_schedule(schedule: str) -> None:
     if schedule not in SCHEDULES:
         raise ValueError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
-
-
-def _initial_vector(users: list[UserParams], override, which: str) -> np.ndarray:
-    if override is None:
-        if which == "power":
-            return np.array([u.initial_power for u in users], dtype=float)
-        return np.array([u.initial_rate for u in users], dtype=float)
-    v = np.asarray(override, dtype=float).copy()
-    if v.shape != (len(users),):
-        raise ValueError(f"initial {which}s must have one entry per user")
-    for u, x in zip(users, v):
-        lo, hi = (u.p_min, u.p_max) if which == "power" else (u.r_min, u.r_max)
-        if not lo <= x <= hi:
-            raise ValueError(f"initial {which} {x} outside [{lo}, {hi}]")
-    return v
 
 
 def _initial_assignment(override, n_users: int, n_stations: int) -> np.ndarray:
@@ -425,7 +417,12 @@ def _least_station(values: list[float], current: int) -> int:
     return next(k for k, v in enumerate(values) if v <= bound)
 
 
-def _synchronous_sweep(table, reffs, assignment, policy, rate_set):
+def _snap(rate_set: RateSet, rates: np.ndarray) -> np.ndarray:
+    # Each rate down to the ladder's largest rung at or below it.
+    return np.array([rate_set.floor(r) for r in rates])
+
+
+def _synchronous_sweep(table, reffs, assignment, policy):
     """Every user against the previous iterate's interference; returns (p, r, stations)."""
     if reffs.shape[1] == 1:
         # One station: every user stays on it.
@@ -437,12 +434,10 @@ def _synchronous_sweep(table, reffs, assignment, policy, rate_set):
         assignment = np.where(tied[rows, assignment], assignment, tied.argmax(axis=1))
         r_eff = reffs[rows, assignment]
     new_p, new_r = bounded_step_array(table, r_eff, policy)
-    if rate_set is not None:
-        new_r = np.array([rate_set.floor(r) for r in new_r])
     return new_p, new_r, assignment
 
 
-def _sequential_sweep(channel, table, powers, assignment, policy, rate_set):
+def _sequential_sweep(channel, table, powers, assignment, policy):
     """Users in order against the freshest powers; returns (p, r, stations).
 
     The received total at every station is kept current as each user moves,
@@ -466,39 +461,11 @@ def _sequential_sweep(channel, table, powers, assignment, policy, rate_set):
         p[i], r_i = _best_response(reffs[a[i]], *row, kkt)
         step = p[i] - p_i
         totals = [t + gk * step for t, gk in zip(totals, g_i)]
-        r.append(r_i if rate_set is None else rate_set.floor(r_i))
+        r.append(r_i)
     return np.array(p), np.array(r), np.array(a)
 
 
-def make_record(
-    channel: ChannelModel,
-    users: list[UserParams] | UserTable,
-    iteration: int,
-    step: int,
-    user_ids: np.ndarray,
-    assignment: np.ndarray,
-    powers: np.ndarray,
-    rates: np.ndarray,
-    metric: float,
-    reffs: np.ndarray | None = None,
-) -> IterationRecord:
-    """Build a trace record; SINR and utility are evaluated at the given state.
-
-    The utilities are ``oracle.utility_priced`` evaluated for all users at once.
-    ``reffs`` is the users x stations effective interference at ``powers``,
-    for a caller that already has it. The loop builds its records with the
-    same formulas, one segment at a time.
-    """
-    assignment = np.asarray(assignment, dtype=int)
-    if reffs is None:
-        reffs = _station_reffs(channel, powers)
-    r_eff = reffs[np.arange(assignment.shape[0]), assignment]
-    row = (iteration, assignment, powers, rates, metric, r_eff)
-    (record,) = _segment_records(channel, UserTable.from_users(users), [row], user_ids, step)
-    return record
-
-
-def _segment_records(channel, table, segment, user_ids, step=1) -> list[IterationRecord]:
+def _segment_records(channel, table, segment, user_ids) -> list[IterationRecord]:
     """Records of one segment, a run of iterations at a fixed user count.
 
     ``segment`` holds (iteration, assignment, powers, rates, metric, assigned
@@ -520,7 +487,7 @@ def _segment_records(channel, table, segment, user_ids, step=1) -> list[Iteratio
     price = 0.5 * lam * ((a2 / a1) * reffs * rates**2 + (a1 / a2) * powers**2 / reffs)
     utilities = np.log(a2 * reffs * rates + a1 * powers) - price
     ids = np.tile(np.asarray(user_ids, dtype=int), (len(segment), 1))
-    steps = [step] * len(segment)
+    steps = [1] * len(segment)
     columns = (iterations, steps, ids, assignment, powers, rates, sinrs, utilities, metrics)
     return [IterationRecord(*fields) for fields in zip(*columns)]
 

@@ -236,6 +236,8 @@ def parse_scenario(text: str) -> Scenario:
     quantize_at_convergence = False
     if "quantize" in run:
         raw, line_no = run["quantize"]
+        if rate_set is None:
+            raise ScenarioFormatError(f"line {line_no}: quantize needs a rates ladder")
         if raw not in _QUANTIZE_MODES:
             raise ScenarioFormatError(
                 f"line {line_no}: quantize must be one of {sorted(_QUANTIZE_MODES)}"

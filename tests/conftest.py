@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -21,3 +22,14 @@ def sample_calculus_point(rng):
     p = base.power * 10 ** float(rng.uniform(-0.6, 0.6))
     r = base.rate * 10 ** float(rng.uniform(-0.6, 0.6))
     return p, r, r_eff, a1, a2, lam
+
+
+def starting_at(users, powers, rates):
+    """The users with their initial strategies set to the given powers and rates.
+
+    A solve starts at each user's own initial strategy, so this is how a test
+    starts one from a chosen state.
+    """
+    return [
+        replace(u, p_init=float(p), r_init=float(r)) for u, p, r in zip(users, powers, rates)
+    ]

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sample_calculus_point
+from conftest import sample_calculus_point, starting_at
 from ratepower.admission import PricingRule, escalate_pricing
 from ratepower.core import ChannelModel, UserParams, target_sinr
 from ratepower.engine import KKT, iterate_to_convergence
@@ -309,12 +309,8 @@ def test_criterion_14_uniqueness_from_two_initializations():
     for _ in range(20):
         channel, users = random_single_cell(rng)
         a = iterate_to_convergence(channel, users)
-        b = iterate_to_convergence(
-            channel,
-            users,
-            initial_powers=[u.p_max for u in users],
-            initial_rates=[u.r_max for u in users],
-        )
+        corner = starting_at(users, [u.p_max for u in users], [u.r_max for u in users])
+        b = iterate_to_convergence(channel, corner)
         assert a.converged and b.converged
         assert a.final_powers == pytest.approx(b.final_powers, rel=1e-6)
         assert a.final_rates == pytest.approx(b.final_rates, rel=1e-6)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ class TestPricingRuleEval:
         rule = PricingRule("target_ratio", c=1.0)
         base = pricing_rule_eval(rule, 5, alpha1=1e6, alpha2=12.9492)
         assert base == pytest.approx(1.29492e-5)
-        doubled = pricing_rule_eval(rule, 5, alpha1=1e6, alpha2=12.9492, c=2.0)
+        doubled = pricing_rule_eval(replace(rule, c=2.0), 5, alpha1=1e6, alpha2=12.9492)
         assert doubled == pytest.approx(2 * base, rel=1e-12)
         inverse = pricing_rule_eval(
             PricingRule("inverse_target_ratio", c=1.0), 5, alpha1=1e6, alpha2=12.9492
@@ -159,8 +160,9 @@ class TestEscalatePricing:
             escalate_pricing(channel, users, PricingRule("constant", 4e-4), max_steps=bad)
 
     # nan slipped past the positivity checks and failed later as "lam must be
-    # finite"; an infinite step did the same through 0 * inf.
-    @pytest.mark.parametrize("name", ["c0", "dc"])
+    # finite"; an infinite step did the same through 0 * inf. A non-finite
+    # start is a PricingRule coefficient, which the rule itself rejects.
+    @pytest.mark.parametrize("name", ["dc"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_start_or_step_rejected(self, name, bad):
         channel, users = table3_setup(6)
@@ -177,7 +179,7 @@ class TestEscalatePricing:
     def test_default_step_is_quarter_of_start(self):
         channel, users = table3_setup(5)
         result = escalate_pricing(channel, users, PricingRule("constant", 4e-4))
-        assert result.achieved  # already fine at c0, step default unused beyond that
+        assert result.achieved  # already fine at rule.c, step default unused beyond that
         assert result.c_final == pytest.approx(4e-4)
 
 

@@ -9,10 +9,10 @@ equals it bit for bit. The exceptions carry a tolerance fixed from float64:
 the loop subtracts each user's own term from a station total where
 ``oracle.effective_interference`` skips it, the sequential sweep keeps
 running per-station totals instead of a fresh ``p @ g`` per user, and
-``make_record`` takes its logarithms through numpy instead of ``math``.
+the records take their logarithms through numpy instead of ``math``.
 
 The sweeps are reached through ``iterate_to_convergence``: one iteration from
-a given state is one sweep.
+a given state is one sweep, with the users starting at that state.
 """
 
 import bisect
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import starting_at
 from ratepower.core import ChannelModel, Strategy, UserParams, UserTable
 from ratepower.engine import (
     CLAMP,
@@ -38,8 +39,8 @@ from ratepower.engine import (
     bounded_step_array,
     convergence_metric,
     _best_response,
+    _segment_records,
     iterate_to_convergence,
-    make_record,
 )
 from ratepower.oracle import (
     assign_base_station,
@@ -240,13 +241,11 @@ def sweep(channel, users, state, policy=CLAMP, rate_set=None, schedule=SYNCHRONO
     """One iteration of the loop from ``state``."""
     trace = iterate_to_convergence(
         channel,
-        users,
+        starting_at(users, state.powers, state.rates),
         policy,
         ConvergenceConfig(max_iterations=1),
         schedule,
         rate_set,
-        initial_powers=state.powers,
-        initial_rates=state.rates,
         initial_assignment=state.assignment,
     )
     record = trace.final
@@ -446,12 +445,10 @@ class TestOneStationLoop:
         config = ConvergenceConfig(max_iterations=300)
         trace = iterate_to_convergence(
             channel,
-            users,
+            starting_at(users, state.powers, state.rates),
             policy,
             config,
             schedule,
-            initial_powers=state.powers,
-            initial_rates=state.rates,
             arrivals=[] if arrival is None else [arrival],
         )
         iterations, channel, want = oracle_loop(channel, users, state, policy, schedule, config, arrival)
@@ -466,9 +463,7 @@ class TestRecords:
     def test_utilities_and_sinrs_match_scalar_model(self, network, data):
         channel, users, state = network
         rates = np.array([data.draw(st.floats(u.r_min, u.r_max)) for u in users])
-        record = make_record(
-            channel, users, 1, 1, np.arange(len(users)), state.assignment, state.powers, rates, 0.0
-        )
+        record = make_record(channel, users, state.assignment, state.powers, rates)
         for i, u in enumerate(users):
             a = int(state.assignment[i])
             r_eff = float(effective_interference_by_station(channel, state.powers, i)[a])
@@ -486,8 +481,25 @@ class TestRecords:
 
 # Records are built once per segment, a run of iterations at a fixed user
 # count: SINR and utility for the whole segment come from one vectorised pass.
-# The pass must equal ``make_record`` on each row exactly, priced as that
-# segment was played.
+# The pass must equal ``make_record``, the same pass on that row alone,
+# exactly, priced as that segment was played.
+
+
+def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0.0):
+    """One record built alone: ``_segment_records`` on a one-row segment.
+
+    The row's effective interference comes from the oracle, which subtracts
+    and clips as the loop does, so it equals the loop's bit for bit.
+    """
+    assignment = np.asarray(assignment, dtype=int)
+    r_eff = [
+        effective_interference_by_station(channel, powers, i)[a]
+        for i, a in enumerate(assignment)
+    ]
+    row = (iteration, assignment, powers, rates, metric, r_eff)
+    (record,) = _segment_records(channel, UserTable.from_users(users), [row], np.arange(len(users)))
+    return record
+
 
 RECORD_FIELDS = ("user_ids", "assignment", "powers", "rates", "sinrs", "utilities")
 LADDER = RateSet((0.1, 1e3, 1e4, 5e4))
@@ -522,14 +534,12 @@ def run_priced(run, policy, schedule, rate_set=None, quantize=False, metric=METR
     pricing = CountPricing()
     trace = iterate_to_convergence(
         channel,
-        pricing(channel, users),
+        pricing(channel, starting_at(users, state.powers, state.rates)),
         policy,
         ConvergenceConfig(max_iterations=60, metric=metric),
         schedule,
         rate_set,
         quantize,
-        initial_powers=state.powers,
-        initial_rates=state.rates,
         initial_assignment=state.assignment,
         arrivals=events,
         reprice=pricing,
@@ -557,15 +567,7 @@ class TestSegmentRecords:
             channel, users = segments[bisect.bisect_right(starts, rec.iteration) - 1]
             assert len(rec.powers) == channel.n_users == len(users)
             want = make_record(
-                channel,
-                users,
-                rec.iteration,
-                rec.step,
-                np.arange(len(users)),
-                rec.assignment,
-                rec.powers,
-                rec.rates,
-                rec.metric,
+                channel, users, rec.assignment, rec.powers, rec.rates, rec.iteration, rec.metric
             )
             for name in RECORD_FIELDS:
                 assert np.array_equal(getattr(rec, name), getattr(want, name)), name
@@ -587,7 +589,7 @@ class TestSegmentRecords:
     def test_make_record_copies_its_inputs(self):
         channel = ChannelModel([110, 130])
         powers, rates = np.array([0.1, 0.2]), np.array([1e3, 2e3])
-        record = make_record(channel, [UserParams()] * 2, 1, 1, [0, 1], [0, 0], powers, rates, 0.0)
+        record = make_record(channel, [UserParams()] * 2, [0, 0], powers, rates)
         powers[:] = rates[:] = 7.0
         np.testing.assert_array_equal(record.powers, [0.1, 0.2])
         np.testing.assert_array_equal(record.rates, [1e3, 2e3])
@@ -596,7 +598,7 @@ class TestSegmentRecords:
         # A lone noise-free user sees no interference at all.
         channel = ChannelModel([110], noise_w=0.0)
         with pytest.raises(ValueError, match="effective interference must be positive"):
-            make_record(channel, [UserParams()], 1, 1, [0], [0], np.array([0.1]), np.array([1e3]), 0.0)
+            make_record(channel, [UserParams()], [0], np.array([0.1]), np.array([1e3]))
 
 
 class TestInlineMetric:

@@ -83,6 +83,18 @@ class TestRun:
         assert main(["run", str(bad)]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_arrival_after_max_iterations_fails_cleanly(self, tmp_path, capsys):
+        # The arrival could never fire, so the run could never converge.
+        late = tmp_path / "late.scn"
+        arrival = "[event arrival]\niteration = 80\nuser = u4\ndistances_m = 130\n"
+        late.write_text(THREE_USER + "\n[run]\nmax_iterations = 50\n\n" + arrival)
+        assert main(["run", str(late)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: arrival at iteration 80 comes after max_iterations = 50 and would never fire"
+        ]
+
     def test_lone_noise_free_user_fails_cleanly(self, tmp_path, capsys):
         lone = tmp_path / "lone.scn"
         lone.write_text("[network]\nnoise_w = 0\n\n[user a]\ndistances_m = 110\n")
@@ -179,6 +191,42 @@ class TestTuneAndRemove:
         assert main(["tune-pricing", crowded_file, "--dc", bad]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: dc must be finite, got {bad}"]
+
+    @pytest.mark.parametrize("command", ["tune-pricing", "remove-loop"])
+    @pytest.mark.parametrize(
+        "section, name",
+        [
+            ("[run]\nrates = 9600 19200 38400\n", "[run] rates"),
+            ("[event arrival]\niteration = 20\nuser = u4\ndistances_m = 130\n", "[event arrival]"),
+            ("[event move]\nstep = 2\nuser = u1\ndistances_m = 150\n", "[event move]"),
+        ],
+    )
+    def test_sections_the_command_cannot_run_are_rejected(
+        self, command, section, name, tmp_path, capsys
+    ):
+        path = tmp_path / "extra.scn"
+        path.write_text(THREE_USER + "\n" + section)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {command} cannot run a scenario with {name}"]
+
+    def test_remove_loop_rejects_pricing(self, tmp_path, capsys):
+        # run prices these users at 3 * 1e-4 and puts every one at target;
+        # removal, which plays each user's own lambda, used to drop u3 and u2.
+        path = tmp_path / "priced.scn"
+        users = THREE_USER.replace("lambda = 1e-5", "lambda = 1e-6")
+        path.write_text(users + "\n[pricing]\nrule = per_user_count\nc = 1e-4\n")
+        summary_path = tmp_path / "run.txt"
+        assert main(["run", str(path), "--summary", str(summary_path)]) == 0
+        assert summary_path.read_text().count("outcome = at_target") == 3
+        capsys.readouterr()
+        assert main(["remove-loop", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: remove-loop cannot run a scenario with [pricing]"
+        ]
 
     def test_remove_loop_drops_cap_pinned_user(self, three_user_file, capsys):
         code = main(["remove-loop", three_user_file])

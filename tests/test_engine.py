@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import starting_at
 from ratepower import engine
 from ratepower.core import ChannelModel, Strategy, UserParams, target_sinr
 from ratepower.engine import (
@@ -45,9 +46,7 @@ def equidistant_channel(n_users, d=110.0, noise_w=5e-15):
 def one_step(channel, users, powers, rates):
     """Powers and rates after one synchronous clamp iteration from (powers, rates)."""
     config = ConvergenceConfig(max_iterations=1)
-    trace = iterate_to_convergence(
-        channel, users, config=config, initial_powers=powers, initial_rates=rates
-    )
+    trace = iterate_to_convergence(channel, starting_at(users, powers, rates), config=config)
     return trace.final_powers, trace.final_rates
 
 
@@ -234,12 +233,8 @@ class TestIterateToConvergence:
         channel = equidistant_channel(5)
         users = table3_users(5)
         low = iterate_to_convergence(channel, users)
-        high = iterate_to_convergence(
-            channel,
-            users,
-            initial_powers=[u.p_max for u in users],
-            initial_rates=[u.r_max for u in users],
-        )
+        corner = starting_at(users, [u.p_max for u in users], [u.r_max for u in users])
+        high = iterate_to_convergence(channel, corner)
         assert low.converged and high.converged
         assert low.final_powers == pytest.approx(high.final_powers, rel=1e-6)
         assert low.final_rates == pytest.approx(high.final_rates, rel=1e-6)
@@ -292,20 +287,12 @@ class TestIterateToConvergence:
         assert trace.iterations_used == len(trace.records) == count
 
     def test_initial_strategy_outside_box_rejected(self):
-        channel = equidistant_channel(2)
-        users = table3_users(2)
-        with pytest.raises(ValueError):
-            iterate_to_convergence(channel, users, initial_powers=[1.0, 1.0])
-        # the same check holds on any number of stations
-        two_cells = ChannelModel([[110, 410], [410, 110]])
-        with pytest.raises(ValueError, match="outside"):
-            iterate_to_convergence(
-                two_cells,
-                [UserParams(p_max=3.0), UserParams(p_max=3.0)],
-                initial_powers=[1e3, 1e3],
-                initial_rates=[1.0, 1.0],
-                initial_assignment=[0, 0],
-            )
+        # A solve starts at each user's own initial strategy, and a user
+        # whose start leaves its box cannot be built.
+        with pytest.raises(ValueError, match="p_init 1.0 outside"):
+            starting_at(table3_users(2), [1.0, 1.0], [1000.0, 1000.0])
+        with pytest.raises(ValueError, match="r_init 1000000.0 outside"):
+            starting_at([UserParams(r_max=47000.0)] * 2, [0.1, 0.1], [1e6, 1e6])
 
     @pytest.mark.parametrize("distances", [[110], [[110, 410]]])
     def test_lone_noise_free_user_rejected_before_iteration_1(self, distances):
@@ -316,8 +303,6 @@ class TestIterateToConvergence:
     @pytest.mark.parametrize(
         "override",
         [
-            {"initial_powers": [0.1]},
-            {"initial_rates": [1000.0, 1000.0, 1000.0]},
             {"initial_assignment": [0]},
             {"initial_assignment": [0.0, 1.0]},
         ],
@@ -355,6 +340,23 @@ class TestIterateToConvergence:
         monkeypatch.setattr(engine, "_synchronous_sweep", no_sweep)
         with pytest.raises(ValueError, match=match):
             iterate_to_convergence(channel, users, arrivals=[late])
+
+    def test_arrival_after_max_iterations_rejected_at_entry(self, monkeypatch):
+        # It could never fire, so the run could never converge.
+        channel = ChannelModel([110.0, 130.0])
+        users = [UserParams(alpha2=20), UserParams(alpha2=20)]
+        config = ConvergenceConfig(max_iterations=50)
+        at_end = ArrivalEvent(50, "last", np.array([150.0]), UserParams(alpha2=20))
+        trace = iterate_to_convergence(channel, users, config=config, arrivals=[at_end])
+        assert len(trace.users) == 3 and trace.final_powers.shape == (3,)
+
+        def no_sweep(*args):
+            raise AssertionError("a sweep ran before the arrival was checked")
+
+        monkeypatch.setattr(engine, "_synchronous_sweep", no_sweep)
+        late = ArrivalEvent(80, "late", np.array([150.0]), UserParams(alpha2=20))
+        with pytest.raises(ValueError, match="iteration 80 comes after max_iterations = 50"):
+            iterate_to_convergence(channel, users, config=config, arrivals=[at_end, late])
 
     def test_fixed_point_residual_small_at_convergence(self):
         for n, lam in ((5, 4e-4), (6, 4e-4)):

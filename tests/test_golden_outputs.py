@@ -4,7 +4,9 @@ Pins sha256 digests of the ``reproduce all`` stdout; of the ``run`` stdout,
 ``--trace`` CSV and ``--summary`` file for every shipped scenario under both
 schedules and both policies; and of the ``tune-pricing`` and ``remove-loop``
 stdout on every shipped scenario. Each stdout digest covers the exit code
-too. A 100-user, one-station network written by this module, modelled on
+too; those two commands refuse a scenario with events, so on such a
+scenario the entry pins exit 1 and an empty stdout. A 100-user,
+one-station network written by this module, modelled on
 the perfbench ``cell`` workload, pins the same ``run`` outputs at large N:
 both schedules and both policies, plus one run on a discrete rate ladder,
 and every schedule and policy on that ladder with ``quantize =
@@ -86,8 +88,8 @@ GOLDEN = {
     "run new_user.scn seq kkt stdout": "abe0bd2a76f38f461ab3dfcb5ff58fef56fb6d6c5883e0d64e56f14d3b2096c4",
     "run new_user.scn seq kkt trace": "b1044fb4b9ba7a0b0f69b6f4492fa3a03912a0e69a7bc9f6174b59b69d051778",
     "run new_user.scn seq kkt summary": "3b4efd88f8d39ef2d911ddaf93f9dc1b4616f2ce5817dcf959776e68bc1bf514",
-    "tune-pricing new_user.scn": "32ac8d6a8911081843a375bee8d32aa372455a441f761a7a2466c944a3150ab3",
-    "remove-loop new_user.scn": "a443f6b33670de87be129a8f4e9af16a1c1e5ea3a34d6d7044ff91fc47d7fff6",
+    "tune-pricing new_user.scn": "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3",
+    "remove-loop new_user.scn": "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3",
     "run station_walk.scn sync clamp stdout": "f7622aa62d9345595ba481bc8e4b5417d549540cf345197cc4517eb9ab45eb38",
     "run station_walk.scn sync clamp trace": "ac172ee10138e3e7b41dd955a69205f2381ba3363aeaf0e60ba06f205b0fd852",
     "run station_walk.scn sync clamp summary": "a3b1104cfee06eaf31913b439a2929a81bcdafa04df187a717ed9896991b4784",
@@ -100,8 +102,8 @@ GOLDEN = {
     "run station_walk.scn seq kkt stdout": "8426870b81237956d48bcfc227cb4e798512ef8c9011818d7fdd7318ce8f858f",
     "run station_walk.scn seq kkt trace": "07e64b1ad0702fda00bf6c6b094789ee4a7340f649bc3efa4a6b5e24b1b21e4d",
     "run station_walk.scn seq kkt summary": "8fb6bb4c868dfae88c05bec8c87db8e3997995c424deb004e4245be82c6c8897",
-    "tune-pricing station_walk.scn": "8f9c8c1fa2067e66947ddf9ae6d10c13f2385e5923a0bb10277fcfcfec06071b",
-    "remove-loop station_walk.scn": "0c4d7a4b56f0cfc0f5464b33195d0858bc05ee007d993195e8b530e52206150d",
+    "tune-pricing station_walk.scn": "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3",
+    "remove-loop station_walk.scn": "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3",
     "run three_users.scn sync clamp stdout": "179a600e092cbc9bd3302031fcd03076fbd2681b9937e9a3663d119c47e3ff77",
     "run three_users.scn sync clamp trace": "eb36b37609a02bbab4769c5bc6d71bf5d3d2774f9345d65e00c6982261ece2b4",
     "run three_users.scn sync clamp summary": "223503f5cef27c382694b8602398856e8d348bf6d6a3ca04cf284df214eba03e",

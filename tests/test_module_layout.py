@@ -3,11 +3,15 @@
 The solver (``engine``) and the model types (``core``) never reach for the
 scalar statements in ``oracle``; only ``__init__`` re-exports them. Every
 name a module lists in ``__all__`` exists, no public function or class is
-defined twice, and the package's public names stay those pinned below.
+defined twice, and the package's public names stay those pinned below, as
+do the parameters of the solve, pricing and admission entry points: a
+setting that already has a home (a user's initial strategy, a rule's
+coefficient, the at-target band) does not come back as a parameter.
 """
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -36,6 +40,20 @@ PUBLIC_NAMES = [
     "symmetric_fixed_point", "target_sinr", "unconstrained_best_response", "utility_base",
     "utility_priced", "utility_priced_gradient", "utility_priced_hessian", "write_summary",
 ]
+
+PARAMETERS = {
+    "engine.iterate_to_convergence": [
+        "channel", "users", "policy", "config", "schedule", "rate_set",
+        "quantize_at_convergence", "initial_assignment", "arrivals", "reprice",
+    ],
+    "admission.escalate_pricing": [
+        "channel", "users", "rule", "dc", "max_steps", "policy", "config", "schedule",
+    ],
+    "admission.removal_loop": ["channel", "users", "policy", "config", "schedule"],
+    "admission.classify_users": ["trace", "targets"],
+    "admission.pricing_rule_eval": ["rule", "n_users", "gain", "alpha1", "alpha2", "multicell"],
+    "admission.priced_users": ["rule", "channel", "users"],
+}
 
 
 def imported_modules(tree: ast.Module) -> set[str]:
@@ -85,3 +103,10 @@ def test_public_names_are_unchanged():
         if not n.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert sorted(names) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+def test_entry_point_parameters_are_pinned(name):
+    module, function = name.split(".")
+    func = getattr(importlib.import_module(f"ratepower.{module}"), function)
+    assert list(inspect.signature(func).parameters) == PARAMETERS[name]

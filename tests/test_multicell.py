@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import starting_at
 from ratepower.core import ChannelModel, UserParams, target_sinr
 from ratepower.engine import (
     CLAMP,
@@ -36,13 +37,7 @@ def one_step(channel, users, powers, rates, assignment):
     """The final record of a one-iteration clamp solve from the given state."""
     config = ConvergenceConfig(max_iterations=1)
     trace = iterate_to_convergence(
-        channel,
-        users,
-        CLAMP,
-        config,
-        initial_powers=powers,
-        initial_rates=rates,
-        initial_assignment=assignment,
+        channel, starting_at(users, powers, rates), CLAMP, config, initial_assignment=assignment
     )
     return trace.final
 

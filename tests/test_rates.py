@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import starting_at
 from ratepower.core import ChannelModel, UserParams, target_sinr
 from ratepower.engine import CLAMP, ConvergenceConfig, iterate_to_convergence
 from ratepower.rates import NoFeasibleRateError, RateSet
@@ -74,9 +75,7 @@ class TestQuantizedRuns:
 
         def one_step(rates):
             config = ConvergenceConfig(max_iterations=1)
-            trace = iterate_to_convergence(
-                channel, users, CLAMP, config, initial_powers=powers, initial_rates=rates
-            )
+            trace = iterate_to_convergence(channel, starting_at(users, powers, rates), CLAMP, config)
             return trace.final_powers, trace.final_rates
 
         base_p, base_r = one_step(rates)

@@ -183,6 +183,12 @@ class TestParsing:
         with pytest.raises(ScenarioFormatError, match="gain"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("mode", ["per_iteration", "at_convergence"])
+    def test_quantize_without_rates_rejected(self, mode):
+        text = MINIMAL + f"[run]\nquantize = {mode}\n"
+        with pytest.raises(ScenarioFormatError, match="^line 5: quantize needs a rates ladder$"):
+            parse_scenario(text)
+
     def test_rates_and_quantize_parsed(self):
         text = MINIMAL + "[run]\nrates = 9600 19200 38400\nquantize = at_convergence\n"
         s = parse_scenario(text)
