@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -26,6 +27,18 @@ from .scenario import (
 
 
 def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except (ScenarioFormatError, ValueError, OSError, NotConvergedError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing keeps no state in the parser, and every
+    # call gets a fresh namespace.
     parser = argparse.ArgumentParser(
         prog="ratepower",
         description="Distributed joint rate/power allocation games for CDMA uplinks",
@@ -58,13 +71,7 @@ def main(argv=None) -> int:
     p_rem = sub.add_parser("remove-loop", help="remove below-target users one by one")
     p_rem.add_argument("scenario")
     p_rem.add_argument("--summary", help="write the final summary here")
-
-    args = parser.parse_args(argv)
-    try:
-        return _dispatch(args)
-    except (ScenarioFormatError, ValueError, OSError, NotConvergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return parser
 
 
 def _dispatch(args) -> int:

@@ -219,7 +219,11 @@ class UserParams:
 class UserTable:
     """Struct-of-arrays form of a user list: one float column per constant.
 
-    Array solvers build it once per solve and index it like the list.
+    Array solvers build it once per solve and index it like the list. The
+    table also holds what every best response reads: the constants
+    ``half_a2_a1 = 0.5 * (alpha2 / alpha1)`` and ``half_a1_a2 = 0.5 *
+    (alpha1 / alpha2)``, and the strategy box as stacked (2, n) arrays ``lo
+    = [p_min; r_min]`` and ``hi = [p_max; r_max]``.
     """
 
     alpha1: np.ndarray
@@ -229,6 +233,20 @@ class UserTable:
     p_max: np.ndarray
     r_min: np.ndarray
     r_max: np.ndarray
+    half_a2_a1: np.ndarray = field(init=False, repr=False, compare=False)
+    half_a1_a2: np.ndarray = field(init=False, repr=False, compare=False)
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        derived = {
+            "half_a2_a1": 0.5 * (self.alpha2 / self.alpha1),
+            "half_a1_a2": 0.5 * (self.alpha1 / self.alpha2),
+            "lo": np.stack([self.p_min, self.r_min]),
+            "hi": np.stack([self.p_max, self.r_max]),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_users(cls, users) -> "UserTable":

@@ -13,14 +13,17 @@ module does not import.
 Each iterate's (users x stations) effective-interference matrix comes from
 one ``p @ g``; it feeds that iterate's trace record and the next synchronous
 sweep, which assigns every user at once and takes every best response from
-``bounded_step_array``. The sequential sweep visits users in order, keeps
-running per-station totals and takes each best response from a plain-float
-scalar kernel. The public ``bounded_step`` is that kernel behind input
-checks and serves as the oracle; ``bounded_step_array`` evaluates the same
-floating-point operations for a whole ``UserTable``, so all three agree
-exactly.
+the array kernel behind ``bounded_step_array``. The sequential sweep visits
+users in order and keeps running per-station totals. Its per-user loop moves
+only stations and powers, on plain floats with the table's constants hoisted
+and no function call per user; the sweep's rates then come from one call of
+the array kernel on the interference each user saw. The public
+``bounded_step`` (on the plain-float kernel ``_best_response``) is the
+scalar oracle of both sweeps: the array kernel and the sequential loop
+evaluate its floating-point operations in its order, so all agree exactly.
 
-The loop keeps each iteration's state and step metric, and builds the trace
+The loop carries powers and rates as one fresh (2 x users) state per
+iteration, keeps each iteration's state and step metric, and builds the trace
 records once per segment, a run of iterations at a fixed user count: an
 arrival closes a segment before the network grows and the users are
 re-priced, and the end of the run closes the last one. SINR and utility
@@ -174,7 +177,8 @@ def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strateg
     coordinate is re-optimized from the matching stationarity quadratic (then
     projected too, in case the re-optimized value leaves the box); when both
     coordinates violate, both are projected. The result always lies in the
-    box. This is the scalar oracle of the sweeps, which run the same kernel.
+    box. This is the scalar oracle of both sweeps, which evaluate the same
+    operations in the same order.
     """
     _check_policy(policy)
     if user.alpha1 <= 0 or user.alpha2 <= 0 or user.lam <= 0:
@@ -215,30 +219,36 @@ def bounded_step_array(
     the results are equal, not merely close. Under "kkt" a coordinate that
     leaves its box is clamped onto the violated bound, which is exactly the
     value the scalar path pins, and the other coordinate is re-optimized from
-    it only when it alone violates.
+    it only when it alone violates. The two arrays are the rows of one
+    (2, n) stack.
     """
     _check_policy(policy)
-    r_eff = np.asarray(r_eff, dtype=float)
+    powers, rates = _bounded_step_stack(users, np.asarray(r_eff, dtype=float), policy == KKT)
+    return powers, rates
+
+
+def _bounded_step_stack(t: UserTable, r_eff: np.ndarray, kkt: bool) -> np.ndarray:
+    # bounded_step_array as one fresh (2, n) stack [powers; rates].
     if not (r_eff > 0).all():
         raise ValueError("effective interference must be positive")
-    a1, a2, lam = users.alpha1, users.alpha2, users.lam
-    p = np.sqrt(0.5 * (a2 / a1) * r_eff / lam)
-    r = np.sqrt(0.5 * (a1 / a2) / (lam * r_eff))
-    p_box = np.minimum(np.maximum(p, users.p_min), users.p_max)
-    r_box = np.minimum(np.maximum(r, users.r_min), users.r_max)
-    if policy == CLAMP:
-        return p_box, r_box
+    lam = t.lam
+    q = np.empty((2, lam.shape[0]))
+    np.sqrt(t.half_a2_a1 * r_eff / lam, out=q[0])
+    np.sqrt(t.half_a1_a2 / (lam * r_eff), out=q[1])
+    box = np.minimum(np.maximum(q, t.lo), t.hi)
+    if not kkt:
+        return box
     # Equal to the in-box test, since every box has lo <= hi.
-    p_ok = p_box == p
-    r_ok = r_box == r
+    ok = box == q
+    a1, a2 = t.alpha1, t.alpha2
     disc = 4.0 * a1 * a2 * lam * r_eff
-    b = a2 * lam * r_eff * r_box
-    p_at_r = (-b + np.sqrt(b * b + disc)) / (2.0 * a1 * lam)
-    b = a1 * lam * p_box
-    r_at_p = (-b + np.sqrt(b * b + disc)) / (2.0 * a2 * lam * r_eff)
-    powers = np.where(p_ok & ~r_ok, np.minimum(np.maximum(p_at_r, users.p_min), users.p_max), p_box)
-    rates = np.where(r_ok & ~p_ok, np.minimum(np.maximum(r_at_p, users.r_min), users.r_max), r_box)
-    return powers, rates
+    b = a2 * lam * r_eff * box[1]
+    q[0] = (-b + np.sqrt(b * b + disc)) / (2.0 * a1 * lam)
+    b = a1 * lam * box[0]
+    q[1] = (-b + np.sqrt(b * b + disc)) / (2.0 * a2 * lam * r_eff)
+    # Row 0 re-optimizes the power where only the rate left its box, row 1
+    # the rate where only the power did.
+    return np.where(ok & ~ok[::-1], np.minimum(np.maximum(q, t.lo), t.hi), box)
 
 
 def convergence_metric(
@@ -246,24 +256,29 @@ def convergence_metric(
 ) -> float:
     """Largest per-user step between consecutive iterates.
 
-    The loop computes the same value from ``_step_metric`` on its arrays.
+    The loop computes the same value from ``_step_metric`` on its stacked
+    (2, n) states; this four-vector statement is that function's oracle.
     """
     if kind not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {kind!r}")
     vectors = [np.asarray(v, dtype=float) for v in (prev_powers, prev_rates, powers, rates)]
     if len({v.shape for v in vectors}) != 1 or vectors[0].ndim != 1:
         raise ValueError("metric needs four vectors of one length")
-    return _step_metric(*vectors, kind)
-
-
-def _step_metric(prev_powers, prev_rates, powers, rates, kind: str) -> float:
-    # convergence_metric on float arrays of one shape and a valid kind.
+    prev_powers, prev_rates, powers, rates = vectors
     dp = np.abs(powers - prev_powers)
     dr = np.abs(rates - prev_rates)
     if kind == METRIC_ABSOLUTE:
         return float((dp + dr).max())
     rel = dp / np.maximum(np.abs(powers), _EPS) + dr / np.maximum(np.abs(rates), _EPS)
     return float(rel.max())
+
+
+def _step_metric(prev: np.ndarray, new: np.ndarray, kind: str) -> float:
+    # convergence_metric on two (2, n) states [powers; rates] and a valid kind.
+    d = np.abs(new - prev)
+    if kind != METRIC_ABSOLUTE:
+        d /= np.maximum(np.abs(new), _EPS)
+    return float((d[0] + d[1]).max())
 
 
 def iterate_to_convergence(
@@ -314,8 +329,9 @@ def iterate_to_convergence(
         raise ValueError("need at least one user")
     if len(users) == 1 and channel.noise_w == 0:
         raise ValueError("a lone user with zero noise has no positive fixed point")
-    powers = np.array([u.initial_power for u in users], dtype=float)
-    rates = np.array([u.initial_rate for u in users], dtype=float)
+    # The state is one (2, n) stack [powers; rates]; every sweep returns a fresh one.
+    initial = [[u.initial_power for u in users], [u.initial_rate for u in users]]
+    state = np.array(initial, dtype=float)
     assignment = _initial_assignment(initial_assignment, len(users), channel.n_stations)
     pending = sorted(arrivals, key=lambda ev: ev.iteration)
     if pending and pending[0].iteration < 1:
@@ -329,11 +345,12 @@ def iterate_to_convergence(
         # Grow a throwaway channel so a bad row fails here, not when it fires.
         channel.with_user(ev.distances_m)
 
+    kkt = policy == KKT
     table = UserTable.from_users(users)
-    reffs = _station_reffs(channel, powers)
+    reffs = _station_reffs(channel, state[0])
     rows = np.arange(len(users))
     records: list[IterationRecord] = []
-    # This segment's (iteration, assignment, powers, rates, metric, assigned r_eff)
+    # This segment's (iteration, assignment, state, metric, assigned r_eff)
     # rows; its records are built when the user count changes or the run ends.
     segment: list[tuple] = []
     converged = False
@@ -347,34 +364,31 @@ def iterate_to_convergence(
                 ev = pending.pop(0)
                 channel = channel.with_user(ev.distances_m)
                 users.append(ev.user)
-                powers = np.append(powers, ev.user.initial_power)
-                rates = np.append(rates, ev.user.initial_rate)
+                state = np.append(state, [[ev.user.initial_power], [ev.user.initial_rate]], axis=1)
                 assignment = np.append(assignment, 0)
             if reprice is not None:
                 users = list(reprice(channel, users))
             table = UserTable.from_users(users)
-            reffs = _station_reffs(channel, powers)
+            reffs = _station_reffs(channel, state[0])
             rows = np.arange(len(users))
         if schedule == SYNCHRONOUS:
-            new_p, new_r, assignment = _synchronous_sweep(table, reffs, assignment, policy)
+            new, assignment = _synchronous_sweep(table, reffs, assignment, kkt)
         else:
-            new_p, new_r, assignment = _sequential_sweep(
-                channel, table, powers, assignment, policy
-            )
+            new, assignment = _sequential_sweep(channel, table, state[0], assignment, kkt)
         if rate_set is not None and not quantize_at_convergence:
-            new_r = _snap(rate_set, new_r)
-        metric = _step_metric(powers, rates, new_p, new_r, config.metric)
-        powers, rates = new_p, new_r
+            new[1] = _snap(rate_set, new[1])
+        metric = _step_metric(state, new, config.metric)
+        state = new
         # One interference matrix per iterate serves its record and the next sweep.
-        reffs = _station_reffs(channel, powers)
-        segment.append((iteration, assignment, powers, rates, metric, reffs[rows, assignment]))
+        reffs = _station_reffs(channel, state[0])
+        segment.append((iteration, assignment, state, metric, reffs[rows, assignment]))
         if metric <= config.delta and not pending:
             converged = True
             break
 
     if converged and quantize_at_convergence and rate_set is not None:
-        it, a, p, r, *tail = segment[-1]
-        segment[-1] = (it, a, p, _snap(rate_set, r), *tail)
+        it, a, final, *tail = segment[-1]
+        segment[-1] = (it, a, np.stack([final[0], _snap(rate_set, final[1])]), *tail)
     records += _segment_records(channel, table, segment, rows)
     return IterationTrace(records, converged, iteration, channel, users)
 
@@ -409,21 +423,13 @@ def _station_reffs(channel: ChannelModel, powers: np.ndarray) -> np.ndarray:
     return (np.maximum(powers @ g - g * powers[:, None], 0.0) + channel.noise_w) / g
 
 
-def _least_station(values: list[float], current: int) -> int:
-    # The station rule of oracle.assign_base_station on one user's plain floats.
-    bound = min(values) * (1.0 + TIE_REL_TOL)
-    if values[current] <= bound:
-        return current
-    return next(k for k, v in enumerate(values) if v <= bound)
-
-
 def _snap(rate_set: RateSet, rates: np.ndarray) -> np.ndarray:
     # Each rate down to the ladder's largest rung at or below it.
     return np.array([rate_set.floor(r) for r in rates])
 
 
-def _synchronous_sweep(table, reffs, assignment, policy):
-    """Every user against the previous iterate's interference; returns (p, r, stations)."""
+def _synchronous_sweep(table, reffs, assignment, kkt):
+    """Every user against the previous iterate's interference; returns (state, stations)."""
     if reffs.shape[1] == 1:
         # One station: every user stays on it.
         r_eff = reffs[:, 0]
@@ -433,52 +439,92 @@ def _synchronous_sweep(table, reffs, assignment, policy):
         rows = np.arange(assignment.shape[0])
         assignment = np.where(tied[rows, assignment], assignment, tied.argmax(axis=1))
         r_eff = reffs[rows, assignment]
-    new_p, new_r = bounded_step_array(table, r_eff, policy)
-    return new_p, new_r, assignment
+    return _bounded_step_stack(table, r_eff, kkt), assignment
 
 
-def _sequential_sweep(channel, table, powers, assignment, policy):
-    """Users in order against the freshest powers; returns (p, r, stations).
+def _sequential_sweep(channel, table, powers, assignment, kkt):
+    """Users in order against the freshest powers; returns (state, stations).
 
     The received total at every station is kept current as each user moves,
     so a user costs O(stations) rather than a fresh O(users x stations)
-    product. Plain floats: for one user's few stations they beat array calls.
+    product. The per-user loop runs on plain floats and moves only stations
+    and powers: each user takes the least-interference station (ties keep
+    the current one) and the power of the bounded best response there,
+    computed inline with the table's constants. Under "kkt" the rate is
+    evaluated only to decide whether the power is re-optimized. The sweep's
+    rates, and its powers again, come from one ``_bounded_step_stack`` on the
+    interference each user saw; it evaluates the same operations, so the
+    powers equal the loop's.
     """
-    g = channel.gains.tolist()
+    sqrt = math.sqrt
+    g = channel.gains
     noise = channel.noise_w
-    totals = (powers @ channel.gains).tolist()
+    band = 1.0 + TIE_REL_TOL
+    totals = (powers @ g).tolist()
     p = powers.tolist()
     a = assignment.tolist()
-    kkt = policy == KKT
+    seen = []
     t = table
-    columns = (t.alpha1, t.alpha2, t.lam, t.p_min, t.p_max, t.r_min, t.r_max)
-    r = []
-    for i, row in enumerate(zip(*(c.tolist() for c in columns))):
-        g_i = g[i]
+    c_p, lams, p_lo, p_hi = (c.tolist() for c in (t.half_a2_a1, t.lam, t.p_min, t.p_max))
+    if kkt:
+        c_r, a1s, a2s, r_lo, r_hi = (
+            c.tolist() for c in (t.half_a1_a2, t.alpha1, t.alpha2, t.r_min, t.r_max)
+        )
+    for i, g_i in enumerate(g.tolist()):
         p_i = p[i]
-        reffs = [(max(t - gk * p_i, 0.0) + noise) / gk for t, gk in zip(totals, g_i)]
-        a[i] = _least_station(reffs, a[i])
-        p[i], r_i = _best_response(reffs[a[i]], *row, kkt)
-        step = p[i] - p_i
-        totals = [t + gk * step for t, gk in zip(totals, g_i)]
-        r.append(r_i)
-    return np.array(p), np.array(r), np.array(a)
+        reffs = []
+        for t_k, g_k in zip(totals, g_i):
+            d = t_k - g_k * p_i
+            reffs.append(((0.0 if d < 0.0 else d) + noise) / g_k)
+        a_i = a[i]
+        x = reffs[a_i]
+        least = min(reffs) * band
+        if x > least:
+            a_i = 0
+            while reffs[a_i] > least:
+                a_i += 1
+            x = reffs[a_i]
+            a[i] = a_i
+        if x <= 0:
+            raise ValueError(f"effective interference must be positive, got {x}")
+        lam, lo, hi = lams[i], p_lo[i], p_hi[i]
+        q = sqrt(c_p[i] * x / lam)
+        new = lo if q < lo else hi if q > hi else q
+        if kkt and new == q:
+            r = sqrt(c_r[i] / (lam * x))
+            r_box = r_lo[i] if r < r_lo[i] else r_hi[i] if r > r_hi[i] else r
+            if r_box != r:
+                # The rate is pinned: re-optimize the power from it.
+                a1, a2 = a1s[i], a2s[i]
+                b = a2 * lam * x * r_box
+                q = (-b + sqrt(b * b + 4.0 * a1 * a2 * lam * x)) / (2.0 * a1 * lam)
+                new = lo if q < lo else hi if q > hi else q
+        if new != p_i:
+            step = new - p_i
+            k = 0
+            for g_k in g_i:
+                totals[k] += g_k * step
+                k += 1
+            p[i] = new
+        seen.append(x)
+    return _bounded_step_stack(table, np.array(seen), kkt), np.array(a)
 
 
 def _segment_records(channel, table, segment, user_ids) -> list[IterationRecord]:
     """Records of one segment, a run of iterations at a fixed user count.
 
-    ``segment`` holds (iteration, assignment, powers, rates, metric, assigned
-    r_eff) rows played on ``channel`` by ``table``. The rows are stacked into
-    (iterations x users) arrays, SINR and utility come from one vectorised
-    pass over them, and each record's arrays are row views of the stacks.
+    ``segment`` holds (iteration, assignment, (2 x users) state, metric,
+    assigned r_eff) rows played on ``channel`` by ``table``. The rows are
+    stacked into (iterations x users) arrays, SINR and utility come from one
+    vectorised pass over them, and each record's arrays are row views of the
+    stacks.
     """
     if not segment:
         return []
-    iterations, assignment, powers, rates, metrics, reffs = zip(*segment)
+    iterations, assignment, states, metrics, reffs = zip(*segment)
     assignment = np.array(assignment, dtype=int)
-    powers = np.array(powers, dtype=float)
-    rates = np.array(rates, dtype=float)
+    states = np.array(states, dtype=float)
+    powers, rates = states[:, 0], states[:, 1]
     reffs = np.array(reffs, dtype=float)
     if not (reffs > 0).all():
         raise ValueError("effective interference must be positive")

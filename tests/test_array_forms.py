@@ -10,12 +10,17 @@ the loop subtracts each user's own term from a station total where
 ``oracle.effective_interference`` skips it, the sequential sweep keeps
 running per-station totals instead of a fresh ``p @ g`` per user, and
 the records take their logarithms through numpy instead of ``math``.
+On the same running totals, the sequential sweep's inline per-user loop
+equals a sweep that calls the scalar kernel once per user exactly.
 
 The sweeps are reached through ``iterate_to_convergence``: one iteration from
-a given state is one sweep, with the users starting at that state.
+a given state is one sweep, with the users starting at that state. The
+sequential kernel's tests also call the sweep directly, from powers that
+need not lie in the users' boxes.
 """
 
 import bisect
+import copy
 import math
 from dataclasses import replace
 from typing import NamedTuple
@@ -40,6 +45,8 @@ from ratepower.engine import (
     convergence_metric,
     _best_response,
     _segment_records,
+    _sequential_sweep,
+    _step_metric,
     iterate_to_convergence,
 )
 from ratepower.oracle import (
@@ -397,6 +404,130 @@ class TestSequentialSweep:
             state = got
 
 
+def least_station(values, current):
+    """The station rule on one user's plain floats: ties keep ``current``."""
+    bound = min(values) * (1.0 + TIE_REL_TOL)
+    if values[current] <= bound:
+        return current
+    return next(k for k, v in enumerate(values) if v <= bound)
+
+
+def kernel_sequential_sweep(channel, users, powers, assignment, policy):
+    """The sequential sweep with one scalar kernel call per user.
+
+    Running per-station totals as the engine keeps them, the station rule
+    and ``_best_response`` for every user in order. Returns the state and
+    the effective interference each user saw at its station.
+    """
+    g = channel.gains.tolist()
+    totals = (powers @ channel.gains).tolist()
+    p, a, r, seen = powers.tolist(), assignment.tolist(), [], []
+    for i, user in enumerate(users):
+        g_i, p_i = g[i], p[i]
+        reffs = [(max(t - gk * p_i, 0.0) + channel.noise_w) / gk for t, gk in zip(totals, g_i)]
+        a[i] = least_station(reffs, a[i])
+        seen.append(reffs[a[i]])
+        p[i], r_i = kernel_step(user, seen[-1], policy)
+        step = p[i] - p_i
+        totals = [t + gk * step for t, gk in zip(totals, g_i)]
+        r.append(r_i)
+    return State(np.array(p), np.array(r), np.array(a)), seen
+
+
+def engine_sequential_sweep(channel, users, powers, assignment, policy):
+    """The engine's sequential sweep on a state that need not lie in the boxes."""
+    table = UserTable.from_users(users)
+    state, stations = _sequential_sweep(channel, table, powers, assignment, policy == KKT)
+    return State(state[0], state[1], stations)
+
+
+@st.composite
+def sweeps_at_bounds(draw):
+    """A state and users whose best responses in one sequential sweep sit
+    inside, outside or exactly on each bound of their boxes.
+
+    User i's interference depends only on the users before it, which have
+    their final boxes, and on its own and later users' old powers, so its
+    box is placed around its unconstrained best response one user at a time.
+    """
+    n = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 4))
+    channel = ChannelModel([[draw(st.floats(50.0, 600.0)) for _ in range(b)] for _ in range(n)])
+    powers = np.array([draw(st.floats(1e-6, 1.0)) for _ in range(n)])
+    assignment = np.array([draw(st.integers(0, b - 1)) for _ in range(n)])
+    policy = draw(POLICIES)
+    users = [
+        UserParams(alpha2=draw(st.floats(5.0, 30.0)), lam=10 ** draw(st.floats(-6.0, -3.0)))
+        for _ in range(n)
+    ]
+    placements = []
+    for i in range(n):
+        _, seen = kernel_sequential_sweep(channel, users, powers, assignment, policy)
+        places = (draw(st.sampled_from(PLACEMENTS)), draw(st.sampled_from(PLACEMENTS)))
+        lo, hi = draw(st.floats(1.01, 100.0)), draw(st.floats(1.01, 100.0))
+        u = users[i]
+        cand = unconstrained_best_response(seen[i], u.alpha1, u.alpha2, u.lam)
+        p_min, p_max = box_around(cand.power, places[0], lo, hi)
+        r_min, r_max = box_around(cand.rate, places[1], lo, hi)
+        users[i] = replace(u, p_min=p_min, p_max=p_max, r_min=r_min, r_max=r_max)
+        placements.append((seen[i], places))
+    return channel, users, powers, assignment, policy, placements
+
+
+class TestSequentialKernel:
+    """The sequential sweep equals the per-user scalar kernel sweep exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sweeps_at_bounds())
+    def test_equals_kernel_sweep_at_every_box_bound(self, drawn):
+        channel, users, powers, assignment, policy, placements = drawn
+        want, seen = kernel_sequential_sweep(channel, users, powers, assignment, policy)
+        # Each user saw the interference its box was placed around.
+        assert seen == [r_eff for r_eff, _ in placements]
+        assert_states_equal(engine_sequential_sweep(channel, users, powers, assignment, policy), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(networks(), POLICIES)
+    @example(network=OWN_TERM_DOMINATES, policy=CLAMP)
+    @example(network=OWN_TERM_DOMINATES, policy=KKT)
+    def test_loop_equals_kernel_sweep(self, network, policy):
+        channel, users, state = network
+        for _ in range(3):
+            got = sweep(channel, users, state, policy, schedule=SEQUENTIAL)
+            want, _ = kernel_sequential_sweep(channel, users, state.powers, state.assignment, policy)
+            assert_states_equal(got, want)
+            state = got
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, 2.4e-10, 1e-9])
+    @pytest.mark.parametrize("current", [0, 1])
+    @pytest.mark.parametrize("policy", [CLAMP, KKT])
+    def test_walker_first_in_order_meets_its_tie(self, eps, current, policy):
+        # The walker moves first, so it sees the mirror-symmetric powers.
+        channel, users, powers = mirror_network(eps)
+        order = [2, 0, 1, 3, 4]
+        channel = channel.subset(order)
+        powers = powers[order]
+        assignment = np.array([current, 0, 0, 1, 1])
+        want, _ = kernel_sequential_sweep(channel, users, powers, assignment, policy)
+        assert want.assignment[0] == (current if eps < 1e-9 else 0)
+        assert_states_equal(engine_sequential_sweep(channel, users, powers, assignment, policy), want)
+
+    @pytest.mark.parametrize("stations", [1, 2])
+    @pytest.mark.parametrize("policy", [CLAMP, KKT])
+    def test_zero_interference_raises_as_the_kernel_sweep_does(self, stations, policy):
+        # No noise, and the far user's received power is below the rounding
+        # of the near user's, so the near user's interference is exactly 0.
+        channel = ChannelModel([[10.0] * stations, [1e4] * stations], noise_w=0.0)
+        users = [UserParams(), UserParams()]
+        state = State(np.array([3.0, 1e-6]), np.full(2, 1000.0), np.zeros(2, dtype=int))
+        with pytest.raises(ValueError) as want:
+            kernel_sequential_sweep(channel, users, state.powers, state.assignment, policy)
+        with pytest.raises(ValueError) as got:
+            sweep(channel, users, state, policy, schedule=SEQUENTIAL)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "effective interference must be positive, got 0.0"
+
+
 class Arrival(NamedTuple):
     iteration: int
     distances_m: list
@@ -496,7 +627,7 @@ def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0
         effective_interference_by_station(channel, powers, i)[a]
         for i, a in enumerate(assignment)
     ]
-    row = (iteration, assignment, powers, rates, metric, r_eff)
+    row = (iteration, assignment, np.array([powers, rates], dtype=float), metric, r_eff)
     (record,) = _segment_records(channel, UserTable.from_users(users), [row], np.arange(len(users)))
     return record
 
@@ -529,14 +660,16 @@ def runs_with_arrivals(draw):
     return channel, users, state, events
 
 
-def run_priced(run, policy, schedule, rate_set=None, quantize=False, metric=METRIC_RELATIVE):
+def run_priced(
+    run, policy, schedule, rate_set=None, quantize=False, metric=METRIC_RELATIVE, iterations=60
+):
     channel, users, state, events = run
     pricing = CountPricing()
     trace = iterate_to_convergence(
         channel,
         pricing(channel, starting_at(users, state.powers, state.rates)),
         policy,
-        ConvergenceConfig(max_iterations=60, metric=metric),
+        ConvergenceConfig(max_iterations=iterations, metric=metric),
         schedule,
         rate_set,
         quantize,
@@ -586,6 +719,26 @@ class TestSegmentRecords:
             for f, name in enumerate(RECORD_FIELDS):
                 assert (getattr(rec, name) == k * len(RECORD_FIELDS) + f).all()
 
+    @settings(max_examples=50, deadline=None)
+    @given(runs_with_arrivals(), POLICIES, SCHEDULES, st.sampled_from([None, False, True]))
+    def test_records_survive_the_run_continuing(self, run, policy, schedule, ladder):
+        # A run cut at iteration k has its records copied; the same run carried
+        # on must hold them unchanged, so no iteration writes into the state
+        # an earlier record shows.
+        # Cuts come after the last arrival, so the cut run plays the same events.
+        rate_set = None if ladder is None else LADDER
+        trace, _ = run_priced(run, policy, schedule, rate_set, bool(ladder))
+        used = trace.iterations_used
+        last_arrival = max((ev.iteration for ev in run[3]), default=1)
+        for k in sorted(k for k in {1, used // 2, used - 1, used} if k >= last_arrival):
+            short, _ = run_priced(run, policy, schedule, rate_set, bool(ladder), iterations=k)
+            before = copy.deepcopy(short.records)
+            assert len(before) == k
+            for want, got in zip(before, trace.records):
+                for name in RECORD_FIELDS:
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                assert (got.iteration, got.metric) == (want.iteration, want.metric)
+
     def test_make_record_copies_its_inputs(self):
         channel = ChannelModel([110, 130])
         powers, rates = np.array([0.1, 0.2]), np.array([1e3, 2e3])
@@ -622,6 +775,25 @@ class TestInlineMetric:
                     rates = np.append(rates, ev.user.initial_rate)
             assert rec.metric == convergence_metric(powers, rates, rec.powers, rec.rates, kind)
             powers, rates = rec.powers, rec.rates
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.floats(-40.0, 5.0).map(lambda e: 10.0**e), min_size=n, max_size=n)
+                | st.just([1.0] * n),
+                min_size=4,
+                max_size=4,
+            )
+        ),
+        st.sampled_from([METRIC_RELATIVE, METRIC_ABSOLUTE]),
+    )
+    def test_stacked_metric_equals_convergence_metric(self, vectors, kind):
+        # Values from 1e-40 up reach below the metric's 1e-30 floor, and a
+        # repeated vector gives steps of exactly 0.
+        prev_p, prev_r, p, r = (np.array(v) for v in vectors)
+        stacked = _step_metric(np.array([prev_p, prev_r]), np.array([p, r]), kind)
+        assert stacked == convergence_metric(prev_p, prev_r, p, r, kind)
 
     @pytest.mark.parametrize(
         "vectors",

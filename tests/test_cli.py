@@ -103,6 +103,34 @@ class TestRun:
         assert err.startswith("error:") and "lone user with zero noise" in err
 
 
+class TestBackToBackCalls:
+    """``main`` keeps one parser per process; no call leaks into the next."""
+
+    def test_policy_flag_does_not_stick(self, three_user_file, capsys):
+        assert main(["run", three_user_file]) == 0
+        own = capsys.readouterr().out
+        assert main(["run", three_user_file, "--policy", "kkt"]) == 0
+        kkt = capsys.readouterr().out
+        assert main(["run", three_user_file]) == 0
+        assert capsys.readouterr().out == own != kkt
+        # The scenario sets no policy, so its own is clamp.
+        assert main(["run", three_user_file, "--policy", "clamp"]) == 0
+        assert capsys.readouterr().out == own
+
+    @pytest.mark.parametrize(
+        "bad", [["run"], ["run", "x.scn", "--policy", "newton"], ["bogus"], []]
+    )
+    def test_usage_error_leaves_the_next_call_working(self, bad, three_user_file, capsys):
+        assert main(["run", three_user_file]) == 0
+        want = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert "usage: ratepower" in capsys.readouterr().err
+        assert main(["run", three_user_file]) == 0
+        assert capsys.readouterr().out == want
+
+
 class TestShippedScenarios:
     @pytest.mark.parametrize("policy", ["clamp", "kkt"])
     @pytest.mark.parametrize("schedule", ["sync", "seq"])

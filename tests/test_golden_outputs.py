@@ -4,8 +4,11 @@ Pins sha256 digests of the ``reproduce all`` stdout; of the ``run`` stdout,
 ``--trace`` CSV and ``--summary`` file for every shipped scenario under both
 schedules and both policies; and of the ``tune-pricing`` and ``remove-loop``
 stdout on every shipped scenario. Each stdout digest covers the exit code
-too; those two commands refuse a scenario with events, so on such a
-scenario the entry pins exit 1 and an empty stdout. A 100-user,
+too, and stderr whenever a command writes to it; those two commands refuse
+a scenario with events, so on such a scenario the entry pins exit 1, an
+empty stdout and the ``error:`` line that names the refused section. The
+four entries for ``new_user.scn`` and ``station_walk.scn`` were re-pinned
+when stderr joined the digest; no other digest changed. A 100-user,
 one-station network written by this module, modelled on
 the perfbench ``cell`` workload, pins the same ``run`` outputs at large N:
 both schedules and both policies, plus one run on a discrete rate ladder,
@@ -33,7 +36,10 @@ def _call(argv) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return f"exit {code}\n{out.getvalue()}".encode()
+    text = f"exit {code}\n{out.getvalue()}"
+    if err.getvalue():
+        text += f"stderr\n{err.getvalue()}"
+    return text.encode()
 
 
 def _outputs(tmp: Path) -> dict[str, bytes]:
@@ -88,8 +94,8 @@ GOLDEN = {
     "run new_user.scn seq kkt stdout": "abe0bd2a76f38f461ab3dfcb5ff58fef56fb6d6c5883e0d64e56f14d3b2096c4",
     "run new_user.scn seq kkt trace": "b1044fb4b9ba7a0b0f69b6f4492fa3a03912a0e69a7bc9f6174b59b69d051778",
     "run new_user.scn seq kkt summary": "3b4efd88f8d39ef2d911ddaf93f9dc1b4616f2ce5817dcf959776e68bc1bf514",
-    "tune-pricing new_user.scn": "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3",
-    "remove-loop new_user.scn": "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3",
+    "tune-pricing new_user.scn": "ff406132d5a3f66e86a0d837f95ce2b40d18383dc43ae4075836ad682857be48",
+    "remove-loop new_user.scn": "2ff57e2eecb908f85986326ce44a120e4afb9d884b5543e2dc69397afc1a9bc5",
     "run station_walk.scn sync clamp stdout": "f7622aa62d9345595ba481bc8e4b5417d549540cf345197cc4517eb9ab45eb38",
     "run station_walk.scn sync clamp trace": "ac172ee10138e3e7b41dd955a69205f2381ba3363aeaf0e60ba06f205b0fd852",
     "run station_walk.scn sync clamp summary": "a3b1104cfee06eaf31913b439a2929a81bcdafa04df187a717ed9896991b4784",
@@ -102,8 +108,8 @@ GOLDEN = {
     "run station_walk.scn seq kkt stdout": "8426870b81237956d48bcfc227cb4e798512ef8c9011818d7fdd7318ce8f858f",
     "run station_walk.scn seq kkt trace": "07e64b1ad0702fda00bf6c6b094789ee4a7340f649bc3efa4a6b5e24b1b21e4d",
     "run station_walk.scn seq kkt summary": "8fb6bb4c868dfae88c05bec8c87db8e3997995c424deb004e4245be82c6c8897",
-    "tune-pricing station_walk.scn": "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3",
-    "remove-loop station_walk.scn": "0c6868c2c44f053619cef1cc383e1d530743b574ca192ace9168a9ccf46a86e3",
+    "tune-pricing station_walk.scn": "fdb9fd5cfc7e0a82803dab296ff7e1a30844c22a952023442a6cf70a781be506",
+    "remove-loop station_walk.scn": "d69920caa261140dd051739248aad3e71d7254ed9af89ece1d4da5c8c17e5cc3",
     "run three_users.scn sync clamp stdout": "179a600e092cbc9bd3302031fcd03076fbd2681b9937e9a3663d119c47e3ff77",
     "run three_users.scn sync clamp trace": "eb36b37609a02bbab4769c5bc6d71bf5d3d2774f9345d65e00c6982261ece2b4",
     "run three_users.scn sync clamp summary": "223503f5cef27c382694b8602398856e8d348bf6d6a3ca04cf284df214eba03e",
