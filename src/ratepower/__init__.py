@@ -23,6 +23,7 @@ from .engine import (
     ConvergenceConfig,
     IterationRecord,
     IterationTrace,
+    Segment,
     bounded_step,
     bounded_step_array,
     convergence_metric,
@@ -69,7 +70,6 @@ from .scenario import (
     RunSummary,
     Scenario,
     ScenarioFormatError,
-    StepResult,
     emit_trace,
     parse_scenario,
     run_scenario,

@@ -10,11 +10,12 @@ users. The single-cell game is the one-station case of the joint one. The
 scalar statements of the formulas it runs live in ``oracle``, which this
 module does not import.
 
-Each iterate's (users x stations) effective-interference matrix comes from
-one ``p @ g``; it feeds that iterate's trace record and the next synchronous
-sweep, which assigns every user at once and takes every best response from
-the array kernel behind ``bounded_step_array``. The sequential sweep visits
-users in order and keeps running per-station totals. Its per-user loop moves
+Each iterate's station totals come from one ``p @ g``, and its (users x
+stations) effective-interference matrix from them; the matrix feeds that
+iterate's trace row and the next synchronous sweep, which assigns every user
+at once and takes every best response from the array kernel behind
+``bounded_step_array``. The sequential sweep visits users in order and keeps
+the same totals current as each user moves. Its per-user loop moves
 only stations and powers, on plain floats with the table's constants hoisted
 and no function call per user; the sweep's rates then come from one call of
 the array kernel on the interference each user saw. The public
@@ -23,12 +24,12 @@ scalar oracle of both sweeps: the array kernel and the sequential loop
 evaluate its floating-point operations in its order, so all agree exactly.
 
 The loop carries powers and rates as one fresh (2 x users) state per
-iteration, keeps each iteration's state and step metric, and builds the trace
-records once per segment, a run of iterations at a fixed user count: an
-arrival closes a segment before the network grows and the users are
-re-priced, and the end of the run closes the last one. SINR and utility
-for a whole segment come from one vectorised pass over the channel and
-users those iterations played.
+iteration and keeps each iteration's state and step metric. The trace is
+its ``Segment``s, each a run of iterations on one fixed network held as
+(iterations x users) columns, user k in column k: an arrival closes a
+segment before the network grows and the users are re-priced, and the end
+of the run closes the last one. SINR and utility for a whole segment come
+from one vectorised pass over the channel and users it played.
 
 A solve starts at each user's own initial strategy (``UserParams.p_init``
 and ``r_init``, checked against its box when the user is built). With a rate
@@ -63,6 +64,7 @@ __all__ = [
     "ConvergenceConfig",
     "IterationRecord",
     "IterationTrace",
+    "Segment",
     "bounded_step",
     "bounded_step_array",
     "iterate_to_convergence",
@@ -107,17 +109,15 @@ class ConvergenceConfig:
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         self.max_iterations = _require_count("max_iterations", self.max_iterations)
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        _check_choice("metric", self.metric, METRICS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IterationRecord:
-    """Snapshot of the network at the end of one iteration."""
+    """Row view of one iteration: the network at its end, user k in column k."""
 
     iteration: int
     step: int
-    user_ids: np.ndarray
     assignment: np.ndarray
     powers: np.ndarray
     rates: np.ndarray
@@ -127,25 +127,55 @@ class IterationRecord:
 
 
 @dataclass
+class Segment:
+    """A run of iterations on one fixed network, as (iterations x users) columns.
+
+    Row s is iteration ``iterations[s]`` of solver step ``step``; column k is
+    user k of that network, so user ids are implicit. An arrival or a move
+    step closes a segment.
+    """
+
+    step: int
+    iterations: np.ndarray
+    assignment: np.ndarray
+    powers: np.ndarray
+    rates: np.ndarray
+    sinrs: np.ndarray
+    utilities: np.ndarray
+    metrics: np.ndarray
+
+    def row(self, s: int) -> IterationRecord:
+        """Row view of the segment's s-th iteration."""
+        columns = (self.assignment, self.powers, self.rates, self.sinrs, self.utilities)
+        row = (c[s] for c in columns)
+        return IterationRecord(int(self.iterations[s]), self.step, *row, float(self.metrics[s]))
+
+
+@dataclass
 class IterationTrace:
-    """Full history of a run plus its terminal convergence flag.
+    """Full history of a run, as its segments, plus its terminal convergence flag.
 
     ``channel`` and ``users`` are the network the run ended on: the users
     that arrived before it stopped are included, and ``users`` carry the
     pricing the last iteration played.
     """
 
-    records: list[IterationRecord]
+    segments: list[Segment]
     converged: bool
     iterations_used: int
     channel: ChannelModel | None = None
     users: list[UserParams] | None = None
 
     @property
+    def records(self) -> list[IterationRecord]:
+        """Every iteration's row view, in order, for tests and oracles."""
+        return [seg.row(s) for seg in self.segments for s in range(len(seg.iterations))]
+
+    @property
     def final(self) -> IterationRecord:
-        if not self.records:
+        if not self.segments:
             raise ValueError("trace is empty")
-        return self.records[-1]
+        return self.segments[-1].row(-1)
 
     @property
     def final_powers(self) -> np.ndarray:
@@ -163,10 +193,6 @@ class IterationTrace:
     def final_assignment(self) -> np.ndarray:
         return self.final.assignment
 
-    @property
-    def final_user_ids(self) -> np.ndarray:
-        return self.final.user_ids
-
 
 def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strategy:
     """One user's constrained update against effective interference r_eff.
@@ -180,7 +206,7 @@ def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strateg
     box. This is the scalar oracle of both sweeps, which evaluate the same
     operations in the same order.
     """
-    _check_policy(policy)
+    _check_choice("policy", policy, POLICIES)
     if user.alpha1 <= 0 or user.alpha2 <= 0 or user.lam <= 0:
         raise ValueError("alpha1, alpha2 and lam must be positive")
     limits = (user.p_min, user.p_max, user.r_min, user.r_max)
@@ -222,9 +248,8 @@ def bounded_step_array(
     it only when it alone violates. The two arrays are the rows of one
     (2, n) stack.
     """
-    _check_policy(policy)
-    powers, rates = _bounded_step_stack(users, np.asarray(r_eff, dtype=float), policy == KKT)
-    return powers, rates
+    _check_choice("policy", policy, POLICIES)
+    return tuple(_bounded_step_stack(users, np.asarray(r_eff, dtype=float), policy == KKT))
 
 
 def _bounded_step_stack(t: UserTable, r_eff: np.ndarray, kkt: bool) -> np.ndarray:
@@ -259,8 +284,7 @@ def convergence_metric(
     The loop computes the same value from ``_step_metric`` on its stacked
     (2, n) states; this four-vector statement is that function's oracle.
     """
-    if kind not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {kind!r}")
+    _check_choice("metric", kind, METRICS)
     vectors = [np.asarray(v, dtype=float) for v in (prev_powers, prev_rates, powers, rates)]
     if len({v.shape for v in vectors}) != 1 or vectors[0].ndim != 1:
         raise ValueError("metric needs four vectors of one length")
@@ -306,7 +330,7 @@ def iterate_to_convergence(
     When ``rate_set`` is given, every iteration's rates are snapped down to
     the ladder after its sweep (or only once at convergence with
     ``quantize_at_convergence=True``, in the last iteration's row before its
-    record is built; the converged powers are identical either way because
+    segment is built; the converged powers are identical either way because
     rates never enter the power update).
 
     ``arrivals`` are events with ``iteration``, ``distances_m`` and ``user``
@@ -319,8 +343,8 @@ def iterate_to_convergence(
     ``config.max_iterations`` could never fire. Non-convergence within
     max_iterations is reported on the trace, not raised.
     """
-    _check_policy(policy)
-    _check_schedule(schedule)
+    _check_choice("policy", policy, POLICIES)
+    _check_choice("schedule", schedule, SCHEDULES)
     config = config if config is not None else ConvergenceConfig()
     users = list(users)
     if len(users) != channel.n_users:
@@ -346,20 +370,19 @@ def iterate_to_convergence(
         channel.with_user(ev.distances_m)
 
     kkt = policy == KKT
-    table = UserTable.from_users(users)
-    reffs = _station_reffs(channel, state[0])
-    rows = np.arange(len(users))
-    records: list[IterationRecord] = []
-    # This segment's (iteration, assignment, state, metric, assigned r_eff)
-    # rows; its records are built when the user count changes or the run ends.
-    segment: list[tuple] = []
+    table = None  # built once per network the run plays
+    segments: list[Segment] = []
+    # The open segment's (iteration, assignment, state, metric, assigned
+    # r_eff) rows, closed into a Segment by an arrival or the run's end.
+    rows: list[tuple] = []
     converged = False
     iteration = 0
     while iteration < config.max_iterations:
         iteration += 1
         if pending and pending[0].iteration == iteration:
-            records += _segment_records(channel, table, segment, rows)
-            segment = []
+            if rows:
+                segments.append(_segment(channel, table, rows))
+                rows = []
             while pending and pending[0].iteration == iteration:
                 ev = pending.pop(0)
                 channel = channel.with_user(ev.distances_m)
@@ -368,42 +391,41 @@ def iterate_to_convergence(
                 assignment = np.append(assignment, 0)
             if reprice is not None:
                 users = list(reprice(channel, users))
-            table = UserTable.from_users(users)
-            reffs = _station_reffs(channel, state[0])
-            rows = np.arange(len(users))
+            table = None
+        if table is None:
+            table, g, noise = UserTable.from_users(users), channel.gains, channel.noise_w
+            totals = state[0] @ g
+            reffs = _station_reffs(g, noise, state[0], totals)
+            ids = np.arange(len(users))
         if schedule == SYNCHRONOUS:
             new, assignment = _synchronous_sweep(table, reffs, assignment, kkt)
         else:
-            new, assignment = _sequential_sweep(channel, table, state[0], assignment, kkt)
+            new, assignment = _sequential_sweep(g, noise, table, state[0], totals, assignment, kkt)
         if rate_set is not None and not quantize_at_convergence:
             new[1] = _snap(rate_set, new[1])
         metric = _step_metric(state, new, config.metric)
         state = new
-        # One interference matrix per iterate serves its record and the next sweep.
-        reffs = _station_reffs(channel, state[0])
-        segment.append((iteration, assignment, state, metric, reffs[rows, assignment]))
+        # One set of station totals per iterate serves its row and the next sweep.
+        totals = state[0] @ g
+        reffs = _station_reffs(g, noise, state[0], totals)
+        rows.append((iteration, assignment, state, metric, reffs[ids, assignment]))
         if metric <= config.delta and not pending:
             converged = True
             break
 
     if converged and quantize_at_convergence and rate_set is not None:
-        it, a, final, *tail = segment[-1]
-        segment[-1] = (it, a, np.stack([final[0], _snap(rate_set, final[1])]), *tail)
-    records += _segment_records(channel, table, segment, rows)
-    return IterationTrace(records, converged, iteration, channel, users)
+        it, a, final, *tail = rows[-1]
+        rows[-1] = (it, a, np.stack([final[0], _snap(rate_set, final[1])]), *tail)
+    segments.append(_segment(channel, table, rows))
+    return IterationTrace(segments, converged, iteration, channel, users)
 
 
 # Internals.
 
 
-def _check_policy(policy: str) -> None:
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}, got {policy!r}")
-
-
-def _check_schedule(schedule: str) -> None:
-    if schedule not in SCHEDULES:
-        raise ValueError(f"schedule must be one of {SCHEDULES}, got {schedule!r}")
+def _check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _initial_assignment(override, n_users: int, n_stations: int) -> np.ndarray:
@@ -417,15 +439,20 @@ def _initial_assignment(override, n_users: int, n_stations: int) -> np.ndarray:
     return a.astype(int)
 
 
-def _station_reffs(channel: ChannelModel, powers: np.ndarray) -> np.ndarray:
-    # Every user's effective interference at every station (users x stations).
-    g = channel.gains
-    return (np.maximum(powers @ g - g * powers[:, None], 0.0) + channel.noise_w) / g
+def _station_reffs(g: np.ndarray, noise: float, powers: np.ndarray, totals: np.ndarray):
+    # Every user's effective interference at every station (users x stations),
+    # from the stations' received totals powers @ g.
+    return (np.maximum(totals - g * powers[:, None], 0.0) + noise) / g
 
 
 def _snap(rate_set: RateSet, rates: np.ndarray) -> np.ndarray:
-    # Each rate down to the ladder's largest rung at or below it.
-    return np.array([rate_set.floor(r) for r in rates])
+    # Each rate down to the ladder's largest rung at or below it, as RateSet.floor
+    # takes it; index -1 is below the ladder, where the first such rate raises.
+    ladder = np.asarray(rate_set.rates)
+    idx = np.searchsorted(ladder, rates, side="right") - 1
+    if idx.min() < 0:
+        rate_set.floor(rates[idx.argmin()])
+    return ladder[idx]
 
 
 def _synchronous_sweep(table, reffs, assignment, kkt):
@@ -442,25 +469,24 @@ def _synchronous_sweep(table, reffs, assignment, kkt):
     return _bounded_step_stack(table, r_eff, kkt), assignment
 
 
-def _sequential_sweep(channel, table, powers, assignment, kkt):
+def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt):
     """Users in order against the freshest powers; returns (state, stations).
 
-    The received total at every station is kept current as each user moves,
-    so a user costs O(stations) rather than a fresh O(users x stations)
-    product. The per-user loop runs on plain floats and moves only stations
-    and powers: each user takes the least-interference station (ties keep
-    the current one) and the power of the bounded best response there,
-    computed inline with the table's constants. Under "kkt" the rate is
-    evaluated only to decide whether the power is re-optimized. The sweep's
-    rates, and its powers again, come from one ``_bounded_step_stack`` on the
-    interference each user saw; it evaluates the same operations, so the
-    powers equal the loop's.
+    ``totals`` are the stations' received totals ``powers @ g``, as the loop
+    formed them; kept current as each user moves, they make a user cost
+    O(stations) rather than a fresh O(users x stations) product. The per-user
+    loop runs on plain floats and moves only stations and powers: each user
+    takes the least-interference station (ties keep the current one) and the
+    power of the bounded best response there, computed inline with the
+    table's constants. Under "kkt" the rate is evaluated only to decide
+    whether the power is re-optimized. The sweep's rates, and its powers
+    again, come from one ``_bounded_step_stack`` on the interference each
+    user saw; it evaluates the same operations, so the powers equal the
+    loop's.
     """
     sqrt = math.sqrt
-    g = channel.gains
-    noise = channel.noise_w
     band = 1.0 + TIE_REL_TOL
-    totals = (powers @ g).tolist()
+    totals = totals.tolist()
     p = powers.tolist()
     a = assignment.tolist()
     seen = []
@@ -510,19 +536,14 @@ def _sequential_sweep(channel, table, powers, assignment, kkt):
     return _bounded_step_stack(table, np.array(seen), kkt), np.array(a)
 
 
-def _segment_records(channel, table, segment, user_ids) -> list[IterationRecord]:
-    """Records of one segment, a run of iterations at a fixed user count.
+def _segment(channel, table, rows) -> Segment:
+    """One segment of step 1: iterations played on ``channel`` by ``table``.
 
-    ``segment`` holds (iteration, assignment, (2 x users) state, metric,
-    assigned r_eff) rows played on ``channel`` by ``table``. The rows are
-    stacked into (iterations x users) arrays, SINR and utility come from one
-    vectorised pass over them, and each record's arrays are row views of the
-    stacks.
+    ``rows`` holds (iteration, assignment, (2 x users) state, metric,
+    assigned r_eff) rows. They are stacked into (iterations x users) columns,
+    and SINR and utility come from one vectorised pass over them.
     """
-    if not segment:
-        return []
-    iterations, assignment, states, metrics, reffs = zip(*segment)
-    assignment = np.array(assignment, dtype=int)
+    iterations, assignment, states, metrics, reffs = zip(*rows)
     states = np.array(states, dtype=float)
     powers, rates = states[:, 0], states[:, 1]
     reffs = np.array(reffs, dtype=float)
@@ -532,8 +553,5 @@ def _segment_records(channel, table, segment, user_ids) -> list[IterationRecord]
     a1, a2, lam = table.alpha1, table.alpha2, table.lam
     price = 0.5 * lam * ((a2 / a1) * reffs * rates**2 + (a1 / a2) * powers**2 / reffs)
     utilities = np.log(a2 * reffs * rates + a1 * powers) - price
-    ids = np.tile(np.asarray(user_ids, dtype=int), (len(segment), 1))
-    steps = [1] * len(segment)
-    columns = (iterations, steps, ids, assignment, powers, rates, sinrs, utilities, metrics)
-    return [IterationRecord(*fields) for fields in zip(*columns)]
-
+    assignment, metrics = np.array(assignment, dtype=int), np.array(metrics, dtype=float)
+    return Segment(1, np.array(iterations), assignment, powers, rates, sinrs, utilities, metrics)

@@ -306,7 +306,8 @@ def power_update_map(channel: ChannelModel, users: list[UserParams], clamped: bo
     half_ratio = 0.5 * t.alpha2 / (t.alpha1 * t.lam)
 
     def apply(powers) -> np.ndarray:
-        reffs = _station_reffs(channel, np.asarray(powers, dtype=float))
+        p = np.asarray(powers, dtype=float)
+        reffs = _station_reffs(channel.gains, channel.noise_w, p, p @ channel.gains)
         out = np.sqrt(half_ratio[:, None] * reffs).min(axis=1)
         if clamped:
             out = np.clip(out, t.p_min, t.p_max)
@@ -467,8 +468,8 @@ def fd_gradient_check(
 
 def recompute_sinrs(channel: ChannelModel, record: IterationRecord) -> np.ndarray:
     """Recompute per-user SINRs from a trace record via the scalar model ops."""
-    out = np.empty(len(record.user_ids))
-    for k in range(len(record.user_ids)):
+    out = np.empty(len(record.powers))
+    for k in range(len(record.powers)):
         gains = channel.gains[:, int(record.assignment[k])]
         r_eff = effective_interference(gains, record.powers, k, channel.noise_w)
         out[k] = sinr(

@@ -423,13 +423,13 @@ def _reproduce_fig3() -> ComparisonReport:
             f"iterations after arrival: {within}",
         )
     )
-    pre = trace.records[arrival_iteration - 2]  # last record before the arrival
+    pre = trace.segments[0]  # the iterations before the arrival
     post = trace.final
     checks.append(
-        _bool_check("incumbent_powers_rise", bool(np.all(post.powers[:3] > pre.powers[:3])))
+        _bool_check("incumbent_powers_rise", bool(np.all(post.powers[:3] > pre.powers[-1])))
     )
     checks.append(
-        _bool_check("incumbent_rates_fall", bool(np.all(post.rates[:3] < pre.rates[:3])))
+        _bool_check("incumbent_rates_fall", bool(np.all(post.rates[:3] < pre.rates[-1])))
     )
     return ComparisonReport("fig3", checks)
 

@@ -14,9 +14,10 @@ rates) are whitespace separated; '#' starts a comment. Events share one
 timeline: arrivals fire at their iteration of solver step 1, and each later
 step applies its moves to the network, arrivals included, and solves it cold.
 
-The CSV trace writer encodes whole columns in numpy, a chunk of rows at a
-time, from digit lookup tables; its output is byte for byte what
-``format(x, ".10e")`` and ``str(n)`` give, field by field.
+A run's trace is its segments, (iterations x users) columns on one network
+each. The CSV trace writer encodes slices of those columns in numpy, a chunk
+of rows of one segment at a time, from digit lookup tables; its output is
+byte for byte what ``format(x, ".10e")`` and ``str(n)`` give, field by field.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .engine import (
     ConvergenceConfig,
     IterationRecord,
     IterationTrace,
+    Segment,
     iterate_to_convergence,
 )
 from .admission import (
@@ -60,7 +62,6 @@ __all__ = [
     "sweep_lambda",
     "emit_trace",
     "RunSummary",
-    "StepResult",
     "summarize_run",
     "summary_to_text",
     "write_summary",
@@ -511,21 +512,8 @@ def _user_lines(user: UserParams) -> list[str]:
 
 
 @dataclass
-class StepResult:
-    """Converged state of one movement step."""
-
-    step: int
-    converged: bool
-    iterations_used: int
-    powers: np.ndarray
-    rates: np.ndarray
-    sinrs: np.ndarray
-    assignment: np.ndarray
-
-
-@dataclass
 class RunSummary:
-    """Converged (or last) state of a scenario run."""
+    """Converged (or last) state of a scenario run; with moves, each step's final row."""
 
     converged: bool
     iterations_used: int
@@ -538,7 +526,7 @@ class RunSummary:
     targets: np.ndarray
     outcomes: list[str]
     lam: np.ndarray
-    steps: list[StepResult] = field(default_factory=list)
+    steps: list[IterationRecord] = field(default_factory=list)
 
 
 def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
@@ -548,8 +536,9 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
     moves and solves to convergence. Arrivals insert their user at their
     iteration of step 1, which converges only with no arrival pending. A
     [pricing] rule is re-evaluated whenever the user set or the geometry it
-    depends on changes. Records are numbered on one iteration count across
-    steps; with moves, the summary carries one entry per step.
+    depends on changes. The trace joins every step's segments, numbered on
+    one iteration count across steps; with moves, the summary carries each
+    step's final row.
     Non-convergence is flagged in the summary, not raised.
     """
 
@@ -568,8 +557,8 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
     # symmetric, so the assignment tie-break can hold a walker at its current
     # station instead of inheriting the previous geometry's power skew.
     channel, users = scenario.channel, scenario.users
-    records: list[IterationRecord] = []
-    step_results: list[StepResult] = []
+    segments: list[Segment] = []
+    step_finals: list[IterationRecord] = []
     offset = 0
     converged = True
     for step_no in sorted({1} | set(moves_by_step)):
@@ -588,25 +577,19 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
         )
         channel, users = trace.channel, trace.users
         converged = converged and trace.converged
-        # Step 1's records already carry their stamp; a later step's trace is
-        # local to this loop, so its records are re-stamped in place.
-        if step_no > 1:
-            for rec in trace.records:
-                rec.iteration += offset
-                rec.step = step_no
-        records += trace.records
+        segments += [
+            replace(seg, step=step_no, iterations=seg.iterations + offset) for seg in trace.segments
+        ]
         offset += trace.iterations_used
-        f = trace.final
-        state = (f.powers, f.rates, f.sinrs, f.assignment)
-        step_results.append(StepResult(step_no, trace.converged, trace.iterations_used, *state))
+        step_finals.append(segments[-1].row(-1))
 
-    trace = replace(trace, records=records, converged=converged, iterations_used=offset)
+    trace = replace(trace, segments=segments, converged=converged, iterations_used=offset)
     # Arrivals join in iteration order, after the scenario's own users.
     arrived = sorted(scenario.arrivals, key=lambda ev: ev.iteration)
     names = scenario.user_names + [ev.name for ev in arrived][: len(users) - len(scenario.users)]
     summary = summarize_run(trace, names)
     if scenario.moves:
-        summary.steps = step_results
+        summary.steps = step_finals
     return trace, summary
 
 
@@ -676,8 +659,8 @@ def emit_trace(trace: IterationTrace, destination) -> None:
 
     Rows are ordered by iteration then user id; floats carry 11 significant
     digits, exactly as ``format(x, ".10e")`` writes them, so re-running a
-    scenario produces byte-identical files. Records are encoded whole-column
-    in numpy, in chunks of about ``_TRACE_CHUNK_ROWS`` rows.
+    scenario produces byte-identical files. Each segment's columns are
+    encoded whole in numpy, in chunks of about ``_TRACE_CHUNK_ROWS`` rows.
     """
     if hasattr(destination, "write"):
         _write_trace(trace, lambda data: destination.write(data.decode("ascii")))
@@ -688,17 +671,12 @@ def emit_trace(trace: IterationTrace, destination) -> None:
 
 def _write_trace(trace: IterationTrace, write) -> None:
     write(TRACE_HEADER.encode("ascii") + b"\n")
-    chunk, rows = [], 0
-    for rec in trace.records:
-        if not len(rec.user_ids):
-            continue
-        chunk.append(rec)
-        rows += len(rec.user_ids)
-        if rows >= _TRACE_CHUNK_ROWS:
-            write(_encode_rows(chunk))
-            chunk, rows = [], 0
-    if chunk:
-        write(_encode_rows(chunk))
+    for seg in trace.segments:
+        n_iterations, n_users = seg.powers.shape
+        # Whole iterations, the fewest that reach a chunk.
+        per_chunk = max(1, -(-_TRACE_CHUNK_ROWS // max(n_users, 1)))
+        for start in range(0, n_iterations, per_chunk):
+            write(_encode_rows(seg, slice(start, start + per_chunk)))
 
 
 # The trace encoder lays each CSV row out as a row of little-endian 32-bit
@@ -709,9 +687,10 @@ def _write_trace(trace: IterationTrace, write) -> None:
 # come from tables of 4-digit and 2-digit ASCII words. A value the arithmetic
 # cannot format exactly is formatted on its own and written into its slot.
 
-# Rows per encoded chunk; a record is never split. At about a thousand rows
-# the chunk's arrays fit in memory the allocator keeps between chunks, where
-# much larger chunks fault in fresh pages every time and run slower.
+# Rows per encoded chunk; a chunk holds whole iterations of one segment. At
+# about a thousand rows the chunk's arrays fit in memory the allocator keeps
+# between chunks, where much larger chunks fault in fresh pages every time
+# and run slower.
 _TRACE_CHUNK_ROWS = 1024
 _WORD = np.dtype("<u4")
 _COMMA, _NEWLINE = ord(","), ord("\n")
@@ -749,27 +728,28 @@ def _digit_tables():
     return _ascii_words(chars), pairs, lead, exp_sign, pairs[np.abs(k)]
 
 
-def _encode_rows(records) -> bytes:
-    """CSV rows of the given records, in order."""
-    sizes = [len(rec.user_ids) for rec in records]
-    rows = sum(sizes)
-    # Per-row values first, then the one iteration and metric of each record.
-    ints = np.empty(2 * rows + len(records), np.int64)
-    ints[:rows] = np.concatenate([rec.user_ids for rec in records])
-    ints[rows : 2 * rows] = np.concatenate([rec.assignment for rec in records])
-    ints[2 * rows :] = [rec.iteration for rec in records]
-    floats = np.empty(4 * rows + len(records))
-    for k, column in enumerate(("powers", "rates", "sinrs", "utilities")):
-        floats[k * rows : (k + 1) * rows] = np.concatenate([getattr(rec, column) for rec in records])
-    floats[4 * rows :] = [rec.metric for rec in records]
+def _encode_rows(seg: Segment, iterations: slice) -> bytes:
+    """CSV rows of the given iterations of one segment, in order."""
+    assignment = seg.assignment[iterations]
+    n_iterations, n_users = assignment.shape
+    rows = assignment.size
+    # Per-row values first, then the one iteration and metric of each iteration.
+    ints = np.empty(2 * rows + n_iterations, np.int64)
+    ints[:rows] = np.tile(np.arange(n_users), n_iterations)
+    ints[rows : 2 * rows] = assignment.ravel()
+    ints[2 * rows :] = seg.iterations[iterations]
+    floats = np.empty(4 * rows + n_iterations)
+    for k, column in enumerate((seg.powers, seg.rates, seg.sinrs, seg.utilities)):
+        floats[k * rows : (k + 1) * rows] = column[iterations].ravel()
+    floats[4 * rows :] = seg.metrics[iterations]
     int_words = _int_words(ints)
     int_words[: 2 * rows, 0] |= _COMMA
     float_words = _float_words(floats)
     float_words[4 * rows :, 4] |= _NEWLINE << 24
-    per_record = np.repeat(np.arange(len(records)), sizes)
-    columns = [int_words[2 * rows :][per_record], int_words[:rows], int_words[rows : 2 * rows]]
+    per_iteration = np.repeat(np.arange(n_iterations), n_users)
+    columns = [int_words[2 * rows :][per_iteration], int_words[:rows], int_words[rows : 2 * rows]]
     columns += [float_words[k * rows : (k + 1) * rows] for k in range(4)]
-    columns.append(float_words[4 * rows :][per_record])
+    columns.append(float_words[4 * rows :][per_iteration])
     return np.concatenate(columns, axis=1).tobytes().translate(None, b"\0")
 
 

@@ -9,7 +9,7 @@ equals it bit for bit. The exceptions carry a tolerance fixed from float64:
 the loop subtracts each user's own term from a station total where
 ``oracle.effective_interference`` skips it, the sequential sweep keeps
 running per-station totals instead of a fresh ``p @ g`` per user, and
-the records take their logarithms through numpy instead of ``math``.
+the trace segments take their logarithms through numpy instead of ``math``.
 On the same running totals, the sequential sweep's inline per-user loop
 equals a sweep that calls the scalar kernel once per user exactly.
 
@@ -44,8 +44,9 @@ from ratepower.engine import (
     bounded_step_array,
     convergence_metric,
     _best_response,
-    _segment_records,
+    _segment,
     _sequential_sweep,
+    _snap,
     _step_metric,
     iterate_to_convergence,
 )
@@ -59,7 +60,7 @@ from ratepower.oracle import (
     unconstrained_best_response,
     utility_priced,
 )
-from ratepower.rates import RateSet
+from ratepower.rates import NoFeasibleRateError, RateSet
 
 EPS = np.finfo(float).eps
 
@@ -358,7 +359,9 @@ class TestSynchronousSweep:
 # loses about eps * total, so the relative error of its effective
 # interference is about eps * kappa, kappa = total / (other + noise). No order
 # of the sums avoids that where the own term dominates, so comparisons with
-# the scalar oracles allow KAPPA_C * eps * max(1, kappa).
+# the scalar oracles allow KAPPA_C * eps * max(1, kappa). The sequential
+# sweep's running totals pass through every state between its start and its
+# end, so its kappa is the largest over those states.
 KAPPA_C = 64
 
 
@@ -386,11 +389,28 @@ OWN_TERM_DOMINATES = (
     State(np.ones(2), np.full(2, 1000.0), np.zeros(2, dtype=int)),
 )
 
+# Under kkt, kappa is about 7.3e3 at the start and end of the first sweep but
+# 1.1e6 in between, with user 0 moved and user 1 not yet; the sweep and the
+# oracle differ by 1.2e-10 relative, more than the endpoints' bound allows.
+MIXED_STATE_DOMINATES = (
+    ChannelModel([[50, 331, 50], [50, 50, 463]]),
+    [UserParams(alpha2=10, lam=1e-3, p_max=1), UserParams(alpha2=5, lam=1e-3, p_max=1)],
+    State(np.ones(2), np.full(2, 1000.0), np.zeros(2, dtype=int)),
+)
+
+
+def sweep_kappa(channel, start, end, assignment):
+    """kappa over a sequential sweep's states: users before i moved, the rest not."""
+    n = len(start)
+    mixed = (np.concatenate([end[:i], start[i:]]) for i in range(n + 1))
+    return max(kappa(channel, p, assignment) for p in mixed)
+
 
 class TestSequentialSweep:
     @settings(max_examples=150, deadline=None)
     @given(networks(), POLICIES)
     @example(network=OWN_TERM_DOMINATES, policy=CLAMP)
+    @example(network=MIXED_STATE_DOMINATES, policy=KKT)
     def test_running_totals_match_recomputed_interference(self, network, policy):
         # Each sweep against the oracle sweep from the same state, so rounding
         # does not compound from one sweep to the next.
@@ -399,7 +419,7 @@ class TestSequentialSweep:
             got = sweep(channel, users, state, policy, schedule=SEQUENTIAL)
             want = loop_sequential_sweep(channel, users, state, policy)
             np.testing.assert_array_equal(got.assignment, want.assignment)
-            k = max(kappa(channel, p, want.assignment) for p in (state.powers, want.powers))
+            k = sweep_kappa(channel, state.powers, want.powers, want.assignment)
             assert_close_within_kappa(got, want, k)
             state = got
 
@@ -437,7 +457,10 @@ def kernel_sequential_sweep(channel, users, powers, assignment, policy):
 def engine_sequential_sweep(channel, users, powers, assignment, policy):
     """The engine's sequential sweep on a state that need not lie in the boxes."""
     table = UserTable.from_users(users)
-    state, stations = _sequential_sweep(channel, table, powers, assignment, policy == KKT)
+    g = channel.gains
+    state, stations = _sequential_sweep(
+        g, channel.noise_w, table, powers, powers @ g, assignment, policy == KKT
+    )
     return State(state[0], state[1], stations)
 
 
@@ -610,14 +633,14 @@ class TestRecords:
             )
 
 
-# Records are built once per segment, a run of iterations at a fixed user
+# A trace is built once per segment, a run of iterations at a fixed user
 # count: SINR and utility for the whole segment come from one vectorised pass.
-# The pass must equal ``make_record``, the same pass on that row alone,
-# exactly, priced as that segment was played.
+# Every row view of it must equal ``make_record``, the same pass on that row
+# alone, exactly, priced as that segment was played.
 
 
 def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0.0):
-    """One record built alone: ``_segment_records`` on a one-row segment.
+    """One record built alone: the row view of a one-row ``_segment``.
 
     The row's effective interference comes from the oracle, which subtracts
     and clips as the loop does, so it equals the loop's bit for bit.
@@ -628,11 +651,10 @@ def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0
         for i, a in enumerate(assignment)
     ]
     row = (iteration, assignment, np.array([powers, rates], dtype=float), metric, r_eff)
-    (record,) = _segment_records(channel, UserTable.from_users(users), [row], np.arange(len(users)))
-    return record
+    return _segment(channel, UserTable.from_users(users), [row]).row(0)
 
 
-RECORD_FIELDS = ("user_ids", "assignment", "powers", "rates", "sinrs", "utilities")
+RECORD_FIELDS = ("assignment", "powers", "rates", "sinrs", "utilities")
 LADDER = RateSet((0.1, 1e3, 1e4, 5e4))
 
 
@@ -695,6 +717,13 @@ class TestSegmentRecords:
         # share a segment, and one at iteration 1 leaves segment 0 empty.
         starts = [1] + sorted({ev.iteration for ev in run[3]})
         assert len(segments) == len(starts)
+        # The trace holds one segment per network played, in order.
+        assert [int(seg.iterations[0]) for seg in trace.segments] == sorted(set(starts))
+        for seg in trace.segments:
+            shape = (len(seg.iterations), len(seg.powers[0]))
+            for name in RECORD_FIELDS:
+                assert getattr(seg, name).shape == shape, name
+            assert seg.metrics.shape == shape[:1] and seg.step == 1
         assert [rec.iteration for rec in trace.records] == list(range(1, trace.iterations_used + 1))
         for rec in trace.records:
             channel, users = segments[bisect.bisect_right(starts, rec.iteration) - 1]
@@ -752,6 +781,44 @@ class TestSegmentRecords:
         channel = ChannelModel([110], noise_w=0.0)
         with pytest.raises(ValueError, match="effective interference must be positive"):
             make_record(channel, [UserParams()], [0], np.array([0.1]), np.array([1e3]))
+
+
+@st.composite
+def ladders_and_rates(draw):
+    """A ladder and rates at its rungs, an ulp either side of them, between
+    them and below the lowest one."""
+    ladder = RateSet(tuple(draw(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=6))))
+    rungs = ladder.rates
+    rung = st.sampled_from(rungs)
+    near = st.one_of(
+        rung,
+        rung.map(lambda r: math.nextafter(r, -math.inf)),
+        rung.map(lambda r: math.nextafter(r, math.inf)),
+        st.floats(0.5 * rungs[0], 2.0 * rungs[-1]),
+    )
+    return ladder, np.array(draw(st.lists(near, min_size=1, max_size=10)))
+
+
+class TestRateSnap:
+    """The loop's one-call snap against ``RateSet.floor``, the scalar oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ladders_and_rates())
+    @example((RateSet((1e3, 1e4)), np.array([1e3, 9999.0, 1e4, 5e4])))
+    @example((RateSet((1e3, 1e4)), np.array([1e3, 9999.0, 1e4, 5e4, math.nextafter(1e3, 0.0)])))
+    def test_equals_floor_rate_by_rate(self, drawn):
+        ladder, rates = drawn
+        below = rates < ladder.rates[0]
+        if not below.any():
+            want = np.array([ladder.floor(r) for r in rates])
+            np.testing.assert_array_equal(_snap(ladder, rates), want)
+            return
+        # The first rate below the ladder raises, with floor's own message.
+        with pytest.raises(NoFeasibleRateError) as oracle:
+            ladder.floor(rates[below.argmax()])
+        with pytest.raises(NoFeasibleRateError) as got:
+            _snap(ladder, rates)
+        assert str(got.value) == str(oracle.value)
 
 
 class TestInlineMetric:

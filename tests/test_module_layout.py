@@ -1,7 +1,10 @@
 """The package's module split: one production path, one oracle module.
 
 The solver (``engine``) and the model types (``core``) never reach for the
-scalar statements in ``oracle``; only ``__init__`` re-exports them. Every
+scalar statements in ``oracle``; only ``__init__`` re-exports them. No
+production module reads a trace's per-iteration ``records`` views: the
+program works on the segment columns, and the views serve tests and
+oracles. Every
 name a module lists in ``__all__`` exists, no public function or class is
 defined twice, and the package's public names stay those pinned below, as
 do the parameters of the solve, pricing and admission entry points: a
@@ -27,8 +30,8 @@ PUBLIC_NAMES = [
     "ComparisonReport", "ConvergenceConfig", "EscalationResult", "IterationRecord",
     "IterationTrace", "KKT", "MoveEvent", "NoFeasibleRateError", "NotConvergedError",
     "PricingRule", "REPRODUCE_TARGETS", "RateSet", "RemovalResult", "RunSummary",
-    "SEQUENTIAL", "SYNCHRONOUS", "Scenario", "ScenarioFormatError", "StandardFunctionReport",
-    "StepResult", "Strategy", "UserParams", "UserTable", "UtilityParamsBase",
+    "SEQUENTIAL", "SYNCHRONOUS", "Scenario", "ScenarioFormatError", "Segment",
+    "StandardFunctionReport", "Strategy", "UserParams", "UserTable", "UtilityParamsBase",
     "alpha_ratio_for_target", "assign_base_station", "bounded_step", "bounded_step_array",
     "classify_users", "convergence_metric", "effective_interference",
     "effective_interference_by_station", "emit_trace", "escalate_pricing",
@@ -77,6 +80,17 @@ def test_no_production_module_imports_the_oracle(name):
     tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
     if name != "oracle":
         assert "ratepower.oracle" not in imported_modules(tree)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "oracle"])
+def test_no_production_module_reads_trace_records(name):
+    tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "records"
+    ]
+    assert reads == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -16,8 +16,8 @@ from ratepower.engine import (
     SEQUENTIAL,
     SYNCHRONOUS,
     ConvergenceConfig,
-    IterationRecord,
     IterationTrace,
+    Segment,
     iterate_to_convergence,
 )
 from ratepower.oracle import recompute_sinrs
@@ -240,7 +240,7 @@ class TestRunScenario:
         trace, summary = run_scenario(parse_scenario(text))
         assert summary.converged
         assert summary.user_names == ["a", "b", "c"]
-        sizes = {rec.iteration: len(rec.user_ids) for rec in trace.records}
+        sizes = {rec.iteration: len(rec.powers) for rec in trace.records}
         assert sizes[14] == 2 and sizes[15] == 3
 
     def test_count_based_pricing_reprices_on_arrival(self):
@@ -271,7 +271,7 @@ class TestRunScenario:
         assert "late.bs = 1" in summary_to_text(summary)
         # the newcomer joins on station 0 and moves to the nearer one on its first step
         first = next(rec for rec in trace.records if rec.iteration == 5)
-        assert len(first.user_ids) == 3 and first.assignment[2] == 1
+        assert len(first.powers) == 3 and first.assignment[2] == 1
 
     def test_moves_produce_per_step_summaries(self):
         text = (
@@ -281,7 +281,8 @@ class TestRunScenario:
         )
         trace, summary = run_scenario(parse_scenario(text))
         assert [sr.step for sr in summary.steps] == [1, 2, 3]
-        assert all(sr.converged for sr in summary.steps)
+        # The run converges only when every step does.
+        assert summary.converged
         iters = [rec.iteration for rec in trace.records]
         assert iters == sorted(iters) and len(set(iters)) == len(iters)
 
@@ -300,7 +301,6 @@ class TestRunScenario:
             assert len(summary.powers) == len(summary.lam) == len(summary.outcomes) == n
             assert [sr.step for sr in summary.steps] == list(range(1, 12))
             for sr in summary.steps:
-                assert sr.converged
                 assert len(sr.powers) == len(sr.rates) == len(sr.sinrs) == n
                 assert len(sr.assignment) == n
             assert [rec.iteration for rec in trace.records] == list(
@@ -309,14 +309,15 @@ class TestRunScenario:
             steps = [rec.step for rec in trace.records]
             assert steps == sorted(steps) and sorted(set(steps)) == list(range(1, 12))
             # the newcomer joins at iteration 5 and stays for every later step
-            sizes = [len(rec.user_ids) for rec in trace.records]
+            sizes = [len(rec.powers) for rec in trace.records]
             assert sizes[:4] == [n - 1] * 4 and sizes[4:] == [n] * (len(sizes) - 4)
             assert trace.channel.n_users == len(trace.users) == n
 
     @pytest.mark.parametrize("arrival", [False, True])
     def test_in_place_restamp_does_not_leak_into_a_rerun(self, arrival):
-        # Later steps' records are re-stamped in place; a second run of the
-        # same Scenario must number and fill its records as the first did.
+        # Later steps' segments are re-stamped with their step and iteration
+        # offset; a second run of the same Scenario must number and fill its
+        # records as the first did.
         text = (SCENARIO_DIR / "station_walk.scn").read_text()
         if arrival:
             text += "\n[event arrival]\niteration = 5\nuser = late\ndistances_m = 400 120\n"
@@ -328,7 +329,7 @@ class TestRunScenario:
         assert [it for it, _ in stamps] == list(range(1, first.iterations_used + 1))
         assert {step for _, step in stamps} == set(range(1, 12))
         for a, b in zip(first.records, second.records):
-            for name in ("user_ids", "assignment", "powers", "rates", "sinrs", "utilities"):
+            for name in ("assignment", "powers", "rates", "sinrs", "utilities"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             assert a.metric == b.metric
         step1 = iterate_to_convergence(
@@ -424,12 +425,12 @@ def per_field_trace(trace):
 
     lines = [TRACE_HEADER]
     for rec in trace.records:
-        for k in range(len(rec.user_ids)):
+        for k in range(len(rec.powers)):
             lines.append(
                 ",".join(
                     [
                         str(rec.iteration),
-                        str(int(rec.user_ids[k])),
+                        str(k),
                         str(int(rec.assignment[k])),
                         fmt(rec.powers[k]),
                         fmt(rec.rates[k]),
@@ -456,26 +457,27 @@ FLOATS = st.one_of(st.sampled_from(AWKWARD_FLOATS), st.floats())
 
 @st.composite
 def records(draw):
+    """A trace of 0-4 drawn segments, each of 1-3 iterations of 0-5 users."""
     out = []
     for _ in range(draw(st.integers(0, 4))):
-        n = draw(st.integers(0, 5))
-        columns = [np.array([draw(FLOATS) for _ in range(n)], dtype=float) for _ in range(4)]
-        out.append(
-            IterationRecord(
-                draw(st.integers(1, 10**6)),
-                1,
-                np.array([draw(st.integers(0, 10**4)) for _ in range(n)], dtype=int),
-                np.array([draw(st.integers(0, 20)) for _ in range(n)], dtype=int),
-                *columns,
-                draw(FLOATS),
-            )
-        )
-    return IterationTrace(out, False, len(out))
+        n_iterations, n = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+
+        def column(elements, dtype):
+            values = [[draw(elements) for _ in range(n)] for _ in range(n_iterations)]
+            return np.array(values, dtype=dtype).reshape(n_iterations, n)
+
+        iterations = np.array([draw(st.integers(1, 10**6)) for _ in range(n_iterations)])
+        assignment = column(st.integers(0, 10**4), int)
+        floats = [column(FLOATS, float) for _ in range(4)]
+        metrics = np.array([draw(FLOATS) for _ in range(n_iterations)])
+        out.append(Segment(1, iterations, assignment, *floats, metrics))
+    return IterationTrace(out, False, sum(len(seg.iterations) for seg in out))
 
 
-def constant_record(value, metric, iteration=7):
-    c = np.full(3, value)
-    return IterationRecord(iteration, 1, np.arange(3), np.zeros(3, dtype=int), c, c, c, c, metric)
+def constant_segment(value, metric, iteration=7):
+    """One iteration of three users whose four float columns all hold ``value``."""
+    c = np.full((1, 3), value)
+    return Segment(1, np.array([iteration]), np.zeros((1, 3), dtype=int), c, c, c, c, np.array([metric]))
 
 
 class TestTraceWriterGolden:
@@ -489,7 +491,7 @@ class TestTraceWriterGolden:
 
     def test_shipped_traces_cover_growing_and_offset_records(self):
         traces = {p.stem: run_scenario(parse_scenario(p.read_text()))[0] for p in SHIPPED_SCENARIOS}
-        sizes = [len(rec.user_ids) for rec in traces["new_user"].records]
+        sizes = [len(rec.powers) for rec in traces["new_user"].records]
         assert sizes[0] < sizes[-1]
         walk = traces["station_walk"].records
         # Move steps number their iterations on from the previous step's last.
@@ -505,9 +507,9 @@ class TestTraceWriterGolden:
 
     @settings(max_examples=200, deadline=None)
     @given(records())
-    @example(IterationTrace([constant_record(-3.5, 0.0)], True, 1))
-    @example(IterationTrace([constant_record(5e-324, 9.99999999996e-5)], True, 1))
-    @example(IterationTrace([constant_record(9.99999999996e-5, -2.5e-310, iteration=12)], True, 12))
+    @example(IterationTrace([constant_segment(-3.5, 0.0)], True, 1))
+    @example(IterationTrace([constant_segment(5e-324, 9.99999999996e-5)], True, 1))
+    @example(IterationTrace([constant_segment(9.99999999996e-5, -2.5e-310, iteration=12)], True, 12))
     def test_drawn_records(self, trace):
         assert written_trace(trace) == per_field_trace(trace)
 
@@ -549,13 +551,16 @@ ENCODER_FLOATS = st.tuples(
 ).map(lambda drawn: -drawn[0] if drawn[1] else drawn[0])
 
 
-def record_of(values, iteration=3, metric=0.5):
-    """One record whose four float columns are permutations of the values."""
-    v = np.array(values, dtype=float)
-    n = len(v)
-    return IterationRecord(
-        iteration, 1, np.arange(n), np.arange(n) % 3, v, v[::-1], np.roll(v, 1), np.roll(v, 2), metric
-    )
+def segment_of(values, iterations=(3,), metrics=(0.5,)):
+    """One segment whose four float columns are permutations of the values.
+
+    The values fill the given iterations row by row.
+    """
+    v = np.array(values, dtype=float).reshape(len(iterations), -1)
+    n = v.shape[1]
+    columns = (v, v[:, ::-1], np.roll(v, 1, axis=1), np.roll(v, 2, axis=1))
+    assignment = np.tile(np.arange(n) % 3, (len(iterations), 1))
+    return Segment(1, np.array(iterations), assignment, *columns, np.array(metrics, dtype=float))
 
 
 class TestTraceEncoder:
@@ -565,54 +570,62 @@ class TestTraceEncoder:
     @given(st.lists(ENCODER_FLOATS, min_size=1, max_size=40), ENCODER_FLOATS)
     @example([1.00000000005, 9.99999999995e99, -0.0, 1e23, 1e-13, 99999999999.5], math.inf)
     def test_adversarial_values(self, values, metric):
-        trace = IterationTrace([record_of(values, metric=metric)], False, 1)
+        trace = IterationTrace([segment_of(values, metrics=[metric])], False, 1)
         assert written_trace(trace) == per_field_trace(trace)
 
     def test_fast_and_fallback_values_in_one_chunk(self):
         trace, _ = run_scenario(parse_scenario(FULL))
-        first, second = trace.records[1:3]
+        (seg,) = trace.segments
         # Zeros, non-finite values, a near tie, an exponent past the exact
         # powers of ten, a 3-digit exponent and a subnormal, beside solver
         # output in the same chunk.
-        first.powers[:] = [0.0, math.nan]
-        first.rates[:] = [-math.inf, 1.00000000005]
-        second.utilities[:] = [-1e-300, 9.99999999995e99]
-        second.sinrs[0] = -2.5e-310
-        second.metric = math.nan
+        seg.powers[1] = [0.0, math.nan]
+        seg.rates[1] = [-math.inf, 1.00000000005]
+        seg.utilities[2] = [-1e-300, 9.99999999995e99]
+        seg.sinrs[2, 0] = -2.5e-310
+        seg.metrics[2] = math.nan
         assert written_trace(trace) == per_field_trace(trace)
 
     def test_trace_longer_than_one_chunk(self, monkeypatch):
         encoded = []
         encode_rows = scenario_module._encode_rows
         monkeypatch.setattr(
-            scenario_module, "_encode_rows", lambda recs: encoded.append(recs) or encode_rows(recs)
+            scenario_module,
+            "_encode_rows",
+            lambda seg, its: encoded.append((seg, its)) or encode_rows(seg, its),
         )
         rng = np.random.default_rng(7)
         chunk = scenario_module._TRACE_CHUNK_ROWS
-        # Record sizes straddle the chunk boundary, and one record alone is
-        # longer than a chunk.
-        sizes = [1, chunk - 1, 2, chunk // 3, chunk + 5, 0, 7]
-        records = []
-        for iteration, n in enumerate(sizes, start=1):
-            values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-15, 35, n)
-            values[rng.random(n) < 0.01] = 0.0
-            records.append(record_of(values, iteration=iteration * 997, metric=10.0**-iteration))
-        trace = IterationTrace(records, False, len(records))
+        # (users, iterations) per segment: user counts straddle the chunk
+        # boundary, one iteration alone is longer than a chunk, and one
+        # segment has no users.
+        shapes = [(1, 3), (chunk - 1, 2), (2, 700), (chunk // 3, 5), (chunk + 5, 2), (0, 2), (7, 300)]
+        segments, first = [], 1
+        for n, n_iterations in shapes:
+            size = n * n_iterations
+            values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-15, 35, size)
+            values[rng.random(size) < 0.01] = 0.0
+            its = np.arange(first, first + n_iterations)
+            segments.append(segment_of(values, iterations=its * 997, metrics=10.0**-its))
+            first += n_iterations
+        trace = IterationTrace(segments, False, first - 1)
         written = written_trace(trace)
-        assert written.count("\n") == 1 + sum(sizes) > 2 * chunk
+        assert written.count("\n") == 1 + sum(n * s for n, s in shapes) > 2 * chunk
         assert written == per_field_trace(trace)
-        # Chunks close once they reach the chunk size, so none holds more
-        # than a chunk beyond its last record.
-        chunk_rows = [[len(rec.user_ids) for rec in recs] for recs in encoded]
-        assert len(chunk_rows) > 2
-        assert all(sum(rows) - rows[-1] < chunk for rows in chunk_rows)
+        # A chunk holds whole iterations of one segment and closes once it
+        # reaches the chunk size, so none holds more than a chunk beyond its
+        # last iteration, and only a segment's last chunk falls short of one.
+        assert len(encoded) > len(shapes)
+        for seg, its in encoded:
+            n_iterations, n = seg.powers[its].shape
+            assert n_iterations * n - n < chunk
+            assert n_iterations * n >= chunk or its.stop >= len(seg.iterations)
 
     @pytest.mark.parametrize("value", [-(2**63), -1, 0, 9999, 10**4, 2**53 + 1, 2**63 - 1])
     def test_integer_columns(self, value):
-        rec = constant_record(1.5, 0.25, iteration=value)
-        rec.user_ids = np.array([value, 0, 10**12])
-        rec.assignment = np.array([0, value, 99999])
-        trace = IterationTrace([rec], False, 1)
+        seg = segment_of([1.5] * 9, iterations=[value, 0, 10**12], metrics=[0.25] * 3)
+        seg.assignment = np.array([[0, value, 99999], [value, 0, 10**12], [99999, 10**12, value]])
+        trace = IterationTrace([seg], False, 3)
         assert written_trace(trace) == per_field_trace(trace)
 
 
