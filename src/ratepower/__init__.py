@@ -26,7 +26,6 @@ from .engine import (
     Segment,
     bounded_step,
     bounded_step_array,
-    convergence_metric,
     iterate_to_convergence,
 )
 from .admission import (
@@ -47,6 +46,7 @@ from .oracle import (
     StandardFunctionReport,
     UtilityParamsBase,
     assign_base_station,
+    convergence_metric,
     effective_interference,
     effective_interference_by_station,
     fd_gradient_check,

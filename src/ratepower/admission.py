@@ -1,8 +1,10 @@
 """Pricing rules, pricing escalation, outcome classification, and user removal.
 
-A ``PricingRule`` is the one home of the pricing coefficient: escalation
-tests each coefficient as ``replace(rule, c=c)``. A user counts as at target
-when its SINR lies within the relative band ``AT_TARGET_TOL`` of its target.
+A ``PricingRule`` is the one home of the pricing coefficient and of the
+escalation step: escalation tests each coefficient as ``replace(rule, c=c)``,
+stepping by ``rule.dc``. Escalation and removal take the solve's settings as
+one ``ConvergenceConfig``. A user counts as at target when its SINR lies
+within the relative band ``AT_TARGET_TOL`` of its target.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ChannelModel, UserParams, _require_count, _require_finite, target_sinr
-from .engine import CLAMP, SYNCHRONOUS, ConvergenceConfig, IterationTrace, iterate_to_convergence
+from .engine import ConvergenceConfig, IterationTrace, iterate_to_convergence
 
 __all__ = [
     "BELOW_TARGET",
@@ -166,22 +168,17 @@ def escalate_pricing(
     channel: ChannelModel,
     users: list[UserParams],
     rule: PricingRule,
-    dc: float | None = None,
-    max_steps: int = 40,
-    policy: str = CLAMP,
     config: ConvergenceConfig | None = None,
-    schedule: str = SYNCHRONOUS,
+    max_steps: int = 40,
 ) -> EscalationResult:
     """Raise the pricing coefficient in steps of dc until nobody is below target.
 
-    Runs the game at rule.c, rule.c + dc, ... and stops at the first (hence
-    least) tested coefficient whose converged outcome has no below-target
-    user. The step is ``dc``, else ``rule.dc``, else a quarter of ``rule.c``.
+    Runs the game under ``config`` at rule.c, rule.c + dc, ... and stops at
+    the first (hence least) tested coefficient whose converged outcome has
+    no below-target user. The step dc is ``rule.dc``, else a quarter of
+    ``rule.c``.
     """
-    step = dc if dc is not None else (rule.dc if rule.dc is not None else 0.25 * rule.c)
-    _require_finite(dc=step)
-    if step <= 0:
-        raise ValueError("escalation step must be positive")
+    step = rule.dc if rule.dc is not None else 0.25 * rule.c
     max_steps = _require_count("max_steps", max_steps)
 
     targets = [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]
@@ -190,7 +187,7 @@ def escalate_pricing(
     for k in range(max_steps):
         c = rule.c + k * step
         priced = priced_users(replace(rule, c=c), channel, users)
-        trace = iterate_to_convergence(channel, priced, policy, config, schedule)
+        trace = iterate_to_convergence(channel, priced, config)
         tested.append(c)
         outcomes = classify_users(trace, targets)
         if BELOW_TARGET not in outcomes:
@@ -217,24 +214,20 @@ class RemovalResult:
 
 
 def removal_loop(
-    channel: ChannelModel,
-    users: list[UserParams],
-    policy: str = CLAMP,
-    config: ConvergenceConfig | None = None,
-    schedule: str = SYNCHRONOUS,
+    channel: ChannelModel, users: list[UserParams], config: ConvergenceConfig | None = None
 ) -> RemovalResult:
     """Remove below-target users one at a time until none remain below target.
 
     The user with the worst achieved-to-target SINR ratio goes first; after
-    each removal the game is re-solved over the survivors. Terminates in at
-    most len(users) rounds.
+    each removal the game is re-solved under ``config`` over the survivors.
+    Terminates in at most len(users) rounds.
     """
     active = list(range(len(users)))
     removed: list[int] = []
     while active:
         ch = channel.subset(active)
         us = [users[i] for i in active]
-        trace = iterate_to_convergence(ch, us, policy, config, schedule)
+        trace = iterate_to_convergence(ch, us, config)
         targets = np.array([target_sinr(u.alpha1, u.alpha2, ch.bandwidth_hz) for u in us])
         outcomes = classify_users(trace, targets)
         below = [k for k, o in enumerate(outcomes) if o == BELOW_TARGET]

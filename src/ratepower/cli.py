@@ -6,6 +6,7 @@ import argparse
 import functools
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -89,10 +90,13 @@ def _dispatch(args) -> int:
 def _load(args):
     with open(args.scenario, encoding="utf-8") as f:
         scenario = parse_scenario(f.read())
+    flags = {}
     if getattr(args, "policy", None):
-        scenario.policy = args.policy
+        flags["policy"] = _POLICY_ALIASES[args.policy]
     if getattr(args, "schedule", None):
-        scenario.schedule = _SCHEDULE_ALIASES[args.schedule]
+        flags["schedule"] = _SCHEDULE_ALIASES[args.schedule]
+    if flags:
+        scenario = replace(scenario, config=replace(scenario.config, **flags))
     return scenario
 
 
@@ -102,7 +106,7 @@ def _reject_unrun_sections(scenario, command: str, pricing: bool) -> None:
     dropped = [
         name
         for name, present in (
-            ("[run] rates", scenario.rate_set is not None),
+            ("[run] rates", scenario.config.rate_set is not None),
             ("[pricing]", not pricing and scenario.pricing is not None),
             ("[event arrival]", bool(scenario.arrivals)),
             ("[event move]", bool(scenario.moves)),
@@ -173,15 +177,10 @@ def _cmd_tune(args) -> int:
                 "tune-pricing without a [pricing] section needs a uniform user lambda"
             )
         rule = PricingRule("constant", lams.pop())
+    if args.dc is not None:
+        rule = replace(rule, dc=args.dc)
     result = escalate_pricing(
-        scenario.channel,
-        scenario.users,
-        rule,
-        dc=args.dc,
-        max_steps=args.max_steps,
-        policy=scenario.policy,
-        config=scenario.config,
-        schedule=scenario.schedule,
+        scenario.channel, scenario.users, rule, scenario.config, max_steps=args.max_steps
     )
     status = "achieved" if result.achieved else "not-achieved"
     print(f"tune-pricing: {status} c_final = {result.c_final:.10e} after {len(result.tested)} runs")
@@ -195,13 +194,7 @@ def _cmd_tune(args) -> int:
 def _cmd_remove(args) -> int:
     scenario = _load(args)
     _reject_unrun_sections(scenario, "remove-loop", pricing=False)
-    result = removal_loop(
-        scenario.channel,
-        scenario.users,
-        policy=scenario.policy,
-        config=scenario.config,
-        schedule=scenario.schedule,
-    )
+    result = removal_loop(scenario.channel, scenario.users, scenario.config)
     removed = [scenario.user_names[i] for i in result.removed]
     print(f"removed: {' '.join(removed) if removed else '(none)'}")
     if result.empty_network:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -121,14 +121,7 @@ class ChannelModel:
 
     def subset(self, user_indices) -> "ChannelModel":
         """Channel restricted to the given users, e.g. after removals."""
-        idx = np.asarray(user_indices, dtype=int)
-        return ChannelModel(
-            self.distances_m[idx],
-            self.pathloss_exponent,
-            self.shadowing,
-            self.noise_w,
-            self.bandwidth_hz,
-        )
+        return replace(self, distances_m=self.distances_m[np.asarray(user_indices, dtype=int)])
 
     def with_user(self, distances_row) -> "ChannelModel":
         """Channel extended by one arriving user."""
@@ -138,13 +131,7 @@ class ChannelModel:
                 f"arriving user has {row.shape[1]} distances, network has "
                 f"{self.n_stations} stations"
             )
-        return ChannelModel(
-            np.vstack([self.distances_m, row]),
-            self.pathloss_exponent,
-            self.shadowing,
-            self.noise_w,
-            self.bandwidth_hz,
-        )
+        return replace(self, distances_m=np.vstack([self.distances_m, row]))
 
     def moved(self, user_index: int, distances_row) -> "ChannelModel":
         """Channel with one user's distances replaced (a movement step)."""
@@ -156,9 +143,7 @@ class ChannelModel:
             )
         d = self.distances_m.copy()
         d[user_index] = row
-        return ChannelModel(
-            d, self.pathloss_exponent, self.shadowing, self.noise_w, self.bandwidth_hz
-        )
+        return replace(self, distances_m=d)
 
 
 @dataclass(frozen=True)

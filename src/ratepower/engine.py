@@ -1,14 +1,15 @@
 """The solver: the bounded best response and the one fixed-point loop.
 
-Holds the convergence config, the trace types, the bounded best response
-under its two boundary policies ("clamp" projects the unconstrained response
-onto the strategy box, "kkt" re-optimizes the free coordinate from the
-boundary stationarity quadratics) as a scalar kernel and as array code, and
-``iterate_to_convergence``, the fixed-point iteration every solve runs:
-single-cell, multi-cell with base-station assignment, and runs with arriving
-users. The single-cell game is the one-station case of the joint one. The
-scalar statements of the formulas it runs live in ``oracle``, which this
-module does not import.
+Holds ``ConvergenceConfig``, the one home of a solve's settings (stopping
+rule, boundary policy, update schedule, rate ladder), the trace types, the
+bounded best response under its two boundary policies ("clamp" projects the
+unconstrained response onto the strategy box, "kkt" re-optimizes the free
+coordinate from the boundary stationarity quadratics) as a scalar kernel and
+as array code, and ``iterate_to_convergence``, the fixed-point iteration
+every solve runs: single-cell, multi-cell with base-station assignment, and
+runs with arriving users. The single-cell game is the one-station case of
+the joint one. The scalar statements of the formulas it runs, the step
+metric's among them, live in ``oracle``, which this module does not import.
 
 Each iterate's station totals come from one ``p @ g``, and its (users x
 stations) effective-interference matrix from them; the matrix feeds that
@@ -32,9 +33,10 @@ of the run closes the last one. SINR and utility for a whole segment come
 from one vectorised pass over the channel and users it played.
 
 A solve starts at each user's own initial strategy (``UserParams.p_init``
-and ``r_init``, checked against its box when the user is built). With a rate
-ladder the loop, not the sweeps, snaps the rates: every iteration's, or only
-the converged row's. Rates never enter the power update or the station rule,
+and ``r_init``, checked against its box when the user is built). Its config
+is checked once, when it is built, not on every solve. With a rate ladder
+the loop, not the sweeps, snaps the rates: every iteration's, or only the
+converged row's. Rates never enter the power update or the station rule,
 so both placements give the powers and stations of the continuous game.
 
 Within one iteration the per-user updates are pure; the loop itself is
@@ -68,7 +70,6 @@ __all__ = [
     "bounded_step",
     "bounded_step_array",
     "iterate_to_convergence",
-    "convergence_metric",
 ]
 
 CLAMP = "clamp"
@@ -91,25 +92,35 @@ _EPS = 1e-30
 TIE_REL_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceConfig:
-    """Stopping rule for the iteration loop.
+    """One solve's settings: its stopping rule, boundary policy, schedule and rate ladder.
 
     The "relative" metric normalizes each coordinate by its current magnitude
     so watts and bps weigh equally; "absolute" is the literal |dp| + |dr| sum
-    and needs a delta chosen for the scenario's scales.
+    and needs a delta chosen for the scenario's scales. With a ``rate_set``
+    the loop snaps every iteration's rates onto it, or with
+    ``quantize_at_convergence`` only the converged row's. Every choice is
+    checked here, once, when the config is built.
     """
 
     delta: float = 1e-9
     max_iterations: int = 500
     metric: str = METRIC_RELATIVE
+    policy: str = CLAMP
+    schedule: str = SYNCHRONOUS
+    rate_set: RateSet | None = None
+    quantize_at_convergence: bool = False
 
     def __post_init__(self) -> None:
         _require_finite(delta=self.delta)
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        self.max_iterations = _require_count("max_iterations", self.max_iterations)
+        count = _require_count("max_iterations", self.max_iterations)
+        object.__setattr__(self, "max_iterations", count)
         _check_choice("metric", self.metric, METRICS)
+        _check_choice("policy", self.policy, POLICIES)
+        _check_choice("schedule", self.schedule, SCHEDULES)
 
 
 @dataclass(frozen=True)
@@ -276,29 +287,8 @@ def _bounded_step_stack(t: UserTable, r_eff: np.ndarray, kkt: bool) -> np.ndarra
     return np.where(ok & ~ok[::-1], np.minimum(np.maximum(q, t.lo), t.hi), box)
 
 
-def convergence_metric(
-    prev_powers, prev_rates, powers, rates, kind: str = METRIC_RELATIVE
-) -> float:
-    """Largest per-user step between consecutive iterates.
-
-    The loop computes the same value from ``_step_metric`` on its stacked
-    (2, n) states; this four-vector statement is that function's oracle.
-    """
-    _check_choice("metric", kind, METRICS)
-    vectors = [np.asarray(v, dtype=float) for v in (prev_powers, prev_rates, powers, rates)]
-    if len({v.shape for v in vectors}) != 1 or vectors[0].ndim != 1:
-        raise ValueError("metric needs four vectors of one length")
-    prev_powers, prev_rates, powers, rates = vectors
-    dp = np.abs(powers - prev_powers)
-    dr = np.abs(rates - prev_rates)
-    if kind == METRIC_ABSOLUTE:
-        return float((dp + dr).max())
-    rel = dp / np.maximum(np.abs(powers), _EPS) + dr / np.maximum(np.abs(rates), _EPS)
-    return float(rel.max())
-
-
 def _step_metric(prev: np.ndarray, new: np.ndarray, kind: str) -> float:
-    # convergence_metric on two (2, n) states [powers; rates] and a valid kind.
+    # oracle.convergence_metric on two (2, n) states [powers; rates] and a valid kind.
     d = np.abs(new - prev)
     if kind != METRIC_ABSOLUTE:
         d /= np.maximum(np.abs(new), _EPS)
@@ -308,11 +298,7 @@ def _step_metric(prev: np.ndarray, new: np.ndarray, kind: str) -> float:
 def iterate_to_convergence(
     channel: ChannelModel,
     users: list[UserParams],
-    policy: str = CLAMP,
     config: ConvergenceConfig | None = None,
-    schedule: str = SYNCHRONOUS,
-    rate_set: RateSet | None = None,
-    quantize_at_convergence: bool = False,
     initial_assignment=None,
     arrivals=(),
     reprice=None,
@@ -322,14 +308,15 @@ def iterate_to_convergence(
     Each iteration every user first moves to the station where its effective
     interference is least (ties keep the current station), then takes its
     bounded best response there; with one station this is the single-cell
-    game. The synchronous schedule evaluates every user against the previous
-    iterate; the sequential schedule updates users in order against the
-    freshest powers. Users start at their initial strategies on station 0
+    game. ``config`` (default ``ConvergenceConfig()``) holds every setting of
+    the solve. The synchronous schedule evaluates every user against the
+    previous iterate; the sequential schedule updates users in order against
+    the freshest powers. Users start at their initial strategies on station 0
     (or ``initial_assignment``).
 
-    When ``rate_set`` is given, every iteration's rates are snapped down to
+    With a ``config.rate_set``, every iteration's rates are snapped down to
     the ladder after its sweep (or only once at convergence with
-    ``quantize_at_convergence=True``, in the last iteration's row before its
+    ``config.quantize_at_convergence``, in the last iteration's row before its
     segment is built; the converged powers are identical either way because
     rates never enter the power update).
 
@@ -343,8 +330,6 @@ def iterate_to_convergence(
     ``config.max_iterations`` could never fire. Non-convergence within
     max_iterations is reported on the trace, not raised.
     """
-    _check_choice("policy", policy, POLICIES)
-    _check_choice("schedule", schedule, SCHEDULES)
     config = config if config is not None else ConvergenceConfig()
     users = list(users)
     if len(users) != channel.n_users:
@@ -369,7 +354,8 @@ def iterate_to_convergence(
         # Grow a throwaway channel so a bad row fails here, not when it fires.
         channel.with_user(ev.distances_m)
 
-    kkt = policy == KKT
+    kkt = config.policy == KKT
+    rate_set, at_convergence = config.rate_set, config.quantize_at_convergence
     table = None  # built once per network the run plays
     segments: list[Segment] = []
     # The open segment's (iteration, assignment, state, metric, assigned
@@ -397,11 +383,11 @@ def iterate_to_convergence(
             totals = state[0] @ g
             reffs = _station_reffs(g, noise, state[0], totals)
             ids = np.arange(len(users))
-        if schedule == SYNCHRONOUS:
+        if config.schedule == SYNCHRONOUS:
             new, assignment = _synchronous_sweep(table, reffs, assignment, kkt)
         else:
             new, assignment = _sequential_sweep(g, noise, table, state[0], totals, assignment, kkt)
-        if rate_set is not None and not quantize_at_convergence:
+        if rate_set is not None and not at_convergence:
             new[1] = _snap(rate_set, new[1])
         metric = _step_metric(state, new, config.metric)
         state = new
@@ -413,7 +399,7 @@ def iterate_to_convergence(
             converged = True
             break
 
-    if converged and quantize_at_convergence and rate_set is not None:
+    if converged and at_convergence and rate_set is not None:
         it, a, final, *tail = rows[-1]
         rows[-1] = (it, a, np.stack([final[0], _snap(rate_set, final[1])]), *tail)
     segments.append(_segment(channel, table, rows))

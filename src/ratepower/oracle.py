@@ -7,9 +7,11 @@ the utilities and the priced one's gradient and Hessian), the game (the
 unpriced equilibrium, the closed-form best response, the two boundary
 updates, the symmetric fixed point), the least-interference station rule,
 the power-update map with a sampler of the standard-interference-function
-properties (Yates, IEEE JSAC 1995) that make the equilibrium unique, and
-brute force: a grid argmax, finite differences and a per-user SINR
-recomputation of a trace record. Deliberately unoptimized.
+properties (Yates, IEEE JSAC 1995) that make the equilibrium unique, the
+loop's step metric, and brute force: a grid argmax, finite differences and
+a per-user SINR recomputation of a trace record. Deliberately unoptimized.
+From ``engine`` it takes only constants and types, never a function, so the
+solver is always checked against a statement of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ChannelModel, Strategy, UserParams, UserTable
-from .engine import TIE_REL_TOL, IterationRecord, _station_reffs
+from .engine import _EPS, METRIC_ABSOLUTE, METRIC_RELATIVE, METRICS, TIE_REL_TOL, IterationRecord
 
 __all__ = [
     "UtilityParamsBase",
@@ -38,6 +40,7 @@ __all__ = [
     "effective_interference_by_station",
     "assign_base_station",
     "power_update_map",
+    "convergence_metric",
     "StandardFunctionReport",
     "standard_function_check",
     "grid_best_response",
@@ -307,13 +310,36 @@ def power_update_map(channel: ChannelModel, users: list[UserParams], clamped: bo
 
     def apply(powers) -> np.ndarray:
         p = np.asarray(powers, dtype=float)
-        reffs = _station_reffs(channel.gains, channel.noise_w, p, p @ channel.gains)
+        reffs = np.array([effective_interference_by_station(channel, p, i) for i in range(len(p))])
         out = np.sqrt(half_ratio[:, None] * reffs).min(axis=1)
         if clamped:
             out = np.clip(out, t.p_min, t.p_max)
         return out
 
     return apply
+
+
+def convergence_metric(
+    prev_powers, prev_rates, powers, rates, kind: str = METRIC_RELATIVE
+) -> float:
+    """Largest per-user step between consecutive iterates.
+
+    The loop computes the same value from ``engine._step_metric`` on its
+    stacked (2, n) states; this four-vector statement is that function's
+    oracle.
+    """
+    if kind not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {kind!r}")
+    vectors = [np.asarray(v, dtype=float) for v in (prev_powers, prev_rates, powers, rates)]
+    if len({v.shape for v in vectors}) != 1 or vectors[0].ndim != 1:
+        raise ValueError("metric needs four vectors of one length")
+    prev_powers, prev_rates, powers, rates = vectors
+    dp = np.abs(powers - prev_powers)
+    dr = np.abs(rates - prev_rates)
+    if kind == METRIC_ABSOLUTE:
+        return float((dp + dr).max())
+    rel = dp / np.maximum(np.abs(powers), _EPS) + dr / np.maximum(np.abs(rates), _EPS)
+    return float(rel.max())
 
 
 @dataclass

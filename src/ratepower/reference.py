@@ -86,12 +86,13 @@ def _scenario_text(
     lam,
     p_max,
     r_max,
-    noise_w=5e-15,
+    noise_w=None,
     extra="",
 ) -> str:
+    # An absent noise_w keeps ChannelModel's default.
     if np.isscalar(alpha2):
         alpha2 = [alpha2] * len(distances)
-    parts = [f"[network]\nnoise_w = {noise_w!r}\n"]
+    parts = [] if noise_w is None else [f"[network]\nnoise_w = {noise_w!r}\n"]
     for k, (d, a2) in enumerate(zip(distances, alpha2), start=1):
         row = d if isinstance(d, (list, tuple)) else [d]
         parts.append(
@@ -327,20 +328,16 @@ def _reproduce_table3() -> ComparisonReport:
     # The boundary rows replayed under the kkt policy land on the stationarity
     # root instead; reported against its own reference, not as a failure.
     for m, r_kkt in TABLE3_KKT_RATES.items():
-        _, summary = run_scenario(replace(table3_scenario(m), policy=KKT))
+        scenario = table3_scenario(m)
+        _, summary = run_scenario(replace(scenario, config=replace(scenario.config, policy=KKT)))
         checks.append(_bool_check(f"m{m}.kkt.converged", summary.converged))
         checks.append(_rel_check(f"m{m}.kkt.p_w", summary.powers[0], 0.0647, 0.005))
         checks.append(_rel_check(f"m{m}.kkt.r_bps", summary.rates[0], r_kkt, 0.005))
 
     for m, (c_exp, r_exp, g_exp) in TABLE3_ESCALATED.items():
         scenario = table3_scenario(m)
-        result = escalate_pricing(
-            scenario.channel,
-            scenario.users,
-            PricingRule("constant", 4e-4),
-            dc=1e-4,
-            max_steps=40,
-        )
+        rule = PricingRule("constant", 4e-4, dc=1e-4)
+        result = escalate_pricing(scenario.channel, scenario.users, rule)
         checks.append(_bool_check(f"m{m}.escalation.achieved", result.achieved))
         checks.append(_rel_check(f"m{m}.escalation.c_final", result.c_final, c_exp, 1e-9))
         checks.append(_rel_check(f"m{m}.escalation.r_bps", result.trace.final_rates[0], r_exp, 0.005))

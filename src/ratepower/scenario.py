@@ -9,6 +9,12 @@ A scenario file is line-oriented, sectioned key = value text:
     [event arrival]      a user that starts transmitting mid-run
     [event move]         a user whose distances change between solver steps
 
+The parser passes the keys a section holds, and only those, to the
+dataclass they fill: a user's to ``UserParams``, ``[network]`` to
+``ChannelModel``, ``[run]`` to ``ConvergenceConfig`` (the scenario's
+``config``, every setting of its solves) and ``[pricing]`` to
+``PricingRule``, so every default lives on its dataclass alone.
+
 Numbers accept scientific notation and must be finite; lists (distances_m,
 rates) are whitespace separated; '#' starts a comment. Events share one
 timeline: arrivals fire at their iteration of solver step 1, and each later
@@ -70,7 +76,7 @@ __all__ = [
 
 TRACE_HEADER = "iter,user,bs,p_w,r_bps,sinr,utility,metric"
 
-_NETWORK_KEYS = {"bandwidth_hz", "noise_w", "pathloss_exponent", "shadowing"}
+_NETWORK_KEYS = ("pathloss_exponent", "shadowing", "noise_w", "bandwidth_hz")
 _USER_KEYS = {
     "distances_m",
     "alpha1",
@@ -96,6 +102,11 @@ _SCHEDULE_ALIASES = {
     "seq": SEQUENTIAL,
 }
 _METRIC_ALIASES = {"relative": METRIC_RELATIVE, "absolute": METRIC_ABSOLUTE}
+_RUN_CHOICES = (
+    ("policy", _POLICY_ALIASES),
+    ("schedule", _SCHEDULE_ALIASES),
+    ("metric", _METRIC_ALIASES),
+)
 _QUANTIZE_MODES = {"per_iteration": False, "at_convergence": True}
 
 
@@ -125,16 +136,12 @@ class MoveEvent:
 
 @dataclass
 class Scenario:
-    """Everything needed to execute one experiment."""
+    """Everything needed to execute one experiment; ``config`` holds the solve's settings."""
 
     channel: ChannelModel
     users: list[UserParams]
     user_names: list[str]
-    policy: str = CLAMP
-    schedule: str = SYNCHRONOUS
     config: ConvergenceConfig = field(default_factory=ConvergenceConfig)
-    rate_set: RateSet | None = None
-    quantize_at_convergence: bool = False
     pricing: PricingRule | None = None
     arrivals: list[ArrivalEvent] = field(default_factory=list)
     moves: list[MoveEvent] = field(default_factory=list)
@@ -206,63 +213,49 @@ def parse_scenario(text: str) -> Scenario:
         params.append(_build_user(name, body, line_no))
 
     try:
-        channel = ChannelModel(
-            np.array(distances),
-            pathloss_exponent=_get_float(network, "pathloss_exponent", 4.0),
-            shadowing=_get_float(network, "shadowing", 0.097),
-            noise_w=_get_float(network, "noise_w", 5e-15),
-            bandwidth_hz=_get_float(network, "bandwidth_hz", 1e6),
-        )
+        channel = ChannelModel(np.array(distances), **_present(network, _NETWORK_KEYS, _get_float))
     except ValueError as exc:
         raise ScenarioFormatError(f"[network]: {exc}") from exc
 
-    policy = _alias(run, "policy", _POLICY_ALIASES, CLAMP)
-    schedule = _alias(run, "schedule", _SCHEDULE_ALIASES, SYNCHRONOUS)
-    metric = _alias(run, "metric", _METRIC_ALIASES, METRIC_RELATIVE)
-    try:
-        config = ConvergenceConfig(
-            delta=_get_float(run, "delta", 1e-9),
-            max_iterations=_get_int(run, "max_iterations", 500),
-            metric=metric,
-        )
-    except ValueError as exc:
-        raise ScenarioFormatError(f"[run]: {exc}") from exc
-
-    rate_set = None
+    settings = {key: _alias(run, key, aliases) for key, aliases in _RUN_CHOICES if key in run}
+    settings |= _present(run, ("delta",), _get_float)
+    settings |= _present(run, ("max_iterations",), _get_int)
     if "rates" in run:
         try:
-            rate_set = RateSet(tuple(_floats(run["rates"])))
+            settings["rate_set"] = RateSet(tuple(_floats(run["rates"])))
         except ValueError as exc:
             raise ScenarioFormatError(f"line {run['rates'][1]}: {exc}") from exc
-    quantize_at_convergence = False
     if "quantize" in run:
         raw, line_no = run["quantize"]
-        if rate_set is None:
+        if "rates" not in run:
             raise ScenarioFormatError(f"line {line_no}: quantize needs a rates ladder")
         if raw not in _QUANTIZE_MODES:
             raise ScenarioFormatError(
                 f"line {line_no}: quantize must be one of {sorted(_QUANTIZE_MODES)}"
             )
-        quantize_at_convergence = _QUANTIZE_MODES[raw]
+        settings["quantize_at_convergence"] = _QUANTIZE_MODES[raw]
+    try:
+        config = ConvergenceConfig(**settings)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"[run]: {exc}") from exc
 
     pricing_rule = None
     if pricing:
-        kind_raw, kind_line = pricing.get("rule", ("constant", 0))
-        if kind_raw not in PRICING_KINDS:
-            raise ScenarioFormatError(
-                f"line {kind_line}: pricing rule must be one of {PRICING_KINDS}"
-            )
+        rule = {}
+        if "rule" in pricing:
+            rule["kind"], kind_line = pricing["rule"]
+            if rule["kind"] not in PRICING_KINDS:
+                raise ScenarioFormatError(
+                    f"line {kind_line}: pricing rule must be one of {PRICING_KINDS}"
+                )
+        rule |= _present(pricing, ("c", "dc"), _get_float)
         try:
-            pricing_rule = PricingRule(
-                kind=kind_raw,
-                c=_get_float(pricing, "c", 1e-4),
-                dc=_get_float(pricing, "dc", None),
-            )
+            pricing_rule = PricingRule(**rule)
         except ValueError as exc:
             raise ScenarioFormatError(f"[pricing]: {exc}") from exc
-        if channel.n_stations > 1 and kind_raw in GAIN_DEPENDENT_KINDS:
+        if channel.n_stations > 1 and pricing_rule.kind in GAIN_DEPENDENT_KINDS:
             raise ScenarioFormatError(
-                f"line {kind_line}: gain-dependent pricing cannot be used with "
+                f"line {pricing['rule'][1]}: gain-dependent pricing cannot be used with "
                 f"{channel.n_stations} stations"
             )
 
@@ -272,7 +265,7 @@ def parse_scenario(text: str) -> Scenario:
     for body, line_no in arrivals_raw:
         if "iteration" not in body or "user" not in body:
             raise ScenarioFormatError(f"line {line_no}: arrival needs iteration and user keys")
-        iteration = _get_int(body, "iteration", None)
+        iteration = _get_int(body, "iteration")
         if iteration < 1:
             raise ScenarioFormatError(f"line {line_no}: arrival iteration must be >= 1")
         if iteration <= last_arrival:
@@ -296,7 +289,7 @@ def parse_scenario(text: str) -> Scenario:
     for body, line_no in moves_raw:
         if "step" not in body or "user" not in body or "distances_m" not in body:
             raise ScenarioFormatError(f"line {line_no}: move needs step, user and distances_m keys")
-        step = _get_int(body, "step", None)
+        step = _get_int(body, "step")
         if step < 1:
             raise ScenarioFormatError(f"line {line_no}: move step must be >= 1")
         if step <= last_step:
@@ -316,11 +309,7 @@ def parse_scenario(text: str) -> Scenario:
         channel=channel,
         users=params,
         user_names=names,
-        policy=policy,
-        schedule=schedule,
         config=config,
-        rate_set=rate_set,
-        quantize_at_convergence=quantize_at_convergence,
         pricing=pricing_rule,
         arrivals=arrivals,
         moves=moves,
@@ -388,16 +377,12 @@ def _float_value(raw, line_no):
     return value
 
 
-def _get_float(body, key, default):
-    if key not in body:
-        return default
+def _get_float(body, key):
     raw, line_no = body[key]
     return _float_value(raw, line_no)
 
 
-def _get_int(body, key, default):
-    if key not in body:
-        return default
+def _get_int(body, key):
     raw, line_no = body[key]
     try:
         value = int(raw)
@@ -411,13 +396,17 @@ def _floats(entry):
     return [_float_value(tok, line_no) for tok in raw.split()]
 
 
-def _alias(body, key, aliases, default):
-    if key not in body:
-        return default
+def _alias(body, key, aliases):
     raw, line_no = body[key]
     if raw not in aliases:
         raise ScenarioFormatError(f"line {line_no}: {key} must be one of {sorted(aliases)}")
     return aliases[raw]
+
+
+def _present(body, keys, parse) -> dict:
+    # The keys of ``keys`` that ``body`` holds, parsed; an absent key keeps
+    # the default of the dataclass the values are passed to.
+    return {key: parse(body, key) for key in keys if key in body}
 
 
 def _build_user(name, body, line_no) -> UserParams:
@@ -430,9 +419,9 @@ def _build_user(name, body, line_no) -> UserParams:
                 "across stations"
             )
         kwargs["lam"] = values[0]
-    for key in ("alpha1", "alpha2", "p_min", "p_max", "r_min", "r_max", "p_init", "r_init"):
-        if key in body:
-            kwargs[key] = _get_float(body, key, None)
+    kwargs |= _present(
+        body, ("alpha1", "alpha2", "p_min", "p_max", "r_min", "r_max", "p_init", "r_init"), _get_float
+    )
     try:
         return UserParams(**kwargs)
     except ValueError as exc:
@@ -456,16 +445,17 @@ def scenario_to_text(s: Scenario) -> str:
         out.append("distances_m = " + " ".join(repr(float(d)) for d in row))
         out.extend(_user_lines(user))
     out.append("")
+    config = s.config
     out.append("[run]")
-    out.append(f"policy = {s.policy}")
-    out.append(f"schedule = {s.schedule}")
-    out.append(f"delta = {s.config.delta!r}")
-    out.append(f"max_iterations = {s.config.max_iterations}")
-    out.append(f"metric = {s.config.metric}")
-    if s.rate_set is not None:
-        out.append("rates = " + " ".join(repr(float(r)) for r in s.rate_set.rates))
+    out.append(f"policy = {config.policy}")
+    out.append(f"schedule = {config.schedule}")
+    out.append(f"delta = {config.delta!r}")
+    out.append(f"max_iterations = {config.max_iterations}")
+    out.append(f"metric = {config.metric}")
+    if config.rate_set is not None:
+        out.append("rates = " + " ".join(repr(float(r)) for r in config.rate_set.rates))
         out.append(
-            "quantize = " + ("at_convergence" if s.quantize_at_convergence else "per_iteration")
+            "quantize = " + ("at_convergence" if config.quantize_at_convergence else "per_iteration")
         )
     if s.pricing is not None:
         out.append("")
@@ -567,11 +557,7 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
         trace = iterate_to_convergence(
             channel,
             reprice(channel, users),
-            scenario.policy,
             scenario.config,
-            scenario.schedule,
-            scenario.rate_set,
-            scenario.quantize_at_convergence,
             arrivals=scenario.arrivals if step_no == 1 else (),
             reprice=reprice,
         )
@@ -598,19 +584,13 @@ def sweep_lambda(
 ) -> list[tuple[float, IterationTrace, RunSummary]]:
     """Run the scenario once per pricing value, uniform across users.
 
-    Arriving users are priced at the swept value too. The swept value wins
-    over any [pricing] section the scenario carries.
+    Each value is a constant pricing rule, so arriving users are priced at
+    it too, and it wins over any [pricing] section the scenario carries.
     """
     results = []
     for lam in lambdas:
         lam = float(lam)
-        swept = replace(
-            scenario,
-            pricing=None,
-            users=[replace(u, lam=lam) for u in scenario.users],
-            arrivals=[replace(ev, user=replace(ev.user, lam=lam)) for ev in scenario.arrivals],
-        )
-        trace, summary = run_scenario(swept)
+        trace, summary = run_scenario(replace(scenario, pricing=PricingRule("constant", lam)))
         results.append((lam, trace, summary))
     return results
 

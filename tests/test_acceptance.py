@@ -12,7 +12,7 @@ import pytest
 from conftest import sample_calculus_point, starting_at
 from ratepower.admission import PricingRule, escalate_pricing
 from ratepower.core import ChannelModel, UserParams, target_sinr
-from ratepower.engine import KKT, iterate_to_convergence
+from ratepower.engine import KKT, ConvergenceConfig, iterate_to_convergence
 from ratepower.oracle import (
     fd_gradient_check,
     grid_best_response,
@@ -126,7 +126,8 @@ def test_criterion_04_boundary_rows_both_policies():
     from dataclasses import replace
 
     for m, r_ref in kkt_expected.items():
-        scenario = replace(table3_scenario(m), policy=KKT)
+        scenario = table3_scenario(m)
+        scenario = replace(scenario, config=replace(scenario.config, policy=KKT))
         _, summary = run_scenario(scenario)
         assert summary.converged
         assert summary.powers[0] == pytest.approx(0.0647, rel=0.005)
@@ -145,7 +146,7 @@ def test_criterion_05_pricing_escalation_rows():
     for m, (c_final, r) in expected.items():
         scenario = table3_scenario(m)
         result = escalate_pricing(
-            scenario.channel, scenario.users, PricingRule("constant", 4e-4), dc=1e-4
+            scenario.channel, scenario.users, PricingRule("constant", 4e-4, dc=1e-4)
         )
         assert result.achieved
         assert result.c_final == pytest.approx(c_final, rel=1e-9)
@@ -342,7 +343,7 @@ def test_criterion_16_discrete_rates_hold_target():
     rng = np.random.default_rng(109)
     for _ in range(20):
         channel, users = random_single_cell(rng)
-        trace = iterate_to_convergence(channel, users, rate_set=ladder)
+        trace = iterate_to_convergence(channel, users, ConvergenceConfig(rate_set=ladder))
         assert trace.converged
         targets = np.array(
             [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]

@@ -105,7 +105,7 @@ class TestClassifyUsers:
 class TestEscalatePricing:
     def test_six_user_reference(self):
         channel, users = table3_setup(6)
-        result = escalate_pricing(channel, users, PricingRule("constant", 4e-4), dc=1e-4)
+        result = escalate_pricing(channel, users, PricingRule("constant", 4e-4, dc=1e-4))
         assert result.achieved
         assert result.c_final == pytest.approx(5e-4, rel=1e-12)
         assert result.trace.final_rates[0] == pytest.approx(15445.0, rel=5e-3)
@@ -113,21 +113,21 @@ class TestEscalatePricing:
 
     def test_seven_user_reference(self):
         channel, users = table3_setup(7)
-        result = escalate_pricing(channel, users, PricingRule("constant", 4e-4), dc=1e-4)
+        result = escalate_pricing(channel, users, PricingRule("constant", 4e-4, dc=1e-4))
         assert result.achieved
         assert result.c_final == pytest.approx(6e-4, rel=1e-12)
         assert result.trace.final_rates[0] == pytest.approx(12871.0, rel=5e-3)
 
     def test_already_at_target_returns_initial_coefficient(self):
         channel, users = table3_setup(5)
-        result = escalate_pricing(channel, users, PricingRule("constant", 4e-4), dc=1e-4)
+        result = escalate_pricing(channel, users, PricingRule("constant", 4e-4, dc=1e-4))
         assert result.achieved
         assert result.c_final == pytest.approx(4e-4)
         assert result.tested == [pytest.approx(4e-4)]
 
     def test_returns_least_passing_coefficient_on_grid(self):
         channel, users = table3_setup(6)
-        result = escalate_pricing(channel, users, PricingRule("constant", 4e-4), dc=5e-5)
+        result = escalate_pricing(channel, users, PricingRule("constant", 4e-4, dc=5e-5))
         assert result.achieved
         # every smaller tested coefficient left someone below target
         for c in result.tested[:-1]:
@@ -136,7 +136,7 @@ class TestEscalatePricing:
     def test_budget_exhaustion_flags_not_achieved(self):
         channel, users = table3_setup(6)
         result = escalate_pricing(
-            channel, users, PricingRule("constant", 4e-4), dc=1e-6, max_steps=3
+            channel, users, PricingRule("constant", 4e-4, dc=1e-6), max_steps=3
         )
         assert not result.achieved
         assert len(result.tested) == 3
@@ -167,12 +167,12 @@ class TestEscalatePricing:
     def test_non_finite_start_or_step_rejected(self, name, bad):
         channel, users = table3_setup(6)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            escalate_pricing(channel, users, PricingRule("constant", 4e-4), **{name: bad})
+            escalate_pricing(channel, users, PricingRule("constant", 4e-4, **{name: bad}))
 
     def test_numpy_integer_max_steps_accepted(self):
         channel, users = table3_setup(6)
         result = escalate_pricing(
-            channel, users, PricingRule("constant", 4e-4), dc=1e-6, max_steps=np.int64(2)
+            channel, users, PricingRule("constant", 4e-4, dc=1e-6), max_steps=np.int64(2)
         )
         assert not result.achieved and len(result.tested) == 2
 

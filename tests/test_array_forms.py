@@ -42,16 +42,17 @@ from ratepower.engine import (
     ConvergenceConfig,
     bounded_step,
     bounded_step_array,
-    convergence_metric,
     _best_response,
     _segment,
     _sequential_sweep,
     _snap,
+    _station_reffs,
     _step_metric,
     iterate_to_convergence,
 )
 from ratepower.oracle import (
     assign_base_station,
+    convergence_metric,
     effective_interference,
     effective_interference_by_station,
     power_update_rate_bounded,
@@ -247,13 +248,13 @@ def networks(draw, max_users=8, max_stations=4, min_users=1):
 
 def sweep(channel, users, state, policy=CLAMP, rate_set=None, schedule=SYNCHRONOUS):
     """One iteration of the loop from ``state``."""
+    config = ConvergenceConfig(
+        max_iterations=1, policy=policy, schedule=schedule, rate_set=rate_set
+    )
     trace = iterate_to_convergence(
         channel,
         starting_at(users, state.powers, state.rates),
-        policy,
-        ConvergenceConfig(max_iterations=1),
-        schedule,
-        rate_set,
+        config,
         initial_assignment=state.assignment,
     )
     record = trace.final
@@ -353,6 +354,18 @@ class TestSynchronousSweep:
         state = State(powers, np.full(5, 1000.0), np.array([0, 0, 2, 1, 1]))
         with pytest.raises(ValueError, match="missing station"):
             sweep(channel, users, state)
+
+    def test_interference_below_the_own_term_clips_to_the_noise_floor(self):
+        # A fresh p @ g never falls below one of its own terms, but running
+        # totals can, by cancellation; the result then clips to the noise
+        # floor, as in the oracle and the sequential sweep, never below it.
+        channel, _, powers = mirror_network(0.0)
+        g, noise = channel.gains, channel.noise_w
+        totals = powers @ g
+        totals[0] = np.nextafter(g[0, 0] * powers[0], 0.0)
+        got = _station_reffs(g, noise, powers, totals)
+        assert got[0, 0] == noise / g[0, 0]
+        assert (got >= noise / g).all()
 
 
 # Subtracting a user's own term from its station total, as the loop does,
@@ -596,13 +609,11 @@ class TestOneStationLoop:
     )
     def test_equals_scalar_oracle_loop(self, network, policy, schedule, arrival):
         channel, users, state = network
-        config = ConvergenceConfig(max_iterations=300)
+        config = ConvergenceConfig(max_iterations=300, policy=policy, schedule=schedule)
         trace = iterate_to_convergence(
             channel,
             starting_at(users, state.powers, state.rates),
-            policy,
             config,
-            schedule,
             arrivals=[] if arrival is None else [arrival],
         )
         iterations, channel, want = oracle_loop(channel, users, state, policy, schedule, config, arrival)
@@ -687,14 +698,18 @@ def run_priced(
 ):
     channel, users, state, events = run
     pricing = CountPricing()
+    config = ConvergenceConfig(
+        max_iterations=iterations,
+        metric=metric,
+        policy=policy,
+        schedule=schedule,
+        rate_set=rate_set,
+        quantize_at_convergence=quantize,
+    )
     trace = iterate_to_convergence(
         channel,
         pricing(channel, starting_at(users, state.powers, state.rates)),
-        policy,
-        ConvergenceConfig(max_iterations=iterations, metric=metric),
-        schedule,
-        rate_set,
-        quantize,
+        config,
         initial_assignment=state.assignment,
         arrivals=events,
         reprice=pricing,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +16,10 @@ from ratepower.engine import (
     SEQUENTIAL,
     ConvergenceConfig,
     bounded_step,
-    convergence_metric,
     iterate_to_convergence,
 )
 from ratepower.oracle import (
+    convergence_metric,
     njrpcg_equilibrium,
     power_update_map,
     power_update_rate_bounded,
@@ -243,7 +245,7 @@ class TestIterateToConvergence:
         channel = ChannelModel([110, 130, 210])
         users = [UserParams(alpha2=20, lam=1e-4, r_max=47000.0) for _ in range(3)]
         sync = iterate_to_convergence(channel, users)
-        seq = iterate_to_convergence(channel, users, schedule=SEQUENTIAL)
+        seq = iterate_to_convergence(channel, users, ConvergenceConfig(schedule=SEQUENTIAL))
         assert seq.converged
         assert seq.final_powers == pytest.approx(sync.final_powers, rel=1e-6)
         assert seq.final_rates == pytest.approx(sync.final_rates, rel=1e-6)
@@ -266,6 +268,22 @@ class TestIterateToConvergence:
     def test_non_finite_delta_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             ConvergenceConfig(delta=float("nan"))
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [("policy", "newton"), ("schedule", "random"), ("metric", "l2"), ("policy", None)],
+    )
+    def test_config_rejects_an_unknown_choice_when_built(self, name, bad):
+        with pytest.raises(ValueError, match=f"^{name} must be one of .*, got {bad!r}$"):
+            ConvergenceConfig(**{name: bad})
+
+    def test_config_is_frozen(self):
+        config = ConvergenceConfig(policy=KKT, schedule=SEQUENTIAL)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.policy = CLAMP
+        # The positional order of the stopping rule is unchanged.
+        want = ConvergenceConfig(1e-6, 500, METRIC_RELATIVE, KKT, SEQUENTIAL)
+        assert replace(config, delta=1e-6) == want
 
     # 2.5 used to run 3 iterations, inf never stopped, nan ran none and left
     # an empty trace, and True counted as 1.
@@ -359,9 +377,12 @@ class TestIterateToConvergence:
             iterate_to_convergence(channel, users, config=config, arrivals=[at_end, late])
 
     def test_fixed_point_residual_small_at_convergence(self):
-        for n, lam in ((5, 4e-4), (6, 4e-4)):
-            channel = equidistant_channel(n)
-            users = table3_users(n, lam)
+        # Table 3's users end at their power cap, where the clamp hides the
+        # interference; the three users of two stations end inside their boxes.
+        cases = [(equidistant_channel(n), table3_users(n)) for n in (5, 6)]
+        interior = [UserParams(alpha2=a2, lam=1e-4, r_max=96000.0) for a2 in (20.0, 25.0, 30.0)]
+        cases.append((ChannelModel([[110, 410], [130, 390], [390, 130]]), interior))
+        for channel, users in cases:
             trace = iterate_to_convergence(channel, users)
             assert trace.converged
             clamped = power_update_map(channel, users, clamped=True)
@@ -390,14 +411,14 @@ class TestIterateToConvergence:
         # power forced up to its floor: attained SINR at or above target
         user = UserParams(alpha2=20, lam=1e-4, p_min=0.5, p_max=3.0)
         for policy in (CLAMP, KKT):
-            trace = iterate_to_convergence(channel, [user], policy=policy)
+            trace = iterate_to_convergence(channel, [user], ConvergenceConfig(policy=policy))
             assert trace.converged
             assert trace.final_powers[0] == pytest.approx(0.5)
             assert trace.final_sinrs[0] >= target_sinr(1e6, 20, w) * (1 - 1e-9)
         # rate forced up to its floor: attained SINR at or below target
         user = UserParams(alpha2=20, lam=1e-4, r_min=30000.0, r_max=96000.0)
         for policy in (CLAMP, KKT):
-            trace = iterate_to_convergence(channel, [user], policy=policy)
+            trace = iterate_to_convergence(channel, [user], ConvergenceConfig(policy=policy))
             assert trace.converged
             assert trace.final_rates[0] == pytest.approx(30000.0)
             assert trace.final_sinrs[0] <= target_sinr(1e6, 20, w) * (1 + 1e-9)
@@ -406,7 +427,7 @@ class TestIterateToConvergence:
         channel = ChannelModel([110, 130, 210])
         users = [UserParams(alpha2=20, lam=1e-5, p_max=3.0, r_max=47000.0) for _ in range(3)]
         for policy in (CLAMP, KKT):
-            trace = iterate_to_convergence(channel, users, policy=policy)
+            trace = iterate_to_convergence(channel, users, ConvergenceConfig(policy=policy))
             assert trace.converged
             target = target_sinr(1e6, 20, w)
             assert trace.final_rates[0] == pytest.approx(47000.0)

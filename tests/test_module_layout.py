@@ -1,18 +1,22 @@
 """The package's module split: one production path, one oracle module.
 
 The solver (``engine``) and the model types (``core``) never reach for the
-scalar statements in ``oracle``; only ``__init__`` re-exports them. No
-production module reads a trace's per-iteration ``records`` views: the
-program works on the segment columns, and the views serve tests and
-oracles. Every
-name a module lists in ``__all__`` exists, no public function or class is
+scalar statements in ``oracle``; only ``__init__`` re-exports them. The
+oracle in turn takes only constants and types from ``engine``, never a
+function, so no check compares the solver with itself. No production
+module reads a trace's per-iteration ``records`` views: the program works
+on the segment columns, and the views serve tests and oracles. Every name
+a module lists in ``__all__`` exists, no public function or class is
 defined twice, and the package's public names stay those pinned below, as
-do the parameters of the solve, pricing and admission entry points: a
-setting that already has a home (a user's initial strategy, a rule's
-coefficient, the at-target band) does not come back as a parameter.
+do the parameters of the solve, pricing and admission entry points and the
+fields of the settings objects: a setting that already has a home (a
+user's initial strategy, a rule's coefficient and escalation step, the
+at-target band, the solve's policy, schedule, stopping rule and rate ladder
+in ``ConvergenceConfig``) does not come back as a parameter.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import types
@@ -46,16 +50,24 @@ PUBLIC_NAMES = [
 
 PARAMETERS = {
     "engine.iterate_to_convergence": [
-        "channel", "users", "policy", "config", "schedule", "rate_set",
-        "quantize_at_convergence", "initial_assignment", "arrivals", "reprice",
+        "channel", "users", "config", "initial_assignment", "arrivals", "reprice",
     ],
-    "admission.escalate_pricing": [
-        "channel", "users", "rule", "dc", "max_steps", "policy", "config", "schedule",
-    ],
-    "admission.removal_loop": ["channel", "users", "policy", "config", "schedule"],
+    "admission.escalate_pricing": ["channel", "users", "rule", "config", "max_steps"],
+    "admission.removal_loop": ["channel", "users", "config"],
     "admission.classify_users": ["trace", "targets"],
     "admission.pricing_rule_eval": ["rule", "n_users", "gain", "alpha1", "alpha2", "multicell"],
     "admission.priced_users": ["rule", "channel", "users"],
+}
+
+# A solve's settings live in one ConvergenceConfig; a scenario carries it whole.
+FIELDS = {
+    "engine.ConvergenceConfig": [
+        "delta", "max_iterations", "metric", "policy", "schedule", "rate_set",
+        "quantize_at_convergence",
+    ],
+    "scenario.Scenario": [
+        "channel", "users", "user_names", "config", "pricing", "arrivals", "moves",
+    ],
 }
 
 
@@ -80,6 +92,25 @@ def test_no_production_module_imports_the_oracle(name):
     tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
     if name != "oracle":
         assert "ratepower.oracle" not in imported_modules(tree)
+
+
+def test_oracle_takes_only_constants_and_types_from_the_engine():
+    # An oracle that called the solver's own functions would check the
+    # solver against itself.
+    engine = importlib.import_module("ratepower.engine")
+    tree = ast.parse((PACKAGE_DIR / "oracle.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    bound = [alias.name for node in imports for alias in node.names]
+    assert not [name for name in bound if name.split(".")[-1] == "engine"]
+    taken = [
+        alias.name
+        for node in imports
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "engine"
+        for alias in node.names
+    ]
+    assert "TIE_REL_TOL" in taken
+    functions = [n for n in taken if not (n.isupper() or isinstance(getattr(engine, n), type))]
+    assert functions == []
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "oracle"])
@@ -124,3 +155,10 @@ def test_entry_point_parameters_are_pinned(name):
     module, function = name.split(".")
     func = getattr(importlib.import_module(f"ratepower.{module}"), function)
     assert list(inspect.signature(func).parameters) == PARAMETERS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_settings_fields_are_pinned(name):
+    module, cls = name.split(".")
+    fields = dataclasses.fields(getattr(importlib.import_module(f"ratepower.{module}"), cls))
+    assert [f.name for f in fields] == FIELDS[name]

@@ -37,7 +37,7 @@ def one_step(channel, users, powers, rates, assignment):
     """The final record of a one-iteration clamp solve from the given state."""
     config = ConvergenceConfig(max_iterations=1)
     trace = iterate_to_convergence(
-        channel, starting_at(users, powers, rates), CLAMP, config, initial_assignment=assignment
+        channel, starting_at(users, powers, rates), config, initial_assignment=assignment
     )
     return trace.final
 
@@ -152,7 +152,7 @@ class TestNjrpcgpbIterate:
         channel = two_cell_channel()
         users = five_users()
         sync = iterate_to_convergence(channel, users)
-        seq = iterate_to_convergence(channel, users, schedule=SEQUENTIAL)
+        seq = iterate_to_convergence(channel, users, ConvergenceConfig(schedule=SEQUENTIAL))
         assert seq.converged
         assert seq.final_powers == pytest.approx(sync.final_powers, rel=1e-6)
 

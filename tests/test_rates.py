@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from conftest import starting_at
 from ratepower.core import ChannelModel, UserParams, target_sinr
-from ratepower.engine import CLAMP, ConvergenceConfig, iterate_to_convergence
+from ratepower.engine import ConvergenceConfig, iterate_to_convergence
 from ratepower.rates import NoFeasibleRateError, RateSet
 
 LADDER = RateSet((9600.0, 19200.0, 38400.0))
@@ -48,7 +48,7 @@ class TestQuantizedRuns:
             UserParams(alpha2=12.9492, lam=4e-4, p_max=0.0647, r_max=96000.0)
             for _ in range(5)
         ]
-        trace = iterate_to_convergence(channel, users, rate_set=LADDER)
+        trace = iterate_to_convergence(channel, users, ConvergenceConfig(rate_set=LADDER))
         assert trace.converged
         assert np.all(trace.final_rates == 19200.0)
         target = target_sinr(1e6, 12.9492, channel.bandwidth_hz)
@@ -57,9 +57,9 @@ class TestQuantizedRuns:
     def test_quantization_mode_does_not_change_powers(self):
         channel = ChannelModel([110, 130, 210])
         users = [UserParams(alpha2=20, lam=1e-4, r_max=96000.0) for _ in range(3)]
-        per_iter = iterate_to_convergence(channel, users, rate_set=LADDER)
+        per_iter = iterate_to_convergence(channel, users, ConvergenceConfig(rate_set=LADDER))
         at_end = iterate_to_convergence(
-            channel, users, rate_set=LADDER, quantize_at_convergence=True
+            channel, users, ConvergenceConfig(rate_set=LADDER, quantize_at_convergence=True)
         )
         assert per_iter.converged and at_end.converged
         assert per_iter.final_powers == pytest.approx(at_end.final_powers, rel=1e-8)
@@ -75,7 +75,7 @@ class TestQuantizedRuns:
 
         def one_step(rates):
             config = ConvergenceConfig(max_iterations=1)
-            trace = iterate_to_convergence(channel, starting_at(users, powers, rates), CLAMP, config)
+            trace = iterate_to_convergence(channel, starting_at(users, powers, rates), config)
             return trace.final_powers, trace.final_rates
 
         base_p, base_r = one_step(rates)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ratepower import scenario as scenario_module
-from ratepower.admission import priced_users
+from ratepower.admission import PricingRule, priced_users
 from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
     CLAMP,
@@ -94,11 +94,20 @@ class TestParsing:
         assert s.channel.noise_w == 5e-15
         assert s.channel.pathloss_exponent == 4.0
         assert s.channel.shadowing == 0.097
-        assert s.policy == "clamp"
-        assert s.schedule == "synchronous"
+        assert s.config.policy == "clamp"
+        assert s.config.schedule == "synchronous"
         assert s.config.delta == 1e-9
         assert s.config.max_iterations == 500
         assert s.users[0].initial_power == s.users[0].p_min
+
+    @pytest.mark.parametrize("kind", ["constant", "per_user_count", "inverse_gain"])
+    def test_absent_keys_take_the_dataclass_defaults(self, kind):
+        # Every default lives on its dataclass; the parser passes only the
+        # keys a section holds.
+        s = parse_scenario(MINIMAL + f"[network]\n\n[run]\n\n[pricing]\nrule = {kind}\n")
+        assert repr(s.channel) == repr(ChannelModel([110.0]))
+        assert s.config == ConvergenceConfig()
+        assert s.pricing == PricingRule(kind)
 
     def test_full_document_literal_values(self):
         s = parse_scenario(FULL)
@@ -192,8 +201,8 @@ class TestParsing:
     def test_rates_and_quantize_parsed(self):
         text = MINIMAL + "[run]\nrates = 9600 19200 38400\nquantize = at_convergence\n"
         s = parse_scenario(text)
-        assert s.rate_set.rates == (9600.0, 19200.0, 38400.0)
-        assert s.quantize_at_convergence
+        assert s.config.rate_set.rates == (9600.0, 19200.0, 38400.0)
+        assert s.config.quantize_at_convergence
 
 
 class TestRoundTrip:
@@ -221,7 +230,7 @@ class TestRunScenario:
     def test_no_events_matches_direct_iteration(self):
         s = parse_scenario(FULL)
         trace, summary = run_scenario(s)
-        direct = iterate_to_convergence(s.channel, s.users, s.policy, s.config, s.schedule)
+        direct = iterate_to_convergence(s.channel, s.users, s.config)
         assert summary.converged
         assert summary.powers == pytest.approx(direct.final_powers, rel=1e-12)
         assert summary.rates == pytest.approx(direct.final_rates, rel=1e-12)
@@ -332,9 +341,7 @@ class TestRunScenario:
             for name in ("assignment", "powers", "rates", "sinrs", "utilities"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             assert a.metric == b.metric
-        step1 = iterate_to_convergence(
-            s.channel, s.users, s.policy, s.config, s.schedule, arrivals=s.arrivals
-        )
+        step1 = iterate_to_convergence(s.channel, s.users, s.config, arrivals=s.arrivals)
         n1 = step1.iterations_used
         assert [rec.step for rec in second.records[: n1 + 1]] == [1] * n1 + [2]
 
@@ -485,8 +492,9 @@ class TestTraceWriterGolden:
     @pytest.mark.parametrize("schedule", [SYNCHRONOUS, SEQUENTIAL])
     @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
     def test_shipped_scenarios(self, path, schedule, policy):
-        scenario = replace(parse_scenario(path.read_text()), policy=policy, schedule=schedule)
-        trace, _ = run_scenario(scenario)
+        scenario = parse_scenario(path.read_text())
+        config = replace(scenario.config, policy=policy, schedule=schedule)
+        trace, _ = run_scenario(replace(scenario, config=config))
         assert written_trace(trace) == per_field_trace(trace)
 
     def test_shipped_traces_cover_growing_and_offset_records(self):
@@ -654,7 +662,6 @@ class TestSummary:
 
     def test_policy_and_schedule_respected(self):
         s = parse_scenario(FULL)
-        s.policy = KKT
-        s.schedule = SEQUENTIAL
+        s.config = replace(s.config, policy=KKT, schedule=SEQUENTIAL)
         _, summary = run_scenario(s)
         assert summary.converged
