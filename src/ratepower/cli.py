@@ -66,7 +66,7 @@ def _parser() -> argparse.ArgumentParser:
     p_tune = sub.add_parser("tune-pricing", help="escalate pricing until no user is below target")
     p_tune.add_argument("scenario")
     p_tune.add_argument("--dc", type=float, help="escalation step (default: rule dc, else c / 4)")
-    p_tune.add_argument("--max-steps", type=int, default=40)
+    p_tune.add_argument("--max-steps", type=int)
     p_tune.add_argument("--summary", help="write the final summary here")
 
     p_rem = sub.add_parser("remove-loop", help="remove below-target users one by one")
@@ -179,9 +179,8 @@ def _cmd_tune(args) -> int:
         rule = PricingRule("constant", lams.pop())
     if args.dc is not None:
         rule = replace(rule, dc=args.dc)
-    result = escalate_pricing(
-        scenario.channel, scenario.users, rule, scenario.config, max_steps=args.max_steps
-    )
+    budget = {} if args.max_steps is None else {"max_steps": args.max_steps}
+    result = escalate_pricing(scenario.channel, scenario.users, rule, scenario.config, **budget)
     status = "achieved" if result.achieved else "not-achieved"
     print(f"tune-pricing: {status} c_final = {result.c_final:.10e} after {len(result.tested)} runs")
     for k, (rate, s) in enumerate(zip(result.trace.final_rates, result.trace.final_sinrs)):

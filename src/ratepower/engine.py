@@ -4,12 +4,12 @@ Holds ``ConvergenceConfig``, the one home of a solve's settings (stopping
 rule, boundary policy, update schedule, rate ladder), the trace types, the
 bounded best response under its two boundary policies ("clamp" projects the
 unconstrained response onto the strategy box, "kkt" re-optimizes the free
-coordinate from the boundary stationarity quadratics) as a scalar kernel and
-as array code, and ``iterate_to_convergence``, the fixed-point iteration
-every solve runs: single-cell, multi-cell with base-station assignment, and
-runs with arriving users. The single-cell game is the one-station case of
-the joint one. The scalar statements of the formulas it runs, the step
-metric's among them, live in ``oracle``, which this module does not import.
+coordinate from the boundary stationarity quadratics) as one array kernel,
+and ``iterate_to_convergence``, the fixed-point iteration every solve runs:
+single-cell, multi-cell with base-station assignment, and runs with
+arriving users. The single-cell game is the one-station case of the joint
+one. The scalar statements of the formulas it runs, the step metric's among
+them, live in ``oracle``, which this module does not import.
 
 Each iterate's station totals come from one ``p @ g``, and its (users x
 stations) effective-interference matrix from them; the matrix feeds that
@@ -19,10 +19,10 @@ at once and takes every best response from the array kernel behind
 the same totals current as each user moves. Its per-user loop moves
 only stations and powers, on plain floats with the table's constants hoisted
 and no function call per user; the sweep's rates then come from one call of
-the array kernel on the interference each user saw. The public
-``bounded_step`` (on the plain-float kernel ``_best_response``) is the
-scalar oracle of both sweeps: the array kernel and the sequential loop
-evaluate its floating-point operations in its order, so all agree exactly.
+the array kernel on the interference each user saw. The array kernel and
+the sequential loop evaluate the floating-point operations of the scalar
+best response in ``oracle`` in its order, so all agree exactly; the public
+``bounded_step`` is the array kernel on a one-user table.
 
 The loop carries powers and rates as one fresh (2 x users) state per
 iteration and keeps each iteration's state and step metric. The trace is
@@ -214,37 +214,10 @@ def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strateg
     coordinate is re-optimized from the matching stationarity quadratic (then
     projected too, in case the re-optimized value leaves the box); when both
     coordinates violate, both are projected. The result always lies in the
-    box. This is the scalar oracle of both sweeps, which evaluate the same
-    operations in the same order.
+    box. This is ``bounded_step_array`` on a one-user table.
     """
-    _check_choice("policy", policy, POLICIES)
-    if user.alpha1 <= 0 or user.alpha2 <= 0 or user.lam <= 0:
-        raise ValueError("alpha1, alpha2 and lam must be positive")
-    limits = (user.p_min, user.p_max, user.r_min, user.r_max)
-    p, r = _best_response(r_eff, user.alpha1, user.alpha2, user.lam, *limits, policy == KKT)
-    return Strategy(p, r)
-
-
-def _best_response(r_eff, a1, a2, lam, p_min, p_max, r_min, r_max, kkt: bool) -> tuple:
-    # bounded_step on one user's plain-float constants; returns (power, rate).
-    # The formulas are those of oracle.unconstrained_best_response and the
-    # two boundary updates there, evaluated in the same order.
-    if r_eff <= 0:
-        raise ValueError(f"effective interference must be positive, got {r_eff}")
-    p = math.sqrt(0.5 * (a2 / a1) * r_eff / lam)
-    r = math.sqrt(0.5 * (a1 / a2) / (lam * r_eff))
-    p_box = min(max(p, p_min), p_max)
-    r_box = min(max(r, r_min), r_max)
-    p_ok = p_box == p
-    if not kkt or p_ok == (r_box == r):
-        return p_box, r_box
-    if p_ok:
-        b = a2 * lam * r_eff * r_box
-        p = (-b + math.sqrt(b * b + 4.0 * a1 * a2 * lam * r_eff)) / (2.0 * a1 * lam)
-        return min(max(p, p_min), p_max), r_box
-    b = a1 * lam * p_box
-    r = (-b + math.sqrt(b * b + 4.0 * a1 * a2 * lam * r_eff)) / (2.0 * a2 * lam * r_eff)
-    return p_box, min(max(r, r_min), r_max)
+    (p,), (r,) = bounded_step_array(UserTable.from_users([user]), [r_eff], policy)
+    return Strategy(float(p), float(r))
 
 
 def bounded_step_array(
@@ -252,10 +225,11 @@ def bounded_step_array(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``bounded_step`` for every user of the table at once; returns (powers, rates).
 
-    Evaluates the same expressions in the same order as the scalar path, so
-    the results are equal, not merely close. Under "kkt" a coordinate that
+    Evaluates the operations of ``oracle.unconstrained_best_response`` and
+    the two boundary updates there in their order, so the results equal that
+    scalar statement, not merely come close. Under "kkt" a coordinate that
     leaves its box is clamped onto the violated bound, which is exactly the
-    value the scalar path pins, and the other coordinate is re-optimized from
+    value a scalar pin gives, and the other coordinate is re-optimized from
     it only when it alone violates. The two arrays are the rows of one
     (2, n) stack.
     """
@@ -427,8 +401,10 @@ def _initial_assignment(override, n_users: int, n_stations: int) -> np.ndarray:
 
 def _station_reffs(g: np.ndarray, noise: float, powers: np.ndarray, totals: np.ndarray):
     # Every user's effective interference at every station (users x stations),
-    # from the stations' received totals powers @ g.
-    return (np.maximum(totals - g * powers[:, None], 0.0) + noise) / g
+    # from the stations' received totals. Every caller passes a fresh
+    # ``powers @ g``, and a sum of nonnegative terms never rounds below one of
+    # its terms, so the difference is never negative and needs no clip.
+    return (totals - g * powers[:, None] + noise) / g
 
 
 def _snap(rate_set: RateSet, rates: np.ndarray) -> np.ndarray:

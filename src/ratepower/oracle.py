@@ -164,7 +164,7 @@ def utility_priced_hessian(
     return np.array([[d2p, dpr], [dpr, d2r]])
 
 
-# The game. ``engine._best_response`` evaluates the best response and the
+# The game. The engine's array kernel evaluates the best response and the
 # two boundary updates with the same operations in the same order.
 
 
@@ -263,8 +263,10 @@ def effective_interference_by_station(
     """User i's effective interference at every station for the given powers.
 
     Unlike ``effective_interference``, this subtracts user i's own term from
-    each station total and clips at zero, exactly as the loop does, so the
-    tests can compare the synchronous sweep with it bit for bit.
+    each station total, as the loop does, so the tests can compare the
+    synchronous sweep with it bit for bit. It clips the difference at zero;
+    the loop does not, because its totals are a fresh ``p @ g`` that never
+    falls below one of its own nonnegative terms, so the two agree.
     """
     g = channel.gains
     p = np.asarray(powers, dtype=float)

@@ -1,6 +1,6 @@
 """Built-in reference scenarios and one-command reproduction of their results.
 
-Each builder returns a parsed Scenario. ``reproduce(target)`` runs the
+Each builder builds its Scenario value directly. ``reproduce(target)`` runs the
 matching experiment and compares the converged values against the stored
 reference equilibria at per-target tolerances, returning an itemized report.
 """
@@ -12,8 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .admission import PricingRule, escalate_pricing, removal_loop
-from .engine import KKT
-from .scenario import Scenario, parse_scenario, run_scenario, sweep_lambda
+from .core import ChannelModel, UserParams
+from .engine import KKT, ConvergenceConfig
+from .scenario import ArrivalEvent, MoveEvent, Scenario, run_scenario, sweep_lambda
 
 __all__ = [
     "REPRODUCE_TARGETS",
@@ -31,17 +32,6 @@ __all__ = [
     "fig4_scenario",
     "FIG2_LAMBDAS",
 ]
-
-REPRODUCE_TARGETS = (
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-)
 
 FIG2_LAMBDAS = (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
 
@@ -80,103 +70,71 @@ class ComparisonReport:
 # Scenario builders
 
 
-def _scenario_text(
-    distances,
-    alpha2,
-    lam,
-    p_max,
-    r_max,
-    noise_w=None,
-    extra="",
-) -> str:
-    # An absent noise_w keeps ChannelModel's default.
+def _scenario(distances, alpha2, lam, p_max, r_max, noise_w=None, **fields) -> Scenario:
+    # Users u1, u2, ... at ``distances`` (a row per user, or a number for one
+    # station) sharing every constant but alpha2; an absent noise_w keeps
+    # ChannelModel's default, and ``fields`` go to the Scenario as given.
     if np.isscalar(alpha2):
         alpha2 = [alpha2] * len(distances)
-    parts = [] if noise_w is None else [f"[network]\nnoise_w = {noise_w!r}\n"]
-    for k, (d, a2) in enumerate(zip(distances, alpha2), start=1):
-        row = d if isinstance(d, (list, tuple)) else [d]
-        parts.append(
-            f"[user u{k}]\n"
-            f"distances_m = {' '.join(repr(float(x)) for x in row)}\n"
-            f"alpha2 = {a2!r}\n"
-            f"lambda = {lam!r}\n"
-            f"p_max = {p_max!r}\n"
-            f"r_max = {r_max!r}\n"
-        )
-    if extra:
-        parts.append(extra)
-    return "\n".join(parts)
+    network = {} if noise_w is None else {"noise_w": noise_w}
+    users = [UserParams(alpha2=float(a2), lam=float(lam), p_max=p_max, r_max=r_max) for a2 in alpha2]
+    names = [f"u{k}" for k in range(1, len(users) + 1)]
+    return Scenario(ChannelModel(distances, **network), users, names, **fields)
 
 
 def table1_scenario(lam: float = 1e-5) -> Scenario:
     # Bounded three-user network: at low pricing user 1 rides its rate cap
     # and user 3 its power cap, at ten times the pricing everyone is interior.
-    return parse_scenario(_scenario_text([110, 130, 210], 20, lam, p_max=3.0, r_max=47000.0))
+    return _scenario([110, 130, 210], 20, lam, p_max=3.0, r_max=47000.0)
 
 
 def table1_removal_scenario() -> Scenario:
     # The two survivors after the cap-pinned third user is removed. The
     # reference values for this block are consistent with pricing 1e-4, not
     # with the 1e-5 of the low-pricing block, so 1e-4 is what it runs at.
-    return parse_scenario(_scenario_text([110, 130], 20, 1e-4, p_max=3.0, r_max=47000.0))
+    return _scenario([110, 130], 20, 1e-4, p_max=3.0, r_max=47000.0)
 
 
 def table2_scenario(variant: int) -> Scenario:
     if variant == 1:
-        return parse_scenario(
-            _scenario_text([110, 130, 210, 130, 150], 12.9492, 4e-4, p_max=0.1605, r_max=96000.0)
-        )
+        return _scenario([110, 130, 210, 130, 150], 12.9492, 4e-4, p_max=0.1605, r_max=96000.0)
     if variant == 2:
-        return parse_scenario(
-            _scenario_text([110] * 5, 12.9492, 4e-4, p_max=0.0647, r_max=96000.0)
-        )
+        return _scenario([110] * 5, 12.9492, 4e-4, p_max=0.0647, r_max=96000.0)
     raise ValueError("variant must be 1 or 2")
 
 
 def table3_scenario(n_users: int, lam: float = 4e-4) -> Scenario:
     if not 1 <= n_users:
         raise ValueError("need at least one user")
-    return parse_scenario(
-        _scenario_text([110] * n_users, 12.9492, lam, p_max=0.0647, r_max=96000.0)
-    )
+    return _scenario([110] * n_users, 12.9492, lam, p_max=0.0647, r_max=96000.0)
 
 
 def table4_scenario(distance: float, lam: float = 1e-4) -> Scenario:
-    return parse_scenario(
-        _scenario_text([distance] * 10, 12.9492, lam, p_max=1.0, r_max=96000.0, noise_w=1e-10)
-    )
+    return _scenario([distance] * 10, 12.9492, lam, p_max=1.0, r_max=96000.0, noise_w=1e-10)
 
 
 def fig1_scenario() -> Scenario:
-    return parse_scenario(
-        _scenario_text([110, 130, 210], [20, 25, 30], 1e-4, p_max=3.0, r_max=96000.0)
-    )
+    return _scenario([110, 130, 210], [20, 25, 30], 1e-4, p_max=3.0, r_max=96000.0)
 
 
 def fig2_scenario() -> Scenario:
     # Geometry of the three-user network; the pricing sweep overrides lambda.
-    return parse_scenario(_scenario_text([110, 130, 210], 20, 0.05, p_max=3.0, r_max=96000.0))
+    return _scenario([110, 130, 210], 20, 0.05, p_max=3.0, r_max=96000.0)
 
 
 def fig3_scenario() -> Scenario:
     # The newcomer starts from the box's lower corner, so the stopping
     # threshold is eased one decade; the post-arrival state still sits within
     # 1e-8 of the fixed point, far inside the 1e-4 target-SINR tolerance.
-    extra = (
-        "[run]\n"
-        "delta = 1e-8\n"
-        "\n"
-        "[event arrival]\n"
-        "iteration = 20\n"
-        "user = u4\n"
-        "distances_m = 130.0\n"
-        "alpha2 = 20\n"
-        "lambda = 1e-4\n"
-        "p_max = 3.0\n"
-        "r_max = 96000.0\n"
-    )
-    return parse_scenario(
-        _scenario_text([110, 130, 210], [20, 25, 30], 1e-4, p_max=3.0, r_max=96000.0, extra=extra)
+    newcomer = UserParams(alpha2=20.0, lam=1e-4, p_max=3.0, r_max=96000.0)
+    return _scenario(
+        [110, 130, 210],
+        [20, 25, 30],
+        1e-4,
+        p_max=3.0,
+        r_max=96000.0,
+        config=ConvergenceConfig(delta=1e-8),
+        arrivals=[ArrivalEvent(20, "u4", np.array([130.0]), newcomer)],
     )
 
 
@@ -184,16 +142,11 @@ def fig4_scenario() -> Scenario:
     # Two stations; user 3 walks 10 m per step away from station 1 toward
     # station 2, crossing the midpoint (260 m / 260 m) at step 6.
     users = [[110, 410], [130, 390], [210, 310], [390, 130], [410, 110]]
-    moves = []
-    for step in range(2, 12):
-        d1 = 210 + 10 * (step - 1)
-        d2 = 310 - 10 * (step - 1)
-        moves.append(
-            f"[event move]\nstep = {step}\nuser = u3\ndistances_m = {float(d1)!r} {float(d2)!r}\n"
-        )
-    return parse_scenario(
-        _scenario_text(users, 20, 1e-4, p_max=3.0, r_max=96000.0, extra="\n".join(moves))
-    )
+    moves = [
+        MoveEvent(step, 2, "u3", np.array([210.0 + 10 * (step - 1), 310.0 - 10 * (step - 1)]))
+        for step in range(2, 12)
+    ]
+    return _scenario(users, 20, 1e-4, p_max=3.0, r_max=96000.0, moves=moves)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +247,7 @@ def _reproduce_table1() -> ComparisonReport:
 def _reproduce_table2() -> ComparisonReport:
     checks: list[Check] = []
     _, s2 = run_scenario(table2_scenario(2))
-    checks.append(_bool_check("scenario2.converged", s2.converged))
-    p, r, g = TABLE2_SCENARIO2
-    for k in range(5):
-        checks.append(_rel_check(f"scenario2.u{k + 1}.p_w", s2.powers[k], p, 0.005))
-        checks.append(_rel_check(f"scenario2.u{k + 1}.r_bps", s2.rates[k], r, 0.005))
-        checks.append(_rel_check(f"scenario2.u{k + 1}.sinr", s2.sinrs[k], g, 0.005))
+    checks += _triple_checks("scenario2", s2, [TABLE2_SCENARIO2] * 5, 0.005)
 
     scenario1 = table2_scenario(1)
     _, s1 = run_scenario(scenario1)
@@ -386,22 +334,15 @@ def _reproduce_fig2() -> ComparisonReport:
 
     # Doubling the pricing sheds absolutely more from whoever held more.
     first, second = results[0][2], results[1][2]
-    dp = first.powers - second.powers
-    dr = first.rates - second.rates
-    p_order_ok = all(
-        dp[i] > dp[j]
-        for i in range(3)
-        for j in range(3)
-        if first.powers[i] > first.powers[j] * (1 + 1e-9)
-    )
-    r_order_ok = all(
-        dr[i] > dr[j]
-        for i in range(3)
-        for j in range(3)
-        if first.rates[i] > first.rates[j] * (1 + 1e-9)
-    )
-    checks.append(_bool_check("doubling.power_shed_ordering", p_order_ok))
-    checks.append(_bool_check("doubling.rate_shed_ordering", r_order_ok))
+    for label, held, kept in (
+        ("power", first.powers, second.powers),
+        ("rate", first.rates, second.rates),
+    ):
+        shed = held - kept
+        ok = all(
+            shed[i] > shed[j] for i in range(3) for j in range(3) if held[i] > held[j] * (1 + 1e-9)
+        )
+        checks.append(_bool_check(f"doubling.{label}_shed_ordering", ok))
     return ComparisonReport("fig2", checks)
 
 
@@ -470,6 +411,7 @@ _DISPATCH = {
     "fig3": _reproduce_fig3,
     "fig4": _reproduce_fig4,
 }
+REPRODUCE_TARGETS = tuple(_DISPATCH)
 
 
 def reproduce(target: str) -> ComparisonReport:

@@ -1,8 +1,4 @@
-import sys
 from dataclasses import replace
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def sample_calculus_point(rng):

@@ -1,17 +1,19 @@
 """Array fast paths checked against the scalar per-user oracles.
 
-The oracles are the scalar statements in ``ratepower.oracle`` and the scalar
-kernel ``engine.bounded_step``. The array forms evaluate the same
-floating-point operations in the same order as the scalar functions, so most
-comparisons here are exact; ``oracle.effective_interference_by_station``
-subtracts the own term and clips, as the loop does, so the synchronous sweep
-equals it bit for bit. The exceptions carry a tolerance fixed from float64:
-the loop subtracts each user's own term from a station total where
-``oracle.effective_interference`` skips it, the sequential sweep keeps
-running per-station totals instead of a fresh ``p @ g`` per user, and
-the trace segments take their logarithms through numpy instead of ``math``.
+The oracles are the scalar statements in ``ratepower.oracle``; the bounded
+best response is ``reference_step`` below, built from the oracle's
+unconstrained best response and its two boundary updates. The array forms
+evaluate the same floating-point operations in the same order as the scalar
+functions, so most comparisons here are exact;
+``oracle.effective_interference_by_station`` subtracts the own term as the
+loop does, so the synchronous sweep equals it bit for bit. The exceptions
+carry a tolerance fixed from float64: the loop subtracts each user's own
+term from a station total where ``oracle.effective_interference`` skips it,
+the sequential sweep keeps running per-station totals instead of a fresh
+``p @ g`` per user, and the trace segments take their logarithms through
+numpy instead of ``math``.
 On the same running totals, the sequential sweep's inline per-user loop
-equals a sweep that calls the scalar kernel once per user exactly.
+equals a sweep that calls ``reference_step`` once per user exactly.
 
 The sweeps are reached through ``iterate_to_convergence``: one iteration from
 a given state is one sweep, with the users starting at that state. The
@@ -42,7 +44,6 @@ from ratepower.engine import (
     ConvergenceConfig,
     bounded_step,
     bounded_step_array,
-    _best_response,
     _segment,
     _sequential_sweep,
     _snap,
@@ -131,23 +132,16 @@ def reference_step(user, r_eff, policy):
     )
 
 
-def kernel_step(user, r_eff, policy):
-    constants = (user.alpha1, user.alpha2, user.lam, user.p_min, user.p_max, user.r_min, user.r_max)
-    return _best_response(r_eff, *constants, policy == KKT)
-
-
 def on_bound(p_place, r_place, policy, r_eff=0.05):
     return example(drawn=[(user_for(r_eff, p_place, r_place), r_eff)], policy=policy)
 
 
 def assert_kernel_matches_scalar(users, reffs, policy):
-    """The array form, ``bounded_step`` and the sequential sweep's kernel all
-    equal the reference exactly."""
+    """The array form and ``bounded_step`` both equal the reference exactly."""
     powers, rates = bounded_step_array(UserTable.from_users(users), np.array(reffs), policy)
     for k, (user, r_eff) in enumerate(zip(users, reffs)):
         want = reference_step(user, r_eff, policy)
         s = bounded_step(user, r_eff, policy)
-        assert kernel_step(user, r_eff, policy) == want
         assert (s.power, s.rate) == want
         assert (powers[k], rates[k]) == want
 
@@ -203,18 +197,24 @@ class TestScalarKernel:
         user = user_for(0.05, "on_lower", "above_box")
         cand = unconstrained_best_response(0.05, user.alpha1, user.alpha2, user.lam)
         assert cand.power == user.p_min
-        p, r = kernel_step(user, 0.05, KKT)
-        assert r == user.r_max
-        assert p == power_update_rate_bounded(0.05, r, user.alpha1, user.alpha2, user.lam)
-        assert user.p_min < p < user.p_max
+        s = bounded_step(user, 0.05, KKT)
+        assert (s.power, s.rate) == reference_step(user, 0.05, KKT)
+        assert s.rate == user.r_max
+        assert s.power == power_update_rate_bounded(0.05, s.rate, user.alpha1, user.alpha2, user.lam)
+        assert user.p_min < s.power < user.p_max
 
     @pytest.mark.parametrize("r_eff", [0.0, -1.0])
     @pytest.mark.parametrize("policy", [CLAMP, KKT])
     def test_rejects_nonpositive_interference(self, r_eff, policy):
         with pytest.raises(ValueError, match="effective interference must be positive"):
-            kernel_step(UserParams(), r_eff, policy)
+            reference_step(UserParams(), r_eff, policy)
         with pytest.raises(ValueError, match="effective interference must be positive"):
             bounded_step(UserParams(), r_eff, policy)
+
+    @pytest.mark.parametrize("policy", [CLAMP, KKT])
+    def test_rejects_nan_interference(self, policy):
+        with pytest.raises(ValueError, match="effective interference must be positive"):
+            bounded_step(UserParams(), math.nan, policy)
 
 
 class State(NamedTuple):
@@ -303,6 +303,11 @@ def mirror_network(eps):
     return channel, users, powers
 
 
+# Powers from 0 and the subnormals up; gains over 30 decades.
+NONNEGATIVE_POWERS = st.sampled_from([0.0, 5e-324, 2.2e-310]) | st.floats(0.0, 10.0)
+GAIN_DECADES = st.floats(-30.0, 0.0)
+
+
 class TestSynchronousSweep:
     @settings(max_examples=200, deadline=None)
     @given(networks(), POLICIES)
@@ -355,16 +360,21 @@ class TestSynchronousSweep:
         with pytest.raises(ValueError, match="missing station"):
             sweep(channel, users, state)
 
-    def test_interference_below_the_own_term_clips_to_the_noise_floor(self):
-        # A fresh p @ g never falls below one of its own terms, but running
-        # totals can, by cancellation; the result then clips to the noise
-        # floor, as in the oracle and the sequential sweep, never below it.
-        channel, _, powers = mirror_network(0.0)
-        g, noise = channel.gains, channel.noise_w
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_fresh_totals_never_fall_below_an_own_term(self, data):
+        # The loop's interference matrix takes no clip: a fresh p @ g is a sum
+        # of nonnegative terms, which never rounds below one of them, so it
+        # equals the oracle's clipped form, noise floor included.
+        n, b = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+        powers = np.array(data.draw(st.lists(NONNEGATIVE_POWERS, min_size=n, max_size=n)))
+        g = 10.0 ** np.array(data.draw(st.lists(GAIN_DECADES, min_size=n * b, max_size=n * b)))
+        g = g.reshape(n, b)
         totals = powers @ g
-        totals[0] = np.nextafter(g[0, 0] * powers[0], 0.0)
+        assert (totals >= g * powers[:, None]).all()
+        noise = data.draw(st.sampled_from([0.0, 5e-15, 1e-10]))
         got = _station_reffs(g, noise, powers, totals)
-        assert got[0, 0] == noise / g[0, 0]
+        np.testing.assert_array_equal(got, (np.maximum(totals - g * powers[:, None], 0.0) + noise) / g)
         assert (got >= noise / g).all()
 
 
@@ -446,10 +456,10 @@ def least_station(values, current):
 
 
 def kernel_sequential_sweep(channel, users, powers, assignment, policy):
-    """The sequential sweep with one scalar kernel call per user.
+    """The sequential sweep with one scalar best response per user.
 
     Running per-station totals as the engine keeps them, the station rule
-    and ``_best_response`` for every user in order. Returns the state and
+    and ``reference_step`` for every user in order. Returns the state and
     the effective interference each user saw at its station.
     """
     g = channel.gains.tolist()
@@ -460,7 +470,7 @@ def kernel_sequential_sweep(channel, users, powers, assignment, policy):
         reffs = [(max(t - gk * p_i, 0.0) + channel.noise_w) / gk for t, gk in zip(totals, g_i)]
         a[i] = least_station(reffs, a[i])
         seen.append(reffs[a[i]])
-        p[i], r_i = kernel_step(user, seen[-1], policy)
+        p[i], r_i = reference_step(user, seen[-1], policy)
         step = p[i] - p_i
         totals = [t + gk * step for t, gk in zip(totals, g_i)]
         r.append(r_i)

@@ -1,7 +1,9 @@
+import inspect
 from pathlib import Path
 
 import pytest
 
+from ratepower.admission import escalate_pricing
 from ratepower.cli import main
 from ratepower.scenario import TRACE_HEADER
 
@@ -213,6 +215,18 @@ class TestTuneAndRemove:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "converge" in err
         assert "Traceback" not in err
+
+    def test_zero_max_steps_fails_cleanly(self, crowded_file, capsys):
+        assert main(["tune-pricing", crowded_file, "--max-steps", "0"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: max_steps must be at least 1"]
+
+    def test_absent_max_steps_takes_the_escalation_budget(self, crowded_file, capsys):
+        # A step too small to reach the target exhausts the budget.
+        budget = inspect.signature(escalate_pricing).parameters["max_steps"].default
+        for flags, runs in (([], budget), (["--max-steps", "3"], 3)):
+            assert main(["tune-pricing", crowded_file, "--dc", "1e-12", *flags]) == 1
+            head = capsys.readouterr().out.splitlines()[0]
+            assert head.startswith("tune-pricing: not-achieved") and head.endswith(f"after {runs} runs")
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_step_names_dc(self, crowded_file, bad, capsys):

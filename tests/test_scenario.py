@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 from dataclasses import replace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratepower import scenario as scenario_module
+from ratepower import reference, scenario as scenario_module
 from ratepower.admission import PricingRule, priced_users
 from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
@@ -224,6 +225,46 @@ class TestRoundTrip:
         reparsed = parse_scenario(first)
         assert reparsed.arrivals[0].iteration == 10
         assert reparsed.pricing.kind == "per_user_count"
+
+
+REFERENCE_BUILDERS = {
+    **{f"table1_lam{lam:g}": functools.partial(reference.table1_scenario, lam) for lam in (1e-5, 1e-4)},
+    "table1_removal": reference.table1_removal_scenario,
+    **{f"table2_{v}": functools.partial(reference.table2_scenario, v) for v in (1, 2)},
+    **{f"table3_{m}": functools.partial(reference.table3_scenario, m) for m in range(3, 8)},
+    **{
+        f"table4_d{d:g}_lam{lam:g}": functools.partial(reference.table4_scenario, d, lam)
+        for d, lam, *_ in reference.TABLE4_ROWS
+    },
+    "fig1": reference.fig1_scenario,
+    "fig2": reference.fig2_scenario,
+    "fig3": reference.fig3_scenario,
+    "fig4": reference.fig4_scenario,
+}
+
+
+class TestReferenceScenarios:
+    """Every built-in experiment, built as a value, is also a valid scenario document."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_BUILDERS))
+    def test_is_a_stable_scenario_document(self, name):
+        s = REFERENCE_BUILDERS[name]()
+        text = scenario_to_text(s)
+        parsed = parse_scenario(text)
+        assert scenario_to_text(parsed) == text
+        np.testing.assert_array_equal(parsed.channel.distances_m, s.channel.distances_m)
+        assert parsed.users == s.users
+        assert parsed.user_names == s.user_names
+        assert parsed.config == s.config
+        assert parsed.pricing == s.pricing
+        assert len(parsed.arrivals) == len(s.arrivals)
+        for got, want in zip(parsed.arrivals, s.arrivals):
+            assert (got.iteration, got.name, got.user) == (want.iteration, want.name, want.user)
+            np.testing.assert_array_equal(got.distances_m, want.distances_m)
+        assert len(parsed.moves) == len(s.moves)
+        for got, want in zip(parsed.moves, s.moves):
+            assert (got.step, got.user, got.user_name) == (want.step, want.user, want.user_name)
+            np.testing.assert_array_equal(got.distances_m, want.distances_m)
 
 
 class TestRunScenario:
