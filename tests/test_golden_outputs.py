@@ -13,7 +13,12 @@ one-station network written by this module, modelled on
 the perfbench ``cell`` workload, pins the same ``run`` outputs at large N:
 both schedules and both policies, plus one run on a discrete rate ladder,
 and every schedule and policy on that ladder with ``quantize =
-at_convergence``.
+at_convergence``. ``sweep-lambda`` stdout is pinned on every shipped
+scenario under both schedules (the scenario is rewritten with its
+``[run] schedule`` set, since the command takes no schedule flag), and
+``tune-pricing`` stdout on a two-station network written by this module
+that tests eight coefficients, under both schedules, in full and with a
+budget of three steps.
 A change that is meant to leave outputs alone must keep every digest; one
 that changes an output on purpose says so and re-pins that entry.
 ``PYTHONPATH=src python tests/test_golden_outputs.py`` prints the current
@@ -23,11 +28,13 @@ table.
 import contextlib
 import hashlib
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from ratepower.cli import main
+from ratepower.scenario import parse_scenario, scenario_to_text
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
 
@@ -62,8 +69,63 @@ def _outputs(tmp: Path) -> dict[str, bytes]:
     return outputs
 
 
+SWEEP_ARGS = ("--from", "1e-5", "--to", "1e-3", "--steps", "4")
+SCHEDULES = ("synchronous", "sequential")
+
+
+def _with_schedule(path: Path, schedule: str, tmp: Path) -> Path:
+    scenario = parse_scenario(path.read_text())
+    config = replace(scenario.config, schedule=schedule)
+    out = tmp / f"{path.stem}_{schedule}.scn"
+    out.write_text(scenario_to_text(replace(scenario, config=config)))
+    return out
+
+
+# Two stations, six users: two near each station, one power-limited user at
+# the midpoint and one near station 2 with a high target. Per-user-count
+# pricing from c = 1e-4 in steps of 1e-4 first lifts everyone to target at
+# the eighth coefficient.
+TUNE_USERS = (
+    ("a", (80.0, 420.0), 20.0, 3.0),
+    ("b", (150.0, 360.0), 25.0, 3.0),
+    ("c", (240.0, 260.0), 20.0, 0.02),
+    ("d", (380.0, 120.0), 16.0, 3.0),
+    ("e", (300.0, 190.0), 30.0, 0.05),
+    ("f", (420.0, 90.0), 20.0, 3.0),
+)
+
+
+def tune_text(schedule: str) -> str:
+    parts = ["[network]\nbandwidth_hz = 1e6\nnoise_w = 5e-15\n"]
+    for name, (d1, d2), alpha2, p_max in TUNE_USERS:
+        parts.append(
+            f"[user {name}]\ndistances_m = {d1!r} {d2!r}\nalpha2 = {alpha2!r}\n"
+            f"p_max = {p_max!r}\n"
+        )
+    parts.append("[pricing]\nrule = per_user_count\nc = 1e-4\ndc = 1e-4\n")
+    parts.append(f"[run]\nschedule = {schedule}\n")
+    return "\n".join(parts)
+
+
+def _batch_outputs(tmp: Path) -> dict[str, bytes]:
+    outputs = {}
+    for path in SCENARIOS:
+        for schedule in SCHEDULES:
+            copy = _with_schedule(path, schedule, tmp)
+            key = f"sweep-lambda {path.name} {schedule}"
+            outputs[key] = _call(["sweep-lambda", str(copy), *SWEEP_ARGS])
+    for schedule in SCHEDULES:
+        path = tmp / f"tune_{schedule}.scn"
+        path.write_text(tune_text(schedule))
+        outputs[f"tune-pricing two-station {schedule}"] = _call(["tune-pricing", str(path)])
+        key = f"tune-pricing two-station {schedule} max-steps 3"
+        outputs[key] = _call(["tune-pricing", str(path), "--max-steps", "3"])
+    return outputs
+
+
 def _digests(tmp: Path) -> dict[str, str]:
-    return {key: hashlib.sha256(data).hexdigest() for key, data in _outputs(tmp).items()}
+    outputs = {**_outputs(tmp), **_batch_outputs(tmp)}
+    return {key: hashlib.sha256(data).hexdigest() for key, data in outputs.items()}
 
 
 GOLDEN = {
@@ -124,6 +186,18 @@ GOLDEN = {
     "run three_users.scn seq kkt summary": "c02d561882fb7cdf43a90ecaca2808adaaeca29bbcdf7632a0907dddd414ad39",
     "tune-pricing three_users.scn": "2b579b6b6e9ff38b1e35f26ae6c50ae75003c617591cb920e52d544701dbac4d",
     "remove-loop three_users.scn": "a0be7b14140767e5825d5ec200c33c604d123ed01edd90a7d3afa0ced9cba827",
+    "sweep-lambda crowded_cell.scn synchronous": "5fbf0eb0b772b55db414edae3e23eff1158887e69878492914fed7be49b7b06d",
+    "sweep-lambda crowded_cell.scn sequential": "843c0a7f755b592d142a8c512339286cf8ba0baf1c92054b2caa2c152106101e",
+    "sweep-lambda new_user.scn synchronous": "ddcc18b46eaf913ba6405a5a7a12d9f49d0c21a91dc2d41685ea35201d4fa3b1",
+    "sweep-lambda new_user.scn sequential": "dc60f7f8e139f2894d6bd3bbcf1f94a60f0009bb58421ec3c67e326b55d90a2b",
+    "sweep-lambda station_walk.scn synchronous": "602ff99cdbe9445fd4e221a32685deb2c01b33d14d33cf006623f57561fc54a7",
+    "sweep-lambda station_walk.scn sequential": "178209ccf7aafb09cbbd3d8d6192352f25d8055616c670a2005045becfe0bea5",
+    "sweep-lambda three_users.scn synchronous": "4f319cbdcb321cbaa19f263ef1ec3e3c984fcef1f2f2c3f3708cdbdab0f6c039",
+    "sweep-lambda three_users.scn sequential": "d2a99aced65d848d0fb504139a6d1e2e283d7b7a69f89e858b708eff2f2a725f",
+    "tune-pricing two-station synchronous": "754c5d2d0cff16c5c774f79462c2af05ad3ee5091518ec612ec381e029f5c0f8",
+    "tune-pricing two-station synchronous max-steps 3": "56c8f15538ed11fa4dbe552d8f539db1be8e72df2f9633ec65414de3b63a30c2",
+    "tune-pricing two-station sequential": "c20757b2f9cceb635a370fef99612271eefc3cf057bb40511ec33e49276b3b97",
+    "tune-pricing two-station sequential max-steps 3": "523cfa4695ab842b1ae28dc7d0b6fc860f851479af92ab6433de936ae2fa2f92",
 }
 
 
