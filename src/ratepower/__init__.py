@@ -26,6 +26,7 @@ from .engine import (
     Segment,
     bounded_step,
     bounded_step_array,
+    iterate_batch,
     iterate_to_convergence,
 )
 from .admission import (

@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ChannelModel, UserParams, _require_count, _require_finite, target_sinr
-from .engine import ConvergenceConfig, IterationTrace, iterate_to_convergence
+from .engine import (
+    SYNCHRONOUS,
+    ConvergenceConfig,
+    IterationTrace,
+    iterate_batch,
+    iterate_to_convergence,
+)
 
 __all__ = [
     "BELOW_TARGET",
@@ -49,6 +55,9 @@ PRICING_KINDS = (
 GAIN_DEPENDENT_KINDS = ("direct_gain", "inverse_gain")
 
 AT_TARGET_TOL = 1e-3
+
+# Coefficients escalation solves together as one batch.
+ESCALATION_WINDOW = 3
 
 
 @dataclass(frozen=True)
@@ -145,7 +154,7 @@ def priced_users(
             alpha2=u.alpha2,
             multicell=multicell,
         )
-        out.append(replace(u, lam=lam))
+        out.append(u.with_lam(lam))
     return out
 
 
@@ -177,21 +186,42 @@ def escalate_pricing(
     the first (hence least) tested coefficient whose converged outcome has
     no below-target user. The step dc is ``rule.dc``, else a quarter of
     ``rule.c``.
+
+    Under the synchronous schedule the coefficients are solved
+    ``ESCALATION_WINDOW`` at a time, as one batch, and their outcomes read in
+    order. Coefficients past the first achieved one are computed but not
+    reported: they are not in ``tested``, and an error or a non-convergence
+    of theirs does not surface. What is reported, raised included, is what
+    testing one coefficient at a time gives.
     """
     step = rule.dc if rule.dc is not None else 0.25 * rule.c
     max_steps = _require_count("max_steps", max_steps)
+    config = config if config is not None else ConvergenceConfig()
+    # Only the synchronous sweep runs in lockstep; a sequential window would
+    # solve its extra coefficients one by one, for nothing.
+    width = ESCALATION_WINDOW if config.schedule == SYNCHRONOUS else 1
 
     targets = [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]
     tested: list[float] = []
     trace = None
-    for k in range(max_steps):
-        c = rule.c + k * step
-        priced = priced_users(replace(rule, c=c), channel, users)
-        trace = iterate_to_convergence(channel, priced, config)
-        tested.append(c)
-        outcomes = classify_users(trace, targets)
-        if BELOW_TARGET not in outcomes:
-            return EscalationResult(c, True, trace, tested)
+    for first in range(0, max_steps, width):
+        window = [rule.c + k * step for k in range(first, min(first + width, max_steps))]
+        priced, error = [], None
+        try:
+            for c in window:
+                priced.append(priced_users(replace(rule, c=c), channel, users))
+        except ValueError as exc:
+            error = exc  # met only if no coefficient before it is achieved
+        outcomes = iterate_batch([(channel, us) for us in priced], config)
+        for c, outcome in zip(window, outcomes):
+            if isinstance(outcome, Exception):
+                raise outcome
+            trace = outcome
+            tested.append(c)
+            if BELOW_TARGET not in classify_users(trace, targets):
+                return EscalationResult(c, True, trace, tested)
+        if error is not None:
+            raise error
     return EscalationResult(tested[-1], False, trace, tested)
 
 

@@ -191,6 +191,19 @@ class UserParams:
         if self.r_init is not None and not self.r_min <= self.r_init <= self.r_max:
             raise ValueError(f"r_init {self.r_init} outside [{self.r_min}, {self.r_max}]")
 
+    def with_lam(self, lam: float) -> "UserParams":
+        """This user at pricing factor ``lam``: equal to ``replace(self, lam=lam)``.
+
+        Only ``lam`` is checked, with the constructor's messages; every other
+        field was checked when this user was built, so it is copied as is.
+        """
+        _require_finite(lam=lam)
+        if lam <= 0:
+            raise ValueError("pricing factor must be positive")
+        user = object.__new__(type(self))
+        user.__dict__.update(self.__dict__, lam=lam)
+        return user
+
     @property
     def initial_power(self) -> float:
         return self.p_min if self.p_init is None else self.p_init
@@ -240,6 +253,13 @@ class UserTable:
             return users
         rows = [(u.alpha1, u.alpha2, u.lam, u.p_min, u.p_max, u.r_min, u.r_max) for u in users]
         return cls(*np.array(rows, dtype=float).reshape(-1, 7).T.copy())
+
+    def take(self, indices) -> "UserTable":
+        """Table of the users at ``indices``, in that order."""
+        columns = (
+            self.alpha1, self.alpha2, self.lam, self.p_min, self.p_max, self.r_min, self.r_max
+        )
+        return UserTable(*(c[indices] for c in columns))
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,14 @@ bounded best response under its two boundary policies ("clamp" projects the
 unconstrained response onto the strategy box, "kkt" re-optimizes the free
 coordinate from the boundary stationarity quadratics) as one array kernel,
 and ``iterate_to_convergence``, the fixed-point iteration every solve runs:
-single-cell, multi-cell with base-station assignment, and runs with
-arriving users. The single-cell game is the one-station case of the joint
-one. The scalar statements of the formulas it runs, the step metric's among
-them, live in ``oracle``, which this module does not import.
+single-cell, multi-cell with base-station assignment, runs with arriving
+users, and lockstep batches of independent networks. The single-cell game
+is the one-station case of the joint one. The scalar statements of the
+formulas it runs, the step metric's among them, live in ``oracle``, which
+this module does not import.
 
-Each iterate's station totals come from one ``p @ g``, and its (users x
-stations) effective-interference matrix from them; the matrix feeds that
+Each iterate's station totals come from one ``p @ g`` per network, and its
+(users x stations) effective-interference matrix from them; the matrix feeds that
 iterate's trace row and the next synchronous sweep, which assigns every user
 at once and takes every best response from the array kernel behind
 ``bounded_step_array``. The sequential sweep visits users in order and keeps
@@ -40,8 +41,16 @@ converged row's. Rates never enter the power update or the station rule,
 so both placements give the powers and stations of the continuous game.
 
 Within one iteration the per-user updates are pure; the loop itself is
-sequential. A trace belongs to one run; independent runs can execute in
-parallel.
+sequential. Independent runs of one shape step in lockstep through the same
+loop: ``iterate_batch`` carries K networks as one (2 x K*users) state over
+their concatenated table, forms each network's station totals from its own
+``p @ g`` (a stacked product rounds differently) and its own step metric,
+so each network's trace equals its solve alone, bit for bit.
+``iterate_to_convergence`` is the batch of one. A network that converges
+leaves the batch with a trace that ends at its own iteration; one whose
+step raises leaves with its error, and the rest redo that iteration without
+it. Arrivals and the sequential sweep, a per-user loop that lockstep does
+not speed up, run one network at a time.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ __all__ = [
     "Segment",
     "bounded_step",
     "bounded_step_array",
+    "iterate_batch",
     "iterate_to_convergence",
 ]
 
@@ -261,12 +271,13 @@ def _bounded_step_stack(t: UserTable, r_eff: np.ndarray, kkt: bool) -> np.ndarra
     return np.where(ok & ~ok[::-1], np.minimum(np.maximum(q, t.lo), t.hi), box)
 
 
-def _step_metric(prev: np.ndarray, new: np.ndarray, kind: str) -> float:
-    # oracle.convergence_metric on two (2, n) states [powers; rates] and a valid kind.
+def _step_metric(prev: np.ndarray, new: np.ndarray, kind: str, networks: int = 1) -> np.ndarray:
+    # oracle.convergence_metric of each of ``networks`` equal blocks of two
+    # (2, n) states [powers; rates], for a valid kind.
     d = np.abs(new - prev)
     if kind != METRIC_ABSOLUTE:
         d /= np.maximum(np.abs(new), _EPS)
-    return float((d[0] + d[1]).max())
+    return np.maximum.reduce((d[0] + d[1]).reshape(networks, -1), axis=1)
 
 
 def iterate_to_convergence(
@@ -303,18 +314,14 @@ def iterate_to_convergence(
     distances are checked before the first iteration; an arrival after
     ``config.max_iterations`` could never fire. Non-convergence within
     max_iterations is reported on the trace, not raised.
+
+    This is the batch of one: ``iterate_batch`` runs the same loop.
     """
     config = config if config is not None else ConvergenceConfig()
     users = list(users)
-    if len(users) != channel.n_users:
-        raise ValueError(f"{len(users)} users but channel has {channel.n_users} rows")
-    if not users:
-        raise ValueError("need at least one user")
-    if len(users) == 1 and channel.noise_w == 0:
-        raise ValueError("a lone user with zero noise has no positive fixed point")
-    # The state is one (2, n) stack [powers; rates]; every sweep returns a fresh one.
-    initial = [[u.initial_power for u in users], [u.initial_rate for u in users]]
-    state = np.array(initial, dtype=float)
+    error = _network_error(channel, users)
+    if error is not None:
+        raise error
     assignment = _initial_assignment(initial_assignment, len(users), channel.n_stations)
     pending = sorted(arrivals, key=lambda ev: ev.iteration)
     if pending and pending[0].iteration < 1:
@@ -327,57 +334,159 @@ def iterate_to_convergence(
     for ev in pending:
         # Grow a throwaway channel so a bad row fails here, not when it fires.
         channel.with_user(ev.distances_m)
+    (outcome,) = _loop([(channel, users)], config, assignment, pending, reprice)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
+
+def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
+    """Solve independent networks of one shape in lockstep; one outcome per network.
+
+    ``networks`` holds (channel, users) pairs, every channel with the same
+    number of users and stations. Network k's outcome is the trace
+    ``iterate_to_convergence(channel, users, config)`` returns, bit for bit,
+    or the exception that call raises; the caller raises the first one that
+    its serial order would have reached. A network that converges or raises
+    freezes there, and the others step on without it. The sequential
+    schedule's sweep is a per-user loop that lockstep does not speed up, so
+    under it the networks are solved one after another.
+    """
+    config = config if config is not None else ConvergenceConfig()
+    networks = [(channel, list(users)) for channel, users in networks]
+    if len({channel.distances_m.shape for channel, _ in networks}) > 1:
+        raise ValueError("batched networks must share one users x stations shape")
+    outcomes = [_network_error(channel, users) for channel, users in networks]
+    ready = [k for k, error in enumerate(outcomes) if error is None]
+    groups = [ready] if config.schedule == SYNCHRONOUS else [[k] for k in ready]
+    for group in filter(None, groups):
+        n_users = networks[group[0]][0].n_users
+        start = np.zeros(len(group) * n_users, dtype=int)
+        for k, outcome in zip(group, _loop([networks[k] for k in group], config, start)):
+            outcomes[k] = outcome
+    return outcomes
+
+
+def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
+    """The fixed-point loop, stepping K networks of N users in lockstep.
+
+    The state is one fresh (2 x K*N) stack [powers; rates] per iteration over
+    the networks' concatenated user table, and the gains are their (K*N x
+    stations) rows. Each network's station totals come from its own ``p @
+    g``. Each iteration appends one row of the whole batch; the rows are cut
+    into per-network chunks whenever the set of live networks changes. A
+    network that converges leaves the batch with its trace, and one whose
+    step raises leaves with its error, after which the others redo that
+    iteration without it. Arrivals (``pending``) and the sequential schedule
+    only ever come with one network. Returns a trace or an exception per
+    network, in order.
+    """
+    channels = [channel for channel, _ in networks]
+    users = [list(us) for _, us in networks]
+    everyone = [u for us in users for u in us]
+    initial = [[u.initial_power for u in everyone], [u.initial_rate for u in everyone]]
+    state = np.array(initial, dtype=float)
+    n = channels[0].n_users
+    pending = list(pending)
     kkt = config.policy == KKT
     rate_set, at_convergence = config.rate_set, config.quantize_at_convergence
-    table = None  # built once per network the run plays
-    segments: list[Segment] = []
-    # The open segment's (iteration, assignment, state, metric, assigned
-    # r_eff) rows, closed into a Segment by an arrival or the run's end.
+    snap_each = rate_set if rate_set is not None and not at_convergence else None
+    final_snap = rate_set if at_convergence else None
+
+    outcomes: list = [None] * len(networks)
+    segments: list[list[Segment]] = [[] for _ in networks]
+    chunks: list[list[tuple]] = [[] for _ in networks]
+    live = list(range(len(networks)))  # the network in each block of n columns
+    table = UserTable.from_users(everyone)
+    gains = None  # the live networks' gains, taken whenever the live set changes
+    # The batch's (iteration, assignment, state, metrics, assigned r_eff) rows
+    # since the live set last changed.
     rows: list[tuple] = []
-    converged = False
     iteration = 0
-    while iteration < config.max_iterations:
+
+    def finish(j, converged):
+        # Block j's network leaves with its trace, or the error its last row
+        # raises: a converged run quantizing at convergence snaps that row's
+        # rates before the last segment is built.
+        k = live[j]
+        try:
+            if converged and final_snap is not None:
+                final = chunks[k][-1][2][-1]
+                final[1] = _snap(final_snap, final[1])
+            last = _segment(channels[k], table, chunks[k], slice(j * n, (j + 1) * n))
+        except ValueError as exc:
+            outcomes[k] = exc
+            return
+        trace = IterationTrace(segments[k] + [last], converged, iteration, channels[k], users[k])
+        outcomes[k] = trace
+
+    while live and iteration < config.max_iterations:
         iteration += 1
         if pending and pending[0].iteration == iteration:
-            if rows:
-                segments.append(_segment(channel, table, rows))
-                rows = []
+            (k,) = live
+            rows = _cut(rows, live, n, chunks)
+            if chunks[k]:
+                segments[k].append(_segment(channels[k], table, chunks[k]))
+                chunks[k] = []
             while pending and pending[0].iteration == iteration:
                 ev = pending.pop(0)
-                channel = channel.with_user(ev.distances_m)
-                users.append(ev.user)
+                channels[k] = channels[k].with_user(ev.distances_m)
+                users[k].append(ev.user)
                 state = np.append(state, [[ev.user.initial_power], [ev.user.initial_rate]], axis=1)
                 assignment = np.append(assignment, 0)
             if reprice is not None:
-                users = list(reprice(channel, users))
-            table = None
-        if table is None:
-            table, g, noise = UserTable.from_users(users), channel.gains, channel.noise_w
-            totals = state[0] @ g
+                users[k] = list(reprice(channels[k], users[k]))
+            n = len(users[k])
+            table, gains = UserTable.from_users(users[k]), None
+        if gains is None:
+            gains = [channels[k].gains for k in live]
+            g, noise = gains[0], channels[live[0]].noise_w
+            if len(live) > 1:
+                g = np.concatenate(gains)
+                noise = np.array([channels[k].noise_w for k in live]).repeat(n)[:, None]
+            totals = _totals(state[0], gains)
             reffs = _station_reffs(g, noise, state[0], totals)
-            ids = np.arange(len(users))
-        if config.schedule == SYNCHRONOUS:
-            new, assignment = _synchronous_sweep(table, reffs, assignment, kkt)
-        else:
-            new, assignment = _sequential_sweep(g, noise, table, state[0], totals, assignment, kkt)
-        if rate_set is not None and not at_convergence:
-            new[1] = _snap(rate_set, new[1])
-        metric = _step_metric(state, new, config.metric)
-        state = new
+            ids = np.arange(state.shape[1])
+        try:
+            if config.schedule == SYNCHRONOUS:
+                new, stations = _synchronous_sweep(table, reffs, assignment, kkt)
+            else:
+                new, stations = _sequential_sweep(
+                    g, noise, table, state[0], totals, assignment, kkt
+                )
+            if snap_each is not None:
+                new[1] = _snap(snap_each, new[1])
+        except ValueError as exc:
+            # The networks whose own step raises leave with their errors, and
+            # the rest redo this iteration without them.
+            failed = _own_errors(exc, table, len(live), n, reffs, assignment, kkt, snap_each)
+            rows = _cut(rows, live, n, chunks)
+            for j, error in failed.items():
+                outcomes[live[j]] = error
+            state, assignment, table, live = _keep(state, assignment, table, live, n, failed)
+            iteration -= 1
+            gains = None
+            continue
+        metrics = _step_metric(state, new, config.metric, len(live)).tolist()
+        state, assignment = new, stations
         # One set of station totals per iterate serves its row and the next sweep.
-        totals = state[0] @ g
+        totals = _totals(state[0], gains)
         reffs = _station_reffs(g, noise, state[0], totals)
-        rows.append((iteration, assignment, state, metric, reffs[ids, assignment]))
-        if metric <= config.delta and not pending:
-            converged = True
-            break
+        rows.append((iteration, assignment, state, metrics, reffs[ids, assignment]))
+        if pending:
+            continue
+        if min(metrics) <= config.delta:
+            done = [j for j, metric in enumerate(metrics) if metric <= config.delta]
+            rows = _cut(rows, live, n, chunks)
+            for j in done:
+                finish(j, True)
+            state, assignment, table, live = _keep(state, assignment, table, live, n, done)
+            gains = None
 
-    if converged and at_convergence and rate_set is not None:
-        it, a, final, *tail = rows[-1]
-        rows[-1] = (it, a, np.stack([final[0], _snap(rate_set, final[1])]), *tail)
-    segments.append(_segment(channel, table, rows))
-    return IterationTrace(segments, converged, iteration, channel, users)
+    rows = _cut(rows, live, n, chunks)
+    for j in range(len(live)):
+        finish(j, False)
+    return outcomes
 
 
 # Internals.
@@ -399,12 +508,56 @@ def _initial_assignment(override, n_users: int, n_stations: int) -> np.ndarray:
     return a.astype(int)
 
 
-def _station_reffs(g: np.ndarray, noise: float, powers: np.ndarray, totals: np.ndarray):
+def _station_reffs(g: np.ndarray, noise, powers: np.ndarray, totals: np.ndarray):
     # Every user's effective interference at every station (users x stations),
-    # from the stations' received totals. Every caller passes a fresh
-    # ``powers @ g``, and a sum of nonnegative terms never rounds below one of
-    # its terms, so the difference is never negative and needs no clip.
+    # from the stations' received totals, which hold one row per user or one
+    # for all. Every caller passes a fresh ``powers @ g``, and a sum of
+    # nonnegative terms never rounds below one of its terms, so the
+    # difference is never negative and needs no clip.
     return (totals - g * powers[:, None] + noise) / g
+
+
+def _totals(powers: np.ndarray, gains: list) -> np.ndarray:
+    # The station totals each user sees: its own network's ``p @ g``, one
+    # product per network, since a stacked product rounds differently. One
+    # network's totals broadcast over its users as they are.
+    if len(gains) == 1:
+        return powers @ gains[0]
+    n = len(powers) // len(gains)
+    per_network = [p @ g for p, g in zip(powers.reshape(len(gains), n), gains)]
+    return np.array(per_network).repeat(n, axis=0)
+
+
+def _own_errors(exc, table, blocks, n, reffs, assignment, kkt, snap) -> dict:
+    """The error of each block whose synchronous step raises when run alone.
+
+    ``exc`` is what the batch's step raised; a batch of one raised its own.
+    """
+    if blocks == 1:
+        return {0: exc}
+    failed = {}
+    for j in range(blocks):
+        cols = slice(j * n, (j + 1) * n)
+        try:
+            new, _ = _synchronous_sweep(table.take(cols), reffs[cols], assignment[cols], kkt)
+            if snap is not None:
+                _snap(snap, new[1])
+        except ValueError as own:
+            failed[j] = own
+    if not failed:
+        raise exc
+    return failed
+
+
+def _network_error(channel: ChannelModel, users: list) -> ValueError | None:
+    # What a solve of these users on this channel refuses at entry, if anything.
+    if len(users) != channel.n_users:
+        return ValueError(f"{len(users)} users but channel has {channel.n_users} rows")
+    if not users:
+        return ValueError("need at least one user")
+    if len(users) == 1 and channel.noise_w == 0:
+        return ValueError("a lone user with zero noise has no positive fixed point")
+    return None
 
 
 def _snap(rate_set: RateSet, rates: np.ndarray) -> np.ndarray:
@@ -498,22 +651,54 @@ def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt):
     return _bounded_step_stack(table, np.array(seen), kkt), np.array(a)
 
 
-def _segment(channel, table, rows) -> Segment:
-    """One segment of step 1: iterations played on ``channel`` by ``table``.
+def _segment(channel, table, chunks, cols=slice(None)) -> Segment:
+    """One segment of step 1: iterations played on ``channel`` by columns ``cols`` of ``table``.
 
-    ``rows`` holds (iteration, assignment, (2 x users) state, metric,
-    assigned r_eff) rows. They are stacked into (iterations x users) columns,
-    and SINR and utility come from one vectorised pass over them.
+    ``chunks`` hold (iterations, assignment, states, metrics, assigned r_eff)
+    columns of consecutive runs of its iterations, states as (iterations x 2
+    x users) stacks. They are joined into (iterations x users) columns, and
+    SINR and utility come from one vectorised pass over them.
     """
-    iterations, assignment, states, metrics, reffs = zip(*rows)
-    states = np.array(states, dtype=float)
+    iterations, assignment, states, metrics, reffs = (_join(c) for c in zip(*chunks))
     powers, rates = states[:, 0], states[:, 1]
-    reffs = np.array(reffs, dtype=float)
     if not (reffs > 0).all():
         raise ValueError("effective interference must be positive")
     sinrs = (channel.bandwidth_hz / rates) * (powers / reffs)
-    a1, a2, lam = table.alpha1, table.alpha2, table.lam
+    a1, a2, lam = table.alpha1[cols], table.alpha2[cols], table.lam[cols]
     price = 0.5 * lam * ((a2 / a1) * reffs * rates**2 + (a1 / a2) * powers**2 / reffs)
     utilities = np.log(a2 * reffs * rates + a1 * powers) - price
-    assignment, metrics = np.array(assignment, dtype=int), np.array(metrics, dtype=float)
-    return Segment(1, np.array(iterations), assignment, powers, rates, sinrs, utilities, metrics)
+    return Segment(1, iterations, assignment, powers, rates, sinrs, utilities, metrics)
+
+
+def _join(parts) -> np.ndarray:
+    return np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
+
+
+def _cut(rows, live, n, chunks) -> list:
+    """Cut the batch's rows into a chunk per live network; returns a fresh row list.
+
+    Block j of every row's n-column blocks is network ``live[j]``.
+    """
+    if rows:
+        iterations, assignment, states, metrics, reffs = zip(*rows)
+        s, a = len(rows), len(live)
+        iterations = np.array(iterations)
+        assignment = np.array(assignment, dtype=int).reshape(s, a, n)
+        states = np.array(states, dtype=float).reshape(s, 2, a, n)
+        metrics = np.array(metrics, dtype=float)
+        reffs = np.array(reffs, dtype=float).reshape(s, a, n)
+        for j, k in enumerate(live):
+            block = (assignment[:, j], states[:, :, j], metrics[:, j], reffs[:, j])
+            chunks[k].append((iterations, *block))
+    return []
+
+
+def _keep(state, assignment, table, live, n, drop):
+    """The batch without the blocks in ``drop``: (state, assignment, table, live)."""
+    keep = [j for j in range(len(live)) if j not in drop]
+    if not keep:
+        return state, assignment, table, []
+    cols = (np.array(keep, dtype=int)[:, None] * n + np.arange(n)).ravel()
+    # take, not state[:, cols]: the fancy index may lay the rows out strided,
+    # and a strided p @ g rounds differently.
+    return state.take(cols, axis=1), assignment[cols], table.take(cols), [live[j] for j in keep]

@@ -46,6 +46,7 @@ from .engine import (
     IterationRecord,
     IterationTrace,
     Segment,
+    iterate_batch,
     iterate_to_convergence,
 )
 from .admission import (
@@ -530,38 +531,102 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
     one iteration count across steps; with moves, the summary carries each
     step's final row.
     Non-convergence is flagged in the summary, not raised.
+
+    Every step is an independent solve of its geometry from the initial
+    strategies, so the steps are solved as one batch. With arrivals step 1
+    runs first, on its own, because the later steps play the network it grew.
     """
+    ((trace, summary),) = _run_priced(scenario, [scenario.pricing])
+    return trace, summary
 
-    def reprice(channel, users):
-        if scenario.pricing is None:
-            return list(users)
-        return priced_users(scenario.pricing, channel, users)
 
+def sweep_lambda(
+    scenario: Scenario, lambdas
+) -> list[tuple[float, IterationTrace, RunSummary]]:
+    """Run the scenario once per pricing value, uniform across users.
+
+    Each value is a constant pricing rule, so arriving users are priced at
+    it too, and it wins over any [pricing] section the scenario carries. The
+    runs' steps are solved together in one batch.
+    """
+    lambdas = list(lambdas)
+    runs = _run_priced(scenario, (PricingRule("constant", float(lam)) for lam in lambdas))
+    return [(float(lam), trace, summary) for lam, (trace, summary) in zip(lambdas, runs)]
+
+
+def _run_priced(scenario: Scenario, pricings) -> list[tuple[IterationTrace, RunSummary]]:
+    """Run ``scenario`` once per pricing rule (None: the users' own lambdas).
+
+    Every step's solve joins one batch, except step 1 with arrivals, which
+    runs alone as its pricing comes up. When that solve, or pricing a step,
+    raises, the batched solves before it are run first: the error raised is
+    the one a serial run of the steps in order meets first.
+    """
     moves_by_step: dict[int, list[MoveEvent]] = {}
     for ev in scenario.moves:
         moves_by_step.setdefault(ev.step, []).append(ev)
+    steps = sorted({1} | set(moves_by_step))
+    config = scenario.config
+    networks: list[tuple] = []  # (channel, users) of every batched step, in serial order
+    runs = []
+    try:
+        for pricing in pricings:
+            reprice = _pricer(pricing)
+            # Every step is an independent solve of the new geometry from the
+            # default initial strategies. The converged point is
+            # initialization-independent, and a cold start keeps a
+            # geometrically symmetric step actually symmetric, so the
+            # assignment tie-break can hold a walker at its current station
+            # instead of inheriting the previous geometry's power skew.
+            channel, users = scenario.channel, scenario.users
+            first, start = [], len(networks)
+            for step_no in steps:
+                for ev in moves_by_step.get(step_no, []):
+                    channel = channel.moved(ev.user, ev.distances_m)
+                if step_no == 1 and scenario.arrivals:
+                    # The later steps play the network this step grows.
+                    trace = iterate_to_convergence(
+                        channel,
+                        reprice(channel, users),
+                        config,
+                        arrivals=scenario.arrivals,
+                        reprice=reprice,
+                    )
+                    channel, users = trace.channel, trace.users
+                    first.append(trace)
+                else:
+                    networks.append((channel, reprice(channel, users)))
+            runs.append((first, start, len(networks)))
+    except ValueError:
+        _raise_first(iterate_batch(networks, config))
+        raise
+    solved = iterate_batch(networks, config)
+    _raise_first(solved)
+    return [_joined(scenario, steps, first + solved[a:b]) for first, a, b in runs]
 
-    # Every step is an independent solve of the new geometry from the default
-    # initial strategies. The converged point is initialization-independent,
-    # and a cold start keeps a geometrically symmetric step actually
-    # symmetric, so the assignment tie-break can hold a walker at its current
-    # station instead of inheriting the previous geometry's power skew.
-    channel, users = scenario.channel, scenario.users
+
+def _pricer(pricing: PricingRule | None):
+    def reprice(channel, users):
+        if pricing is None:
+            return list(users)
+        return priced_users(pricing, channel, users)
+
+    return reprice
+
+
+def _raise_first(outcomes: list) -> None:
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+
+
+def _joined(scenario: Scenario, steps, traces) -> tuple[IterationTrace, RunSummary]:
+    """One run's trace and summary from the traces of its steps, in order."""
     segments: list[Segment] = []
     step_finals: list[IterationRecord] = []
     offset = 0
     converged = True
-    for step_no in sorted({1} | set(moves_by_step)):
-        for ev in moves_by_step.get(step_no, []):
-            channel = channel.moved(ev.user, ev.distances_m)
-        trace = iterate_to_convergence(
-            channel,
-            reprice(channel, users),
-            scenario.config,
-            arrivals=scenario.arrivals if step_no == 1 else (),
-            reprice=reprice,
-        )
-        channel, users = trace.channel, trace.users
+    for step_no, trace in zip(steps, traces):
         converged = converged and trace.converged
         segments += [
             replace(seg, step=step_no, iterations=seg.iterations + offset) for seg in trace.segments
@@ -572,27 +637,12 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
     trace = replace(trace, segments=segments, converged=converged, iterations_used=offset)
     # Arrivals join in iteration order, after the scenario's own users.
     arrived = sorted(scenario.arrivals, key=lambda ev: ev.iteration)
-    names = scenario.user_names + [ev.name for ev in arrived][: len(users) - len(scenario.users)]
+    extra = len(trace.users) - len(scenario.users)
+    names = scenario.user_names + [ev.name for ev in arrived][:extra]
     summary = summarize_run(trace, names)
     if scenario.moves:
         summary.steps = step_finals
     return trace, summary
-
-
-def sweep_lambda(
-    scenario: Scenario, lambdas
-) -> list[tuple[float, IterationTrace, RunSummary]]:
-    """Run the scenario once per pricing value, uniform across users.
-
-    Each value is a constant pricing rule, so arriving users are priced at
-    it too, and it wins over any [pricing] section the scenario carries.
-    """
-    results = []
-    for lam in lambdas:
-        lam = float(lam)
-        trace, summary = run_scenario(replace(scenario, pricing=PricingRule("constant", lam)))
-        results.append((lam, trace, summary))
-    return results
 
 
 def summarize_run(trace: IterationTrace, names) -> RunSummary:

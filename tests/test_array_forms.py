@@ -671,8 +671,9 @@ def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0
         effective_interference_by_station(channel, powers, i)[a]
         for i, a in enumerate(assignment)
     ]
-    row = (iteration, assignment, np.array([powers, rates], dtype=float), metric, r_eff)
-    return _segment(channel, UserTable.from_users(users), [row]).row(0)
+    state = np.array([[powers, rates]], dtype=float)
+    chunk = (np.array([iteration]), assignment[None], state, np.array([metric]), np.array([r_eff]))
+    return _segment(channel, UserTable.from_users(users), [chunk]).row(0)
 
 
 RECORD_FIELDS = ("assignment", "powers", "rates", "sinrs", "utilities")
@@ -884,7 +885,7 @@ class TestInlineMetric:
         # Values from 1e-40 up reach below the metric's 1e-30 floor, and a
         # repeated vector gives steps of exactly 0.
         prev_p, prev_r, p, r = (np.array(v) for v in vectors)
-        stacked = _step_metric(np.array([prev_p, prev_r]), np.array([p, r]), kind)
+        (stacked,) = _step_metric(np.array([prev_p, prev_r]), np.array([p, r]), kind)
         assert stacked == convergence_metric(prev_p, prev_r, p, r, kind)
 
     @pytest.mark.parametrize(

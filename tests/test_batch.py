@@ -1,0 +1,439 @@
+"""Lockstep batches against serial solves, and the escalation window against a serial escalation.
+
+``iterate_batch`` steps K independent networks of one shape in one loop;
+network k's outcome must be what ``iterate_to_convergence`` gives for it
+alone, bit for bit: every segment column, ``iterations_used`` and
+``converged``, or the same exception with the same message. The escalation
+window solves the next few coefficients as one batch and reads them in order;
+what it reports and raises must be what testing one coefficient at a time
+gives, which ``serial_escalation`` below restates.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ratepower import admission
+from ratepower.admission import (
+    BELOW_TARGET,
+    ESCALATION_WINDOW,
+    EscalationResult,
+    NotConvergedError,
+    PricingRule,
+    classify_users,
+    escalate_pricing,
+    priced_users,
+)
+from ratepower.core import ChannelModel, UserParams, target_sinr
+from ratepower.engine import (
+    CLAMP,
+    KKT,
+    METRIC_ABSOLUTE,
+    METRIC_RELATIVE,
+    SEQUENTIAL,
+    SYNCHRONOUS,
+    ConvergenceConfig,
+    iterate_batch,
+    iterate_to_convergence,
+)
+from ratepower.rates import NoFeasibleRateError, RateSet
+from ratepower.reference import table3_scenario
+from ratepower.scenario import ArrivalEvent, MoveEvent, Scenario, run_scenario, sweep_lambda
+
+COLUMNS = ("iterations", "assignment", "powers", "rates", "sinrs", "utilities", "metrics")
+# The lowest rungs of the last two ladders sit above the rates that heavy
+# pricing gives, so some solves on them raise NoFeasibleRateError.
+LADDERS = (None, RateSet((0.1, 1e3, 1e4, 5e4)), RateSet((2e3, 1e4, 5e4)), RateSet((1.5e4, 3e4, 6e4)))
+
+
+def serial(channel, users, config=None):
+    """One network solved alone: its trace, or the error the solve raises."""
+    try:
+        return iterate_to_convergence(channel, users, config)
+    except ValueError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    assert (got.converged, got.iterations_used) == (want.converged, want.iterations_used)
+    for name in ("pathloss_exponent", "shadowing", "noise_w", "bandwidth_hz"):
+        assert getattr(got.channel, name) == getattr(want.channel, name)
+    assert got.channel.distances_m.tobytes() == want.channel.distances_m.tobytes()
+    assert got.users == want.users
+    assert len(got.segments) == len(want.segments)
+    for a, b in zip(got.segments, want.segments):
+        assert a.step == b.step
+        for name in COLUMNS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+            assert x.tobytes() == y.tobytes(), name
+
+
+def assert_batch_is_serial(networks, config):
+    got = iterate_batch(networks, config)
+    assert len(got) == len(networks)
+    for (channel, users), outcome in zip(networks, got):
+        assert_same_outcome(outcome, serial(channel, users, config))
+    return got
+
+
+@st.composite
+def batches(draw):
+    """K networks of one shape, each priced on its own scale so their
+    convergence lengths differ, and a config that may stop some of them at
+    max_iterations or fail them on a rate ladder."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    b = draw(st.sampled_from([1, 2, 4]))
+    metric = draw(st.sampled_from([METRIC_RELATIVE, METRIC_ABSOLUTE]))
+    delta = 1e-9 if metric == METRIC_RELATIVE else draw(st.sampled_from([1e-3, 1.0]))
+    config = ConvergenceConfig(
+        delta=delta,
+        max_iterations=draw(st.integers(1, 120)),
+        metric=metric,
+        policy=draw(st.sampled_from([CLAMP, KKT])),
+        rate_set=draw(st.sampled_from(LADDERS[:2] + LADDERS[3:])),
+        quantize_at_convergence=draw(st.booleans()),
+    )
+    distance = st.floats(20.0, 400.0)
+    networks = []
+    for _ in range(k):
+        d = draw(st.lists(distance, min_size=n * b, max_size=n * b))
+        noise = draw(st.sampled_from([5e-15, 1e-12]))
+        scale = 10.0 ** draw(st.floats(-6.0, -2.0))
+        users = [
+            UserParams(
+                alpha2=draw(st.sampled_from([12.9492, 20.0, 30.0])),
+                lam=scale * draw(st.floats(0.5, 2.0)),
+                p_max=draw(st.floats(0.01, 3.0)),
+            )
+            for _ in range(n)
+        ]
+        networks.append((ChannelModel(np.reshape(d, (n, b)), noise_w=noise), users))
+    return networks, config
+
+
+class TestIterateBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(batches())
+    def test_each_network_equals_its_serial_solve(self, drawn):
+        assert_batch_is_serial(*drawn)
+
+    @pytest.mark.parametrize("policy", [CLAMP, KKT])
+    def test_sequential_schedule_equals_serial_solves(self, policy):
+        rng = np.random.default_rng(3)
+        networks = [
+            (ChannelModel(rng.uniform(20.0, 400.0, (5, 2))), [UserParams(lam=lam)] * 5)
+            for lam in (1e-5, 1e-4, 1e-3)
+        ]
+        assert_batch_is_serial(networks, ConvergenceConfig(policy=policy, schedule=SEQUENTIAL))
+
+    def test_lengths_differ_and_one_hits_max_iterations(self):
+        # Table 3's six users converge in 8, 16 and 35 iterations at these
+        # three prices; a budget of 20 stops the third.
+        scenario = table3_scenario(6)
+        networks = [
+            (scenario.channel, priced_users(PricingRule("constant", c), scenario.channel, scenario.users))
+            for c in (4e-4, 5e-4, 6e-4)
+        ]
+        got = assert_batch_is_serial(networks, ConvergenceConfig(max_iterations=20))
+        assert [t.iterations_used for t in got] == [8, 16, 20]
+        assert [t.converged for t in got] == [True, True, False]
+
+    @pytest.mark.parametrize("at_convergence", [False, True])
+    def test_two_failing_networks_keep_their_own_errors(self, at_convergence):
+        # Networks 1 and 2 fall below the ladder at different prices; each
+        # keeps its own error, and networks 0 and 3 finish as if alone.
+        config = ConvergenceConfig(rate_set=LADDERS[2], quantize_at_convergence=at_convergence)
+        channel = ChannelModel([110.0, 130.0, 210.0])
+        networks = [(channel, [UserParams(alpha2=20.0, lam=lam)] * 3) for lam in (1e-5, 100.0, 300.0, 1e-5)]
+        got = assert_batch_is_serial(networks, config)
+        assert not isinstance(got[0], Exception) and not isinstance(got[3], Exception)
+        assert isinstance(got[1], NoFeasibleRateError) and isinstance(got[2], NoFeasibleRateError)
+        assert str(got[1]) != str(got[2])
+
+    def test_zero_interference_fails_only_its_network(self):
+        # No noise, and the far users' received power is below the rounding
+        # of the near user's, so the near user sees no interference at all.
+        silent = ChannelModel([[10.0], [1e4], [1e4]], noise_w=0.0)
+        loud = ChannelModel([[110.0], [130.0], [210.0]])
+        users = [UserParams(p_init=3.0), UserParams(), UserParams()]
+        networks = [(loud, users), (silent, users), (loud, [UserParams()] * 3)]
+        got = assert_batch_is_serial(networks, None)
+        assert str(got[1]) == "effective interference must be positive"
+        assert got[0].converged and got[2].converged
+
+    def test_a_sweep_reports_the_lower_index_error(self):
+        # Two prices fall below the ladder with different messages; the sweep
+        # raises the one a price-by-price loop meets first.
+        config = ConvergenceConfig(rate_set=LADDERS[2])
+        scenario = Scenario(
+            ChannelModel([110.0, 130.0, 210.0]),
+            [UserParams(alpha2=20.0)] * 3,
+            ["u1", "u2", "u3"],
+            config,
+        )
+        lambdas = [1e-5, 100.0, 300.0]
+        with pytest.raises(NoFeasibleRateError) as want:
+            for lam in lambdas:
+                run_scenario(replace(scenario, pricing=PricingRule("constant", lam)))
+        with pytest.raises(NoFeasibleRateError) as got:
+            sweep_lambda(scenario, lambdas)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(NoFeasibleRateError) as last:
+            run_scenario(replace(scenario, pricing=PricingRule("constant", lambdas[2])))
+        assert str(last.value) != str(want.value)
+
+    def test_entry_errors_stand_in_place(self):
+        channel = ChannelModel([110.0, 130.0])
+        lone = ChannelModel([110.0], noise_w=0.0)
+        networks = [(channel, [UserParams()] * 2), (channel, [UserParams()]), (channel, [UserParams()] * 2)]
+        got = assert_batch_is_serial(networks, None)
+        assert str(got[1]) == "1 users but channel has 2 rows"
+        got = assert_batch_is_serial([(lone, [UserParams()]), (lone, [UserParams(lam=1e-3)])], None)
+        assert all(isinstance(outcome, ValueError) for outcome in got)
+
+    def test_networks_of_different_shapes_are_refused(self):
+        small, large = ChannelModel([110.0, 130.0]), ChannelModel([110.0, 130.0, 150.0])
+        with pytest.raises(ValueError, match="share one users x stations shape"):
+            iterate_batch([(small, [UserParams()] * 2), (large, [UserParams()] * 3)])
+
+    def test_an_empty_batch_has_no_outcomes(self):
+        assert iterate_batch([]) == []
+
+
+def serial_run(scenario):
+    """A scenario's steps solved one at a time: its joined segments and last trace."""
+
+    def reprice(channel, users):
+        if scenario.pricing is None:
+            return list(users)
+        return priced_users(scenario.pricing, channel, users)
+
+    channel, users = scenario.channel, scenario.users
+    segments, offset = [], 0
+    for step in sorted({1} | {ev.step for ev in scenario.moves}):
+        for ev in scenario.moves:
+            if ev.step == step:
+                channel = channel.moved(ev.user, ev.distances_m)
+        arrivals = scenario.arrivals if step == 1 else ()
+        trace = iterate_to_convergence(
+            channel, reprice(channel, users), scenario.config, arrivals=arrivals, reprice=reprice
+        )
+        channel, users = trace.channel, trace.users
+        segments += [replace(s, step=step, iterations=s.iterations + offset) for s in trace.segments]
+        offset += trace.iterations_used
+    return segments, trace
+
+
+def walk_with_arrival(rate_set=None):
+    # Two stations; u4 arrives at iteration 5 of step 1, u1 walks far away at
+    # step 2, where its rate falls furthest, and back at step 3.
+    channel = ChannelModel([[110.0, 400.0], [130.0, 380.0], [390.0, 120.0]])
+    arrival = ArrivalEvent(5, "u4", np.array([200.0, 300.0]), UserParams(alpha2=20.0))
+    moves = [
+        MoveEvent(2, 0, "u1", np.array([600.0, 600.0])),
+        MoveEvent(3, 0, "u1", np.array([250.0, 260.0])),
+    ]
+    config = ConvergenceConfig(rate_set=rate_set)
+    return Scenario(
+        channel, [UserParams(alpha2=20.0)] * 3, ["u1", "u2", "u3"], config, None, [arrival], moves
+    )
+
+
+class TestScenarioBatches:
+    def test_a_sweep_with_arrivals_and_moves_equals_serial_runs(self):
+        scenario = walk_with_arrival()
+        lambdas = [1e-5, 1e-1, 10.0]
+        for lam, trace, summary in sweep_lambda(scenario, lambdas):
+            segments, last = serial_run(replace(scenario, pricing=PricingRule("constant", lam)))
+            assert_same_outcome(
+                trace, replace(last, segments=segments, iterations_used=trace.iterations_used)
+            )
+            assert trace.iterations_used == sum(len(s.iterations) for s in segments)
+            assert [s.step for s in segments] == [1, 1, 2, 3]
+            assert summary.user_names == ["u1", "u2", "u3", "u4"]
+
+    def test_a_sweep_raises_the_error_serial_runs_meet_first(self):
+        # At price 1 the walk's far step falls below the ladder; at price 100
+        # step 1 already does. A price-by-price loop meets the first, though
+        # the second comes from a step that runs alone, before the batch.
+        scenario = walk_with_arrival(LADDERS[2])
+        priced = [replace(scenario, pricing=PricingRule("constant", lam)) for lam in (1.0, 100.0)]
+        errors = []
+        for one in priced:
+            with pytest.raises(NoFeasibleRateError) as exc:
+                serial_run(one)
+            errors.append(str(exc.value))
+        assert errors[0] != errors[1]
+        with pytest.raises(NoFeasibleRateError) as got:
+            sweep_lambda(scenario, [1.0, 100.0])
+        assert str(got.value) == errors[0]
+
+
+def serial_escalation(channel, users, rule, config=None, max_steps=40):
+    """Escalation one coefficient at a time, the loop the window must agree with."""
+    step = rule.dc if rule.dc is not None else 0.25 * rule.c
+    targets = [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]
+    tested, trace = [], None
+    for k in range(max_steps):
+        c = rule.c + k * step
+        trace = iterate_to_convergence(channel, priced_users(replace(rule, c=c), channel, users), config)
+        tested.append(c)
+        if BELOW_TARGET not in classify_users(trace, targets):
+            return EscalationResult(c, True, trace, tested)
+    return EscalationResult(tested[-1], False, trace, tested)
+
+
+def assert_escalation_is_serial(channel, users, rule, config=None, max_steps=40):
+    try:
+        want = serial_escalation(channel, users, rule, config, max_steps)
+    except (ValueError, NotConvergedError) as exc:
+        with pytest.raises(type(exc)) as got:
+            escalate_pricing(channel, users, rule, config, max_steps)
+        assert str(got.value) == str(exc)
+        return exc
+    got = escalate_pricing(channel, users, rule, config, max_steps)
+    assert (got.tested, got.c_final, got.achieved) == (want.tested, want.c_final, want.achieved)
+    assert_same_outcome(got.trace, want.trace)
+    return got
+
+
+def table3_escalation(c=4e-4, dc=1e-4):
+    # Six users at 110 m: below target at 4e-4, achieved at 5e-4, and the
+    # solves at 4e-4, 5e-4 and 6e-4 or more take 8, 16 and 35 iterations.
+    scenario = table3_scenario(6)
+    return scenario.channel, scenario.users, PricingRule("constant", c, dc=dc)
+
+
+class TestEscalationWindow:
+    def test_the_window_batches_more_than_one_coefficient(self):
+        assert ESCALATION_WINDOW > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 8),
+        st.sampled_from([1, 2]),
+        st.integers(1, 8),
+        st.sampled_from([SYNCHRONOUS, SEQUENTIAL]),
+        st.sampled_from([None, 30]),
+    )
+    def test_random_networks_match_serial_escalation(self, seed, n, b, max_steps, schedule, budget):
+        rng = np.random.default_rng(seed)
+        channel = ChannelModel(rng.uniform(20.0, 400.0, (n, b)))
+        alpha2 = rng.choice([12.9492, 16.0, 20.0], n)
+        users = [UserParams(alpha2=float(a), p_max=float(p)) for a, p in zip(alpha2, rng.uniform(0.02, 2.0, n))]
+        c = float(10.0 ** rng.uniform(-6.0, -3.0))
+        rule = PricingRule("constant", c, dc=c * float(rng.uniform(0.2, 1.0)))
+        config = ConvergenceConfig(schedule=schedule, max_iterations=budget or 500)
+        assert_escalation_is_serial(channel, users, rule, config, max_steps)
+
+    def test_max_steps_below_the_window(self):
+        channel, users, rule = table3_escalation(c=1e-4, dc=1e-5)
+        got = assert_escalation_is_serial(channel, users, rule, max_steps=ESCALATION_WINDOW - 1)
+        assert not got.achieved and len(got.tested) == ESCALATION_WINDOW - 1
+
+    def test_the_window_reads_past_the_achieved_coefficient_unreported(self):
+        got = assert_escalation_is_serial(*table3_escalation())
+        assert got.achieved and got.tested == [4e-4, 5e-4]
+
+    def test_non_convergence_past_the_achieved_coefficient_does_not_surface(self):
+        # 6e-4 would need 35 iterations; the serial loop stops at 5e-4.
+        got = assert_escalation_is_serial(*table3_escalation(), ConvergenceConfig(max_iterations=20))
+        assert got.achieved and got.c_final == 5e-4
+
+    def test_non_convergence_the_serial_loop_reaches_surfaces(self):
+        exc = assert_escalation_is_serial(*table3_escalation(), ConvergenceConfig(max_iterations=12))
+        assert isinstance(exc, NotConvergedError)
+        assert str(exc).startswith("run did not converge within 12 iterations")
+
+    # Snapped at convergence onto this ladder, 4e-4 stays below target and
+    # 5e-4 is achieved, while 6e-4's rates lie below its lowest rung.
+    LADDER = ConvergenceConfig(rate_set=RateSet((15447.0, 17273.0, 96000.0)), quantize_at_convergence=True)
+
+    def test_a_ladder_error_past_the_achieved_coefficient_does_not_surface(self):
+        got = assert_escalation_is_serial(*table3_escalation(), self.LADDER)
+        assert got.achieved and got.tested == [4e-4, 5e-4]
+
+    def test_a_ladder_error_the_serial_loop_reaches_surfaces(self):
+        exc = assert_escalation_is_serial(*table3_escalation(dc=2e-4), self.LADDER)
+        assert isinstance(exc, NoFeasibleRateError)
+        assert "(minimum is 15447.0)" in str(exc)
+
+    def test_a_pricing_error_past_the_achieved_coefficient_does_not_surface(self):
+        # The third coefficient overflows to inf, but the first is achieved.
+        got = assert_escalation_is_serial(*table3_escalation(c=5e-4, dc=1e308))
+        assert got.achieved and got.tested == [5e-4]
+
+    def test_a_pricing_error_the_serial_loop_reaches_surfaces(self):
+        # Under noise equal to their gain the users see an interference of
+        # about 1, which holds them below target at any price, so the serial
+        # loop prices the third coefficient, which overflows to inf.
+        channel = ChannelModel([97.0**0.25, 97.0**0.25], noise_w=1e-3)
+        rule = PricingRule("constant", 1e307, dc=1e308)
+        exc = assert_escalation_is_serial(channel, [UserParams()] * 2, rule)
+        assert str(exc) == "c must be finite, got inf"
+
+    def test_every_width_gives_the_serial_answer(self, monkeypatch):
+        # Every width gives the serial answer; the constant only sets how
+        # many coefficients are solved together.
+        for width in (1, 2, 5):
+            monkeypatch.setattr(admission, "ESCALATION_WINDOW", width)
+            assert_escalation_is_serial(*table3_escalation())
+            assert_escalation_is_serial(*table3_escalation(), ConvergenceConfig(max_iterations=12))
+
+
+class TestPricedUsers:
+    RULES = [
+        PricingRule("constant", 3e-4),
+        PricingRule("per_user_count", 2e-5),
+        PricingRule("direct_gain", 1e3),
+        PricingRule("inverse_gain", 1e-16),
+        PricingRule("target_ratio", 1e-4),
+        PricingRule("inverse_target_ratio", 1e-4),
+    ]
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.kind)
+    def test_equals_replace(self, rule):
+        channel = ChannelModel([90.0, 150.0, 320.0])
+        users = [
+            UserParams(alpha2=12.9492, p_init=0.5),
+            UserParams(alpha1=2e6, alpha2=30.0, r_max=5e4, r_init=100.0),
+            UserParams(alpha2=20.0, lam=7.0),
+        ]
+        got = priced_users(rule, channel, users)
+        n = len(users)
+        gains = channel.gains[:, 0]
+        want = [
+            replace(u, lam=admission.pricing_rule_eval(rule, n, float(g), u.alpha1, u.alpha2))
+            for u, g in zip(users, gains)
+        ]
+        assert got == want
+        assert [type(u) for u in got] == [UserParams] * n
+
+    @pytest.mark.parametrize(
+        "rule, distances, message",
+        [
+            (PricingRule("per_user_count", 1e308), [110.0, 130.0], "lam must be finite, got inf"),
+            (PricingRule("inverse_gain", 1e300), [1e5, 130.0], "lam must be finite, got inf"),
+            (PricingRule("direct_gain", 1e-300), [1e7, 130.0], "pricing factor must be positive"),
+        ],
+    )
+    def test_an_overflowing_price_raises_as_replace_does(self, rule, distances, message):
+        channel = ChannelModel(distances)
+        users = [UserParams()] * len(distances)
+        gain = float(channel.gains[0, 0])
+        lam = admission.pricing_rule_eval(rule, len(users), gain, 1e6, 20.0)
+        with pytest.raises(ValueError) as want:
+            replace(users[0], lam=lam)
+        with pytest.raises(ValueError) as got:
+            priced_users(rule, channel, users)
+        assert str(got.value) == str(want.value) == message

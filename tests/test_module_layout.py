@@ -39,7 +39,7 @@ PUBLIC_NAMES = [
     "alpha_ratio_for_target", "assign_base_station", "bounded_step", "bounded_step_array",
     "classify_users", "convergence_metric", "effective_interference",
     "effective_interference_by_station", "emit_trace", "escalate_pricing",
-    "fd_gradient_check", "grid_best_response", "iterate_to_convergence",
+    "fd_gradient_check", "grid_best_response", "iterate_batch", "iterate_to_convergence",
     "njrpcg_equilibrium", "parse_scenario", "path_gain", "power_update_map",
     "power_update_rate_bounded", "pricing_rule_eval", "rate_update_power_bounded",
     "removal_loop", "reproduce", "run_scenario", "scenario_to_text", "sinr",
@@ -52,6 +52,7 @@ PARAMETERS = {
     "engine.iterate_to_convergence": [
         "channel", "users", "config", "initial_assignment", "arrivals", "reprice",
     ],
+    "engine.iterate_batch": ["networks", "config"],
     "admission.escalate_pricing": ["channel", "users", "rule", "config", "max_steps"],
     "admission.removal_loop": ["channel", "users", "config"],
     "admission.classify_users": ["trace", "targets"],
