@@ -38,17 +38,32 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _require_count(name: str, value) -> int:
-    # ``value`` as an int of at least 1: floats, NaN, inf and bools are refused.
+def _require_int(name: str, value) -> int:
+    # ``value`` as an int: floats, NaN, inf and bools are refused, not cast.
     try:
-        count = operator.index(value)
+        number = operator.index(value)
     except TypeError:
-        count = None
-    if count is None or isinstance(value, bool):
+        number = None
+    if number is None or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
+def _require_count(name: str, value) -> int:
+    # ``value`` as an int of at least 1.
+    count = _require_int(name, value)
     if count < 1:
         raise ValueError(f"{name} must be at least 1")
     return count
+
+
+def _require_index(name: str, value, size: int) -> int:
+    # ``value`` as an int in [0, size): a negative index is refused, not
+    # counted from the end.
+    index = _require_int(name, value)
+    if not 0 <= index < size:
+        raise ValueError(f"{name} {index} is outside [0, {size})")
+    return index
 
 
 def path_gain(distance_m: float, pathloss_exponent: float, shadowing: float) -> float:
@@ -120,8 +135,12 @@ class ChannelModel:
         return self._gains
 
     def subset(self, user_indices) -> "ChannelModel":
-        """Channel restricted to the given users, e.g. after removals."""
-        return replace(self, distances_m=self.distances_m[np.asarray(user_indices, dtype=int)])
+        """Channel restricted to the given users, e.g. after removals.
+
+        Every index must be an integer in ``[0, n_users)``.
+        """
+        rows = [_require_index("user index", i, self.n_users) for i in user_indices]
+        return replace(self, distances_m=self.distances_m[rows])
 
     def with_user(self, distances_row) -> "ChannelModel":
         """Channel extended by one arriving user."""
@@ -134,7 +153,11 @@ class ChannelModel:
         return replace(self, distances_m=np.vstack([self.distances_m, row]))
 
     def moved(self, user_index: int, distances_row) -> "ChannelModel":
-        """Channel with one user's distances replaced (a movement step)."""
+        """Channel with one user's distances replaced (a movement step).
+
+        ``user_index`` must be an integer in ``[0, n_users)``.
+        """
+        user_index = _require_index("user index", user_index, self.n_users)
         row = np.asarray(distances_row, dtype=float).reshape(-1)
         if row.shape[0] != self.n_stations:
             raise ValueError(
@@ -253,13 +276,6 @@ class UserTable:
             return users
         rows = [(u.alpha1, u.alpha2, u.lam, u.p_min, u.p_max, u.r_min, u.r_max) for u in users]
         return cls(*np.array(rows, dtype=float).reshape(-1, 7).T.copy())
-
-    def take(self, indices) -> "UserTable":
-        """Table of the users at ``indices``, in that order."""
-        columns = (
-            self.alpha1, self.alpha2, self.lam, self.p_min, self.p_max, self.r_min, self.r_max
-        )
-        return UserTable(*(c[indices] for c in columns))
 
 
 @dataclass(frozen=True)

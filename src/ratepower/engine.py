@@ -46,11 +46,12 @@ loop: ``iterate_batch`` carries K networks as one (2 x K*users) state over
 their concatenated table, forms each network's station totals from its own
 ``p @ g`` (a stacked product rounds differently) and its own step metric,
 so each network's trace equals its solve alone, bit for bit.
-``iterate_to_convergence`` is the batch of one. A network that converges
-leaves the batch with a trace that ends at its own iteration; one whose
-step raises leaves with its error, and the rest redo that iteration without
-it. Arrivals and the sequential sweep, a per-user loop that lockstep does
-not speed up, run one network at a time.
+``iterate_to_convergence`` is the batch of one. Every network steps to the
+batch's end and keeps its rows up to its own convergence: each is its own
+fixed-point iteration, so stepping a converged network on changes no other.
+A batch that raises is solved again one network at a time, so each network
+gets its own trace or error. Arrivals and the sequential sweep, a per-user
+loop that lockstep does not speed up, run one network at a time.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class ConvergenceConfig:
     so watts and bps weigh equally; "absolute" is the literal |dp| + |dr| sum
     and needs a delta chosen for the scenario's scales. With a ``rate_set``
     the loop snaps every iteration's rates onto it, or with
-    ``quantize_at_convergence`` only the converged row's. Every choice is
-    checked here, once, when the config is built.
+    ``quantize_at_convergence``, which needs a ladder, only the converged
+    row's. Every choice is checked here, once, when the config is built.
     """
 
     delta: float = 1e-9
@@ -131,6 +132,8 @@ class ConvergenceConfig:
         _check_choice("metric", self.metric, METRICS)
         _check_choice("policy", self.policy, POLICIES)
         _check_choice("schedule", self.schedule, SCHEDULES)
+        if self.quantize_at_convergence and self.rate_set is None:
+            raise ValueError("quantize_at_convergence needs a rate_set")
 
 
 @dataclass(frozen=True)
@@ -334,10 +337,8 @@ def iterate_to_convergence(
     for ev in pending:
         # Grow a throwaway channel so a bad row fails here, not when it fires.
         channel.with_user(ev.distances_m)
-    (outcome,) = _loop([(channel, users)], config, assignment, pending, reprice)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    (trace,) = _loop([(channel, users)], config, assignment, pending, reprice)
+    return trace
 
 
 def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
@@ -347,10 +348,14 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     number of users and stations. Network k's outcome is the trace
     ``iterate_to_convergence(channel, users, config)`` returns, bit for bit,
     or the exception that call raises; the caller raises the first one that
-    its serial order would have reached. A network that converges or raises
-    freezes there, and the others step on without it. The sequential
-    schedule's sweep is a per-user loop that lockstep does not speed up, so
-    under it the networks are solved one after another.
+    its serial order would have reached. Every network steps to the batch's
+    last iteration and keeps its rows up to its own convergence, so a network
+    that never converges keeps its batch-mates stepping until
+    ``config.max_iterations``, their extra rows dropped. A batch whose loop
+    raises is solved again one network at a time, so on that rare path a
+    batch is solved twice. The sequential schedule's sweep is a per-user loop
+    that lockstep does not speed up, so under it the networks are solved one
+    after another.
     """
     config = config if config is not None else ConvergenceConfig()
     networks = [(channel, list(users)) for channel, users in networks]
@@ -360,133 +365,111 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     ready = [k for k, error in enumerate(outcomes) if error is None]
     groups = [ready] if config.schedule == SYNCHRONOUS else [[k] for k in ready]
     for group in filter(None, groups):
-        n_users = networks[group[0]][0].n_users
-        start = np.zeros(len(group) * n_users, dtype=int)
-        for k, outcome in zip(group, _loop([networks[k] for k in group], config, start)):
+        batch = [networks[k] for k in group]
+        start = np.zeros(len(batch) * batch[0][0].n_users, dtype=int)
+        try:
+            solved = _loop(batch, config, start)
+        except ValueError as exc:
+            # Each network alone gets its own trace or error.
+            solved = [exc] if len(batch) == 1 else [iterate_batch([net], config)[0] for net in batch]
+        for k, outcome in zip(group, solved):
             outcomes[k] = outcome
     return outcomes
 
 
 def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
-    """The fixed-point loop, stepping K networks of N users in lockstep.
+    """The fixed-point loop, stepping K networks of N users in lockstep; one trace each.
 
     The state is one fresh (2 x K*N) stack [powers; rates] per iteration over
     the networks' concatenated user table, and the gains are their (K*N x
     stations) rows. Each network's station totals come from its own ``p @
-    g``. Each iteration appends one row of the whole batch; the rows are cut
-    into per-network chunks whenever the set of live networks changes. A
-    network that converges leaves the batch with its trace, and one whose
-    step raises leaves with its error, after which the others redo that
-    iteration without it. Arrivals (``pending``) and the sequential schedule
-    only ever come with one network. Returns a trace or an exception per
-    network, in order.
+    g``. The K networks step as one fixed block from the first iteration
+    until every one has converged or ``config.max_iterations``; each
+    iteration appends one row of the whole batch, and ``ends[k]`` keeps the
+    first iteration at which network k met delta with no arrival pending.
+    The rows are then stacked once into columns, and network k's trace cut
+    from them up to its own end; its rows after it are dropped. Stepping a
+    converged network on changes no other network, as each is its own
+    fixed-point iteration. Whatever a step, the final snap or a segment
+    raises, the loop raises. Arrivals (``pending``) and the sequential
+    schedule only ever come with one network.
     """
     channels = [channel for channel, _ in networks]
     users = [list(us) for _, us in networks]
     everyone = [u for us in users for u in us]
     initial = [[u.initial_power for u in everyone], [u.initial_rate for u in everyone]]
     state = np.array(initial, dtype=float)
-    n = channels[0].n_users
+    blocks, n = len(networks), channels[0].n_users
     pending = list(pending)
     kkt = config.policy == KKT
-    rate_set, at_convergence = config.rate_set, config.quantize_at_convergence
-    snap_each = rate_set if rate_set is not None and not at_convergence else None
-    final_snap = rate_set if at_convergence else None
+    snap_each = None if config.quantize_at_convergence else config.rate_set
 
-    outcomes: list = [None] * len(networks)
-    segments: list[list[Segment]] = [[] for _ in networks]
-    chunks: list[list[tuple]] = [[] for _ in networks]
-    live = list(range(len(networks)))  # the network in each block of n columns
     table = UserTable.from_users(everyone)
-    gains = None  # the live networks' gains, taken whenever the live set changes
+    gains = [channel.gains for channel in channels]
+    g, noise = gains[0], channels[0].noise_w
+    if blocks > 1:
+        g = np.concatenate(gains)
+        noise = np.array([channel.noise_w for channel in channels]).repeat(n)[:, None]
+    segments: list[Segment] = []  # the closed segments of a run with arrivals
     # The batch's (iteration, assignment, state, metrics, assigned r_eff) rows
-    # since the live set last changed.
+    # since the last arrival.
     rows: list[tuple] = []
+    ends: list[int | None] = [None] * blocks
+    reffs = None  # formed from the state whenever the table changes
     iteration = 0
-
-    def finish(j, converged):
-        # Block j's network leaves with its trace, or the error its last row
-        # raises: a converged run quantizing at convergence snaps that row's
-        # rates before the last segment is built.
-        k = live[j]
-        try:
-            if converged and final_snap is not None:
-                final = chunks[k][-1][2][-1]
-                final[1] = _snap(final_snap, final[1])
-            last = _segment(channels[k], table, chunks[k], slice(j * n, (j + 1) * n))
-        except ValueError as exc:
-            outcomes[k] = exc
-            return
-        trace = IterationTrace(segments[k] + [last], converged, iteration, channels[k], users[k])
-        outcomes[k] = trace
-
-    while live and iteration < config.max_iterations:
+    while iteration < config.max_iterations:
         iteration += 1
         if pending and pending[0].iteration == iteration:
-            (k,) = live
-            rows = _cut(rows, live, n, chunks)
-            if chunks[k]:
-                segments[k].append(_segment(channels[k], table, chunks[k]))
-                chunks[k] = []
+            (channel,), (us,) = channels, users
+            if rows:
+                segments.append(_segment(channel, table, slice(None), *_columns(rows, 1, n)[0]))
+                rows = []
             while pending and pending[0].iteration == iteration:
                 ev = pending.pop(0)
-                channels[k] = channels[k].with_user(ev.distances_m)
-                users[k].append(ev.user)
+                channel = channel.with_user(ev.distances_m)
+                us.append(ev.user)
                 state = np.append(state, [[ev.user.initial_power], [ev.user.initial_rate]], axis=1)
                 assignment = np.append(assignment, 0)
             if reprice is not None:
-                users[k] = list(reprice(channels[k], users[k]))
-            n = len(users[k])
-            table, gains = UserTable.from_users(users[k]), None
-        if gains is None:
-            gains = [channels[k].gains for k in live]
-            g, noise = gains[0], channels[live[0]].noise_w
-            if len(live) > 1:
-                g = np.concatenate(gains)
-                noise = np.array([channels[k].noise_w for k in live]).repeat(n)[:, None]
+                us = list(reprice(channel, us))
+            channels, users, n = [channel], [us], len(us)
+            table, g, reffs = UserTable.from_users(us), channel.gains, None
+            gains = [g]
+        if reffs is None:
             totals = _totals(state[0], gains)
             reffs = _station_reffs(g, noise, state[0], totals)
             ids = np.arange(state.shape[1])
-        try:
-            if config.schedule == SYNCHRONOUS:
-                new, stations = _synchronous_sweep(table, reffs, assignment, kkt)
-            else:
-                new, stations = _sequential_sweep(
-                    g, noise, table, state[0], totals, assignment, kkt
-                )
-            if snap_each is not None:
-                new[1] = _snap(snap_each, new[1])
-        except ValueError as exc:
-            # The networks whose own step raises leave with their errors, and
-            # the rest redo this iteration without them.
-            failed = _own_errors(exc, table, len(live), n, reffs, assignment, kkt, snap_each)
-            rows = _cut(rows, live, n, chunks)
-            for j, error in failed.items():
-                outcomes[live[j]] = error
-            state, assignment, table, live = _keep(state, assignment, table, live, n, failed)
-            iteration -= 1
-            gains = None
-            continue
-        metrics = _step_metric(state, new, config.metric, len(live)).tolist()
-        state, assignment = new, stations
+        if config.schedule == SYNCHRONOUS:
+            new, assignment = _synchronous_sweep(table, reffs, assignment, kkt)
+        else:
+            new, assignment = _sequential_sweep(g, noise, table, state[0], totals, assignment, kkt)
+        if snap_each is not None:
+            new[1] = _snap(snap_each, new[1])
+        metrics = _step_metric(state, new, config.metric, blocks).tolist()
+        state = new
         # One set of station totals per iterate serves its row and the next sweep.
         totals = _totals(state[0], gains)
         reffs = _station_reffs(g, noise, state[0], totals)
         rows.append((iteration, assignment, state, metrics, reffs[ids, assignment]))
-        if pending:
-            continue
-        if min(metrics) <= config.delta:
-            done = [j for j, metric in enumerate(metrics) if metric <= config.delta]
-            rows = _cut(rows, live, n, chunks)
-            for j in done:
-                finish(j, True)
-            state, assignment, table, live = _keep(state, assignment, table, live, n, done)
-            gains = None
+        if not pending and min(metrics) <= config.delta:
+            for k, metric in enumerate(metrics):
+                if metric <= config.delta and ends[k] is None:
+                    ends[k] = iteration
+            if None not in ends:
+                break
 
-    rows = _cut(rows, live, n, chunks)
-    for j in range(len(live)):
-        finish(j, False)
-    return outcomes
+    traces = []
+    first = rows[0][0]  # the iteration of the open rows' row 0
+    for k, columns in enumerate(_columns(rows, blocks, n)):
+        converged, end = ends[k] is not None, ends[k] or iteration
+        iterations, assignment, states, metrics, reffs = (c[: end - first + 1] for c in columns)
+        if converged and config.quantize_at_convergence:
+            # Quantizing at convergence snaps the converged row's rates.
+            states[-1, 1] = _snap(config.rate_set, states[-1, 1])
+        cols = slice(k * n, (k + 1) * n)
+        last = _segment(channels[k], table, cols, iterations, assignment, states, metrics, reffs)
+        traces.append(IterationTrace(segments + [last], converged, end, channels[k], users[k]))
+    return traces
 
 
 # Internals.
@@ -526,27 +509,6 @@ def _totals(powers: np.ndarray, gains: list) -> np.ndarray:
     n = len(powers) // len(gains)
     per_network = [p @ g for p, g in zip(powers.reshape(len(gains), n), gains)]
     return np.array(per_network).repeat(n, axis=0)
-
-
-def _own_errors(exc, table, blocks, n, reffs, assignment, kkt, snap) -> dict:
-    """The error of each block whose synchronous step raises when run alone.
-
-    ``exc`` is what the batch's step raised; a batch of one raised its own.
-    """
-    if blocks == 1:
-        return {0: exc}
-    failed = {}
-    for j in range(blocks):
-        cols = slice(j * n, (j + 1) * n)
-        try:
-            new, _ = _synchronous_sweep(table.take(cols), reffs[cols], assignment[cols], kkt)
-            if snap is not None:
-                _snap(snap, new[1])
-        except ValueError as own:
-            failed[j] = own
-    if not failed:
-        raise exc
-    return failed
 
 
 def _network_error(channel: ChannelModel, users: list) -> ValueError | None:
@@ -651,15 +613,13 @@ def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt):
     return _bounded_step_stack(table, np.array(seen), kkt), np.array(a)
 
 
-def _segment(channel, table, chunks, cols=slice(None)) -> Segment:
+def _segment(channel, table, cols, iterations, assignment, states, metrics, reffs) -> Segment:
     """One segment of step 1: iterations played on ``channel`` by columns ``cols`` of ``table``.
 
-    ``chunks`` hold (iterations, assignment, states, metrics, assigned r_eff)
-    columns of consecutive runs of its iterations, states as (iterations x 2
-    x users) stacks. They are joined into (iterations x users) columns, and
-    SINR and utility come from one vectorised pass over them.
+    The iterations' assignment, metric and assigned r_eff arrive as columns,
+    their states as an (iterations x 2 x users) stack, and SINR and utility
+    come from one vectorised pass over them.
     """
-    iterations, assignment, states, metrics, reffs = (_join(c) for c in zip(*chunks))
     powers, rates = states[:, 0], states[:, 1]
     if not (reffs > 0).all():
         raise ValueError("effective interference must be positive")
@@ -670,35 +630,21 @@ def _segment(channel, table, chunks, cols=slice(None)) -> Segment:
     return Segment(1, iterations, assignment, powers, rates, sinrs, utilities, metrics)
 
 
-def _join(parts) -> np.ndarray:
-    return np.ascontiguousarray(parts[0]) if len(parts) == 1 else np.concatenate(parts)
+def _columns(rows, blocks, n) -> list[tuple]:
+    """The batch's rows stacked once into columns, cut into its ``blocks`` networks.
 
-
-def _cut(rows, live, n, chunks) -> list:
-    """Cut the batch's rows into a chunk per live network; returns a fresh row list.
-
-    Block j of every row's n-column blocks is network ``live[j]``.
+    Each row is (iteration, assignment, (2 x blocks*n) state, per-block
+    metrics, assigned r_eff). Block k's tuple holds the same fields as
+    columns of its n users, states as an (iterations x 2 x n) stack.
     """
-    if rows:
-        iterations, assignment, states, metrics, reffs = zip(*rows)
-        s, a = len(rows), len(live)
-        iterations = np.array(iterations)
-        assignment = np.array(assignment, dtype=int).reshape(s, a, n)
-        states = np.array(states, dtype=float).reshape(s, 2, a, n)
-        metrics = np.array(metrics, dtype=float)
-        reffs = np.array(reffs, dtype=float).reshape(s, a, n)
-        for j, k in enumerate(live):
-            block = (assignment[:, j], states[:, :, j], metrics[:, j], reffs[:, j])
-            chunks[k].append((iterations, *block))
-    return []
-
-
-def _keep(state, assignment, table, live, n, drop):
-    """The batch without the blocks in ``drop``: (state, assignment, table, live)."""
-    keep = [j for j in range(len(live)) if j not in drop]
-    if not keep:
-        return state, assignment, table, []
-    cols = (np.array(keep, dtype=int)[:, None] * n + np.arange(n)).ravel()
-    # take, not state[:, cols]: the fancy index may lay the rows out strided,
-    # and a strided p @ g rounds differently.
-    return state.take(cols, axis=1), assignment[cols], table.take(cols), [live[j] for j in keep]
+    iterations, assignment, states, metrics, reffs = zip(*rows)
+    s = len(rows)
+    iterations = np.array(iterations)
+    assignment = np.array(assignment, dtype=int).reshape(s, blocks, n)
+    states = np.array(states, dtype=float).reshape(s, 2, blocks, n)
+    metrics = np.array(metrics, dtype=float)
+    reffs = np.array(reffs, dtype=float).reshape(s, blocks, n)
+    return [
+        (iterations, assignment[:, k], states[:, :, k], metrics[:, k], reffs[:, k])
+        for k in range(blocks)
+    ]

@@ -672,8 +672,8 @@ def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0
         for i, a in enumerate(assignment)
     ]
     state = np.array([[powers, rates]], dtype=float)
-    chunk = (np.array([iteration]), assignment[None], state, np.array([metric]), np.array([r_eff]))
-    return _segment(channel, UserTable.from_users(users), [chunk]).row(0)
+    columns = (np.array([iteration]), assignment[None], state, np.array([metric]), np.array([r_eff]))
+    return _segment(channel, UserTable.from_users(users), slice(None), *columns).row(0)
 
 
 RECORD_FIELDS = ("assignment", "powers", "rates", "sinrs", "utilities")

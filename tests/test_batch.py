@@ -94,13 +94,14 @@ def batches(draw):
     b = draw(st.sampled_from([1, 2, 4]))
     metric = draw(st.sampled_from([METRIC_RELATIVE, METRIC_ABSOLUTE]))
     delta = 1e-9 if metric == METRIC_RELATIVE else draw(st.sampled_from([1e-3, 1.0]))
+    ladder = draw(st.sampled_from(LADDERS[:2] + LADDERS[3:]))
     config = ConvergenceConfig(
         delta=delta,
         max_iterations=draw(st.integers(1, 120)),
         metric=metric,
         policy=draw(st.sampled_from([CLAMP, KKT])),
-        rate_set=draw(st.sampled_from(LADDERS[:2] + LADDERS[3:])),
-        quantize_at_convergence=draw(st.booleans()),
+        rate_set=ladder,
+        quantize_at_convergence=ladder is not None and draw(st.booleans()),
     )
     distance = st.floats(20.0, 400.0)
     networks = []
@@ -158,6 +159,20 @@ class TestIterateBatch:
         assert not isinstance(got[0], Exception) and not isinstance(got[3], Exception)
         assert isinstance(got[1], NoFeasibleRateError) and isinstance(got[2], NoFeasibleRateError)
         assert str(got[1]) != str(got[2])
+
+    def test_a_network_that_would_raise_past_its_convergence_keeps_its_trace(self):
+        # Alone, network a converges at iteration 1 and its second step would
+        # fall below the ladder; b converges at 4, so the batch steps a past
+        # its end. Either order must still give the serial solves.
+        ladder = RateSet((7e4, 96000, 2e5, 5e5, 1e6))
+        config = ConvergenceConfig(metric=METRIC_ABSOLUTE, delta=1e5, rate_set=ladder)
+        a = (ChannelModel([110.0, 130.0]), [UserParams(lam=0.1)] * 2)
+        b = (ChannelModel([300.0, 310.0]), [UserParams(lam=1e-6, r_max=1e6)] * 2)
+        with pytest.raises(NoFeasibleRateError):
+            iterate_to_convergence(*a, replace(config, delta=1e-30, max_iterations=2))
+        got = assert_batch_is_serial([a, b], config)
+        assert [(t.converged, t.iterations_used) for t in got] == [(True, 1), (True, 4)]
+        assert_batch_is_serial([b, a], config)
 
     def test_zero_interference_fails_only_its_network(self):
         # No noise, and the far users' received power is below the rounding

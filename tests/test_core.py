@@ -263,6 +263,17 @@ class TestChannelModel:
         assert grown.n_users == 3
         moved = ch.moved(0, [120, 400])
         assert moved.distances_m[0, 0] == 120 and ch.distances_m[0, 0] == 110
+        assert ch.moved(np.int64(1), [120, 400]).distances_m[1, 0] == 120
+        assert ch.subset(np.array([1, 0])).distances_m[0, 0] == 130
+
+    # -1 used to move or keep the last user, 2 raised IndexError and 1.0 was cast.
+    @pytest.mark.parametrize("bad", [-1, 2, 1.0, True, "0", None])
+    def test_moved_and_subset_refuse_a_bad_user_index(self, bad):
+        ch = ChannelModel([[110, 410], [130, 390]])
+        with pytest.raises(ValueError, match="^user index "):
+            ch.moved(bad, [120, 400])
+        with pytest.raises(ValueError, match="^user index "):
+            ch.subset([0, bad])
 
 
 class TestUserParams:

@@ -277,6 +277,11 @@ class TestIterateToConvergence:
         with pytest.raises(ValueError, match=f"^{name} must be one of .*, got {bad!r}$"):
             ConvergenceConfig(**{name: bad})
 
+    def test_quantize_at_convergence_needs_a_rate_set(self):
+        # Without a ladder there is nothing to snap onto, so the setting is refused.
+        with pytest.raises(ValueError, match="^quantize_at_convergence needs a rate_set$"):
+            ConvergenceConfig(quantize_at_convergence=True)
+
     def test_config_is_frozen(self):
         config = ConvergenceConfig(policy=KKT, schedule=SEQUENTIAL)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -23,6 +23,7 @@ from ratepower.engine import (
 )
 from ratepower.oracle import recompute_sinrs
 from ratepower.scenario import (
+    MoveEvent,
     ScenarioFormatError,
     TRACE_HEADER,
     emit_trace,
@@ -275,6 +276,12 @@ class TestRunScenario:
         assert summary.converged
         assert summary.powers == pytest.approx(direct.final_powers, rel=1e-12)
         assert summary.rates == pytest.approx(direct.final_rates, rel=1e-12)
+
+    def test_a_move_of_a_missing_user_is_refused(self):
+        s = parse_scenario(MINIMAL)
+        moved = replace(s, moves=[MoveEvent(2, -1, "ghost", np.array([150.0]))])
+        with pytest.raises(ValueError, match=r"^user index -1 is outside \[0, 1\)$"):
+            run_scenario(moved)
 
     def test_pricing_section_overrides_user_lambda(self):
         text = MINIMAL + "[pricing]\nrule = constant\nc = 5e-4\n"
