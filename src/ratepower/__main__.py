@@ -1,0 +1,6 @@
+"""``python -m ratepower``: the command line of ``ratepower.cli``."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from .admission import NotConvergedError, PricingRule, escalate_pricing, removal_loop
+from .engine import HISTORY_FULL
 from .reference import REPRODUCE_TARGETS, reproduce
 from .scenario import (
     _POLICY_ALIASES,
@@ -119,6 +120,9 @@ def _reject_unrun_sections(scenario, command: str, pricing: bool) -> None:
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
+    if args.trace:
+        # Only the CSV trace reads more than each segment's last row.
+        scenario = replace(scenario, config=replace(scenario.config, history=HISTORY_FULL))
     trace, summary = run_scenario(scenario)
     if args.trace:
         emit_trace(trace, args.trace)

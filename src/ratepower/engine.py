@@ -26,12 +26,17 @@ best response in ``oracle`` in its order, so all agree exactly; the public
 ``bounded_step`` is the array kernel on a one-user table.
 
 The loop carries powers and rates as one fresh (2 x users) state per
-iteration and keeps each iteration's state and step metric. The trace is
-its ``Segment``s, each a run of iterations on one fixed network held as
-(iterations x users) columns, user k in column k: an arrival closes a
-segment before the network grows and the users are re-priced, and the end
-of the run closes the last one. SINR and utility for a whole segment come
-from one vectorised pass over the channel and users it played.
+iteration and keeps each iteration's step metric. The trace is its
+``Segment``s, each a run of iterations on one fixed network held as
+(rows x users) columns, user k in column k: an arrival closes a segment
+before the network grows and the users are re-priced, and the end of the
+run closes the last one. ``ConvergenceConfig.history`` sets which rows a
+segment keeps: under "last", the default, only its last, which is all the
+equilibrium, the summaries and the admission loops read; under "full"
+every iteration's, which the CSV trace writes. SINR and utility for the
+kept rows come from one vectorised pass over the channel and users they
+played; both are elementwise, so a kept last row has the same bits either
+way.
 
 A solve starts at each user's own initial strategy (``UserParams.p_init``
 and ``r_init``, checked against its box when the user is built). Its config
@@ -73,6 +78,8 @@ __all__ = [
     "SCHEDULES",
     "METRIC_RELATIVE",
     "METRIC_ABSOLUTE",
+    "HISTORY_LAST",
+    "HISTORY_FULL",
     "ConvergenceConfig",
     "IterationRecord",
     "IterationTrace",
@@ -95,6 +102,10 @@ METRIC_RELATIVE = "relative"
 METRIC_ABSOLUTE = "absolute"
 METRICS = (METRIC_RELATIVE, METRIC_ABSOLUTE)
 
+HISTORY_LAST = "last"
+HISTORY_FULL = "full"
+HISTORIES = (HISTORY_LAST, HISTORY_FULL)
+
 _EPS = 1e-30
 
 # Stations whose effective interference is within this relative band of the
@@ -105,14 +116,17 @@ TIE_REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ConvergenceConfig:
-    """One solve's settings: its stopping rule, boundary policy, schedule and rate ladder.
+    """One solve's settings: its stopping rule, boundary policy, schedule, rate ladder and history.
 
     The "relative" metric normalizes each coordinate by its current magnitude
     so watts and bps weigh equally; "absolute" is the literal |dp| + |dr| sum
     and needs a delta chosen for the scenario's scales. With a ``rate_set``
     the loop snaps every iteration's rates onto it, or with
     ``quantize_at_convergence``, which needs a ladder, only the converged
-    row's. Every choice is checked here, once, when the config is built.
+    row's. ``history`` is "last" (each segment keeps only its last row) or
+    "full" (every iteration's row, as the CSV trace needs); it changes no
+    number of the solve. Every choice is checked here, once, when the config
+    is built.
     """
 
     delta: float = 1e-9
@@ -122,6 +136,7 @@ class ConvergenceConfig:
     schedule: str = SYNCHRONOUS
     rate_set: RateSet | None = None
     quantize_at_convergence: bool = False
+    history: str = HISTORY_LAST
 
     def __post_init__(self) -> None:
         _require_finite(delta=self.delta)
@@ -132,6 +147,7 @@ class ConvergenceConfig:
         _check_choice("metric", self.metric, METRICS)
         _check_choice("policy", self.policy, POLICIES)
         _check_choice("schedule", self.schedule, SCHEDULES)
+        _check_choice("history", self.history, HISTORIES)
         if self.quantize_at_convergence and self.rate_set is None:
             raise ValueError("quantize_at_convergence needs a rate_set")
 
@@ -152,11 +168,13 @@ class IterationRecord:
 
 @dataclass
 class Segment:
-    """A run of iterations on one fixed network, as (iterations x users) columns.
+    """A run of iterations on one fixed network, as (rows x users) columns.
 
-    Row s is iteration ``iterations[s]`` of solver step ``step``; column k is
-    user k of that network, so user ids are implicit. An arrival or a move
-    step closes a segment.
+    ``iterations`` and ``metrics`` hold every iteration of the segment; the
+    five row columns hold a row for each of them under "full" history, and
+    under "last" for the last one only. Row s is iteration ``iterations[s]``
+    of solver step ``step``; column k is user k of that network, so user
+    ids are implicit. An arrival or a move step closes a segment.
     """
 
     step: int
@@ -168,20 +186,34 @@ class Segment:
     utilities: np.ndarray
     metrics: np.ndarray
 
+    @property
+    def complete(self) -> bool:
+        """Whether the row columns hold every iteration, not only the last."""
+        return len(self.powers) == len(self.iterations)
+
     def row(self, s: int) -> IterationRecord:
-        """Row view of the segment's s-th iteration."""
+        """Row view of the segment's s-th iteration; a dropped row raises IndexError."""
+        s = range(len(self.iterations))[s]
+        kept = s - len(self.iterations) + len(self.powers)
+        if kept < 0:
+            raise IndexError(
+                f"row {s} of {len(self.iterations)} was dropped: the segment keeps "
+                f"only its last {len(self.powers)}"
+            )
         columns = (self.assignment, self.powers, self.rates, self.sinrs, self.utilities)
-        row = (c[s] for c in columns)
+        row = (c[kept] for c in columns)
         return IterationRecord(int(self.iterations[s]), self.step, *row, float(self.metrics[s]))
 
 
 @dataclass
 class IterationTrace:
-    """Full history of a run, as its segments, plus its terminal convergence flag.
+    """A run's history, as its segments, plus its terminal convergence flag.
 
-    ``channel`` and ``users`` are the network the run ended on: the users
-    that arrived before it stopped are included, and ``users`` carry the
-    pricing the last iteration played.
+    Every segment holds every iteration's metric, and its rows as the
+    config's ``history`` kept them; ``final`` and the ``final_*`` views work
+    under either. ``channel`` and ``users`` are the network the run ended
+    on: the users that arrived before it stopped are included, and ``users``
+    carry the pricing the last iteration played.
     """
 
     segments: list[Segment]
@@ -192,7 +224,7 @@ class IterationTrace:
 
     @property
     def records(self) -> list[IterationRecord]:
-        """Every iteration's row view, in order, for tests and oracles."""
+        """Every iteration's row view, in order, for tests and oracles; needs "full" history."""
         return [seg.row(s) for seg in self.segments for s in range(len(seg.iterations))]
 
     @property
@@ -384,15 +416,19 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
     the networks' concatenated user table, and the gains are their (K*N x
     stations) rows. Each network's station totals come from its own ``p @
     g``. The K networks step as one fixed block from the first iteration
-    until every one has converged or ``config.max_iterations``; each
-    iteration appends one row of the whole batch, and ``ends[k]`` keeps the
-    first iteration at which network k met delta with no arrival pending.
-    The rows are then stacked once into columns, and network k's trace cut
-    from them up to its own end; its rows after it are dropped. Stepping a
-    converged network on changes no other network, as each is its own
-    fixed-point iteration. Whatever a step, the final snap or a segment
-    raises, the loop raises. Arrivals (``pending``) and the sequential
-    schedule only ever come with one network.
+    until every one has converged or ``config.max_iterations``; ``ends[k]``
+    keeps the first iteration at which network k met delta with no arrival
+    pending, and network k's trace is cut there; its iterations after it are
+    dropped. Stepping a converged network on changes no other network, as
+    each is its own fixed-point iteration.
+
+    Each iteration appends its number and per-network metrics. Under "full"
+    history it appends the batch's row too (assignment, state and assigned
+    r_eff), and the rows are stacked once into columns at the end. Under
+    "last" the loop holds only the latest iterate, and takes network k's row
+    from it at ``ends[k]``, at an arrival or at the run's end. Whatever a
+    step, the final snap or a segment raises, the loop raises. Arrivals
+    (``pending``) and the sequential schedule only ever come with one network.
     """
     channels = [channel for channel, _ in networks]
     users = [list(us) for _, us in networks]
@@ -403,6 +439,7 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
     pending = list(pending)
     kkt = config.policy == KKT
     snap_each = None if config.quantize_at_convergence else config.rate_set
+    full = config.history == HISTORY_FULL
 
     table = UserTable.from_users(everyone)
     gains = [channel.gains for channel in channels]
@@ -411,19 +448,23 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
         g = np.concatenate(gains)
         noise = np.array([channel.noise_w for channel in channels]).repeat(n)[:, None]
     segments: list[Segment] = []  # the closed segments of a run with arrivals
-    # The batch's (iteration, assignment, state, metrics, assigned r_eff) rows
-    # since the last arrival.
-    rows: list[tuple] = []
+    # Since the last arrival: every iteration's (iteration, metrics), and
+    # under full history the batch's (assignment, state, assigned r_eff) rows.
+    series: list[tuple] = []
+    history: list[tuple] = []
     ends: list[int | None] = [None] * blocks
+    kept: list[tuple | None] = [None] * blocks  # under "last", network k's row at ends[k]
     reffs = None  # formed from the state whenever the table changes
     iteration = 0
     while iteration < config.max_iterations:
         iteration += 1
         if pending and pending[0].iteration == iteration:
             (channel,), (us,) = channels, users
-            if rows:
-                segments.append(_segment(channel, table, slice(None), *_columns(rows, 1, n)[0]))
-                rows = []
+            if series:
+                its, ms = _series(series)
+                rows = _columns(history, 1, n)[0] if full else _row(assignment, state, reffs, slice(None))
+                segments.append(_segment(channel, table, slice(None), its, ms[:, 0], *rows))
+                series, history = [], []
             while pending and pending[0].iteration == iteration:
                 ev = pending.pop(0)
                 channel = channel.with_user(ev.distances_m)
@@ -450,24 +491,34 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
         # One set of station totals per iterate serves its row and the next sweep.
         totals = _totals(state[0], gains)
         reffs = _station_reffs(g, noise, state[0], totals)
-        rows.append((iteration, assignment, state, metrics, reffs[ids, assignment]))
+        series.append((iteration, metrics))
+        if full:
+            history.append((assignment, state, reffs[ids, assignment]))
         if not pending and min(metrics) <= config.delta:
             for k, metric in enumerate(metrics):
                 if metric <= config.delta and ends[k] is None:
                     ends[k] = iteration
+                    if not full:
+                        kept[k] = _row(assignment, state, reffs, slice(k * n, (k + 1) * n))
             if None not in ends:
                 break
 
     traces = []
-    first = rows[0][0]  # the iteration of the open rows' row 0
-    for k, columns in enumerate(_columns(rows, blocks, n)):
+    first = series[0][0]  # the iteration of the open segment's first row
+    iterations, metrics = _series(series)
+    stacked = _columns(history, blocks, n) if full else None
+    for k in range(blocks):
         converged, end = ends[k] is not None, ends[k] or iteration
-        iterations, assignment, states, metrics, reffs = (c[: end - first + 1] for c in columns)
+        stop = end - first + 1
+        cols = slice(k * n, (k + 1) * n)
+        if full:
+            a, states, r = (c[:stop] for c in stacked[k])
+        else:
+            a, states, r = kept[k] or _row(assignment, state, reffs, cols)
         if converged and config.quantize_at_convergence:
             # Quantizing at convergence snaps the converged row's rates.
             states[-1, 1] = _snap(config.rate_set, states[-1, 1])
-        cols = slice(k * n, (k + 1) * n)
-        last = _segment(channels[k], table, cols, iterations, assignment, states, metrics, reffs)
+        last = _segment(channels[k], table, cols, iterations[:stop], metrics[:stop, k], a, states, r)
         traces.append(IterationTrace(segments + [last], converged, end, channels[k], users[k]))
     return traces
 
@@ -613,12 +664,13 @@ def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt):
     return _bounded_step_stack(table, np.array(seen), kkt), np.array(a)
 
 
-def _segment(channel, table, cols, iterations, assignment, states, metrics, reffs) -> Segment:
+def _segment(channel, table, cols, iterations, metrics, assignment, states, reffs) -> Segment:
     """One segment of step 1: iterations played on ``channel`` by columns ``cols`` of ``table``.
 
-    The iterations' assignment, metric and assigned r_eff arrive as columns,
-    their states as an (iterations x 2 x users) stack, and SINR and utility
-    come from one vectorised pass over them.
+    Every iteration's number and metric arrive as vectors; the kept rows'
+    assignment and assigned r_eff as columns, their states as a (rows x 2 x
+    users) stack, and SINR and utility come from one vectorised pass over
+    those rows.
     """
     powers, rates = states[:, 0], states[:, 1]
     if not (reffs > 0).all():
@@ -630,21 +682,36 @@ def _segment(channel, table, cols, iterations, assignment, states, metrics, reff
     return Segment(1, iterations, assignment, powers, rates, sinrs, utilities, metrics)
 
 
-def _columns(rows, blocks, n) -> list[tuple]:
+def _series(series) -> tuple[np.ndarray, np.ndarray]:
+    """Every iteration's number, and its (iterations x blocks) metrics."""
+    iterations, metrics = zip(*series)
+    return np.array(iterations), np.array(metrics, dtype=float)
+
+
+def _row(assignment, state, reffs, cols) -> tuple:
+    """The iterate of the network in columns ``cols`` as one-row columns.
+
+    Its stations, its (1 x 2 x users) state and each user's r_eff at its
+    station, all fresh arrays, so a kept row holds no batch array alive.
+    """
+    a = assignment[cols]
+    return (
+        np.array([a], dtype=int),
+        np.array([state[:, cols]], dtype=float),
+        reffs[cols][np.arange(len(a)), a][None],
+    )
+
+
+def _columns(history, blocks, n) -> list[tuple]:
     """The batch's rows stacked once into columns, cut into its ``blocks`` networks.
 
-    Each row is (iteration, assignment, (2 x blocks*n) state, per-block
-    metrics, assigned r_eff). Block k's tuple holds the same fields as
-    columns of its n users, states as an (iterations x 2 x n) stack.
+    Each row is (assignment, (2 x blocks*n) state, assigned r_eff). Block
+    k's tuple holds the same fields as columns of its n users, states as an
+    (iterations x 2 x n) stack.
     """
-    iterations, assignment, states, metrics, reffs = zip(*rows)
-    s = len(rows)
-    iterations = np.array(iterations)
+    assignment, states, reffs = zip(*history)
+    s = len(history)
     assignment = np.array(assignment, dtype=int).reshape(s, blocks, n)
     states = np.array(states, dtype=float).reshape(s, 2, blocks, n)
-    metrics = np.array(metrics, dtype=float)
     reffs = np.array(reffs, dtype=float).reshape(s, blocks, n)
-    return [
-        (iterations, assignment[:, k], states[:, :, k], metrics[:, k], reffs[:, k])
-        for k in range(blocks)
-    ]
+    return [(assignment[:, k], states[:, :, k], reffs[:, k]) for k in range(blocks)]

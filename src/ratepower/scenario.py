@@ -20,10 +20,12 @@ rates) are whitespace separated; '#' starts a comment. Events share one
 timeline: arrivals fire at their iteration of solver step 1, and each later
 step applies its moves to the network, arrivals included, and solves it cold.
 
-A run's trace is its segments, (iterations x users) columns on one network
-each. The CSV trace writer encodes slices of those columns in numpy, a chunk
-of rows of one segment at a time, from digit lookup tables; its output is
-byte for byte what ``format(x, ".10e")`` and ``str(n)`` give, field by field.
+A run's trace is its segments, (rows x users) columns on one network each:
+every iteration's row when the scenario's config asks for "full" history,
+as ``ratepower run --trace`` does, else only each segment's last. The CSV
+trace writer encodes slices of those columns in numpy, a chunk of rows of
+one segment at a time, from digit lookup tables; its output is byte for
+byte what ``format(x, ".10e")`` and ``str(n)`` give, field by field.
 """
 
 from __future__ import annotations
@@ -691,7 +693,11 @@ def emit_trace(trace: IterationTrace, destination) -> None:
     digits, exactly as ``format(x, ".10e")`` writes them, so re-running a
     scenario produces byte-identical files. Each segment's columns are
     encoded whole in numpy, in chunks of about ``_TRACE_CHUNK_ROWS`` rows.
+    A trace solved under "last" history holds only each segment's last row
+    and raises ValueError, before anything is written.
     """
+    if not all(seg.complete for seg in trace.segments):
+        raise ValueError("the trace keeps only each segment's last row; solve with history='full'")
     if hasattr(destination, "write"):
         _write_trace(trace, lambda data: destination.write(data.decode("ascii")))
         return

@@ -36,6 +36,7 @@ from ratepower.core import ChannelModel, Strategy, UserParams, UserTable
 from ratepower.engine import (
     CLAMP,
     KKT,
+    HISTORY_FULL,
     METRIC_ABSOLUTE,
     METRIC_RELATIVE,
     SEQUENTIAL,
@@ -672,7 +673,7 @@ def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0
         for i, a in enumerate(assignment)
     ]
     state = np.array([[powers, rates]], dtype=float)
-    columns = (np.array([iteration]), assignment[None], state, np.array([metric]), np.array([r_eff]))
+    columns = (np.array([iteration]), np.array([metric]), assignment[None], state, np.array([r_eff]))
     return _segment(channel, UserTable.from_users(users), slice(None), *columns).row(0)
 
 
@@ -716,6 +717,7 @@ def run_priced(
         schedule=schedule,
         rate_set=rate_set,
         quantize_at_convergence=quantize,
+        history=HISTORY_FULL,
     )
     trace = iterate_to_convergence(
         channel,

@@ -1,4 +1,5 @@
-"""Lockstep batches against serial solves, and the escalation window against a serial escalation.
+"""Lockstep batches against serial solves, the escalation window against a
+serial escalation, and "last" history against "full".
 
 ``iterate_batch`` steps K independent networks of one shape in one loop;
 network k's outcome must be what ``iterate_to_convergence`` gives for it
@@ -6,7 +7,9 @@ alone, bit for bit: every segment column, ``iterations_used`` and
 ``converged``, or the same exception with the same message. The escalation
 window solves the next few coefficients as one batch and reads them in order;
 what it reports and raises must be what testing one coefficient at a time
-gives, which ``serial_escalation`` below restates.
+gives, which ``serial_escalation`` below restates. A solve under "last"
+history keeps each segment's last row only; it must be the "full" trace's
+last row, bit for bit, with every other field of the outcome the same.
 """
 
 from dataclasses import replace
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratepower import admission
+from ratepower import admission, engine
 from ratepower.admission import (
     BELOW_TARGET,
     ESCALATION_WINDOW,
@@ -29,6 +32,8 @@ from ratepower.admission import (
 from ratepower.core import ChannelModel, UserParams, target_sinr
 from ratepower.engine import (
     CLAMP,
+    HISTORY_FULL,
+    HISTORY_LAST,
     KKT,
     METRIC_ABSOLUTE,
     METRIC_RELATIVE,
@@ -39,24 +44,32 @@ from ratepower.engine import (
     iterate_to_convergence,
 )
 from ratepower.rates import NoFeasibleRateError, RateSet
-from ratepower.reference import table3_scenario
+from ratepower.reference import REPRODUCE_TARGETS, reproduce, table3_scenario
 from ratepower.scenario import ArrivalEvent, MoveEvent, Scenario, run_scenario, sweep_lambda
 
-COLUMNS = ("iterations", "assignment", "powers", "rates", "sinrs", "utilities", "metrics")
+ROW_COLUMNS = ("assignment", "powers", "rates", "sinrs", "utilities")
+COLUMNS = ("iterations", "metrics") + ROW_COLUMNS
 # The lowest rungs of the last two ladders sit above the rates that heavy
 # pricing gives, so some solves on them raise NoFeasibleRateError.
 LADDERS = (None, RateSet((0.1, 1e3, 1e4, 5e4)), RateSet((2e3, 1e4, 5e4)), RateSet((1.5e4, 3e4, 6e4)))
 
 
-def serial(channel, users, config=None):
-    """One network solved alone: its trace, or the error the solve raises."""
+def solved(solve):
+    """A solve's trace, or the error it raises."""
     try:
-        return iterate_to_convergence(channel, users, config)
+        return solve()
     except ValueError as exc:
         return exc
 
 
-def assert_same_outcome(got, want):
+def serial(channel, users, config=None):
+    """One network solved alone: its trace, or the error the solve raises."""
+    return solved(lambda: iterate_to_convergence(channel, users, config))
+
+
+def assert_same_outcome(got, want, last_rows=False):
+    """``got`` is ``want``, bit for bit; with ``last_rows``, it holds only the
+    last row of each of ``want``'s segments, as "last" history keeps them."""
     if isinstance(want, Exception):
         assert type(got) is type(want)
         assert str(got) == str(want)
@@ -72,6 +85,8 @@ def assert_same_outcome(got, want):
         assert a.step == b.step
         for name in COLUMNS:
             x, y = getattr(a, name), getattr(b, name)
+            if last_rows and name in ROW_COLUMNS:
+                y = y[-1:]
             assert (x.dtype, x.shape) == (y.dtype, y.shape), name
             assert x.tobytes() == y.tobytes(), name
 
@@ -291,6 +306,86 @@ class TestScenarioBatches:
         with pytest.raises(NoFeasibleRateError) as got:
             sweep_lambda(scenario, [1.0, 100.0])
         assert str(got.value) == errors[0]
+
+
+def histories(config):
+    return [replace(config, history=h) for h in (HISTORY_LAST, HISTORY_FULL)]
+
+
+@st.composite
+def history_runs(draw):
+    """``batches()`` under either schedule; a single network may also take 1-3 arrivals."""
+    networks, config = draw(batches())
+    config = replace(config, schedule=draw(st.sampled_from([SYNCHRONOUS, SEQUENTIAL])))
+    arrivals = []
+    if len(networks) == 1:
+        b = networks[0][0].n_stations
+        for iteration in sorted(draw(st.lists(st.integers(1, config.max_iterations), max_size=3))):
+            distances = np.array(draw(st.lists(st.floats(20.0, 400.0), min_size=b, max_size=b)))
+            user = UserParams(alpha2=draw(st.sampled_from([12.9492, 20.0])), lam=networks[0][1][0].lam)
+            arrivals.append(ArrivalEvent(iteration, "late", distances, user))
+    return networks, config, arrivals
+
+
+class TestHistory:
+    @settings(max_examples=200, deadline=None)
+    @given(history_runs())
+    def test_last_history_is_the_full_traces_last_rows(self, drawn):
+        networks, config, arrivals = drawn
+        last, full = histories(config)
+        if arrivals:
+            ((channel, users),) = networks
+            outcomes = [
+                solved(lambda c=c: iterate_to_convergence(channel, users, c, arrivals=arrivals))
+                for c in (last, full)
+            ]
+            assert_same_outcome(*outcomes, last_rows=True)
+        else:
+            for pair in zip(iterate_batch(networks, last), iterate_batch(networks, full)):
+                assert_same_outcome(*pair, last_rows=True)
+
+    @pytest.mark.parametrize("schedule", [SYNCHRONOUS, SEQUENTIAL])
+    @pytest.mark.parametrize("policy", [CLAMP, KKT])
+    @pytest.mark.parametrize("ladder", [None, False, True])
+    def test_lengths_differ_arrivals_and_ladders(self, schedule, policy, ladder):
+        # Table 3's six users converge in different numbers of iterations at
+        # these three prices and a budget of 12 stops the last; a ladder
+        # snaps every iteration's rates (False) or the converged row's (True).
+        config = ConvergenceConfig(
+            max_iterations=12,
+            policy=policy,
+            schedule=schedule,
+            rate_set=None if ladder is None else LADDERS[1],
+            quantize_at_convergence=bool(ladder),
+        )
+        last, full = histories(config)
+        scenario = table3_scenario(6)
+        networks = [
+            (scenario.channel, priced_users(PricingRule("constant", c), scenario.channel, scenario.users))
+            for c in (4e-4, 5e-4, 6e-4)
+        ]
+        got = iterate_batch(networks, last)
+        for pair in zip(got, iterate_batch(networks, full)):
+            assert_same_outcome(*pair, last_rows=True)
+        assert len({t.iterations_used for t in got}) > 1 and not got[-1].converged
+        # Arrivals and move steps, through run_scenario.
+        scenario = walk_with_arrival(config.rate_set)
+        for lam in (1e-5, 1e-1):
+            priced = replace(scenario, pricing=PricingRule("constant", lam))
+            traces = [run_scenario(replace(priced, config=c))[0] for c in (last, full)]
+            assert_same_outcome(*traces, last_rows=True)
+
+    def test_no_last_history_solve_stacks_rows(self, monkeypatch):
+        # Only "full" history stacks the (iterations x users) rows; every
+        # reference experiment runs, and passes, without it.
+        def refuse(*args):
+            raise AssertionError("rows stacked under last history")
+
+        monkeypatch.setattr(engine, "_columns", refuse)
+        assert all(reproduce(target).passed for target in REPRODUCE_TARGETS)
+        full = ConvergenceConfig(history=HISTORY_FULL)
+        with pytest.raises(AssertionError, match="rows stacked"):
+            iterate_to_convergence(ChannelModel([110.0, 130.0]), [UserParams()] * 2, full)
 
 
 def serial_escalation(channel, users, rule, config=None, max_steps=40):

@@ -1,4 +1,6 @@
 import inspect
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -165,6 +167,17 @@ class TestReproduce:
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "table9"])
+
+    def test_python_dash_m_runs_the_command_line(self, monkeypatch, capsys):
+        # ``python -m ratepower reproduce all``, run in process, as from a
+        # fresh interpreter that has not imported the module yet.
+        monkeypatch.setattr(sys, "argv", ["ratepower", "reproduce", "all"])
+        monkeypatch.delitem(sys.modules, "ratepower.__main__", raising=False)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("ratepower", run_name="__main__")
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        assert out.count(": PASS (") == 8 and "FAIL" not in out
 
 
 class TestSweep:

@@ -10,6 +10,8 @@ from ratepower import engine
 from ratepower.core import ChannelModel, Strategy, UserParams, target_sinr
 from ratepower.engine import (
     CLAMP,
+    HISTORY_FULL,
+    HISTORY_LAST,
     KKT,
     METRIC_ABSOLUTE,
     METRIC_RELATIVE,
@@ -225,7 +227,7 @@ class TestIterateToConvergence:
         # gain 1e-10 at unit distance with matching noise pins R_eff at 1
         channel = ChannelModel([1.0], shadowing=1e-10, noise_w=1e-10)
         user = UserParams(alpha2=20, lam=1e-4)
-        trace = iterate_to_convergence(channel, [user])
+        trace = iterate_to_convergence(channel, [user], ConvergenceConfig(history=HISTORY_FULL))
         expected = unconstrained_best_response(1.0, 1e6, 20, 1e-4)
         assert trace.records[0].powers[0] == pytest.approx(expected.power, rel=1e-12)
         assert trace.records[0].rates[0] == pytest.approx(expected.rate, rel=1e-12)
@@ -259,11 +261,24 @@ class TestIterateToConvergence:
 
     def test_non_convergence_is_flagged_not_raised(self):
         channel = equidistant_channel(5)
-        config = ConvergenceConfig(delta=1e-30, max_iterations=5)
+        config = ConvergenceConfig(delta=1e-30, max_iterations=5, history=HISTORY_FULL)
         trace = iterate_to_convergence(channel, table3_users(5), config=config)
         assert not trace.converged
         assert trace.iterations_used == 5
         assert len(trace.records) == 5  # trace length never exceeds max_iterations
+        # Under "last" history the segment keeps every metric but only its
+        # last row, which is the full trace's; an earlier row raises.
+        last = iterate_to_convergence(channel, table3_users(5), replace(config, history=HISTORY_LAST))
+        (seg,) = last.segments
+        assert (len(seg.iterations), len(seg.metrics), len(seg.powers)) == (5, 5, 1)
+        assert not seg.complete and trace.segments[0].complete
+        assert seg.row(-1).iteration == seg.row(4).iteration == 5
+        assert np.array_equal(last.final_powers, trace.final_powers)
+        for s in (0, 3, -2):
+            with pytest.raises(IndexError, match=r"of 5 was dropped: the segment keeps only its last 1$"):
+                seg.row(s)
+        with pytest.raises(IndexError):
+            last.records
 
     def test_non_finite_delta_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -271,7 +286,13 @@ class TestIterateToConvergence:
 
     @pytest.mark.parametrize(
         "name, bad",
-        [("policy", "newton"), ("schedule", "random"), ("metric", "l2"), ("policy", None)],
+        [
+            ("policy", "newton"),
+            ("schedule", "random"),
+            ("metric", "l2"),
+            ("policy", None),
+            ("history", "bogus"),
+        ],
     )
     def test_config_rejects_an_unknown_choice_when_built(self, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be one of .*, got {bad!r}$"):
@@ -304,7 +325,7 @@ class TestIterateToConvergence:
 
     @pytest.mark.parametrize("count", [1, 7, np.int64(7), np.int32(7)])
     def test_integer_max_iterations_accepted_as_int(self, count):
-        config = ConvergenceConfig(delta=1e-30, max_iterations=count)
+        config = ConvergenceConfig(delta=1e-30, max_iterations=count, history=HISTORY_FULL)
         assert type(config.max_iterations) is int and config.max_iterations == count
         trace = iterate_to_convergence(equidistant_channel(3), table3_users(3), config=config)
         assert trace.iterations_used == len(trace.records) == count

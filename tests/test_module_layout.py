@@ -5,14 +5,15 @@ scalar statements in ``oracle``; only ``__init__`` re-exports them. The
 oracle in turn takes only constants and types from ``engine``, never a
 function, so no check compares the solver with itself. No production
 module reads a trace's per-iteration ``records`` views: the program works
-on the segment columns, and the views serve tests and oracles. Every name
-a module lists in ``__all__`` exists, no public function or class is
-defined twice, and the package's public names stay those pinned below, as
+on the segment columns, and the views, which need a solve under "full"
+history, serve tests and oracles. Every name a module lists in ``__all__``
+exists, no public function or class is defined twice, and the package's
+public names stay those pinned below, as
 do the parameters of the solve, pricing and admission entry points and the
 fields of the settings objects: a setting that already has a home (a
 user's initial strategy, a rule's coefficient and escalation step, the
-at-target band, the solve's policy, schedule, stopping rule and rate ladder
-in ``ConvergenceConfig``) does not come back as a parameter.
+at-target band, the solve's policy, schedule, stopping rule, rate ladder
+and history in ``ConvergenceConfig``) does not come back as a parameter.
 """
 
 import ast
@@ -64,7 +65,7 @@ PARAMETERS = {
 FIELDS = {
     "engine.ConvergenceConfig": [
         "delta", "max_iterations", "metric", "policy", "schedule", "rate_set",
-        "quantize_at_convergence",
+        "quantize_at_convergence", "history",
     ],
     "scenario.Scenario": [
         "channel", "users", "user_names", "config", "pricing", "arrivals", "moves",

@@ -13,6 +13,7 @@ from ratepower.admission import PricingRule, priced_users
 from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
     CLAMP,
+    HISTORY_FULL,
     KKT,
     SEQUENTIAL,
     SYNCHRONOUS,
@@ -85,6 +86,11 @@ alpha2 = 20
 distances_m = 410 110
 alpha2 = 20
 """
+
+
+def run_full_history(scenario):
+    """``run_scenario`` keeping every iteration's row, as ``run --trace`` does."""
+    return run_scenario(replace(scenario, config=replace(scenario.config, history=HISTORY_FULL)))
 
 
 class TestParsing:
@@ -294,7 +300,7 @@ class TestRunScenario:
             "[user b]\ndistances_m = 130\nalpha2 = 20\n\n"
             "[event arrival]\niteration = 15\nuser = c\ndistances_m = 130\nalpha2 = 20\n"
         )
-        trace, summary = run_scenario(parse_scenario(text))
+        trace, summary = run_full_history(parse_scenario(text))
         assert summary.converged
         assert summary.user_names == ["a", "b", "c"]
         sizes = {rec.iteration: len(rec.powers) for rec in trace.records}
@@ -321,7 +327,7 @@ class TestRunScenario:
             TWO_CELL
             + "[event arrival]\niteration = 5\nuser = late\ndistances_m = 400 120\nalpha2 = 20\n"
         )
-        trace, summary = run_scenario(parse_scenario(text))
+        trace, summary = run_full_history(parse_scenario(text))
         assert summary.converged
         assert summary.user_names == ["near1", "near2", "late"]
         assert list(summary.assignment) == [0, 1, 1]
@@ -336,7 +342,7 @@ class TestRunScenario:
             + "[event move]\nstep = 2\nuser = alice\ndistances_m = 150\n"
             + "[event move]\nstep = 3\nuser = alice\ndistances_m = 200\n"
         )
-        trace, summary = run_scenario(parse_scenario(text))
+        trace, summary = run_full_history(parse_scenario(text))
         assert [sr.step for sr in summary.steps] == [1, 2, 3]
         # The run converges only when every step does.
         assert summary.converged
@@ -351,7 +357,7 @@ class TestRunScenario:
         )
         first = parse_scenario(text)
         for s in (first, parse_scenario(scenario_to_text(first))):
-            trace, summary = run_scenario(s)
+            trace, summary = run_full_history(s)
             n = len(s.users) + 1
             assert summary.converged
             assert summary.user_names == ["u1", "u2", "u3", "u4", "u5", "late"]
@@ -379,8 +385,8 @@ class TestRunScenario:
         if arrival:
             text += "\n[event arrival]\niteration = 5\nuser = late\ndistances_m = 400 120\n"
         s = parse_scenario(text)
-        first, _ = run_scenario(s)
-        second, _ = run_scenario(s)
+        first, _ = run_full_history(s)
+        second, _ = run_full_history(s)
         stamps = [(rec.iteration, rec.step) for rec in first.records]
         assert stamps == [(rec.iteration, rec.step) for rec in second.records]
         assert [it for it, _ in stamps] == list(range(1, first.iterations_used + 1))
@@ -429,7 +435,7 @@ class TestTraceOutput:
     def run_three_iterations(self):
         channel = ChannelModel([110, 130])
         users = [UserParams(alpha2=20, lam=1e-4) for _ in range(2)]
-        config = ConvergenceConfig(delta=1e-30, max_iterations=3)
+        config = ConvergenceConfig(delta=1e-30, max_iterations=3, history=HISTORY_FULL)
         return iterate_to_convergence(channel, users, config=config)
 
     def test_header_and_row_count(self):
@@ -451,7 +457,7 @@ class TestTraceOutput:
         s = parse_scenario(FULL)
         outputs = []
         for _ in range(2):
-            trace, _ = run_scenario(s)
+            trace, _ = run_full_history(s)
             buf = io.StringIO()
             emit_trace(trace, buf)
             outputs.append(buf.getvalue())
@@ -470,6 +476,15 @@ class TestTraceOutput:
         path = tmp_path / "trace.csv"
         emit_trace(trace, path)
         assert path.read_text().startswith(TRACE_HEADER)
+        # A trace that kept only each segment's last row is refused before
+        # anything is written, to a file or a stream.
+        config = ConvergenceConfig(delta=1e-30, max_iterations=3)
+        last = iterate_to_convergence(trace.channel, trace.users, config=config)
+        buf = io.StringIO()
+        for destination in (tmp_path / "last.csv", buf):
+            with pytest.raises(ValueError, match="^the trace keeps only each segment's last row"):
+                emit_trace(last, destination)
+        assert not (tmp_path / "last.csv").exists() and buf.getvalue() == ""
 
 
 def per_field_trace(trace):
@@ -542,11 +557,11 @@ class TestTraceWriterGolden:
     def test_shipped_scenarios(self, path, schedule, policy):
         scenario = parse_scenario(path.read_text())
         config = replace(scenario.config, policy=policy, schedule=schedule)
-        trace, _ = run_scenario(replace(scenario, config=config))
+        trace, _ = run_full_history(replace(scenario, config=config))
         assert written_trace(trace) == per_field_trace(trace)
 
     def test_shipped_traces_cover_growing_and_offset_records(self):
-        traces = {p.stem: run_scenario(parse_scenario(p.read_text()))[0] for p in SHIPPED_SCENARIOS}
+        traces = {p.stem: run_full_history(parse_scenario(p.read_text()))[0] for p in SHIPPED_SCENARIOS}
         sizes = [len(rec.powers) for rec in traces["new_user"].records]
         assert sizes[0] < sizes[-1]
         walk = traces["station_walk"].records
@@ -557,7 +572,7 @@ class TestTraceWriterGolden:
     def test_rate_ladder_run(self):
         ladder = (0.1, 9600.0, 19200.0, 38400.0, 96000.0)
         text = TWO_CELL + "[run]\nrates = " + " ".join(map(str, ladder)) + "\n"
-        trace, _ = run_scenario(parse_scenario(text))
+        trace, _ = run_full_history(parse_scenario(text))
         assert set(np.concatenate([rec.rates for rec in trace.records]).tolist()) <= set(ladder)
         assert written_trace(trace) == per_field_trace(trace)
 
@@ -630,7 +645,7 @@ class TestTraceEncoder:
         assert written_trace(trace) == per_field_trace(trace)
 
     def test_fast_and_fallback_values_in_one_chunk(self):
-        trace, _ = run_scenario(parse_scenario(FULL))
+        trace, _ = run_full_history(parse_scenario(FULL))
         (seg,) = trace.segments
         # Zeros, non-finite values, a near tie, an exponent past the exact
         # powers of ten, a 3-digit exponent and a subnormal, beside solver
