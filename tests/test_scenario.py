@@ -213,6 +213,138 @@ class TestParsing:
         assert s.config.quantize_at_convergence
 
 
+# One user on one station, lines 1-2, as the head of most bad documents below.
+ONE = "[user a]\ndistances_m = 110\n"
+ARRIVAL = "[event arrival]\niteration = 5\nuser = b\ndistances_m = 130\n"
+MOVE = "[event move]\nstep = 2\nuser = a\ndistances_m = 150\n"
+
+# Every way a document is refused, with its full message: one bad document
+# per check of the parser.
+FORMAT_ERRORS = {
+    "malformed_header": ("[user a\n", "line 1: malformed section header '[user a'"),
+    "not_key_value": (
+        "[user a]\ndistances_m 110\n",
+        "line 2: expected 'key = value', got 'distances_m 110'",
+    ),
+    "key_outside_section": ("distances_m = 110\n", "line 1: key outside any section"),
+    "empty_value": ("[user a]\ndistances_m =\n", "line 2: empty key or value"),
+    "duplicate_key": (ONE + "distances_m = 120\n", "line 3: duplicate key 'distances_m'"),
+    "bad_user_header_name": (
+        "[user a-b]\ndistances_m = 110\n",
+        "line 1: user names must be alphanumeric/underscore, got 'a-b'",
+    ),
+    "unknown_section": ("[users]\n", "line 1: unknown section [users]"),
+    "duplicate_singleton": (ONE + "[run]\n[run]\n", "line 4: duplicate [run] section"),
+    "unknown_key": (ONE + "bandwidth = 5\n", "line 3: unknown key 'bandwidth' in [user a]"),
+    "unknown_event_key": (
+        ONE + MOVE + "alpha2 = 20\n",
+        "line 7: unknown key 'alpha2' in [event move]",
+    ),
+    "no_users": ("[run]\ndelta = 1e-6\n", "scenario declares no [user ...] sections"),
+    "duplicate_user_names": (ONE + "\n[user a]\ndistances_m = 130\n", "duplicate user names"),
+    "user_missing_distances": ("[user a]\nalpha2 = 20\n", "line 1: user 'a' is missing distances_m"),
+    "user_distance_count": (
+        "[user a]\ndistances_m = 110 410\n[user b]\ndistances_m = 130\n",
+        "line 4: user 'b' has 1 distances, expected 2",
+    ),
+    "channel_refused": (
+        "[network]\nshadowing = -1\n" + ONE,
+        "[network]: shadowing must be positive",
+    ),
+    "ladder_refused": (ONE + "[run]\nrates = -5\n", "line 4: all admissible rates must be positive"),
+    "quantize_without_rates": (
+        ONE + "[run]\nquantize = per_iteration\n",
+        "line 4: quantize needs a rates ladder",
+    ),
+    "quantize_mode": (
+        ONE + "[run]\nrates = 9600\nquantize = never\n",
+        "line 5: quantize must be one of ['at_convergence', 'per_iteration']",
+    ),
+    "config_refused": (ONE + "[run]\ndelta = -1\n", "[run]: delta must be positive"),
+    "pricing_rule": (
+        ONE + "[pricing]\nrule = flat\n",
+        "line 4: pricing rule must be one of ('constant', 'per_user_count', 'direct_gain', "
+        "'inverse_gain', 'target_ratio', 'inverse_target_ratio')",
+    ),
+    "pricing_refused": (
+        ONE + "[pricing]\nc = -1\n",
+        "[pricing]: pricing coefficient c must be positive",
+    ),
+    "gain_pricing_on_two_stations": (
+        "[user a]\ndistances_m = 110 410\n[pricing]\nrule = inverse_gain\n",
+        "line 4: gain-dependent pricing cannot be used with 2 stations",
+    ),
+    "arrival_keys": (
+        ONE + "[event arrival]\nuser = b\ndistances_m = 130\n",
+        "line 3: arrival needs iteration and user keys",
+    ),
+    "arrival_iteration": (
+        ONE + ARRIVAL.replace("iteration = 5", "iteration = 0"),
+        "line 3: arrival iteration must be >= 1",
+    ),
+    "arrival_order": (
+        ONE + ARRIVAL + ARRIVAL.replace("user = b", "user = c"),
+        "line 7: arrival iterations must strictly increase",
+    ),
+    "arrival_name_taken": (
+        ONE + ARRIVAL.replace("user = b", "user = a"),
+        "line 3: arrival user name 'a' already used",
+    ),
+    "arrival_missing_distances": (
+        ONE + "[event arrival]\niteration = 5\nuser = b\n",
+        "line 3: arrival is missing distances_m",
+    ),
+    "arrival_distance_count": (
+        ONE + ARRIVAL.replace("130", "130 140"),
+        "line 3: arrival has 2 distances, expected 1",
+    ),
+    "move_keys": (
+        ONE + "[event move]\nstep = 2\nuser = a\n",
+        "line 3: move needs step, user and distances_m keys",
+    ),
+    "move_step": (ONE + MOVE.replace("step = 2", "step = 0"), "line 3: move step must be >= 1"),
+    "move_order": (ONE + MOVE + MOVE, "line 7: move steps must strictly increase"),
+    "move_unknown_user": (
+        ONE + MOVE.replace("user = a", "user = nobody"),
+        "line 3: move references unknown user 'nobody'",
+    ),
+    "move_distance_count": (
+        ONE + MOVE.replace("150", "150 160"),
+        "line 3: move has 2 distances, expected 1",
+    ),
+    "not_a_number": ("[user a]\ndistances_m = 110 abc\n", "line 2: expected a number, got 'abc'"),
+    "not_finite": (ONE + "alpha2 = inf\n", "line 3: expected a finite number, got 'inf'"),
+    "not_an_integer": (
+        ONE + "[run]\nmax_iterations = 1.5\n",
+        "line 4: expected an integer, got '1.5'",
+    ),
+    "choice": (
+        ONE + "[run]\nschedule = async\n",
+        "line 4: schedule must be one of ['seq', 'sequential', 'sync', 'synchronous']",
+    ),
+    "per_station_lambda": (
+        "[user a]\ndistances_m = 110 410\nlambda = 1e-4 2e-4\n",
+        "line 3: user 'a' pricing must be identical across stations",
+    ),
+    "user_refused": (
+        ONE + "p_min = 2\np_max = 1\n",
+        "line 1: user 'a': need 0 < p_min <= p_max, got [2.0, 1.0]",
+    ),
+    "arrival_user_refused": (
+        ONE + ARRIVAL + "alpha1 = -1\n",
+        "line 3: user 'b': alpha1 and alpha2 must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_ERRORS))
+def test_every_format_error_message_is_pinned(name):
+    text, message = FORMAT_ERRORS[name]
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(text)
+    assert str(info.value) == message
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [MINIMAL, FULL, TWO_CELL])
     def test_serialize_parse_is_stable(self, text):
