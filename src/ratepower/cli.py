@@ -14,8 +14,7 @@ from .admission import NotConvergedError, PricingRule, escalate_pricing, removal
 from .engine import HISTORY_FULL
 from .reference import REPRODUCE_TARGETS, reproduce
 from .scenario import (
-    _POLICY_ALIASES,
-    _SCHEDULE_ALIASES,
+    _SCHEMA,
     ScenarioFormatError,
     _write_text,
     emit_trace,
@@ -26,6 +25,9 @@ from .scenario import (
     sweep_lambda,
     write_summary,
 )
+
+# The [run] choices that `run` also takes as flags, spelled as in a scenario.
+_FLAGS = ("policy", "schedule")
 
 
 def main(argv=None) -> int:
@@ -51,8 +53,8 @@ def _parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario")
     p_run.add_argument("--trace", help="write the per-iteration CSV here")
     p_run.add_argument("--summary", help="write the converged summary here")
-    p_run.add_argument("--policy", choices=tuple(_POLICY_ALIASES))
-    p_run.add_argument("--schedule", choices=tuple(_SCHEDULE_ALIASES))
+    for name in _FLAGS:
+        p_run.add_argument(f"--{name}", choices=tuple(_SCHEMA["run"][name].aliases))
 
     p_rep = sub.add_parser("reproduce", help="rerun a built-in experiment")
     p_rep.add_argument("target", choices=REPRODUCE_TARGETS + ("all",))
@@ -91,11 +93,11 @@ def _dispatch(args) -> int:
 def _load(args):
     with open(args.scenario, encoding="utf-8") as f:
         scenario = parse_scenario(f.read())
-    flags = {}
-    if getattr(args, "policy", None):
-        flags["policy"] = _POLICY_ALIASES[args.policy]
-    if getattr(args, "schedule", None):
-        flags["schedule"] = _SCHEDULE_ALIASES[args.schedule]
+    flags = {
+        name: _SCHEMA["run"][name].aliases[value]
+        for name in _FLAGS
+        if (value := getattr(args, name, None))
+    }
     if flags:
         scenario = replace(scenario, config=replace(scenario.config, **flags))
     return scenario
@@ -163,8 +165,7 @@ def _cmd_sweep(args) -> int:
             )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        _write_text(args.out, text)
     else:
         print(text, end="")
     return 0 if all(s.converged for _, _, s in results) else 1

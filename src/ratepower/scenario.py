@@ -9,11 +9,19 @@ A scenario file is line-oriented, sectioned key = value text:
     [event arrival]      a user that starts transmitting mid-run
     [event move]         a user whose distances change between solver steps
 
-The parser passes the keys a section holds, and only those, to the
-dataclass they fill: a user's to ``UserParams``, ``[network]`` to
-``ChannelModel``, ``[run]`` to ``ConvergenceConfig`` (the scenario's
-``config``, every setting of its solves) and ``[pricing]`` to
-``PricingRule``, so every default lives on its dataclass alone.
+One table, ``_SCHEMA``, describes every section once: its keys in the order
+they are written, and for each key its converter (number, integer, number
+list, rate ladder, name, or a choice with its alias map) and the dataclass
+field it feeds. The reader and the writer both walk it. The reader passes
+the keys a section holds, and only those, to the dataclass they fill: a
+user's to ``UserParams``, ``[network]`` to ``ChannelModel``, ``[run]`` to
+``ConvergenceConfig`` (the scenario's ``config``, every setting of its
+solves), ``[pricing]`` to ``PricingRule`` and an event's to its event, so
+every default lives on its dataclass alone. The writer prints every field
+that is set. Arrivals and moves share one event reader. Three rules sit
+outside the table: a per-station ``lambda`` list must hold one value,
+``quantize`` needs ``rates``, and gain-dependent pricing needs a single
+station.
 
 Numbers accept scientific notation and must be finite; lists (distances_m,
 rates) are whitespace separated; '#' starts a comment. Events share one
@@ -32,7 +40,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,39 +89,6 @@ __all__ = [
 
 TRACE_HEADER = "iter,user,bs,p_w,r_bps,sinr,utility,metric"
 
-_NETWORK_KEYS = ("pathloss_exponent", "shadowing", "noise_w", "bandwidth_hz")
-_USER_KEYS = {
-    "distances_m",
-    "alpha1",
-    "alpha2",
-    "lambda",
-    "p_min",
-    "p_max",
-    "r_min",
-    "r_max",
-    "p_init",
-    "r_init",
-}
-_RUN_KEYS = {"policy", "schedule", "delta", "max_iterations", "metric", "rates", "quantize"}
-_PRICING_KEYS = {"rule", "c", "dc"}
-_ARRIVAL_KEYS = {"iteration", "user"} | _USER_KEYS
-_MOVE_KEYS = {"step", "user", "distances_m"}
-
-_POLICY_ALIASES = {"clamp": CLAMP, "kkt": KKT}
-_SCHEDULE_ALIASES = {
-    "synchronous": SYNCHRONOUS,
-    "sync": SYNCHRONOUS,
-    "sequential": SEQUENTIAL,
-    "seq": SEQUENTIAL,
-}
-_METRIC_ALIASES = {"relative": METRIC_RELATIVE, "absolute": METRIC_ABSOLUTE}
-_RUN_CHOICES = (
-    ("policy", _POLICY_ALIASES),
-    ("schedule", _SCHEDULE_ALIASES),
-    ("metric", _METRIC_ALIASES),
-)
-_QUANTIZE_MODES = {"per_iteration": False, "at_convergence": True}
-
 
 class ScenarioFormatError(ValueError):
     """Parse or validation failure, annotated with the offending line."""
@@ -151,226 +128,19 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# The schema: every section's keys, read and written from one table
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document; defaults fill anything omitted."""
-    sections = _split_sections(text)
+class _Key(NamedTuple):
+    """One key of a section: the dataclass field it feeds, and how its value is read and written."""
 
-    network = {}
-    users: list[tuple[str, dict, int]] = []
-    run: dict = {}
-    pricing: dict = {}
-    arrivals_raw: list[tuple[dict, int]] = []
-    moves_raw: list[tuple[dict, int]] = []
-    seen_singletons: set[str] = set()
-
-    for header, line_no, body in sections:
-        kind = header[0]
-        if kind in ("network", "run", "pricing"):
-            if kind in seen_singletons:
-                raise ScenarioFormatError(f"line {line_no}: duplicate [{kind}] section")
-            seen_singletons.add(kind)
-        if kind == "network":
-            _check_keys(body, _NETWORK_KEYS, "network")
-            network = body
-        elif kind == "user":
-            users.append((header[1], body, line_no))
-        elif kind == "run":
-            _check_keys(body, _RUN_KEYS, "run")
-            run = body
-        elif kind == "pricing":
-            _check_keys(body, _PRICING_KEYS, "pricing")
-            pricing = body
-        elif kind == "arrival":
-            _check_keys(body, _ARRIVAL_KEYS, "event arrival")
-            arrivals_raw.append((body, line_no))
-        else:
-            _check_keys(body, _MOVE_KEYS, "event move")
-            moves_raw.append((body, line_no))
-
-    if not users:
-        raise ScenarioFormatError("scenario declares no [user ...] sections")
-
-    names = [n for n, _, _ in users]
-    if len(set(names)) != len(names):
-        raise ScenarioFormatError("duplicate user names")
-
-    distances = []
-    params = []
-    n_stations = None
-    for name, body, line_no in users:
-        _check_keys(body, _USER_KEYS, f"user {name}")
-        if "distances_m" not in body:
-            raise ScenarioFormatError(f"line {line_no}: user {name!r} is missing distances_m")
-        d = _floats(body["distances_m"])
-        if n_stations is None:
-            n_stations = len(d)
-        elif len(d) != n_stations:
-            raise ScenarioFormatError(
-                f"line {body['distances_m'][1]}: user {name!r} has {len(d)} distances, "
-                f"expected {n_stations}"
-            )
-        distances.append(d)
-        params.append(_build_user(name, body, line_no))
-
-    try:
-        channel = ChannelModel(np.array(distances), **_present(network, _NETWORK_KEYS, _get_float))
-    except ValueError as exc:
-        raise ScenarioFormatError(f"[network]: {exc}") from exc
-
-    settings = {key: _alias(run, key, aliases) for key, aliases in _RUN_CHOICES if key in run}
-    settings |= _present(run, ("delta",), _get_float)
-    settings |= _present(run, ("max_iterations",), _get_int)
-    if "rates" in run:
-        try:
-            settings["rate_set"] = RateSet(tuple(_floats(run["rates"])))
-        except ValueError as exc:
-            raise ScenarioFormatError(f"line {run['rates'][1]}: {exc}") from exc
-    if "quantize" in run:
-        raw, line_no = run["quantize"]
-        if "rates" not in run:
-            raise ScenarioFormatError(f"line {line_no}: quantize needs a rates ladder")
-        if raw not in _QUANTIZE_MODES:
-            raise ScenarioFormatError(
-                f"line {line_no}: quantize must be one of {sorted(_QUANTIZE_MODES)}"
-            )
-        settings["quantize_at_convergence"] = _QUANTIZE_MODES[raw]
-    try:
-        config = ConvergenceConfig(**settings)
-    except ValueError as exc:
-        raise ScenarioFormatError(f"[run]: {exc}") from exc
-
-    pricing_rule = None
-    if pricing:
-        rule = {}
-        if "rule" in pricing:
-            rule["kind"], kind_line = pricing["rule"]
-            if rule["kind"] not in PRICING_KINDS:
-                raise ScenarioFormatError(
-                    f"line {kind_line}: pricing rule must be one of {PRICING_KINDS}"
-                )
-        rule |= _present(pricing, ("c", "dc"), _get_float)
-        try:
-            pricing_rule = PricingRule(**rule)
-        except ValueError as exc:
-            raise ScenarioFormatError(f"[pricing]: {exc}") from exc
-        if channel.n_stations > 1 and pricing_rule.kind in GAIN_DEPENDENT_KINDS:
-            raise ScenarioFormatError(
-                f"line {pricing['rule'][1]}: gain-dependent pricing cannot be used with "
-                f"{channel.n_stations} stations"
-            )
-
-    arrivals = []
-    taken = set(names)
-    last_arrival = 0
-    for body, line_no in arrivals_raw:
-        if "iteration" not in body or "user" not in body:
-            raise ScenarioFormatError(f"line {line_no}: arrival needs iteration and user keys")
-        iteration = _get_int(body, "iteration")
-        if iteration < 1:
-            raise ScenarioFormatError(f"line {line_no}: arrival iteration must be >= 1")
-        if iteration <= last_arrival:
-            raise ScenarioFormatError(f"line {line_no}: arrival iterations must strictly increase")
-        last_arrival = iteration
-        name = body["user"][0]
-        if name in taken:
-            raise ScenarioFormatError(f"line {line_no}: arrival user name {name!r} already used")
-        taken.add(name)
-        if "distances_m" not in body:
-            raise ScenarioFormatError(f"line {line_no}: arrival is missing distances_m")
-        d = _floats(body["distances_m"])
-        if len(d) != channel.n_stations:
-            raise ScenarioFormatError(
-                f"line {line_no}: arrival has {len(d)} distances, expected {channel.n_stations}"
-            )
-        arrivals.append(ArrivalEvent(iteration, name, np.array(d), _build_user(name, body, line_no)))
-
-    moves = []
-    last_step = 0
-    for body, line_no in moves_raw:
-        if "step" not in body or "user" not in body or "distances_m" not in body:
-            raise ScenarioFormatError(f"line {line_no}: move needs step, user and distances_m keys")
-        step = _get_int(body, "step")
-        if step < 1:
-            raise ScenarioFormatError(f"line {line_no}: move step must be >= 1")
-        if step <= last_step:
-            raise ScenarioFormatError(f"line {line_no}: move steps must strictly increase")
-        last_step = step
-        name = body["user"][0]
-        if name not in names:
-            raise ScenarioFormatError(f"line {line_no}: move references unknown user {name!r}")
-        d = _floats(body["distances_m"])
-        if len(d) != channel.n_stations:
-            raise ScenarioFormatError(
-                f"line {line_no}: move has {len(d)} distances, expected {channel.n_stations}"
-            )
-        moves.append(MoveEvent(step, names.index(name), name, np.array(d)))
-
-    return Scenario(
-        channel=channel,
-        users=params,
-        user_names=names,
-        config=config,
-        pricing=pricing_rule,
-        arrivals=arrivals,
-        moves=moves,
-    )
+    field: str
+    read: Callable[[str, int], object]  # (value text, line number) -> value
+    write: Callable[[object], str] = repr
+    aliases: dict | None = None  # a choice's spellings and the values they stand for
 
 
-def _split_sections(text: str):
-    sections = []
-    current = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ScenarioFormatError(f"line {line_no}: malformed section header {raw.strip()!r}")
-            tokens = line[1:-1].split()
-            header = _header_tokens(tokens, line_no)
-            current = (header, line_no, {})
-            sections.append(current)
-            continue
-        if "=" not in line:
-            raise ScenarioFormatError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
-        if current is None:
-            raise ScenarioFormatError(f"line {line_no}: key outside any section")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ScenarioFormatError(f"line {line_no}: empty key or value")
-        if key in current[2]:
-            raise ScenarioFormatError(f"line {line_no}: duplicate key {key!r}")
-        current[2][key] = (value, line_no)
-    return sections
-
-
-def _header_tokens(tokens, line_no):
-    if tokens == ["network"] or tokens == ["run"] or tokens == ["pricing"]:
-        return (tokens[0],)
-    if len(tokens) == 2 and tokens[0] == "user":
-        name = tokens[1]
-        if not name.replace("_", "").isalnum():
-            raise ScenarioFormatError(
-                f"line {line_no}: user names must be alphanumeric/underscore, got {name!r}"
-            )
-        return ("user", name)
-    if len(tokens) == 2 and tokens[0] == "event" and tokens[1] in ("arrival", "move"):
-        return (tokens[1],)
-    raise ScenarioFormatError(f"line {line_no}: unknown section [{' '.join(tokens)}]")
-
-
-def _check_keys(body, allowed, where):
-    for key, (_, line_no) in body.items():
-        if key not in allowed:
-            raise ScenarioFormatError(f"line {line_no}: unknown key {key!r} in [{where}]")
-
-
-def _float_value(raw, line_no):
+def _number(raw, line_no):
     try:
         value = float(raw)
     except ValueError:
@@ -380,55 +150,300 @@ def _float_value(raw, line_no):
     return value
 
 
-def _get_float(body, key):
-    raw, line_no = body[key]
-    return _float_value(raw, line_no)
-
-
-def _get_int(body, key):
-    raw, line_no = body[key]
+def _integer(raw, line_no):
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise ScenarioFormatError(f"line {line_no}: expected an integer, got {raw!r}") from None
-    return value
 
 
-def _floats(entry):
-    raw, line_no = entry
-    return [_float_value(tok, line_no) for tok in raw.split()]
+def _numbers(raw, line_no):
+    return [_number(tok, line_no) for tok in raw.split()]
 
 
-def _alias(body, key, aliases):
-    raw, line_no = body[key]
-    if raw not in aliases:
-        raise ScenarioFormatError(f"line {line_no}: {key} must be one of {sorted(aliases)}")
-    return aliases[raw]
+def _spaced(values) -> str:
+    return " ".join(repr(float(x)) for x in values)
 
 
-def _present(body, keys, parse) -> dict:
-    # The keys of ``keys`` that ``body`` holds, parsed; an absent key keeps
-    # the default of the dataclass the values are passed to.
-    return {key: parse(body, key) for key in keys if key in body}
+def _ladder(raw, line_no):
+    try:
+        return RateSet(tuple(_numbers(raw, line_no)))
+    except ValueError as exc:
+        raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
 
 
-def _build_user(name, body, line_no) -> UserParams:
-    kwargs = {}
-    if "lambda" in body:
-        values = _floats(body["lambda"])
-        if len(set(values)) != 1:
+def _text(raw, line_no):
+    return raw
+
+
+def _scalars(*names):
+    # Keys holding one number each, feeding the field of their own name.
+    return {name: _Key(name, _number) for name in names}
+
+
+def _choice(field, aliases, label=None, shown=None):
+    # A key spelling one of ``aliases``. A value is written back as its first
+    # spelling; a refusal names ``label`` (default ``field``) and lists
+    # ``shown`` (default the sorted spellings).
+    label = label or field
+    shown = sorted(aliases) if shown is None else shown
+    first = {}
+    for spelling, value in aliases.items():
+        first.setdefault(value, spelling)
+
+    def read(raw, line_no):
+        if raw not in aliases:
+            raise ScenarioFormatError(f"line {line_no}: {label} must be one of {shown}")
+        return aliases[raw]
+
+    return _Key(field, read, first.__getitem__, aliases)
+
+
+_ARRIVAL = "event arrival"
+
+# Each section's keys in the order the writer prints them. A [user NAME]'s
+# distances_m is its row of the channel's matrix. An event section's own keys
+# are all required and the first is its timeline counter; an arrival adds a
+# user, so it also takes every [user] key.
+_SCHEMA = {
+    "network": _scalars("bandwidth_hz", "noise_w", "pathloss_exponent", "shadowing"),
+    "user": {
+        "distances_m": _Key("distances_m", _numbers, _spaced),
+        **_scalars("alpha1", "alpha2"),
+        # One value per station is accepted; they must agree (_build_user).
+        "lambda": _Key("lam", _numbers),
+        **_scalars("p_min", "p_max", "r_min", "r_max", "p_init", "r_init"),
+    },
+    "run": {
+        "policy": _choice("policy", {"clamp": CLAMP, "kkt": KKT}),
+        "schedule": _choice(
+            "schedule",
+            {
+                "synchronous": SYNCHRONOUS,
+                "sync": SYNCHRONOUS,
+                "sequential": SEQUENTIAL,
+                "seq": SEQUENTIAL,
+            },
+        ),
+        **_scalars("delta"),
+        "max_iterations": _Key("max_iterations", _integer, str),
+        "metric": _choice("metric", {"relative": METRIC_RELATIVE, "absolute": METRIC_ABSOLUTE}),
+        "rates": _Key("rate_set", _ladder, lambda ladder: _spaced(ladder.rates)),
+        "quantize": _choice(
+            "quantize_at_convergence", {"per_iteration": False, "at_convergence": True}, "quantize"
+        ),
+    },
+    "pricing": {
+        "rule": _choice(
+            "kind", dict(zip(PRICING_KINDS, PRICING_KINDS)), "pricing rule", PRICING_KINDS
+        ),
+        **_scalars("c", "dc"),
+    },
+    _ARRIVAL: {"iteration": _Key("iteration", _integer, str), "user": _Key("name", _text, str)},
+    "event move": {
+        "step": _Key("step", _integer, str),
+        "user": _Key("user_name", _text, str),
+        "distances_m": _Key("distances_m", _numbers, _spaced),
+    },
+}
+
+
+def _keys(kind) -> dict:
+    return _SCHEMA[kind] | _SCHEMA["user"] if kind == _ARRIVAL else _SCHEMA[kind]
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+
+
+def parse_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario document; defaults fill anything omitted."""
+    sections = _split_sections(text)
+
+    index, rows, users = {}, [], []  # index: each user's position, by name
+    for name, line_no, body in sections["user"]:
+        if name in index:
+            raise ScenarioFormatError(f"line {line_no}: duplicate user name {name!r}")
+        values = _read_keys(body, "user")
+        if "distances_m" not in values:
+            raise ScenarioFormatError(f"line {line_no}: user {name!r} is missing distances_m")
+        row = values.pop("distances_m")
+        if rows and len(row) != len(rows[0]):
+            raise ScenarioFormatError(
+                f"line {body['distances_m'][1]}: user {name!r} has {len(row)} distances, "
+                f"expected {len(rows[0])}"
+            )
+        index[name] = len(rows)
+        rows.append(row)
+        users.append(_build_user(name, line_no, body, values))
+    if not users:
+        raise ScenarioFormatError("scenario declares no [user ...] sections")
+
+    try:
+        channel = ChannelModel(np.array(rows), **_read_keys(_only(sections, "network"), "network"))
+    except ValueError as exc:
+        raise ScenarioFormatError(f"[network]: {exc}") from exc
+
+    run = _only(sections, "run")
+    if "quantize" in run and "rates" not in run:
+        raise ScenarioFormatError(f"line {run['quantize'][1]}: quantize needs a rates ladder")
+    config = _build(ConvergenceConfig, "[run]", _read_keys(run, "run"))
+
+    pricing = _only(sections, "pricing")
+    rule = _build(PricingRule, "[pricing]", _read_keys(pricing, "pricing")) if pricing else None
+    if rule is not None and rule.kind in GAIN_DEPENDENT_KINDS and channel.n_stations > 1:
+        raise ScenarioFormatError(
+            f"line {pricing['rule'][1]}: gain-dependent pricing cannot be used with "
+            f"{channel.n_stations} stations"
+        )
+
+    return Scenario(
+        channel=channel,
+        users=users,
+        user_names=list(index),
+        config=config,
+        pricing=rule,
+        arrivals=_read_events(sections, _ARRIVAL, index, channel.n_stations),
+        moves=_read_events(sections, "event move", index, channel.n_stations),
+    )
+
+
+def _split_sections(text: str) -> dict:
+    # Each section kind's sections in file order, as (user name or None,
+    # header line, {key: (value text, line)}).
+    sections = {kind: [] for kind in _SCHEMA}
+    body = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if line[0] == "[":
+            if line[-1] != "]":
+                raise ScenarioFormatError(f"line {line_no}: malformed section header {raw.strip()!r}")
+            where = " ".join(line[1:-1].split())
+            kind, name = _header(where, line_no)
+            if kind in ("network", "run", "pricing") and sections[kind]:
+                raise ScenarioFormatError(f"line {line_no}: duplicate [{kind}] section")
+            keys, body = _keys(kind), {}
+            sections[kind].append((name, line_no, body))
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ScenarioFormatError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
+        if body is None:
+            raise ScenarioFormatError(f"line {line_no}: key outside any section")
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise ScenarioFormatError(f"line {line_no}: empty key or value")
+        if key in body:
+            raise ScenarioFormatError(f"line {line_no}: duplicate key {key!r}")
+        if key not in keys:
+            raise ScenarioFormatError(f"line {line_no}: unknown key {key!r} in [{where}]")
+        body[key] = (value, line_no)
+    return sections
+
+
+def _header(where, line_no):
+    # A header's section kind, and its user name for a [user NAME].
+    tokens = where.split(" ")
+    if len(tokens) == 2 and tokens[0] == "user":
+        _check_name(tokens[1], line_no)
+        return "user", tokens[1]
+    if where == "user" or where not in _SCHEMA:
+        raise ScenarioFormatError(f"line {line_no}: unknown section [{where}]")
+    return where, None
+
+
+def _check_name(name, line_no):
+    if not name.replace("_", "").isalnum():
+        raise ScenarioFormatError(
+            f"line {line_no}: user names must be alphanumeric/underscore, got {name!r}"
+        )
+
+
+def _only(sections, kind) -> dict:
+    # The body of a section that appears at most once; empty when absent.
+    return sections[kind][0][2] if sections[kind] else {}
+
+
+def _read_keys(body, kind) -> dict:
+    # A section's values by the field each feeds; an absent key keeps the
+    # default of its dataclass.
+    keys = _keys(kind)
+    values = {}
+    for key, (raw, line_no) in body.items():
+        spec = keys[key]
+        values[spec.field] = spec.read(raw, line_no)
+    return values
+
+
+def _build(cls, where, values):
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from exc
+
+
+def _build_user(name, line_no, body, values) -> UserParams:
+    if "lam" in values:
+        lams = values["lam"]
+        if len(set(lams)) != 1:
             raise ScenarioFormatError(
                 f"line {body['lambda'][1]}: user {name!r} pricing must be identical "
                 "across stations"
             )
-        kwargs["lam"] = values[0]
-    kwargs |= _present(
-        body, ("alpha1", "alpha2", "p_min", "p_max", "r_min", "r_max", "p_init", "r_init"), _get_float
-    )
+        values["lam"] = lams[0]
     try:
-        return UserParams(**kwargs)
+        return UserParams(**values)
     except ValueError as exc:
         raise ScenarioFormatError(f"line {line_no}: user {name!r}: {exc}") from exc
+
+
+def _read_events(sections, kind, index, n_stations) -> list:
+    # One reader for arrivals and moves: both name a user and give a
+    # distance per station, on a counter that starts at 1 and strictly
+    # increases. An arrival's user must be new, a move's one of ``index``.
+    event = kind.split()[1]
+    own = _SCHEMA[kind]
+    *needed, last_needed = own
+    counter = needed[0]
+    taken = set(index)
+    events = []
+    last = 0
+    for _, line_no, body in sections[kind]:
+        values = _read_keys(body, kind)
+        if any(key not in body for key in own):
+            raise ScenarioFormatError(
+                f"line {line_no}: {event} needs {', '.join(needed)} and {last_needed} keys"
+            )
+        at = values.pop(counter)
+        if at < 1:
+            raise ScenarioFormatError(f"line {line_no}: {event} {counter} must be >= 1")
+        if at <= last:
+            raise ScenarioFormatError(f"line {line_no}: {event} {counter}s must strictly increase")
+        last = at
+        name = values.pop(own["user"].field)
+        if kind == _ARRIVAL:
+            _check_name(name, body["user"][1])
+            if name in taken:
+                raise ScenarioFormatError(f"line {line_no}: arrival user name {name!r} already used")
+            taken.add(name)
+        elif name not in index:
+            raise ScenarioFormatError(f"line {line_no}: move references unknown user {name!r}")
+        if "distances_m" not in values:
+            raise ScenarioFormatError(f"line {line_no}: {event} is missing distances_m")
+        d = np.array(values.pop("distances_m"))
+        if len(d) != n_stations:
+            raise ScenarioFormatError(
+                f"line {line_no}: {event} has {len(d)} distances, expected {n_stations}"
+            )
+        if kind == _ARRIVAL:
+            # What is left of an arrival's values are its user's.
+            events.append(ArrivalEvent(at, name, d, _build_user(name, line_no, body, values)))
+        else:
+            events.append(MoveEvent(at, index[name], name, d))
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -436,68 +451,31 @@ def _build_user(name, body, line_no) -> UserParams:
 
 
 def scenario_to_text(s: Scenario) -> str:
-    out = ["[network]"]
-    ch = s.channel
-    out.append(f"bandwidth_hz = {ch.bandwidth_hz!r}")
-    out.append(f"noise_w = {ch.noise_w!r}")
-    out.append(f"pathloss_exponent = {ch.pathloss_exponent!r}")
-    out.append(f"shadowing = {ch.shadowing!r}")
-    for name, user, row in zip(s.user_names, s.users, ch.distances_m):
-        out.append("")
-        out.append(f"[user {name}]")
-        out.append("distances_m = " + " ".join(repr(float(d)) for d in row))
-        out.extend(_user_lines(user))
-    out.append("")
-    config = s.config
-    out.append("[run]")
-    out.append(f"policy = {config.policy}")
-    out.append(f"schedule = {config.schedule}")
-    out.append(f"delta = {config.delta!r}")
-    out.append(f"max_iterations = {config.max_iterations}")
-    out.append(f"metric = {config.metric}")
-    if config.rate_set is not None:
-        out.append("rates = " + " ".join(repr(float(r)) for r in config.rate_set.rates))
-        out.append(
-            "quantize = " + ("at_convergence" if config.quantize_at_convergence else "per_iteration")
-        )
-    if s.pricing is not None:
-        out.append("")
-        out.append("[pricing]")
-        out.append(f"rule = {s.pricing.kind}")
-        out.append(f"c = {s.pricing.c!r}")
-        if s.pricing.dc is not None:
-            out.append(f"dc = {s.pricing.dc!r}")
-    for ev in s.arrivals:
-        out.append("")
-        out.append("[event arrival]")
-        out.append(f"iteration = {ev.iteration}")
-        out.append(f"user = {ev.name}")
-        out.append("distances_m = " + " ".join(repr(float(d)) for d in ev.distances_m))
-        out.extend(_user_lines(ev.user))
-    for ev in s.moves:
-        out.append("")
-        out.append("[event move]")
-        out.append(f"step = {ev.step}")
-        out.append(f"user = {ev.user_name}")
-        out.append("distances_m = " + " ".join(repr(float(d)) for d in ev.distances_m))
-    return "\n".join(out) + "\n"
-
-
-def _user_lines(user: UserParams) -> list[str]:
-    lines = [
-        f"alpha1 = {user.alpha1!r}",
-        f"alpha2 = {user.alpha2!r}",
-        f"lambda = {user.lam!r}",
-        f"p_min = {user.p_min!r}",
-        f"p_max = {user.p_max!r}",
-        f"r_min = {user.r_min!r}",
-        f"r_max = {user.r_max!r}",
+    config = vars(s.config)
+    if s.config.rate_set is None:
+        # quantize needs rates: without a ladder it is not written.
+        config = {**config, "quantize_at_convergence": None}
+    sections = [("network", "network", vars(s.channel))]
+    sections += [
+        (f"user {name}", "user", {"distances_m": row, **vars(user)})
+        for name, user, row in zip(s.user_names, s.users, s.channel.distances_m)
     ]
-    if user.p_init is not None:
-        lines.append(f"p_init = {user.p_init!r}")
-    if user.r_init is not None:
-        lines.append(f"r_init = {user.r_init!r}")
-    return lines
+    sections.append(("run", "run", config))
+    if s.pricing is not None:
+        sections.append(("pricing", "pricing", vars(s.pricing)))
+    sections += [(_ARRIVAL, _ARRIVAL, vars(ev) | vars(ev.user)) for ev in s.arrivals]
+    sections += [("event move", "event move", vars(ev)) for ev in s.moves]
+    return "\n\n".join(_section_text(*section) for section in sections) + "\n"
+
+
+def _section_text(header, kind, values) -> str:
+    # A value of None is left out, so its dataclass's default stands.
+    lines = [f"[{header}]"]
+    for key, spec in _keys(kind).items():
+        value = values[spec.field]
+        if value is not None:
+            lines.append(f"{key} = {spec.write(value)}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import io
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ratepower import reference, scenario as scenario_module
-from ratepower.admission import PricingRule, priced_users
+from ratepower.admission import GAIN_DEPENDENT_KINDS, PRICING_KINDS, PricingRule, priced_users
 from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
     CLAMP,
@@ -23,8 +24,11 @@ from ratepower.engine import (
     iterate_to_convergence,
 )
 from ratepower.oracle import recompute_sinrs
+from ratepower.rates import RateSet
 from ratepower.scenario import (
+    ArrivalEvent,
     MoveEvent,
+    Scenario,
     ScenarioFormatError,
     TRACE_HEADER,
     emit_trace,
@@ -241,7 +245,10 @@ FORMAT_ERRORS = {
         "line 7: unknown key 'alpha2' in [event move]",
     ),
     "no_users": ("[run]\ndelta = 1e-6\n", "scenario declares no [user ...] sections"),
-    "duplicate_user_names": (ONE + "\n[user a]\ndistances_m = 130\n", "duplicate user names"),
+    "duplicate_user_names": (
+        ONE + "\n[user a]\ndistances_m = 130\n",
+        "line 4: duplicate user name 'a'",
+    ),
     "user_missing_distances": ("[user a]\nalpha2 = 20\n", "line 1: user 'a' is missing distances_m"),
     "user_distance_count": (
         "[user a]\ndistances_m = 110 410\n[user b]\ndistances_m = 130\n",
@@ -289,6 +296,10 @@ FORMAT_ERRORS = {
     "arrival_name_taken": (
         ONE + ARRIVAL.replace("user = b", "user = a"),
         "line 3: arrival user name 'a' already used",
+    ),
+    "arrival_name": (
+        ONE + ARRIVAL.replace("user = b", "user = a=b"),
+        "line 5: user names must be alphanumeric/underscore, got 'a=b'",
     ),
     "arrival_missing_distances": (
         ONE + "[event arrival]\niteration = 5\nuser = b\n",
@@ -345,7 +356,141 @@ def test_every_format_error_message_is_pinned(name):
     assert str(info.value) == message
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_example_parses_and_shows_every_key():
+    # The example under "Scenario files" is a working document, and each of
+    # its sections shows exactly the keys the schema gives that section. An
+    # arrival shows its own keys and some of the [user] keys it also takes.
+    block = re.search(r"## Scenario files\n.*?```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    s = parse_scenario(block)
+    assert s.pricing is not None and s.arrivals and s.moves
+    shown = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            tokens = line[1:-1].split()
+            keys = shown.setdefault("user" if tokens[0] == "user" else " ".join(tokens), set())
+        elif line:
+            keys.add(line.partition("=")[0].strip())
+    schema = scenario_module._SCHEMA
+    assert shown.keys() == schema.keys()
+    user_keys = set(schema["user"])
+    assert shown.pop("event arrival") - user_keys == set(schema["event arrival"])
+    assert shown == {kind: set(schema[kind]) for kind in shown}
+
+
+finite = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
+# Names as [user NAME] takes them: word characters, not only underscores.
+NAMES = st.text("abcxyzABZ0189_", min_size=1, max_size=6).filter(lambda name: name.strip("_"))
+
+
+@st.composite
+def user_params(draw):
+    p_min, p_max = sorted(draw(st.lists(finite(1e-9, 10.0), min_size=2, max_size=2)))
+    r_min, r_max = sorted(draw(st.lists(finite(1e-3, 1e6), min_size=2, max_size=2)))
+    inits = {}
+    if draw(st.booleans()):
+        inits["p_init"] = draw(finite(p_min, p_max))
+    if draw(st.booleans()):
+        inits["r_init"] = draw(finite(r_min, r_max))
+    return UserParams(
+        alpha1=draw(finite(1.0, 1e8)),
+        alpha2=draw(finite(1e-3, 1e3)),
+        lam=draw(finite(1e-12, 1.0)),
+        p_min=p_min,
+        p_max=p_max,
+        r_min=r_min,
+        r_max=r_max,
+        **inits,
+    )
+
+
+@st.composite
+def scenarios(draw):
+    """Any valid Scenario value: 1-4 stations, 1-6 users, 0-2 arrivals and 0-2 moves."""
+    n_stations = draw(st.integers(1, 4))
+    rows = st.lists(finite(1.0, 5000.0), min_size=n_stations, max_size=n_stations)
+    names = draw(st.lists(NAMES, min_size=1, max_size=8, unique=True))
+    n_users = draw(st.integers(1, min(6, len(names))))
+    channel = ChannelModel(
+        np.array(draw(st.lists(rows, min_size=n_users, max_size=n_users))),
+        pathloss_exponent=draw(finite(2.0, 5.0)),
+        shadowing=draw(finite(0.01, 1.0)),
+        noise_w=draw(finite(0.0, 1e-9)),
+        bandwidth_hz=draw(finite(1e3, 1e8)),
+    )
+    ladder = {}
+    if draw(st.booleans()):
+        ladder = {
+            "rate_set": RateSet(tuple(draw(st.lists(finite(1.0, 1e6), min_size=1, max_size=5)))),
+            "quantize_at_convergence": draw(st.booleans()),
+        }
+    config = ConvergenceConfig(
+        delta=draw(finite(1e-12, 1.0)),
+        max_iterations=draw(st.integers(1, 10_000)),
+        metric=draw(st.sampled_from(["relative", "absolute"])),
+        policy=draw(st.sampled_from([CLAMP, KKT])),
+        schedule=draw(st.sampled_from([SYNCHRONOUS, SEQUENTIAL])),
+        **ladder,
+    )
+    kinds = [k for k in PRICING_KINDS if n_stations == 1 or k not in GAIN_DEPENDENT_KINDS]
+    pricing = draw(
+        st.none()
+        | st.builds(
+            PricingRule,
+            st.sampled_from(kinds),
+            finite(1e-9, 1.0),
+            st.none() | finite(1e-9, 1.0),
+        )
+    )
+    iterations = sorted(draw(st.sets(st.integers(1, 1000), max_size=min(2, len(names) - n_users))))
+    arrivals = [
+        ArrivalEvent(at, name, np.array(draw(rows)), draw(user_params()))
+        for at, name in zip(iterations, names[n_users:])
+    ]
+    moves = [
+        MoveEvent(at, user, names[user], np.array(draw(rows)))
+        for at, user in zip(
+            sorted(draw(st.sets(st.integers(1, 1000), max_size=2))),
+            draw(st.lists(st.integers(0, n_users - 1), min_size=2, max_size=2)),
+        )
+    ]
+    return Scenario(
+        channel=channel,
+        users=[draw(user_params()) for _ in range(n_users)],
+        user_names=names[:n_users],
+        config=config,
+        pricing=pricing,
+        arrivals=arrivals,
+        moves=moves,
+    )
+
+
 class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(scenarios())
+    def test_every_scenario_value_survives_its_text(self, s):
+        text = scenario_to_text(s)
+        got = parse_scenario(text)
+        assert scenario_to_text(got) == text
+        for name in ("pathloss_exponent", "shadowing", "noise_w", "bandwidth_hz"):
+            assert getattr(got.channel, name) == getattr(s.channel, name)
+        np.testing.assert_array_equal(got.channel.distances_m, s.channel.distances_m)
+        assert got.users == s.users
+        assert got.user_names == s.user_names
+        assert got.config == s.config
+        assert got.pricing == s.pricing
+        assert len(got.arrivals) == len(s.arrivals)
+        for a, b in zip(got.arrivals, s.arrivals):
+            assert (a.iteration, a.name, a.user) == (b.iteration, b.name, b.user)
+            np.testing.assert_array_equal(a.distances_m, b.distances_m)
+        assert len(got.moves) == len(s.moves)
+        for a, b in zip(got.moves, s.moves):
+            assert (a.step, a.user, a.user_name) == (b.step, b.user, b.user_name)
+            np.testing.assert_array_equal(a.distances_m, b.distances_m)
+
     @pytest.mark.parametrize("text", [MINIMAL, FULL, TWO_CELL])
     def test_serialize_parse_is_stable(self, text):
         first = scenario_to_text(parse_scenario(text))
