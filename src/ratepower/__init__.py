@@ -74,6 +74,7 @@ from .scenario import (
     emit_trace,
     parse_scenario,
     run_scenario,
+    run_scenarios,
     scenario_to_text,
     summarize_run,
     summary_to_text,

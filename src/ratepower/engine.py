@@ -46,11 +46,13 @@ converged row's. Rates never enter the power update or the station rule,
 so both placements give the powers and stations of the continuous game.
 
 Within one iteration the per-user updates are pure; the loop itself is
-sequential. Independent runs of one shape step in lockstep through the same
-loop: ``iterate_batch`` carries K networks as one (2 x K*users) state over
-their concatenated table, forms each network's station totals from its own
-``p @ g`` (a stacked product rounds differently) and its own step metric,
-so each network's trace equals its solve alone, bit for bit.
+sequential. Independent runs on one station count step in lockstep through
+the same loop, whatever their user counts: ``iterate_batch`` carries K
+networks as one (2 x users) state over their concatenated table, each
+network owning a span of its columns, forms each network's station totals
+from its own ``p @ g`` over its span (a stacked product rounds differently)
+and its own step metric, so each network's trace equals its solve alone,
+bit for bit.
 ``iterate_to_convergence`` is the batch of one. Every network steps to the
 batch's end and keeps its rows up to its own convergence: each is its own
 fixed-point iteration, so stepping a converged network on changes no other.
@@ -107,6 +109,13 @@ HISTORY_FULL = "full"
 HISTORIES = (HISTORY_LAST, HISTORY_FULL)
 
 _EPS = 1e-30
+
+# A price so small that a best response overflows to inf, or divides by a
+# product that underflowed to 0, asks for more than the box holds: the clamp
+# takes an infinite response to its upper bound, which is the exact bounded
+# response, so the loop and the array kernel enter this state once per call.
+# NaN has no such meaning, so "invalid" still warns.
+_INF_CLAMPS = np.errstate(over="ignore", divide="ignore")
 
 # Stations whose effective interference is within this relative band of the
 # minimum count as tied; ties keep the current station so a user does not
@@ -265,6 +274,7 @@ def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strateg
     return Strategy(float(p), float(r))
 
 
+@_INF_CLAMPS
 def bounded_step_array(
     users: UserTable, r_eff, policy: str = CLAMP
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -306,13 +316,14 @@ def _bounded_step_stack(t: UserTable, r_eff: np.ndarray, kkt: bool) -> np.ndarra
     return np.where(ok & ~ok[::-1], np.minimum(np.maximum(q, t.lo), t.hi), box)
 
 
-def _step_metric(prev: np.ndarray, new: np.ndarray, kind: str, networks: int = 1) -> np.ndarray:
-    # oracle.convergence_metric of each of ``networks`` equal blocks of two
-    # (2, n) states [powers; rates], for a valid kind.
+def _step_metric(prev: np.ndarray, new: np.ndarray, kind: str, starts=(0,)) -> np.ndarray:
+    # oracle.convergence_metric of two (2, n) states [powers; rates], for a
+    # valid kind, over each network's columns from its start to the next; a
+    # maximum does not round, so the batch's equals each network's alone.
     d = np.abs(new - prev)
     if kind != METRIC_ABSOLUTE:
         d /= np.maximum(np.abs(new), _EPS)
-    return np.maximum.reduce((d[0] + d[1]).reshape(networks, -1), axis=1)
+    return np.maximum.reduceat(d[0] + d[1], starts)
 
 
 def iterate_to_convergence(
@@ -374,31 +385,31 @@ def iterate_to_convergence(
 
 
 def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
-    """Solve independent networks of one shape in lockstep; one outcome per network.
+    """Solve independent networks in lockstep; one outcome per network.
 
     ``networks`` holds (channel, users) pairs, every channel with the same
-    number of users and stations. Network k's outcome is the trace
-    ``iterate_to_convergence(channel, users, config)`` returns, bit for bit,
-    or the exception that call raises; the caller raises the first one that
-    its serial order would have reached. Every network steps to the batch's
-    last iteration and keeps its rows up to its own convergence, so a network
-    that never converges keeps its batch-mates stepping until
-    ``config.max_iterations``, their extra rows dropped. A batch whose loop
-    raises is solved again one network at a time, so on that rare path a
-    batch is solved twice. The sequential schedule's sweep is a per-user loop
-    that lockstep does not speed up, so under it the networks are solved one
-    after another.
+    number of stations; their user counts may differ. Network k's outcome is
+    the trace ``iterate_to_convergence(channel, users, config)`` returns,
+    bit for bit, or the exception that call raises; the caller raises the
+    first one that its serial order would have reached. Every network steps
+    to the batch's last iteration and keeps its rows up to its own
+    convergence, so a network that never converges keeps its batch-mates
+    stepping until ``config.max_iterations``, their extra rows dropped. A
+    batch whose loop raises is solved again one network at a time, so on
+    that rare path a batch is solved twice. The sequential schedule's sweep
+    is a per-user loop that lockstep does not speed up, so under it the
+    networks are solved one after another.
     """
     config = config if config is not None else ConvergenceConfig()
     networks = [(channel, list(users)) for channel, users in networks]
-    if len({channel.distances_m.shape for channel, _ in networks}) > 1:
-        raise ValueError("batched networks must share one users x stations shape")
+    if len({channel.n_stations for channel, _ in networks}) > 1:
+        raise ValueError("batched networks must share one station count")
     outcomes = [_network_error(channel, users) for channel, users in networks]
     ready = [k for k, error in enumerate(outcomes) if error is None]
     groups = [ready] if config.schedule == SYNCHRONOUS else [[k] for k in ready]
     for group in filter(None, groups):
         batch = [networks[k] for k in group]
-        start = np.zeros(len(batch) * batch[0][0].n_users, dtype=int)
+        start = np.zeros(sum(channel.n_users for channel, _ in batch), dtype=int)
         try:
             solved = _loop(batch, config, start)
         except ValueError as exc:
@@ -409,18 +420,21 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     return outcomes
 
 
+@_INF_CLAMPS
 def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
-    """The fixed-point loop, stepping K networks of N users in lockstep; one trace each.
+    """The fixed-point loop, stepping K networks in lockstep; one trace each.
 
-    The state is one fresh (2 x K*N) stack [powers; rates] per iteration over
-    the networks' concatenated user table, and the gains are their (K*N x
-    stations) rows. Each network's station totals come from its own ``p @
-    g``. The K networks step as one fixed block from the first iteration
-    until every one has converged or ``config.max_iterations``; ``ends[k]``
-    keeps the first iteration at which network k met delta with no arrival
-    pending, and network k's trace is cut there; its iterations after it are
-    dropped. Stepping a converged network on changes no other network, as
-    each is its own fixed-point iteration.
+    The state is one fresh (2 x users) stack [powers; rates] per iteration
+    over the networks' concatenated user table, and the gains are their
+    (users x stations) rows; network k owns the columns ``spans[k]``, which
+    are re-cut when an arrival grows the network. Each network's station
+    totals come from its own ``p @ g`` and its step metric from one
+    ``np.maximum.reduceat`` over the span starts. The K networks step as one
+    fixed block from the first iteration until every one has converged or
+    ``config.max_iterations``; ``ends[k]`` keeps the first iteration at which
+    network k met delta with no arrival pending, and network k's trace is cut
+    there; its iterations after it are dropped. Stepping a converged network
+    on changes no other network, as each is its own fixed-point iteration.
 
     Each iteration appends its number and per-network metrics. Under "full"
     history it appends the batch's row too (assignment, state and assigned
@@ -435,8 +449,9 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
     everyone = [u for us in users for u in us]
     initial = [[u.initial_power for u in everyone], [u.initial_rate for u in everyone]]
     state = np.array(initial, dtype=float)
-    blocks, n = len(networks), channels[0].n_users
+    blocks = len(networks)
     pending = list(pending)
+    sizes, starts, spans = _spans([len(us) for us in users])
     kkt = config.policy == KKT
     snap_each = None if config.quantize_at_convergence else config.rate_set
     full = config.history == HISTORY_FULL
@@ -446,7 +461,7 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
     g, noise = gains[0], channels[0].noise_w
     if blocks > 1:
         g = np.concatenate(gains)
-        noise = np.array([channel.noise_w for channel in channels]).repeat(n)[:, None]
+        noise = np.array([channel.noise_w for channel in channels]).repeat(sizes)[:, None]
     segments: list[Segment] = []  # the closed segments of a run with arrivals
     # Since the last arrival: every iteration's (iteration, metrics), and
     # under full history the batch's (assignment, state, assigned r_eff) rows.
@@ -462,8 +477,8 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
             (channel,), (us,) = channels, users
             if series:
                 its, ms = _series(series)
-                rows = _columns(history, 1, n)[0] if full else _row(assignment, state, reffs, slice(None))
-                segments.append(_segment(channel, table, slice(None), its, ms[:, 0], *rows))
+                rows = _columns(history, spans)[0] if full else _row(assignment, state, reffs, spans[0])
+                segments.append(_segment(channel, table, spans[0], its, ms[:, 0], *rows))
                 series, history = [], []
             while pending and pending[0].iteration == iteration:
                 ev = pending.pop(0)
@@ -473,11 +488,12 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
                 assignment = np.append(assignment, 0)
             if reprice is not None:
                 us = list(reprice(channel, us))
-            channels, users, n = [channel], [us], len(us)
+            channels, users = [channel], [us]
+            sizes, starts, spans = _spans([len(us)])
             table, g, reffs = UserTable.from_users(us), channel.gains, None
             gains = [g]
         if reffs is None:
-            totals = _totals(state[0], gains)
+            totals = _totals(state[0], gains, spans, sizes)
             reffs = _station_reffs(g, noise, state[0], totals)
             ids = np.arange(state.shape[1])
         if config.schedule == SYNCHRONOUS:
@@ -486,10 +502,10 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
             new, assignment = _sequential_sweep(g, noise, table, state[0], totals, assignment, kkt)
         if snap_each is not None:
             new[1] = _snap(snap_each, new[1])
-        metrics = _step_metric(state, new, config.metric, blocks).tolist()
+        metrics = _step_metric(state, new, config.metric, starts).tolist()
         state = new
         # One set of station totals per iterate serves its row and the next sweep.
-        totals = _totals(state[0], gains)
+        totals = _totals(state[0], gains, spans, sizes)
         reffs = _station_reffs(g, noise, state[0], totals)
         series.append((iteration, metrics))
         if full:
@@ -499,18 +515,17 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
                 if metric <= config.delta and ends[k] is None:
                     ends[k] = iteration
                     if not full:
-                        kept[k] = _row(assignment, state, reffs, slice(k * n, (k + 1) * n))
+                        kept[k] = _row(assignment, state, reffs, spans[k])
             if None not in ends:
                 break
 
     traces = []
     first = series[0][0]  # the iteration of the open segment's first row
     iterations, metrics = _series(series)
-    stacked = _columns(history, blocks, n) if full else None
-    for k in range(blocks):
+    stacked = _columns(history, spans) if full else None
+    for k, cols in enumerate(spans):
         converged, end = ends[k] is not None, ends[k] or iteration
         stop = end - first + 1
-        cols = slice(k * n, (k + 1) * n)
         if full:
             a, states, r = (c[:stop] for c in stacked[k])
         else:
@@ -551,15 +566,23 @@ def _station_reffs(g: np.ndarray, noise, powers: np.ndarray, totals: np.ndarray)
     return (totals - g * powers[:, None] + noise) / g
 
 
-def _totals(powers: np.ndarray, gains: list) -> np.ndarray:
-    # The station totals each user sees: its own network's ``p @ g``, one
-    # product per network, since a stacked product rounds differently. One
-    # network's totals broadcast over its users as they are.
+def _totals(powers: np.ndarray, gains: list, spans: list, sizes: np.ndarray) -> np.ndarray:
+    # The station totals each user sees: its own network's ``p @ g`` over
+    # its span, one product per network, since a stacked product rounds
+    # differently. One network's totals broadcast over its users as they are.
     if len(gains) == 1:
         return powers @ gains[0]
-    n = len(powers) // len(gains)
-    per_network = [p @ g for p, g in zip(powers.reshape(len(gains), n), gains)]
-    return np.array(per_network).repeat(n, axis=0)
+    per_network = [powers[span] @ g for span, g in zip(spans, gains)]
+    return np.array(per_network).repeat(sizes, axis=0)
+
+
+def _spans(sizes: list) -> tuple[np.ndarray, np.ndarray, list[slice]]:
+    # Networks of ``sizes`` users laid side by side: their sizes, each one's
+    # first column in the batch, and each one's span of columns.
+    sizes = np.array(sizes)
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    return sizes, starts, [slice(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
 
 
 def _network_error(channel: ChannelModel, users: list) -> ValueError | None:
@@ -702,16 +725,15 @@ def _row(assignment, state, reffs, cols) -> tuple:
     )
 
 
-def _columns(history, blocks, n) -> list[tuple]:
-    """The batch's rows stacked once into columns, cut into its ``blocks`` networks.
+def _columns(history, spans) -> list[tuple]:
+    """The batch's rows stacked once into columns, cut into its networks' ``spans``.
 
-    Each row is (assignment, (2 x blocks*n) state, assigned r_eff). Block
-    k's tuple holds the same fields as columns of its n users, states as an
-    (iterations x 2 x n) stack.
+    Each row is (assignment, (2 x users) state, assigned r_eff). Network
+    k's tuple holds the same fields as columns of the users in ``spans[k]``,
+    states as an (iterations x 2 x users) stack.
     """
     assignment, states, reffs = zip(*history)
-    s = len(history)
-    assignment = np.array(assignment, dtype=int).reshape(s, blocks, n)
-    states = np.array(states, dtype=float).reshape(s, 2, blocks, n)
-    reffs = np.array(reffs, dtype=float).reshape(s, blocks, n)
-    return [(assignment[:, k], states[:, :, k], reffs[:, k]) for k in range(blocks)]
+    assignment = np.array(assignment, dtype=int)
+    states = np.array(states, dtype=float)
+    reffs = np.array(reffs, dtype=float)
+    return [(assignment[:, span], states[:, :, span], reffs[:, span]) for span in spans]

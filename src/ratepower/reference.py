@@ -3,6 +3,8 @@
 Each builder builds its Scenario value directly. ``reproduce(target)`` runs the
 matching experiment and compares the converged values against the stored
 reference equilibria at per-target tolerances, returning an itemized report.
+An experiment's independent runs under one config are solved as one batch
+by ``run_scenarios``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from .admission import PricingRule, escalate_pricing, removal_loop
 from .core import ChannelModel, UserParams
 from .engine import KKT, ConvergenceConfig
-from .scenario import ArrivalEvent, MoveEvent, Scenario, run_scenario, sweep_lambda
+from .scenario import ArrivalEvent, MoveEvent, Scenario, run_scenario, run_scenarios, sweep_lambda
 
 __all__ = [
     "REPRODUCE_TARGETS",
@@ -225,9 +227,9 @@ def _triple_checks(label: str, summary, expected, tol: float) -> list[Check]:
 
 def _reproduce_table1() -> ComparisonReport:
     checks: list[Check] = []
-    _, low = run_scenario(table1_scenario(1e-5))
+    scenarios = [table1_scenario(1e-5), table1_scenario(1e-4), table1_removal_scenario()]
+    (_, low), (_, high), (_, after) = run_scenarios(scenarios)
     checks += _triple_checks("lam1e-5", low, TABLE1_LOW_PRICING, 0.01)
-    _, high = run_scenario(table1_scenario(1e-4))
     checks += _triple_checks("lam1e-4", high, TABLE1_HIGH_PRICING, 0.01)
 
     base = table1_scenario(1e-5)
@@ -239,18 +241,16 @@ def _reproduce_table1() -> ComparisonReport:
             f"removed={removal.removed}",
         )
     )
-    _, after = run_scenario(table1_removal_scenario())
     checks += _triple_checks("after_removal", after, TABLE1_AFTER_REMOVAL, 0.01)
     return ComparisonReport("table1", checks)
 
 
 def _reproduce_table2() -> ComparisonReport:
     checks: list[Check] = []
-    _, s2 = run_scenario(table2_scenario(2))
+    scenario1 = table2_scenario(1)
+    (_, s2), (_, s1) = run_scenarios([table2_scenario(2), scenario1])
     checks += _triple_checks("scenario2", s2, [TABLE2_SCENARIO2] * 5, 0.005)
 
-    scenario1 = table2_scenario(1)
-    _, s1 = run_scenario(scenario1)
     checks.append(_bool_check("scenario1.converged", s1.converged))
     checks.append(
         _rel_check("scenario1.u3.power_pinned", s1.powers[2], scenario1.users[2].p_max, 1e-9)
@@ -266,8 +266,8 @@ def _reproduce_table2() -> ComparisonReport:
 
 def _reproduce_table3() -> ComparisonReport:
     checks: list[Check] = []
-    for m, (p, r, g) in TABLE3_CLAMP.items():
-        _, summary = run_scenario(table3_scenario(m))
+    runs = run_scenarios(map(table3_scenario, TABLE3_CLAMP))
+    for (m, (p, r, g)), (_, summary) in zip(TABLE3_CLAMP.items(), runs):
         checks.append(_bool_check(f"m{m}.converged", summary.converged))
         checks.append(_rel_check(f"m{m}.p_w", summary.powers[0], p, 0.005))
         checks.append(_rel_check(f"m{m}.r_bps", summary.rates[0], r, 0.005))
@@ -275,9 +275,9 @@ def _reproduce_table3() -> ComparisonReport:
 
     # The boundary rows replayed under the kkt policy land on the stationarity
     # root instead; reported against its own reference, not as a failure.
-    for m, r_kkt in TABLE3_KKT_RATES.items():
-        scenario = table3_scenario(m)
-        _, summary = run_scenario(replace(scenario, config=replace(scenario.config, policy=KKT)))
+    kkt = [table3_scenario(m) for m in TABLE3_KKT_RATES]
+    kkt = [replace(s, config=replace(s.config, policy=KKT)) for s in kkt]
+    for (m, r_kkt), (_, summary) in zip(TABLE3_KKT_RATES.items(), run_scenarios(kkt)):
         checks.append(_bool_check(f"m{m}.kkt.converged", summary.converged))
         checks.append(_rel_check(f"m{m}.kkt.p_w", summary.powers[0], 0.0647, 0.005))
         checks.append(_rel_check(f"m{m}.kkt.r_bps", summary.rates[0], r_kkt, 0.005))
@@ -295,9 +295,9 @@ def _reproduce_table3() -> ComparisonReport:
 
 def _reproduce_table4() -> ComparisonReport:
     checks: list[Check] = []
-    for distance, lam, p_exp, r_exp, g_exp, tol in TABLE4_ROWS:
+    runs = run_scenarios(table4_scenario(row[0], row[1]) for row in TABLE4_ROWS)
+    for (distance, lam, p_exp, r_exp, g_exp, tol), (_, summary) in zip(TABLE4_ROWS, runs):
         label = f"d{int(distance)}.lam{lam:g}"
-        _, summary = run_scenario(table4_scenario(distance, lam))
         checks.append(_bool_check(f"{label}.converged", summary.converged))
         if isinstance(p_exp, tuple):
             checks.append(_range_check(f"{label}.p_w", summary.powers[0], *p_exp))

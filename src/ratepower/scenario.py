@@ -78,6 +78,7 @@ __all__ = [
     "parse_scenario",
     "scenario_to_text",
     "run_scenario",
+    "run_scenarios",
     "sweep_lambda",
     "emit_trace",
     "RunSummary",
@@ -166,8 +167,9 @@ def _spaced(values) -> str:
 
 
 def _ladder(raw, line_no):
+    rates = tuple(_numbers(raw, line_no))
     try:
-        return RateSet(tuple(_numbers(raw, line_no)))
+        return RateSet(rates)
     except ValueError as exc:
         raise ScenarioFormatError(f"line {line_no}: {exc}") from exc
 
@@ -279,8 +281,9 @@ def parse_scenario(text: str) -> Scenario:
     if not users:
         raise ScenarioFormatError("scenario declares no [user ...] sections")
 
+    network = _read_keys(_only(sections, "network"), "network")
     try:
-        channel = ChannelModel(np.array(rows), **_read_keys(_only(sections, "network"), "network"))
+        channel = ChannelModel(np.array(rows), **network)
     except ValueError as exc:
         raise ScenarioFormatError(f"[network]: {exc}") from exc
 
@@ -438,6 +441,11 @@ def _read_events(sections, kind, index, n_stations) -> list:
             raise ScenarioFormatError(
                 f"line {line_no}: {event} has {len(d)} distances, expected {n_stations}"
             )
+        if not (d > 0).all():
+            # The number reader already refused anything not finite.
+            raise ScenarioFormatError(
+                f"line {body['distances_m'][1]}: {event} distances must be positive"
+            )
         if kind == _ARRIVAL:
             # What is left of an arrival's values are its user's.
             events.append(ArrivalEvent(at, name, d, _build_user(name, line_no, body, values)))
@@ -515,9 +523,27 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
     Every step is an independent solve of its geometry from the initial
     strategies, so the steps are solved as one batch. With arrivals step 1
     runs first, on its own, because the later steps play the network it grew.
+    This is ``run_scenarios`` of one scenario.
     """
-    ((trace, summary),) = _run_priced(scenario, [scenario.pricing])
+    ((trace, summary),) = run_scenarios([scenario])
     return trace, summary
+
+
+def run_scenarios(scenarios) -> list[tuple[IterationTrace, RunSummary]]:
+    """``run_scenario`` of each scenario, with every step of every one solved as one batch.
+
+    The scenarios must share one ``config``; their user counts may differ,
+    and those on different station counts are batched apart. Each result
+    equals its ``run_scenario``, bit for bit, and the error raised is the one
+    a loop over the scenarios in order meets first.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        return []
+    config = scenarios[0].config
+    if any(s.config != config for s in scenarios):
+        raise ValueError("batched scenarios must share one config")
+    return _run_priced(((s, s.pricing) for s in scenarios), config)
 
 
 def sweep_lambda(
@@ -530,27 +556,28 @@ def sweep_lambda(
     runs' steps are solved together in one batch.
     """
     lambdas = list(lambdas)
-    runs = _run_priced(scenario, (PricingRule("constant", float(lam)) for lam in lambdas))
+    priced = ((scenario, PricingRule("constant", float(lam))) for lam in lambdas)
+    runs = _run_priced(priced, scenario.config)
     return [(float(lam), trace, summary) for lam, (trace, summary) in zip(lambdas, runs)]
 
 
-def _run_priced(scenario: Scenario, pricings) -> list[tuple[IterationTrace, RunSummary]]:
-    """Run ``scenario`` once per pricing rule (None: the users' own lambdas).
+def _run_priced(runs, config) -> list[tuple[IterationTrace, RunSummary]]:
+    """Run each (scenario, pricing rule) pair of ``runs`` under ``config``.
 
-    Every step's solve joins one batch, except step 1 with arrivals, which
-    runs alone as its pricing comes up. When that solve, or pricing a step,
-    raises, the batched solves before it are run first: the error raised is
-    the one a serial run of the steps in order meets first.
+    A rule of None keeps the users' own lambdas.
+    Every step's solve joins one batch per station count, except step 1
+    with arrivals, which runs alone as its run comes up. When that solve, or
+    pricing a step, raises, the batched solves before it are run first: the
+    error raised is the one a serial run of the steps in order meets first.
     """
-    moves_by_step: dict[int, list[MoveEvent]] = {}
-    for ev in scenario.moves:
-        moves_by_step.setdefault(ev.step, []).append(ev)
-    steps = sorted({1} | set(moves_by_step))
-    config = scenario.config
     networks: list[tuple] = []  # (channel, users) of every batched step, in serial order
-    runs = []
+    done = []
     try:
-        for pricing in pricings:
+        for scenario, pricing in runs:
+            moves_by_step: dict[int, list[MoveEvent]] = {}
+            for ev in scenario.moves:
+                moves_by_step.setdefault(ev.step, []).append(ev)
+            steps = sorted({1} | set(moves_by_step))
             reprice = _pricer(pricing)
             # Every step is an independent solve of the new geometry from the
             # default initial strategies. The converged point is
@@ -576,13 +603,25 @@ def _run_priced(scenario: Scenario, pricings) -> list[tuple[IterationTrace, RunS
                     first.append(trace)
                 else:
                     networks.append((channel, reprice(channel, users)))
-            runs.append((first, start, len(networks)))
+            done.append((scenario, steps, first, start, len(networks)))
     except ValueError:
-        _raise_first(iterate_batch(networks, config))
+        _raise_first(_solve(networks, config))
         raise
-    solved = iterate_batch(networks, config)
+    solved = _solve(networks, config)
     _raise_first(solved)
-    return [_joined(scenario, steps, first + solved[a:b]) for first, a, b in runs]
+    return [_joined(scenario, steps, first + solved[a:b]) for scenario, steps, first, a, b in done]
+
+
+def _solve(networks, config) -> list:
+    # iterate_batch's outcomes for networks on any station counts, one batch per count.
+    outcomes = [None] * len(networks)
+    by_count: dict[int, list[int]] = {}
+    for k, (channel, _) in enumerate(networks):
+        by_count.setdefault(channel.n_stations, []).append(k)
+    for ks in by_count.values():
+        for k, outcome in zip(ks, iterate_batch([networks[k] for k in ks], config)):
+            outcomes[k] = outcome
+    return outcomes
 
 
 def _pricer(pricing: PricingRule | None):

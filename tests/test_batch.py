@@ -1,15 +1,17 @@
 """Lockstep batches against serial solves, the escalation window against a
 serial escalation, and "last" history against "full".
 
-``iterate_batch`` steps K independent networks of one shape in one loop;
-network k's outcome must be what ``iterate_to_convergence`` gives for it
-alone, bit for bit: every segment column, ``iterations_used`` and
-``converged``, or the same exception with the same message. The escalation
-window solves the next few coefficients as one batch and reads them in order;
-what it reports and raises must be what testing one coefficient at a time
-gives, which ``serial_escalation`` below restates. A solve under "last"
-history keeps each segment's last row only; it must be the "full" trace's
-last row, bit for bit, with every other field of the outcome the same.
+``iterate_batch`` steps K independent networks on one station count, each
+with its own user count, in one loop; network k's outcome must be what
+``iterate_to_convergence`` gives for it alone, bit for bit: every segment
+column, ``iterations_used`` and ``converged``, or the same exception with the
+same message; ``run_scenarios`` must likewise give each scenario's
+``run_scenario``. The escalation window solves the next few coefficients as
+one batch and reads them in order; what it reports and raises must be what
+testing one coefficient at a time gives, which ``serial_escalation`` below
+restates. A solve under "last" history keeps each segment's last row only;
+it must be the "full" trace's last row, bit for bit, with every other field
+of the outcome the same.
 """
 
 from dataclasses import replace
@@ -44,8 +46,22 @@ from ratepower.engine import (
     iterate_to_convergence,
 )
 from ratepower.rates import NoFeasibleRateError, RateSet
-from ratepower.reference import REPRODUCE_TARGETS, reproduce, table3_scenario
-from ratepower.scenario import ArrivalEvent, MoveEvent, Scenario, run_scenario, sweep_lambda
+from ratepower.reference import (
+    REPRODUCE_TARGETS,
+    fig4_scenario,
+    reproduce,
+    table1_scenario,
+    table3_scenario,
+    table4_scenario,
+)
+from ratepower.scenario import (
+    ArrivalEvent,
+    MoveEvent,
+    Scenario,
+    run_scenario,
+    run_scenarios,
+    sweep_lambda,
+)
 
 ROW_COLUMNS = ("assignment", "powers", "rates", "sinrs", "utilities")
 COLUMNS = ("iterations", "metrics") + ROW_COLUMNS
@@ -101,11 +117,11 @@ def assert_batch_is_serial(networks, config):
 
 @st.composite
 def batches(draw):
-    """K networks of one shape, each priced on its own scale so their
-    convergence lengths differ, and a config that may stop some of them at
-    max_iterations or fail them on a rate ladder."""
+    """K networks on one station count, each with its own user count and
+    priced on its own scale so their convergence lengths differ, and a config
+    that may stop some of them at max_iterations or fail them on a rate
+    ladder."""
     k = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 6))
     b = draw(st.sampled_from([1, 2, 4]))
     metric = draw(st.sampled_from([METRIC_RELATIVE, METRIC_ABSOLUTE]))
     delta = 1e-9 if metric == METRIC_RELATIVE else draw(st.sampled_from([1e-3, 1.0]))
@@ -121,6 +137,7 @@ def batches(draw):
     distance = st.floats(20.0, 400.0)
     networks = []
     for _ in range(k):
+        n = draw(st.integers(1, 6))
         d = draw(st.lists(distance, min_size=n * b, max_size=n * b))
         noise = draw(st.sampled_from([5e-15, 1e-12]))
         scale = 10.0 ** draw(st.floats(-6.0, -2.0))
@@ -230,10 +247,18 @@ class TestIterateBatch:
         got = assert_batch_is_serial([(lone, [UserParams()]), (lone, [UserParams(lam=1e-3)])], None)
         assert all(isinstance(outcome, ValueError) for outcome in got)
 
-    def test_networks_of_different_shapes_are_refused(self):
-        small, large = ChannelModel([110.0, 130.0]), ChannelModel([110.0, 130.0, 150.0])
-        with pytest.raises(ValueError, match="share one users x stations shape"):
-            iterate_batch([(small, [UserParams()] * 2), (large, [UserParams()] * 3)])
+    def test_networks_of_different_user_counts_equal_serial_solves(self):
+        # Table 3's networks of 3 to 7 users converge in different numbers
+        # of iterations; one batch of all five gives each its own solve.
+        networks = [(s.channel, s.users) for s in map(table3_scenario, range(3, 8))]
+        got = assert_batch_is_serial(networks, ConvergenceConfig(history=HISTORY_FULL))
+        assert [len(t.final_powers) for t in got] == [3, 4, 5, 6, 7]
+        assert len({t.iterations_used for t in got}) > 1
+
+    def test_networks_of_different_station_counts_are_refused(self):
+        one, two = ChannelModel([110.0, 130.0]), ChannelModel([[110.0, 400.0], [130.0, 380.0]])
+        with pytest.raises(ValueError, match="^batched networks must share one station count$"):
+            iterate_batch([(one, [UserParams()] * 2), (two, [UserParams()] * 2)])
 
     def test_an_empty_batch_has_no_outcomes(self):
         assert iterate_batch([]) == []
@@ -278,7 +303,84 @@ def walk_with_arrival(rate_set=None):
     )
 
 
+def assert_same_run(got, want):
+    """Two (trace, summary) runs agree bit for bit."""
+    assert_same_outcome(got[0], want[0])
+    a, b = got[1], want[1]
+    assert (a.converged, a.iterations_used, a.user_names, a.outcomes) == (
+        b.converged,
+        b.iterations_used,
+        b.user_names,
+        b.outcomes,
+    )
+    for name in ("powers", "rates", "sinrs", "utilities", "assignment", "targets", "lam"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert [r.powers.tobytes() for r in a.steps] == [r.powers.tobytes() for r in b.steps]
+
+
+def counted_loops(monkeypatch):
+    """Patch ``engine._loop`` to log the number of networks of each call."""
+    calls = []
+    loop = engine._loop
+
+    def counted(networks, *args, **kwargs):
+        calls.append(len(networks))
+        return loop(networks, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_loop", counted)
+    return calls
+
+
 class TestScenarioBatches:
+    def test_run_scenarios_equals_each_run_scenario(self, monkeypatch):
+        # Ragged user counts, one and two stations, an arrival, moves and a
+        # pricing rule, all under the default config.
+        scenarios = [
+            table3_scenario(3),
+            walk_with_arrival(),
+            table3_scenario(7),
+            fig4_scenario(),
+            table4_scenario(50.0),
+            replace(table1_scenario(), pricing=PricingRule("per_user_count", 2e-5)),
+        ]
+        want = [run_scenario(s) for s in scenarios]
+        calls = counted_loops(monkeypatch)
+        got = run_scenarios(scenarios)
+        assert len(got) == len(want)
+        for pair in zip(got, want):
+            assert_same_run(*pair)
+        # The arrival step alone, then one batch per station count: the
+        # four one-station runs, and fig4's 11 steps with the walk's 2 later ones.
+        assert calls == [1, 4, 13]
+
+    def test_run_scenarios_raises_the_error_a_serial_loop_meets_first(self):
+        # As below: at price 1 a batched step falls below the ladder, at
+        # price 100 the arrival step, which runs alone, already does.
+        scenario = walk_with_arrival(LADDERS[2])
+        priced = [replace(scenario, pricing=PricingRule("constant", lam)) for lam in (1.0, 100.0)]
+        for order in (priced, priced[::-1]):
+            with pytest.raises(NoFeasibleRateError) as want:
+                for one in order:
+                    run_scenario(one)
+            with pytest.raises(NoFeasibleRateError) as got:
+                run_scenarios(order)
+            assert str(got.value) == str(want.value)
+
+    def test_run_scenarios_refuses_mixed_configs(self):
+        a = table3_scenario(3)
+        b = replace(a, config=replace(a.config, policy=KKT))
+        with pytest.raises(ValueError, match="^batched scenarios must share one config$"):
+            run_scenarios([a, b])
+        assert run_scenarios([]) == []
+
+    @pytest.mark.parametrize("target, loops", [("table3", 4), ("table4", 1)])
+    def test_reference_tables_solve_their_runs_as_batches(self, target, loops, monkeypatch):
+        # table3: the clamp rows, the kkt rows and one escalation window per
+        # escalated row; table4: all five rows.
+        calls = counted_loops(monkeypatch)
+        assert reproduce(target).passed
+        assert len(calls) == loops
+
     def test_a_sweep_with_arrivals_and_moves_equals_serial_runs(self):
         scenario = walk_with_arrival()
         lambdas = [1e-5, 1e-1, 10.0]

@@ -1,6 +1,8 @@
+import hashlib
 import inspect
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -98,6 +100,30 @@ class TestRun:
         assert captured.err.splitlines() == [
             "error: arrival at iteration 80 comes after max_iterations = 50 and would never fire"
         ]
+
+    # sha256 of the stdout for THREE_USER priced at these lambdas, the same
+    # under every schedule and policy: every user at (p_max, r_max).
+    TINY_PRICES = {
+        "1e-300": "a814e9050af2be89b64965eb10fefea4a55229d4654ad7e7164e84affda3cf7d",
+        "1e-320": "c64f1a2df86b00eb1a8ee32386c0719a6a053af1f1c97574d1f7c74b816f45e4",
+    }
+
+    @pytest.mark.parametrize("schedule", ["sync", "seq"])
+    @pytest.mark.parametrize("policy", ["clamp", "kkt"])
+    @pytest.mark.parametrize("lam", sorted(TINY_PRICES))
+    def test_a_tiny_price_clamps_without_warnings(self, lam, policy, schedule, tmp_path, capsys):
+        # The unconstrained responses overflow to inf or divide by an
+        # underflowed 0; the box clamps them to its upper corner, silently.
+        path = tmp_path / "tiny.scn"
+        path.write_text(THREE_USER.replace("lambda = 1e-5", f"lambda = {lam}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(path), "--policy", policy, "--schedule", schedule]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == self.TINY_PRICES[lam]
+        assert captured.out.count("p_w = 3.0000000000e+00") == 3
+        assert captured.out.count("r_bps = 4.7000000000e+04") == 3
 
     def test_lone_noise_free_user_fails_cleanly(self, tmp_path, capsys):
         lone = tmp_path / "lone.scn"

@@ -43,7 +43,7 @@ PUBLIC_NAMES = [
     "fd_gradient_check", "grid_best_response", "iterate_batch", "iterate_to_convergence",
     "njrpcg_equilibrium", "parse_scenario", "path_gain", "power_update_map",
     "power_update_rate_bounded", "pricing_rule_eval", "rate_update_power_bounded",
-    "removal_loop", "reproduce", "run_scenario", "scenario_to_text", "sinr",
+    "removal_loop", "reproduce", "run_scenario", "run_scenarios", "scenario_to_text", "sinr",
     "standard_function_check", "summarize_run", "summary_to_text", "sweep_lambda",
     "symmetric_fixed_point", "target_sinr", "unconstrained_best_response", "utility_base",
     "utility_priced", "utility_priced_gradient", "utility_priced_hessian", "write_summary",
@@ -59,6 +59,7 @@ PARAMETERS = {
     "admission.classify_users": ["trace", "targets"],
     "admission.pricing_rule_eval": ["rule", "n_users", "gain", "alpha1", "alpha2", "multicell"],
     "admission.priced_users": ["rule", "channel", "users"],
+    "scenario.run_scenarios": ["scenarios"],
 }
 
 # A solve's settings live in one ConvergenceConfig; a scenario carries it whole.

@@ -309,6 +309,10 @@ FORMAT_ERRORS = {
         ONE + ARRIVAL.replace("130", "130 140"),
         "line 3: arrival has 2 distances, expected 1",
     ),
+    "arrival_distance_not_positive": (
+        ONE + ARRIVAL.replace("130", "0"),
+        "line 6: arrival distances must be positive",
+    ),
     "move_keys": (
         ONE + "[event move]\nstep = 2\nuser = a\n",
         "line 3: move needs step, user and distances_m keys",
@@ -323,8 +327,21 @@ FORMAT_ERRORS = {
         ONE + MOVE.replace("150", "150 160"),
         "line 3: move has 2 distances, expected 1",
     ),
+    "move_distance_not_positive": (
+        "[user a]\ndistances_m = 110 410\n" + MOVE.replace("150", "150 -5"),
+        "line 6: move distances must be positive",
+    ),
     "not_a_number": ("[user a]\ndistances_m = 110 abc\n", "line 2: expected a number, got 'abc'"),
     "not_finite": (ONE + "alpha2 = inf\n", "line 3: expected a finite number, got 'inf'"),
+    "network_not_finite": (
+        "[network]\nnoise_w = nan\n" + ONE,
+        "line 2: expected a finite number, got 'nan'",
+    ),
+    "ladder_not_a_number": (ONE + "[run]\nrates = abc\n", "line 4: expected a number, got 'abc'"),
+    "event_distance_not_finite": (
+        ONE + MOVE.replace("150", "1e400"),
+        "line 6: expected a finite number, got '1e400'",
+    ),
     "not_an_integer": (
         ONE + "[run]\nmax_iterations = 1.5\n",
         "line 4: expected an integer, got '1.5'",
