@@ -81,6 +81,6 @@ from .scenario import (
     sweep_lambda,
     write_summary,
 )
-from .reference import REPRODUCE_TARGETS, ComparisonReport, reproduce
+from .reference import REPRODUCE_TARGETS, ComparisonReport, reproduce, reproduce_many
 
 __version__ = "0.1.0"

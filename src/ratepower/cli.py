@@ -12,7 +12,7 @@ import numpy as np
 
 from .admission import NotConvergedError, PricingRule, escalate_pricing, removal_loop
 from .engine import HISTORY_FULL
-from .reference import REPRODUCE_TARGETS, reproduce
+from .reference import REPRODUCE_TARGETS, reproduce_many
 from .scenario import (
     _SCHEMA,
     ScenarioFormatError,
@@ -137,12 +137,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     targets = REPRODUCE_TARGETS if args.target == "all" else (args.target,)
-    ok = True
-    for target in targets:
-        report = reproduce(target)
+    # Every target's runs are solved before the first report prints.
+    reports = reproduce_many(targets)
+    for report in reports:
         print(report)
-        ok = ok and report.passed
-    return 0 if ok else 1
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def _cmd_sweep(args) -> int:

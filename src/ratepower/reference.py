@@ -1,28 +1,35 @@
 """Built-in reference scenarios and one-command reproduction of their results.
 
-Each builder builds its Scenario value directly. ``reproduce(target)`` runs the
-matching experiment and compares the converged values against the stored
-reference equilibria at per-target tolerances, returning an itemized report.
-An experiment's independent runs under one config are solved as one batch
-by ``run_scenarios``.
+Each builder builds its Scenario value directly. ``reproduce_many(targets)``
+runs the matching experiments and compares each one's converged values
+against its stored reference equilibria at per-target tolerances, returning
+one itemized report per target; ``reproduce(target)`` runs one. Each
+experiment is a list of its independent runs and a check of their results.
+The runs of every requested experiment are solved together by one
+``run_scenarios`` call, one batch per (config, station count), so ``all``
+solves table1-4's and fig1-2's 22 one-station runs under the default config
+as one batch. The checks then run the adaptive parts, table1's removal loop
+and table3's escalations, one target after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .admission import PricingRule, escalate_pricing, removal_loop
 from .core import ChannelModel, UserParams
 from .engine import KKT, ConvergenceConfig
-from .scenario import ArrivalEvent, MoveEvent, Scenario, run_scenario, run_scenarios, sweep_lambda
+from .scenario import ArrivalEvent, MoveEvent, Scenario, run_scenarios
 
 __all__ = [
     "REPRODUCE_TARGETS",
     "Check",
     "ComparisonReport",
     "reproduce",
+    "reproduce_many",
     "table1_scenario",
     "table1_removal_scenario",
     "table2_scenario",
@@ -223,199 +230,253 @@ def _triple_checks(label: str, summary, expected, tol: float) -> list[Check]:
 
 # ---------------------------------------------------------------------------
 # Per-target reproduction
+#
+# ``_table1()`` returns (scenarios, check), and ``check(runs)`` takes the
+# (trace, summary) of each scenario, in order, and returns the checks. The
+# adaptive parts run inside the checks because each of their solves depends
+# on the one before.
 
 
-def _reproduce_table1() -> ComparisonReport:
-    checks: list[Check] = []
+def _table1():
     scenarios = [table1_scenario(1e-5), table1_scenario(1e-4), table1_removal_scenario()]
-    (_, low), (_, high), (_, after) = run_scenarios(scenarios)
-    checks += _triple_checks("lam1e-5", low, TABLE1_LOW_PRICING, 0.01)
-    checks += _triple_checks("lam1e-4", high, TABLE1_HIGH_PRICING, 0.01)
 
-    base = table1_scenario(1e-5)
-    removal = removal_loop(base.channel, base.users)
-    checks.append(
-        _bool_check(
-            "removal.drops_only_u3",
-            removal.removed == [2] and not removal.empty_network,
-            f"removed={removal.removed}",
+    def check(runs) -> list[Check]:
+        (_, low), (_, high), (_, after) = runs
+        checks = _triple_checks("lam1e-5", low, TABLE1_LOW_PRICING, 0.01)
+        checks += _triple_checks("lam1e-4", high, TABLE1_HIGH_PRICING, 0.01)
+        removal = removal_loop(scenarios[0].channel, scenarios[0].users)
+        checks.append(
+            _bool_check(
+                "removal.drops_only_u3",
+                removal.removed == [2] and not removal.empty_network,
+                f"removed={removal.removed}",
+            )
         )
-    )
-    checks += _triple_checks("after_removal", after, TABLE1_AFTER_REMOVAL, 0.01)
-    return ComparisonReport("table1", checks)
+        checks += _triple_checks("after_removal", after, TABLE1_AFTER_REMOVAL, 0.01)
+        return checks
+
+    return scenarios, check
 
 
-def _reproduce_table2() -> ComparisonReport:
-    checks: list[Check] = []
-    scenario1 = table2_scenario(1)
-    (_, s2), (_, s1) = run_scenarios([table2_scenario(2), scenario1])
-    checks += _triple_checks("scenario2", s2, [TABLE2_SCENARIO2] * 5, 0.005)
+def _table2():
+    scenarios = [table2_scenario(2), table2_scenario(1)]
 
-    checks.append(_bool_check("scenario1.converged", s1.converged))
-    checks.append(
-        _rel_check("scenario1.u3.power_pinned", s1.powers[2], scenario1.users[2].p_max, 1e-9)
-    )
-    for k, (p, r) in enumerate(TABLE2_SCENARIO1, start=1):
-        checks.append(_rel_check(f"scenario1.u{k}.p_w", s1.powers[k - 1], p, 0.02))
-        checks.append(_rel_check(f"scenario1.u{k}.r_bps", s1.rates[k - 1], r, 0.02))
-    checks.append(
-        _rel_check("scenario1.total_power", float(s1.powers.sum()), TABLE2_SCENARIO1_TOTAL_POWER, 0.02)
-    )
-    return ComparisonReport("table2", checks)
+    def check(runs) -> list[Check]:
+        (_, s2), (_, s1) = runs
+        checks = _triple_checks("scenario2", s2, [TABLE2_SCENARIO2] * 5, 0.005)
+        checks.append(_bool_check("scenario1.converged", s1.converged))
+        checks.append(
+            _rel_check("scenario1.u3.power_pinned", s1.powers[2], scenarios[1].users[2].p_max, 1e-9)
+        )
+        for k, (p, r) in enumerate(TABLE2_SCENARIO1, start=1):
+            checks.append(_rel_check(f"scenario1.u{k}.p_w", s1.powers[k - 1], p, 0.02))
+            checks.append(_rel_check(f"scenario1.u{k}.r_bps", s1.rates[k - 1], r, 0.02))
+        checks.append(
+            _rel_check("scenario1.total_power", float(s1.powers.sum()), TABLE2_SCENARIO1_TOTAL_POWER, 0.02)
+        )
+        return checks
+
+    return scenarios, check
 
 
-def _reproduce_table3() -> ComparisonReport:
-    checks: list[Check] = []
-    runs = run_scenarios(map(table3_scenario, TABLE3_CLAMP))
-    for (m, (p, r, g)), (_, summary) in zip(TABLE3_CLAMP.items(), runs):
-        checks.append(_bool_check(f"m{m}.converged", summary.converged))
-        checks.append(_rel_check(f"m{m}.p_w", summary.powers[0], p, 0.005))
-        checks.append(_rel_check(f"m{m}.r_bps", summary.rates[0], r, 0.005))
-        checks.append(_rel_check(f"m{m}.sinr", summary.sinrs[0], g, 0.005))
-
+def _table3():
     # The boundary rows replayed under the kkt policy land on the stationarity
     # root instead; reported against its own reference, not as a failure.
     kkt = [table3_scenario(m) for m in TABLE3_KKT_RATES]
     kkt = [replace(s, config=replace(s.config, policy=KKT)) for s in kkt]
-    for (m, r_kkt), (_, summary) in zip(TABLE3_KKT_RATES.items(), run_scenarios(kkt)):
-        checks.append(_bool_check(f"m{m}.kkt.converged", summary.converged))
-        checks.append(_rel_check(f"m{m}.kkt.p_w", summary.powers[0], 0.0647, 0.005))
-        checks.append(_rel_check(f"m{m}.kkt.r_bps", summary.rates[0], r_kkt, 0.005))
+    scenarios = [table3_scenario(m) for m in TABLE3_CLAMP] + kkt
 
-    for m, (c_exp, r_exp, g_exp) in TABLE3_ESCALATED.items():
-        scenario = table3_scenario(m)
-        rule = PricingRule("constant", 4e-4, dc=1e-4)
-        result = escalate_pricing(scenario.channel, scenario.users, rule)
-        checks.append(_bool_check(f"m{m}.escalation.achieved", result.achieved))
-        checks.append(_rel_check(f"m{m}.escalation.c_final", result.c_final, c_exp, 1e-9))
-        checks.append(_rel_check(f"m{m}.escalation.r_bps", result.trace.final_rates[0], r_exp, 0.005))
-        checks.append(_rel_check(f"m{m}.escalation.sinr", result.trace.final_sinrs[0], g_exp, 0.005))
-    return ComparisonReport("table3", checks)
+    def check(runs) -> list[Check]:
+        checks: list[Check] = []
+        for (m, (p, r, g)), (_, summary) in zip(TABLE3_CLAMP.items(), runs):
+            checks.append(_bool_check(f"m{m}.converged", summary.converged))
+            checks.append(_rel_check(f"m{m}.p_w", summary.powers[0], p, 0.005))
+            checks.append(_rel_check(f"m{m}.r_bps", summary.rates[0], r, 0.005))
+            checks.append(_rel_check(f"m{m}.sinr", summary.sinrs[0], g, 0.005))
+        for (m, r_kkt), (_, summary) in zip(TABLE3_KKT_RATES.items(), runs[len(TABLE3_CLAMP):]):
+            checks.append(_bool_check(f"m{m}.kkt.converged", summary.converged))
+            checks.append(_rel_check(f"m{m}.kkt.p_w", summary.powers[0], 0.0647, 0.005))
+            checks.append(_rel_check(f"m{m}.kkt.r_bps", summary.rates[0], r_kkt, 0.005))
 
+        for m, (c_exp, r_exp, g_exp) in TABLE3_ESCALATED.items():
+            scenario = table3_scenario(m)
+            rule = PricingRule("constant", 4e-4, dc=1e-4)
+            result = escalate_pricing(scenario.channel, scenario.users, rule)
+            checks.append(_bool_check(f"m{m}.escalation.achieved", result.achieved))
+            checks.append(_rel_check(f"m{m}.escalation.c_final", result.c_final, c_exp, 1e-9))
+            checks.append(_rel_check(f"m{m}.escalation.r_bps", result.trace.final_rates[0], r_exp, 0.005))
+            checks.append(_rel_check(f"m{m}.escalation.sinr", result.trace.final_sinrs[0], g_exp, 0.005))
+        return checks
 
-def _reproduce_table4() -> ComparisonReport:
-    checks: list[Check] = []
-    runs = run_scenarios(table4_scenario(row[0], row[1]) for row in TABLE4_ROWS)
-    for (distance, lam, p_exp, r_exp, g_exp, tol), (_, summary) in zip(TABLE4_ROWS, runs):
-        label = f"d{int(distance)}.lam{lam:g}"
-        checks.append(_bool_check(f"{label}.converged", summary.converged))
-        if isinstance(p_exp, tuple):
-            checks.append(_range_check(f"{label}.p_w", summary.powers[0], *p_exp))
-        else:
-            checks.append(_rel_check(f"{label}.p_w", summary.powers[0], p_exp, tol))
-        checks.append(_rel_check(f"{label}.r_bps", summary.rates[0], r_exp, tol))
-        checks.append(_rel_check(f"{label}.sinr", summary.sinrs[0], g_exp, tol))
-    return ComparisonReport("table4", checks)
+    return scenarios, check
 
 
-def _reproduce_fig1() -> ComparisonReport:
-    _, summary = run_scenario(fig1_scenario())
-    checks = [_bool_check("converged", summary.converged)]
-    for k, target in enumerate(FIG1_TARGETS, start=1):
-        checks.append(_rel_check(f"u{k}.sinr", summary.sinrs[k - 1], target, 1e-4))
-    return ComparisonReport("fig1", checks)
+def _table4():
+    scenarios = [table4_scenario(row[0], row[1]) for row in TABLE4_ROWS]
+
+    def check(runs) -> list[Check]:
+        checks: list[Check] = []
+        for (distance, lam, p_exp, r_exp, g_exp, tol), (_, summary) in zip(TABLE4_ROWS, runs):
+            label = f"d{int(distance)}.lam{lam:g}"
+            checks.append(_bool_check(f"{label}.converged", summary.converged))
+            if isinstance(p_exp, tuple):
+                checks.append(_range_check(f"{label}.p_w", summary.powers[0], *p_exp))
+            else:
+                checks.append(_rel_check(f"{label}.p_w", summary.powers[0], p_exp, tol))
+            checks.append(_rel_check(f"{label}.r_bps", summary.rates[0], r_exp, tol))
+            checks.append(_rel_check(f"{label}.sinr", summary.sinrs[0], g_exp, tol))
+        return checks
+
+    return scenarios, check
 
 
-def _reproduce_fig2() -> ComparisonReport:
-    results = sweep_lambda(fig2_scenario(), FIG2_LAMBDAS)
-    checks: list[Check] = []
-    for lam, _, summary in results:
-        checks.append(_bool_check(f"lam{lam:g}.converged", summary.converged))
-        worst = float(np.max(np.abs(summary.sinrs - 20.0) / 20.0))
+def _fig1():
+    def check(runs) -> list[Check]:
+        ((_, summary),) = runs
+        checks = [_bool_check("converged", summary.converged)]
+        for k, target in enumerate(FIG1_TARGETS, start=1):
+            checks.append(_rel_check(f"u{k}.sinr", summary.sinrs[k - 1], target, 1e-4))
+        return checks
+
+    return [fig1_scenario()], check
+
+
+def _fig2():
+    # The pricing sweep: one constant rule per lambda over fig2's geometry.
+    base = fig2_scenario()
+    scenarios = [replace(base, pricing=PricingRule("constant", lam)) for lam in FIG2_LAMBDAS]
+
+    def check(runs) -> list[Check]:
+        results = [(lam, summary) for lam, (_, summary) in zip(FIG2_LAMBDAS, runs)]
+        checks: list[Check] = []
+        for lam, summary in results:
+            checks.append(_bool_check(f"lam{lam:g}.converged", summary.converged))
+            worst = float(np.max(np.abs(summary.sinrs - 20.0) / 20.0))
+            checks.append(
+                Check(f"lam{lam:g}.sinr_at_target", worst <= 1e-6, f"worst rel dev {worst:.2e}")
+            )
+        for (lam_a, a), (lam_b, b) in zip(results, results[1:]):
+            label = f"lam{lam_a:g}->{lam_b:g}"
+            checks.append(
+                _bool_check(f"{label}.powers_decrease", bool(np.all(b.powers < a.powers)))
+            )
+            checks.append(_bool_check(f"{label}.rates_decrease", bool(np.all(b.rates < a.rates))))
+
+        # Doubling the pricing sheds absolutely more from whoever held more.
+        first, second = results[0][1], results[1][1]
+        for label, held, kept in (
+            ("power", first.powers, second.powers),
+            ("rate", first.rates, second.rates),
+        ):
+            shed = held - kept
+            ok = all(
+                shed[i] > shed[j] for i in range(3) for j in range(3) if held[i] > held[j] * (1 + 1e-9)
+            )
+            checks.append(_bool_check(f"doubling.{label}_shed_ordering", ok))
+        return checks
+
+    return scenarios, check
+
+
+def _fig3():
+    def check(runs) -> list[Check]:
+        ((trace, summary),) = runs
+        checks = [_bool_check("converged", summary.converged)]
+        targets = [20.0, 25.0, 30.0, 20.0]
+        for k, target in enumerate(targets, start=1):
+            checks.append(_rel_check(f"u{k}.sinr", summary.sinrs[k - 1], target, 1e-4))
+        arrival_iteration = 20
+        within = summary.iterations_used - arrival_iteration
         checks.append(
-            Check(f"lam{lam:g}.sinr_at_target", worst <= 1e-6, f"worst rel dev {worst:.2e}")
+            Check(
+                "reconverges_within_30",
+                bool(summary.converged and within <= 30),
+                f"iterations after arrival: {within}",
+            )
         )
-    for (lam_a, _, a), (lam_b, _, b) in zip(results, results[1:]):
-        label = f"lam{lam_a:g}->{lam_b:g}"
+        pre = trace.segments[0]  # the iterations before the arrival
+        post = trace.final
         checks.append(
-            _bool_check(f"{label}.powers_decrease", bool(np.all(b.powers < a.powers)))
+            _bool_check("incumbent_powers_rise", bool(np.all(post.powers[:3] > pre.powers[-1])))
         )
-        checks.append(_bool_check(f"{label}.rates_decrease", bool(np.all(b.rates < a.rates))))
-
-    # Doubling the pricing sheds absolutely more from whoever held more.
-    first, second = results[0][2], results[1][2]
-    for label, held, kept in (
-        ("power", first.powers, second.powers),
-        ("rate", first.rates, second.rates),
-    ):
-        shed = held - kept
-        ok = all(
-            shed[i] > shed[j] for i in range(3) for j in range(3) if held[i] > held[j] * (1 + 1e-9)
+        checks.append(
+            _bool_check("incumbent_rates_fall", bool(np.all(post.rates[:3] < pre.rates[-1])))
         )
-        checks.append(_bool_check(f"doubling.{label}_shed_ordering", ok))
-    return ComparisonReport("fig2", checks)
+        return checks
+
+    return [fig3_scenario()], check
 
 
-def _reproduce_fig3() -> ComparisonReport:
-    trace, summary = run_scenario(fig3_scenario())
-    checks = [_bool_check("converged", summary.converged)]
-    targets = [20.0, 25.0, 30.0, 20.0]
-    for k, target in enumerate(targets, start=1):
-        checks.append(_rel_check(f"u{k}.sinr", summary.sinrs[k - 1], target, 1e-4))
-    arrival_iteration = 20
-    within = summary.iterations_used - arrival_iteration
-    checks.append(
-        Check(
-            "reconverges_within_30",
-            bool(summary.converged and within <= 30),
-            f"iterations after arrival: {within}",
+def _fig4():
+    def check(runs) -> list[Check]:
+        ((_, summary),) = runs
+        checks = [_bool_check("all_steps_converged", summary.converged)]
+        steps = summary.steps
+        checks.append(_bool_check("eleven_steps", len(steps) == 11, f"{len(steps)} steps"))
+        walker = 2
+        stations = [int(sr.assignment[walker]) for sr in steps]
+        checks.append(
+            _bool_check(
+                "assignment_switches_at_step7",
+                stations == [0] * 6 + [1] * 5,
+                f"stations={stations}",
+            )
         )
-    )
-    pre = trace.segments[0]  # the iterations before the arrival
-    post = trace.final
-    checks.append(
-        _bool_check("incumbent_powers_rise", bool(np.all(post.powers[:3] > pre.powers[-1])))
-    )
-    checks.append(
-        _bool_check("incumbent_rates_fall", bool(np.all(post.rates[:3] < pre.rates[-1])))
-    )
-    return ComparisonReport("fig3", checks)
-
-
-def _reproduce_fig4() -> ComparisonReport:
-    _, summary = run_scenario(fig4_scenario())
-    checks = [_bool_check("all_steps_converged", summary.converged)]
-    steps = summary.steps
-    checks.append(_bool_check("eleven_steps", len(steps) == 11, f"{len(steps)} steps"))
-    walker = 2
-    stations = [int(sr.assignment[walker]) for sr in steps]
-    checks.append(
-        _bool_check(
-            "assignment_switches_at_step7",
-            stations == [0] * 6 + [1] * 5,
-            f"stations={stations}",
+        p3 = [float(sr.powers[walker]) for sr in steps[6:]]
+        r3 = [float(sr.rates[walker]) for sr in steps[6:]]
+        checks.append(
+            _bool_check("walker_power_decreases", all(b < a for a, b in zip(p3, p3[1:])))
         )
-    )
-    p3 = [float(sr.powers[walker]) for sr in steps[6:]]
-    r3 = [float(sr.rates[walker]) for sr in steps[6:]]
-    checks.append(
-        _bool_check("walker_power_decreases", all(b < a for a, b in zip(p3, p3[1:])))
-    )
-    checks.append(
-        _bool_check("walker_rate_increases", all(b > a for a, b in zip(r3, r3[1:])))
-    )
-    worst = max(float(np.max(np.abs(sr.sinrs - 20.0) / 20.0)) for sr in steps)
-    checks.append(
-        Check("targets_held_every_step", worst <= 1e-6, f"worst rel dev {worst:.2e}")
-    )
-    return ComparisonReport("fig4", checks)
+        checks.append(
+            _bool_check("walker_rate_increases", all(b > a for a, b in zip(r3, r3[1:])))
+        )
+        worst = max(float(np.max(np.abs(sr.sinrs - 20.0) / 20.0)) for sr in steps)
+        checks.append(
+            Check("targets_held_every_step", worst <= 1e-6, f"worst rel dev {worst:.2e}")
+        )
+        return checks
+
+    return [fig4_scenario()], check
 
 
-_DISPATCH = {
-    "table1": _reproduce_table1,
-    "table2": _reproduce_table2,
-    "table3": _reproduce_table3,
-    "table4": _reproduce_table4,
-    "fig1": _reproduce_fig1,
-    "fig2": _reproduce_fig2,
-    "fig3": _reproduce_fig3,
-    "fig4": _reproduce_fig4,
+_EXPERIMENTS = {
+    "table1": _table1,
+    "table2": _table2,
+    "table3": _table3,
+    "table4": _table4,
+    "fig1": _fig1,
+    "fig2": _fig2,
+    "fig3": _fig3,
+    "fig4": _fig4,
 }
-REPRODUCE_TARGETS = tuple(_DISPATCH)
+REPRODUCE_TARGETS = tuple(_EXPERIMENTS)
 
 
 def reproduce(target: str) -> ComparisonReport:
-    """Run one built-in experiment and compare against its reference values."""
-    if target not in _DISPATCH:
-        raise ValueError(f"unknown target {target!r}; choose from {REPRODUCE_TARGETS}")
-    return _DISPATCH[target]()
+    """Run one built-in experiment and compare against its reference values.
+
+    This is ``reproduce_many([target])[0]``.
+    """
+    return reproduce_many([target])[0]
+
+
+def reproduce_many(targets) -> list[ComparisonReport]:
+    """Run several built-in experiments; one report per target, in order.
+
+    Every target name is checked before anything is solved. The independent
+    runs of all the targets are then solved by one ``run_scenarios`` call,
+    one batch per (config, station count), and each target's check runs
+    after it, with its adaptive solves. So no report comes before every
+    batched run is solved, and an error in any target's run surfaces before
+    any report does; the built-in experiments raise none.
+    """
+    targets = list(targets)
+    for target in targets:
+        if target not in _EXPERIMENTS:
+            raise ValueError(f"unknown target {target!r}; choose from {REPRODUCE_TARGETS}")
+    experiments = [_EXPERIMENTS[target]() for target in targets]
+    runs = iter(run_scenarios(s for scenarios, _ in experiments for s in scenarios))
+    return [
+        ComparisonReport(target, check(list(islice(runs, len(scenarios)))))
+        for target, (scenarios, check) in zip(targets, experiments)
+    ]

@@ -530,55 +530,25 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
 
 
 def run_scenarios(scenarios) -> list[tuple[IterationTrace, RunSummary]]:
-    """``run_scenario`` of each scenario, with every step of every one solved as one batch.
+    """``run_scenario`` of each scenario, their steps solved as one batch per (config, station count).
 
-    The scenarios must share one ``config``; their user counts may differ,
-    and those on different station counts are batched apart. Each result
-    equals its ``run_scenario``, bit for bit, and the error raised is the one
-    a loop over the scenarios in order meets first.
+    Each scenario solves under its own ``config``; configs, user counts and
+    station counts may all differ. Every step joins its (config, station
+    count) batch, except step 1 with arrivals, which runs alone as its
+    scenario comes up. Each result equals its ``run_scenario``, bit for bit.
+    When that lone solve, or pricing a step, raises, the batched solves
+    before it are run first, so the error raised is the one a loop over the
+    scenarios in order meets first, whatever config it solves under.
     """
-    scenarios = list(scenarios)
-    if not scenarios:
-        return []
-    config = scenarios[0].config
-    if any(s.config != config for s in scenarios):
-        raise ValueError("batched scenarios must share one config")
-    return _run_priced(((s, s.pricing) for s in scenarios), config)
-
-
-def sweep_lambda(
-    scenario: Scenario, lambdas
-) -> list[tuple[float, IterationTrace, RunSummary]]:
-    """Run the scenario once per pricing value, uniform across users.
-
-    Each value is a constant pricing rule, so arriving users are priced at
-    it too, and it wins over any [pricing] section the scenario carries. The
-    runs' steps are solved together in one batch.
-    """
-    lambdas = list(lambdas)
-    priced = ((scenario, PricingRule("constant", float(lam))) for lam in lambdas)
-    runs = _run_priced(priced, scenario.config)
-    return [(float(lam), trace, summary) for lam, (trace, summary) in zip(lambdas, runs)]
-
-
-def _run_priced(runs, config) -> list[tuple[IterationTrace, RunSummary]]:
-    """Run each (scenario, pricing rule) pair of ``runs`` under ``config``.
-
-    A rule of None keeps the users' own lambdas.
-    Every step's solve joins one batch per station count, except step 1
-    with arrivals, which runs alone as its run comes up. When that solve, or
-    pricing a step, raises, the batched solves before it are run first: the
-    error raised is the one a serial run of the steps in order meets first.
-    """
-    networks: list[tuple] = []  # (channel, users) of every batched step, in serial order
+    networks: list[tuple] = []  # (channel, users, config) of every batched step, in serial order
     done = []
     try:
-        for scenario, pricing in runs:
+        for scenario in scenarios:
             moves_by_step: dict[int, list[MoveEvent]] = {}
             for ev in scenario.moves:
                 moves_by_step.setdefault(ev.step, []).append(ev)
             steps = sorted({1} | set(moves_by_step))
-            reprice = _pricer(pricing)
+            reprice = _pricer(scenario.pricing)
             # Every step is an independent solve of the new geometry from the
             # default initial strategies. The converged point is
             # initialization-independent, and a cold start keeps a
@@ -595,31 +565,52 @@ def _run_priced(runs, config) -> list[tuple[IterationTrace, RunSummary]]:
                     trace = iterate_to_convergence(
                         channel,
                         reprice(channel, users),
-                        config,
+                        scenario.config,
                         arrivals=scenario.arrivals,
                         reprice=reprice,
                     )
                     channel, users = trace.channel, trace.users
                     first.append(trace)
                 else:
-                    networks.append((channel, reprice(channel, users)))
+                    networks.append((channel, reprice(channel, users), scenario.config))
             done.append((scenario, steps, first, start, len(networks)))
     except ValueError:
-        _raise_first(_solve(networks, config))
+        _raise_first(_solve(networks))
         raise
-    solved = _solve(networks, config)
+    solved = _solve(networks)
     _raise_first(solved)
     return [_joined(scenario, steps, first + solved[a:b]) for scenario, steps, first, a, b in done]
 
 
-def _solve(networks, config) -> list:
-    # iterate_batch's outcomes for networks on any station counts, one batch per count.
+def sweep_lambda(
+    scenario: Scenario, lambdas
+) -> list[tuple[float, IterationTrace, RunSummary]]:
+    """Run the scenario once per pricing value, uniform across users.
+
+    Each value is a constant pricing rule, so arriving users are priced at
+    it too, and it replaces any [pricing] section the scenario carries. The
+    runs are ``run_scenarios`` of the priced copies, their steps solved
+    together.
+    """
+    lambdas = list(lambdas)
+    priced = (replace(scenario, pricing=PricingRule("constant", float(lam))) for lam in lambdas)
+    runs = run_scenarios(priced)
+    return [(float(lam), trace, summary) for lam, (trace, summary) in zip(lambdas, runs)]
+
+
+def _solve(networks) -> list:
+    """``iterate_batch``'s outcomes for (channel, users, config) networks, in order.
+
+    The networks are solved as one batch per (config, station count); a
+    ConvergenceConfig is frozen, so it keys the groups.
+    """
     outcomes = [None] * len(networks)
-    by_count: dict[int, list[int]] = {}
-    for k, (channel, _) in enumerate(networks):
-        by_count.setdefault(channel.n_stations, []).append(k)
-    for ks in by_count.values():
-        for k, outcome in zip(ks, iterate_batch([networks[k] for k in ks], config)):
+    groups: dict[tuple, list[int]] = {}
+    for k, (channel, _, config) in enumerate(networks):
+        groups.setdefault((config, channel.n_stations), []).append(k)
+    for (config, _), ks in groups.items():
+        batch = [networks[k][:2] for k in ks]
+        for k, outcome in zip(ks, iterate_batch(batch, config)):
             outcomes[k] = outcome
     return outcomes
 

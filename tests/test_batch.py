@@ -50,6 +50,7 @@ from ratepower.reference import (
     REPRODUCE_TARGETS,
     fig4_scenario,
     reproduce,
+    reproduce_many,
     table1_scenario,
     table3_scenario,
     table4_scenario,
@@ -366,12 +367,51 @@ class TestScenarioBatches:
                 run_scenarios(order)
             assert str(got.value) == str(want.value)
 
-    def test_run_scenarios_refuses_mixed_configs(self):
-        a = table3_scenario(3)
-        b = replace(a, config=replace(a.config, policy=KKT))
-        with pytest.raises(ValueError, match="^batched scenarios must share one config$"):
-            run_scenarios([a, b])
+    def test_run_scenarios_mixes_configs(self, monkeypatch):
+        # Clamp and kkt, sync and seq, two deltas and a ladder, interleaved on
+        # one and two stations, an arrival and moves: each scenario solves
+        # under its own config.
+        configs = [
+            ConvergenceConfig(),
+            ConvergenceConfig(policy=KKT),
+            ConvergenceConfig(schedule=SEQUENTIAL),
+            ConvergenceConfig(delta=1e-6),
+            ConvergenceConfig(rate_set=LADDERS[1]),
+        ]
+        bases = [table3_scenario(3), fig4_scenario(), table3_scenario(6), walk_with_arrival()]
+        scenarios = [replace(s, config=c) for s in bases for c in configs]
+        want = [run_scenario(s) for s in scenarios]
+        calls = counted_loops(monkeypatch)
+        got = run_scenarios(scenarios)
+        assert len(got) == len(want)
+        for pair in zip(got, want):
+            assert_same_run(*pair)
+        # The five arrival steps alone, as each comes up; then one batch per
+        # (config, station count), 2 one-station and 13 two-station networks
+        # each, except that the sequential schedule solves its 15 one at a time.
+        assert sorted(calls) == [1] * 20 + [2] * 4 + [13] * 4
         assert run_scenarios([]) == []
+
+    def test_the_first_serial_error_may_come_from_a_later_config_group(self):
+        # Prices 100 and 300 fall below the ladder with different messages.
+        # In serial order the first error is 100's, whose config group is
+        # solved after the group holding 300's.
+        early = ConvergenceConfig(rate_set=LADDERS[2])
+        late = replace(early, delta=1e-8)
+        channel = ChannelModel([110.0, 130.0, 210.0])
+        base = Scenario(channel, [UserParams(alpha2=20.0)] * 3, ["u1", "u2", "u3"])
+        runs = [(early, 1e-5), (late, 100.0), (early, 300.0)]
+        scenarios = [replace(base, config=c, pricing=PricingRule("constant", lam)) for c, lam in runs]
+        errors = []
+        for order in (scenarios, scenarios[::-1]):
+            with pytest.raises(NoFeasibleRateError) as want:
+                for one in order:
+                    run_scenario(one)
+            with pytest.raises(NoFeasibleRateError) as got:
+                run_scenarios(order)
+            assert str(got.value) == str(want.value)
+            errors.append(str(got.value))
+        assert errors[0] != errors[1]
 
     @pytest.mark.parametrize("target, loops", [("table3", 4), ("table4", 1)])
     def test_reference_tables_solve_their_runs_as_batches(self, target, loops, monkeypatch):
@@ -380,6 +420,23 @@ class TestScenarioBatches:
         calls = counted_loops(monkeypatch)
         assert reproduce(target).passed
         assert len(calls) == loops
+
+    def test_reproduce_all_solves_every_target_in_eight_loops(self, monkeypatch):
+        # One batch of the 22 default-config one-station runs of table1-4 and
+        # fig1-2, table3's kkt rows, fig4's 11 steps, fig3's arrival run, and
+        # the adaptive solves: table1's 2 removal solves and table3's 2
+        # escalation windows.
+        want = [reproduce(target).lines() for target in REPRODUCE_TARGETS]
+        calls = counted_loops(monkeypatch)
+        got = reproduce_many(REPRODUCE_TARGETS)
+        assert [report.lines() for report in got] == want
+        assert sorted(calls) == [1, 1, 1, 2, 3, 3, 11, 22]
+
+    def test_an_unknown_target_is_refused_before_any_solve(self, monkeypatch):
+        calls = counted_loops(monkeypatch)
+        with pytest.raises(ValueError, match="^unknown target 'table9'"):
+            reproduce_many(["table1", "table9"])
+        assert calls == []
 
     def test_a_sweep_with_arrivals_and_moves_equals_serial_runs(self):
         scenario = walk_with_arrival()
