@@ -4,83 +4,112 @@ Solvers for the unpriced corner game, the priced single-cell game, and the
 priced multi-cell game with base-station assignment, plus pricing escalation,
 user removal, discrete-rate quantization, verification oracles, and a
 scenario-file runner.
+
+Every public name resolves on first use (PEP 562): reading it imports its
+home module in ``_HOMES`` and keeps the value here, so ``import ratepower``
+loads no submodule and a command loads only the modules it runs; no command
+loads ``oracle``. Submodules resolve by name the same way.
 """
 
-from .core import (
-    ChannelModel,
-    Strategy,
-    UserParams,
-    UserTable,
-    alpha_ratio_for_target,
-    path_gain,
-    target_sinr,
-)
-from .engine import (
-    CLAMP,
-    KKT,
-    SEQUENTIAL,
-    SYNCHRONOUS,
-    ConvergenceConfig,
-    IterationRecord,
-    IterationTrace,
-    Segment,
-    bounded_step,
-    bounded_step_array,
-    iterate_batch,
-    iterate_to_convergence,
-)
-from .admission import (
-    ABOVE_TARGET,
-    AT_TARGET,
-    BELOW_TARGET,
-    EscalationResult,
-    NotConvergedError,
-    PricingRule,
-    RemovalResult,
-    classify_users,
-    escalate_pricing,
-    pricing_rule_eval,
-    removal_loop,
-)
-from .rates import NoFeasibleRateError, RateSet
-from .oracle import (
-    StandardFunctionReport,
-    UtilityParamsBase,
-    assign_base_station,
-    convergence_metric,
-    effective_interference,
-    effective_interference_by_station,
-    fd_gradient_check,
-    grid_best_response,
-    njrpcg_equilibrium,
-    power_update_map,
-    power_update_rate_bounded,
-    rate_update_power_bounded,
-    sinr,
-    standard_function_check,
-    symmetric_fixed_point,
-    unconstrained_best_response,
-    utility_base,
-    utility_priced,
-    utility_priced_gradient,
-    utility_priced_hessian,
-)
-from .scenario import (
-    ArrivalEvent,
-    MoveEvent,
-    RunSummary,
-    Scenario,
-    ScenarioFormatError,
-    emit_trace,
-    parse_scenario,
-    run_scenario,
-    run_scenarios,
-    scenario_to_text,
-    summarize_run,
-    summary_to_text,
-    sweep_lambda,
-    write_summary,
-)
-from .reference import REPRODUCE_TARGETS, ComparisonReport, reproduce, reproduce_many
+import importlib
 
 __version__ = "0.1.0"
+
+# Each module and the public names it defines, which the package re-exports.
+_HOMES = {
+    "core": (
+        "ChannelModel",
+        "Strategy",
+        "UserParams",
+        "UserTable",
+        "alpha_ratio_for_target",
+        "path_gain",
+        "target_sinr",
+    ),
+    "engine": (
+        "CLAMP",
+        "KKT",
+        "SEQUENTIAL",
+        "SYNCHRONOUS",
+        "ConvergenceConfig",
+        "IterationRecord",
+        "IterationTrace",
+        "Segment",
+        "bounded_step",
+        "bounded_step_array",
+        "iterate_batch",
+        "iterate_to_convergence",
+    ),
+    "admission": (
+        "ABOVE_TARGET",
+        "AT_TARGET",
+        "BELOW_TARGET",
+        "EscalationResult",
+        "NotConvergedError",
+        "PricingRule",
+        "RemovalResult",
+        "classify_users",
+        "escalate_pricing",
+        "pricing_rule_eval",
+        "removal_loop",
+    ),
+    "rates": ("NoFeasibleRateError", "RateSet"),
+    "oracle": (
+        "StandardFunctionReport",
+        "UtilityParamsBase",
+        "assign_base_station",
+        "convergence_metric",
+        "effective_interference",
+        "effective_interference_by_station",
+        "fd_gradient_check",
+        "grid_best_response",
+        "njrpcg_equilibrium",
+        "power_update_map",
+        "power_update_rate_bounded",
+        "rate_update_power_bounded",
+        "sinr",
+        "standard_function_check",
+        "symmetric_fixed_point",
+        "unconstrained_best_response",
+        "utility_base",
+        "utility_priced",
+        "utility_priced_gradient",
+        "utility_priced_hessian",
+    ),
+    "scenario": (
+        "ArrivalEvent",
+        "MoveEvent",
+        "RunSummary",
+        "Scenario",
+        "ScenarioFormatError",
+        "emit_trace",
+        "parse_scenario",
+        "run_scenario",
+        "run_scenarios",
+        "scenario_to_text",
+        "summarize_run",
+        "summary_to_text",
+        "sweep_lambda",
+        "write_summary",
+    ),
+    "reference": ("REPRODUCE_TARGETS", "ComparisonReport", "reproduce", "reproduce_many"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+_SUBMODULES = frozenset(_HOMES) | {"cli"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # Importing a submodule binds it here, so this runs once per name.
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

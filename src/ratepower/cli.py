@@ -12,7 +12,6 @@ import numpy as np
 
 from .admission import NotConvergedError, PricingRule, escalate_pricing, removal_loop
 from .engine import HISTORY_FULL
-from .reference import REPRODUCE_TARGETS, reproduce_many
 from .scenario import (
     _SCHEMA,
     ScenarioFormatError,
@@ -28,6 +27,10 @@ from .scenario import (
 
 # The [run] choices that `run` also takes as flags, spelled as in a scenario.
 _FLAGS = ("policy", "schedule")
+
+# `reference.REPRODUCE_TARGETS`, spelled out so that building the parser does
+# not import `reference`, which only `reproduce` runs; a test pins the two equal.
+_REPRODUCE_TARGETS = ("table1", "table2", "table3", "table4", "fig1", "fig2", "fig3", "fig4")
 
 
 def main(argv=None) -> int:
@@ -57,7 +60,7 @@ def _parser() -> argparse.ArgumentParser:
         p_run.add_argument(f"--{name}", choices=tuple(_SCHEMA["run"][name].aliases))
 
     p_rep = sub.add_parser("reproduce", help="rerun a built-in experiment")
-    p_rep.add_argument("target", choices=REPRODUCE_TARGETS + ("all",))
+    p_rep.add_argument("target", choices=_REPRODUCE_TARGETS + ("all",))
 
     p_sweep = sub.add_parser("sweep-lambda", help="rerun a scenario over a pricing range")
     p_sweep.add_argument("scenario")
@@ -136,7 +139,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    targets = REPRODUCE_TARGETS if args.target == "all" else (args.target,)
+    from .reference import reproduce_many
+
+    targets = _REPRODUCE_TARGETS if args.target == "all" else (args.target,)
     # Every target's runs are solved before the first report prints.
     reports = reproduce_many(targets)
     for report in reports:

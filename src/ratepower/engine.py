@@ -469,7 +469,17 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
     history: list[tuple] = []
     ends: list[int | None] = [None] * blocks
     kept: list[tuple | None] = [None] * blocks  # under "last", network k's row at ends[k]
-    reffs = None  # formed from the state whenever the table changes
+    # The station totals of the current iterate, reset when the table changes,
+    # and its (users x stations) r_eff matrix, formed only when a sweep or a
+    # row reads it: the sequential sweep reads the totals alone.
+    totals = reffs = None
+
+    def current_reffs():
+        nonlocal reffs
+        if reffs is None:
+            reffs = _station_reffs(g, noise, state[0], totals)
+        return reffs
+
     iteration = 0
     while iteration < config.max_iterations:
         iteration += 1
@@ -477,7 +487,10 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
             (channel,), (us,) = channels, users
             if series:
                 its, ms = _series(series)
-                rows = _columns(history, spans)[0] if full else _row(assignment, state, reffs, spans[0])
+                if full:
+                    rows = _columns(history, spans)[0]
+                else:
+                    rows = _row(assignment, state, current_reffs(), spans[0])
                 segments.append(_segment(channel, table, spans[0], its, ms[:, 0], *rows))
                 series, history = [], []
             while pending and pending[0].iteration == iteration:
@@ -490,32 +503,33 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
                 us = list(reprice(channel, us))
             channels, users = [channel], [us]
             sizes, starts, spans = _spans([len(us)])
-            table, g, reffs = UserTable.from_users(us), channel.gains, None
+            table, g, totals, reffs = UserTable.from_users(us), channel.gains, None, None
             gains = [g]
-        if reffs is None:
+        if totals is None:
             totals = _totals(state[0], gains, spans, sizes)
-            reffs = _station_reffs(g, noise, state[0], totals)
             ids = np.arange(state.shape[1])
+            plain = None if config.schedule == SYNCHRONOUS else _plain(g, table, kkt)
         if config.schedule == SYNCHRONOUS:
-            new, assignment = _synchronous_sweep(table, reffs, assignment, kkt)
+            new, assignment = _synchronous_sweep(table, current_reffs(), assignment, kkt)
         else:
-            new, assignment = _sequential_sweep(g, noise, table, state[0], totals, assignment, kkt)
+            new, assignment = _sequential_sweep(
+                g, noise, table, state[0], totals, assignment, kkt, plain
+            )
         if snap_each is not None:
             new[1] = _snap(snap_each, new[1])
         metrics = _step_metric(state, new, config.metric, starts).tolist()
         state = new
         # One set of station totals per iterate serves its row and the next sweep.
-        totals = _totals(state[0], gains, spans, sizes)
-        reffs = _station_reffs(g, noise, state[0], totals)
+        totals, reffs = _totals(state[0], gains, spans, sizes), None
         series.append((iteration, metrics))
         if full:
-            history.append((assignment, state, reffs[ids, assignment]))
+            history.append((assignment, state, current_reffs()[ids, assignment]))
         if not pending and min(metrics) <= config.delta:
             for k, metric in enumerate(metrics):
                 if metric <= config.delta and ends[k] is None:
                     ends[k] = iteration
                     if not full:
-                        kept[k] = _row(assignment, state, reffs, spans[k])
+                        kept[k] = _row(assignment, state, current_reffs(), spans[k])
             if None not in ends:
                 break
 
@@ -529,7 +543,7 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
         if full:
             a, states, r = (c[:stop] for c in stacked[k])
         else:
-            a, states, r = kept[k] or _row(assignment, state, reffs, cols)
+            a, states, r = kept[k] or _row(assignment, state, current_reffs(), cols)
         if converged and config.quantize_at_convergence:
             # Quantizing at convergence snaps the converged row's rates.
             states[-1, 1] = _snap(config.rate_set, states[-1, 1])
@@ -620,20 +634,34 @@ def _synchronous_sweep(table, reffs, assignment, kkt):
     return _bounded_step_stack(table, r_eff, kkt), assignment
 
 
-def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt):
+def _plain(g, table, kkt) -> tuple:
+    """The sequential sweep's inputs as plain floats, converted once per table.
+
+    Each user's gain row, then the table columns the power step reads, then
+    under "kkt" those the rate step reads.
+    """
+    columns = [table.half_a2_a1, table.lam, table.p_min, table.p_max]
+    if kkt:
+        columns += [table.half_a1_a2, table.alpha1, table.alpha2, table.r_min, table.r_max]
+    return (g.tolist(), *(c.tolist() for c in columns))
+
+
+def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt, plain=None):
     """Users in order against the freshest powers; returns (state, stations).
 
-    ``totals`` are the stations' received totals ``powers @ g``, as the loop
-    formed them; kept current as each user moves, they make a user cost
-    O(stations) rather than a fresh O(users x stations) product. The per-user
-    loop runs on plain floats and moves only stations and powers: each user
-    takes the least-interference station (ties keep the current one) and the
-    power of the bounded best response there, computed inline with the
-    table's constants. Under "kkt" the rate is evaluated only to decide
-    whether the power is re-optimized. The sweep's rates, and its powers
-    again, come from one ``_bounded_step_stack`` on the interference each
-    user saw; it evaluates the same operations, so the powers equal the
-    loop's.
+    ``plain`` is ``_plain(g, table, kkt)``, the gains and the table's
+    constants as plain floats; the loop converts them once per table, and a
+    sweep called without them converts them itself. ``totals`` are the stations' received totals
+    ``powers @ g``, as the loop formed them; kept current as each user moves,
+    they make a user cost O(stations) rather than a fresh O(users x stations)
+    product. The per-user loop runs on plain floats and moves only stations
+    and powers: each user takes the least-interference station (ties keep
+    the current one) and the power of the bounded best response there,
+    computed inline with the table's constants. Under "kkt" the rate is
+    evaluated only to decide whether the power is re-optimized. The sweep's
+    rates, and its powers again, come from one ``_bounded_step_stack`` on
+    the interference each user saw; it evaluates the same operations, so the
+    powers equal the loop's.
     """
     sqrt = math.sqrt
     band = 1.0 + TIE_REL_TOL
@@ -641,13 +669,10 @@ def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt):
     p = powers.tolist()
     a = assignment.tolist()
     seen = []
-    t = table
-    c_p, lams, p_lo, p_hi = (c.tolist() for c in (t.half_a2_a1, t.lam, t.p_min, t.p_max))
+    rows, c_p, lams, p_lo, p_hi, *rate_columns = plain or _plain(g, table, kkt)
     if kkt:
-        c_r, a1s, a2s, r_lo, r_hi = (
-            c.tolist() for c in (t.half_a1_a2, t.alpha1, t.alpha2, t.r_min, t.r_max)
-        )
-    for i, g_i in enumerate(g.tolist()):
+        c_r, a1s, a2s, r_lo, r_hi = rate_columns
+    for i, g_i in enumerate(rows):
         p_i = p[i]
         reffs = []
         for t_k, g_k in zip(totals, g_i):

@@ -1,8 +1,9 @@
 """Scalar statements of the paper's formulas, and independent verification machinery.
 
 The solver in ``engine`` runs the game as array code; this module states each
-formula one user at a time, and the tests check the solver against it. Only
-``__init__`` imports it. It holds the model (effective interference, SINR,
+formula one user at a time, and the tests check the solver against it. No
+module imports it: the package loads it when one of its names is first read,
+so no command loads it. It holds the model (effective interference, SINR,
 the utilities and the priced one's gradient and Hessian), the game (the
 unpriced equilibrium, the closed-form best response, the two boundary
 updates, the symmetric fixed point), the least-interference station rule,

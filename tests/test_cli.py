@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import inspect
 import runpy
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from ratepower.admission import escalate_pricing
-from ratepower.cli import main
+from ratepower.cli import _parser, main
+from ratepower.reference import REPRODUCE_TARGETS
 from ratepower.scenario import TRACE_HEADER
 
 SHIPPED_SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
@@ -193,6 +195,20 @@ class TestReproduce:
     def test_unknown_target_rejected(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "table9"])
+
+    def test_choices_are_the_reference_targets(self):
+        # The parser spells the targets out so that building it does not
+        # import ``reference``; they must stay the ones ``reference`` runs.
+        (sub,) = [a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (target,) = [a for a in sub.choices["reproduce"]._actions if a.dest == "target"]
+        assert tuple(target.choices) == REPRODUCE_TARGETS + ("all",)
+
+    def test_help_lists_every_target(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["reproduce", "--help"])
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(REPRODUCE_TARGETS + ("all",)) + "}" in out
 
     def test_python_dash_m_runs_the_command_line(self, monkeypatch, capsys):
         # ``python -m ratepower reproduce all``, run in process, as from a

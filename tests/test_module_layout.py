@@ -1,8 +1,9 @@
 """The package's module split: one production path, one oracle module.
 
 The solver (``engine``) and the model types (``core``) never reach for the
-scalar statements in ``oracle``; only ``__init__`` re-exports them. The
-oracle in turn takes only constants and types from ``engine``, never a
+scalar statements in ``oracle``; only ``__init__`` re-exports them, and it
+loads a module only when one of its names is first read, so neither
+``import ratepower`` nor any command loads ``oracle``. The oracle in turn takes only constants and types from ``engine``, never a
 function, so no check compares the solver with itself. No production
 module reads a trace's per-iteration ``records`` views: the program works
 on the segment columns, and the views, which need a solve under "full"
@@ -20,7 +21,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
-import types
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,12 +150,53 @@ def test_no_public_function_or_class_is_defined_twice():
 
 
 def test_public_names_are_unchanged():
-    names = [
-        n
-        for n, value in vars(ratepower).items()
-        if not n.startswith("_") and not isinstance(value, types.ModuleType)
-    ]
-    assert sorted(names) == PUBLIC_NAMES
+    # A name is bound in the package's namespace only once it is first read,
+    # so the names are pinned where they are declared and where they resolve.
+    assert sorted(ratepower.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(ratepower))
+    for name in PUBLIC_NAMES:
+        (home,) = [
+            module
+            for module in (importlib.import_module(f"ratepower.{m}") for m in MODULES)
+            if name in getattr(module, "__all__", ())
+        ]
+        assert getattr(ratepower, name) is getattr(home, name), name
+    star = {}
+    exec("from ratepower import *", star)
+    assert sorted(n for n in star if n != "__builtins__") == PUBLIC_NAMES
+
+
+# Which ratepower submodules each step has loaded, in a fresh interpreter.
+IMPORT_STEPS = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(n for n in sys.modules if n.startswith("ratepower."))
+
+steps = {}
+import ratepower
+steps["package"] = loaded()
+import ratepower.cli
+steps["cli"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ratepower.cli.main(["reproduce", "table2"])
+steps["reproduce"] = loaded()
+print(json.dumps([code, steps]))
+"""
+
+
+def test_a_command_loads_only_the_modules_it_runs():
+    # A subprocess, so that modules the other tests imported do not count.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_STEPS], env=env, capture_output=True, text=True, check=True
+    )
+    code, steps = json.loads(done.stdout)
+    assert code == 0
+    assert steps["package"] == []
+    assert not {"ratepower.oracle", "ratepower.reference"} & set(steps["cli"])
+    assert "ratepower.reference" in steps["reproduce"]
+    assert "ratepower.oracle" not in steps["reproduce"]
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETERS))
