@@ -95,7 +95,7 @@ _HOMES = {
     "reference": ("REPRODUCE_TARGETS", "ComparisonReport", "reproduce", "reproduce_many"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = frozenset(_HOMES) | {"cli"}
+_SUBMODULES = frozenset(_HOMES) | {"cli", "encoder"}
 
 __all__ = sorted(_HOME)
 

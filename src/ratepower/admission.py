@@ -2,7 +2,8 @@
 
 A ``PricingRule`` is the one home of the pricing coefficient and of the
 escalation step: escalation tests each coefficient as ``replace(rule, c=c)``,
-stepping by ``rule.dc``. Escalation and removal take the solve's settings as
+stepping by ``rule.dc``. Pricing a user table writes its one new pricing
+column. Escalation and removal take the solve's settings as
 one ``ConvergenceConfig``. A user counts as at target when its SINR lies
 within the relative band ``AT_TARGET_TOL`` of its target.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChannelModel, UserParams, _require_count, _require_finite, target_sinr
+from .core import ChannelModel, UserParams, UserTable, _require_count, _require_finite
 from .engine import (
     SYNCHRONOUS,
     ConvergenceConfig,
@@ -81,14 +82,16 @@ class PricingRule:
 def pricing_rule_eval(
     rule: PricingRule,
     n_users: int,
-    gain: float | None = None,
-    alpha1: float | None = None,
-    alpha2: float | None = None,
+    gain=None,
+    alpha1=None,
+    alpha2=None,
     multicell: bool = False,
-) -> float:
+):
     """Evaluate one user's pricing factor under ``rule`` at its coefficient ``rule.c``.
 
-    Gain-dependent kinds are rejected in multi-cell mode.
+    ``gain``, ``alpha1`` and ``alpha2`` may also be arrays, one value per
+    user, and then so is the factor. Gain-dependent kinds are rejected in
+    multi-cell mode.
     """
     if multicell and rule.kind in GAIN_DEPENDENT_KINDS:
         raise ValueError(
@@ -101,15 +104,18 @@ def pricing_rule_eval(
         if n_users < 1:
             raise ValueError("n_users must be at least 1")
         return rule.c * n_users
+    # Arrays overflow to inf as floats do, silently; with_lam refuses inf.
     if rule.kind in GAIN_DEPENDENT_KINDS:
-        if gain is None or gain <= 0:
+        if gain is None or np.any(gain <= 0):
             raise ValueError("gain-dependent rules need a positive gain")
-        return rule.c * gain if rule.kind == "direct_gain" else rule.c / gain
-    if alpha1 is None or alpha2 is None or alpha1 <= 0 or alpha2 <= 0:
+        with np.errstate(over="ignore"):
+            return rule.c * gain if rule.kind == "direct_gain" else rule.c / gain
+    if alpha1 is None or alpha2 is None or np.any(alpha1 <= 0) or np.any(alpha2 <= 0):
         raise ValueError("target-ratio rules need positive alpha1 and alpha2")
-    if rule.kind == "target_ratio":
-        return rule.c * alpha2 / alpha1
-    return rule.c * alpha1 / alpha2
+    with np.errstate(over="ignore"):
+        if rule.kind == "target_ratio":
+            return rule.c * alpha2 / alpha1
+        return rule.c * alpha1 / alpha2
 
 
 class NotConvergedError(RuntimeError):
@@ -128,7 +134,7 @@ def classify_users(trace: IterationTrace, targets) -> list[str]:
     if t.shape != sinrs.shape:
         raise ValueError("one target per user required")
     out = []
-    for s, target in zip(sinrs, t):
+    for s, target in zip(sinrs.tolist(), t.tolist()):
         if s < target * (1.0 - AT_TARGET_TOL):
             out.append(BELOW_TARGET)
         elif s > target * (1.0 + AT_TARGET_TOL):
@@ -139,23 +145,22 @@ def classify_users(trace: IterationTrace, targets) -> list[str]:
 
 
 def priced_users(
-    rule: PricingRule, channel: ChannelModel, users: list[UserParams]
-) -> list[UserParams]:
-    """Users with their pricing factor replaced by the rule's value."""
+    rule: PricingRule, channel: ChannelModel, users: UserTable | list[UserParams]
+) -> UserTable:
+    """Users with their pricing factor replaced by the rule's value, as one new column."""
+    users = UserTable.from_users(users)
+    if not len(users):
+        return users
     multicell = channel.n_stations > 1
-    gains = None if multicell else channel.gains[:, 0]
-    out = []
-    for i, u in enumerate(users):
-        lam = pricing_rule_eval(
-            rule,
-            len(users),
-            gain=None if gains is None else float(gains[i]),
-            alpha1=u.alpha1,
-            alpha2=u.alpha2,
-            multicell=multicell,
-        )
-        out.append(u.with_lam(lam))
-    return out
+    lam = pricing_rule_eval(
+        rule,
+        len(users),
+        gain=None if multicell else channel.gains[:, 0],
+        alpha1=users.alpha1,
+        alpha2=users.alpha2,
+        multicell=multicell,
+    )
+    return users.with_lam(lam)
 
 
 @dataclass
@@ -175,7 +180,7 @@ class EscalationResult:
 
 def escalate_pricing(
     channel: ChannelModel,
-    users: list[UserParams],
+    users: UserTable | list[UserParams],
     rule: PricingRule,
     config: ConvergenceConfig | None = None,
     max_steps: int = 40,
@@ -201,7 +206,8 @@ def escalate_pricing(
     # solve its extra coefficients one by one, for nothing.
     width = ESCALATION_WINDOW if config.schedule == SYNCHRONOUS else 1
 
-    targets = [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]
+    users = UserTable.from_users(users)
+    targets = users.target_sinrs(channel.bandwidth_hz)
     tested: list[float] = []
     trace = None
     for first in range(0, max_steps, width):
@@ -238,13 +244,11 @@ class RemovalResult:
     trace: IterationTrace | None
     empty_network: bool
 
-    @property
-    def removed_set(self) -> set[int]:
-        return set(self.removed)
-
 
 def removal_loop(
-    channel: ChannelModel, users: list[UserParams], config: ConvergenceConfig | None = None
+    channel: ChannelModel,
+    users: UserTable | list[UserParams],
+    config: ConvergenceConfig | None = None,
 ) -> RemovalResult:
     """Remove below-target users one at a time until none remain below target.
 
@@ -252,13 +256,14 @@ def removal_loop(
     each removal the game is re-solved under ``config`` over the survivors.
     Terminates in at most len(users) rounds.
     """
+    users = UserTable.from_users(users)
     active = list(range(len(users)))
     removed: list[int] = []
     while active:
         ch = channel.subset(active)
-        us = [users[i] for i in active]
+        us = users[active]
         trace = iterate_to_convergence(ch, us, config)
-        targets = np.array([target_sinr(u.alpha1, u.alpha2, ch.bandwidth_hz) for u in us])
+        targets = us.target_sinrs(ch.bandwidth_hz)
         outcomes = classify_users(trace, targets)
         below = [k for k, o in enumerate(outcomes) if o == BELOW_TARGET]
         if not below:

@@ -8,6 +8,12 @@ that changes (a removal, an arrival, a move) is a new ``ChannelModel`` with
 its own gains. The functions are pure and nothing mutable is shared, so every
 operation is safe to call concurrently.
 
+A user set is held as one ``UserTable``, from the scenario parser to the
+summary: a column per ``UserParams`` field, checked once, vectorised, when
+the table is built from columns, with ``UserParams``' own message for the
+first bad user. ``UserParams`` is the table's row view and the scalar
+oracles' input; a table made from checked users is not checked again.
+
 The scalar formulas of the model (effective interference, SINR and the
 utilities) are stated in ``oracle``; the solver in ``engine`` runs them as
 array code.
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -64,6 +70,20 @@ def _require_index(name: str, value, size: int) -> int:
     if not 0 <= index < size:
         raise ValueError(f"{name} {index} is outside [0, {size})")
     return index
+
+
+def _check_lam(lam: float) -> None:
+    # A pricing factor, checked as UserParams checks its own.
+    _require_finite(lam=lam)
+    if lam <= 0:
+        raise ValueError("pricing factor must be positive")
+
+
+@np.errstate(over="ignore", divide="ignore")
+def _path_gains(distances: np.ndarray, exponent: float, shadowing: float) -> np.ndarray:
+    # Gains beyond the range of floats come out as 0 or inf, for the caller
+    # to refuse.
+    return shadowing / distances**exponent
 
 
 def path_gain(distance_m: float, pathloss_exponent: float, shadowing: float) -> float:
@@ -113,7 +133,7 @@ class ChannelModel:
             raise ValueError("noise_w must be non-negative")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
-        g = self.shadowing / d**self.pathloss_exponent
+        g = _path_gains(d, self.pathloss_exponent, self.shadowing)
         if not np.all(np.isfinite(g)) or np.any(g <= 0):
             raise ValueError("derived gains must be finite and positive")
         d.flags.writeable = False
@@ -220,11 +240,14 @@ class UserParams:
         Only ``lam`` is checked, with the constructor's messages; every other
         field was checked when this user was built, so it is copied as is.
         """
-        _require_finite(lam=lam)
-        if lam <= 0:
-            raise ValueError("pricing factor must be positive")
-        user = object.__new__(type(self))
-        user.__dict__.update(self.__dict__, lam=lam)
+        _check_lam(lam)
+        return self._trusted({**self.__dict__, "lam": lam})
+
+    @classmethod
+    def _trusted(cls, values: dict) -> "UserParams":
+        # A user of checked field values, built without the constructor's checks.
+        user = object.__new__(cls)
+        user.__dict__.update(values)
         return user
 
     @property
@@ -236,15 +259,64 @@ class UserParams:
         return self.r_min if self.r_init is None else self.r_init
 
 
-@dataclass(frozen=True)
-class UserTable:
-    """Struct-of-arrays form of a user list: one float column per constant.
+# UserParams' fields, in order: the rows of a UserTable's block.
+_USER_FIELDS = ("alpha1", "alpha2", "lam", "p_min", "p_max", "r_min", "r_max", "p_init", "r_init")
+_INITS = ("p_init", "r_init")
+# Each field's default, NaN for no initial strategy.
+_USER_DEFAULTS = {f.name: np.nan if f.default is None else f.default for f in fields(UserParams)}
+_fields_of = operator.attrgetter(*_USER_FIELDS)
+_COLUMNS = {name: k for k, name in enumerate(_USER_FIELDS)}
+_DEFAULT_COLUMN = np.array([list(_USER_DEFAULTS.values())]).T
+# What every best response reads, by name: the two weight ratios, halved,
+# and the strategy box as stacked (2, n) bounds [p; r].
+_DERIVED = {
+    "half_a2_a1": lambda t: 0.5 * (t.alpha2 / t.alpha1),
+    "half_a1_a2": lambda t: 0.5 * (t.alpha1 / t.alpha2),
+    "lo": lambda t: t._block[[3, 5]],
+    "hi": lambda t: t._block[[4, 6]],
+}
 
-    Array solvers build it once per solve and index it like the list. The
-    table also holds what every best response reads: the constants
-    ``half_a2_a1 = 0.5 * (alpha2 / alpha1)`` and ``half_a1_a2 = 0.5 *
-    (alpha1 / alpha2)``, and the strategy box as stacked (2, n) arrays ``lo
-    = [p_min; r_min]`` and ``hi = [p_max; r_max]``.
+
+def _row_values(row) -> dict:
+    # One column of a table's block as UserParams' fields; a NaN initial
+    # strategy is None.
+    values = dict(zip(_USER_FIELDS, row))
+    for name in _INITS:
+        if math.isnan(values[name]):
+            values[name] = None
+    return values
+
+
+class _RowError(ValueError):
+    """A table row that ``UserParams`` refuses, with its message; ``row`` is its index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+class UserTable:
+    """The array form of a user set: one float column per ``UserParams`` field.
+
+    The columns (``alpha1`` ... ``r_init``) are the rows of one (9, n)
+    block, each a view made on first read. ``p_init`` and ``r_init`` hold
+    NaN for a user without one, which starts at its box's lower corner
+    (``initial``).
+    Built from columns, the table fills a column left out with the
+    ``UserParams`` default and a number with that number for every user,
+    checks the columns once, vectorised, and hands the first row that
+    fails, in order, to ``UserParams``, so the error is the one that user
+    would raise. A table of checked users (``from_users``, indexing,
+    ``concat``, ``with_user``) is not checked again, and ``with_lam`` checks
+    only its new column. Tables share their blocks: none is written in place.
+
+    The table is also a sequence of ``UserParams`` row views: ``len``, an
+    integer index and iteration give rows, a slice or an index array a
+    table, and a table equals any sequence of the same users. The solver
+    reads the constants every best response needs, computed on first use:
+    ``half_a2_a1 = 0.5 * (alpha2 / alpha1)``, ``half_a1_a2 = 0.5 * (alpha1
+    / alpha2)``, and the strategy box as stacked (2, n) arrays ``lo = [p_min;
+    r_min]`` and ``hi = [p_max; r_max]``.
     """
 
     alpha1: np.ndarray
@@ -254,28 +326,143 @@ class UserTable:
     p_max: np.ndarray
     r_min: np.ndarray
     r_max: np.ndarray
-    half_a2_a1: np.ndarray = field(init=False, repr=False, compare=False)
-    half_a1_a2: np.ndarray = field(init=False, repr=False, compare=False)
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
+    p_init: np.ndarray
+    r_init: np.ndarray
+    half_a2_a1: np.ndarray
+    half_a1_a2: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
-    def __post_init__(self) -> None:
-        derived = {
-            "half_a2_a1": 0.5 * (self.alpha2 / self.alpha1),
-            "half_a1_a2": 0.5 * (self.alpha1 / self.alpha2),
-            "lo": np.stack([self.p_min, self.r_min]),
-            "hi": np.stack([self.p_max, self.r_max]),
+    def __init__(
+        self,
+        alpha1=None,
+        alpha2=None,
+        lam=None,
+        p_min=None,
+        p_max=None,
+        r_min=None,
+        r_max=None,
+        p_init=None,
+        r_init=None,
+    ):
+        values = (alpha1, alpha2, lam, p_min, p_max, r_min, r_max, p_init, r_init)
+        given = {
+            name: np.asarray(value, dtype=float)
+            for name, value in zip(_USER_FIELDS, values)
+            if value is not None
         }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        shapes = {column.shape for column in given.values() if column.ndim}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise ValueError("user columns must be 1-D and of one length")
+        block = _DEFAULT_COLUMN.repeat(shapes.pop()[0], axis=1)
+        for name, column in given.items():
+            block[_COLUMNS[name]] = column
+        self._block = block
+        self._check()
+
+    @classmethod
+    def _of(cls, block: np.ndarray) -> "UserTable":
+        # A table of a block taken from checked users, used as it is.
+        table = object.__new__(cls)
+        table._block = block
+        return table
+
+    def __getattr__(self, name):
+        # A column or a best-response constant, made on first use and kept.
+        if name in _COLUMNS:
+            value = self._block[_COLUMNS[name]]
+        elif name in _DERIVED:
+            value = _DERIVED[name](self)
+        else:
+            raise AttributeError(f"'UserTable' object has no attribute {name!r}")
+        self.__dict__[name] = value
+        return value
+
+    def _check(self) -> None:
+        b = self._block
+        constants, lo, hi, inits = b[:7], b[3:7:2], b[4:7:2], b[7:]
+        plain = np.isnan(inits).all()  # no initial strategy given
+        if plain and constants.min() > 0 and constants.max() < np.inf and (lo <= hi).all():
+            return
+        ok = ((constants > 0) & (constants < np.inf)).all(axis=0) & (lo <= hi).all(axis=0)
+        ok &= (np.isnan(inits) | ((lo <= inits) & (inits <= hi))).all(axis=0)
+        for i in np.flatnonzero(~ok).tolist():
+            try:
+                UserParams(**_row_values(b[:, i].tolist()))
+            except ValueError as exc:
+                raise _RowError(i, str(exc)) from None
 
     @classmethod
     def from_users(cls, users) -> "UserTable":
-        """Table of ``users``; a table passes through unchanged."""
+        """Table of ``users``, which are checked already; a table passes through unchanged."""
         if isinstance(users, UserTable):
             return users
-        rows = [(u.alpha1, u.alpha2, u.lam, u.p_min, u.p_max, u.r_min, u.r_max) for u in users]
-        return cls(*np.array(rows, dtype=float).reshape(-1, 7).T.copy())
+        rows = np.array(list(map(_fields_of, users)), dtype=float)
+        return cls._of(rows.reshape(-1, len(_USER_FIELDS)).T.copy())
+
+    @classmethod
+    def concat(cls, tables) -> "UserTable":
+        """The tables' users, one after another, in one table."""
+        return cls._of(np.concatenate([cls.from_users(t)._block for t in tables], axis=1))
+
+    def with_user(self, user: UserParams) -> "UserTable":
+        """Table extended by one arriving user."""
+        return UserTable.concat([self, [user]])
+
+    def with_lam(self, lam) -> "UserTable":
+        """This table at pricing factor ``lam``, a number or one per user.
+
+        Only the new column is checked: the first bad value raises what
+        ``UserParams.with_lam`` raises for it.
+        """
+        if np.ndim(lam) == 0:
+            _check_lam(float(lam))
+        else:
+            lam = np.asarray(lam, dtype=float)
+            for i in np.flatnonzero(~((lam > 0) & (lam < np.inf))).tolist():
+                _check_lam(lam[i].item())
+        block = self._block.copy()
+        block[2] = lam
+        return UserTable._of(block)
+
+    @np.errstate(over="ignore")
+    def target_sinrs(self, bandwidth_hz: float) -> np.ndarray:
+        """Each user's ``target_sinr`` at ``bandwidth_hz``, computed the same way."""
+        return (self.alpha2 / self.alpha1) * bandwidth_hz
+
+    @property
+    def initial(self) -> np.ndarray:
+        """The initial strategies as a fresh (2, n) stack [powers; rates]."""
+        inits = self._block[7:]
+        return np.where(np.isnan(inits), self.lo, inits)
+
+    def __len__(self) -> int:
+        return self._block.shape[1]
+
+    def __getitem__(self, index):
+        try:
+            i = operator.index(index)
+        except TypeError:
+            return UserTable._of(self._block[:, index])
+        return UserParams._trusted(_row_values(self._block[:, range(len(self))[i]].tolist()))
+
+    def __iter__(self):
+        for row in self._block.T.tolist():
+            yield UserParams._trusted(_row_values(row))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UserTable):
+            try:
+                other = UserTable.from_users(other)
+            except (TypeError, AttributeError):
+                return NotImplemented
+        return np.array_equal(self._block, other._block, equal_nan=True)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        columns = ", ".join(f"{name}={getattr(self, name).tolist()!r}" for name in _USER_FIELDS)
+        return f"UserTable({columns})"
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,12 @@ kept rows come from one vectorised pass over the channel and users they
 played; both are elementwise, so a kept last row has the same bits either
 way.
 
-A solve starts at each user's own initial strategy (``UserParams.p_init``
-and ``r_init``, checked against its box when the user is built). Its config
-is checked once, when it is built, not on every solve. With a rate ladder
+A solve takes its users as a ``UserTable`` (a list of ``UserParams`` is
+converted once) and starts at each user's own initial strategy (the
+``p_init`` and ``r_init`` columns, checked against its box when the table
+is built). Its config is checked once, when it is built, not on every
+solve; a user whose rate box holds no rung of the config's ladder is
+refused at entry. With a rate ladder
 the loop, not the sweeps, snaps the rates: every iteration's, or only the
 converged row's. Rates never enter the power update or the station rule,
 so both placements give the powers and stations of the continuous game.
@@ -63,6 +66,7 @@ loop that lockstep does not speed up, run one network at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,12 +114,28 @@ HISTORIES = (HISTORY_LAST, HISTORY_FULL)
 
 _EPS = 1e-30
 
-# A price so small that a best response overflows to inf, or divides by a
-# product that underflowed to 0, asks for more than the box holds: the clamp
-# takes an infinite response to its upper bound, which is the exact bounded
-# response, so the loop and the array kernel enter this state once per call.
-# NaN has no such meaning, so "invalid" still warns.
-_INF_CLAMPS = np.errstate(over="ignore", divide="ignore")
+
+def _inf_clamps(function):
+    """``function`` run in the floating-point state of the loop and the array kernel.
+
+    A price so small that a best response overflows to inf, or divides by a
+    product that underflowed to 0, asks for more than the box holds: the
+    clamp takes an infinite response to its upper bound, which is the exact
+    bounded response, so overflow and division by zero pass silently. NaN
+    has no such meaning: constants so large that the model's products reach
+    inf - inf or inf / inf are refused as a ValueError.
+    """
+    clamped = np.errstate(over="ignore", divide="ignore", invalid="raise")(function)
+
+    @functools.wraps(function)
+    def refusing_nan(*args, **kwargs):
+        try:
+            return clamped(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise ValueError(f"the network's numbers leave the range of floats ({exc})") from None
+
+    return refusing_nan
+
 
 # Stations whose effective interference is within this relative band of the
 # minimum count as tied; ties keep the current station so a user does not
@@ -229,7 +249,7 @@ class IterationTrace:
     converged: bool
     iterations_used: int
     channel: ChannelModel | None = None
-    users: list[UserParams] | None = None
+    users: UserTable | None = None
 
     @property
     def records(self) -> list[IterationRecord]:
@@ -274,7 +294,7 @@ def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strateg
     return Strategy(float(p), float(r))
 
 
-@_INF_CLAMPS
+@_inf_clamps
 def bounded_step_array(
     users: UserTable, r_eff, policy: str = CLAMP
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +348,7 @@ def _step_metric(prev: np.ndarray, new: np.ndarray, kind: str, starts=(0,)) -> n
 
 def iterate_to_convergence(
     channel: ChannelModel,
-    users: list[UserParams],
+    users: UserTable | list[UserParams],
     config: ConvergenceConfig | None = None,
     initial_assignment=None,
     arrivals=(),
@@ -364,8 +384,8 @@ def iterate_to_convergence(
     This is the batch of one: ``iterate_batch`` runs the same loop.
     """
     config = config if config is not None else ConvergenceConfig()
-    users = list(users)
-    error = _network_error(channel, users)
+    users = UserTable.from_users(users)
+    error = _network_error(channel, users, config)
     if error is not None:
         raise error
     assignment = _initial_assignment(initial_assignment, len(users), channel.n_stations)
@@ -380,6 +400,11 @@ def iterate_to_convergence(
     for ev in pending:
         # Grow a throwaway channel so a bad row fails here, not when it fires.
         channel.with_user(ev.distances_m)
+    if pending:
+        # Arrivals join in iteration order, after the users already there.
+        error = _ladder_error(config, UserTable.concat([users, [ev.user for ev in pending]]))
+        if error is not None:
+            raise error
     (trace,) = _loop([(channel, users)], config, assignment, pending, reprice)
     return trace
 
@@ -401,10 +426,10 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     networks are solved one after another.
     """
     config = config if config is not None else ConvergenceConfig()
-    networks = [(channel, list(users)) for channel, users in networks]
+    networks = [(channel, UserTable.from_users(users)) for channel, users in networks]
     if len({channel.n_stations for channel, _ in networks}) > 1:
         raise ValueError("batched networks must share one station count")
-    outcomes = [_network_error(channel, users) for channel, users in networks]
+    outcomes = [_network_error(channel, users, config) for channel, users in networks]
     ready = [k for k, error in enumerate(outcomes) if error is None]
     groups = [ready] if config.schedule == SYNCHRONOUS else [[k] for k in ready]
     for group in filter(None, groups):
@@ -420,7 +445,7 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     return outcomes
 
 
-@_INF_CLAMPS
+@_inf_clamps
 def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
     """The fixed-point loop, stepping K networks in lockstep; one trace each.
 
@@ -445,10 +470,9 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
     (``pending``) and the sequential schedule only ever come with one network.
     """
     channels = [channel for channel, _ in networks]
-    users = [list(us) for _, us in networks]
-    everyone = [u for us in users for u in us]
-    initial = [[u.initial_power for u in everyone], [u.initial_rate for u in everyone]]
-    state = np.array(initial, dtype=float)
+    users = [us for _, us in networks]
+    table = users[0] if len(users) == 1 else UserTable.concat(users)
+    state = table.initial
     blocks = len(networks)
     pending = list(pending)
     sizes, starts, spans = _spans([len(us) for us in users])
@@ -456,7 +480,6 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
     snap_each = None if config.quantize_at_convergence else config.rate_set
     full = config.history == HISTORY_FULL
 
-    table = UserTable.from_users(everyone)
     gains = [channel.gains for channel in channels]
     g, noise = gains[0], channels[0].noise_w
     if blocks > 1:
@@ -496,14 +519,14 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
             while pending and pending[0].iteration == iteration:
                 ev = pending.pop(0)
                 channel = channel.with_user(ev.distances_m)
-                us.append(ev.user)
+                us = us.with_user(ev.user)
                 state = np.append(state, [[ev.user.initial_power], [ev.user.initial_rate]], axis=1)
                 assignment = np.append(assignment, 0)
             if reprice is not None:
-                us = list(reprice(channel, us))
+                us = UserTable.from_users(reprice(channel, us))
             channels, users = [channel], [us]
             sizes, starts, spans = _spans([len(us)])
-            table, g, totals, reffs = UserTable.from_users(us), channel.gains, None, None
+            table, g, totals, reffs = us, channel.gains, None, None
             gains = [g]
         if totals is None:
             totals = _totals(state[0], gains, spans, sizes)
@@ -599,15 +622,37 @@ def _spans(sizes: list) -> tuple[np.ndarray, np.ndarray, list[slice]]:
     return sizes, starts, [slice(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
 
 
-def _network_error(channel: ChannelModel, users: list) -> ValueError | None:
+def _network_error(channel: ChannelModel, users: UserTable, config) -> ValueError | None:
     # What a solve of these users on this channel refuses at entry, if anything.
-    if len(users) != channel.n_users:
-        return ValueError(f"{len(users)} users but channel has {channel.n_users} rows")
-    if not users:
+    n = len(users)
+    if n != channel.n_users:
+        return ValueError(f"{n} users but channel has {channel.n_users} rows")
+    if not n:
         return ValueError("need at least one user")
-    if len(users) == 1 and channel.noise_w == 0:
+    if n == 1 and channel.noise_w == 0:
         return ValueError("a lone user with zero noise has no positive fixed point")
-    return None
+    return _ladder_error(config, users)
+
+
+def _ladder_error(config, users: UserTable) -> ValueError | None:
+    # A user whose rate box holds no rung of the config's ladder, if any.
+    k = _off_ladder(config.rate_set, users)
+    return None if k is None else ValueError(f"user {k}: {_ladder_gap(users, k)}")
+
+
+def _off_ladder(rate_set: RateSet | None, users: UserTable) -> int | None:
+    # The first user whose [r_min, r_max] holds no rung of the ladder, if any.
+    if rate_set is None:
+        return None
+    rungs = np.append(rate_set.rates, np.inf)
+    # Each user's least rung at or above r_min, inf past the top of the ladder.
+    least = rungs[np.searchsorted(rungs, users.r_min)]
+    off = np.flatnonzero(least > users.r_max)
+    return int(off[0]) if off.size else None
+
+
+def _ladder_gap(users: UserTable, k: int) -> str:
+    return f"rate box [{float(users.r_min[k])}, {float(users.r_max[k])}] holds no rung of the rate ladder"
 
 
 def _snap(rate_set: RateSet, rates: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from .admission import PricingRule, escalate_pricing, removal_loop
-from .core import ChannelModel, UserParams
+from .core import ChannelModel, UserParams, UserTable
 from .engine import KKT, ConvergenceConfig
 from .scenario import ArrivalEvent, MoveEvent, Scenario, run_scenarios
 
@@ -86,7 +86,7 @@ def _scenario(distances, alpha2, lam, p_max, r_max, noise_w=None, **fields) -> S
     if np.isscalar(alpha2):
         alpha2 = [alpha2] * len(distances)
     network = {} if noise_w is None else {"noise_w": noise_w}
-    users = [UserParams(alpha2=float(a2), lam=float(lam), p_max=p_max, r_max=r_max) for a2 in alpha2]
+    users = UserTable(alpha2=alpha2, lam=lam, p_max=p_max, r_max=r_max)
     names = [f"u{k}" for k in range(1, len(users) + 1)]
     return Scenario(ChannelModel(distances, **network), users, names, **fields)
 

@@ -13,14 +13,21 @@ One table, ``_SCHEMA``, describes every section once: its keys in the order
 they are written, and for each key its converter (number, integer, number
 list, rate ladder, name, or a choice with its alias map) and the dataclass
 field it feeds. The reader and the writer both walk it. The reader passes
-the keys a section holds, and only those, to the dataclass they fill: a
-user's to ``UserParams``, ``[network]`` to ``ChannelModel``, ``[run]`` to
-``ConvergenceConfig`` (the scenario's ``config``, every setting of its
-solves), ``[pricing]`` to ``PricingRule`` and an event's to its event, so
-every default lives on its dataclass alone. The writer prints every field
-that is set. Arrivals and moves share one event reader. Three rules sit
-outside the table: a per-station ``lambda`` list must hold one value,
-``quantize`` needs ``rates``, and gain-dependent pricing needs a single
+the keys a section holds, and only those, to the dataclass they fill:
+``[network]`` to ``ChannelModel``, ``[run]`` to ``ConvergenceConfig`` (the
+scenario's ``config``, every setting of its solves), ``[pricing]`` to
+``PricingRule`` and an event's to its event, so every default lives on its
+dataclass alone. The users are read as columns: after one pass over the
+lines, each [user] key is converted across every section at once (the
+distances as one (users x stations) array) into one ``UserTable``, which
+checks them together; a key a section lacks keeps the ``UserParams``
+default, and an arrival's user is a table of one. The first fault of each
+kind is reported, in file order: names and missing distances, numbers,
+distance counts and per-station lambdas, then the users' constants. The
+writer prints every field that is set. Arrivals and moves share one event
+reader. Four rules sit outside the table: a per-station ``lambda`` list
+must hold one value, ``quantize`` needs ``rates``, every user's rate box
+must hold a rung of ``rates``, and gain-dependent pricing needs a single
 station.
 
 Numbers accept scientific notation and must be finite; lists (distances_m,
@@ -32,13 +39,15 @@ A run's trace is its segments, (rows x users) columns on one network each:
 every iteration's row when the scenario's config asks for "full" history,
 as ``ratepower run --trace`` does, else only each segment's last. The CSV
 trace writer encodes slices of those columns in numpy, a chunk of rows of
-one segment at a time, from digit lookup tables; its output is byte for
-byte what ``format(x, ".10e")`` and ``str(n)`` give, field by field.
+one segment at a time, with ``encoder``; its output is byte for byte what
+``format(x, ".10e")`` and ``str(n)`` give, field by field. The summary
+takes its targets and prices from the users' columns, and its float
+columns go through the same encoder. Only the commands that write a trace
+or a summary import ``encoder``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -46,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ChannelModel, UserParams, target_sinr
+from .core import _USER_DEFAULTS, ChannelModel, UserParams, UserTable, _RowError
 from .engine import (
     CLAMP,
     KKT,
@@ -58,6 +67,8 @@ from .engine import (
     IterationRecord,
     IterationTrace,
     Segment,
+    _ladder_gap,
+    _off_ladder,
     iterate_batch,
     iterate_to_convergence,
 )
@@ -117,15 +128,21 @@ class MoveEvent:
 
 @dataclass
 class Scenario:
-    """Everything needed to execute one experiment; ``config`` holds the solve's settings."""
+    """Everything needed to execute one experiment; ``config`` holds the solve's settings.
+
+    ``users`` is a ``UserTable``; a list of ``UserParams`` is converted to one.
+    """
 
     channel: ChannelModel
-    users: list[UserParams]
+    users: UserTable
     user_names: list[str]
     config: ConvergenceConfig = field(default_factory=ConvergenceConfig)
     pricing: PricingRule | None = None
     arrivals: list[ArrivalEvent] = field(default_factory=list)
     moves: list[MoveEvent] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.users = UserTable.from_users(self.users)
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +279,20 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; defaults fill anything omitted."""
     sections = _split_sections(text)
 
-    index, rows, users = {}, [], []  # index: each user's position, by name
+    index = {}  # each user's position, by name
     for name, line_no, body in sections["user"]:
         if name in index:
             raise ScenarioFormatError(f"line {line_no}: duplicate user name {name!r}")
-        values = _read_keys(body, "user")
-        if "distances_m" not in values:
+        if "distances_m" not in body:
             raise ScenarioFormatError(f"line {line_no}: user {name!r} is missing distances_m")
-        row = values.pop("distances_m")
-        if rows and len(row) != len(rows[0]):
-            raise ScenarioFormatError(
-                f"line {body['distances_m'][1]}: user {name!r} has {len(row)} distances, "
-                f"expected {len(rows[0])}"
-            )
-        index[name] = len(rows)
-        rows.append(row)
-        users.append(_build_user(name, line_no, body, values))
-    if not users:
+        index[name] = len(index)
+    if not index:
         raise ScenarioFormatError("scenario declares no [user ...] sections")
+    users, rows = _read_users(sections["user"])
 
     network = _read_keys(_only(sections, "network"), "network")
     try:
-        channel = ChannelModel(np.array(rows), **network)
+        channel = ChannelModel(rows, **network)
     except ValueError as exc:
         raise ScenarioFormatError(f"[network]: {exc}") from exc
 
@@ -291,6 +300,7 @@ def parse_scenario(text: str) -> Scenario:
     if "quantize" in run and "rates" not in run:
         raise ScenarioFormatError(f"line {run['quantize'][1]}: quantize needs a rates ladder")
     config = _build(ConvergenceConfig, "[run]", _read_keys(run, "run"))
+    _check_ladder(config, users, sections["user"])
 
     pricing = _only(sections, "pricing")
     rule = _build(PricingRule, "[pricing]", _read_keys(pricing, "pricing")) if pricing else None
@@ -306,8 +316,8 @@ def parse_scenario(text: str) -> Scenario:
         user_names=list(index),
         config=config,
         pricing=rule,
-        arrivals=_read_events(sections, _ARRIVAL, index, channel.n_stations),
-        moves=_read_events(sections, "event move", index, channel.n_stations),
+        arrivals=_read_events(sections, _ARRIVAL, index, config, channel.n_stations),
+        moves=_read_events(sections, "event move", index, config, channel.n_stations),
     )
 
 
@@ -388,22 +398,89 @@ def _build(cls, where, values):
         raise ScenarioFormatError(f"{where}: {exc}") from exc
 
 
-def _build_user(name, line_no, body, values) -> UserParams:
-    if "lam" in values:
-        lams = values["lam"]
-        if len(set(lams)) != 1:
+def _read_users(sections) -> tuple[UserTable, np.ndarray]:
+    # The users of (name, header line, body) sections that each hold
+    # distances_m: the users as a table, and their distances as rows. Each
+    # key is converted across all sections at once, a list key's tokens
+    # together; a section without the key keeps UserParams' default. The
+    # first fault in file order is raised, of each kind in turn: a bad
+    # number, a distance count or per-station lambda, a bad user.
+    bodies = [body for _, _, body in sections]
+    given, counts = {}, {}
+    for key, spec in _SCHEMA["user"].items():
+        has = np.array([key in body for body in bodies])
+        if not has.any():
+            continue
+        texts = [body[key][0] for body in bodies if key in body]
+        if spec.read is _numbers:
+            tokens = [text.split() for text in texts]
+            counts[key] = np.array([len(t) for t in tokens])
+            texts = [token for t in tokens for token in t]
+        values = _floats(texts)
+        if values is None:
+            for body in bodies:
+                _read_keys(body, "user")  # raises at the file's first bad number
+        given[spec.field] = (has, values)
+
+    width = counts["distances_m"][0]
+    faults = counts["distances_m"] != width
+    lam_faults = np.zeros(len(bodies), dtype=bool)
+    if "lam" in given:
+        has, values = given["lam"]
+        starts = np.cumsum(counts["lambda"]) - counts["lambda"]
+        differ = np.minimum.reduceat(values, starts) != np.maximum.reduceat(values, starts)
+        lam_faults[has] = differ
+        given["lam"] = (has, values[starts])
+    for i in np.flatnonzero(faults | lam_faults).tolist():
+        name, _, body = sections[i]
+        if faults[i]:
             raise ScenarioFormatError(
-                f"line {body['lambda'][1]}: user {name!r} pricing must be identical "
-                "across stations"
+                f"line {body['distances_m'][1]}: user {name!r} has {counts['distances_m'][i]} "
+                f"distances, expected {width}"
             )
-        values["lam"] = lams[0]
+        raise ScenarioFormatError(
+            f"line {body['lambda'][1]}: user {name!r} pricing must be identical across stations"
+        )
+
+    distances = given.pop("distances_m")[1].reshape(len(bodies), width)
+    columns = {}
+    for name, default in _USER_DEFAULTS.items():
+        has, values = given.get(name, (None, None))
+        if has is None or not has.all():
+            # A section without the key keeps the default.
+            column = np.full(len(bodies), default)
+            if has is not None:
+                column[has] = values
+            values = column
+        columns[name] = values
     try:
-        return UserParams(**values)
-    except ValueError as exc:
+        users = UserTable(**columns)
+    except _RowError as exc:
+        name, line_no, _ = sections[exc.row]
         raise ScenarioFormatError(f"line {line_no}: user {name!r}: {exc}") from exc
+    return users, distances
 
 
-def _read_events(sections, kind, index, n_stations) -> list:
+def _floats(texts) -> np.ndarray | None:
+    # The texts as numbers, as _number reads each; None if one is not a
+    # finite number.
+    try:
+        values = np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _check_ladder(config, users, sections) -> None:
+    # Refuse the first of the users, read from (name, header line, _)
+    # sections, whose rate box holds no rung of the config's ladder.
+    k = _off_ladder(config.rate_set, users)
+    if k is not None:
+        name, line_no, _ = sections[k]
+        raise ScenarioFormatError(f"line {line_no}: user {name!r}: {_ladder_gap(users, k)}")
+
+
+def _read_events(sections, kind, index, config, n_stations) -> list:
     # One reader for arrivals and moves: both name a user and give a
     # distance per station, on a counter that starts at 1 and strictly
     # increases. An arrival's user must be new, a move's one of ``index``.
@@ -447,8 +524,11 @@ def _read_events(sections, kind, index, n_stations) -> list:
                 f"line {body['distances_m'][1]}: {event} distances must be positive"
             )
         if kind == _ARRIVAL:
-            # What is left of an arrival's values are its user's.
-            events.append(ArrivalEvent(at, name, d, _build_user(name, line_no, body, values)))
+            # The arrival's [user] keys are its user's.
+            user_section = [(name, line_no, body)]
+            users, _ = _read_users(user_section)
+            _check_ladder(config, users, user_section)
+            events.append(ArrivalEvent(at, name, d, users[0]))
         else:
             events.append(MoveEvent(at, index[name], name, d))
     return events
@@ -618,7 +698,7 @@ def _solve(networks) -> list:
 def _pricer(pricing: PricingRule | None):
     def reprice(channel, users):
         if pricing is None:
-            return list(users)
+            return users
         return priced_users(pricing, channel, users)
 
     return reprice
@@ -661,12 +741,11 @@ def summarize_run(trace: IterationTrace, names) -> RunSummary:
     ``names`` holds one name per user of that network, in table order.
     """
     final = trace.final
-    users = trace.users
+    users = UserTable.from_users(trace.users)
     names = list(names)
     if len(names) != len(users):
         raise ValueError(f"{len(names)} names for a trace of {len(users)} users")
-    bandwidth = trace.channel.bandwidth_hz
-    targets = np.array([target_sinr(u.alpha1, u.alpha2, bandwidth) for u in users])
+    targets = users.target_sinrs(trace.channel.bandwidth_hz)
     if trace.converged:
         outcomes = classify_users(trace, targets)
     else:
@@ -682,16 +761,12 @@ def summarize_run(trace: IterationTrace, names) -> RunSummary:
         assignment=final.assignment.copy(),
         targets=targets,
         outcomes=outcomes,
-        lam=np.array([u.lam for u in users]),
+        lam=users.lam.copy(),
     )
 
 
 # ---------------------------------------------------------------------------
 # Output
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".10e")
 
 
 def emit_trace(trace: IterationTrace, destination) -> None:
@@ -700,7 +775,8 @@ def emit_trace(trace: IterationTrace, destination) -> None:
     Rows are ordered by iteration then user id; floats carry 11 significant
     digits, exactly as ``format(x, ".10e")`` writes them, so re-running a
     scenario produces byte-identical files. Each segment's columns are
-    encoded whole in numpy, in chunks of about ``_TRACE_CHUNK_ROWS`` rows.
+    encoded whole in numpy, in chunks of about ``encoder.TRACE_CHUNK_ROWS``
+    rows.
     A trace solved under "last" history holds only each segment's last row
     and raises ValueError, before anything is written.
     """
@@ -714,170 +790,45 @@ def emit_trace(trace: IterationTrace, destination) -> None:
 
 
 def _write_trace(trace: IterationTrace, write) -> None:
+    from .encoder import write_segments  # only commands that write text compile it
+
     write(TRACE_HEADER.encode("ascii") + b"\n")
-    for seg in trace.segments:
-        n_iterations, n_users = seg.powers.shape
-        # Whole iterations, the fewest that reach a chunk.
-        per_chunk = max(1, -(-_TRACE_CHUNK_ROWS // max(n_users, 1)))
-        for start in range(0, n_iterations, per_chunk):
-            write(_encode_rows(seg, slice(start, start + per_chunk)))
-
-
-# The trace encoder lays each CSV row out as a row of little-endian 32-bit
-# words. Every field owns a fixed run of words, its slot: the first byte holds
-# the comma before the field (blank for the iteration), the metric's last
-# byte holds the newline, the characters sit between, and the bytes a field
-# does not use stay 0, so dropping every 0 byte yields the CSV text. Digits
-# come from tables of 4-digit and 2-digit ASCII words. A value the arithmetic
-# cannot format exactly is formatted on its own and written into its slot.
-
-# Rows per encoded chunk; a chunk holds whole iterations of one segment. At
-# about a thousand rows the chunk's arrays fit in memory the allocator keeps
-# between chunks, where much larger chunks fault in fresh pages every time
-# and run slower.
-_TRACE_CHUNK_ROWS = 1024
-_WORD = np.dtype("<u4")
-_COMMA, _NEWLINE = ord(","), ord("\n")
-# Exact powers of ten: every 10**n with n <= 22 is a double. The fast path
-# scales |x| by one of them, so it covers exponents k in -12..32; the
-# multiplier _SCALE[k + 12] is 1 where the scale is a division.
-_POW10 = np.array([float(10**n) for n in range(23)])
-_K_OFFSET = 12
-_SCALE = np.array([float(10 ** max(10 - k, 0)) for k in range(-_K_OFFSET, 33)])
-# y is |x| * 10**(10 - k) rounded once. Rounding is monotone and n + 0.5 is a
-# double, so rint(y) can only differ from the correctly rounded mantissa
-# when y is exactly a half; the fast path keeps this margin from any half.
-_TIE_MARGIN = 1e-4
-# Word masks that keep the last n bytes, n = 0..4.
-_KEEP_LAST = np.array([0, 0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF], _WORD)
-
-
-def _ascii_words(chars) -> np.ndarray:
-    """One word per row of a (n, 4) array of byte values."""
-    return np.ascontiguousarray(chars, dtype=np.uint8).view(_WORD).ravel()
-
-
-@functools.cache
-def _digit_tables():
-    """The encoder's word tables, built when the first trace is written."""
-    # The digits of 0..9999 as ASCII bytes, one row each.
-    chars = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T + np.uint8(48)
-    pairs = _ascii_words(np.pad(chars[:100, 2:], ((0, 0), (0, 2))))
-    # A leading digit d + 10 * negative: ",-d." or ",d.".
-    d = np.arange(20)
-    lead = _ascii_words(np.stack([0 * d + _COMMA, np.where(d >= 10, 45, 0), 48 + d % 10, 0 * d + 46], 1))
-    # The exponent k = j - _K_OFFSET: "e" and its sign, then its two digits.
-    k = np.arange(len(_SCALE)) - _K_OFFSET
-    exp_sign = _ascii_words(np.stack([0 * k, 0 * k, 0 * k + ord("e"), np.where(k < 0, 45, 43)], 1))
-    return _ascii_words(chars), pairs, lead, exp_sign, pairs[np.abs(k)]
-
-
-def _encode_rows(seg: Segment, iterations: slice) -> bytes:
-    """CSV rows of the given iterations of one segment, in order."""
-    assignment = seg.assignment[iterations]
-    n_iterations, n_users = assignment.shape
-    rows = assignment.size
-    # Per-row values first, then the one iteration and metric of each iteration.
-    ints = np.empty(2 * rows + n_iterations, np.int64)
-    ints[:rows] = np.tile(np.arange(n_users), n_iterations)
-    ints[rows : 2 * rows] = assignment.ravel()
-    ints[2 * rows :] = seg.iterations[iterations]
-    floats = np.empty(4 * rows + n_iterations)
-    for k, column in enumerate((seg.powers, seg.rates, seg.sinrs, seg.utilities)):
-        floats[k * rows : (k + 1) * rows] = column[iterations].ravel()
-    floats[4 * rows :] = seg.metrics[iterations]
-    int_words = _int_words(ints)
-    int_words[: 2 * rows, 0] |= _COMMA
-    float_words = _float_words(floats)
-    float_words[4 * rows :, 4] |= _NEWLINE << 24
-    per_iteration = np.repeat(np.arange(n_iterations), n_users)
-    columns = [int_words[2 * rows :][per_iteration], int_words[:rows], int_words[rows : 2 * rows]]
-    columns += [float_words[k * rows : (k + 1) * rows] for k in range(4)]
-    columns.append(float_words[4 * rows :][per_iteration])
-    return np.concatenate(columns, axis=1).tobytes().translate(None, b"\0")
-
-
-def _patch(slots: np.ndarray, index: int, text: str) -> None:
-    """Write ASCII text into one slot after its separator byte."""
-    slot = slots[index].view(np.uint8)
-    slot[1:] = 0
-    slot[1 : 1 + len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
-
-
-def _int_words(values: np.ndarray) -> np.ndarray:
-    """Slots of ``str(v)`` for int64 values, right-aligned after a blank byte."""
-    width = max(len(str(values.max())), len(str(values.min())))
-    n_words = width // 4 + 1
-    n_digits = np.ones(values.size, np.int64)
-    for i in range(1, min(width, 19)):
-        n_digits += values >= 10**i
-    digits4 = _digit_tables()[0]
-    words = np.empty((values.size, n_words), _WORD)
-    above = values
-    for j in range(n_words - 1, -1, -1):
-        # Word j keeps its share of the digits, so leading zeros stay blank.
-        keep = _KEEP_LAST.take(n_digits - 4 * (n_words - 1 - j), mode="clip")
-        words[:, j] = digits4.take(above % 10000) & keep
-        above = above // 10000
-    for i in np.flatnonzero(values < 0):
-        _patch(words, i, str(values[i]))
-    return words
-
-
-def _float_words(values: np.ndarray) -> np.ndarray:
-    """Five-word slots of ``"," + format(x, ".10e")``, the last byte blank.
-
-    With k = floor(log10|x|), y = |x| * 10**(10 - k) is rounded once, so
-    rint(y) is the correctly rounded 11-digit mantissa unless y sits near a
-    half, y is below 1e10 or rint(y) reaches 1e11. Those values, 0, nan, inf
-    and exponents beyond the exact powers of ten are formatted one by one.
-    """
-    with np.errstate(all="ignore"):  # 0, nan and inf pass through garbage here
-        a = np.abs(values)
-        k = np.floor(np.log10(a)).astype(np.intp)
-        j = k + _K_OFFSET
-        fast = j.view(np.uintp) < len(_SCALE)
-        y = a * _SCALE.take(j, mode="clip")
-        big = np.flatnonzero(k > 10)
-        y[big] = a[big] / _POW10.take(k[big] - 10, mode="clip")
-        m = np.rint(y)
-        fast &= (np.abs(y - m) < 0.5 - _TIE_MARGIN) & (y >= 1e10) & (m < 1e11)
-        digits = m.astype(np.int64)
-    digits4, pairs, lead, exp_sign, exp_digits = _digit_tables()
-    words = np.empty((values.size, 5), _WORD)
-    words[:, 0] = lead.take(digits // 10**10 + 10 * np.signbit(values), mode="clip")
-    words[:, 1] = digits4.take(digits // 10**6 % 10000)
-    words[:, 2] = digits4.take(digits // 100 % 10000)
-    words[:, 3] = pairs.take(digits % 100) | exp_sign.take(j, mode="clip")
-    words[:, 4] = exp_digits.take(j, mode="clip")
-    for i in np.flatnonzero(~fast):
-        _patch(words, i, format(float(values[i]), ".10e"))
-    return words
+    write_segments(trace.segments, write)
 
 
 def summary_to_text(summary: RunSummary) -> str:
-    """Flat key = value rendering of a run summary."""
+    """Flat key = value rendering of a run summary.
+
+    Its floats read as ``format(x, ".10e")`` writes them; they are encoded
+    together, a column at a time, by the trace encoder.
+    """
     out = [
         f"converged = {str(summary.converged).lower()}",
         f"iterations_used = {summary.iterations_used}",
         f"n_users = {len(summary.user_names)}",
     ]
-    for k, name in enumerate(summary.user_names):
+    from .encoder import float_texts  # only commands that write text compile it
+
+    names = summary.user_names
+    columns = (summary.powers, summary.rates, summary.sinrs, summary.targets, summary.lam)
+    p, r, sinr, target, lam = float_texts(columns, len(names))
+    for k, name in enumerate(names):
         out.append(f"{name}.bs = {int(summary.assignment[k])}")
-        out.append(f"{name}.p_w = {_fmt(summary.powers[k])}")
-        out.append(f"{name}.r_bps = {_fmt(summary.rates[k])}")
-        out.append(f"{name}.sinr = {_fmt(summary.sinrs[k])}")
-        out.append(f"{name}.target_sinr = {_fmt(summary.targets[k])}")
-        out.append(f"{name}.lambda = {_fmt(summary.lam[k])}")
+        out.append(f"{name}.p_w = {p[k]}")
+        out.append(f"{name}.r_bps = {r[k]}")
+        out.append(f"{name}.sinr = {sinr[k]}")
+        out.append(f"{name}.target_sinr = {target[k]}")
+        out.append(f"{name}.lambda = {lam[k]}")
         out.append(f"{name}.outcome = {summary.outcomes[k]}")
     if summary.steps:
         out.append(f"n_steps = {len(summary.steps)}")
         for sr in summary.steps:
-            for k, name in enumerate(summary.user_names):
+            p, r, sinr = float_texts((sr.powers, sr.rates, sr.sinrs), len(names))
+            for k, name in enumerate(names):
                 out.append(f"step{sr.step}.{name}.bs = {int(sr.assignment[k])}")
-                out.append(f"step{sr.step}.{name}.p_w = {_fmt(sr.powers[k])}")
-                out.append(f"step{sr.step}.{name}.r_bps = {_fmt(sr.rates[k])}")
-                out.append(f"step{sr.step}.{name}.sinr = {_fmt(sr.sinrs[k])}")
+                out.append(f"step{sr.step}.{name}.p_w = {p[k]}")
+                out.append(f"step{sr.step}.{name}.r_bps = {r[k]}")
+                out.append(f"step{sr.step}.{name}.sinr = {sinr[k]}")
     return "\n".join(out) + "\n"
 
 

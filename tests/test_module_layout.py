@@ -196,7 +196,7 @@ def test_a_command_loads_only_the_modules_it_runs():
     assert steps["package"] == []
     assert not {"ratepower.oracle", "ratepower.reference"} & set(steps["cli"])
     assert "ratepower.reference" in steps["reproduce"]
-    assert "ratepower.oracle" not in steps["reproduce"]
+    assert not {"ratepower.oracle", "ratepower.encoder"} & set(steps["reproduce"])
 
 
 @pytest.mark.parametrize("name", sorted(PARAMETERS))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ratepower import reference, scenario as scenario_module
+from ratepower import encoder, reference, scenario as scenario_module
 from ratepower.admission import GAIN_DEPENDENT_KINDS, PRICING_KINDS, PricingRule, priced_users
 from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
@@ -19,6 +19,7 @@ from ratepower.engine import (
     SEQUENTIAL,
     SYNCHRONOUS,
     ConvergenceConfig,
+    IterationRecord,
     IterationTrace,
     Segment,
     iterate_to_convergence,
@@ -362,12 +363,53 @@ FORMAT_ERRORS = {
         ONE + ARRIVAL + "alpha1 = -1\n",
         "line 3: user 'b': alpha1 and alpha2 must be positive",
     ),
+    "ladder_misses_user": (
+        ONE + "r_max = 47000\n[run]\nrates = 50000 96000\n",
+        "line 1: user 'a': rate box [0.1, 47000.0] holds no rung of the rate ladder",
+    ),
+    "ladder_misses_arrival": (
+        ONE + "[run]\nrates = 9600\n" + ARRIVAL + "r_min = 1e4\n",
+        "line 5: user 'b': rate box [10000.0, 96000.0] holds no rung of the rate ladder",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FORMAT_ERRORS))
 def test_every_format_error_message_is_pinned(name):
     text, message = FORMAT_ERRORS[name]
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(text)
+    assert str(info.value) == message
+
+
+# Documents with several faults. The users' faults are reported by kind, each
+# kind's first in file order: names and missing distances, then numbers, then
+# distance counts and per-station lambdas, then a user's constants; then the
+# [network], [run] (with the ladder), [pricing] and event sections.
+SEVERAL_FAULTS = {
+    "number_after_a_bad_user": (
+        "[user a]\ndistances_m = 110\np_min = 2\np_max = 1\n[user b]\ndistances_m = abc\n",
+        "line 6: expected a number, got 'abc'",
+    ),
+    "name_after_a_bad_number": (
+        "[user a]\ndistances_m = 110\nalpha2 = x\n[user a]\ndistances_m = 120\n",
+        "line 4: duplicate user name 'a'",
+    ),
+    "count_after_a_bad_user": (
+        "[user a]\ndistances_m = 110\nalpha1 = -1\n[user b]\ndistances_m = 1 2\n",
+        "line 5: user 'b' has 2 distances, expected 1",
+    ),
+    "first_bad_user": (
+        "[user a]\ndistances_m = 110\n[user b]\ndistances_m = 120\nalpha1 = -1\n"
+        "[user c]\ndistances_m = 130\nlambda = -1\n",
+        "line 3: user 'b': alpha1 and alpha2 must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_FAULTS))
+def test_the_first_fault_of_each_kind_is_reported(name):
+    text, message = SEVERAL_FAULTS[name]
     with pytest.raises(ScenarioFormatError) as info:
         parse_scenario(text)
     assert str(info.value) == message
@@ -438,12 +480,18 @@ def scenarios(draw):
         noise_w=draw(finite(0.0, 1e-9)),
         bandwidth_hz=draw(finite(1e3, 1e8)),
     )
+    users = [draw(user_params()) for _ in range(n_users)]
+    iterations = sorted(draw(st.sets(st.integers(1, 1000), max_size=min(2, len(names) - n_users))))
+    arrivals = [
+        ArrivalEvent(at, name, np.array(draw(rows)), draw(user_params()))
+        for at, name in zip(iterations, names[n_users:])
+    ]
     ladder = {}
     if draw(st.booleans()):
-        ladder = {
-            "rate_set": RateSet(tuple(draw(st.lists(finite(1.0, 1e6), min_size=1, max_size=5)))),
-            "quantize_at_convergence": draw(st.booleans()),
-        }
+        # A ladder holds a rung in every user's rate box.
+        boxed = [draw(finite(u.r_min, u.r_max)) for u in users + [ev.user for ev in arrivals]]
+        rungs = draw(st.lists(finite(1.0, 1e6), max_size=5)) + boxed
+        ladder = {"rate_set": RateSet(tuple(rungs)), "quantize_at_convergence": draw(st.booleans())}
     config = ConvergenceConfig(
         delta=draw(finite(1e-12, 1.0)),
         max_iterations=draw(st.integers(1, 10_000)),
@@ -462,11 +510,6 @@ def scenarios(draw):
             st.none() | finite(1e-9, 1.0),
         )
     )
-    iterations = sorted(draw(st.sets(st.integers(1, 1000), max_size=min(2, len(names) - n_users))))
-    arrivals = [
-        ArrivalEvent(at, name, np.array(draw(rows)), draw(user_params()))
-        for at, name in zip(iterations, names[n_users:])
-    ]
     moves = [
         MoveEvent(at, user, names[user], np.array(draw(rows)))
         for at, user in zip(
@@ -476,7 +519,7 @@ def scenarios(draw):
     ]
     return Scenario(
         channel=channel,
-        users=[draw(user_params()) for _ in range(n_users)],
+        users=users,
         user_names=names[:n_users],
         config=config,
         pricing=pricing,
@@ -706,7 +749,7 @@ class TestRunScenario:
         assert np.array_equal(trace.channel.gains, grown.gains)
         assert trace.channel.noise_w == grown.noise_w
         assert trace.channel.bandwidth_hz == grown.bandwidth_hz
-        assert trace.users == priced_users(s.pricing, grown, s.users + [s.arrivals[0].user])
+        assert trace.users == priced_users(s.pricing, grown, s.users.with_user(s.arrivals[0].user))
         assert [u.lam for u in trace.users] == pytest.approx([1e-4, 1e-4])
         assert list(summary.lam) == [u.lam for u in trace.users]
 
@@ -953,14 +996,14 @@ class TestTraceEncoder:
 
     def test_trace_longer_than_one_chunk(self, monkeypatch):
         encoded = []
-        encode_rows = scenario_module._encode_rows
+        encode_rows = encoder.encode_rows
         monkeypatch.setattr(
-            scenario_module,
-            "_encode_rows",
+            encoder,
+            "encode_rows",
             lambda seg, its: encoded.append((seg, its)) or encode_rows(seg, its),
         )
         rng = np.random.default_rng(7)
-        chunk = scenario_module._TRACE_CHUNK_ROWS
+        chunk = encoder.TRACE_CHUNK_ROWS
         # (users, iterations) per segment: user counts straddle the chunk
         # boundary, one iteration alone is longer than a chunk, and one
         # segment has no users.
@@ -1022,3 +1065,81 @@ class TestSummary:
         s.config = replace(s.config, policy=KKT, schedule=SEQUENTIAL)
         _, summary = run_scenario(s)
         assert summary.converged
+
+
+def per_line_summary(summary):
+    """The summary text formatted float by float, as the writer's oracle."""
+
+    def fmt(x):
+        return format(float(x), ".10e")
+
+    out = [
+        f"converged = {str(summary.converged).lower()}",
+        f"iterations_used = {summary.iterations_used}",
+        f"n_users = {len(summary.user_names)}",
+    ]
+    for k, name in enumerate(summary.user_names):
+        out.append(f"{name}.bs = {int(summary.assignment[k])}")
+        out.append(f"{name}.p_w = {fmt(summary.powers[k])}")
+        out.append(f"{name}.r_bps = {fmt(summary.rates[k])}")
+        out.append(f"{name}.sinr = {fmt(summary.sinrs[k])}")
+        out.append(f"{name}.target_sinr = {fmt(summary.targets[k])}")
+        out.append(f"{name}.lambda = {fmt(summary.lam[k])}")
+        out.append(f"{name}.outcome = {summary.outcomes[k]}")
+    if summary.steps:
+        out.append(f"n_steps = {len(summary.steps)}")
+        for sr in summary.steps:
+            for k, name in enumerate(summary.user_names):
+                out.append(f"step{sr.step}.{name}.bs = {int(sr.assignment[k])}")
+                out.append(f"step{sr.step}.{name}.p_w = {fmt(sr.powers[k])}")
+                out.append(f"step{sr.step}.{name}.r_bps = {fmt(sr.rates[k])}")
+                out.append(f"step{sr.step}.{name}.sinr = {fmt(sr.sinrs[k])}")
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def summaries(draw):
+    """A RunSummary of 1-6 users whose float columns hold the encoder's hard values."""
+    n = draw(st.integers(1, 6))
+
+    def column():
+        return np.array([draw(ENCODER_FLOATS) for _ in range(n)])
+
+    def step(k):
+        values = [column() for _ in range(4)]
+        return IterationRecord(k, k, np.arange(n) % 2, *values, 0.0)
+
+    return scenario_module.RunSummary(
+        converged=draw(st.booleans()),
+        iterations_used=draw(st.integers(1, 10**6)),
+        user_names=[f"u{k}" for k in range(n)],
+        powers=column(),
+        rates=column(),
+        sinrs=column(),
+        utilities=column(),
+        assignment=np.arange(n) % 3,
+        targets=column(),
+        outcomes=["at_target"] * n,
+        lam=column(),
+        steps=[step(k) for k in range(1, draw(st.integers(0, 3)) + 1)],
+    )
+
+
+class TestSummaryText:
+    @settings(max_examples=60, deadline=None)
+    @given(summaries())
+    def test_column_encoding_equals_per_line_formatting(self, summary):
+        assert summary_to_text(summary) == per_line_summary(summary)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1.00000000005, 99999999999.5, 1e-23, 1e23, 2.5e300])
+    def test_edge_values(self, value):
+        summary = run_scenario(parse_scenario(FULL))[1]
+        for column in (summary.powers, summary.rates, summary.sinrs, summary.targets, summary.lam):
+            column[1] = value
+        assert summary_to_text(summary) == per_line_summary(summary)
+
+    def test_a_column_of_the_wrong_length_is_refused(self):
+        summary = run_scenario(parse_scenario(FULL))[1]
+        summary.lam = summary.lam[:-1]
+        with pytest.raises(ValueError, match=f"one value for each of {len(summary.user_names)} users"):
+            summary_to_text(summary)
