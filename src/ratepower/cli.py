@@ -180,12 +180,12 @@ def _cmd_tune(args) -> int:
     _reject_unrun_sections(scenario, "tune-pricing", pricing=True)
     rule = scenario.pricing
     if rule is None:
-        lams = {u.lam for u in scenario.users}
-        if len(lams) != 1:
+        lams = np.unique(scenario.users.lam)
+        if lams.size != 1:
             raise ValueError(
                 "tune-pricing without a [pricing] section needs a uniform user lambda"
             )
-        rule = PricingRule("constant", lams.pop())
+        rule = PricingRule("constant", float(lams[0]))
     if args.dc is not None:
         rule = replace(rule, dc=args.dc)
     budget = {} if args.max_steps is None else {"max_steps": args.max_steps}

@@ -19,8 +19,10 @@ at once and takes every best response from the array kernel behind
 ``bounded_step_array``. The sequential sweep visits users in order and keeps
 the same totals current as each user moves. Its per-user loop moves
 only stations and powers, on plain floats with the table's constants hoisted
-and no function call per user; the sweep's rates then come from one call of
-the array kernel on the interference each user saw. The array kernel and
+and no function call per user; on one station, which no user can leave, it
+keeps one running total and skips the station rule. The sweep's rates then
+come from one call of the array kernel on the interference each user saw.
+The array kernel and
 the sequential loop evaluate the floating-point operations of the scalar
 best response in ``oracle`` in its order, so all agree exactly; the public
 ``bounded_step`` is the array kernel on a one-user table.
@@ -250,11 +252,6 @@ class IterationTrace:
     iterations_used: int
     channel: ChannelModel | None = None
     users: UserTable | None = None
-
-    @property
-    def records(self) -> list[IterationRecord]:
-        """Every iteration's row view, in order, for tests and oracles; needs "full" history."""
-        return [seg.row(s) for seg in self.segments for s in range(len(seg.iterations))]
 
     @property
     def final(self) -> IterationRecord:
@@ -682,13 +679,15 @@ def _synchronous_sweep(table, reffs, assignment, kkt):
 def _plain(g, table, kkt) -> tuple:
     """The sequential sweep's inputs as plain floats, converted once per table.
 
-    Each user's gain row, then the table columns the power step reads, then
-    under "kkt" those the rate step reads.
+    Each user's gain row, or on one station each user's gain as one flat
+    list, then the table columns the power step reads, then under "kkt"
+    those the rate step reads.
     """
     columns = [table.half_a2_a1, table.lam, table.p_min, table.p_max]
     if kkt:
         columns += [table.half_a1_a2, table.alpha1, table.alpha2, table.r_min, table.r_max]
-    return (g.tolist(), *(c.tolist() for c in columns))
+    rows = g[:, 0] if g.shape[1] == 1 else g
+    return (rows.tolist(), *(c.tolist() for c in columns))
 
 
 def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt, plain=None):
@@ -696,21 +695,27 @@ def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt, plain=No
 
     ``plain`` is ``_plain(g, table, kkt)``, the gains and the table's
     constants as plain floats; the loop converts them once per table, and a
-    sweep called without them converts them itself. ``totals`` are the stations' received totals
-    ``powers @ g``, as the loop formed them; kept current as each user moves,
-    they make a user cost O(stations) rather than a fresh O(users x stations)
-    product. The per-user loop runs on plain floats and moves only stations
-    and powers: each user takes the least-interference station (ties keep
-    the current one) and the power of the bounded best response there,
-    computed inline with the table's constants. Under "kkt" the rate is
-    evaluated only to decide whether the power is re-optimized. The sweep's
-    rates, and its powers again, come from one ``_bounded_step_stack`` on
-    the interference each user saw; it evaluates the same operations, so the
+    sweep called without them converts them itself. ``totals`` are the
+    stations' received totals ``powers @ g``, as the loop formed them; kept
+    current as each user moves, they make a user cost O(stations) rather
+    than a fresh O(users x stations) product. The per-user loop runs on
+    plain floats and moves only stations and powers: each user takes the
+    least-interference station (ties keep the current one) and the power of
+    the bounded best response there, computed inline with the table's
+    constants. On one station (``g`` has one column) the station rule has
+    nothing to choose, so the loop skips it: it keeps the one running total,
+    takes each user's interference there directly with the same operations,
+    and returns ``assignment`` itself. Under "kkt" the rate is evaluated
+    only to decide whether the power is re-optimized. The sweep's rates, and
+    its powers again, come from one ``_bounded_step_stack`` on the
+    interference each user saw; it evaluates the same operations, so the
     powers equal the loop's.
     """
     sqrt = math.sqrt
     band = 1.0 + TIE_REL_TOL
+    single = g.shape[1] == 1
     totals = totals.tolist()
+    t = totals[0]  # on one station, its running total
     p = powers.tolist()
     a = assignment.tolist()
     seen = []
@@ -719,19 +724,24 @@ def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt, plain=No
         c_r, a1s, a2s, r_lo, r_hi = rate_columns
     for i, g_i in enumerate(rows):
         p_i = p[i]
-        reffs = []
-        for t_k, g_k in zip(totals, g_i):
-            d = t_k - g_k * p_i
-            reffs.append(((0.0 if d < 0.0 else d) + noise) / g_k)
-        a_i = a[i]
-        x = reffs[a_i]
-        least = min(reffs) * band
-        if x > least:
-            a_i = 0
-            while reffs[a_i] > least:
-                a_i += 1
+        if single:
+            # g_i is the user's one gain, and it has no station to choose.
+            d = t - g_i * p_i
+            x = ((0.0 if d < 0.0 else d) + noise) / g_i
+        else:
+            reffs = []
+            for t_k, g_k in zip(totals, g_i):
+                d = t_k - g_k * p_i
+                reffs.append(((0.0 if d < 0.0 else d) + noise) / g_k)
+            a_i = a[i]
             x = reffs[a_i]
-            a[i] = a_i
+            least = min(reffs) * band
+            if x > least:
+                a_i = 0
+                while reffs[a_i] > least:
+                    a_i += 1
+                x = reffs[a_i]
+                a[i] = a_i
         if x <= 0:
             raise ValueError(f"effective interference must be positive, got {x}")
         lam, lo, hi = lams[i], p_lo[i], p_hi[i]
@@ -748,13 +758,17 @@ def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt, plain=No
                 new = lo if q < lo else hi if q > hi else q
         if new != p_i:
             step = new - p_i
-            k = 0
-            for g_k in g_i:
-                totals[k] += g_k * step
-                k += 1
+            if single:
+                t += g_i * step
+            else:
+                k = 0
+                for g_k in g_i:
+                    totals[k] += g_k * step
+                    k += 1
             p[i] = new
         seen.append(x)
-    return _bounded_step_stack(table, np.array(seen), kkt), np.array(a)
+    stations = assignment if single else np.array(a)
+    return _bounded_step_stack(table, np.array(seen), kkt), stations
 
 
 def _segment(channel, table, cols, iterations, metrics, assignment, states, reffs) -> Segment:

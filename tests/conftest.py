@@ -29,3 +29,12 @@ def starting_at(users, powers, rates):
     return [
         replace(u, p_init=float(p), r_init=float(r)) for u, p, r in zip(users, powers, rates)
     ]
+
+
+def rows(trace):
+    """Every iteration's row view of a trace, in order, from its segment columns.
+
+    ``Segment.row`` raises ``IndexError`` on a dropped row, so a trace solved
+    under "last" history raises here unless each segment has one iteration.
+    """
+    return [seg.row(s) for seg in trace.segments for s in range(len(seg.iterations))]

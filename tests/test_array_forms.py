@@ -13,7 +13,9 @@ the sequential sweep keeps running per-station totals instead of a fresh
 ``p @ g`` per user, and the trace segments take their logarithms through
 numpy instead of ``math``.
 On the same running totals, the sequential sweep's inline per-user loop
-equals a sweep that calls ``reference_step`` once per user exactly.
+equals a sweep that calls ``reference_step`` once per user exactly, and
+on one station, where it skips the station rule, it equals the sweep of
+the same users with a second station that none can pick, bit for bit.
 
 The sweeps are reached through ``iterate_to_convergence``: one iteration from
 a given state is one sweep, with the users starting at that state. The
@@ -31,7 +33,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import starting_at
+from conftest import rows, starting_at
 from ratepower.core import ChannelModel, Strategy, UserParams, UserTable
 from ratepower.engine import (
     CLAMP,
@@ -488,17 +490,36 @@ def engine_sequential_sweep(channel, users, powers, assignment, policy):
     return State(state[0], state[1], stations)
 
 
-@st.composite
-def sweeps_at_bounds(draw):
-    """A state and users whose best responses in one sequential sweep sit
-    inside, outside or exactly on each bound of their boxes.
+def boxes_around_sweep(channel, users, powers, assignment, policy, places):
+    """The users with boxes that put their best responses in one sequential
+    sweep where ``places`` says.
 
-    User i's interference depends only on the users before it, which have
-    their final boxes, and on its own and later users' old powers, so its
-    box is placed around its unconstrained best response one user at a time.
+    ``places`` holds one ((power placement, rate placement), (lo, hi)) per
+    user. User i's interference depends only on the users before it, which
+    have their final boxes, and on its own and later users' old powers, so
+    its box is placed around its unconstrained best response one user at a
+    time. Returns the sweep's inputs and, per user, the interference it saw
+    and its placements.
     """
+    users = list(users)
+    placements = []
+    for i, (where, (lo, hi)) in enumerate(places):
+        _, seen = kernel_sequential_sweep(channel, users, powers, assignment, policy)
+        u = users[i]
+        cand = unconstrained_best_response(seen[i], u.alpha1, u.alpha2, u.lam)
+        p_min, p_max = box_around(cand.power, where[0], lo, hi)
+        r_min, r_max = box_around(cand.rate, where[1], lo, hi)
+        users[i] = replace(u, p_min=p_min, p_max=p_max, r_min=r_min, r_max=r_max)
+        placements.append((seen[i], where))
+    return channel, users, powers, assignment, policy, placements
+
+
+@st.composite
+def sweeps_at_bounds(draw, max_stations=4):
+    """A state and users whose best responses in one sequential sweep sit
+    inside, outside or exactly on each bound of their boxes."""
     n = draw(st.integers(1, 6))
-    b = draw(st.integers(1, 4))
+    b = draw(st.integers(1, max_stations))
     channel = ChannelModel([[draw(st.floats(50.0, 600.0)) for _ in range(b)] for _ in range(n)])
     powers = np.array([draw(st.floats(1e-6, 1.0)) for _ in range(n)])
     assignment = np.array([draw(st.integers(0, b - 1)) for _ in range(n)])
@@ -507,18 +528,37 @@ def sweeps_at_bounds(draw):
         UserParams(alpha2=draw(st.floats(5.0, 30.0)), lam=10 ** draw(st.floats(-6.0, -3.0)))
         for _ in range(n)
     ]
-    placements = []
-    for i in range(n):
-        _, seen = kernel_sequential_sweep(channel, users, powers, assignment, policy)
-        places = (draw(st.sampled_from(PLACEMENTS)), draw(st.sampled_from(PLACEMENTS)))
-        lo, hi = draw(st.floats(1.01, 100.0)), draw(st.floats(1.01, 100.0))
-        u = users[i]
-        cand = unconstrained_best_response(seen[i], u.alpha1, u.alpha2, u.lam)
-        p_min, p_max = box_around(cand.power, places[0], lo, hi)
-        r_min, r_max = box_around(cand.rate, places[1], lo, hi)
-        users[i] = replace(u, p_min=p_min, p_max=p_max, r_min=r_min, r_max=r_max)
-        placements.append((seen[i], places))
-    return channel, users, powers, assignment, policy, placements
+    places = [
+        (
+            (draw(st.sampled_from(PLACEMENTS)), draw(st.sampled_from(PLACEMENTS))),
+            (draw(st.floats(1.01, 100.0)), draw(st.floats(1.01, 100.0))),
+        )
+        for _ in range(n)
+    ]
+    return boxes_around_sweep(channel, users, powers, assignment, policy, places)
+
+
+def one_station_at_bounds(policy):
+    """Five users on one station, each coordinate at each placement once."""
+    channel = ChannelModel([90.0, 140.0, 220.0, 330.0, 480.0])
+    powers = np.array([0.5, 1e-6, 0.02, 1.0, 3e-3])
+    users = [UserParams(alpha2=a2, lam=1e-4) for a2 in (6.0, 12.9492, 20.0, 25.0, 30.0)]
+    places = [(where, (3.0, 7.0)) for where in zip(PLACEMENTS, PLACEMENTS[::-1])]
+    return boxes_around_sweep(channel, users, powers, np.zeros(5, dtype=int), policy, places)
+
+
+def negative_remainder(policy):
+    """One station where a user's remainder, its station total less its own
+    term, comes out negative and is clipped to 0.
+
+    Users 0 and 1 each add about 0.55 ulp of user 2's own received power to
+    the fresh total, which rounds up by one ulp; their steps down to a tiny
+    p_max take the running total one ulp below user 2's own term.
+    """
+    channel = ChannelModel([600.0, 600.0, 50.0])
+    powers = np.array([2.43e-12, 2.43e-12, 1.0])
+    users = [UserParams(p_min=1e-16, p_max=1e-15)] * 2 + [UserParams()]
+    return channel, users, powers, np.zeros(3, dtype=int), policy, None
 
 
 class TestSequentialKernel:
@@ -526,12 +566,38 @@ class TestSequentialKernel:
 
     @settings(max_examples=300, deadline=None)
     @given(sweeps_at_bounds())
+    @example(drawn=one_station_at_bounds(CLAMP))
+    @example(drawn=one_station_at_bounds(KKT))
     def test_equals_kernel_sweep_at_every_box_bound(self, drawn):
         channel, users, powers, assignment, policy, placements = drawn
         want, seen = kernel_sequential_sweep(channel, users, powers, assignment, policy)
         # Each user saw the interference its box was placed around.
         assert seen == [r_eff for r_eff, _ in placements]
         assert_states_equal(engine_sequential_sweep(channel, users, powers, assignment, policy), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweeps_at_bounds(max_stations=1))
+    @example(drawn=one_station_at_bounds(CLAMP))
+    @example(drawn=one_station_at_bounds(KKT))
+    @example(drawn=negative_remainder(CLAMP))
+    @example(drawn=negative_remainder(KKT))
+    def test_one_station_equals_the_station_rule_with_a_far_second(self, drawn):
+        # One station skips the station rule; a second station that no user
+        # can pick sends the same users through it, on the same station-0
+        # totals, and must give the same bits.
+        channel, users, powers, assignment, policy, _ = drawn
+        # 3000 km away the gain is about 1e-25, and the interference there,
+        # noise over that gain, far above any station's within 600 m.
+        far_m = np.full((len(users), 1), 3e6)
+        far = replace(channel, distances_m=np.hstack([channel.distances_m, far_m]))
+        np.testing.assert_array_equal(far.gains[:, :1], channel.gains)
+        table, kkt = UserTable.from_users(users), policy == KKT
+        totals = powers @ channel.gains
+        far_totals = np.append(totals, powers @ far.gains[:, 1])
+        got = _sequential_sweep(channel.gains, channel.noise_w, table, powers, totals, assignment, kkt)
+        want = _sequential_sweep(far.gains, far.noise_w, table, powers, far_totals, assignment, kkt)
+        np.testing.assert_array_equal(want[1], np.zeros(len(users)))
+        assert_states_equal(State(*got[0], got[1]), State(*want[0], want[1]))
 
     @settings(max_examples=150, deadline=None)
     @given(networks(), POLICIES)
@@ -752,8 +818,8 @@ class TestSegmentRecords:
             for name in RECORD_FIELDS:
                 assert getattr(seg, name).shape == shape, name
             assert seg.metrics.shape == shape[:1] and seg.step == 1
-        assert [rec.iteration for rec in trace.records] == list(range(1, trace.iterations_used + 1))
-        for rec in trace.records:
+        assert [rec.iteration for rec in rows(trace)] == list(range(1, trace.iterations_used + 1))
+        for rec in rows(trace):
             channel, users = segments[bisect.bisect_right(starts, rec.iteration) - 1]
             assert len(rec.powers) == channel.n_users == len(users)
             want = make_record(
@@ -769,10 +835,10 @@ class TestSegmentRecords:
         trace, _ = run_priced(run, policy, schedule)
         # Write a distinct value through every array of every record; if any
         # two arrays overlapped, a later write would show in an earlier one.
-        for k, rec in enumerate(trace.records):
+        for k, rec in enumerate(rows(trace)):
             for f, name in enumerate(RECORD_FIELDS):
                 getattr(rec, name)[...] = k * len(RECORD_FIELDS) + f
-        for k, rec in enumerate(trace.records):
+        for k, rec in enumerate(rows(trace)):
             for f, name in enumerate(RECORD_FIELDS):
                 assert (getattr(rec, name) == k * len(RECORD_FIELDS) + f).all()
 
@@ -789,9 +855,9 @@ class TestSegmentRecords:
         last_arrival = max((ev.iteration for ev in run[3]), default=1)
         for k in sorted(k for k in {1, used // 2, used - 1, used} if k >= last_arrival):
             short, _ = run_priced(run, policy, schedule, rate_set, bool(ladder), iterations=k)
-            before = copy.deepcopy(short.records)
+            before = copy.deepcopy(rows(short))
             assert len(before) == k
-            for want, got in zip(before, trace.records):
+            for want, got in zip(before, rows(trace)):
                 for name in RECORD_FIELDS:
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
                 assert (got.iteration, got.metric) == (want.iteration, want.metric)
@@ -862,7 +928,7 @@ class TestInlineMetric:
         trace, _ = run_priced(run, policy, schedule, LADDER if ladder else None, metric=kind)
         _, _, state, events = run
         powers, rates = state.powers, state.rates
-        for rec in trace.records:
+        for rec in rows(trace):
             # An arrival joins the previous state at its initial strategy.
             for ev in events:
                 if ev.iteration == rec.iteration:

@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from ratepower.admission import escalate_pricing
+from ratepower.admission import PricingRule, escalate_pricing
 from ratepower.cli import _parser, main
 from ratepower.reference import REPRODUCE_TARGETS
-from ratepower.scenario import TRACE_HEADER
+from ratepower.scenario import TRACE_HEADER, parse_scenario
 
 SHIPPED_SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
 
@@ -261,6 +261,32 @@ class TestTuneAndRemove:
         assert code == 0
         out = capsys.readouterr().out
         assert "achieved" in out and "5.0000000000e-04" in out
+
+    @pytest.mark.parametrize("dc", [None, 3e-5])
+    def test_tune_pricing_without_pricing_escalates_from_the_uniform_lambda(self, dc, crowded_file, capsys):
+        # With no [pricing] section the rule is constant at the users' one
+        # lambda, and steps by --dc or else by a quarter of that lambda.
+        scenario = parse_scenario(Path(crowded_file).read_text())
+        rule = PricingRule("constant", 4e-4, dc=dc)
+        want = escalate_pricing(scenario.channel, scenario.users, rule, scenario.config)
+        assert want.tested[0] == 4e-4 and len(want.tested) > 1
+        flags = [] if dc is None else ["--dc", repr(dc)]
+        assert main(["tune-pricing", crowded_file, *flags]) == 0
+        head = capsys.readouterr().out.splitlines()[0]
+        assert head == f"tune-pricing: achieved c_final = {want.c_final:.10e} after {len(want.tested)} runs"
+
+    @pytest.mark.parametrize("odd", [1, 6])
+    def test_tune_pricing_without_pricing_refuses_mixed_lambdas(self, odd, tmp_path, capsys):
+        path = tmp_path / "mixed.scn"
+        blocks = SIX_USER_CROWDED.split("[user ")
+        blocks[odd] = blocks[odd].replace("lambda = 4e-4", "lambda = 5e-4")
+        path.write_text("[user ".join(blocks))
+        assert main(["tune-pricing", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: tune-pricing without a [pricing] section needs a uniform user lambda"
+        ]
 
     @pytest.mark.parametrize("command", ["tune-pricing", "remove-loop"])
     def test_unconverged_solve_fails_cleanly(self, command, tmp_path, capsys):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import starting_at
+from conftest import rows, starting_at
 from ratepower import engine
 from ratepower.core import ChannelModel, Strategy, UserParams, target_sinr
 from ratepower.engine import (
@@ -229,8 +229,8 @@ class TestIterateToConvergence:
         user = UserParams(alpha2=20, lam=1e-4)
         trace = iterate_to_convergence(channel, [user], ConvergenceConfig(history=HISTORY_FULL))
         expected = unconstrained_best_response(1.0, 1e6, 20, 1e-4)
-        assert trace.records[0].powers[0] == pytest.approx(expected.power, rel=1e-12)
-        assert trace.records[0].rates[0] == pytest.approx(expected.rate, rel=1e-12)
+        assert rows(trace)[0].powers[0] == pytest.approx(expected.power, rel=1e-12)
+        assert rows(trace)[0].rates[0] == pytest.approx(expected.rate, rel=1e-12)
         assert trace.converged and trace.iterations_used <= 2
 
     def test_two_initializations_agree(self):
@@ -265,7 +265,7 @@ class TestIterateToConvergence:
         trace = iterate_to_convergence(channel, table3_users(5), config=config)
         assert not trace.converged
         assert trace.iterations_used == 5
-        assert len(trace.records) == 5  # trace length never exceeds max_iterations
+        assert len(rows(trace)) == 5  # trace length never exceeds max_iterations
         # Under "last" history the segment keeps every metric but only its
         # last row, which is the full trace's; an earlier row raises.
         last = iterate_to_convergence(channel, table3_users(5), replace(config, history=HISTORY_LAST))
@@ -278,7 +278,7 @@ class TestIterateToConvergence:
             with pytest.raises(IndexError, match=r"of 5 was dropped: the segment keeps only its last 1$"):
                 seg.row(s)
         with pytest.raises(IndexError):
-            last.records
+            rows(last)
 
     def test_non_finite_delta_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -328,7 +328,7 @@ class TestIterateToConvergence:
         config = ConvergenceConfig(delta=1e-30, max_iterations=count, history=HISTORY_FULL)
         assert type(config.max_iterations) is int and config.max_iterations == count
         trace = iterate_to_convergence(equidistant_channel(3), table3_users(3), config=config)
-        assert trace.iterations_used == len(trace.records) == count
+        assert trace.iterations_used == len(rows(trace)) == count
 
     def test_initial_strategy_outside_box_rejected(self):
         # A solve starts at each user's own initial strategy, and a user

@@ -4,13 +4,10 @@ The solver (``engine``) and the model types (``core``) never reach for the
 scalar statements in ``oracle``; only ``__init__`` re-exports them, and it
 loads a module only when one of its names is first read, so neither
 ``import ratepower`` nor any command loads ``oracle``. The oracle in turn takes only constants and types from ``engine``, never a
-function, so no check compares the solver with itself. No production
-module reads a trace's per-iteration ``records`` views: the program works
-on the segment columns, and the views, which need a solve under "full"
-history, serve tests and oracles. Every name a module lists in ``__all__``
-exists, no public function or class is defined twice, and the package's
-public names stay those pinned below, as
-do the parameters of the solve, pricing and admission entry points and the
+function, so no check compares the solver with itself. Every name a module
+lists in ``__all__`` exists, no public function or class is defined twice,
+and the package's public names stay those pinned below, as do the
+parameters of the solve, pricing and admission entry points and the
 fields of the settings objects: a setting that already has a home (a
 user's initial strategy, a rule's coefficient and escalation step, the
 at-target band, the solve's policy, schedule, stopping rule, rate ladder
@@ -119,17 +116,6 @@ def test_oracle_takes_only_constants_and_types_from_the_engine():
     assert "TIE_REL_TOL" in taken
     functions = [n for n in taken if not (n.isupper() or isinstance(getattr(engine, n), type))]
     assert functions == []
-
-
-@pytest.mark.parametrize("name", [m for m in MODULES if m != "oracle"])
-def test_no_production_module_reads_trace_records(name):
-    tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
-    reads = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "records"
-    ]
-    assert reads == []
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import rows
 from ratepower import encoder, reference, scenario as scenario_module
 from ratepower.admission import GAIN_DEPENDENT_KINDS, PRICING_KINDS, PricingRule, priced_users
 from ratepower.core import ChannelModel, UserParams
@@ -640,7 +641,7 @@ class TestRunScenario:
         trace, summary = run_full_history(parse_scenario(text))
         assert summary.converged
         assert summary.user_names == ["a", "b", "c"]
-        sizes = {rec.iteration: len(rec.powers) for rec in trace.records}
+        sizes = {rec.iteration: len(rec.powers) for rec in rows(trace)}
         assert sizes[14] == 2 and sizes[15] == 3
 
     def test_count_based_pricing_reprices_on_arrival(self):
@@ -670,7 +671,7 @@ class TestRunScenario:
         assert list(summary.assignment) == [0, 1, 1]
         assert "late.bs = 1" in summary_to_text(summary)
         # the newcomer joins on station 0 and moves to the nearer one on its first step
-        first = next(rec for rec in trace.records if rec.iteration == 5)
+        first = next(rec for rec in rows(trace) if rec.iteration == 5)
         assert len(first.powers) == 3 and first.assignment[2] == 1
 
     def test_moves_produce_per_step_summaries(self):
@@ -683,7 +684,7 @@ class TestRunScenario:
         assert [sr.step for sr in summary.steps] == [1, 2, 3]
         # The run converges only when every step does.
         assert summary.converged
-        iters = [rec.iteration for rec in trace.records]
+        iters = [rec.iteration for rec in rows(trace)]
         assert iters == sorted(iters) and len(set(iters)) == len(iters)
 
     def test_arrival_and_moves_share_one_timeline(self):
@@ -703,13 +704,13 @@ class TestRunScenario:
             for sr in summary.steps:
                 assert len(sr.powers) == len(sr.rates) == len(sr.sinrs) == n
                 assert len(sr.assignment) == n
-            assert [rec.iteration for rec in trace.records] == list(
+            assert [rec.iteration for rec in rows(trace)] == list(
                 range(1, summary.iterations_used + 1)
             )
-            steps = [rec.step for rec in trace.records]
+            steps = [rec.step for rec in rows(trace)]
             assert steps == sorted(steps) and sorted(set(steps)) == list(range(1, 12))
             # the newcomer joins at iteration 5 and stays for every later step
-            sizes = [len(rec.powers) for rec in trace.records]
+            sizes = [len(rec.powers) for rec in rows(trace)]
             assert sizes[:4] == [n - 1] * 4 and sizes[4:] == [n] * (len(sizes) - 4)
             assert trace.channel.n_users == len(trace.users) == n
 
@@ -724,17 +725,17 @@ class TestRunScenario:
         s = parse_scenario(text)
         first, _ = run_full_history(s)
         second, _ = run_full_history(s)
-        stamps = [(rec.iteration, rec.step) for rec in first.records]
-        assert stamps == [(rec.iteration, rec.step) for rec in second.records]
+        stamps = [(rec.iteration, rec.step) for rec in rows(first)]
+        assert stamps == [(rec.iteration, rec.step) for rec in rows(second)]
         assert [it for it, _ in stamps] == list(range(1, first.iterations_used + 1))
         assert {step for _, step in stamps} == set(range(1, 12))
-        for a, b in zip(first.records, second.records):
+        for a, b in zip(rows(first), rows(second)):
             for name in ("assignment", "powers", "rates", "sinrs", "utilities"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             assert a.metric == b.metric
         step1 = iterate_to_convergence(s.channel, s.users, s.config, arrivals=s.arrivals)
         n1 = step1.iterations_used
-        assert [rec.step for rec in second.records[: n1 + 1]] == [1] * n1 + [2]
+        assert [rec.step for rec in rows(second)[: n1 + 1]] == [1] * n1 + [2]
 
     def test_trace_carries_the_grown_network(self):
         text = (
@@ -831,7 +832,7 @@ def per_field_trace(trace):
         return format(float(x), ".10e")
 
     lines = [TRACE_HEADER]
-    for rec in trace.records:
+    for rec in rows(trace):
         for k in range(len(rec.powers)):
             lines.append(
                 ",".join(
@@ -899,9 +900,9 @@ class TestTraceWriterGolden:
 
     def test_shipped_traces_cover_growing_and_offset_records(self):
         traces = {p.stem: run_full_history(parse_scenario(p.read_text()))[0] for p in SHIPPED_SCENARIOS}
-        sizes = [len(rec.powers) for rec in traces["new_user"].records]
+        sizes = [len(rec.powers) for rec in rows(traces["new_user"])]
         assert sizes[0] < sizes[-1]
-        walk = traces["station_walk"].records
+        walk = rows(traces["station_walk"])
         # Move steps number their iterations on from the previous step's last.
         assert len({rec.step for rec in walk}) > 1
         assert [rec.iteration for rec in walk] == list(range(1, len(walk) + 1))
@@ -910,7 +911,7 @@ class TestTraceWriterGolden:
         ladder = (0.1, 9600.0, 19200.0, 38400.0, 96000.0)
         text = TWO_CELL + "[run]\nrates = " + " ".join(map(str, ladder)) + "\n"
         trace, _ = run_full_history(parse_scenario(text))
-        assert set(np.concatenate([rec.rates for rec in trace.records]).tolist()) <= set(ladder)
+        assert set(np.concatenate([rec.rates for rec in rows(trace)]).tolist()) <= set(ladder)
         assert written_trace(trace) == per_field_trace(trace)
 
     @settings(max_examples=200, deadline=None)
