@@ -1,9 +1,11 @@
 """Distributed joint data-rate and transmit-power allocation games for CDMA uplinks.
 
-Solvers for the unpriced corner game, the priced single-cell game, and the
-priced multi-cell game with base-station assignment, plus pricing escalation,
-user removal, discrete-rate quantization, verification oracles, and a
-scenario-file runner.
+The package is the solver: the unpriced corner game, the priced single-cell
+game, and the priced multi-cell game with base-station assignment, plus
+pricing escalation, user removal, discrete-rate quantization and a
+scenario-file runner. The scalar statements of the paper's formulas, which
+the tests check the solver against, live only in ``ratepower.oracle``; the
+package does not re-export them.
 
 Every public name resolves on first use (PEP 562): reading it imports its
 home module in ``_HOMES`` and keeps the value here, so ``import ratepower``
@@ -22,9 +24,6 @@ _HOMES = {
         "Strategy",
         "UserParams",
         "UserTable",
-        "alpha_ratio_for_target",
-        "path_gain",
-        "target_sinr",
     ),
     "engine": (
         "CLAMP",
@@ -54,28 +53,6 @@ _HOMES = {
         "removal_loop",
     ),
     "rates": ("NoFeasibleRateError", "RateSet"),
-    "oracle": (
-        "StandardFunctionReport",
-        "UtilityParamsBase",
-        "assign_base_station",
-        "convergence_metric",
-        "effective_interference",
-        "effective_interference_by_station",
-        "fd_gradient_check",
-        "grid_best_response",
-        "njrpcg_equilibrium",
-        "power_update_map",
-        "power_update_rate_bounded",
-        "rate_update_power_bounded",
-        "sinr",
-        "standard_function_check",
-        "symmetric_fixed_point",
-        "unconstrained_best_response",
-        "utility_base",
-        "utility_priced",
-        "utility_priced_gradient",
-        "utility_priced_hessian",
-    ),
     "scenario": (
         "ArrivalEvent",
         "MoveEvent",
@@ -95,7 +72,7 @@ _HOMES = {
     "reference": ("REPRODUCE_TARGETS", "ComparisonReport", "reproduce", "reproduce_many"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
-_SUBMODULES = frozenset(_HOMES) | {"cli", "encoder"}
+_SUBMODULES = frozenset(_HOMES) | {"cli", "encoder", "oracle"}
 
 __all__ = sorted(_HOME)
 

@@ -14,9 +14,9 @@ the table is built from columns, with ``UserParams``' own message for the
 first bad user. ``UserParams`` is the table's row view and the scalar
 oracles' input; a table made from checked users is not checked again.
 
-The scalar formulas of the model (effective interference, SINR and the
-utilities) are stated in ``oracle``; the solver in ``engine`` runs them as
-array code.
+The scalar formulas of the model (path gain, target SINR, effective
+interference, SINR and the utilities) are stated in ``oracle``; the
+channel, the table and the solver in ``engine`` run them as array code.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ __all__ = [
     "UserParams",
     "UserTable",
     "Strategy",
-    "path_gain",
-    "target_sinr",
-    "alpha_ratio_for_target",
 ]
 
 
@@ -86,22 +83,16 @@ def _path_gains(distances: np.ndarray, exponent: float, shadowing: float) -> np.
     return shadowing / distances**exponent
 
 
-def path_gain(distance_m: float, pathloss_exponent: float, shadowing: float) -> float:
-    """Channel gain xi / d**eta for a transmitter at distance d."""
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m}")
-    return shadowing / distance_m ** pathloss_exponent
-
-
 @dataclass(frozen=True)
 class ChannelModel:
     """Static uplink geometry and radio constants.
 
     ``distances_m`` is a (n_users x n_stations) matrix; a 1-D sequence is
     read as a single-station column. Gains follow the power-law model
-    ``g[i, a] = shadowing / d[i, a] ** pathloss_exponent``. The model is
-    immutable (fields frozen, arrays read-only), so the gains cached at
-    construction always match the geometry.
+    ``g[i, a] = shadowing / d[i, a] ** pathloss_exponent``, which
+    ``oracle.path_gain`` states for one distance. The model is immutable
+    (fields frozen, arrays read-only), so the gains cached at construction
+    always match the geometry.
     """
 
     distances_m: np.ndarray
@@ -382,7 +373,9 @@ class UserTable:
         b = self._block
         constants, lo, hi, inits = b[:7], b[3:7:2], b[4:7:2], b[7:]
         plain = np.isnan(inits).all()  # no initial strategy given
-        if plain and constants.min() > 0 and constants.max() < np.inf and (lo <= hi).all():
+        # The initial values let a table of no users pass.
+        low, high = constants.min(initial=np.inf), constants.max(initial=0.0)
+        if plain and low > 0 and high < np.inf and (lo <= hi).all():
             return
         ok = ((constants > 0) & (constants < np.inf)).all(axis=0) & (lo <= hi).all(axis=0)
         ok &= (np.isnan(inits) | ((lo <= inits) & (inits <= hi))).all(axis=0)
@@ -427,7 +420,7 @@ class UserTable:
 
     @np.errstate(over="ignore")
     def target_sinrs(self, bandwidth_hz: float) -> np.ndarray:
-        """Each user's ``target_sinr`` at ``bandwidth_hz``, computed the same way."""
+        """Each user's ``oracle.target_sinr`` at ``bandwidth_hz``, computed the same way."""
         return (self.alpha2 / self.alpha1) * bandwidth_hz
 
     @property
@@ -477,17 +470,3 @@ class Strategy:
             raise ValueError(f"power must be positive, got {self.power}")
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
-
-
-def target_sinr(alpha1: float, alpha2: float, bandwidth_hz: float) -> float:
-    """SINR a user attains at an interior equilibrium: (alpha2 / alpha1) * W."""
-    if alpha1 <= 0 or alpha2 <= 0 or bandwidth_hz <= 0:
-        raise ValueError("all arguments must be positive")
-    return (alpha2 / alpha1) * bandwidth_hz
-
-
-def alpha_ratio_for_target(target: float, bandwidth_hz: float) -> float:
-    """Weight ratio alpha2/alpha1 that makes ``target`` the attained SINR."""
-    if target <= 0 or bandwidth_hz <= 0:
-        raise ValueError("all arguments must be positive")
-    return target / bandwidth_hz

@@ -45,9 +45,9 @@ converted once) and starts at each user's own initial strategy (the
 ``p_init`` and ``r_init`` columns, checked against its box when the table
 is built). Its config is checked once, when it is built, not on every
 solve; a user whose rate box holds no rung of the config's ladder is
-refused at entry. With a rate ladder
-the loop, not the sweeps, snaps the rates: every iteration's, or only the
-converged row's. Rates never enter the power update or the station rule,
+refused at entry (``RateSet.gap``). With a rate ladder the loop, not the
+sweeps, snaps the rates with ``RateSet.snap``: every iteration's, or only
+the converged row's. Rates never enter the power update or the station rule,
 so both placements give the powers and stations of the continuous game.
 
 Within one iteration the per-user updates are pure; the loop itself is
@@ -536,7 +536,7 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
                 g, noise, table, state[0], totals, assignment, kkt, plain
             )
         if snap_each is not None:
-            new[1] = _snap(snap_each, new[1])
+            new[1] = snap_each.snap(new[1])
         metrics = _step_metric(state, new, config.metric, starts).tolist()
         state = new
         # One set of station totals per iterate serves its row and the next sweep.
@@ -566,7 +566,7 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
             a, states, r = kept[k] or _row(assignment, state, current_reffs(), cols)
         if converged and config.quantize_at_convergence:
             # Quantizing at convergence snaps the converged row's rates.
-            states[-1, 1] = _snap(config.rate_set, states[-1, 1])
+            states[-1, 1] = config.rate_set.snap(states[-1, 1])
         last = _segment(channels[k], table, cols, iterations[:stop], metrics[:stop, k], a, states, r)
         traces.append(IterationTrace(segments + [last], converged, end, channels[k], users[k]))
     return traces
@@ -633,33 +633,8 @@ def _network_error(channel: ChannelModel, users: UserTable, config) -> ValueErro
 
 def _ladder_error(config, users: UserTable) -> ValueError | None:
     # A user whose rate box holds no rung of the config's ladder, if any.
-    k = _off_ladder(config.rate_set, users)
-    return None if k is None else ValueError(f"user {k}: {_ladder_gap(users, k)}")
-
-
-def _off_ladder(rate_set: RateSet | None, users: UserTable) -> int | None:
-    # The first user whose [r_min, r_max] holds no rung of the ladder, if any.
-    if rate_set is None:
-        return None
-    rungs = np.append(rate_set.rates, np.inf)
-    # Each user's least rung at or above r_min, inf past the top of the ladder.
-    least = rungs[np.searchsorted(rungs, users.r_min)]
-    off = np.flatnonzero(least > users.r_max)
-    return int(off[0]) if off.size else None
-
-
-def _ladder_gap(users: UserTable, k: int) -> str:
-    return f"rate box [{float(users.r_min[k])}, {float(users.r_max[k])}] holds no rung of the rate ladder"
-
-
-def _snap(rate_set: RateSet, rates: np.ndarray) -> np.ndarray:
-    # Each rate down to the ladder's largest rung at or below it, as RateSet.floor
-    # takes it; index -1 is below the ladder, where the first such rate raises.
-    ladder = np.asarray(rate_set.rates)
-    idx = np.searchsorted(ladder, rates, side="right") - 1
-    if idx.min() < 0:
-        rate_set.floor(rates[idx.argmin()])
-    return ladder[idx]
+    gap = None if config.rate_set is None else config.rate_set.gap(users)
+    return None if gap is None else ValueError("user {}: {}".format(*gap))
 
 
 def _synchronous_sweep(table, reffs, assignment, kkt):

@@ -2,17 +2,19 @@
 
 The solver in ``engine`` runs the game as array code; this module states each
 formula one user at a time, and the tests check the solver against it. No
-module imports it: the package loads it when one of its names is first read,
-so no command loads it. It holds the model (effective interference, SINR,
-the utilities and the priced one's gradient and Hessian), the game (the
-unpriced equilibrium, the closed-form best response, the two boundary
-updates, the symmetric fixed point), the least-interference station rule,
-the power-update map with a sampler of the standard-interference-function
-properties (Yates, IEEE JSAC 1995) that make the equilibrium unique, the
-loop's step metric, and brute force: a grid argmax, finite differences and
-a per-user SINR recomputation of a trace record. Deliberately unoptimized.
-From ``engine`` it takes only constants and types, never a function, so the
-solver is always checked against a statement of its own.
+module imports it and the package does not re-export its names: it loads
+when ``ratepower.oracle`` is first read, so no command loads it. It holds
+the model (the path gain, the target SINR and the weight ratio that sets
+it, effective interference, SINR, the utilities and the priced one's
+gradient and Hessian), the game (the unpriced equilibrium, the closed-form
+best response, the two boundary updates, the symmetric fixed point), the
+least-interference station rule, the power-update map with a sampler of
+the standard-interference-function properties (Yates, IEEE JSAC 1995) that
+make the equilibrium unique, the loop's step metric, and brute force: a
+grid argmax, finite differences and a per-user SINR recomputation of a
+trace record. Deliberately unoptimized. From ``engine`` it takes only
+constants and types, never a function, so the solver is always checked
+against a statement of its own.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .core import ChannelModel, Strategy, UserParams, UserTable
 from .engine import _EPS, METRIC_ABSOLUTE, METRIC_RELATIVE, METRICS, TIE_REL_TOL, IterationRecord
 
 __all__ = [
+    "path_gain",
+    "target_sinr",
+    "alpha_ratio_for_target",
     "UtilityParamsBase",
     "effective_interference",
     "sinr",
@@ -51,6 +56,27 @@ __all__ = [
 
 
 # The model.
+
+
+def path_gain(distance_m: float, pathloss_exponent: float, shadowing: float) -> float:
+    """Channel gain xi / d**eta for a transmitter at distance d."""
+    if distance_m <= 0:
+        raise ValueError(f"distance must be positive, got {distance_m}")
+    return shadowing / distance_m ** pathloss_exponent
+
+
+def target_sinr(alpha1: float, alpha2: float, bandwidth_hz: float) -> float:
+    """SINR a user attains at an interior equilibrium: (alpha2 / alpha1) * W."""
+    if alpha1 <= 0 or alpha2 <= 0 or bandwidth_hz <= 0:
+        raise ValueError("all arguments must be positive")
+    return (alpha2 / alpha1) * bandwidth_hz
+
+
+def alpha_ratio_for_target(target: float, bandwidth_hz: float) -> float:
+    """Weight ratio alpha2/alpha1 that makes ``target`` the attained SINR."""
+    if target <= 0 or bandwidth_hz <= 0:
+        raise ValueError("all arguments must be positive")
+    return target / bandwidth_hz
 
 
 @dataclass(frozen=True)

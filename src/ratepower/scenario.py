@@ -67,8 +67,6 @@ from .engine import (
     IterationRecord,
     IterationTrace,
     Segment,
-    _ladder_gap,
-    _off_ladder,
     iterate_batch,
     iterate_to_convergence,
 )
@@ -131,6 +129,7 @@ class Scenario:
     """Everything needed to execute one experiment; ``config`` holds the solve's settings.
 
     ``users`` is a ``UserTable``; a list of ``UserParams`` is converted to one.
+    A move's step must be at least 1, as in a scenario file.
     """
 
     channel: ChannelModel
@@ -143,6 +142,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         self.users = UserTable.from_users(self.users)
+        for ev in self.moves:
+            if ev.step < 1:
+                raise ValueError(f"move step {ev.step} of user {ev.user_name!r} must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ _SCHEMA = {
     "user": {
         "distances_m": _Key("distances_m", _numbers, _spaced),
         **_scalars("alpha1", "alpha2"),
-        # One value per station is accepted; they must agree (_build_user).
+        # One value per station is accepted; they must agree (_read_users).
         "lambda": _Key("lam", _numbers),
         **_scalars("p_min", "p_max", "r_min", "r_max", "p_init", "r_init"),
     },
@@ -474,10 +476,11 @@ def _floats(texts) -> np.ndarray | None:
 def _check_ladder(config, users, sections) -> None:
     # Refuse the first of the users, read from (name, header line, _)
     # sections, whose rate box holds no rung of the config's ladder.
-    k = _off_ladder(config.rate_set, users)
-    if k is not None:
+    gap = None if config.rate_set is None else config.rate_set.gap(users)
+    if gap is not None:
+        k, why = gap
         name, line_no, _ = sections[k]
-        raise ScenarioFormatError(f"line {line_no}: user {name!r}: {_ladder_gap(users, k)}")
+        raise ScenarioFormatError(f"line {line_no}: user {name!r}: {why}")
 
 
 def _read_events(sections, kind, index, config, n_stations) -> list:

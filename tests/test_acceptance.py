@@ -11,7 +11,7 @@ import pytest
 
 from conftest import sample_calculus_point, starting_at
 from ratepower.admission import PricingRule, escalate_pricing
-from ratepower.core import ChannelModel, UserParams, target_sinr
+from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import KKT, ConvergenceConfig, iterate_to_convergence
 from ratepower.oracle import (
     fd_gradient_check,
@@ -20,6 +20,7 @@ from ratepower.oracle import (
     power_update_rate_bounded,
     rate_update_power_bounded,
     standard_function_check,
+    target_sinr,
     unconstrained_best_response,
 )
 from ratepower.rates import RateSet

@@ -15,8 +15,9 @@ from ratepower.admission import (
     pricing_rule_eval,
     removal_loop,
 )
-from ratepower.core import ChannelModel, UserParams, target_sinr
+from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import ConvergenceConfig, iterate_to_convergence
+from ratepower.oracle import target_sinr
 
 
 def table1_setup(lam):

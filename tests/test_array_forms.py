@@ -49,7 +49,6 @@ from ratepower.engine import (
     bounded_step_array,
     _segment,
     _sequential_sweep,
-    _snap,
     _station_reffs,
     _step_metric,
     iterate_to_convergence,
@@ -894,7 +893,7 @@ def ladders_and_rates(draw):
 
 
 class TestRateSnap:
-    """The loop's one-call snap against ``RateSet.floor``, the scalar oracle."""
+    """``RateSet.snap``, the loop's one-call snap, against ``RateSet.floor``, the scalar oracle."""
 
     @settings(max_examples=300, deadline=None)
     @given(ladders_and_rates())
@@ -905,13 +904,13 @@ class TestRateSnap:
         below = rates < ladder.rates[0]
         if not below.any():
             want = np.array([ladder.floor(r) for r in rates])
-            np.testing.assert_array_equal(_snap(ladder, rates), want)
+            np.testing.assert_array_equal(ladder.snap(rates), want)
             return
         # The first rate below the ladder raises, with floor's own message.
         with pytest.raises(NoFeasibleRateError) as oracle:
             ladder.floor(rates[below.argmax()])
         with pytest.raises(NoFeasibleRateError) as got:
-            _snap(ladder, rates)
+            ladder.snap(rates)
         assert str(got.value) == str(oracle.value)
 
 

@@ -31,7 +31,7 @@ from ratepower.admission import (
     escalate_pricing,
     priced_users,
 )
-from ratepower.core import ChannelModel, UserParams, target_sinr
+from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
     CLAMP,
     HISTORY_FULL,
@@ -45,6 +45,7 @@ from ratepower.engine import (
     iterate_batch,
     iterate_to_convergence,
 )
+from ratepower.oracle import target_sinr
 from ratepower.rates import NoFeasibleRateError, RateSet
 from ratepower.reference import (
     REPRODUCE_TARGETS,

@@ -8,14 +8,14 @@ from ratepower.core import (
     ChannelModel,
     Strategy,
     UserParams,
-    alpha_ratio_for_target,
-    path_gain,
-    target_sinr,
 )
 from ratepower.oracle import (
     UtilityParamsBase,
+    alpha_ratio_for_target,
     effective_interference,
+    path_gain,
     sinr,
+    target_sinr,
     unconstrained_best_response,
     utility_base,
     utility_priced,

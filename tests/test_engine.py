@@ -7,7 +7,7 @@ import pytest
 
 from conftest import rows, starting_at
 from ratepower import engine
-from ratepower.core import ChannelModel, Strategy, UserParams, target_sinr
+from ratepower.core import ChannelModel, Strategy, UserParams
 from ratepower.engine import (
     CLAMP,
     HISTORY_FULL,
@@ -27,6 +27,7 @@ from ratepower.oracle import (
     power_update_rate_bounded,
     rate_update_power_bounded,
     symmetric_fixed_point,
+    target_sinr,
     unconstrained_best_response,
 )
 from ratepower.scenario import ArrivalEvent

@@ -1,10 +1,12 @@
 """The package's module split: one production path, one oracle module.
 
 The solver (``engine``) and the model types (``core``) never reach for the
-scalar statements in ``oracle``; only ``__init__`` re-exports them, and it
-loads a module only when one of its names is first read, so neither
-``import ratepower`` nor any command loads ``oracle``. The oracle in turn takes only constants and types from ``engine``, never a
-function, so no check compares the solver with itself. Every name a module
+scalar statements in ``oracle``, and the package does not re-export them:
+the package is the solver, and ``ratepower.oracle`` is the one home of the
+oracle's names. ``__init__`` loads a module only when one of its names is
+first read, so neither ``import ratepower`` nor any command loads
+``oracle``. The oracle in turn takes only constants and types from
+``engine``, never a function, so no check compares the solver with itself. Every name a module
 lists in ``__all__`` exists, no public function or class is defined twice,
 and the package's public names stay those pinned below, as do the
 parameters of the solve, pricing and admission entry points and the
@@ -31,23 +33,19 @@ import ratepower
 PACKAGE_DIR = Path(ratepower.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
 
+# The solver's names only: the oracle's scalar statements are read from
+# ``ratepower.oracle``, never from the package.
 PUBLIC_NAMES = [
     "ABOVE_TARGET", "AT_TARGET", "ArrivalEvent", "BELOW_TARGET", "CLAMP", "ChannelModel",
     "ComparisonReport", "ConvergenceConfig", "EscalationResult", "IterationRecord",
     "IterationTrace", "KKT", "MoveEvent", "NoFeasibleRateError", "NotConvergedError",
-    "PricingRule", "REPRODUCE_TARGETS", "RateSet", "RemovalResult", "RunSummary",
-    "SEQUENTIAL", "SYNCHRONOUS", "Scenario", "ScenarioFormatError", "Segment",
-    "StandardFunctionReport", "Strategy", "UserParams", "UserTable", "UtilityParamsBase",
-    "alpha_ratio_for_target", "assign_base_station", "bounded_step", "bounded_step_array",
-    "classify_users", "convergence_metric", "effective_interference",
-    "effective_interference_by_station", "emit_trace", "escalate_pricing",
-    "fd_gradient_check", "grid_best_response", "iterate_batch", "iterate_to_convergence",
-    "njrpcg_equilibrium", "parse_scenario", "path_gain", "power_update_map",
-    "power_update_rate_bounded", "pricing_rule_eval", "rate_update_power_bounded",
-    "removal_loop", "reproduce", "reproduce_many", "run_scenario", "run_scenarios", "scenario_to_text", "sinr",
-    "standard_function_check", "summarize_run", "summary_to_text", "sweep_lambda",
-    "symmetric_fixed_point", "target_sinr", "unconstrained_best_response", "utility_base",
-    "utility_priced", "utility_priced_gradient", "utility_priced_hessian", "write_summary",
+    "PricingRule", "REPRODUCE_TARGETS", "RateSet", "RemovalResult", "RunSummary", "SEQUENTIAL",
+    "SYNCHRONOUS", "Scenario", "ScenarioFormatError", "Segment", "Strategy", "UserParams",
+    "UserTable", "bounded_step", "bounded_step_array", "classify_users", "emit_trace",
+    "escalate_pricing", "iterate_batch", "iterate_to_convergence", "parse_scenario",
+    "pricing_rule_eval", "removal_loop", "reproduce", "reproduce_many", "run_scenario",
+    "run_scenarios", "scenario_to_text", "summarize_run", "summary_to_text", "sweep_lambda",
+    "write_summary",
 ]
 
 PARAMETERS = {
@@ -150,6 +148,14 @@ def test_public_names_are_unchanged():
     star = {}
     exec("from ratepower import *", star)
     assert sorted(n for n in star if n != "__builtins__") == PUBLIC_NAMES
+
+
+def test_no_oracle_name_is_a_package_name():
+    oracle = importlib.import_module("ratepower.oracle")
+    assert set(oracle.__all__) & set(ratepower.__all__) == set()
+    assert [name for name in oracle.__all__ if hasattr(ratepower, name)] == []
+    assert ratepower.oracle is oracle
+    assert ratepower.oracle.sinr is oracle.sinr
 
 
 # Which ratepower submodules each step has loaded, in a fresh interpreter.

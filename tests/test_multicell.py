@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import starting_at
-from ratepower.core import ChannelModel, UserParams, target_sinr
+from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
     CLAMP,
     SEQUENTIAL,
@@ -14,6 +14,7 @@ from ratepower.oracle import (
     assign_base_station,
     effective_interference_by_station,
     power_update_map,
+    target_sinr,
     unconstrained_best_response,
 )
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import starting_at
-from ratepower.core import ChannelModel, UserParams, target_sinr
+from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import ConvergenceConfig, iterate_to_convergence
+from ratepower.oracle import target_sinr
 from ratepower.rates import NoFeasibleRateError, RateSet
 
 LADDER = RateSet((9600.0, 19200.0, 38400.0))

@@ -441,6 +441,15 @@ def test_readme_example_parses_and_shows_every_key():
     assert shown == {kind: set(schema[kind]) for kind in shown}
 
 
+def test_readme_library_example_runs(capsys):
+    # The example under "Library use" is a working program that imports only
+    # names the package exports.
+    block = re.search(r"## Library use\n.*?```python\n(.*?)```", README.read_text(), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["[0 0 1]", "[12.9492 12.9492 12.9492 12.9492 12.9492]"]
+
+
 finite = functools.partial(st.floats, allow_nan=False, allow_infinity=False)
 # Names as [user NAME] takes them: word characters, not only underscores.
 NAMES = st.text("abcxyzABZ0189_", min_size=1, max_size=6).filter(lambda name: name.strip("_"))
@@ -626,6 +635,12 @@ class TestRunScenario:
         moved = replace(s, moves=[MoveEvent(2, -1, "ghost", np.array([150.0]))])
         with pytest.raises(ValueError, match=r"^user index -1 is outside \[0, 1\)$"):
             run_scenario(moved)
+
+    @pytest.mark.parametrize("step", [0, -3])
+    def test_a_move_before_step_one_is_refused(self, step):
+        s = parse_scenario(MINIMAL)
+        with pytest.raises(ValueError, match=rf"^move step {step} of user 'alice' must be >= 1$"):
+            replace(s, moves=[MoveEvent(step, 0, "alice", np.array([150.0]))])
 
     def test_pricing_section_overrides_user_lambda(self):
         text = MINIMAL + "[pricing]\nrule = constant\nc = 5e-4\n"

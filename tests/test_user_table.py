@@ -110,6 +110,12 @@ class TestChecks:
         assert list(table) == [UserParams(alpha2=20.0, p_max=1.0), UserParams(alpha2=25.0, p_max=1.0)]
         assert np.isnan(table.p_init).all() and np.isnan(table.r_init).all()
 
+    def test_a_table_of_no_users_builds_from_columns(self):
+        table = UserTable(alpha2=[], lam=4e-4)
+        assert len(table) == 0 and list(table) == [] and table.initial.shape == (2, 0)
+        assert table == UserTable(alpha2=[]) == UserTable.from_users([]) == []
+        assert table == UserTable.from_users([UserParams(), UserParams()])[0:0]
+
     @pytest.mark.parametrize("alpha2", [[20.0, 25.0], [[20.0]], 20.0])
     def test_columns_must_be_one_dimensional_and_of_one_length(self, alpha2):
         with pytest.raises(ValueError, match="^user columns must be 1-D and of one length$"):
