@@ -1,74 +1,68 @@
 """The solver: the bounded best response and the one fixed-point loop.
 
 Holds ``ConvergenceConfig``, the one home of a solve's settings (stopping
-rule, boundary policy, update schedule, rate ladder), the trace types, the
-bounded best response under its two boundary policies ("clamp" projects the
-unconstrained response onto the strategy box, "kkt" re-optimizes the free
-coordinate from the boundary stationarity quadratics) as one array kernel,
-and ``iterate_to_convergence``, the fixed-point iteration every solve runs:
+rule, boundary policy, update schedule, rate ladder, history), the trace
+types, the bounded best response under its two boundary policies ("clamp"
+projects the unconstrained response onto the strategy box, "kkt"
+re-optimizes the free coordinate from the boundary stationarity quadratics)
+as one array kernel, and the fixed-point iteration every solve runs:
 single-cell, multi-cell with base-station assignment, runs with arriving
 users, and lockstep batches of independent networks. The single-cell game
 is the one-station case of the joint one. The scalar statements of the
 formulas it runs, the step metric's among them, live in ``oracle``, which
 this module does not import.
 
-Each iterate's station totals come from one ``p @ g`` per network, and its
-(users x stations) effective-interference matrix from them; the matrix feeds that
-iterate's trace row and the next synchronous sweep, which assigns every user
-at once and takes every best response from the array kernel behind
-``bounded_step_array``. The sequential sweep visits users in order and keeps
-the same totals current as each user moves. Its per-user loop moves
-only stations and powers, on plain floats with the table's constants hoisted
-and no function call per user; on one station, which no user can leave, it
-keeps one running total and skips the station rule. The sweep's rates then
-come from one call of the array kernel on the interference each user saw.
-The array kernel and
-the sequential loop evaluate the floating-point operations of the scalar
-best response in ``oracle`` in its order, so all agree exactly; the public
-``bounded_step`` is the array kernel on a one-user table.
+The loop steps a fixed set of networks from a given state. Each iterate's
+station totals come from one ``p @ g`` per network, and its (users x
+stations) effective-interference matrix from them; the matrix feeds that
+iterate's trace row and the next synchronous sweep, which assigns every
+user at once and takes every best response from the array kernel behind
+``bounded_step_array``. The sequential sweep visits users in order, on
+plain floats, and keeps the same totals current as each user moves. The
+array kernel and the sequential sweep evaluate the floating-point
+operations of the scalar best response in ``oracle`` in its order, so all
+agree exactly; the public ``bounded_step`` is the array kernel on a
+one-user table.
 
-The loop carries powers and rates as one fresh (2 x users) state per
-iteration and keeps each iteration's step metric. The trace is its
-``Segment``s, each a run of iterations on one fixed network held as
-(rows x users) columns, user k in column k: an arrival closes a segment
-before the network grows and the users are re-priced, and the end of the
-run closes the last one. ``ConvergenceConfig.history`` sets which rows a
-segment keeps: under "last", the default, only its last, which is all the
-equilibrium, the summaries and the admission loops read; under "full"
-every iteration's, which the CSV trace writes. SINR and utility for the
-kept rows come from one vectorised pass over the channel and users they
-played; both are elementwise, so a kept last row has the same bits either
-way.
+The trace is its ``Segment``s, each a run of iterations on one fixed
+network held as (rows x users) columns, user k in column k; one loop call
+makes one segment per network. ``iterate_to_convergence`` plays arrivals
+as windows: a call plays the iterations before an arrival, its last row
+starts the grown, re-priced network, and a last call runs under the stop
+rule. ``ConvergenceConfig.history`` sets which rows a segment keeps: under
+"last", the default, only its last, which is all the equilibrium, the
+summaries and the admission loops read; under "full" every iteration's,
+which the CSV trace writes. SINR and utility for the kept rows come from
+one vectorised pass; both are elementwise, so a kept last row has the same
+bits either way.
 
 A solve takes its users as a ``UserTable`` (a list of ``UserParams`` is
 converted once) and starts at each user's own initial strategy (the
 ``p_init`` and ``r_init`` columns, checked against its box when the table
-is built). Its config is checked once, when it is built, not on every
-solve; a user whose rate box holds no rung of the config's ladder is
-refused at entry (``RateSet.gap``). With a rate ladder the loop, not the
-sweeps, snaps the rates with ``RateSet.snap``: every iteration's, or only
-the converged row's. Rates never enter the power update or the station rule,
-so both placements give the powers and stations of the continuous game.
+is built). Its config is checked once, when it is built; a user whose rate
+box holds no rung of the config's ladder is refused at entry
+(``RateSet.gap``). With a rate ladder the loop, not the sweeps, snaps the
+rates with ``RateSet.snap``: every iteration's, or only the converged
+row's. Rates never enter the power update or the station rule, so both
+placements give the powers and stations of the continuous game.
 
-Within one iteration the per-user updates are pure; the loop itself is
-sequential. Independent runs on one station count step in lockstep through
-the same loop, whatever their user counts: ``iterate_batch`` carries K
-networks as one (2 x users) state over their concatenated table, each
-network owning a span of its columns, forms each network's station totals
-from its own ``p @ g`` over its span (a stacked product rounds differently)
-and its own step metric, so each network's trace equals its solve alone,
-bit for bit.
-``iterate_to_convergence`` is the batch of one. Every network steps to the
+``iterate_batch`` steps the independent networks of one station count in
+lockstep, whatever their user counts: one (2 x users) state over their
+concatenated table, each network owning a span of its columns, with each
+network's station totals from its own ``p @ g`` over its span (a stacked
+product rounds differently) and its own step metric, so each network's
+trace equals its solve alone, bit for bit. Every network steps to the
 batch's end and keeps its rows up to its own convergence: each is its own
-fixed-point iteration, so stepping a converged network on changes no other.
-A batch that raises is solved again one network at a time, so each network
-gets its own trace or error. Arrivals and the sequential sweep, a per-user
-loop that lockstep does not speed up, run one network at a time.
+fixed-point iteration, so stepping a converged network on changes no
+other. A batch that raises is solved again one network at a time, so each
+network gets its own trace or error. The sequential sweep, a per-user loop
+that lockstep does not speed up, runs one network at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -243,8 +237,8 @@ class IterationTrace:
     Every segment holds every iteration's metric, and its rows as the
     config's ``history`` kept them; ``final`` and the ``final_*`` views work
     under either. ``channel`` and ``users`` are the network the run ended
-    on: the users that arrived before it stopped are included, and ``users``
-    carry the pricing the last iteration played.
+    on: every arrival is included, and ``users`` carry the pricing the last
+    iteration played.
     """
 
     segments: list[Segment]
@@ -372,13 +366,12 @@ def iterate_to_convergence(
     attributes. Each adds its user, at its initial strategy on station 0,
     just before that iteration's sweep; ``reprice(channel, users)``, when
     given, then returns the users to play on the grown network, so pricing
-    that depends on the user count or the gains sees the newcomer. The run
-    only converges once no arrival is pending. Every arrival's iteration and
-    distances are checked before the first iteration; an arrival after
+    that depends on the user count or the gains sees the newcomer. The
+    iterations before an arrival play whole, as one window and one segment,
+    and the run stops only after the last arrival. Every arrival's iteration
+    and distances are checked before the first iteration; an arrival after
     ``config.max_iterations`` could never fire. Non-convergence within
     max_iterations is reported on the trace, not raised.
-
-    This is the batch of one: ``iterate_batch`` runs the same loop.
     """
     config = config if config is not None else ConvergenceConfig()
     users = UserTable.from_users(users)
@@ -402,34 +395,53 @@ def iterate_to_convergence(
         error = _ladder_error(config, UserTable.concat([users, [ev.user for ev in pending]]))
         if error is not None:
             raise error
-    (trace,) = _loop([(channel, users)], config, assignment, pending, reprice)
+    state, segments, done = users.initial, [], 0
+    for t, group in itertools.groupby(pending, key=lambda ev: ev.iteration):
+        if t > done + 1:
+            # No run converges while an arrival is pending: the window plays whole.
+            (window,) = _loop([(channel, users)], config, assignment, state, done + 1, t - 1)
+            segments += window.segments
+            end = window.final
+            state, assignment = np.array([end.powers, end.rates]), end.assignment
+        for ev in group:
+            channel = channel.with_user(ev.distances_m)
+            users = users.with_user(ev.user)
+            state = np.append(state, [[ev.user.initial_power], [ev.user.initial_rate]], axis=1)
+            assignment = np.append(assignment, 0)
+        if reprice is not None:
+            users = UserTable.from_users(reprice(channel, users))
+        done = t - 1
+    (trace,) = _loop([(channel, users)], config, assignment, state, done + 1)
+    trace.segments[:0] = segments
     return trace
 
 
 def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     """Solve independent networks in lockstep; one outcome per network.
 
-    ``networks`` holds (channel, users) pairs, every channel with the same
-    number of stations; their user counts may differ. Network k's outcome is
-    the trace ``iterate_to_convergence(channel, users, config)`` returns,
-    bit for bit, or the exception that call raises; the caller raises the
-    first one that its serial order would have reached. Every network steps
-    to the batch's last iteration and keeps its rows up to its own
-    convergence, so a network that never converges keeps its batch-mates
-    stepping until ``config.max_iterations``, their extra rows dropped. A
-    batch whose loop raises is solved again one network at a time, so on
-    that rare path a batch is solved twice. The sequential schedule's sweep
-    is a per-user loop that lockstep does not speed up, so under it the
-    networks are solved one after another.
+    ``networks`` holds (channel, users) pairs; their user and station counts
+    may differ. Network k's outcome is the trace
+    ``iterate_to_convergence(channel, users, config)`` returns, bit for bit,
+    or the exception that call raises; the caller raises the first one that
+    its serial order would have reached. The networks on one station count
+    step in lockstep as one batch: every network steps to the batch's last
+    iteration and keeps its rows up to its own convergence, so a network
+    that never converges keeps its batch-mates stepping until
+    ``config.max_iterations``, their extra rows dropped. A batch whose loop
+    raises is solved again one network at a time, so on that rare path a
+    batch is solved twice. The sequential schedule's sweep is a per-user
+    loop that lockstep does not speed up, so under it the networks are
+    solved one after another.
     """
     config = config if config is not None else ConvergenceConfig()
     networks = [(channel, UserTable.from_users(users)) for channel, users in networks]
-    if len({channel.n_stations for channel, _ in networks}) > 1:
-        raise ValueError("batched networks must share one station count")
     outcomes = [_network_error(channel, users, config) for channel, users in networks]
-    ready = [k for k, error in enumerate(outcomes) if error is None]
-    groups = [ready] if config.schedule == SYNCHRONOUS else [[k] for k in ready]
-    for group in filter(None, groups):
+    lockstep = config.schedule == SYNCHRONOUS
+    groups: dict[int, list[int]] = {}  # by station count, or one network each
+    for k, (channel, _) in enumerate(networks):
+        if outcomes[k] is None:
+            groups.setdefault(channel.n_stations if lockstep else k, []).append(k)
+    for group in groups.values():
         batch = [networks[k] for k in group]
         start = np.zeros(sum(channel.n_users for channel, _ in batch), dtype=int)
         try:
@@ -443,56 +455,55 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
 
 
 @_inf_clamps
-def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
-    """The fixed-point loop, stepping K networks in lockstep; one trace each.
+def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
+    """The fixed-point loop, stepping K fixed networks in lockstep; one trace each.
 
     The state is one fresh (2 x users) stack [powers; rates] per iteration
-    over the networks' concatenated user table, and the gains are their
-    (users x stations) rows; network k owns the columns ``spans[k]``, which
-    are re-cut when an arrival grows the network. Each network's station
-    totals come from its own ``p @ g`` and its step metric from one
-    ``np.maximum.reduceat`` over the span starts. The K networks step as one
-    fixed block from the first iteration until every one has converged or
-    ``config.max_iterations``; ``ends[k]`` keeps the first iteration at which
-    network k met delta with no arrival pending, and network k's trace is cut
-    there; its iterations after it are dropped. Stepping a converged network
-    on changes no other network, as each is its own fixed-point iteration.
+    over the networks' concatenated table, from ``state`` (default the
+    table's initial strategies); network k owns the columns ``spans[k]``,
+    its station totals come from its own ``p @ g`` and its step metric from
+    one ``np.maximum.reduceat`` over the span starts. The loop plays
+    iterations ``first`` to ``last`` whole, or with no ``last`` until every
+    network has met delta or ``config.max_iterations``; network k's one
+    segment is cut at ``ends[k]``, the first iteration at which it met
+    delta. Stepping a converged network on changes no other, as each is its
+    own fixed-point iteration.
 
-    Each iteration appends its number and per-network metrics. Under "full"
-    history it appends the batch's row too (assignment, state and assigned
-    r_eff), and the rows are stacked once into columns at the end. Under
-    "last" the loop holds only the latest iterate, and takes network k's row
-    from it at ``ends[k]``, at an arrival or at the run's end. Whatever a
-    step, the final snap or a segment raises, the loop raises. Arrivals
-    (``pending``) and the sequential schedule only ever come with one network.
+    Under "full" history each iteration appends the batch's row (assignment,
+    state and assigned r_eff), stacked once into columns at the end; under
+    "last" the loop holds only the latest iterate and takes network k's row
+    from it at ``ends[k]`` or at the end. Whatever a step, the final snap or
+    a segment raises, the loop raises. The sequential schedule only ever
+    comes with one network.
     """
-    channels = [channel for channel, _ in networks]
-    users = [us for _, us in networks]
+    channels, users = zip(*networks)
     table = users[0] if len(users) == 1 else UserTable.concat(users)
-    state = table.initial
+    state = table.initial if state is None else state
     blocks = len(networks)
-    pending = list(pending)
     sizes, starts, spans = _spans([len(us) for us in users])
     kkt = config.policy == KKT
     snap_each = None if config.quantize_at_convergence else config.rate_set
     full = config.history == HISTORY_FULL
+    converging = last is None
+    last = config.max_iterations if converging else last
 
     gains = [channel.gains for channel in channels]
     g, noise = gains[0], channels[0].noise_w
     if blocks > 1:
         g = np.concatenate(gains)
         noise = np.array([channel.noise_w for channel in channels]).repeat(sizes)[:, None]
-    segments: list[Segment] = []  # the closed segments of a run with arrivals
-    # Since the last arrival: every iteration's (iteration, metrics), and
-    # under full history the batch's (assignment, state, assigned r_eff) rows.
-    series: list[tuple] = []
+    ids = np.arange(state.shape[1])
+    plain = None if config.schedule == SYNCHRONOUS else _plain(g, table, kkt)
+    # Every iteration's per-network metrics, and under full history the
+    # batch's (assignment, state, assigned r_eff) rows.
+    series: list[list[float]] = []
     history: list[tuple] = []
     ends: list[int | None] = [None] * blocks
     kept: list[tuple | None] = [None] * blocks  # under "last", network k's row at ends[k]
-    # The station totals of the current iterate, reset when the table changes,
-    # and its (users x stations) r_eff matrix, formed only when a sweep or a
-    # row reads it: the sequential sweep reads the totals alone.
-    totals = reffs = None
+    # The station totals of the current iterate, and its (users x stations)
+    # r_eff matrix, formed only when a sweep or a row reads it: the
+    # sequential sweep reads the totals alone.
+    totals, reffs = _totals(state[0], gains, spans, sizes), None
 
     def current_reffs():
         nonlocal reffs
@@ -500,35 +511,9 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
             reffs = _station_reffs(g, noise, state[0], totals)
         return reffs
 
-    iteration = 0
-    while iteration < config.max_iterations:
+    iteration = first - 1
+    while iteration < last:
         iteration += 1
-        if pending and pending[0].iteration == iteration:
-            (channel,), (us,) = channels, users
-            if series:
-                its, ms = _series(series)
-                if full:
-                    rows = _columns(history, spans)[0]
-                else:
-                    rows = _row(assignment, state, current_reffs(), spans[0])
-                segments.append(_segment(channel, table, spans[0], its, ms[:, 0], *rows))
-                series, history = [], []
-            while pending and pending[0].iteration == iteration:
-                ev = pending.pop(0)
-                channel = channel.with_user(ev.distances_m)
-                us = us.with_user(ev.user)
-                state = np.append(state, [[ev.user.initial_power], [ev.user.initial_rate]], axis=1)
-                assignment = np.append(assignment, 0)
-            if reprice is not None:
-                us = UserTable.from_users(reprice(channel, us))
-            channels, users = [channel], [us]
-            sizes, starts, spans = _spans([len(us)])
-            table, g, totals, reffs = us, channel.gains, None, None
-            gains = [g]
-        if totals is None:
-            totals = _totals(state[0], gains, spans, sizes)
-            ids = np.arange(state.shape[1])
-            plain = None if config.schedule == SYNCHRONOUS else _plain(g, table, kkt)
         if config.schedule == SYNCHRONOUS:
             new, assignment = _synchronous_sweep(table, current_reffs(), assignment, kkt)
         else:
@@ -541,10 +526,10 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
         state = new
         # One set of station totals per iterate serves its row and the next sweep.
         totals, reffs = _totals(state[0], gains, spans, sizes), None
-        series.append((iteration, metrics))
+        series.append(metrics)
         if full:
             history.append((assignment, state, current_reffs()[ids, assignment]))
-        if not pending and min(metrics) <= config.delta:
+        if converging and min(metrics) <= config.delta:
             for k, metric in enumerate(metrics):
                 if metric <= config.delta and ends[k] is None:
                     ends[k] = iteration
@@ -554,21 +539,20 @@ def _loop(networks, config, assignment, pending=(), reprice=None) -> list:
                 break
 
     traces = []
-    first = series[0][0]  # the iteration of the open segment's first row
-    iterations, metrics = _series(series)
+    iterations, metrics = np.arange(first, iteration + 1), np.array(series, dtype=float)
     stacked = _columns(history, spans) if full else None
     for k, cols in enumerate(spans):
         converged, end = ends[k] is not None, ends[k] or iteration
-        stop = end - first + 1
+        rows = end - first + 1
         if full:
-            a, states, r = (c[:stop] for c in stacked[k])
+            a, states, r = (c[:rows] for c in stacked[k])
         else:
             a, states, r = kept[k] or _row(assignment, state, current_reffs(), cols)
         if converged and config.quantize_at_convergence:
             # Quantizing at convergence snaps the converged row's rates.
             states[-1, 1] = config.rate_set.snap(states[-1, 1])
-        last = _segment(channels[k], table, cols, iterations[:stop], metrics[:stop, k], a, states, r)
-        traces.append(IterationTrace(segments + [last], converged, end, channels[k], users[k]))
+        seg = _segment(channels[k], table, cols, iterations[:rows], metrics[:rows, k], a, states, r)
+        traces.append(IterationTrace([seg], converged, end, channels[k], users[k]))
     return traces
 
 
@@ -762,12 +746,6 @@ def _segment(channel, table, cols, iterations, metrics, assignment, states, reff
     price = 0.5 * lam * ((a2 / a1) * reffs * rates**2 + (a1 / a2) * powers**2 / reffs)
     utilities = np.log(a2 * reffs * rates + a1 * powers) - price
     return Segment(1, iterations, assignment, powers, rates, sinrs, utilities, metrics)
-
-
-def _series(series) -> tuple[np.ndarray, np.ndarray]:
-    """Every iteration's number, and its (iterations x blocks) metrics."""
-    iterations, metrics = zip(*series)
-    return np.array(iterations), np.array(metrics, dtype=float)
 
 
 def _row(assignment, state, reffs, cols) -> tuple:

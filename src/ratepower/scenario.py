@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _USER_DEFAULTS, ChannelModel, UserParams, UserTable, _RowError
+from .core import _USER_DEFAULTS, ChannelModel, UserParams, UserTable, _require_index, _RowError
 from .engine import (
     CLAMP,
     KKT,
@@ -129,7 +129,10 @@ class Scenario:
     """Everything needed to execute one experiment; ``config`` holds the solve's settings.
 
     ``users`` is a ``UserTable``; a list of ``UserParams`` is converted to one.
-    A move's step must be at least 1, as in a scenario file.
+    A scenario built in code is refused when it is built, as its file would
+    be at parse: each user and arrival needs its own name and each user a
+    channel row; events count from 1, move a user of the table and give
+    one positive distance per station.
     """
 
     channel: ChannelModel
@@ -142,9 +145,28 @@ class Scenario:
 
     def __post_init__(self) -> None:
         self.users = UserTable.from_users(self.users)
+        n, rows, n_stations = len(self.users), self.channel.n_users, self.channel.n_stations
+        if {len(self.user_names), rows} != {n}:
+            raise ValueError(f"{len(self.user_names)} user names and {rows} channel rows for {n} users")
+        taken = set()
+        for k, name in enumerate([*self.user_names, *(ev.name for ev in self.arrivals)]):
+            if name in taken:
+                raise ValueError(
+                    f"duplicate user name {name!r}" if k < n else f"arrival user name {name!r} already used"
+                )
+            taken.add(name)
+        if any(ev.iteration < 1 for ev in self.arrivals):
+            raise ValueError("arrival iterations must be at least 1")
         for ev in self.moves:
             if ev.step < 1:
                 raise ValueError(f"move step {ev.step} of user {ev.user_name!r} must be >= 1")
+            _require_index("user index", ev.user, n)
+        for event, events in (("arrival", self.arrivals), ("move", self.moves)):
+            for d in (np.asarray(ev.distances_m, dtype=float) for ev in events):
+                if d.size != n_stations:
+                    raise ValueError(f"{event} has {d.size} distances, network has {n_stations} stations")
+                if not (d > 0).all():
+                    raise ValueError(f"{event} distances must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +618,11 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
 
     Runs step 1, then one step per distinct move step; each step applies its
     moves and solves to convergence. Arrivals insert their user at their
-    iteration of step 1, which converges only with no arrival pending. A
+    iteration of step 1, which converges only after its last arrival. A
     [pricing] rule is re-evaluated whenever the user set or the geometry it
     depends on changes. The trace joins every step's segments, numbered on
     one iteration count across steps; with moves, the summary carries each
-    step's final row.
-    Non-convergence is flagged in the summary, not raised.
+    step's final row. Non-convergence is flagged in the summary, not raised.
 
     Every step is an independent solve of its geometry from the initial
     strategies, so the steps are solved as one batch. With arrivals step 1
@@ -613,15 +634,15 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
 
 
 def run_scenarios(scenarios) -> list[tuple[IterationTrace, RunSummary]]:
-    """``run_scenario`` of each scenario, their steps solved as one batch per (config, station count).
+    """``run_scenario`` of each scenario, their steps solved as one ``iterate_batch`` per config.
 
     Each scenario solves under its own ``config``; configs, user counts and
-    station counts may all differ. Every step joins its (config, station
-    count) batch, except step 1 with arrivals, which runs alone as its
-    scenario comes up. Each result equals its ``run_scenario``, bit for bit.
-    When that lone solve, or pricing a step, raises, the batched solves
-    before it are run first, so the error raised is the one a loop over the
-    scenarios in order meets first, whatever config it solves under.
+    station counts may all differ. Every step joins its config's batch,
+    except step 1 with arrivals, which runs alone as its scenario comes up.
+    Each result equals its ``run_scenario``, bit for bit. When that lone
+    solve, or pricing a step, raises, the batched solves before it are run
+    first, so the error raised is the one a loop over the scenarios in order
+    meets first, whatever config it solves under.
     """
     networks: list[tuple] = []  # (channel, users, config) of every batched step, in serial order
     done = []
@@ -684,14 +705,14 @@ def sweep_lambda(
 def _solve(networks) -> list:
     """``iterate_batch``'s outcomes for (channel, users, config) networks, in order.
 
-    The networks are solved as one batch per (config, station count); a
+    The networks are solved as one ``iterate_batch`` per config; a
     ConvergenceConfig is frozen, so it keys the groups.
     """
     outcomes = [None] * len(networks)
-    groups: dict[tuple, list[int]] = {}
-    for k, (channel, _, config) in enumerate(networks):
-        groups.setdefault((config, channel.n_stations), []).append(k)
-    for (config, _), ks in groups.items():
+    groups: dict[ConvergenceConfig, list[int]] = {}
+    for k, (_, _, config) in enumerate(networks):
+        groups.setdefault(config, []).append(k)
+    for config, ks in groups.items():
         batch = [networks[k][:2] for k in ks]
         for k, outcome in zip(ks, iterate_batch(batch, config)):
             outcomes[k] = outcome
@@ -728,10 +749,9 @@ def _joined(scenario: Scenario, steps, traces) -> tuple[IterationTrace, RunSumma
         step_finals.append(segments[-1].row(-1))
 
     trace = replace(trace, segments=segments, converged=converged, iterations_used=offset)
-    # Arrivals join in iteration order, after the scenario's own users.
+    # Every arrival fires; they join in iteration order, after the scenario's users.
     arrived = sorted(scenario.arrivals, key=lambda ev: ev.iteration)
-    extra = len(trace.users) - len(scenario.users)
-    names = scenario.user_names + [ev.name for ev in arrived][:extra]
+    names = scenario.user_names + [ev.name for ev in arrived]
     summary = summarize_run(trace, names)
     if scenario.moves:
         summary.steps = step_finals

@@ -1,8 +1,8 @@
 """Lockstep batches against serial solves, the escalation window against a
 serial escalation, and "last" history against "full".
 
-``iterate_batch`` steps K independent networks on one station count, each
-with its own user count, in one loop; network k's outcome must be what
+``iterate_batch`` steps K independent networks, each with its own user
+count, in one loop per station count; network k's outcome must be what
 ``iterate_to_convergence`` gives for it alone, bit for bit: every segment
 column, ``iterations_used`` and ``converged``, or the same exception with the
 same message; ``run_scenarios`` must likewise give each scenario's
@@ -257,10 +257,15 @@ class TestIterateBatch:
         assert [len(t.final_powers) for t in got] == [3, 4, 5, 6, 7]
         assert len({t.iterations_used for t in got}) > 1
 
-    def test_networks_of_different_station_counts_are_refused(self):
+    def test_networks_of_different_station_counts_equal_their_serial_solves(self, monkeypatch):
         one, two = ChannelModel([110.0, 130.0]), ChannelModel([[110.0, 400.0], [130.0, 380.0]])
-        with pytest.raises(ValueError, match="^batched networks must share one station count$"):
-            iterate_batch([(one, [UserParams()] * 2), (two, [UserParams()] * 2)])
+        three = ChannelModel([110.0, 130.0, 210.0])
+        networks = [(one, [UserParams()] * 2), (two, [UserParams()] * 2), (three, [UserParams()] * 3)]
+        calls = counted_loops(monkeypatch)
+        assert_batch_is_serial(networks, None)
+        # The batch splits by station count: the one-station pair, then the
+        # two-station network; the serial solves follow, one network each.
+        assert calls[:2] == [2, 1]
 
     def test_an_empty_batch_has_no_outcomes(self):
         assert iterate_batch([]) == []
@@ -351,9 +356,10 @@ class TestScenarioBatches:
         assert len(got) == len(want)
         for pair in zip(got, want):
             assert_same_run(*pair)
-        # The arrival step alone, then one batch per station count: the
-        # four one-station runs, and fig4's 11 steps with the walk's 2 later ones.
-        assert calls == [1, 4, 13]
+        # The arrival step alone, as a window up to the arrival and a run
+        # from it; then one batch per station count: the four one-station
+        # runs, and fig4's 11 steps with the walk's 2 later ones.
+        assert calls == [1, 1, 4, 13]
 
     def test_run_scenarios_raises_the_error_a_serial_loop_meets_first(self):
         # As below: at price 1 a batched step falls below the ladder, at
@@ -387,10 +393,11 @@ class TestScenarioBatches:
         assert len(got) == len(want)
         for pair in zip(got, want):
             assert_same_run(*pair)
-        # The five arrival steps alone, as each comes up; then one batch per
-        # (config, station count), 2 one-station and 13 two-station networks
-        # each, except that the sequential schedule solves its 15 one at a time.
-        assert sorted(calls) == [1] * 20 + [2] * 4 + [13] * 4
+        # The five arrival steps alone, as each comes up, two windows each;
+        # then one batch per (config, station count), 2 one-station and 13
+        # two-station networks each, except that the sequential schedule
+        # solves its 15 one at a time.
+        assert sorted(calls) == [1] * 25 + [2] * 4 + [13] * 4
         assert run_scenarios([]) == []
 
     def test_the_first_serial_error_may_come_from_a_later_config_group(self):
@@ -422,16 +429,16 @@ class TestScenarioBatches:
         assert reproduce(target).passed
         assert len(calls) == loops
 
-    def test_reproduce_all_solves_every_target_in_eight_loops(self, monkeypatch):
+    def test_reproduce_all_solves_every_target_in_nine_loops(self, monkeypatch):
         # One batch of the 22 default-config one-station runs of table1-4 and
-        # fig1-2, table3's kkt rows, fig4's 11 steps, fig3's arrival run, and
-        # the adaptive solves: table1's 2 removal solves and table3's 2
-        # escalation windows.
+        # fig1-2, table3's kkt rows, fig4's 11 steps, fig3's arrival run as
+        # two windows, and the adaptive solves: table1's 2 removal solves and
+        # table3's 2 escalation windows.
         want = [reproduce(target).lines() for target in REPRODUCE_TARGETS]
         calls = counted_loops(monkeypatch)
         got = reproduce_many(REPRODUCE_TARGETS)
         assert [report.lines() for report in got] == want
-        assert sorted(calls) == [1, 1, 1, 2, 3, 3, 11, 22]
+        assert sorted(calls) == [1, 1, 1, 1, 2, 3, 3, 11, 22]
 
     def test_an_unknown_target_is_refused_before_any_solve(self, monkeypatch):
         calls = counted_loops(monkeypatch)

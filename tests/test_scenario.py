@@ -621,6 +621,111 @@ class TestReferenceScenarios:
             np.testing.assert_array_equal(got.distances_m, want.distances_m)
 
 
+def two_cell_arrival(iteration=5, distances=(130.0, 300.0), name="late"):
+    return ArrivalEvent(iteration, name, np.array(distances), UserParams(alpha2=20.0))
+
+
+def two_cell_move(user=1, distances=(150.0, 300.0), step=2):
+    return MoveEvent(step, user, "near2", np.array(distances))
+
+
+# Every way a Scenario built in code is refused, with its full message: the
+# changes to TWO_CELL's scenario that the parser would refuse in a document.
+CONSTRUCTION_ERRORS = {
+    "move_user_past_the_table": (
+        {"moves": [two_cell_move(user=2)]},
+        "user index 2 is outside [0, 2)",
+    ),
+    "move_user_negative": ({"moves": [two_cell_move(user=-1)]}, "user index -1 is outside [0, 2)"),
+    "move_too_few_distances": (
+        {"moves": [two_cell_move(distances=(150.0,))]},
+        "move has 1 distances, network has 2 stations",
+    ),
+    "move_too_many_distances": (
+        {"moves": [two_cell_move(distances=(150.0, 300.0, 450.0))]},
+        "move has 3 distances, network has 2 stations",
+    ),
+    "move_zero_distance": (
+        {"moves": [two_cell_move(distances=(0.0, 300.0))]},
+        "move distances must be positive",
+    ),
+    "move_negative_distance": (
+        {"moves": [two_cell_move(distances=(150.0, -1.0))]},
+        "move distances must be positive",
+    ),
+    "arrival_too_few_distances": (
+        {"arrivals": [two_cell_arrival(distances=(130.0,))]},
+        "arrival has 1 distances, network has 2 stations",
+    ),
+    "arrival_zero_distance": (
+        {"arrivals": [two_cell_arrival(distances=(130.0, 0.0))]},
+        "arrival distances must be positive",
+    ),
+    "arrival_nan_distance": (
+        {"arrivals": [two_cell_arrival(distances=(math.nan, 300.0))]},
+        "arrival distances must be positive",
+    ),
+    "arrival_at_iteration_zero": (
+        {"arrivals": [two_cell_arrival(iteration=0)]},
+        "arrival iterations must be at least 1",
+    ),
+    "too_few_names": ({"user_names": ["near1"]}, "1 user names and 2 channel rows for 2 users"),
+    "too_many_names": ({"user_names": ["a", "b", "c"]}, "3 user names and 2 channel rows for 2 users"),
+    "channel_rows_differ": (
+        {"channel": ChannelModel([[110.0, 410.0]])},
+        "2 user names and 1 channel rows for 2 users",
+    ),
+    "repeated_name": ({"user_names": ["near1", "near1"]}, "duplicate user name 'near1'"),
+    "arrival_takes_a_user_name": (
+        {"arrivals": [two_cell_arrival(name="near2")]},
+        "arrival user name 'near2' already used",
+    ),
+    "arrivals_share_a_name": (
+        {"arrivals": [two_cell_arrival(), two_cell_arrival(iteration=9)]},
+        "arrival user name 'late' already used",
+    ),
+}
+
+
+class TestScenarioConstruction:
+    """A Scenario refuses, when it is built, what the parser refuses in a document."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTION_ERRORS))
+    def test_every_construction_error_is_refused_before_a_solve(self, name, monkeypatch):
+        from ratepower import engine
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(engine, "_loop", no_loop)
+        change, message = CONSTRUCTION_ERRORS[name]
+        s = parse_scenario(TWO_CELL)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(s, **change)
+        fields = {"channel": s.channel, "users": s.users, "user_names": s.user_names} | change
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Scenario(**fields)
+
+    def test_a_valid_change_of_each_kind_builds(self):
+        s = parse_scenario(TWO_CELL)
+        replace(
+            s,
+            user_names=["x", "y"],
+            arrivals=[two_cell_arrival(iteration=1), two_cell_arrival(iteration=1, name="z")],
+            moves=[two_cell_move(user=0, step=1), two_cell_move(distances=[[150.0, 300.0]])],
+        )
+
+    @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+    def test_every_shipped_scenario_builds_again(self, path):
+        s = parse_scenario(path.read_text())
+        assert replace(s).user_names == s.user_names
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_BUILDERS))
+    def test_every_reference_scenario_builds_again(self, name):
+        s = REFERENCE_BUILDERS[name]()
+        assert replace(s).user_names == s.user_names
+
+
 class TestRunScenario:
     def test_no_events_matches_direct_iteration(self):
         s = parse_scenario(FULL)
@@ -632,9 +737,8 @@ class TestRunScenario:
 
     def test_a_move_of_a_missing_user_is_refused(self):
         s = parse_scenario(MINIMAL)
-        moved = replace(s, moves=[MoveEvent(2, -1, "ghost", np.array([150.0]))])
         with pytest.raises(ValueError, match=r"^user index -1 is outside \[0, 1\)$"):
-            run_scenario(moved)
+            replace(s, moves=[MoveEvent(2, -1, "ghost", np.array([150.0]))])
 
     @pytest.mark.parametrize("step", [0, -3])
     def test_a_move_before_step_one_is_refused(self, step):
