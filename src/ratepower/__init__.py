@@ -3,9 +3,12 @@
 The package is the solver: the unpriced corner game, the priced single-cell
 game, and the priced multi-cell game with base-station assignment, plus
 pricing escalation, user removal, discrete-rate quantization and a
-scenario-file runner. The scalar statements of the paper's formulas, which
-the tests check the solver against, live only in ``ratepower.oracle``; the
-package does not re-export them.
+scenario-file runner. The model it solves (the channel, the users, the rate
+ladder and the pricing rule) lives in ``core``; the engine prices each
+network an arrival grows from the run's ``PricingRule``. The scalar
+statements of the paper's formulas, which the tests check the solver
+against, live only in ``ratepower.oracle``; the package does not re-export
+them.
 
 Every public name resolves on first use (PEP 562): reading it imports its
 home module in ``_HOMES`` and keeps the value here, so ``import ratepower``
@@ -21,6 +24,9 @@ __version__ = "0.1.0"
 _HOMES = {
     "core": (
         "ChannelModel",
+        "NoFeasibleRateError",
+        "PricingRule",
+        "RateSet",
         "Strategy",
         "UserParams",
         "UserTable",
@@ -45,14 +51,11 @@ _HOMES = {
         "BELOW_TARGET",
         "EscalationResult",
         "NotConvergedError",
-        "PricingRule",
         "RemovalResult",
         "classify_users",
         "escalate_pricing",
-        "pricing_rule_eval",
         "removal_loop",
     ),
-    "rates": ("NoFeasibleRateError", "RateSet"),
     "scenario": (
         "ArrivalEvent",
         "MoveEvent",

@@ -1,9 +1,9 @@
-"""Pricing rules, pricing escalation, outcome classification, and user removal.
+"""Pricing escalation, outcome classification, and user removal.
 
-A ``PricingRule`` is the one home of the pricing coefficient and of the
-escalation step: escalation tests each coefficient as ``replace(rule, c=c)``,
-stepping by ``rule.dc``. Pricing a user table writes its one new pricing
-column. Escalation and removal take the solve's settings as
+Escalation raises the coefficient of a ``core.PricingRule``, the one home
+of the coefficient and of its step: it tests each coefficient as
+``replace(rule, c=c)``, stepping by ``rule.dc``, and prices the users with
+``core.priced_users``. Escalation and removal take the solve's settings as
 one ``ConvergenceConfig``. A user counts as at target when its SINR lies
 within the relative band ``AT_TARGET_TOL`` of its target.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChannelModel, UserParams, UserTable, _require_count, _require_finite
+from .core import ChannelModel, PricingRule, UserParams, UserTable, _require_count, priced_users
 from .engine import (
     SYNCHRONOUS,
     ConvergenceConfig,
@@ -27,9 +27,6 @@ __all__ = [
     "BELOW_TARGET",
     "AT_TARGET",
     "ABOVE_TARGET",
-    "PRICING_KINDS",
-    "PricingRule",
-    "pricing_rule_eval",
     "NotConvergedError",
     "classify_users",
     "EscalationResult",
@@ -42,80 +39,10 @@ BELOW_TARGET = "below_target"
 AT_TARGET = "at_target"
 ABOVE_TARGET = "above_target"
 
-PRICING_KINDS = (
-    "constant",
-    "per_user_count",
-    "direct_gain",
-    "inverse_gain",
-    "target_ratio",
-    "inverse_target_ratio",
-)
-
-# Gains differ per station, so these rules would make a user's price depend
-# on where it is served and break the fixed-point guarantees in multi-cell.
-GAIN_DEPENDENT_KINDS = ("direct_gain", "inverse_gain")
-
 AT_TARGET_TOL = 1e-3
 
 # Coefficients escalation solves together as one batch.
 ESCALATION_WINDOW = 3
-
-
-@dataclass(frozen=True)
-class PricingRule:
-    """How a scalar coefficient c maps to each user's pricing factor."""
-
-    kind: str = "constant"
-    c: float = 1e-4
-    dc: float | None = None
-
-    def __post_init__(self) -> None:
-        _require_finite(c=self.c, dc=self.dc)
-        if self.kind not in PRICING_KINDS:
-            raise ValueError(f"kind must be one of {PRICING_KINDS}, got {self.kind!r}")
-        if self.c <= 0:
-            raise ValueError("pricing coefficient c must be positive")
-        if self.dc is not None and self.dc <= 0:
-            raise ValueError("escalation step dc must be positive")
-
-
-def pricing_rule_eval(
-    rule: PricingRule,
-    n_users: int,
-    gain=None,
-    alpha1=None,
-    alpha2=None,
-    multicell: bool = False,
-):
-    """Evaluate one user's pricing factor under ``rule`` at its coefficient ``rule.c``.
-
-    ``gain``, ``alpha1`` and ``alpha2`` may also be arrays, one value per
-    user, and then so is the factor. Gain-dependent kinds are rejected in
-    multi-cell mode.
-    """
-    if multicell and rule.kind in GAIN_DEPENDENT_KINDS:
-        raise ValueError(
-            f"pricing rule {rule.kind!r} depends on the channel gain and cannot "
-            "be used with more than one station"
-        )
-    if rule.kind == "constant":
-        return rule.c
-    if rule.kind == "per_user_count":
-        if n_users < 1:
-            raise ValueError("n_users must be at least 1")
-        return rule.c * n_users
-    # Arrays overflow to inf as floats do, silently; with_lam refuses inf.
-    if rule.kind in GAIN_DEPENDENT_KINDS:
-        if gain is None or np.any(gain <= 0):
-            raise ValueError("gain-dependent rules need a positive gain")
-        with np.errstate(over="ignore"):
-            return rule.c * gain if rule.kind == "direct_gain" else rule.c / gain
-    if alpha1 is None or alpha2 is None or np.any(alpha1 <= 0) or np.any(alpha2 <= 0):
-        raise ValueError("target-ratio rules need positive alpha1 and alpha2")
-    with np.errstate(over="ignore"):
-        if rule.kind == "target_ratio":
-            return rule.c * alpha2 / alpha1
-        return rule.c * alpha1 / alpha2
 
 
 class NotConvergedError(RuntimeError):
@@ -142,25 +69,6 @@ def classify_users(trace: IterationTrace, targets) -> list[str]:
         else:
             out.append(AT_TARGET)
     return out
-
-
-def priced_users(
-    rule: PricingRule, channel: ChannelModel, users: UserTable | list[UserParams]
-) -> UserTable:
-    """Users with their pricing factor replaced by the rule's value, as one new column."""
-    users = UserTable.from_users(users)
-    if not len(users):
-        return users
-    multicell = channel.n_stations > 1
-    lam = pricing_rule_eval(
-        rule,
-        len(users),
-        gain=None if multicell else channel.gains[:, 0],
-        alpha1=users.alpha1,
-        alpha2=users.alpha2,
-        multicell=multicell,
-    )
-    return users.with_lam(lam)
 
 
 @dataclass

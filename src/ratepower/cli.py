@@ -10,7 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .admission import NotConvergedError, PricingRule, escalate_pricing, removal_loop
+from .admission import NotConvergedError, escalate_pricing, removal_loop
+from .core import PricingRule
 from .engine import HISTORY_FULL
 from .scenario import (
     _SCHEMA,

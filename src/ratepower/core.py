@@ -1,4 +1,4 @@
-"""Core uplink model types: the channel, the users and their array table.
+"""The uplink model: channel, users and their table, rate ladder, pricing rule.
 
 Everything here works in SI units throughout (watts, bps, hertz); channel
 gains are dimensionless. Every constructor rejects NaN and infinite numbers.
@@ -14,9 +14,15 @@ the table is built from columns, with ``UserParams``' own message for the
 first bad user. ``UserParams`` is the table's row view and the scalar
 oracles' input; a table made from checked users is not checked again.
 
+A ``RateSet`` is the ladder of admissible rates a solve snaps onto. A
+``PricingRule`` maps one coefficient to every user's pricing factor, and
+``priced_users`` writes the factors as the table's new pricing column; the
+engine prices each grown network from the rule itself.
+
 The scalar formulas of the model (path gain, target SINR, effective
-interference, SINR and the utilities) are stated in ``oracle``; the
-channel, the table and the solver in ``engine`` run them as array code.
+interference, SINR, the utilities, one user's price and one rate's rung)
+are stated in ``oracle``; the channel, the table and the solver in
+``engine`` run them as array code.
 """
 
 from __future__ import annotations
@@ -32,6 +38,12 @@ __all__ = [
     "UserParams",
     "UserTable",
     "Strategy",
+    "RateSet",
+    "NoFeasibleRateError",
+    "PRICING_KINDS",
+    "GAIN_DEPENDENT_KINDS",
+    "PricingRule",
+    "priced_users",
 ]
 
 
@@ -225,15 +237,6 @@ class UserParams:
         if self.r_init is not None and not self.r_min <= self.r_init <= self.r_max:
             raise ValueError(f"r_init {self.r_init} outside [{self.r_min}, {self.r_max}]")
 
-    def with_lam(self, lam: float) -> "UserParams":
-        """This user at pricing factor ``lam``: equal to ``replace(self, lam=lam)``.
-
-        Only ``lam`` is checked, with the constructor's messages; every other
-        field was checked when this user was built, so it is copied as is.
-        """
-        _check_lam(lam)
-        return self._trusted({**self.__dict__, "lam": lam})
-
     @classmethod
     def _trusted(cls, values: dict) -> "UserParams":
         # A user of checked field values, built without the constructor's checks.
@@ -406,7 +409,7 @@ class UserTable:
         """This table at pricing factor ``lam``, a number or one per user.
 
         Only the new column is checked: the first bad value raises what
-        ``UserParams.with_lam`` raises for it.
+        ``UserParams`` raises for it as its ``lam``.
         """
         if np.ndim(lam) == 0:
             _check_lam(float(lam))
@@ -470,3 +473,123 @@ class Strategy:
             raise ValueError(f"power must be positive, got {self.power}")
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
+
+
+class NoFeasibleRateError(ValueError):
+    """Requested rate falls below the smallest admissible rate."""
+
+
+@dataclass(frozen=True)
+class RateSet:
+    """Sorted, duplicate-free ladder of admissible data rates in bps.
+
+    ``snap`` quantizes an array of rates, each to its largest rung not above
+    it (``oracle.rate_floor`` states it for one rate); ``gap`` finds a rate
+    box that holds no rung.
+    """
+
+    rates: tuple[float, ...]
+    _rungs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        values = tuple(sorted({float(x) for x in self.rates}))
+        if not values:
+            raise ValueError("rate set must not be empty")
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("all admissible rates must be finite")
+        if values[0] <= 0:
+            raise ValueError("all admissible rates must be positive")
+        rungs = np.array(values)
+        rungs.flags.writeable = False
+        object.__setattr__(self, "rates", values)
+        object.__setattr__(self, "_rungs", rungs)
+
+    def snap(self, rates: np.ndarray) -> np.ndarray:
+        """Each rate's largest rung not above it, as a new array.
+
+        Lowering the rate can only raise the SINR, so a user quantized this
+        way never ends up below the SINR its continuous rate would have given
+        it. The first rate below the ladder raises ``NoFeasibleRateError``.
+        """
+        idx = np.searchsorted(self._rungs, rates, side="right") - 1
+        if idx.min() < 0:
+            rate = rates[idx.argmin()]
+            raise NoFeasibleRateError(
+                f"no admissible rate at or below {rate} (minimum is {self.rates[0]})"
+            )
+        return self._rungs[idx]
+
+    def gap(self, users) -> tuple[int, str] | None:
+        """The first user of the table ``users`` whose rate box holds no rung, as (index, why)."""
+        r_min, r_max = users.r_min, users.r_max
+        # Each user's least rung at or above r_min, inf past the top of the ladder.
+        rungs = np.append(self._rungs, np.inf)
+        least = rungs[np.searchsorted(rungs, r_min)]
+        off = np.flatnonzero(least > r_max)
+        if not off.size:
+            return None
+        k = int(off[0])
+        return k, f"rate box [{float(r_min[k])}, {float(r_max[k])}] holds no rung of the rate ladder"
+
+    def __len__(self) -> int:
+        return len(self.rates)
+
+
+# Each kind's pricing factors from the coefficient c, the channel's gains and
+# the user table t, with the operations of ``oracle.pricing_rule_eval`` in
+# its order. The gain-dependent kinds read the one station's gains.
+_PRICES = {
+    "constant": lambda c, gains, t: c,
+    "per_user_count": lambda c, gains, t: c * len(t),
+    "direct_gain": lambda c, gains, t: c * gains[:, 0],
+    "inverse_gain": lambda c, gains, t: c / gains[:, 0],
+    "target_ratio": lambda c, gains, t: c * t.alpha2 / t.alpha1,
+    "inverse_target_ratio": lambda c, gains, t: c * t.alpha1 / t.alpha2,
+}
+PRICING_KINDS = tuple(_PRICES)
+
+# Gains differ per station, so these rules would make a user's price depend
+# on where it is served and break the fixed-point guarantees in multi-cell.
+GAIN_DEPENDENT_KINDS = ("direct_gain", "inverse_gain")
+
+
+@dataclass(frozen=True)
+class PricingRule:
+    """How a scalar coefficient c maps to each user's pricing factor.
+
+    ``dc`` is the step by which escalation raises c.
+    """
+
+    kind: str = "constant"
+    c: float = 1e-4
+    dc: float | None = None
+
+    def __post_init__(self) -> None:
+        _require_finite(c=self.c, dc=self.dc)
+        if self.kind not in PRICING_KINDS:
+            raise ValueError(f"kind must be one of {PRICING_KINDS}, got {self.kind!r}")
+        if self.c <= 0:
+            raise ValueError("pricing coefficient c must be positive")
+        if self.dc is not None and self.dc <= 0:
+            raise ValueError("escalation step dc must be positive")
+
+
+@np.errstate(over="ignore")
+def priced_users(
+    rule: PricingRule | None, channel: ChannelModel, users: UserTable | list[UserParams]
+) -> UserTable:
+    """Users with their pricing factor replaced by the rule's value, as one new column.
+
+    With no rule the users keep their own factors. A gain-dependent rule is
+    refused on more than one station. A factor that overflows to inf is
+    refused as the table's ``with_lam`` refuses it.
+    """
+    users = UserTable.from_users(users)
+    if rule is None or not len(users):
+        return users
+    if rule.kind in GAIN_DEPENDENT_KINDS and channel.n_stations > 1:
+        raise ValueError(
+            f"pricing rule {rule.kind!r} depends on the channel gain and cannot "
+            "be used with more than one station"
+        )
+    return users.with_lam(_PRICES[rule.kind](rule.c, channel.gains, users))

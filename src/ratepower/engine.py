@@ -28,13 +28,13 @@ The trace is its ``Segment``s, each a run of iterations on one fixed
 network held as (rows x users) columns, user k in column k; one loop call
 makes one segment per network. ``iterate_to_convergence`` plays arrivals
 as windows: a call plays the iterations before an arrival, its last row
-starts the grown, re-priced network, and a last call runs under the stop
-rule. ``ConvergenceConfig.history`` sets which rows a segment keeps: under
-"last", the default, only its last, which is all the equilibrium, the
-summaries and the admission loops read; under "full" every iteration's,
-which the CSV trace writes. SINR and utility for the kept rows come from
-one vectorised pass; both are elementwise, so a kept last row has the same
-bits either way.
+starts the grown network, which the run's ``PricingRule`` prices again,
+and a last call runs under the stop rule. ``ConvergenceConfig.history``
+sets which rows a segment keeps: under "last", the default, only its
+last, which is all the equilibrium, the summaries and the admission loops
+read; under "full" every iteration's, which the CSV trace writes. SINR and
+utility for the kept rows come from one vectorised pass; both are
+elementwise, so a kept last row has the same bits either way.
 
 A solve takes its users as a ``UserTable`` (a list of ``UserParams`` is
 converted once) and starts at each user's own initial strategy (the
@@ -68,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChannelModel, Strategy, UserParams, UserTable, _require_count, _require_finite
-from .rates import RateSet
+from .core import ChannelModel, PricingRule, RateSet, Strategy, UserParams, UserTable, priced_users
+from .core import _require_count, _require_finite
 
 __all__ = [
     "CLAMP",
@@ -343,7 +343,7 @@ def iterate_to_convergence(
     config: ConvergenceConfig | None = None,
     initial_assignment=None,
     arrivals=(),
-    reprice=None,
+    pricing: PricingRule | None = None,
 ) -> IterationTrace:
     """Run the joint station and rate/power loop until the step metric drops below delta.
 
@@ -364,9 +364,10 @@ def iterate_to_convergence(
 
     ``arrivals`` are events with ``iteration``, ``distances_m`` and ``user``
     attributes. Each adds its user, at its initial strategy on station 0,
-    just before that iteration's sweep; ``reprice(channel, users)``, when
-    given, then returns the users to play on the grown network, so pricing
-    that depends on the user count or the gains sees the newcomer. The
+    just before that iteration's sweep; with a ``pricing`` rule every user
+    of the grown network is then priced by it (``core.priced_users``), so
+    pricing that depends on the user count or the gains sees the newcomer.
+    The users given are played as they are: a caller prices them. The
     iterations before an arrival play whole, as one window and one segment,
     and the run stops only after the last arrival. Every arrival's iteration
     and distances are checked before the first iteration; an arrival after
@@ -408,8 +409,7 @@ def iterate_to_convergence(
             users = users.with_user(ev.user)
             state = np.append(state, [[ev.user.initial_power], [ev.user.initial_rate]], axis=1)
             assignment = np.append(assignment, 0)
-        if reprice is not None:
-            users = UserTable.from_users(reprice(channel, users))
+        users = priced_users(pricing, channel, users)
         done = t - 1
     (trace,) = _loop([(channel, users)], config, assignment, state, done + 1)
     trace.segments[:0] = segments
@@ -606,10 +606,9 @@ def _spans(sizes: list) -> tuple[np.ndarray, np.ndarray, list[slice]]:
 def _network_error(channel: ChannelModel, users: UserTable, config) -> ValueError | None:
     # What a solve of these users on this channel refuses at entry, if anything.
     n = len(users)
+    # A channel has at least one row, so this also refuses a solve of no users.
     if n != channel.n_users:
         return ValueError(f"{n} users but channel has {channel.n_users} rows")
-    if not n:
-        return ValueError("need at least one user")
     if n == 1 and channel.noise_w == 0:
         return ValueError("a lone user with zero noise has no positive fixed point")
     return _ladder_error(config, users)

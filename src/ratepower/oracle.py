@@ -1,36 +1,42 @@
 """Scalar statements of the paper's formulas, and independent verification machinery.
 
-The solver in ``engine`` runs the game as array code; this module states each
-formula one user at a time, and the tests check the solver against it. No
-module imports it and the package does not re-export its names: it loads
+The solver in ``engine`` runs the game as array code; this module states
+each formula one user at a time, and the tests check the solver against it.
+No module imports it and the package does not re-export its names: it loads
 when ``ratepower.oracle`` is first read, so no command loads it. It holds
-the model (the path gain, the target SINR and the weight ratio that sets
-it, effective interference, SINR, the utilities and the priced one's
-gradient and Hessian), the game (the unpriced equilibrium, the closed-form
-best response, the two boundary updates, the symmetric fixed point), the
-least-interference station rule, the power-update map with a sampler of
-the standard-interference-function properties (Yates, IEEE JSAC 1995) that
-make the equilibrium unique, the loop's step metric, and brute force: a
-grid argmax, finite differences and a per-user SINR recomputation of a
-trace record. Deliberately unoptimized. From ``engine`` it takes only
+the model (the path gain, the target SINR and the weight ratio that sets it,
+one user at a new pricing factor, one user's pricing factor under a rule,
+one rate's rung of a ladder, effective interference, SINR, the utilities and
+the priced one's gradient and Hessian), the game (the unpriced equilibrium,
+the closed-form best response, the two boundary updates, the symmetric fixed
+point), the least-interference station rule, the power-update map with a
+sampler of the standard-interference-function properties (Yates, IEEE JSAC
+1995) that make the equilibrium unique, the loop's step metric, and brute
+force: a grid argmax, finite differences and a per-user SINR recomputation
+of a trace record. Deliberately unoptimized. From ``engine`` it takes only
 constants and types, never a function, so the solver is always checked
 against a statement of its own.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import ChannelModel, Strategy, UserParams, UserTable
+from .core import ChannelModel, NoFeasibleRateError, PricingRule, RateSet, Strategy, UserParams
+from .core import UserTable
 from .engine import _EPS, METRIC_ABSOLUTE, METRIC_RELATIVE, METRICS, TIE_REL_TOL, IterationRecord
 
 __all__ = [
     "path_gain",
     "target_sinr",
     "alpha_ratio_for_target",
+    "with_lam",
+    "pricing_rule_eval",
+    "rate_floor",
     "UtilityParamsBase",
     "effective_interference",
     "sinr",
@@ -77,6 +83,41 @@ def alpha_ratio_for_target(target: float, bandwidth_hz: float) -> float:
     if target <= 0 or bandwidth_hz <= 0:
         raise ValueError("all arguments must be positive")
     return target / bandwidth_hz
+
+
+def with_lam(user: UserParams, lam: float) -> UserParams:
+    """``user`` at pricing factor ``lam``: one user of ``UserTable.with_lam``."""
+    return replace(user, lam=lam)
+
+
+def pricing_rule_eval(rule: PricingRule, n_users: int, gain=None, alpha1=None, alpha2=None):
+    """One user's pricing factor under ``rule``, in a network of ``n_users``.
+
+    ``gain`` is the user's gain to its one station and ``alpha1``, ``alpha2``
+    its weights; each kind reads only what it needs.
+    """
+    c = rule.c
+    if rule.kind == "constant":
+        return c
+    if rule.kind == "per_user_count":
+        return c * n_users
+    if rule.kind == "direct_gain":
+        return c * gain
+    if rule.kind == "inverse_gain":
+        return c / gain
+    if rule.kind == "target_ratio":
+        return c * alpha2 / alpha1
+    return c * alpha1 / alpha2
+
+
+def rate_floor(ladder: RateSet, rate: float) -> float:
+    """Largest rung of ``ladder`` not exceeding ``rate``: ``RateSet.snap`` of one rate."""
+    idx = bisect.bisect_right(ladder.rates, rate) - 1
+    if idx < 0:
+        raise NoFeasibleRateError(
+            f"no admissible rate at or below {rate} (minimum is {ladder.rates[0]})"
+        )
+    return ladder.rates[idx]
 
 
 @dataclass(frozen=True)

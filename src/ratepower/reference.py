@@ -19,8 +19,8 @@ from itertools import islice
 
 import numpy as np
 
-from .admission import PricingRule, escalate_pricing, removal_loop
-from .core import ChannelModel, UserParams, UserTable
+from .admission import escalate_pricing, removal_loop
+from .core import ChannelModel, PricingRule, UserParams, UserTable
 from .engine import KKT, ConvergenceConfig
 from .scenario import ArrivalEvent, MoveEvent, Scenario, run_scenarios
 
@@ -152,7 +152,7 @@ def fig4_scenario() -> Scenario:
     # station 2, crossing the midpoint (260 m / 260 m) at step 6.
     users = [[110, 410], [130, 390], [210, 310], [390, 130], [410, 110]]
     moves = [
-        MoveEvent(step, 2, "u3", np.array([210.0 + 10 * (step - 1), 310.0 - 10 * (step - 1)]))
+        MoveEvent(step, 2, np.array([210.0 + 10 * (step - 1), 310.0 - 10 * (step - 1)]))
         for step in range(2, 12)
     ]
     return _scenario(users, 20, 1e-4, p_max=3.0, r_max=96000.0, moves=moves)

@@ -55,7 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _USER_DEFAULTS, ChannelModel, UserParams, UserTable, _require_index, _RowError
+from .core import GAIN_DEPENDENT_KINDS, PRICING_KINDS, ChannelModel, PricingRule, RateSet
+from .core import _USER_DEFAULTS, UserParams, UserTable, _require_index, _RowError, priced_users
 from .engine import (
     CLAMP,
     KKT,
@@ -70,14 +71,7 @@ from .engine import (
     iterate_batch,
     iterate_to_convergence,
 )
-from .admission import (
-    GAIN_DEPENDENT_KINDS,
-    PRICING_KINDS,
-    PricingRule,
-    classify_users,
-    priced_users,
-)
-from .rates import RateSet
+from .admission import classify_users
 
 __all__ = [
     "Scenario",
@@ -119,8 +113,7 @@ class MoveEvent:
     """A change of one user's distances applied before solver step ``step``."""
 
     step: int
-    user: int
-    user_name: str
+    user: int  # the moving user's index in the scenario's table
     distances_m: np.ndarray
 
 
@@ -158,9 +151,9 @@ class Scenario:
         if any(ev.iteration < 1 for ev in self.arrivals):
             raise ValueError("arrival iterations must be at least 1")
         for ev in self.moves:
+            k = _require_index("user index", ev.user, n)
             if ev.step < 1:
-                raise ValueError(f"move step {ev.step} of user {ev.user_name!r} must be >= 1")
-            _require_index("user index", ev.user, n)
+                raise ValueError(f"move step {ev.step} of user {self.user_names[k]!r} must be >= 1")
         for event, events in (("arrival", self.arrivals), ("move", self.moves)):
             for d in (np.asarray(ev.distances_m, dtype=float) for ev in events):
                 if d.size != n_stations:
@@ -285,7 +278,7 @@ _SCHEMA = {
     _ARRIVAL: {"iteration": _Key("iteration", _integer, str), "user": _Key("name", _text, str)},
     "event move": {
         "step": _Key("step", _integer, str),
-        "user": _Key("user_name", _text, str),
+        "user": _Key("user", _text, str),
         "distances_m": _Key("distances_m", _numbers, _spaced),
     },
 }
@@ -555,7 +548,7 @@ def _read_events(sections, kind, index, config, n_stations) -> list:
             _check_ladder(config, users, user_section)
             events.append(ArrivalEvent(at, name, d, users[0]))
         else:
-            events.append(MoveEvent(at, index[name], name, d))
+            events.append(MoveEvent(at, index[name], d))
     return events
 
 
@@ -577,7 +570,9 @@ def scenario_to_text(s: Scenario) -> str:
     if s.pricing is not None:
         sections.append(("pricing", "pricing", vars(s.pricing)))
     sections += [(_ARRIVAL, _ARRIVAL, vars(ev) | vars(ev.user)) for ev in s.arrivals]
-    sections += [("event move", "event move", vars(ev)) for ev in s.moves]
+    sections += [
+        ("event move", "event move", vars(ev) | {"user": s.user_names[ev.user]}) for ev in s.moves
+    ]
     return "\n\n".join(_section_text(*section) for section in sections) + "\n"
 
 
@@ -652,7 +647,6 @@ def run_scenarios(scenarios) -> list[tuple[IterationTrace, RunSummary]]:
             for ev in scenario.moves:
                 moves_by_step.setdefault(ev.step, []).append(ev)
             steps = sorted({1} | set(moves_by_step))
-            reprice = _pricer(scenario.pricing)
             # Every step is an independent solve of the new geometry from the
             # default initial strategies. The converged point is
             # initialization-independent, and a cold start keeps a
@@ -668,15 +662,16 @@ def run_scenarios(scenarios) -> list[tuple[IterationTrace, RunSummary]]:
                     # The later steps play the network this step grows.
                     trace = iterate_to_convergence(
                         channel,
-                        reprice(channel, users),
+                        priced_users(scenario.pricing, channel, users),
                         scenario.config,
                         arrivals=scenario.arrivals,
-                        reprice=reprice,
+                        pricing=scenario.pricing,
                     )
                     channel, users = trace.channel, trace.users
                     first.append(trace)
                 else:
-                    networks.append((channel, reprice(channel, users), scenario.config))
+                    priced = priced_users(scenario.pricing, channel, users)
+                    networks.append((channel, priced, scenario.config))
             done.append((scenario, steps, first, start, len(networks)))
     except ValueError:
         _raise_first(_solve(networks))
@@ -717,15 +712,6 @@ def _solve(networks) -> list:
         for k, outcome in zip(ks, iterate_batch(batch, config)):
             outcomes[k] = outcome
     return outcomes
-
-
-def _pricer(pricing: PricingRule | None):
-    def reprice(channel, users):
-        if pricing is None:
-            return users
-        return priced_users(pricing, channel, users)
-
-    return reprice
 
 
 def _raise_first(outcomes: list) -> None:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import sample_calculus_point, starting_at
-from ratepower.admission import PricingRule, escalate_pricing
-from ratepower.core import ChannelModel, UserParams
+from ratepower.admission import escalate_pricing
+from ratepower.core import ChannelModel, PricingRule, RateSet, UserParams
 from ratepower.engine import KKT, ConvergenceConfig, iterate_to_convergence
 from ratepower.oracle import (
     fd_gradient_check,
@@ -23,7 +23,6 @@ from ratepower.oracle import (
     target_sinr,
     unconstrained_best_response,
 )
-from ratepower.rates import RateSet
 from ratepower.reference import (
     FIG2_LAMBDAS,
     REPRODUCE_TARGETS,

@@ -9,15 +9,13 @@ from ratepower.admission import (
     AT_TARGET,
     BELOW_TARGET,
     NotConvergedError,
-    PricingRule,
     classify_users,
     escalate_pricing,
-    pricing_rule_eval,
     removal_loop,
 )
-from ratepower.core import ChannelModel, UserParams
+from ratepower.core import ChannelModel, PricingRule, UserParams, priced_users
 from ratepower.engine import ConvergenceConfig, iterate_to_convergence
-from ratepower.oracle import target_sinr
+from ratepower.oracle import pricing_rule_eval, target_sinr
 
 
 def table1_setup(lam):
@@ -62,9 +60,11 @@ class TestPricingRuleEval:
         assert pricing_rule_eval(PricingRule("constant", c=4e-4), 9) == pytest.approx(4e-4)
 
     def test_gain_rules_rejected_in_multicell(self):
+        channel = ChannelModel([[110.0, 300.0]] * 3)
         for kind in ("direct_gain", "inverse_gain"):
-            with pytest.raises(ValueError):
-                pricing_rule_eval(PricingRule(kind, c=1.0), 3, gain=1e-10, multicell=True)
+            message = f"pricing rule '{kind}' depends on the channel gain and cannot be used"
+            with pytest.raises(ValueError, match=message):
+                priced_users(PricingRule(kind, c=1.0), channel, [UserParams()] * 3)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

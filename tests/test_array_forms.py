@@ -28,13 +28,24 @@ import copy
 import math
 from dataclasses import replace
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import rows, starting_at
-from ratepower.core import ChannelModel, Strategy, UserParams, UserTable
+from ratepower import engine
+from ratepower.core import (
+    ChannelModel,
+    NoFeasibleRateError,
+    PricingRule,
+    RateSet,
+    Strategy,
+    UserParams,
+    UserTable,
+    priced_users,
+)
 from ratepower.engine import (
     CLAMP,
     KKT,
@@ -59,12 +70,12 @@ from ratepower.oracle import (
     effective_interference,
     effective_interference_by_station,
     power_update_rate_bounded,
+    rate_floor,
     rate_update_power_bounded,
     sinr,
     unconstrained_best_response,
     utility_priced,
 )
-from ratepower.rates import NoFeasibleRateError, RateSet
 
 EPS = np.finfo(float).eps
 
@@ -272,7 +283,7 @@ def loop_step(channel, users, state, policy, rate_set=None):
         r_eff = float(effective_interference_by_station(channel, state.powers, i)[a[i]])
         s = bounded_step(user, r_eff, policy)
         p[i] = s.power
-        r[i] = s.rate if rate_set is None else rate_set.floor(s.rate)
+        r[i] = s.rate if rate_set is None else rate_floor(rate_set, s.rate)
     return State(p, r, a)
 
 
@@ -747,15 +758,25 @@ LADDER = RateSet((0.1, 1e3, 1e4, 5e4))
 
 
 class CountPricing:
-    """A ``reprice`` that sets lambda = c * N and logs every network it prices."""
+    """Lambda = c * N as a per-user-count rule, and a log of every network it prices.
+
+    Called as ``core.priced_users`` is, it prices the network, checks the
+    price against c * N set user by user, and logs the network. A run prices
+    its starting users through it and patches it in as the engine's
+    ``priced_users``, so the log also holds each network the engine
+    reprices after an arrival group.
+    """
 
     def __init__(self, c=1e-5):
         self.c = c
+        self.rule = PricingRule("per_user_count", c)
         self.segments = []
 
-    def __call__(self, channel, users):
-        priced = [replace(u, lam=self.c * len(users)) for u in users]
-        self.segments.append((channel, priced))
+    def __call__(self, rule, channel, users):
+        priced = priced_users(rule, channel, users)
+        want = [replace(u, lam=self.c * len(users)) for u in users]
+        assert rule == self.rule and priced == want
+        self.segments.append((channel, want))
         return priced
 
 
@@ -784,14 +805,15 @@ def run_priced(
         quantize_at_convergence=quantize,
         history=HISTORY_FULL,
     )
-    trace = iterate_to_convergence(
-        channel,
-        pricing(channel, starting_at(users, state.powers, state.rates)),
-        config,
-        initial_assignment=state.assignment,
-        arrivals=events,
-        reprice=pricing,
-    )
+    with mock.patch.object(engine, "priced_users", pricing):
+        trace = iterate_to_convergence(
+            channel,
+            pricing(pricing.rule, channel, starting_at(users, state.powers, state.rates)),
+            config,
+            initial_assignment=state.assignment,
+            arrivals=events,
+            pricing=pricing.rule,
+        )
     return trace, pricing.segments
 
 
@@ -893,7 +915,7 @@ def ladders_and_rates(draw):
 
 
 class TestRateSnap:
-    """``RateSet.snap``, the loop's one-call snap, against ``RateSet.floor``, the scalar oracle."""
+    """``RateSet.snap``, the loop's one-call snap, against ``oracle.rate_floor``, its scalar statement."""
 
     @settings(max_examples=300, deadline=None)
     @given(ladders_and_rates())
@@ -903,12 +925,12 @@ class TestRateSnap:
         ladder, rates = drawn
         below = rates < ladder.rates[0]
         if not below.any():
-            want = np.array([ladder.floor(r) for r in rates])
+            want = np.array([rate_floor(ladder, r) for r in rates])
             np.testing.assert_array_equal(ladder.snap(rates), want)
             return
-        # The first rate below the ladder raises, with floor's own message.
+        # The first rate below the ladder raises, with rate_floor's message.
         with pytest.raises(NoFeasibleRateError) as oracle:
-            ladder.floor(rates[below.argmax()])
+            rate_floor(ladder, rates[below.argmax()])
         with pytest.raises(NoFeasibleRateError) as got:
             ladder.snap(rates)
         assert str(got.value) == str(oracle.value)

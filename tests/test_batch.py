@@ -26,12 +26,17 @@ from ratepower.admission import (
     ESCALATION_WINDOW,
     EscalationResult,
     NotConvergedError,
-    PricingRule,
     classify_users,
     escalate_pricing,
+)
+from ratepower.core import (
+    ChannelModel,
+    NoFeasibleRateError,
+    PricingRule,
+    RateSet,
+    UserParams,
     priced_users,
 )
-from ratepower.core import ChannelModel, UserParams
 from ratepower.engine import (
     CLAMP,
     HISTORY_FULL,
@@ -45,8 +50,7 @@ from ratepower.engine import (
     iterate_batch,
     iterate_to_convergence,
 )
-from ratepower.oracle import target_sinr
-from ratepower.rates import NoFeasibleRateError, RateSet
+from ratepower.oracle import pricing_rule_eval, target_sinr
 from ratepower.reference import (
     REPRODUCE_TARGETS,
     fig4_scenario,
@@ -274,11 +278,6 @@ class TestIterateBatch:
 def serial_run(scenario):
     """A scenario's steps solved one at a time: its joined segments and last trace."""
 
-    def reprice(channel, users):
-        if scenario.pricing is None:
-            return list(users)
-        return priced_users(scenario.pricing, channel, users)
-
     channel, users = scenario.channel, scenario.users
     segments, offset = [], 0
     for step in sorted({1} | {ev.step for ev in scenario.moves}):
@@ -286,8 +285,9 @@ def serial_run(scenario):
             if ev.step == step:
                 channel = channel.moved(ev.user, ev.distances_m)
         arrivals = scenario.arrivals if step == 1 else ()
+        priced = priced_users(scenario.pricing, channel, users)
         trace = iterate_to_convergence(
-            channel, reprice(channel, users), scenario.config, arrivals=arrivals, reprice=reprice
+            channel, priced, scenario.config, arrivals=arrivals, pricing=scenario.pricing
         )
         channel, users = trace.channel, trace.users
         segments += [replace(s, step=step, iterations=s.iterations + offset) for s in trace.segments]
@@ -301,8 +301,8 @@ def walk_with_arrival(rate_set=None):
     channel = ChannelModel([[110.0, 400.0], [130.0, 380.0], [390.0, 120.0]])
     arrival = ArrivalEvent(5, "u4", np.array([200.0, 300.0]), UserParams(alpha2=20.0))
     moves = [
-        MoveEvent(2, 0, "u1", np.array([600.0, 600.0])),
-        MoveEvent(3, 0, "u1", np.array([250.0, 260.0])),
+        MoveEvent(2, 0, np.array([600.0, 600.0])),
+        MoveEvent(3, 0, np.array([250.0, 260.0])),
     ]
     config = ConvergenceConfig(rate_set=rate_set)
     return Scenario(
@@ -690,7 +690,7 @@ class TestPricedUsers:
         n = len(users)
         gains = channel.gains[:, 0]
         want = [
-            replace(u, lam=admission.pricing_rule_eval(rule, n, float(g), u.alpha1, u.alpha2))
+            replace(u, lam=pricing_rule_eval(rule, n, float(g), u.alpha1, u.alpha2))
             for u, g in zip(users, gains)
         ]
         assert got == want
@@ -708,7 +708,7 @@ class TestPricedUsers:
         channel = ChannelModel(distances)
         users = [UserParams()] * len(distances)
         gain = float(channel.gains[0, 0])
-        lam = admission.pricing_rule_eval(rule, len(users), gain, 1e6, 20.0)
+        lam = pricing_rule_eval(rule, len(users), gain, 1e6, 20.0)
         with pytest.raises(ValueError) as want:
             replace(users[0], lam=lam)
         with pytest.raises(ValueError) as got:

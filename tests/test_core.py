@@ -6,9 +6,11 @@ from hypothesis import given, strategies as st
 
 from ratepower.core import (
     ChannelModel,
+    PricingRule,
     Strategy,
     UserParams,
 )
+from ratepower.engine import IterationTrace, iterate_to_convergence
 from ratepower.oracle import (
     UtilityParamsBase,
     alpha_ratio_for_target,
@@ -22,6 +24,8 @@ from ratepower.oracle import (
     utility_priced_gradient,
     utility_priced_hessian,
 )
+from ratepower.reference import table2_scenario, table3_scenario
+from ratepower.scenario import ArrivalEvent
 
 
 class TestPathGain:
@@ -315,3 +319,41 @@ class TestUserParams:
             Strategy(0.0, 100.0)
         with pytest.raises(ValueError):
             Strategy(1.0, -5.0)
+
+
+# Refusals that no shipped input reaches, each with its full message.
+REFUSALS = {
+    "escalation_step": (lambda: PricingRule(dc=0.0), "escalation step dc must be positive"),
+    "no_distances": (
+        lambda: ChannelModel(np.empty((0, 2))),
+        "distances_m must be a non-empty users x stations matrix",
+    ),
+    "move_distance_count": (
+        lambda: ChannelModel([110.0, 130.0]).moved(0, [1.0, 2.0]),
+        "move has 2 distances, network has 1 stations",
+    ),
+    "arrival_at_iteration_0": (
+        lambda: iterate_to_convergence(
+            ChannelModel([110.0]),
+            [UserParams()],
+            arrivals=[ArrivalEvent(0, "late", np.array([130.0]), UserParams())],
+        ),
+        "arrival iterations must be at least 1",
+    ),
+    # A channel has a row, so a solve of no users fails the row count.
+    "no_users": (
+        lambda: iterate_to_convergence(ChannelModel([110.0]), []),
+        "0 users but channel has 1 rows",
+    ),
+    "empty_trace": (lambda: IterationTrace([], True, 0).final, "trace is empty"),
+    "table2_variant": (lambda: table2_scenario(3), "variant must be 1 or 2"),
+    "table3_users": (lambda: table3_scenario(0), "need at least one user"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_a_refusal_keeps_its_message(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message

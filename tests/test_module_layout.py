@@ -43,21 +43,19 @@ PUBLIC_NAMES = [
     "SYNCHRONOUS", "Scenario", "ScenarioFormatError", "Segment", "Strategy", "UserParams",
     "UserTable", "bounded_step", "bounded_step_array", "classify_users", "emit_trace",
     "escalate_pricing", "iterate_batch", "iterate_to_convergence", "parse_scenario",
-    "pricing_rule_eval", "removal_loop", "reproduce", "reproduce_many", "run_scenario",
-    "run_scenarios", "scenario_to_text", "summarize_run", "summary_to_text", "sweep_lambda",
-    "write_summary",
+    "removal_loop", "reproduce", "reproduce_many", "run_scenario", "run_scenarios",
+    "scenario_to_text", "summarize_run", "summary_to_text", "sweep_lambda", "write_summary",
 ]
 
 PARAMETERS = {
     "engine.iterate_to_convergence": [
-        "channel", "users", "config", "initial_assignment", "arrivals", "reprice",
+        "channel", "users", "config", "initial_assignment", "arrivals", "pricing",
     ],
     "engine.iterate_batch": ["networks", "config"],
     "admission.escalate_pricing": ["channel", "users", "rule", "config", "max_steps"],
     "admission.removal_loop": ["channel", "users", "config"],
     "admission.classify_users": ["trace", "targets"],
-    "admission.pricing_rule_eval": ["rule", "n_users", "gain", "alpha1", "alpha2", "multicell"],
-    "admission.priced_users": ["rule", "channel", "users"],
+    "core.priced_users": ["rule", "channel", "users"],
     "scenario.run_scenarios": ["scenarios"],
     "reference.reproduce_many": ["targets"],
 }
@@ -148,6 +146,19 @@ def test_public_names_are_unchanged():
     star = {}
     exec("from ratepower import *", star)
     assert sorted(n for n in star if n != "__builtins__") == PUBLIC_NAMES
+
+
+def test_the_scalar_twins_live_only_in_the_oracle():
+    # One user's price, one user at a new price and one rate's rung are oracle
+    # statements; the model types keep only their array forms.
+    oracle = importlib.import_module("ratepower.oracle")
+    core = importlib.import_module("ratepower.core")
+    for name in ("pricing_rule_eval", "with_lam", "rate_floor"):
+        assert name in oracle.__all__ and callable(getattr(oracle, name))
+    assert not hasattr(ratepower, "pricing_rule_eval")
+    assert not hasattr(core.UserParams, "with_lam")
+    assert not hasattr(core.RateSet, "floor")
+    assert "rates" not in MODULES
 
 
 def test_no_oracle_name_is_a_package_name():

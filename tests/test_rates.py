@@ -3,31 +3,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import starting_at
-from ratepower.core import ChannelModel, UserParams
+from ratepower.core import ChannelModel, NoFeasibleRateError, RateSet, UserParams
 from ratepower.engine import ConvergenceConfig, iterate_to_convergence
-from ratepower.oracle import target_sinr
-from ratepower.rates import NoFeasibleRateError, RateSet
+from ratepower.oracle import rate_floor, target_sinr
 
 LADDER = RateSet((9600.0, 19200.0, 38400.0))
 
 
 class TestQuantizeDown:
     def test_nearest_lower(self):
-        assert LADDER.floor(19306.0) == 19200.0
+        assert rate_floor(LADDER, 19306.0) == 19200.0
 
     def test_member_maps_to_itself(self):
-        assert LADDER.floor(19200.0) == 19200.0
+        assert rate_floor(LADDER, 19200.0) == 19200.0
 
     def test_below_minimum_raises(self):
         with pytest.raises(NoFeasibleRateError):
-            LADDER.floor(9599.0)
+            rate_floor(LADDER, 9599.0)
 
     @given(st.floats(min_value=9600.0, max_value=1e6, allow_nan=False))
     def test_never_exceeds_and_idempotent(self, rate):
-        q = LADDER.floor(rate)
+        q = rate_floor(LADDER, rate)
         assert q <= rate
         assert q in LADDER.rates
-        assert LADDER.floor(q) == q
+        assert rate_floor(LADDER, q) == q
 
     def test_rate_set_normalizes_and_validates(self):
         rs = RateSet((38400.0, 9600.0, 9600.0, 19200.0))
@@ -81,7 +80,7 @@ class TestQuantizedRuns:
 
         base_p, base_r = one_step(rates)
         quantized = rates.copy()
-        quantized[0] = LADDER.floor(rates[0])
+        quantized[0] = rate_floor(LADDER, rates[0])
         new_p, new_r = one_step(quantized)
         assert np.array_equal(new_p[1:], base_p[1:])
         assert np.array_equal(new_r[1:], base_r[1:])

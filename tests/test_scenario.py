@@ -11,8 +11,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import rows
 from ratepower import encoder, reference, scenario as scenario_module
-from ratepower.admission import GAIN_DEPENDENT_KINDS, PRICING_KINDS, PricingRule, priced_users
-from ratepower.core import ChannelModel, UserParams
+from ratepower.core import (
+    GAIN_DEPENDENT_KINDS,
+    PRICING_KINDS,
+    ChannelModel,
+    PricingRule,
+    RateSet,
+    UserParams,
+    priced_users,
+)
 from ratepower.engine import (
     CLAMP,
     HISTORY_FULL,
@@ -26,7 +33,6 @@ from ratepower.engine import (
     iterate_to_convergence,
 )
 from ratepower.oracle import recompute_sinrs
-from ratepower.rates import RateSet
 from ratepower.scenario import (
     ArrivalEvent,
     MoveEvent,
@@ -521,7 +527,7 @@ def scenarios(draw):
         )
     )
     moves = [
-        MoveEvent(at, user, names[user], np.array(draw(rows)))
+        MoveEvent(at, user, np.array(draw(rows)))
         for at, user in zip(
             sorted(draw(st.sets(st.integers(1, 1000), max_size=2))),
             draw(st.lists(st.integers(0, n_users - 1), min_size=2, max_size=2)),
@@ -558,7 +564,7 @@ class TestRoundTrip:
             np.testing.assert_array_equal(a.distances_m, b.distances_m)
         assert len(got.moves) == len(s.moves)
         for a, b in zip(got.moves, s.moves):
-            assert (a.step, a.user, a.user_name) == (b.step, b.user, b.user_name)
+            assert (a.step, a.user) == (b.step, b.user)
             np.testing.assert_array_equal(a.distances_m, b.distances_m)
 
     @pytest.mark.parametrize("text", [MINIMAL, FULL, TWO_CELL])
@@ -579,6 +585,19 @@ class TestRoundTrip:
         reparsed = parse_scenario(first)
         assert reparsed.arrivals[0].iteration == 10
         assert reparsed.pricing.kind == "per_user_count"
+
+    @pytest.mark.parametrize("user", range(3))
+    def test_a_move_keeps_its_user_index(self, user):
+        # Names out of alphabetical order: the text names the user the index
+        # moves, and reading it back gives that index.
+        text = "".join(f"[user {name}]\ndistances_m = 110 410\n" for name in ("zed", "amy", "kim"))
+        s = parse_scenario(text)
+        moved = replace(s, moves=[MoveEvent(2, user, np.array([150.0, 300.0]))])
+        written = scenario_to_text(moved)
+        assert f"[event move]\nstep = 2\nuser = {s.user_names[user]}\n" in written
+        (got,) = parse_scenario(written).moves
+        assert (got.step, got.user) == (2, user)
+        np.testing.assert_array_equal(got.distances_m, [150.0, 300.0])
 
 
 REFERENCE_BUILDERS = {
@@ -617,7 +636,7 @@ class TestReferenceScenarios:
             np.testing.assert_array_equal(got.distances_m, want.distances_m)
         assert len(parsed.moves) == len(s.moves)
         for got, want in zip(parsed.moves, s.moves):
-            assert (got.step, got.user, got.user_name) == (want.step, want.user, want.user_name)
+            assert (got.step, got.user) == (want.step, want.user)
             np.testing.assert_array_equal(got.distances_m, want.distances_m)
 
 
@@ -626,7 +645,7 @@ def two_cell_arrival(iteration=5, distances=(130.0, 300.0), name="late"):
 
 
 def two_cell_move(user=1, distances=(150.0, 300.0), step=2):
-    return MoveEvent(step, user, "near2", np.array(distances))
+    return MoveEvent(step, user, np.array(distances))
 
 
 # Every way a Scenario built in code is refused, with its full message: the
@@ -738,13 +757,13 @@ class TestRunScenario:
     def test_a_move_of_a_missing_user_is_refused(self):
         s = parse_scenario(MINIMAL)
         with pytest.raises(ValueError, match=r"^user index -1 is outside \[0, 1\)$"):
-            replace(s, moves=[MoveEvent(2, -1, "ghost", np.array([150.0]))])
+            replace(s, moves=[MoveEvent(2, -1, np.array([150.0]))])
 
     @pytest.mark.parametrize("step", [0, -3])
     def test_a_move_before_step_one_is_refused(self, step):
         s = parse_scenario(MINIMAL)
         with pytest.raises(ValueError, match=rf"^move step {step} of user 'alice' must be >= 1$"):
-            replace(s, moves=[MoveEvent(step, 0, "alice", np.array([150.0]))])
+            replace(s, moves=[MoveEvent(step, 0, np.array([150.0]))])
 
     def test_pricing_section_overrides_user_lambda(self):
         text = MINIMAL + "[pricing]\nrule = constant\nc = 5e-4\n"

@@ -2,7 +2,8 @@
 
 A ``UserTable`` built from columns checks them vectorised, and the first bad
 row raises what ``UserParams`` raises for it; its rows read back as the users
-they came from; pricing writes one column equal to per-user ``with_lam``; and
+they came from; pricing writes one column equal to ``oracle.with_lam`` of
+each user at ``oracle.pricing_rule_eval``; and
 parsing, pricing and solving a scenario builds no ``UserParams`` at all. A
 solve refuses at entry a user whose rate box holds no rung of the ladder, and
 arithmetic that reaches NaN as a ValueError.
@@ -17,10 +18,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratepower.admission import PRICING_KINDS, PricingRule, priced_users, pricing_rule_eval
-from ratepower.core import ChannelModel, UserParams, UserTable, _RowError
+from ratepower.core import (
+    GAIN_DEPENDENT_KINDS,
+    PRICING_KINDS,
+    ChannelModel,
+    PricingRule,
+    RateSet,
+    UserParams,
+    UserTable,
+    _RowError,
+    priced_users,
+)
 from ratepower.engine import ConvergenceConfig, iterate_batch, iterate_to_convergence
-from ratepower.rates import RateSet
+from ratepower.oracle import pricing_rule_eval, with_lam
 from ratepower.scenario import ArrivalEvent, parse_scenario, run_scenario, summary_to_text
 
 FIELDS = ("alpha1", "alpha2", "lam", "p_min", "p_max", "r_min", "r_max", "p_init", "r_init")
@@ -166,19 +176,15 @@ def priced_networks(draw):
 
 
 def priced_one_by_one(rule, channel, users):
-    multicell = channel.n_stations > 1
+    """Each user priced by the scalar statements; gain pricing needs one station."""
+    if rule.kind in GAIN_DEPENDENT_KINDS and channel.n_stations > 1:
+        raise ValueError(
+            f"pricing rule {rule.kind!r} depends on the channel gain and cannot "
+            "be used with more than one station"
+        )
     gains = channel.gains[:, 0]
     return [
-        u.with_lam(
-            pricing_rule_eval(
-                rule,
-                len(users),
-                gain=None if multicell else float(gains[i]),
-                alpha1=u.alpha1,
-                alpha2=u.alpha2,
-                multicell=multicell,
-            )
-        )
+        with_lam(u, pricing_rule_eval(rule, len(users), float(gains[i]), u.alpha1, u.alpha2))
         for i, u in enumerate(users)
     ]
 
@@ -213,7 +219,7 @@ class TestPricing:
         t = UserTable.from_users([UserParams(), UserParams()])
         first = next(x for x in np.atleast_1d(lam) if not 0 < x < math.inf)
         with pytest.raises(ValueError) as want:
-            UserParams().with_lam(float(first))
+            with_lam(UserParams(), float(first))
         with pytest.raises(ValueError) as got:
             t.with_lam(lam)
         assert str(got.value) == str(want.value)
