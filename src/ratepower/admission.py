@@ -6,6 +6,11 @@ of the coefficient and of its step: it tests each coefficient as
 ``core.priced_users``. Escalation and removal take the solve's settings as
 one ``ConvergenceConfig``. A user counts as at target when its SINR lies
 within the relative band ``AT_TARGET_TOL`` of its target.
+
+Each loop is a chain, a generator that yields the networks one round needs
+(an escalation window, a removal round) and is sent their outcomes;
+``escalate_pricing`` and ``removal_loop`` drive one chain with
+``engine._drive``, and ``reference`` drives them with its scenario runs.
 """
 
 from __future__ import annotations
@@ -15,13 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ChannelModel, PricingRule, UserParams, UserTable, _require_count, priced_users
-from .engine import (
-    SYNCHRONOUS,
-    ConvergenceConfig,
-    IterationTrace,
-    iterate_batch,
-    iterate_to_convergence,
-)
+from .engine import SYNCHRONOUS, ConvergenceConfig, IterationTrace, _drive
 
 __all__ = [
     "BELOW_TARGET",
@@ -56,8 +55,12 @@ def classify_users(trace: IterationTrace, targets) -> list[str]:
             f"run did not converge within {trace.iterations_used} iterations; "
             "cannot classify its users (raise max_iterations or delta)"
         )
+    return _outcomes(trace.final_sinrs, targets)
+
+
+def _outcomes(sinrs: np.ndarray, targets) -> list[str]:
+    # Each user's outcome, from its SINR in a converged row.
     t = np.asarray(targets, dtype=float)
-    sinrs = trace.final_sinrs
     if t.shape != sinrs.shape:
         raise ValueError("one target per user required")
     out = []
@@ -107,6 +110,13 @@ def escalate_pricing(
     of theirs does not surface. What is reported, raised included, is what
     testing one coefficient at a time gives.
     """
+    (result,) = _drive([_escalation(channel, users, rule, config, max_steps)])
+    return result
+
+
+def _escalation(channel, users, rule, config=None, max_steps=40):
+    # ``escalate_pricing`` as a chain for ``engine._drive``: each round
+    # yields one window's networks.
     step = rule.dc if rule.dc is not None else 0.25 * rule.c
     max_steps = _require_count("max_steps", max_steps)
     config = config if config is not None else ConvergenceConfig()
@@ -126,7 +136,7 @@ def escalate_pricing(
                 priced.append(priced_users(replace(rule, c=c), channel, users))
         except ValueError as exc:
             error = exc  # met only if no coefficient before it is achieved
-        outcomes = iterate_batch([(channel, us) for us in priced], config)
+        outcomes = yield [(channel, us, config) for us in priced]
         for c, outcome in zip(window, outcomes):
             if isinstance(outcome, Exception):
                 raise outcome
@@ -164,13 +174,23 @@ def removal_loop(
     each removal the game is re-solved under ``config`` over the survivors.
     Terminates in at most len(users) rounds.
     """
+    (result,) = _drive([_removal(channel, users, config)])
+    return result
+
+
+def _removal(channel, users, config=None):
+    # ``removal_loop`` as a chain for ``engine._drive``: each round yields
+    # the survivors' network.
+    config = config if config is not None else ConvergenceConfig()
     users = UserTable.from_users(users)
     active = list(range(len(users)))
     removed: list[int] = []
     while active:
         ch = channel.subset(active)
         us = users[active]
-        trace = iterate_to_convergence(ch, us, config)
+        (trace,) = yield [(ch, us, config)]
+        if isinstance(trace, Exception):
+            raise trace
         targets = us.target_sinrs(ch.bandwidth_hz)
         outcomes = classify_users(trace, targets)
         below = [k for k, o in enumerate(outcomes) if o == BELOW_TARGET]

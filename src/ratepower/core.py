@@ -104,7 +104,9 @@ class ChannelModel:
     ``g[i, a] = shadowing / d[i, a] ** pathloss_exponent``, which
     ``oracle.path_gain`` states for one distance. The model is immutable
     (fields frozen, arrays read-only), so the gains cached at construction
-    always match the geometry.
+    always match the geometry. Both matrices are stored C-ordered whatever
+    the layout given, so a network solved alone and in a batch reads the
+    same layout.
     """
 
     distances_m: np.ndarray
@@ -115,7 +117,8 @@ class ChannelModel:
     _gains: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        d = np.array(self.distances_m, dtype=float)
+        # C order, and so the gains: ``p @ g`` rounds by the layout it reads.
+        d = np.array(self.distances_m, dtype=float, order="C")
         if d.ndim == 1:
             d = d.reshape(-1, 1)
         if d.ndim != 2 or d.size == 0:

@@ -13,8 +13,9 @@ formulas it runs, the step metric's among them, live in ``oracle``, which
 this module does not import.
 
 The loop steps a fixed set of networks from a given state. Each iterate's
-station totals come from one ``p @ g`` per network, and its (users x
-stations) effective-interference matrix from them; the matrix feeds that
+station totals come from each network's own ``p @ g``, the networks of one
+size stacked into one product, and its (users x stations)
+effective-interference matrix from them; the matrix feeds that
 iterate's trace row and the next synchronous sweep, which assigns every
 user at once and takes every best response from the array kernel behind
 ``bounded_step_array``. The sequential sweep visits users in order, on
@@ -33,8 +34,9 @@ and a last call runs under the stop rule. ``ConvergenceConfig.history``
 sets which rows a segment keeps: under "last", the default, only its
 last, which is all the equilibrium, the summaries and the admission loops
 read; under "full" every iteration's, which the CSV trace writes. SINR and
-utility for the kept rows come from one vectorised pass; both are
-elementwise, so a kept last row has the same bits either way.
+utility for the kept rows of every network of a loop come from one
+vectorised pass; both are elementwise, so a kept last row has the same bits
+either way, and in any batch.
 
 A solve takes its users as a ``UserTable`` (a list of ``UserParams`` is
 converted once) and starts at each user's own initial strategy (the
@@ -48,15 +50,23 @@ placements give the powers and stations of the continuous game.
 
 ``iterate_batch`` steps the independent networks of one station count in
 lockstep, whatever their user counts: one (2 x users) state over their
-concatenated table, each network owning a span of its columns, with each
-network's station totals from its own ``p @ g`` over its span (a stacked
-product rounds differently) and its own step metric, so each network's
+concatenated table, each network owning a span of its columns. The station
+totals of the K networks of one size come from one stacked (K x 1 x n) @
+(K x n x stations) product, which makes for each network the BLAS call its
+own ``p @ g`` makes, on the same C-ordered gains (``ChannelModel`` stores
+them so), and each network has its own step metric, so each network's
 trace equals its solve alone, bit for bit. Every network steps to the
 batch's end and keeps its rows up to its own convergence: each is its own
 fixed-point iteration, so stepping a converged network on changes no
 other. A batch that raises is solved again one network at a time, so each
 network gets its own trace or error. The sequential sweep, a per-user loop
 that lockstep does not speed up, runs one network at a time.
+
+Solves that depend on earlier ones (escalation windows, removal rounds, a
+scenario's steps) are written as chains, generators that yield each
+round's networks and are sent their outcomes; ``_drive`` steps several
+chains together, one ``iterate_batch`` per config and round, and raises
+the error running them one after another meets first.
 """
 
 from __future__ import annotations
@@ -454,6 +464,57 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     return outcomes
 
 
+def _drive(chains) -> list:
+    """Step chains of dependent solves together; each chain's result, in order.
+
+    A chain is a generator: it yields the (channel, users, config) networks
+    one of its rounds needs, is sent their outcomes in order (each the trace
+    or the exception ``iterate_batch`` gives), and returns its result. Each
+    round the requests of every chain still running are solved together,
+    with one ``iterate_batch`` per config. An error a chain raises is held
+    until every chain before it has finished, and chains after it are not
+    stepped again; then the first held error is raised, which is the error
+    running the chains one after another meets first.
+    """
+    chains = list(chains)
+    results: list = [None] * len(chains)
+    failed, error = len(chains), None  # the first chain that raised, and its error
+    sent: list = [None] * len(chains)  # each chain's outcomes of its last round
+    running = range(len(chains))
+    while running:
+        asked = {}  # each stepped chain's networks, in chain order
+        for i in running:
+            if i > failed:
+                break
+            try:
+                asked[i] = chains[i].send(sent[i])
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as exc:  # held for the serial order
+                failed, error = i, exc
+        outcomes = iter(_solve([net for nets in asked.values() for net in nets]))
+        for i, nets in asked.items():
+            sent[i] = list(itertools.islice(outcomes, len(nets)))
+        running = list(asked)
+    if error is not None:
+        raise error
+    return results
+
+
+def _solve(networks) -> list:
+    # ``iterate_batch``'s outcomes for (channel, users, config) networks, in
+    # order, from one batch per config; a ConvergenceConfig is frozen, so it
+    # keys the groups.
+    outcomes = [None] * len(networks)
+    groups: dict[ConvergenceConfig, list[int]] = {}
+    for k, (_, _, config) in enumerate(networks):
+        groups.setdefault(config, []).append(k)
+    for config, ks in groups.items():
+        for k, outcome in zip(ks, iterate_batch([networks[k][:2] for k in ks], config)):
+            outcomes[k] = outcome
+    return outcomes
+
+
 @_inf_clamps
 def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
     """The fixed-point loop, stepping K fixed networks in lockstep; one trace each.
@@ -461,20 +522,23 @@ def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
     The state is one fresh (2 x users) stack [powers; rates] per iteration
     over the networks' concatenated table, from ``state`` (default the
     table's initial strategies); network k owns the columns ``spans[k]``,
-    its station totals come from its own ``p @ g`` and its step metric from
-    one ``np.maximum.reduceat`` over the span starts. The loop plays
-    iterations ``first`` to ``last`` whole, or with no ``last`` until every
-    network has met delta or ``config.max_iterations``; network k's one
-    segment is cut at ``ends[k]``, the first iteration at which it met
-    delta. Stepping a converged network on changes no other, as each is its
-    own fixed-point iteration.
+    its station totals come from its own ``p @ g``, stacked with those of
+    the networks of its size (``_totals``), and its step metric from one
+    ``np.maximum.reduceat`` over the span starts. The loop plays iterations
+    ``first`` to ``last`` whole, or with no ``last`` until every network has
+    met delta or ``config.max_iterations``; network k's one segment is cut
+    at ``ends[k]``, the first iteration at which it met delta. Stepping a
+    converged network on changes no other, as each is its own fixed-point
+    iteration.
 
     Under "full" history each iteration appends the batch's row (assignment,
     state and assigned r_eff), stacked once into columns at the end; under
-    "last" the loop holds only the latest iterate and takes network k's row
-    from it at ``ends[k]`` or at the end. Whatever a step, the final snap or
-    a segment raises, the loop raises. The sequential schedule only ever
-    comes with one network.
+    "last" the loop holds the latest iterate and one batch row that keeps
+    each network's columns from ``ends[k]`` while the others step on. SINR
+    and utility come from one vectorised pass over the kept rows of every
+    network, and each network's segment is its span of them. Whatever a
+    step, the final snap or that pass raises, the loop raises. The
+    sequential schedule only ever comes with one network.
     """
     channels, users = zip(*networks)
     table = users[0] if len(users) == 1 else UserTable.concat(users)
@@ -488,10 +552,14 @@ def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
     last = config.max_iterations if converging else last
 
     gains = [channel.gains for channel in channels]
-    g, noise = gains[0], channels[0].noise_w
+    g, noise, bandwidth = gains[0], channels[0].noise_w, channels[0].bandwidth_hz
+    groups = owner = None  # only a batch groups its products and merges kept rows
     if blocks > 1:
         g = np.concatenate(gains)
         noise = np.array([channel.noise_w for channel in channels]).repeat(sizes)[:, None]
+        bandwidth = np.array([channel.bandwidth_hz for channel in channels]).repeat(sizes)
+        groups = _size_groups(gains, starts, sizes)
+        owner = np.arange(blocks).repeat(sizes)  # each column's network
     ids = np.arange(state.shape[1])
     plain = None if config.schedule == SYNCHRONOUS else _plain(g, table, kkt)
     # Every iteration's per-network metrics, and under full history the
@@ -499,17 +567,20 @@ def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
     series: list[list[float]] = []
     history: list[tuple] = []
     ends: list[int | None] = [None] * blocks
-    kept: list[tuple | None] = [None] * blocks  # under "last", network k's row at ends[k]
+    kept = None  # under "last", a batch row holding network k's row at ends[k]
     # The station totals of the current iterate, and its (users x stations)
     # r_eff matrix, formed only when a sweep or a row reads it: the
     # sequential sweep reads the totals alone.
-    totals, reffs = _totals(state[0], gains, spans, sizes), None
+    totals, reffs = _totals(state[0], gains, groups), None
 
     def current_reffs():
         nonlocal reffs
         if reffs is None:
             reffs = _station_reffs(g, noise, state[0], totals)
         return reffs
+
+    def current_row():
+        return assignment, state, current_reffs()[ids, assignment]
 
     iteration = first - 1
     while iteration < last:
@@ -525,33 +596,42 @@ def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
         metrics = _step_metric(state, new, config.metric, starts).tolist()
         state = new
         # One set of station totals per iterate serves its row and the next sweep.
-        totals, reffs = _totals(state[0], gains, spans, sizes), None
+        totals, reffs = _totals(state[0], gains, groups), None
         series.append(metrics)
         if full:
-            history.append((assignment, state, current_reffs()[ids, assignment]))
+            history.append(current_row())
         if converging and min(metrics) <= config.delta:
-            for k, metric in enumerate(metrics):
-                if metric <= config.delta and ends[k] is None:
-                    ends[k] = iteration
-                    if not full:
-                        kept[k] = _row(assignment, state, current_reffs(), spans[k])
+            met = [m <= config.delta and e is None for m, e in zip(metrics, ends)]
+            ends = [iteration if now else e for now, e in zip(met, ends)]
             if None not in ends:
                 break
+            if not full:
+                now = np.array(met)[owner]
+                kept = current_row() if kept is None else _pick(now, current_row(), kept)
 
-    traces = []
     iterations, metrics = np.arange(first, iteration + 1), np.array(series, dtype=float)
-    stacked = _columns(history, spans) if full else None
-    for k, cols in enumerate(spans):
+    if full:
+        a, states, r = _columns(history)
+    else:
+        a, states, r = current_row()
+        if kept is not None:
+            earlier = np.array([e is not None and e < iteration for e in ends])[owner]
+            a, states, r = _pick(earlier, kept, (a, states, r))
+        a, states, r = a[None], states[None], r[None]
+    if config.quantize_at_convergence:
+        # Quantizing at convergence snaps each converged row's rates.
+        for end, span in zip(ends, spans):
+            if end is not None:
+                s = end - first if full else 0
+                states[s, 1, span] = config.rate_set.snap(states[s, 1, span])
+    sinrs, utilities = _sinrs_utilities(table, bandwidth, states, r)
+    columns = (a, states[:, 0], states[:, 1], sinrs, utilities)
+    traces = []
+    for k, span in enumerate(spans):
         converged, end = ends[k] is not None, ends[k] or iteration
-        rows = end - first + 1
-        if full:
-            a, states, r = (c[:rows] for c in stacked[k])
-        else:
-            a, states, r = kept[k] or _row(assignment, state, current_reffs(), cols)
-        if converged and config.quantize_at_convergence:
-            # Quantizing at convergence snaps the converged row's rates.
-            states[-1, 1] = config.rate_set.snap(states[-1, 1])
-        seg = _segment(channels[k], table, cols, iterations[:rows], metrics[:rows, k], a, states, r)
+        n = end - first + 1
+        rows = slice(n) if full else slice(None)
+        seg = Segment(1, iterations[:n], *[c[rows, span] for c in columns], metrics[:n, k])
         traces.append(IterationTrace([seg], converged, end, channels[k], users[k]))
     return traces
 
@@ -584,14 +664,37 @@ def _station_reffs(g: np.ndarray, noise, powers: np.ndarray, totals: np.ndarray)
     return (totals - g * powers[:, None] + noise) / g
 
 
-def _totals(powers: np.ndarray, gains: list, spans: list, sizes: np.ndarray) -> np.ndarray:
-    # The station totals each user sees: its own network's ``p @ g`` over
-    # its span, one product per network, since a stacked product rounds
-    # differently. One network's totals broadcast over its users as they are.
-    if len(gains) == 1:
+def _size_groups(gains: list, starts: np.ndarray, sizes: np.ndarray) -> tuple[list, np.ndarray]:
+    # The batch's networks grouped by user count, for ``_totals``: each
+    # group's users' columns as a (K x n) index array with its gains as one
+    # (K x n x stations) stack, and each user's row among the groups'
+    # products, laid end to end.
+    groups: dict[int, list[int]] = {}
+    for k, n in enumerate(sizes.tolist()):
+        groups.setdefault(n, []).append(k)
+    stacks = [
+        (starts[ks][:, None] + np.arange(n), np.stack([gains[k] for k in ks]))
+        for n, ks in groups.items()
+    ]
+    # The inverse of the group order, by a scatter: ``np.argsort``'s first
+    # call alone grows the resident set by about 0.4 MB.
+    rows = np.empty(len(sizes), dtype=int)
+    rows[[k for ks in groups.values() for k in ks]] = np.arange(len(sizes))
+    return stacks, rows.repeat(sizes)
+
+
+def _totals(powers: np.ndarray, gains: list, groups) -> np.ndarray:
+    # The station totals each user sees: its own network's ``p @ g``. The
+    # networks of one size form one stacked (K x 1 x n) @ (K x n x stations)
+    # product, which makes for each network the BLAS call its product alone
+    # makes, on C-ordered gains, so each network's totals keep its bits. One
+    # network (``groups`` None) has its totals broadcast over its users as
+    # they are.
+    if groups is None:
         return powers @ gains[0]
-    per_network = [powers[span] @ g for span, g in zip(spans, gains)]
-    return np.array(per_network).repeat(sizes, axis=0)
+    stacks, rows = groups
+    products = [(powers[cols][:, None] @ g)[:, 0] for cols, g in stacks]
+    return (products[0] if len(products) == 1 else np.concatenate(products))[rows]
 
 
 def _spans(sizes: list) -> tuple[np.ndarray, np.ndarray, list[slice]]:
@@ -729,47 +832,39 @@ def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt, plain=No
     return _bounded_step_stack(table, np.array(seen), kkt), stations
 
 
-def _segment(channel, table, cols, iterations, metrics, assignment, states, reffs) -> Segment:
-    """One segment of step 1: iterations played on ``channel`` by columns ``cols`` of ``table``.
+def _sinrs_utilities(table, bandwidth, states, reffs) -> tuple[np.ndarray, np.ndarray]:
+    """SINR and utility of (rows x 2 x users) states, in one vectorised pass.
 
-    Every iteration's number and metric arrive as vectors; the kept rows'
-    assignment and assigned r_eff as columns, their states as a (rows x 2 x
-    users) stack, and SINR and utility come from one vectorised pass over
-    those rows.
+    Column k is user k of ``table``, ``reffs`` holds each user's r_eff at
+    its station in each row, and ``bandwidth`` is one number or one per
+    user. Both are elementwise, so a row has the same bits in any batch.
     """
     powers, rates = states[:, 0], states[:, 1]
     if not (reffs > 0).all():
         raise ValueError("effective interference must be positive")
-    sinrs = (channel.bandwidth_hz / rates) * (powers / reffs)
-    a1, a2, lam = table.alpha1[cols], table.alpha2[cols], table.lam[cols]
+    sinrs = (bandwidth / rates) * (powers / reffs)
+    a1, a2, lam = table.alpha1, table.alpha2, table.lam
     price = 0.5 * lam * ((a2 / a1) * reffs * rates**2 + (a1 / a2) * powers**2 / reffs)
     utilities = np.log(a2 * reffs * rates + a1 * powers) - price
-    return Segment(1, iterations, assignment, powers, rates, sinrs, utilities, metrics)
+    return sinrs, utilities
 
 
-def _row(assignment, state, reffs, cols) -> tuple:
-    """The iterate of the network in columns ``cols`` as one-row columns.
-
-    Its stations, its (1 x 2 x users) state and each user's r_eff at its
-    station, all fresh arrays, so a kept row holds no batch array alive.
-    """
-    a = assignment[cols]
-    return (
-        np.array([a], dtype=int),
-        np.array([state[:, cols]], dtype=float),
-        reffs[cols][np.arange(len(a)), a][None],
-    )
+def _pick(mask, chosen: tuple, other: tuple) -> tuple:
+    # Two batch rows (assignment, state, assigned r_eff) merged: each user's
+    # column from ``chosen`` where ``mask`` holds, else from ``other``.
+    return tuple(np.where(mask, x, y) for x, y in zip(chosen, other))
 
 
-def _columns(history, spans) -> list[tuple]:
-    """The batch's rows stacked once into columns, cut into its networks' ``spans``.
+def _columns(history) -> tuple:
+    """The batch's rows stacked once into columns.
 
-    Each row is (assignment, (2 x users) state, assigned r_eff). Network
-    k's tuple holds the same fields as columns of the users in ``spans[k]``,
-    states as an (iterations x 2 x users) stack.
+    Each row is (assignment, (2 x users) state, assigned r_eff); so is the
+    result, as (iterations x users) columns and an (iterations x 2 x users)
+    stack of states.
     """
     assignment, states, reffs = zip(*history)
-    assignment = np.array(assignment, dtype=int)
-    states = np.array(states, dtype=float)
-    reffs = np.array(reffs, dtype=float)
-    return [(assignment[:, span], states[:, :, span], reffs[:, span]) for span in spans]
+    return (
+        np.array(assignment, dtype=int),
+        np.array(states, dtype=float),
+        np.array(reffs, dtype=float),
+    )

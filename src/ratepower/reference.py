@@ -4,12 +4,13 @@ Each builder builds its Scenario value directly. ``reproduce_many(targets)``
 runs the matching experiments and compares each one's converged values
 against its stored reference equilibria at per-target tolerances, returning
 one itemized report per target; ``reproduce(target)`` runs one. Each
-experiment is a list of its independent runs and a check of their results.
-The runs of every requested experiment are solved together by one
-``run_scenarios`` call, one batch per (config, station count), so ``all``
-solves table1-4's and fig1-2's 22 one-station runs under the default config
-as one batch. The checks then run the adaptive parts, table1's removal loop
-and table3's escalations, one target after another.
+experiment is its independent runs, its adaptive solves (table1's removal
+loop, table3's escalations) and a check of their results. Every requested
+experiment's runs and adaptive solves are chains that ``engine._drive``
+steps together, one batch per (config, station count) and round, so round
+1 of ``all`` solves table1-4's and fig1-2's 22 one-station runs under the
+default config, table1's first removal round and table3's two escalation
+windows as one batch of 29 networks.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from itertools import islice
 
 import numpy as np
 
-from .admission import escalate_pricing, removal_loop
+from .admission import _escalation, _removal
 from .core import ChannelModel, PricingRule, UserParams, UserTable
-from .engine import KKT, ConvergenceConfig
-from .scenario import ArrivalEvent, MoveEvent, Scenario, run_scenarios
+from .engine import KKT, ConvergenceConfig, _drive
+from .scenario import ArrivalEvent, MoveEvent, Scenario, _run
 
 __all__ = [
     "REPRODUCE_TARGETS",
@@ -231,20 +232,20 @@ def _triple_checks(label: str, summary, expected, tol: float) -> list[Check]:
 # ---------------------------------------------------------------------------
 # Per-target reproduction
 #
-# ``_table1()`` returns (scenarios, check), and ``check(runs)`` takes the
-# (trace, summary) of each scenario, in order, and returns the checks. The
-# adaptive parts run inside the checks because each of their solves depends
-# on the one before.
+# ``_table1()`` returns (scenarios, adaptive, check): the scenarios to run,
+# the chains of its adaptive solves (``admission``'s removal and escalation
+# chains), and ``check(results)``, which takes each scenario's (trace,
+# summary), in order, then each chain's result, and returns the checks.
 
 
 def _table1():
     scenarios = [table1_scenario(1e-5), table1_scenario(1e-4), table1_removal_scenario()]
+    removal = _removal(scenarios[0].channel, scenarios[0].users)
 
-    def check(runs) -> list[Check]:
-        (_, low), (_, high), (_, after) = runs
+    def check(results) -> list[Check]:
+        (_, low), (_, high), (_, after), removal = results
         checks = _triple_checks("lam1e-5", low, TABLE1_LOW_PRICING, 0.01)
         checks += _triple_checks("lam1e-4", high, TABLE1_HIGH_PRICING, 0.01)
-        removal = removal_loop(scenarios[0].channel, scenarios[0].users)
         checks.append(
             _bool_check(
                 "removal.drops_only_u3",
@@ -255,7 +256,7 @@ def _table1():
         checks += _triple_checks("after_removal", after, TABLE1_AFTER_REMOVAL, 0.01)
         return checks
 
-    return scenarios, check
+    return scenarios, [removal], check
 
 
 def _table2():
@@ -276,7 +277,7 @@ def _table2():
         )
         return checks
 
-    return scenarios, check
+    return scenarios, [], check
 
 
 def _table3():
@@ -285,8 +286,13 @@ def _table3():
     kkt = [table3_scenario(m) for m in TABLE3_KKT_RATES]
     kkt = [replace(s, config=replace(s.config, policy=KKT)) for s in kkt]
     scenarios = [table3_scenario(m) for m in TABLE3_CLAMP] + kkt
+    rule = PricingRule("constant", 4e-4, dc=1e-4)
+    escalations = [
+        _escalation(s.channel, s.users, rule) for s in map(table3_scenario, TABLE3_ESCALATED)
+    ]
 
-    def check(runs) -> list[Check]:
+    def check(results) -> list[Check]:
+        runs, escalated = results[: len(scenarios)], results[len(scenarios) :]
         checks: list[Check] = []
         for (m, (p, r, g)), (_, summary) in zip(TABLE3_CLAMP.items(), runs):
             checks.append(_bool_check(f"m{m}.converged", summary.converged))
@@ -298,17 +304,14 @@ def _table3():
             checks.append(_rel_check(f"m{m}.kkt.p_w", summary.powers[0], 0.0647, 0.005))
             checks.append(_rel_check(f"m{m}.kkt.r_bps", summary.rates[0], r_kkt, 0.005))
 
-        for m, (c_exp, r_exp, g_exp) in TABLE3_ESCALATED.items():
-            scenario = table3_scenario(m)
-            rule = PricingRule("constant", 4e-4, dc=1e-4)
-            result = escalate_pricing(scenario.channel, scenario.users, rule)
+        for (m, (c_exp, r_exp, g_exp)), result in zip(TABLE3_ESCALATED.items(), escalated):
             checks.append(_bool_check(f"m{m}.escalation.achieved", result.achieved))
             checks.append(_rel_check(f"m{m}.escalation.c_final", result.c_final, c_exp, 1e-9))
             checks.append(_rel_check(f"m{m}.escalation.r_bps", result.trace.final_rates[0], r_exp, 0.005))
             checks.append(_rel_check(f"m{m}.escalation.sinr", result.trace.final_sinrs[0], g_exp, 0.005))
         return checks
 
-    return scenarios, check
+    return scenarios, escalations, check
 
 
 def _table4():
@@ -327,7 +330,7 @@ def _table4():
             checks.append(_rel_check(f"{label}.sinr", summary.sinrs[0], g_exp, tol))
         return checks
 
-    return scenarios, check
+    return scenarios, [], check
 
 
 def _fig1():
@@ -338,7 +341,7 @@ def _fig1():
             checks.append(_rel_check(f"u{k}.sinr", summary.sinrs[k - 1], target, 1e-4))
         return checks
 
-    return [fig1_scenario()], check
+    return [fig1_scenario()], [], check
 
 
 def _fig2():
@@ -375,7 +378,7 @@ def _fig2():
             checks.append(_bool_check(f"doubling.{label}_shed_ordering", ok))
         return checks
 
-    return scenarios, check
+    return scenarios, [], check
 
 
 def _fig3():
@@ -404,7 +407,7 @@ def _fig3():
         )
         return checks
 
-    return [fig3_scenario()], check
+    return [fig3_scenario()], [], check
 
 
 def _fig4():
@@ -436,7 +439,7 @@ def _fig4():
         )
         return checks
 
-    return [fig4_scenario()], check
+    return [fig4_scenario()], [], check
 
 
 _EXPERIMENTS = {
@@ -463,20 +466,25 @@ def reproduce(target: str) -> ComparisonReport:
 def reproduce_many(targets) -> list[ComparisonReport]:
     """Run several built-in experiments; one report per target, in order.
 
-    Every target name is checked before anything is solved. The independent
-    runs of all the targets are then solved by one ``run_scenarios`` call,
-    one batch per (config, station count), and each target's check runs
-    after it, with its adaptive solves. So no report comes before every
-    batched run is solved, and an error in any target's run surfaces before
-    any report does; the built-in experiments raise none.
+    Every target name is checked before anything is solved. The runs and the
+    adaptive solves of all the targets are then driven together, one batch
+    per (config, station count) and round, and each target's check reads
+    their results. So no report comes before everything is solved, and an
+    error in any target's solves surfaces before any report does; the
+    built-in experiments raise none.
     """
     targets = list(targets)
     for target in targets:
         if target not in _EXPERIMENTS:
             raise ValueError(f"unknown target {target!r}; choose from {REPRODUCE_TARGETS}")
     experiments = [_EXPERIMENTS[target]() for target in targets]
-    runs = iter(run_scenarios(s for scenarios, _ in experiments for s in scenarios))
+    chains = [
+        chain
+        for scenarios, adaptive, _ in experiments
+        for chain in [*map(_run, scenarios), *adaptive]
+    ]
+    results = iter(_drive(chains))
     return [
-        ComparisonReport(target, check(list(islice(runs, len(scenarios)))))
-        for target, (scenarios, check) in zip(targets, experiments)
+        ComparisonReport(target, check(list(islice(results, len(scenarios) + len(adaptive)))))
+        for target, (scenarios, adaptive, check) in zip(targets, experiments)
     ]

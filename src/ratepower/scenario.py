@@ -68,10 +68,10 @@ from .engine import (
     IterationRecord,
     IterationTrace,
     Segment,
-    iterate_batch,
+    _drive,
     iterate_to_convergence,
 )
-from .admission import classify_users
+from .admission import _outcomes
 
 __all__ = [
     "Scenario",
@@ -639,46 +639,51 @@ def run_scenarios(scenarios) -> list[tuple[IterationTrace, RunSummary]]:
     first, so the error raised is the one a loop over the scenarios in order
     meets first, whatever config it solves under.
     """
-    networks: list[tuple] = []  # (channel, users, config) of every batched step, in serial order
-    done = []
+    return _drive(_run(scenario) for scenario in scenarios)
+
+
+def _run(scenario: Scenario):
+    # ``run_scenario`` as a chain for ``engine._drive``: one round, which
+    # yields the steps to batch. Every step is an independent solve of the
+    # new geometry from the default initial strategies. The converged point
+    # is initialization-independent, and a cold start keeps a geometrically
+    # symmetric step actually symmetric, so the assignment tie-break can hold
+    # a walker at its current station instead of inheriting the previous
+    # geometry's power skew. A step that fails to price fails the run once
+    # the steps before it are solved.
+    moves_by_step: dict[int, list[MoveEvent]] = {}
+    for ev in scenario.moves:
+        moves_by_step.setdefault(ev.step, []).append(ev)
+    steps = sorted({1} | set(moves_by_step))
+    channel, users = scenario.channel, scenario.users
+    first, networks, error = [], [], None
     try:
-        for scenario in scenarios:
-            moves_by_step: dict[int, list[MoveEvent]] = {}
-            for ev in scenario.moves:
-                moves_by_step.setdefault(ev.step, []).append(ev)
-            steps = sorted({1} | set(moves_by_step))
-            # Every step is an independent solve of the new geometry from the
-            # default initial strategies. The converged point is
-            # initialization-independent, and a cold start keeps a
-            # geometrically symmetric step actually symmetric, so the
-            # assignment tie-break can hold a walker at its current station
-            # instead of inheriting the previous geometry's power skew.
-            channel, users = scenario.channel, scenario.users
-            first, start = [], len(networks)
-            for step_no in steps:
-                for ev in moves_by_step.get(step_no, []):
-                    channel = channel.moved(ev.user, ev.distances_m)
-                if step_no == 1 and scenario.arrivals:
-                    # The later steps play the network this step grows.
-                    trace = iterate_to_convergence(
-                        channel,
-                        priced_users(scenario.pricing, channel, users),
-                        scenario.config,
-                        arrivals=scenario.arrivals,
-                        pricing=scenario.pricing,
-                    )
-                    channel, users = trace.channel, trace.users
-                    first.append(trace)
-                else:
-                    priced = priced_users(scenario.pricing, channel, users)
-                    networks.append((channel, priced, scenario.config))
-            done.append((scenario, steps, first, start, len(networks)))
-    except ValueError:
-        _raise_first(_solve(networks))
-        raise
-    solved = _solve(networks)
-    _raise_first(solved)
-    return [_joined(scenario, steps, first + solved[a:b]) for scenario, steps, first, a, b in done]
+        for step_no in steps:
+            for ev in moves_by_step.get(step_no, []):
+                channel = channel.moved(ev.user, ev.distances_m)
+            if step_no == 1 and scenario.arrivals:
+                # The later steps play the network this step grows.
+                trace = iterate_to_convergence(
+                    channel,
+                    priced_users(scenario.pricing, channel, users),
+                    scenario.config,
+                    arrivals=scenario.arrivals,
+                    pricing=scenario.pricing,
+                )
+                channel, users = trace.channel, trace.users
+                first.append(trace)
+            else:
+                priced = priced_users(scenario.pricing, channel, users)
+                networks.append((channel, priced, scenario.config))
+    except ValueError as exc:
+        error = exc
+    solved = yield networks
+    for outcome in solved:
+        if isinstance(outcome, Exception):
+            raise outcome
+    if error is not None:
+        raise error
+    return _joined(scenario, steps, first + solved)
 
 
 def sweep_lambda(
@@ -697,42 +702,23 @@ def sweep_lambda(
     return [(float(lam), trace, summary) for lam, (trace, summary) in zip(lambdas, runs)]
 
 
-def _solve(networks) -> list:
-    """``iterate_batch``'s outcomes for (channel, users, config) networks, in order.
-
-    The networks are solved as one ``iterate_batch`` per config; a
-    ConvergenceConfig is frozen, so it keys the groups.
-    """
-    outcomes = [None] * len(networks)
-    groups: dict[ConvergenceConfig, list[int]] = {}
-    for k, (_, _, config) in enumerate(networks):
-        groups.setdefault(config, []).append(k)
-    for config, ks in groups.items():
-        batch = [networks[k][:2] for k in ks]
-        for k, outcome in zip(ks, iterate_batch(batch, config)):
-            outcomes[k] = outcome
-    return outcomes
-
-
-def _raise_first(outcomes: list) -> None:
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-
-
 def _joined(scenario: Scenario, steps, traces) -> tuple[IterationTrace, RunSummary]:
     """One run's trace and summary from the traces of its steps, in order."""
     segments: list[Segment] = []
-    step_finals: list[IterationRecord] = []
+    step_ends: list[Segment] = []  # each step's last segment
     offset = 0
     converged = True
     for step_no, trace in zip(steps, traces):
         converged = converged and trace.converged
-        segments += [
-            replace(seg, step=step_no, iterations=seg.iterations + offset) for seg in trace.segments
-        ]
+        if step_no == 1:
+            segments += trace.segments  # already step 1, numbered from 1
+        else:
+            segments += [
+                replace(seg, step=step_no, iterations=seg.iterations + offset)
+                for seg in trace.segments
+            ]
         offset += trace.iterations_used
-        step_finals.append(segments[-1].row(-1))
+        step_ends.append(segments[-1])
 
     trace = replace(trace, segments=segments, converged=converged, iterations_used=offset)
     # Every arrival fires; they join in iteration order, after the scenario's users.
@@ -740,7 +726,7 @@ def _joined(scenario: Scenario, steps, traces) -> tuple[IterationTrace, RunSumma
     names = scenario.user_names + [ev.name for ev in arrived]
     summary = summarize_run(trace, names)
     if scenario.moves:
-        summary.steps = step_finals
+        summary.steps = [seg.row(-1) for seg in step_ends]
     return trace, summary
 
 
@@ -756,7 +742,7 @@ def summarize_run(trace: IterationTrace, names) -> RunSummary:
         raise ValueError(f"{len(names)} names for a trace of {len(users)} users")
     targets = users.target_sinrs(trace.channel.bandwidth_hz)
     if trace.converged:
-        outcomes = classify_users(trace, targets)
+        outcomes = _outcomes(final.sinrs, targets)
     else:
         outcomes = ["unclassified"] * len(users)
     return RunSummary(

@@ -58,7 +58,8 @@ from ratepower.engine import (
     ConvergenceConfig,
     bounded_step,
     bounded_step_array,
-    _segment,
+    IterationRecord,
+    _sinrs_utilities,
     _sequential_sweep,
     _station_reffs,
     _step_metric,
@@ -732,13 +733,14 @@ class TestRecords:
 
 
 # A trace is built once per segment, a run of iterations at a fixed user
-# count: SINR and utility for the whole segment come from one vectorised pass.
+# count: SINR and utility for the kept rows of every segment of a loop come
+# from one vectorised pass.
 # Every row view of it must equal ``make_record``, the same pass on that row
 # alone, exactly, priced as that segment was played.
 
 
 def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0.0):
-    """One record built alone: the row view of a one-row ``_segment``.
+    """One record built alone: its row put through the loop's SINR and utility pass.
 
     The row's effective interference comes from the oracle, which subtracts
     and clips as the loop does, so it equals the loop's bit for bit.
@@ -749,8 +751,9 @@ def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0
         for i, a in enumerate(assignment)
     ]
     state = np.array([[powers, rates]], dtype=float)
-    columns = (np.array([iteration]), np.array([metric]), assignment[None], state, np.array([r_eff]))
-    return _segment(channel, UserTable.from_users(users), slice(None), *columns).row(0)
+    table = UserTable.from_users(users)
+    (sinrs,), (utilities,) = _sinrs_utilities(table, channel.bandwidth_hz, state, np.array([r_eff]))
+    return IterationRecord(iteration, 1, assignment, *state[0], sinrs, utilities, metric)
 
 
 RECORD_FIELDS = ("assignment", "powers", "rates", "sinrs", "utilities")

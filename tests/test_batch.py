@@ -274,6 +274,125 @@ class TestIterateBatch:
     def test_an_empty_batch_has_no_outcomes(self):
         assert iterate_batch([]) == []
 
+    @pytest.mark.parametrize("history", [HISTORY_LAST, HISTORY_FULL])
+    @pytest.mark.parametrize("ladder", [None, False, True])
+    def test_a_ragged_batch_with_repeated_sizes_equals_serial_solves(
+        self, history, ladder, monkeypatch
+    ):
+        # Sizes 3, 5, 3, 1, 5, 3 on two stations: three networks share one
+        # stacked product, two another, and the lone user a third. Their
+        # prices spread their convergence lengths.
+        rng = np.random.default_rng(26)
+        config = ConvergenceConfig(
+            history=history,
+            rate_set=None if ladder is None else LADDERS[1],
+            quantize_at_convergence=bool(ladder),
+        )
+        networks = [
+            (
+                ChannelModel(rng.uniform(20.0, 400.0, (n, 2))),
+                [UserParams(alpha2=20.0, lam=lam)] * n,
+            )
+            for n, lam in zip([3, 5, 3, 1, 5, 3], [1e-4, 1e-5, 1e-3, 1e-4, 2e-4, 3e-5])
+        ]
+        calls = counted_loops(monkeypatch)
+        got = assert_batch_is_serial(networks, config)
+        assert all(t.converged for t in got)
+        assert len({t.iterations_used for t in got}) > 1
+        # One lockstep loop, not solved again one network at a time, then
+        # the six serial solves.
+        assert calls == [6] + [1] * 6
+
+    def test_a_fortran_ordered_channel_solves_as_its_c_copy(self):
+        # Gains read in Fortran order would round ``p @ g`` differently from
+        # the stacked product; the channel stores both matrices C-ordered.
+        rng = np.random.default_rng(7)
+        users = [UserParams(alpha2=20.0, lam=1e-4)] * 6
+        distances = rng.uniform(20.0, 400.0, (6, 3))
+        f_ordered = ChannelModel(np.asfortranarray(distances))
+        c_ordered = ChannelModel(np.ascontiguousarray(distances))
+        assert f_ordered.distances_m.flags.c_contiguous and f_ordered.gains.flags.c_contiguous
+        mate = (ChannelModel(rng.uniform(20.0, 400.0, (6, 3))), users)
+        for config in histories(ConvergenceConfig()):
+            alone = serial(f_ordered, users, config)
+            (batched, _) = iterate_batch([(f_ordered, users), mate], config)
+            assert_same_outcome(batched, alone)
+            assert_same_outcome(alone, serial(c_ordered, users, config))
+
+
+@st.composite
+def size_groups(draw):
+    """1-8 networks of 1-64 users on 1-16 stations, C-ordered gains, and
+    their powers as a row of a state whose columns start at a drawn offset.
+    The sizes come from a pool of at most three, so most of them repeat."""
+    b = draw(st.integers(1, 16))
+    pool = draw(st.lists(st.integers(1, 64), min_size=1, max_size=3))
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    offset = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gains = [ChannelModel(rng.uniform(20.0, 600.0, (n, b))).gains for n in sizes]
+    state = rng.uniform(1e-6, 3.0, (2, offset + sum(sizes)))
+    return gains, state[0, offset:]
+
+
+class TestSizeGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(size_groups())
+    def test_the_grouped_product_equals_each_networks_own(self, drawn):
+        gains, powers = drawn
+        sizes, starts, spans = engine._spans([len(g) for g in gains])
+        got = engine._totals(powers, gains, engine._size_groups(gains, starts, sizes))
+        want = np.array([powers[span] @ g for span, g in zip(spans, gains)]).repeat(sizes, axis=0)
+        assert got.tobytes() == want.tobytes()
+
+
+def chain(log, name, rounds, fail_at=None):
+    """A chain for ``engine._drive`` of ``rounds`` rounds of one network each.
+
+    It logs each round it is sent and raises in round ``fail_at``, once it
+    has the outcome; it returns its name.
+    """
+    network = (ChannelModel([110.0, 130.0]), [UserParams()] * 2, ConvergenceConfig())
+    for round_no in range(1, rounds + 1):
+        (trace,) = yield [network]
+        assert trace.converged
+        log.append((name, round_no))
+        if round_no == fail_at:
+            raise ValueError(f"{name} fails in round {round_no}")
+    return name
+
+
+class TestDrive:
+    def test_chains_step_in_lockstep_rounds(self, monkeypatch):
+        log = []
+        calls = counted_loops(monkeypatch)
+        got = engine._drive([chain(log, "a", 3), chain(log, "b", 1), chain(log, "c", 2)])
+        assert got == ["a", "b", "c"]
+        assert calls == [3, 2, 1]
+        assert log == [("a", 1), ("b", 1), ("c", 1), ("a", 2), ("c", 2), ("a", 3)]
+        assert engine._drive([]) == []
+
+    def test_an_earlier_chains_later_error_wins(self):
+        # b errs in round 1, a in round 2: run one after another, a errs first.
+        log = []
+        with pytest.raises(ValueError, match="^a fails in round 2$"):
+            engine._drive([chain(log, "a", 3, fail_at=2), chain(log, "b", 2, fail_at=1)])
+        assert log == [("a", 1), ("b", 1), ("a", 2)]
+
+    def test_a_later_chains_error_waits_for_the_earlier_chains(self):
+        # c errs in round 1; a and b still run to their ends, clean, and d,
+        # after c, is not sent its first outcome.
+        log = []
+        chains = [
+            chain(log, "a", 3),
+            chain(log, "b", 2),
+            chain(log, "c", 2, fail_at=1),
+            chain(log, "d", 3),
+        ]
+        with pytest.raises(ValueError, match="^c fails in round 1$"):
+            engine._drive(chains)
+        assert log == [("a", 1), ("b", 1), ("c", 1), ("a", 2), ("b", 2), ("a", 3)]
+
 
 def serial_run(scenario):
     """A scenario's steps solved one at a time: its joined segments and last trace."""
@@ -421,24 +540,25 @@ class TestScenarioBatches:
             errors.append(str(got.value))
         assert errors[0] != errors[1]
 
-    @pytest.mark.parametrize("target, loops", [("table3", 4), ("table4", 1)])
+    @pytest.mark.parametrize("target, loops", [("table3", 2), ("table4", 1)])
     def test_reference_tables_solve_their_runs_as_batches(self, target, loops, monkeypatch):
-        # table3: the clamp rows, the kkt rows and one escalation window per
-        # escalated row; table4: all five rows.
+        # table3: the clamp rows with the first escalation window of each
+        # escalated row, then the kkt rows; table4: all five rows.
         calls = counted_loops(monkeypatch)
         assert reproduce(target).passed
         assert len(calls) == loops
 
-    def test_reproduce_all_solves_every_target_in_nine_loops(self, monkeypatch):
-        # One batch of the 22 default-config one-station runs of table1-4 and
-        # fig1-2, table3's kkt rows, fig4's 11 steps, fig3's arrival run as
-        # two windows, and the adaptive solves: table1's 2 removal solves and
-        # table3's 2 escalation windows.
+    def test_reproduce_all_solves_every_target_in_six_loops(self, monkeypatch):
+        # Round 1 is one batch of the 22 default-config one-station runs of
+        # table1-4 and fig1-2, table1's first removal round and table3's two
+        # escalation windows (29 networks); with it come table3's kkt rows,
+        # fig4's 11 steps and fig3's arrival run as two windows. Round 2 is
+        # table1's second removal round.
         want = [reproduce(target).lines() for target in REPRODUCE_TARGETS]
         calls = counted_loops(monkeypatch)
         got = reproduce_many(REPRODUCE_TARGETS)
         assert [report.lines() for report in got] == want
-        assert sorted(calls) == [1, 1, 1, 1, 2, 3, 3, 11, 22]
+        assert sorted(calls) == [1, 1, 1, 2, 11, 29]
 
     def test_an_unknown_target_is_refused_before_any_solve(self, monkeypatch):
         calls = counted_loops(monkeypatch)
