@@ -5,7 +5,7 @@ game, and the priced multi-cell game with base-station assignment, plus
 pricing escalation, user removal, discrete-rate quantization and a
 scenario-file runner. The model it solves (the channel, the users, the rate
 ladder and the pricing rule) lives in ``core``; the engine prices each
-network an arrival grows from the run's ``PricingRule``. The scalar
+network by its rule, at entry and after each arrival group. The scalar
 statements of the paper's formulas, which the tests check the solver
 against, live only in ``ratepower.oracle``; the package does not re-export
 them.
@@ -39,6 +39,7 @@ _HOMES = {
         "ConvergenceConfig",
         "IterationRecord",
         "IterationTrace",
+        "Network",
         "Segment",
         "bounded_step",
         "bounded_step_array",

@@ -2,25 +2,28 @@
 
 Escalation raises the coefficient of a ``core.PricingRule``, the one home
 of the coefficient and of its step: it tests each coefficient as
-``replace(rule, c=c)``, stepping by ``rule.dc``, and prices the users with
-``core.priced_users``. Escalation and removal take the solve's settings as
-one ``ConvergenceConfig``. A user counts as at target when its SINR lies
-within the relative band ``AT_TARGET_TOL`` of its target.
+``replace(rule, c=c)``, stepping by ``rule.dc``, on an ``engine.Network``
+that carries the rule, and the engine prices the users. Escalation and
+removal take the solve's settings as one ``ConvergenceConfig``. A user
+counts as at target when its SINR lies within the relative band
+``AT_TARGET_TOL`` of its target.
 
-Each loop is a chain, a generator that yields the networks one round needs
-(an escalation window, a removal round) and is sent their outcomes;
-``escalate_pricing`` and ``removal_loop`` drive one chain with
+Each loop is a chain, a generator that yields the (network, config) pairs
+one round needs (an escalation window, a removal round) and is sent their
+outcomes; ``escalate_pricing`` and ``removal_loop`` drive one chain with
 ``engine._drive``, and ``reference`` drives them with its scenario runs.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChannelModel, PricingRule, UserParams, UserTable, _require_count, priced_users
-from .engine import SYNCHRONOUS, ConvergenceConfig, IterationTrace, _drive
+from .core import ChannelModel, PricingRule, UserParams, UserTable, _require_count
+from .engine import SYNCHRONOUS, ConvergenceConfig, IterationTrace, Network, _drive
 
 __all__ = [
     "BELOW_TARGET",
@@ -108,7 +111,9 @@ def escalate_pricing(
     order. Coefficients past the first achieved one are computed but not
     reported: they are not in ``tested``, and an error or a non-convergence
     of theirs does not surface. What is reported, raised included, is what
-    testing one coefficient at a time gives.
+    testing one coefficient at a time gives. A coefficient that overflows to
+    inf makes no rule, so a window ends before it; it opens the next window,
+    whose rule refuses it, only if no earlier coefficient is achieved.
     """
     (result,) = _drive([_escalation(channel, users, rule, config, max_steps)])
     return result
@@ -128,15 +133,12 @@ def _escalation(channel, users, rule, config=None, max_steps=40):
     targets = users.target_sinrs(channel.bandwidth_hz)
     tested: list[float] = []
     trace = None
-    for first in range(0, max_steps, width):
+    first = 0
+    while first < max_steps:
         window = [rule.c + k * step for k in range(first, min(first + width, max_steps))]
-        priced, error = [], None
-        try:
-            for c in window:
-                priced.append(priced_users(replace(rule, c=c), channel, users))
-        except ValueError as exc:
-            error = exc  # met only if no coefficient before it is achieved
-        outcomes = yield [(channel, us, config) for us in priced]
+        # An infinite coefficient opens its window, where its rule refuses it.
+        window = window[:1] + list(itertools.takewhile(math.isfinite, window[1:]))
+        outcomes = yield [(Network(channel, users, replace(rule, c=c)), config) for c in window]
         for c, outcome in zip(window, outcomes):
             if isinstance(outcome, Exception):
                 raise outcome
@@ -144,8 +146,7 @@ def _escalation(channel, users, rule, config=None, max_steps=40):
             tested.append(c)
             if BELOW_TARGET not in classify_users(trace, targets):
                 return EscalationResult(c, True, trace, tested)
-        if error is not None:
-            raise error
+        first += len(window)
     return EscalationResult(tested[-1], False, trace, tested)
 
 
@@ -188,7 +189,7 @@ def _removal(channel, users, config=None):
     while active:
         ch = channel.subset(active)
         us = users[active]
-        (trace,) = yield [(ch, us, config)]
+        (trace,) = yield [(Network(ch, us), config)]
         if isinstance(trace, Exception):
             raise trace
         targets = us.target_sinrs(ch.bandwidth_hz)

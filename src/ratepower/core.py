@@ -17,7 +17,8 @@ oracles' input; a table made from checked users is not checked again.
 A ``RateSet`` is the ladder of admissible rates a solve snaps onto. A
 ``PricingRule`` maps one coefficient to every user's pricing factor, and
 ``priced_users`` writes the factors as the table's new pricing column; the
-engine prices each grown network from the rule itself.
+engine calls it for each network it solves, at entry and after each
+arrival group.
 
 The scalar formulas of the model (path gain, target SINR, effective
 interference, SINR, the utilities, one user's price and one rate's rung)
@@ -123,7 +124,7 @@ class ChannelModel:
             d = d.reshape(-1, 1)
         if d.ndim != 2 or d.size == 0:
             raise ValueError("distances_m must be a non-empty users x stations matrix")
-        if not np.all(np.isfinite(d)) or np.any(d <= 0):
+        if not np.isfinite(d).all() or (d <= 0).any():
             raise ValueError("all distances must be positive and finite")
         _require_finite(
             pathloss_exponent=self.pathloss_exponent,
@@ -140,7 +141,7 @@ class ChannelModel:
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
         g = _path_gains(d, self.pathloss_exponent, self.shadowing)
-        if not np.all(np.isfinite(g)) or np.any(g <= 0):
+        if not np.isfinite(g).all() or (g <= 0).any():
             raise ValueError("derived gains must be finite and positive")
         d.flags.writeable = False
         g.flags.writeable = False

@@ -27,29 +27,30 @@ one-user table.
 
 The trace is its ``Segment``s, each a run of iterations on one fixed
 network held as (rows x users) columns, user k in column k; one loop call
-makes one segment per network. ``iterate_to_convergence`` plays arrivals
-as windows: a call plays the iterations before an arrival, its last row
-starts the grown network, which the run's ``PricingRule`` prices again,
-and a last call runs under the stop rule. ``ConvergenceConfig.history``
-sets which rows a segment keeps: under "last", the default, only its
-last, which is all the equilibrium, the summaries and the admission loops
-read; under "full" every iteration's, which the CSV trace writes. SINR and
-utility for the kept rows of every network of a loop come from one
-vectorised pass; both are elementwise, so a kept last row has the same bits
-either way, and in any batch.
+makes one segment per network. ``ConvergenceConfig.history`` sets which
+rows a segment keeps: under "last", the default, only its last, which is
+all the equilibrium, the summaries and the admission loops read; under
+"full" every iteration's, which the CSV trace writes. SINR and utility for
+the kept rows of every network of a loop come from one vectorised pass;
+both are elementwise, so a kept last row has the same bits either way, and
+in any batch.
 
-A solve takes its users as a ``UserTable`` (a list of ``UserParams`` is
-converted once) and starts at each user's own initial strategy (the
-``p_init`` and ``r_init`` columns, checked against its box when the table
-is built). Its config is checked once, when it is built; a user whose rate
-box holds no rung of the config's ladder is refused at entry
-(``RateSet.gap``). With a rate ladder the loop, not the sweeps, snaps the
+A solve takes a ``Network``: a channel, its users as a ``UserTable`` (a
+list of ``UserParams`` is converted once), their ``PricingRule`` and its
+arrivals. One entry step checks the row count, prices the users, and
+refuses a lone user with zero noise, an arrival that could not fire and a
+user whose rate box holds no rung of the config's ladder
+(``RateSet.gap``). A network with arrivals plays them as windows: a loop
+call plays the iterations before an arrival, its last row starts the grown
+network, which the rule prices again, and a last call runs under the stop
+rule. Each user starts at its own initial strategy (the ``p_init`` and
+``r_init`` columns). With a rate ladder the loop, not the sweeps, snaps the
 rates with ``RateSet.snap``: every iteration's, or only the converged
 row's. Rates never enter the power update or the station rule, so both
 placements give the powers and stations of the continuous game.
 
-``iterate_batch`` steps the independent networks of one station count in
-lockstep, whatever their user counts: one (2 x users) state over their
+``iterate_batch`` steps the networks without arrivals of one station count
+in lockstep, whatever their user counts: one (2 x users) state over their
 concatenated table, each network owning a span of its columns. The station
 totals of the K networks of one size come from one stacked (K x 1 x n) @
 (K x n x stations) product, which makes for each network the BLAS call its
@@ -58,15 +59,14 @@ them so), and each network has its own step metric, so each network's
 trace equals its solve alone, bit for bit. Every network steps to the
 batch's end and keeps its rows up to its own convergence: each is its own
 fixed-point iteration, so stepping a converged network on changes no
-other. A batch that raises is solved again one network at a time, so each
-network gets its own trace or error. The sequential sweep, a per-user loop
-that lockstep does not speed up, runs one network at a time.
+other. A network with arrivals plays alone, as does every network under
+the sequential sweep, a per-user loop that lockstep does not speed up.
 
 Solves that depend on earlier ones (escalation windows, removal rounds, a
 scenario's steps) are written as chains, generators that yield each
-round's networks and are sent their outcomes; ``_drive`` steps several
-chains together, one ``iterate_batch`` per config and round, and raises
-the error running them one after another meets first.
+round's (network, config) pairs and are sent their outcomes; ``_drive``
+steps several chains together, one ``iterate_batch`` per config and round,
+and raises the error running them one after another meets first.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ __all__ = [
     "ConvergenceConfig",
     "IterationRecord",
     "IterationTrace",
+    "Network",
     "Segment",
     "bounded_step",
     "bounded_step_array",
@@ -280,6 +281,22 @@ class IterationTrace:
         return self.final.assignment
 
 
+@dataclass(frozen=True)
+class Network:
+    """One network to solve: a channel, its users, their pricing rule and its arrivals.
+
+    ``users`` is a ``UserTable`` or a list of ``UserParams``. A ``pricing``
+    rule prices every user, at entry and after each arrival group; with none
+    each user plays at its own factor. ``arrivals`` are events with
+    ``iteration``, ``distances_m`` and ``user``, joined in iteration order.
+    """
+
+    channel: ChannelModel
+    users: UserTable | list[UserParams]
+    pricing: PricingRule | None = None
+    arrivals: tuple = ()
+
+
 def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strategy:
     """One user's constrained update against effective interference r_eff.
 
@@ -364,50 +381,102 @@ def iterate_to_convergence(
     the solve. The synchronous schedule evaluates every user against the
     previous iterate; the sequential schedule updates users in order against
     the freshest powers. Users start at their initial strategies on station 0
-    (or ``initial_assignment``).
+    (or ``initial_assignment``). ``config.rate_set`` snaps the rates as
+    ``ConvergenceConfig`` says; rates never enter the power update.
 
-    With a ``config.rate_set``, every iteration's rates are snapped down to
-    the ladder after its sweep (or only once at convergence with
-    ``config.quantize_at_convergence``, in the last iteration's row before its
-    segment is built; the converged powers are identical either way because
-    rates never enter the power update).
-
-    ``arrivals`` are events with ``iteration``, ``distances_m`` and ``user``
-    attributes. Each adds its user, at its initial strategy on station 0,
-    just before that iteration's sweep; with a ``pricing`` rule every user
-    of the grown network is then priced by it (``core.priced_users``), so
-    pricing that depends on the user count or the gains sees the newcomer.
-    The users given are played as they are: a caller prices them. The
-    iterations before an arrival play whole, as one window and one segment,
-    and the run stops only after the last arrival. Every arrival's iteration
-    and distances are checked before the first iteration; an arrival after
-    ``config.max_iterations`` could never fire. Non-convergence within
+    This is the solve of one ``Network(channel, users, pricing, arrivals)``,
+    raising the error ``iterate_batch`` would return for it. A ``pricing``
+    rule prices every user at entry and after each arrival group, so a rule
+    on the user count or the gains sees the newcomers. Each arrival adds its
+    user, at its initial strategy on station 0, just before that iteration's
+    sweep; the iterations before it play whole, as one segment, and every
+    arrival is checked before the first iteration. Non-convergence within
     max_iterations is reported on the trace, not raised.
     """
     config = config if config is not None else ConvergenceConfig()
-    users = UserTable.from_users(users)
-    error = _network_error(channel, users, config)
-    if error is not None:
-        raise error
-    assignment = _initial_assignment(initial_assignment, len(users), channel.n_stations)
-    pending = sorted(arrivals, key=lambda ev: ev.iteration)
-    if pending and pending[0].iteration < 1:
+    network = _enter(Network(channel, users, pricing, arrivals), config)
+    return _play(network, config, _initial_assignment(initial_assignment, channel))
+
+
+def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
+    """Solve independent ``Network``s; one outcome per network.
+
+    Network k's outcome is the trace its ``iterate_to_convergence`` returns,
+    bit for bit, or the ``ValueError`` that call raises, a pricing error
+    included; the caller raises the first one its serial order would reach.
+    The networks without arrivals on one station count step in lockstep,
+    each keeping its rows up to its own convergence, so one that never
+    converges keeps its batch-mates stepping to ``config.max_iterations``;
+    a batch whose loop raises is solved again one network at a time.
+    """
+    config = config if config is not None else ConvergenceConfig()
+    outcomes = [_attempt(_enter, network, config) for network in networks]
+    groups: dict = {}  # lockstep networks by station count, the rest alone
+    for k, network in enumerate(outcomes):
+        if isinstance(network, Network):
+            alone = network.arrivals or config.schedule != SYNCHRONOUS
+            groups.setdefault((k,) if alone else network.channel.n_stations, []).append(k)
+    for group in groups.values():
+        batch = [outcomes[k] for k in group]
+        solved = None
+        if len(batch) > 1:
+            start = np.zeros(sum(len(net.users) for net in batch), dtype=int)
+            solved = _attempt(_loop, [(net.channel, net.users) for net in batch], config, start)
+        if not isinstance(solved, list):
+            # Each network alone gets its own trace or error.
+            solved = [_attempt(_play, net, config, _initial_assignment(None, net.channel)) for net in batch]
+        for k, outcome in zip(group, solved):
+            outcomes[k] = outcome
+    return outcomes
+
+
+def _attempt(function, *args):
+    # What ``function(*args)`` returns, or the ValueError it raises.
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _enter(network: Network, config: ConvergenceConfig) -> Network:
+    # The network as the loop plays it, its users a priced table and its
+    # arrivals in order; raises what a solve refuses at entry. The row count
+    # comes first, as pricing reads one gain row per user.
+    channel, users = network.channel, UserTable.from_users(network.users)
+    n = len(users)
+    # A channel has at least one row, so this also refuses a solve of no users.
+    if n != channel.n_users:
+        raise ValueError(f"{n} users but channel has {channel.n_users} rows")
+    users = priced_users(network.pricing, channel, users)
+    if n == 1 and channel.noise_w == 0:
+        raise ValueError("a lone user with zero noise has no positive fixed point")
+    arrivals = sorted(network.arrivals, key=lambda ev: ev.iteration)
+    if arrivals and arrivals[0].iteration < 1:
         raise ValueError("arrival iterations must be at least 1")
-    if pending and pending[-1].iteration > config.max_iterations:
+    if arrivals and arrivals[-1].iteration > config.max_iterations:
         raise ValueError(
-            f"arrival at iteration {pending[-1].iteration} comes after "
+            f"arrival at iteration {arrivals[-1].iteration} comes after "
             f"max_iterations = {config.max_iterations} and would never fire"
         )
-    for ev in pending:
+    for ev in arrivals:
         # Grow a throwaway channel so a bad row fails here, not when it fires.
         channel.with_user(ev.distances_m)
-    if pending:
-        # Arrivals join in iteration order, after the users already there.
-        error = _ladder_error(config, UserTable.concat([users, [ev.user for ev in pending]]))
-        if error is not None:
-            raise error
+    # Arrivals join in iteration order, after the users already there.
+    everyone = UserTable.concat([users, [ev.user for ev in arrivals]]) if arrivals else users
+    gap = None if config.rate_set is None else config.rate_set.gap(everyone)
+    if gap is not None:
+        raise ValueError("user {}: {}".format(*gap))
+    return Network(channel, users, network.pricing, tuple(arrivals))
+
+
+def _play(network: Network, config, assignment) -> IterationTrace:
+    # An entered network's run: a window before each arrival group, whose
+    # last row, with the newcomers appended at their initial strategies on
+    # station 0, starts the grown network the rule prices again; then a run
+    # under the stop rule.
+    channel, users = network.channel, network.users
     state, segments, done = users.initial, [], 0
-    for t, group in itertools.groupby(pending, key=lambda ev: ev.iteration):
+    for t, group in itertools.groupby(network.arrivals, key=lambda ev: ev.iteration):
         if t > done + 1:
             # No run converges while an arrival is pending: the window plays whole.
             (window,) = _loop([(channel, users)], config, assignment, state, done + 1, t - 1)
@@ -415,66 +484,27 @@ def iterate_to_convergence(
             end = window.final
             state, assignment = np.array([end.powers, end.rates]), end.assignment
         for ev in group:
-            channel = channel.with_user(ev.distances_m)
-            users = users.with_user(ev.user)
+            channel, users = channel.with_user(ev.distances_m), users.with_user(ev.user)
             state = np.append(state, [[ev.user.initial_power], [ev.user.initial_rate]], axis=1)
             assignment = np.append(assignment, 0)
-        users = priced_users(pricing, channel, users)
+        users = priced_users(network.pricing, channel, users)
         done = t - 1
     (trace,) = _loop([(channel, users)], config, assignment, state, done + 1)
     trace.segments[:0] = segments
     return trace
 
 
-def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
-    """Solve independent networks in lockstep; one outcome per network.
-
-    ``networks`` holds (channel, users) pairs; their user and station counts
-    may differ. Network k's outcome is the trace
-    ``iterate_to_convergence(channel, users, config)`` returns, bit for bit,
-    or the exception that call raises; the caller raises the first one that
-    its serial order would have reached. The networks on one station count
-    step in lockstep as one batch: every network steps to the batch's last
-    iteration and keeps its rows up to its own convergence, so a network
-    that never converges keeps its batch-mates stepping until
-    ``config.max_iterations``, their extra rows dropped. A batch whose loop
-    raises is solved again one network at a time, so on that rare path a
-    batch is solved twice. The sequential schedule's sweep is a per-user
-    loop that lockstep does not speed up, so under it the networks are
-    solved one after another.
-    """
-    config = config if config is not None else ConvergenceConfig()
-    networks = [(channel, UserTable.from_users(users)) for channel, users in networks]
-    outcomes = [_network_error(channel, users, config) for channel, users in networks]
-    lockstep = config.schedule == SYNCHRONOUS
-    groups: dict[int, list[int]] = {}  # by station count, or one network each
-    for k, (channel, _) in enumerate(networks):
-        if outcomes[k] is None:
-            groups.setdefault(channel.n_stations if lockstep else k, []).append(k)
-    for group in groups.values():
-        batch = [networks[k] for k in group]
-        start = np.zeros(sum(channel.n_users for channel, _ in batch), dtype=int)
-        try:
-            solved = _loop(batch, config, start)
-        except ValueError as exc:
-            # Each network alone gets its own trace or error.
-            solved = [exc] if len(batch) == 1 else [iterate_batch([net], config)[0] for net in batch]
-        for k, outcome in zip(group, solved):
-            outcomes[k] = outcome
-    return outcomes
-
-
 def _drive(chains) -> list:
     """Step chains of dependent solves together; each chain's result, in order.
 
-    A chain is a generator: it yields the (channel, users, config) networks
-    one of its rounds needs, is sent their outcomes in order (each the trace
-    or the exception ``iterate_batch`` gives), and returns its result. Each
-    round the requests of every chain still running are solved together,
-    with one ``iterate_batch`` per config. An error a chain raises is held
-    until every chain before it has finished, and chains after it are not
-    stepped again; then the first held error is raised, which is the error
-    running the chains one after another meets first.
+    A chain is a generator: it yields the (network, config) pairs one of its
+    rounds needs, is sent their outcomes in order (each the trace or the
+    exception ``iterate_batch`` gives), and returns its result. Each round
+    the requests of every chain still running are solved together, with one
+    ``iterate_batch`` per config. An error a chain raises is held until
+    every chain before it has finished, and chains after it are not stepped
+    again; then the first held error is raised, which is the error running
+    the chains one after another meets first.
     """
     chains = list(chains)
     results: list = [None] * len(chains)
@@ -482,7 +512,7 @@ def _drive(chains) -> list:
     sent: list = [None] * len(chains)  # each chain's outcomes of its last round
     running = range(len(chains))
     while running:
-        asked = {}  # each stepped chain's networks, in chain order
+        asked = {}  # each stepped chain's requests, in chain order
         for i in running:
             if i > failed:
                 break
@@ -492,25 +522,25 @@ def _drive(chains) -> list:
                 results[i] = stop.value
             except Exception as exc:  # held for the serial order
                 failed, error = i, exc
-        outcomes = iter(_solve([net for nets in asked.values() for net in nets]))
-        for i, nets in asked.items():
-            sent[i] = list(itertools.islice(outcomes, len(nets)))
+        outcomes = iter(_solve([request for requests in asked.values() for request in requests]))
+        for i, requests in asked.items():
+            sent[i] = list(itertools.islice(outcomes, len(requests)))
         running = list(asked)
     if error is not None:
         raise error
     return results
 
 
-def _solve(networks) -> list:
-    # ``iterate_batch``'s outcomes for (channel, users, config) networks, in
-    # order, from one batch per config; a ConvergenceConfig is frozen, so it
-    # keys the groups.
-    outcomes = [None] * len(networks)
+def _solve(requests) -> list:
+    # ``iterate_batch``'s outcomes for (network, config) requests, in order,
+    # from one batch per config; a ConvergenceConfig is frozen, so it keys
+    # the groups.
+    outcomes = [None] * len(requests)
     groups: dict[ConvergenceConfig, list[int]] = {}
-    for k, (_, _, config) in enumerate(networks):
+    for k, (_, config) in enumerate(requests):
         groups.setdefault(config, []).append(k)
     for config, ks in groups.items():
-        for k, outcome in zip(ks, iterate_batch([networks[k][:2] for k in ks], config)):
+        for k, outcome in zip(ks, iterate_batch([requests[k][0] for k in ks], config)):
             outcomes[k] = outcome
     return outcomes
 
@@ -644,13 +674,13 @@ def _check_choice(name: str, value, choices: tuple) -> None:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
-def _initial_assignment(override, n_users: int, n_stations: int) -> np.ndarray:
+def _initial_assignment(override, channel: ChannelModel) -> np.ndarray:
     if override is None:
-        return np.zeros(n_users, dtype=int)
+        return np.zeros(channel.n_users, dtype=int)
     a = np.asarray(override)
-    if a.shape != (n_users,) or not np.issubdtype(a.dtype, np.integer):
+    if a.shape != (channel.n_users,) or not np.issubdtype(a.dtype, np.integer):
         raise ValueError("initial assignment must hold one station index per user")
-    if np.any(a < 0) or np.any(a >= n_stations):
+    if np.any(a < 0) or np.any(a >= channel.n_stations):
         raise ValueError("assignment references a missing station")
     return a.astype(int)
 
@@ -704,23 +734,6 @@ def _spans(sizes: list) -> tuple[np.ndarray, np.ndarray, list[slice]]:
     stops = np.cumsum(sizes)
     starts = stops - sizes
     return sizes, starts, [slice(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
-
-
-def _network_error(channel: ChannelModel, users: UserTable, config) -> ValueError | None:
-    # What a solve of these users on this channel refuses at entry, if anything.
-    n = len(users)
-    # A channel has at least one row, so this also refuses a solve of no users.
-    if n != channel.n_users:
-        return ValueError(f"{n} users but channel has {channel.n_users} rows")
-    if n == 1 and channel.noise_w == 0:
-        return ValueError("a lone user with zero noise has no positive fixed point")
-    return _ladder_error(config, users)
-
-
-def _ladder_error(config, users: UserTable) -> ValueError | None:
-    # A user whose rate box holds no rung of the config's ladder, if any.
-    gap = None if config.rate_set is None else config.rate_set.gap(users)
-    return None if gap is None else ValueError("user {}: {}".format(*gap))
 
 
 def _synchronous_sweep(table, reffs, assignment, kkt):

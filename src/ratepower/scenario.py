@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GAIN_DEPENDENT_KINDS, PRICING_KINDS, ChannelModel, PricingRule, RateSet
-from .core import _USER_DEFAULTS, UserParams, UserTable, _require_index, _RowError, priced_users
+from .core import _USER_DEFAULTS, UserParams, UserTable, _require_index, _RowError
 from .engine import (
     CLAMP,
     KKT,
@@ -67,9 +67,9 @@ from .engine import (
     ConvergenceConfig,
     IterationRecord,
     IterationTrace,
+    Network,
     Segment,
     _drive,
-    iterate_to_convergence,
 )
 from .admission import _outcomes
 
@@ -620,9 +620,9 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
     step's final row. Non-convergence is flagged in the summary, not raised.
 
     Every step is an independent solve of its geometry from the initial
-    strategies, so the steps are solved as one batch. With arrivals step 1
-    runs first, on its own, because the later steps play the network it grew.
-    This is ``run_scenarios`` of one scenario.
+    strategies, so the steps are solved as one batch; the later steps play
+    the network step 1's arrivals grow, joined in iteration order. This is
+    ``run_scenarios`` of one scenario.
     """
     ((trace, summary),) = run_scenarios([scenario])
     return trace, summary
@@ -632,58 +632,45 @@ def run_scenarios(scenarios) -> list[tuple[IterationTrace, RunSummary]]:
     """``run_scenario`` of each scenario, their steps solved as one ``iterate_batch`` per config.
 
     Each scenario solves under its own ``config``; configs, user counts and
-    station counts may all differ. Every step joins its config's batch,
-    except step 1 with arrivals, which runs alone as its scenario comes up.
-    Each result equals its ``run_scenario``, bit for bit. When that lone
-    solve, or pricing a step, raises, the batched solves before it are run
-    first, so the error raised is the one a loop over the scenarios in order
-    meets first, whatever config it solves under.
+    station counts may all differ. Every step joins its config's batch, as a
+    ``Network`` that carries the scenario's pricing rule and, for step 1,
+    its arrivals. Each result equals its ``run_scenario``, bit for bit, and
+    the error raised is the one a loop over the scenarios in order meets
+    first, whatever config it solves under.
     """
     return _drive(_run(scenario) for scenario in scenarios)
 
 
 def _run(scenario: Scenario):
     # ``run_scenario`` as a chain for ``engine._drive``: one round, which
-    # yields the steps to batch. Every step is an independent solve of the
-    # new geometry from the default initial strategies. The converged point
-    # is initialization-independent, and a cold start keeps a geometrically
+    # yields every step. Every step is an independent solve of the new
+    # geometry from the default initial strategies. The converged point is
+    # initialization-independent, and a cold start keeps a geometrically
     # symmetric step actually symmetric, so the assignment tie-break can hold
     # a walker at its current station instead of inheriting the previous
-    # geometry's power skew. A step that fails to price fails the run once
-    # the steps before it are solved.
+    # geometry's power skew.
     moves_by_step: dict[int, list[MoveEvent]] = {}
     for ev in scenario.moves:
         moves_by_step.setdefault(ev.step, []).append(ev)
     steps = sorted({1} | set(moves_by_step))
+    arrivals = sorted(scenario.arrivals, key=lambda ev: ev.iteration)
+    names = scenario.user_names + [ev.name for ev in arrivals]
     channel, users = scenario.channel, scenario.users
-    first, networks, error = [], [], None
-    try:
-        for step_no in steps:
-            for ev in moves_by_step.get(step_no, []):
-                channel = channel.moved(ev.user, ev.distances_m)
-            if step_no == 1 and scenario.arrivals:
-                # The later steps play the network this step grows.
-                trace = iterate_to_convergence(
-                    channel,
-                    priced_users(scenario.pricing, channel, users),
-                    scenario.config,
-                    arrivals=scenario.arrivals,
-                    pricing=scenario.pricing,
-                )
-                channel, users = trace.channel, trace.users
-                first.append(trace)
-            else:
-                priced = priced_users(scenario.pricing, channel, users)
-                networks.append((channel, priced, scenario.config))
-    except ValueError as exc:
-        error = exc
+    networks = []
+    for step_no in steps:
+        if step_no > 1:
+            # The later steps play the network step 1's arrivals grew.
+            for ev in arrivals:
+                channel, users = channel.with_user(ev.distances_m), users.with_user(ev.user)
+            arrivals = ()
+        for ev in moves_by_step.get(step_no, []):
+            channel = channel.moved(ev.user, ev.distances_m)
+        networks.append((Network(channel, users, scenario.pricing, arrivals), scenario.config))
     solved = yield networks
     for outcome in solved:
         if isinstance(outcome, Exception):
             raise outcome
-    if error is not None:
-        raise error
-    return _joined(scenario, steps, first + solved)
+    return _joined(scenario, names, steps, solved)
 
 
 def sweep_lambda(
@@ -702,8 +689,8 @@ def sweep_lambda(
     return [(float(lam), trace, summary) for lam, (trace, summary) in zip(lambdas, runs)]
 
 
-def _joined(scenario: Scenario, steps, traces) -> tuple[IterationTrace, RunSummary]:
-    """One run's trace and summary from the traces of its steps, in order."""
+def _joined(scenario: Scenario, names, steps, traces) -> tuple[IterationTrace, RunSummary]:
+    """One run's trace and summary from the traces of its steps, in order, and its users' names."""
     segments: list[Segment] = []
     step_ends: list[Segment] = []  # each step's last segment
     offset = 0
@@ -721,9 +708,6 @@ def _joined(scenario: Scenario, steps, traces) -> tuple[IterationTrace, RunSumma
         step_ends.append(segments[-1])
 
     trace = replace(trace, segments=segments, converged=converged, iterations_used=offset)
-    # Every arrival fires; they join in iteration order, after the scenario's users.
-    arrived = sorted(scenario.arrivals, key=lambda ev: ev.iteration)
-    names = scenario.user_names + [ev.name for ev in arrived]
     summary = summarize_run(trace, names)
     if scenario.moves:
         summary.steps = [seg.row(-1) for seg in step_ends]

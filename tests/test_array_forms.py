@@ -764,10 +764,10 @@ class CountPricing:
     """Lambda = c * N as a per-user-count rule, and a log of every network it prices.
 
     Called as ``core.priced_users`` is, it prices the network, checks the
-    price against c * N set user by user, and logs the network. A run prices
-    its starting users through it and patches it in as the engine's
-    ``priced_users``, so the log also holds each network the engine
-    reprices after an arrival group.
+    price against c * N set user by user, and logs the network. A run
+    patches it in as the engine's ``priced_users``, so the log holds the
+    network the engine prices at entry and each one it reprices after an
+    arrival group.
     """
 
     def __init__(self, c=1e-5):
@@ -811,7 +811,7 @@ def run_priced(
     with mock.patch.object(engine, "priced_users", pricing):
         trace = iterate_to_convergence(
             channel,
-            pricing(pricing.rule, channel, starting_at(users, state.powers, state.rates)),
+            starting_at(users, state.powers, state.rates),
             config,
             initial_assignment=state.assignment,
             arrivals=events,

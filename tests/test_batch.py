@@ -47,6 +47,7 @@ from ratepower.engine import (
     SEQUENTIAL,
     SYNCHRONOUS,
     ConvergenceConfig,
+    Network,
     iterate_batch,
     iterate_to_convergence,
 )
@@ -84,9 +85,17 @@ def solved(solve):
         return exc
 
 
-def serial(channel, users, config=None):
+def serial(network, config=None):
     """One network solved alone: its trace, or the error the solve raises."""
-    return solved(lambda: iterate_to_convergence(channel, users, config))
+    return solved(
+        lambda: iterate_to_convergence(
+            network.channel,
+            network.users,
+            config,
+            arrivals=network.arrivals,
+            pricing=network.pricing,
+        )
+    )
 
 
 def assert_same_outcome(got, want, last_rows=False):
@@ -116,8 +125,8 @@ def assert_same_outcome(got, want, last_rows=False):
 def assert_batch_is_serial(networks, config):
     got = iterate_batch(networks, config)
     assert len(got) == len(networks)
-    for (channel, users), outcome in zip(networks, got):
-        assert_same_outcome(outcome, serial(channel, users, config))
+    for network, outcome in zip(networks, got):
+        assert_same_outcome(outcome, serial(network, config))
     return got
 
 
@@ -155,7 +164,7 @@ def batches(draw):
             )
             for _ in range(n)
         ]
-        networks.append((ChannelModel(np.reshape(d, (n, b)), noise_w=noise), users))
+        networks.append(Network(ChannelModel(np.reshape(d, (n, b)), noise_w=noise), users))
     return networks, config
 
 
@@ -169,7 +178,7 @@ class TestIterateBatch:
     def test_sequential_schedule_equals_serial_solves(self, policy):
         rng = np.random.default_rng(3)
         networks = [
-            (ChannelModel(rng.uniform(20.0, 400.0, (5, 2))), [UserParams(lam=lam)] * 5)
+            Network(ChannelModel(rng.uniform(20.0, 400.0, (5, 2))), [UserParams(lam=lam)] * 5)
             for lam in (1e-5, 1e-4, 1e-3)
         ]
         assert_batch_is_serial(networks, ConvergenceConfig(policy=policy, schedule=SEQUENTIAL))
@@ -179,7 +188,7 @@ class TestIterateBatch:
         # three prices; a budget of 20 stops the third.
         scenario = table3_scenario(6)
         networks = [
-            (scenario.channel, priced_users(PricingRule("constant", c), scenario.channel, scenario.users))
+            Network(scenario.channel, scenario.users, PricingRule("constant", c))
             for c in (4e-4, 5e-4, 6e-4)
         ]
         got = assert_batch_is_serial(networks, ConvergenceConfig(max_iterations=20))
@@ -192,7 +201,7 @@ class TestIterateBatch:
         # keeps its own error, and networks 0 and 3 finish as if alone.
         config = ConvergenceConfig(rate_set=LADDERS[2], quantize_at_convergence=at_convergence)
         channel = ChannelModel([110.0, 130.0, 210.0])
-        networks = [(channel, [UserParams(alpha2=20.0, lam=lam)] * 3) for lam in (1e-5, 100.0, 300.0, 1e-5)]
+        networks = [Network(channel, [UserParams(alpha2=20.0, lam=lam)] * 3) for lam in (1e-5, 100.0, 300.0, 1e-5)]
         got = assert_batch_is_serial(networks, config)
         assert not isinstance(got[0], Exception) and not isinstance(got[3], Exception)
         assert isinstance(got[1], NoFeasibleRateError) and isinstance(got[2], NoFeasibleRateError)
@@ -204,10 +213,10 @@ class TestIterateBatch:
         # its end. Either order must still give the serial solves.
         ladder = RateSet((7e4, 96000, 2e5, 5e5, 1e6))
         config = ConvergenceConfig(metric=METRIC_ABSOLUTE, delta=1e5, rate_set=ladder)
-        a = (ChannelModel([110.0, 130.0]), [UserParams(lam=0.1)] * 2)
-        b = (ChannelModel([300.0, 310.0]), [UserParams(lam=1e-6, r_max=1e6)] * 2)
+        a = Network(ChannelModel([110.0, 130.0]), [UserParams(lam=0.1)] * 2)
+        b = Network(ChannelModel([300.0, 310.0]), [UserParams(lam=1e-6, r_max=1e6)] * 2)
         with pytest.raises(NoFeasibleRateError):
-            iterate_to_convergence(*a, replace(config, delta=1e-30, max_iterations=2))
+            iterate_to_convergence(a.channel, a.users, replace(config, delta=1e-30, max_iterations=2))
         got = assert_batch_is_serial([a, b], config)
         assert [(t.converged, t.iterations_used) for t in got] == [(True, 1), (True, 4)]
         assert_batch_is_serial([b, a], config)
@@ -218,7 +227,7 @@ class TestIterateBatch:
         silent = ChannelModel([[10.0], [1e4], [1e4]], noise_w=0.0)
         loud = ChannelModel([[110.0], [130.0], [210.0]])
         users = [UserParams(p_init=3.0), UserParams(), UserParams()]
-        networks = [(loud, users), (silent, users), (loud, [UserParams()] * 3)]
+        networks = [Network(loud, users), Network(silent, users), Network(loud, [UserParams()] * 3)]
         got = assert_batch_is_serial(networks, None)
         assert str(got[1]) == "effective interference must be positive"
         assert got[0].converged and got[2].converged
@@ -247,16 +256,16 @@ class TestIterateBatch:
     def test_entry_errors_stand_in_place(self):
         channel = ChannelModel([110.0, 130.0])
         lone = ChannelModel([110.0], noise_w=0.0)
-        networks = [(channel, [UserParams()] * 2), (channel, [UserParams()]), (channel, [UserParams()] * 2)]
+        networks = [Network(channel, [UserParams()] * n) for n in (2, 1, 2)]
         got = assert_batch_is_serial(networks, None)
         assert str(got[1]) == "1 users but channel has 2 rows"
-        got = assert_batch_is_serial([(lone, [UserParams()]), (lone, [UserParams(lam=1e-3)])], None)
+        got = assert_batch_is_serial([Network(lone, [UserParams()]), Network(lone, [UserParams(lam=1e-3)])], None)
         assert all(isinstance(outcome, ValueError) for outcome in got)
 
     def test_networks_of_different_user_counts_equal_serial_solves(self):
         # Table 3's networks of 3 to 7 users converge in different numbers
         # of iterations; one batch of all five gives each its own solve.
-        networks = [(s.channel, s.users) for s in map(table3_scenario, range(3, 8))]
+        networks = [Network(s.channel, s.users) for s in map(table3_scenario, range(3, 8))]
         got = assert_batch_is_serial(networks, ConvergenceConfig(history=HISTORY_FULL))
         assert [len(t.final_powers) for t in got] == [3, 4, 5, 6, 7]
         assert len({t.iterations_used for t in got}) > 1
@@ -264,7 +273,7 @@ class TestIterateBatch:
     def test_networks_of_different_station_counts_equal_their_serial_solves(self, monkeypatch):
         one, two = ChannelModel([110.0, 130.0]), ChannelModel([[110.0, 400.0], [130.0, 380.0]])
         three = ChannelModel([110.0, 130.0, 210.0])
-        networks = [(one, [UserParams()] * 2), (two, [UserParams()] * 2), (three, [UserParams()] * 3)]
+        networks = [Network(one, [UserParams()] * 2), Network(two, [UserParams()] * 2), Network(three, [UserParams()] * 3)]
         calls = counted_loops(monkeypatch)
         assert_batch_is_serial(networks, None)
         # The batch splits by station count: the one-station pair, then the
@@ -289,10 +298,7 @@ class TestIterateBatch:
             quantize_at_convergence=bool(ladder),
         )
         networks = [
-            (
-                ChannelModel(rng.uniform(20.0, 400.0, (n, 2))),
-                [UserParams(alpha2=20.0, lam=lam)] * n,
-            )
+            Network(ChannelModel(rng.uniform(20.0, 400.0, (n, 2))), [UserParams(alpha2=20.0, lam=lam)] * n)
             for n, lam in zip([3, 5, 3, 1, 5, 3], [1e-4, 1e-5, 1e-3, 1e-4, 2e-4, 3e-5])
         ]
         calls = counted_loops(monkeypatch)
@@ -312,12 +318,67 @@ class TestIterateBatch:
         f_ordered = ChannelModel(np.asfortranarray(distances))
         c_ordered = ChannelModel(np.ascontiguousarray(distances))
         assert f_ordered.distances_m.flags.c_contiguous and f_ordered.gains.flags.c_contiguous
-        mate = (ChannelModel(rng.uniform(20.0, 400.0, (6, 3))), users)
+        mate = Network(ChannelModel(rng.uniform(20.0, 400.0, (6, 3))), users)
         for config in histories(ConvergenceConfig()):
-            alone = serial(f_ordered, users, config)
-            (batched, _) = iterate_batch([(f_ordered, users), mate], config)
+            alone = serial(Network(f_ordered, users), config)
+            (batched, _) = iterate_batch([Network(f_ordered, users), mate], config)
             assert_same_outcome(batched, alone)
-            assert_same_outcome(alone, serial(c_ordered, users, config))
+            assert_same_outcome(alone, serial(Network(c_ordered, users), config))
+
+
+class TestEntry:
+    """The engine prices each network at entry, and what entry refuses is
+    that network's outcome."""
+
+    @pytest.mark.parametrize("schedule", [SYNCHRONOUS, SEQUENTIAL])
+    @pytest.mark.parametrize(
+        "rule, distances",
+        [
+            (PricingRule("per_user_count", 2e-5), [[110.0, 400.0], [130.0, 380.0], [390.0, 120.0]]),
+            (PricingRule("target_ratio", 3e-5), [[110.0, 400.0], [130.0, 380.0], [390.0, 120.0]]),
+            (PricingRule("inverse_gain", 1e-16), [110.0, 130.0, 210.0]),
+        ],
+        ids=lambda x: getattr(x, "kind", ""),
+    )
+    def test_unpriced_starting_users_play_as_hand_priced_ones(self, rule, distances, schedule):
+        channel = ChannelModel(distances)
+        users = [UserParams(alpha2=a2, lam=4e-4) for a2 in (12.9492, 20.0, 16.0)]
+        late = [ArrivalEvent(6, "late", np.full(channel.n_stations, 150.0), UserParams(alpha2=20.0))]
+        for config in histories(ConvergenceConfig(schedule=schedule)):
+            got = iterate_to_convergence(channel, users, config, arrivals=late, pricing=rule)
+            by_hand = priced_users(rule, channel, users)
+            want = iterate_to_convergence(channel, by_hand, config, arrivals=late, pricing=rule)
+            assert_same_outcome(got, want)
+            # At their own factor the users would play the first window otherwise.
+            own = iterate_to_convergence(channel, users, config, arrivals=late)
+            assert got.segments[0].powers.tobytes() != own.segments[0].powers.tobytes()
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            (
+                PricingRule("direct_gain", 1e3),
+                "pricing rule 'direct_gain' depends on the channel gain and cannot be used "
+                "with more than one station",
+            ),
+            (PricingRule("per_user_count", 1e308), "lam must be finite, got inf"),
+        ],
+        ids=["gain_dependent", "overflow"],
+    )
+    def test_a_network_that_fails_pricing_fails_alone(self, rule, message, monkeypatch):
+        rng = np.random.default_rng(27)
+        users = [UserParams(alpha2=20.0)] * 3
+        networks = [
+            Network(ChannelModel(rng.uniform(20.0, 400.0, (3, 2))), users, PricingRule("constant", 3e-4)),
+            Network(ChannelModel(rng.uniform(20.0, 400.0, (3, 2))), users, rule),
+            Network(ChannelModel(rng.uniform(20.0, 400.0, (3, 2))), users, PricingRule("per_user_count", 2e-5)),
+        ]
+        calls = counted_loops(monkeypatch)
+        got = assert_batch_is_serial(networks, None)
+        assert type(got[1]) is ValueError and str(got[1]) == message
+        assert got[0].converged and got[2].converged
+        # Its batch-mates still step together, in one loop.
+        assert calls[0] == 2
 
 
 @st.composite
@@ -352,7 +413,7 @@ def chain(log, name, rounds, fail_at=None):
     It logs each round it is sent and raises in round ``fail_at``, once it
     has the outcome; it returns its name.
     """
-    network = (ChannelModel([110.0, 130.0]), [UserParams()] * 2, ConvergenceConfig())
+    network = (Network(ChannelModel([110.0, 130.0]), [UserParams()] * 2), ConvergenceConfig())
     for round_no in range(1, rounds + 1):
         (trace,) = yield [network]
         assert trace.converged
@@ -475,10 +536,12 @@ class TestScenarioBatches:
         assert len(got) == len(want)
         for pair in zip(got, want):
             assert_same_run(*pair)
-        # The arrival step alone, as a window up to the arrival and a run
-        # from it; then one batch per station count: the four one-station
-        # runs, and fig4's 11 steps with the walk's 2 later ones.
-        assert calls == [1, 1, 4, 13]
+        # One batch per station count: the four one-station runs, and
+        # fig4's 11 steps with the walk's 2 later ones; the walk's arrival
+        # step plays alone, as a window up to the arrival and a run from
+        # it. The order of independent solves within a round is not
+        # behaviour.
+        assert sorted(calls) == [1, 1, 4, 13]
 
     def test_run_scenarios_raises_the_error_a_serial_loop_meets_first(self):
         # As below: at price 1 a batched step falls below the ladder, at
@@ -512,10 +575,10 @@ class TestScenarioBatches:
         assert len(got) == len(want)
         for pair in zip(got, want):
             assert_same_run(*pair)
-        # The five arrival steps alone, as each comes up, two windows each;
-        # then one batch per (config, station count), 2 one-station and 13
+        # One batch per (config, station count), 2 one-station and 13
         # two-station networks each, except that the sequential schedule
-        # solves its 15 one at a time.
+        # solves its 15 one at a time; the five arrival steps play alone,
+        # two windows each.
         assert sorted(calls) == [1] * 25 + [2] * 4 + [13] * 4
         assert run_scenarios([]) == []
 
@@ -578,10 +641,31 @@ class TestScenarioBatches:
             assert [s.step for s in segments] == [1, 1, 2, 3]
             assert summary.user_names == ["u1", "u2", "u3", "u4"]
 
+    def test_arrivals_listed_out_of_order_join_in_iteration_order(self):
+        # The later steps play the network the arrivals grew, who join in
+        # iteration order whatever order the scenario lists them in.
+        channel = ChannelModel([[110.0, 400.0], [130.0, 380.0], [390.0, 120.0]])
+        arrivals = [
+            ArrivalEvent(9, "late", np.array([200.0, 300.0]), UserParams(alpha2=20.0, p_max=0.5)),
+            ArrivalEvent(4, "early", np.array([350.0, 150.0]), UserParams(alpha2=12.9492)),
+        ]
+        moves = [MoveEvent(2, 0, np.array([600.0, 600.0])), MoveEvent(3, 0, np.array([250.0, 260.0]))]
+        names = ["u1", "u2", "u3"]
+        rule = PricingRule("per_user_count", 2e-5)
+        users = [UserParams(alpha2=20.0)] * 3
+        scenario = Scenario(channel, users, names, ConvergenceConfig(), rule, arrivals, moves)
+        trace, summary = run_scenario(scenario)
+        segments, last = serial_run(scenario)
+        assert_same_outcome(
+            trace, replace(last, segments=segments, iterations_used=trace.iterations_used)
+        )
+        assert [s.step for s in segments] == [1, 1, 1, 2, 3]
+        assert summary.user_names == names + ["early", "late"]
+
     def test_a_sweep_raises_the_error_serial_runs_meet_first(self):
         # At price 1 the walk's far step falls below the ladder; at price 100
         # step 1 already does. A price-by-price loop meets the first, though
-        # the second comes from a step that runs alone, before the batch.
+        # the second comes from step 1, which plays its arrival alone.
         scenario = walk_with_arrival(LADDERS[2])
         priced = [replace(scenario, pricing=PricingRule("constant", lam)) for lam in (1.0, 100.0)]
         errors = []
@@ -606,10 +690,10 @@ def history_runs(draw):
     config = replace(config, schedule=draw(st.sampled_from([SYNCHRONOUS, SEQUENTIAL])))
     arrivals = []
     if len(networks) == 1:
-        b = networks[0][0].n_stations
+        b = networks[0].channel.n_stations
         for iteration in sorted(draw(st.lists(st.integers(1, config.max_iterations), max_size=3))):
             distances = np.array(draw(st.lists(st.floats(20.0, 400.0), min_size=b, max_size=b)))
-            user = UserParams(alpha2=draw(st.sampled_from([12.9492, 20.0])), lam=networks[0][1][0].lam)
+            user = UserParams(alpha2=draw(st.sampled_from([12.9492, 20.0])), lam=networks[0].users[0].lam)
             arrivals.append(ArrivalEvent(iteration, "late", distances, user))
     return networks, config, arrivals
 
@@ -621,9 +705,9 @@ class TestHistory:
         networks, config, arrivals = drawn
         last, full = histories(config)
         if arrivals:
-            ((channel, users),) = networks
+            (network,) = networks
             outcomes = [
-                solved(lambda c=c: iterate_to_convergence(channel, users, c, arrivals=arrivals))
+                solved(lambda c=c: iterate_to_convergence(network.channel, network.users, c, arrivals=arrivals))
                 for c in (last, full)
             ]
             assert_same_outcome(*outcomes, last_rows=True)
@@ -648,7 +732,7 @@ class TestHistory:
         last, full = histories(config)
         scenario = table3_scenario(6)
         networks = [
-            (scenario.channel, priced_users(PricingRule("constant", c), scenario.channel, scenario.users))
+            Network(scenario.channel, scenario.users, PricingRule("constant", c))
             for c in (4e-4, 5e-4, 6e-4)
         ]
         got = iterate_batch(networks, last)

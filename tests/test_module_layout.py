@@ -38,7 +38,7 @@ MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__
 PUBLIC_NAMES = [
     "ABOVE_TARGET", "AT_TARGET", "ArrivalEvent", "BELOW_TARGET", "CLAMP", "ChannelModel",
     "ComparisonReport", "ConvergenceConfig", "EscalationResult", "IterationRecord",
-    "IterationTrace", "KKT", "MoveEvent", "NoFeasibleRateError", "NotConvergedError",
+    "IterationTrace", "KKT", "MoveEvent", "Network", "NoFeasibleRateError", "NotConvergedError",
     "PricingRule", "REPRODUCE_TARGETS", "RateSet", "RemovalResult", "RunSummary", "SEQUENTIAL",
     "SYNCHRONOUS", "Scenario", "ScenarioFormatError", "Segment", "Strategy", "UserParams",
     "UserTable", "bounded_step", "bounded_step_array", "classify_users", "emit_trace",
@@ -60,12 +60,14 @@ PARAMETERS = {
     "reference.reproduce_many": ["targets"],
 }
 
-# A solve's settings live in one ConvergenceConfig; a scenario carries it whole.
+# A solve's settings live in one ConvergenceConfig; a scenario carries it
+# whole, and a network to solve carries its pricing rule and arrivals.
 FIELDS = {
     "engine.ConvergenceConfig": [
         "delta", "max_iterations", "metric", "policy", "schedule", "rate_set",
         "quantize_at_convergence", "history",
     ],
+    "engine.Network": ["channel", "users", "pricing", "arrivals"],
     "scenario.Scenario": [
         "channel", "users", "user_names", "config", "pricing", "arrivals", "moves",
     ],

@@ -29,7 +29,7 @@ from ratepower.core import (
     _RowError,
     priced_users,
 )
-from ratepower.engine import ConvergenceConfig, iterate_batch, iterate_to_convergence
+from ratepower.engine import ConvergenceConfig, Network, iterate_batch, iterate_to_convergence
 from ratepower.oracle import pricing_rule_eval, with_lam
 from ratepower.scenario import ArrivalEvent, parse_scenario, run_scenario, summary_to_text
 
@@ -269,7 +269,7 @@ class TestLadderAtEntry:
         with pytest.raises(ValueError) as info:
             iterate_to_convergence(channel, users, self.LADDER)
         assert str(info.value) == self.MESSAGE
-        (got,) = iterate_batch([(channel, users)], self.LADDER)
+        (got,) = iterate_batch([Network(channel, users)], self.LADDER)
         assert str(got) == self.MESSAGE
 
     def test_a_box_above_the_ladder_is_refused(self):
