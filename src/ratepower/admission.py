@@ -11,7 +11,10 @@ counts as at target when its SINR lies within the relative band
 Each loop is a chain, a generator that yields the (network, config) pairs
 one round needs (an escalation window, a removal round) and is sent their
 outcomes; ``escalate_pricing`` and ``removal_loop`` drive one chain with
-``engine._drive``, and ``reference`` drives them with its scenario runs.
+``engine._drive``, and ``reference`` drives them with its scenario runs. An
+escalation window is an ordered ``engine._Window`` whose test is the
+classification ``classify_users`` makes, so the engine stops stepping the
+window once its answer is known.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ChannelModel, PricingRule, UserParams, UserTable, _require_count
-from .engine import SYNCHRONOUS, ConvergenceConfig, IterationTrace, Network, _drive
+from .engine import SYNCHRONOUS, ConvergenceConfig, IterationTrace, Network, _drive, _Window
 
 __all__ = [
     "BELOW_TARGET",
@@ -43,8 +46,9 @@ ABOVE_TARGET = "above_target"
 
 AT_TARGET_TOL = 1e-3
 
-# Coefficients escalation solves together as one batch.
-ESCALATION_WINDOW = 3
+# Coefficients escalation solves together as one batch under the
+# synchronous schedule; those after the answer stop stepping at it.
+ESCALATION_WINDOW = 6
 
 
 class NotConvergedError(RuntimeError):
@@ -62,19 +66,14 @@ def classify_users(trace: IterationTrace, targets) -> list[str]:
 
 
 def _outcomes(sinrs: np.ndarray, targets) -> list[str]:
-    # Each user's outcome, from its SINR in a converged row.
+    # Each user's outcome, from its SINR in a converged row, in one array
+    # pass. Below the band wins over above it; a NaN SINR lies in neither.
     t = np.asarray(targets, dtype=float)
     if t.shape != sinrs.shape:
         raise ValueError("one target per user required")
-    out = []
-    for s, target in zip(sinrs.tolist(), t.tolist()):
-        if s < target * (1.0 - AT_TARGET_TOL):
-            out.append(BELOW_TARGET)
-        elif s > target * (1.0 + AT_TARGET_TOL):
-            out.append(ABOVE_TARGET)
-        else:
-            out.append(AT_TARGET)
-    return out
+    below = (sinrs < t * (1.0 - AT_TARGET_TOL)).tolist()
+    above = (sinrs > t * (1.0 + AT_TARGET_TOL)).tolist()
+    return [BELOW_TARGET if b else ABOVE_TARGET if a else AT_TARGET for b, a in zip(below, above)]
 
 
 @dataclass
@@ -108,9 +107,11 @@ def escalate_pricing(
 
     Under the synchronous schedule the coefficients are solved
     ``ESCALATION_WINDOW`` at a time, as one batch, and their outcomes read in
-    order. Coefficients past the first achieved one are computed but not
-    reported: they are not in ``tested``, and an error or a non-convergence
-    of theirs does not surface. What is reported, raised included, is what
+    order; under the sequential schedule one at a time. The engine tests
+    each coefficient's reported row as it converges, and once one has no
+    user below target, the coefficients after it stop holding the batch
+    open. They are not in ``tested``, and an error or a non-convergence of
+    theirs does not surface. What is reported, raised included, is what
     testing one coefficient at a time gives. A coefficient that overflows to
     inf makes no rule, so a window ends before it; it opens the next window,
     whose rule refuses it, only if no earlier coefficient is achieved.
@@ -131,6 +132,10 @@ def _escalation(channel, users, rule, config=None, max_steps=40):
 
     users = UserTable.from_users(users)
     targets = users.target_sinrs(channel.bandwidth_hz)
+
+    def achieved(sinrs) -> bool:
+        return BELOW_TARGET not in _outcomes(sinrs, targets)
+
     tested: list[float] = []
     trace = None
     first = 0
@@ -138,7 +143,8 @@ def _escalation(channel, users, rule, config=None, max_steps=40):
         window = [rule.c + k * step for k in range(first, min(first + width, max_steps))]
         # An infinite coefficient opens its window, where its rule refuses it.
         window = window[:1] + list(itertools.takewhile(math.isfinite, window[1:]))
-        outcomes = yield [(Network(channel, users, replace(rule, c=c)), config) for c in window]
+        requests = [(Network(channel, users, replace(rule, c=c)), config) for c in window]
+        outcomes = yield _Window(requests, achieved)
         for c, outcome in zip(window, outcomes):
             if isinstance(outcome, Exception):
                 raise outcome

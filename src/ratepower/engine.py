@@ -66,7 +66,10 @@ Solves that depend on earlier ones (escalation windows, removal rounds, a
 scenario's steps) are written as chains, generators that yield each
 round's (network, config) pairs and are sent their outcomes; ``_drive``
 steps several chains together, one ``iterate_batch`` per config and round,
-and raises the error running them one after another meets first.
+and raises the error running them one after another meets first. A round
+may be an ordered ``_Window`` with a test of a converged row's SINRs: the
+loop applies it when a member first meets delta, and once a member passes,
+the members after it are not waited for.
 """
 
 from __future__ import annotations
@@ -409,31 +412,69 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     converges keeps its batch-mates stepping to ``config.max_iterations``;
     a batch whose loop raises is solved again one network at a time.
     """
-    config = config if config is not None else ConvergenceConfig()
+    return _batch(list(networks), config if config is not None else ConvergenceConfig(), {})
+
+
+def _batch(networks, config, later) -> list:
+    # ``iterate_batch`` with windows: ``later`` maps each window member to
+    # the members after it and the window's test. Once a member's outcome
+    # ends its window's reading, the members after it stop holding their
+    # lockstep loop open, or are not solved alone, and their outcome is None.
     outcomes = [_attempt(_enter, network, config) for network in networks]
-    groups: dict = {}  # lockstep networks by station count, the rest alone
+    groups: dict = {}  # lockstep networks by station count; None holds those that play alone
     for k, network in enumerate(outcomes):
         if isinstance(network, Network):
             alone = network.arrivals or config.schedule != SYNCHRONOUS
-            groups.setdefault((k,) if alone else network.channel.n_stations, []).append(k)
-    for group in groups.values():
+            groups.setdefault(None if alone else network.channel.n_stations, []).append(k)
+    for key, group in groups.items():
         batch = [outcomes[k] for k in group]
+        local = _local(later, group)
         solved = None
-        if len(batch) > 1:
+        if key is not None and len(batch) > 1:
             start = np.zeros(sum(len(net.users) for net in batch), dtype=int)
-            solved = _attempt(_loop, [(net.channel, net.users) for net in batch], config, start)
+            pairs = [(net.channel, net.users) for net in batch]
+            solved = _attempt(_loop, pairs, config, start, later=local)
         if not isinstance(solved, list):
-            # Each network alone gets its own trace or error.
-            solved = [_attempt(_play, net, config, _initial_assignment(None, net.channel)) for net in batch]
+            solved = _one_by_one(batch, config, local)
         for k, outcome in zip(group, solved):
             outcomes[k] = outcome
     return outcomes
 
 
-def _attempt(function, *args):
-    # What ``function(*args)`` returns, or the ValueError it raises.
+def _one_by_one(networks, config, later) -> list:
+    # Each entered network solved alone, in order, to its own trace or
+    # error; a window member after one whose outcome ends the window's
+    # reading (an error, a run that did not converge, or a reported row
+    # that passes the test) is not solved, and its outcome is None.
+    outcomes, skipped = [], set()
+    for k, network in enumerate(networks):
+        outcome = None
+        if k not in skipped:
+            assignment = _initial_assignment(None, network.channel)
+            outcome = _attempt(_play, network, config, assignment)
+        if k in later and (
+            not isinstance(outcome, IterationTrace)
+            or not outcome.converged
+            or later[k][1](outcome.final_sinrs)
+        ):
+            skipped.update(later[k][0])
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _local(later, ks) -> dict:
+    # ``later`` over the networks ``ks`` only, each numbered by its place there.
+    members = [k for k in ks if k in later] if later else None
+    if not members:
+        return {}
+    place = {k: p for p, k in enumerate(ks)}
+    return {place[k]: ([place[j] for j in later[k][0] if j in place], later[k][1]) for k in members}
+
+
+def _attempt(function, *args, **kwargs):
+    # What ``function(*args, **kwargs)`` returns, or the ValueError it raises.
     try:
-        return function(*args)
+        return function(*args, **kwargs)
     except ValueError as exc:
         return exc
 
@@ -494,13 +535,31 @@ def _play(network: Network, config, assignment) -> IterationTrace:
     return trace
 
 
+class _Window(list):
+    """A chain's round of (network, config) requests, read in order up to its answer.
+
+    The answer is the first outcome that ends the reading: an error, a run
+    that did not converge, or a converged run whose reported row passes
+    ``accept``, which is given that row's SINRs (rates snapped first under
+    ``quantize_at_convergence``). The requests after the answer are not
+    awaited: they stop holding their lockstep loop open once an accepted
+    one meets delta, or are not solved when the batch is solved one network
+    at a time, and their outcomes may be None.
+    """
+
+    def __init__(self, requests, accept):
+        super().__init__(requests)
+        self.accept = accept
+
+
 def _drive(chains) -> list:
     """Step chains of dependent solves together; each chain's result, in order.
 
     A chain is a generator: it yields the (network, config) pairs one of its
-    rounds needs, is sent their outcomes in order (each the trace or the
-    exception ``iterate_batch`` gives), and returns its result. Each round
-    the requests of every chain still running are solved together, with one
+    rounds needs, or a ``_Window`` of them, is sent their outcomes in order
+    (each the trace or the exception ``iterate_batch`` gives, or None past a
+    window's answer), and returns its result. Each round the requests of
+    every chain still running are solved together, with one
     ``iterate_batch`` per config. An error a chain raises is held until
     every chain before it has finished, and chains after it are not stepped
     again; then the first held error is raised, which is the error running
@@ -513,40 +572,56 @@ def _drive(chains) -> list:
     running = range(len(chains))
     while running:
         asked = {}  # each stepped chain's requests, in chain order
+        requests: list = []
+        later: dict = {}  # each window member's later members and its window's test
         for i in running:
             if i > failed:
                 break
             try:
-                asked[i] = chains[i].send(sent[i])
+                round_ = chains[i].send(sent[i])
             except StopIteration as stop:
                 results[i] = stop.value
+                continue
             except Exception as exc:  # held for the serial order
                 failed, error = i, exc
-        outcomes = iter(_solve([request for requests in asked.values() for request in requests]))
-        for i, requests in asked.items():
-            sent[i] = list(itertools.islice(outcomes, len(requests)))
+                continue
+            if isinstance(round_, _Window):
+                ks = range(len(requests), len(requests) + len(round_))
+                later.update((k, (ks[p + 1 :], round_.accept)) for p, k in enumerate(ks))
+            asked[i] = round_
+            requests += round_
+        outcomes = iter(_solve(requests, later))
+        for i, round_ in asked.items():
+            sent[i] = list(itertools.islice(outcomes, len(round_)))
         running = list(asked)
     if error is not None:
         raise error
     return results
 
 
-def _solve(requests) -> list:
+def _solve(requests, later) -> list:
     # ``iterate_batch``'s outcomes for (network, config) requests, in order,
-    # from one batch per config; a ConvergenceConfig is frozen, so it keys
-    # the groups.
+    # from one batch per config, with the windows of ``_batch``'s ``later``;
+    # a ConvergenceConfig is frozen, so it keys the groups. A round of one
+    # config, the usual case, skips the grouping.
+    if not requests:
+        return []
+    config = requests[0][1]
+    if all(c is config for _, c in requests):
+        return _batch([network for network, _ in requests], config, later)
     outcomes = [None] * len(requests)
     groups: dict[ConvergenceConfig, list[int]] = {}
     for k, (_, config) in enumerate(requests):
         groups.setdefault(config, []).append(k)
     for config, ks in groups.items():
-        for k, outcome in zip(ks, iterate_batch([requests[k][0] for k in ks], config)):
+        networks = [requests[k][0] for k in ks]
+        for k, outcome in zip(ks, _batch(networks, config, _local(later, ks))):
             outcomes[k] = outcome
     return outcomes
 
 
 @_inf_clamps
-def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
+def _loop(networks, config, assignment, state=None, first=1, last=None, later=None) -> list:
     """The fixed-point loop, stepping K fixed networks in lockstep; one trace each.
 
     The state is one fresh (2 x users) stack [powers; rates] per iteration
@@ -559,7 +634,10 @@ def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
     met delta or ``config.max_iterations``; network k's one segment is cut
     at ``ends[k]``, the first iteration at which it met delta. Stepping a
     converged network on changes no other, as each is its own fixed-point
-    iteration.
+    iteration. ``later`` holds ``_batch``'s windows: when a window member
+    first meets delta, its row's SINRs go to the window's test, and once one
+    passes, the members after it no longer hold the loop open; their traces
+    are None.
 
     Under "full" history each iteration appends the batch's row (assignment,
     state and assigned r_eff), stacked once into columns at the end; under
@@ -578,7 +656,7 @@ def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
     kkt = config.policy == KKT
     snap_each = None if config.quantize_at_convergence else config.rate_set
     full = config.history == HISTORY_FULL
-    converging = last is None
+    converging, delta = last is None, config.delta
     last = config.max_iterations if converging else last
 
     gains = [channel.gains for channel in channels]
@@ -597,6 +675,9 @@ def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
     series: list[list[float]] = []
     history: list[tuple] = []
     ends: list[int | None] = [None] * blocks
+    waiting = list(range(blocks))  # the networks holding the loop open
+    later = later or {}
+    dropped: set = set()  # window members after an accepted one
     kept = None  # under "last", a batch row holding network k's row at ends[k]
     # The station totals of the current iterate, and its (users x stations)
     # r_eff matrix, formed only when a sweep or a row reads it: the
@@ -611,6 +692,17 @@ def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
 
     def current_row():
         return assignment, state, current_reffs()[ids, assignment]
+
+    def row_sinrs(k):
+        # Network k's SINRs in the current row, as its trace would report
+        # them: the same elementwise operations as ``_sinrs_utilities``.
+        span = spans[k]
+        rates = state[1, span]
+        if config.quantize_at_convergence:
+            rates = config.rate_set.snap(rates)
+        reffs = current_reffs()[ids[span], assignment[span]]
+        b = bandwidth[span] if blocks > 1 else bandwidth
+        return (b / rates) * (state[0, span] / reffs)
 
     iteration = first - 1
     while iteration < last:
@@ -630,14 +722,24 @@ def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
         series.append(metrics)
         if full:
             history.append(current_row())
-        if converging and min(metrics) <= config.delta:
-            met = [m <= config.delta and e is None for m, e in zip(metrics, ends)]
-            ends = [iteration if now else e for now, e in zip(met, ends)]
-            if None not in ends:
+        met = [k for k in waiting if metrics[k] <= delta] if converging else None
+        if met:
+            for k in met:
+                ends[k] = iteration
+            waiting = [k for k in waiting if ends[k] is None]
+            for k in met:
+                if k in later and k not in dropped:
+                    rest, accept = later[k]
+                    # The test matters only while a member after k holds the loop open.
+                    if any(j in waiting for j in rest) and accept(row_sinrs(k)):
+                        dropped.update(rest)
+                        waiting = [j for j in waiting if j not in dropped]
+            if not waiting:
                 break
             if not full:
-                now = np.array(met)[owner]
-                kept = current_row() if kept is None else _pick(now, current_row(), kept)
+                now = np.zeros(blocks, dtype=bool)
+                now[met] = True
+                kept = current_row() if kept is None else _pick(now[owner], current_row(), kept)
 
     iterations, metrics = np.arange(first, iteration + 1), np.array(series, dtype=float)
     if full:
@@ -650,14 +752,17 @@ def _loop(networks, config, assignment, state=None, first=1, last=None) -> list:
         a, states, r = a[None], states[None], r[None]
     if config.quantize_at_convergence:
         # Quantizing at convergence snaps each converged row's rates.
-        for end, span in zip(ends, spans):
-            if end is not None:
+        for k, (end, span) in enumerate(zip(ends, spans)):
+            if end is not None and k not in dropped:
                 s = end - first if full else 0
                 states[s, 1, span] = config.rate_set.snap(states[s, 1, span])
     sinrs, utilities = _sinrs_utilities(table, bandwidth, states, r)
     columns = (a, states[:, 0], states[:, 1], sinrs, utilities)
     traces = []
     for k, span in enumerate(spans):
+        if k in dropped:
+            traces.append(None)
+            continue
         converged, end = ends[k] is not None, ends[k] or iteration
         n = end - first + 1
         rows = slice(n) if full else slice(None)

@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ratepower.admission import (
     ABOVE_TARGET,
     AT_TARGET,
+    AT_TARGET_TOL,
     BELOW_TARGET,
     NotConvergedError,
+    _outcomes,
     classify_users,
     escalate_pricing,
     removal_loop,
@@ -101,6 +104,53 @@ class TestClassifyUsers:
         )
         with pytest.raises(NotConvergedError):
             classify_users(trace, [20.0] * 3)
+
+
+def looped_outcomes(sinrs, targets):
+    """Each user's outcome by a per-user loop, the statement ``_outcomes`` must equal."""
+    out = []
+    for s, target in zip(sinrs.tolist(), np.asarray(targets, dtype=float).tolist()):
+        if s < target * (1.0 - AT_TARGET_TOL):
+            out.append(BELOW_TARGET)
+        elif s > target * (1.0 + AT_TARGET_TOL):
+            out.append(ABOVE_TARGET)
+        else:
+            out.append(AT_TARGET)
+    return out
+
+
+@st.composite
+def band_edges(draw):
+    """Targets, and SINRs on the edges of their bands, one ulp either side, NaN or anywhere."""
+    targets = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12))
+    sinrs = []
+    for t in targets:
+        edge = t * draw(st.sampled_from([1.0 - AT_TARGET_TOL, 1.0, 1.0 + AT_TARGET_TOL]))
+        kind = draw(st.sampled_from(["edge", "below", "above", "nan", "any"]))
+        if kind == "edge":
+            sinrs.append(edge)
+        elif kind == "below":
+            sinrs.append(math.nextafter(edge, -math.inf))
+        elif kind == "above":
+            sinrs.append(math.nextafter(edge, math.inf))
+        elif kind == "nan":
+            sinrs.append(math.nan)
+        else:
+            sinrs.append(draw(st.floats(0.0, 2e3)))
+    return np.array(sinrs), np.array(targets)
+
+
+class TestOutcomes:
+    @settings(max_examples=400, deadline=None)
+    @given(band_edges())
+    def test_the_array_pass_equals_the_per_user_loop(self, drawn):
+        sinrs, targets = drawn
+        got = _outcomes(sinrs, targets)
+        assert got == looped_outcomes(sinrs, targets)
+        assert all(type(o) is str for o in got)
+
+    def test_a_nan_sinr_is_at_target(self):
+        assert _outcomes(np.array([math.nan, 1.0]), [5.0, 5.0]) == [AT_TARGET, BELOW_TARGET]
 
 
 class TestEscalatePricing:

@@ -7,14 +7,15 @@ count, in one loop per station count; network k's outcome must be what
 column, ``iterations_used`` and ``converged``, or the same exception with the
 same message; ``run_scenarios`` must likewise give each scenario's
 ``run_scenario``. The escalation window solves the next few coefficients as
-one batch and reads them in order; what it reports and raises must be what
-testing one coefficient at a time gives, which ``serial_escalation`` below
-restates. A solve under "last" history keeps each segment's last row only;
-it must be the "full" trace's last row, bit for bit, with every other field
-of the outcome the same.
+one batch and reads them in order, and stops stepping them at its answer;
+what it reports and raises must be what testing one coefficient at a time
+gives, which ``serial_escalation`` below restates. A solve under "last"
+history keeps each segment's last row only; it must be the "full" trace's
+last row, bit for bit, with every other field of the outcome the same.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,10 +66,14 @@ from ratepower.scenario import (
     ArrivalEvent,
     MoveEvent,
     Scenario,
+    _run,
+    parse_scenario,
     run_scenario,
     run_scenarios,
     sweep_lambda,
 )
+
+CROWDED_CELL = Path(__file__).resolve().parent.parent / "scenarios" / "crowded_cell.scn"
 
 ROW_COLUMNS = ("assignment", "powers", "rates", "sinrs", "utilities")
 COLUMNS = ("iterations", "metrics") + ROW_COLUMNS
@@ -505,6 +510,24 @@ def assert_same_run(got, want):
     assert [r.powers.tobytes() for r in a.steps] == [r.powers.tobytes() for r in b.steps]
 
 
+def counted_sweeps(monkeypatch):
+    """Patch ``engine._synchronous_sweep`` to log the iterations of each loop call."""
+    sweeps = []
+    sweep, loop = engine._synchronous_sweep, engine._loop
+
+    def counted_sweep(*args):
+        sweeps[-1] += 1
+        return sweep(*args)
+
+    def counted_loop(*args, **kwargs):
+        sweeps.append(0)
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_synchronous_sweep", counted_sweep)
+    monkeypatch.setattr(engine, "_loop", counted_loop)
+    return sweeps
+
+
 def counted_loops(monkeypatch):
     """Patch ``engine._loop`` to log the number of networks of each call."""
     calls = []
@@ -614,14 +637,15 @@ class TestScenarioBatches:
     def test_reproduce_all_solves_every_target_in_six_loops(self, monkeypatch):
         # Round 1 is one batch of the 22 default-config one-station runs of
         # table1-4 and fig1-2, table1's first removal round and table3's two
-        # escalation windows (29 networks); with it come table3's kkt rows,
-        # fig4's 11 steps and fig3's arrival run as two windows. Round 2 is
-        # table1's second removal round.
+        # escalation windows of ESCALATION_WINDOW = 6 coefficients each (35
+        # networks); with it come table3's kkt rows, fig4's 11 steps and
+        # fig3's arrival run as two windows. Round 2 is table1's second
+        # removal round.
         want = [reproduce(target).lines() for target in REPRODUCE_TARGETS]
         calls = counted_loops(monkeypatch)
         got = reproduce_many(REPRODUCE_TARGETS)
         assert [report.lines() for report in got] == want
-        assert sorted(calls) == [1, 1, 1, 2, 11, 29]
+        assert sorted(calls) == [1, 1, 1, 2, 11, 35]
 
     def test_an_unknown_target_is_refused_before_any_solve(self, monkeypatch):
         calls = counted_loops(monkeypatch)
@@ -798,23 +822,31 @@ class TestEscalationWindow:
     def test_the_window_batches_more_than_one_coefficient(self):
         assert ESCALATION_WINDOW > 1
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(2, 8),
         st.sampled_from([1, 2]),
-        st.integers(1, 8),
+        st.integers(1, 14),
         st.sampled_from([SYNCHRONOUS, SEQUENTIAL]),
         st.sampled_from([None, 30]),
+        st.sampled_from(LADDERS),
     )
-    def test_random_networks_match_serial_escalation(self, seed, n, b, max_steps, schedule, budget):
+    def test_random_networks_match_serial_escalation(self, seed, n, b, max_steps, schedule, budget, ladder):
+        # Up to 14 steps spans more than two windows; a ladder snaps the
+        # converged row's rates, so the window's test reads snapped SINRs.
         rng = np.random.default_rng(seed)
         channel = ChannelModel(rng.uniform(20.0, 400.0, (n, b)))
         alpha2 = rng.choice([12.9492, 16.0, 20.0], n)
         users = [UserParams(alpha2=float(a), p_max=float(p)) for a, p in zip(alpha2, rng.uniform(0.02, 2.0, n))]
         c = float(10.0 ** rng.uniform(-6.0, -3.0))
         rule = PricingRule("constant", c, dc=c * float(rng.uniform(0.2, 1.0)))
-        config = ConvergenceConfig(schedule=schedule, max_iterations=budget or 500)
+        config = ConvergenceConfig(
+            schedule=schedule,
+            max_iterations=budget or 500,
+            rate_set=ladder,
+            quantize_at_convergence=ladder is not None,
+        )
         assert_escalation_is_serial(channel, users, rule, config, max_steps)
 
     def test_max_steps_below_the_window(self):
@@ -862,6 +894,71 @@ class TestEscalationWindow:
         rule = PricingRule("constant", 1e307, dc=1e308)
         exc = assert_escalation_is_serial(channel, [UserParams()] * 2, rule)
         assert str(exc) == "c must be finite, got inf"
+
+    def test_the_answered_window_stops_at_its_answer(self, monkeypatch):
+        # crowded_cell: 4e-4, 5e-4 and 6e-4 converge in 8, 16 and 35
+        # iterations and 5e-4 is achieved, so its window of six steps 16
+        # iterations, not 35, in one loop.
+        scenario = parse_scenario(CROWDED_CELL.read_text())
+        rule = PricingRule("constant", 4e-4, dc=1e-4)
+        calls, sweeps = counted_loops(monkeypatch), counted_sweeps(monkeypatch)
+        got = escalate_pricing(scenario.channel, scenario.users, rule, scenario.config)
+        assert got.achieved and got.tested == [4e-4, 5e-4]
+        assert calls == [ESCALATION_WINDOW] and sweeps == [16]
+
+    def test_non_convergence_before_the_answer_surfaces(self, monkeypatch):
+        # Under this absolute stopping rule the first six coefficients need
+        # 8, 27, 25, 24, 36 and 35 iterations, and the fourth is the first
+        # achieved. Its window stops at 27, when the second converges, not
+        # at 36. With a budget of 26 the second never converges, which
+        # raises, as serially, after 26 iterations.
+        distances = [[352.0, 129.0, 458.0], [440.0, 370.0, 499.0], [419.0, 534.0, 254.0]]
+        channel = ChannelModel(distances, noise_w=2.2e-16)
+        users = [UserParams(alpha2=a, p_max=p) for a, p in [(20.0, 0.056), (20.0, 1.3), (40.0, 0.028)]]
+        rule = PricingRule("constant", 1.4e-5, dc=3.1e-5)
+        config = ConvergenceConfig(delta=1e-5, metric=METRIC_ABSOLUTE)
+        traces = [
+            iterate_to_convergence(channel, users, config, pricing=replace(rule, c=rule.c + k * rule.dc))
+            for k in range(6)
+        ]
+        assert [t.iterations_used for t in traces] == [8, 27, 25, 24, 36, 35]
+        sweeps = counted_sweeps(monkeypatch)
+        got = assert_escalation_is_serial(channel, users, rule, config)
+        assert got.achieved and len(got.tested) == 4 and sweeps[-1] == 27
+        exc = assert_escalation_is_serial(channel, users, rule, replace(config, max_iterations=26))
+        assert isinstance(exc, NotConvergedError)
+        assert str(exc).startswith("run did not converge within 26 iterations")
+        assert sweeps[-1] == 26
+
+    def test_the_window_tests_the_snapped_row(self, monkeypatch):
+        # On this ladder 4e-4's rates snap from about 17274 down to 15447,
+        # which lifts its users to target: its window is answered at 8
+        # iterations, where its continuous row, still below target, would
+        # wait for 5e-4 at 16. 6e-4's rates lie below the ladder.
+        config = ConvergenceConfig(rate_set=RateSet((15447.0, 96000.0)), quantize_at_convergence=True)
+        sweeps = counted_sweeps(monkeypatch)
+        got = assert_escalation_is_serial(*table3_escalation(), config)
+        assert got.achieved and got.tested == [4e-4] and sweeps[-1] == 8
+
+    @pytest.mark.parametrize("config", [ConvergenceConfig(max_iterations=20), LADDER], ids=["budget", "ladder"])
+    def test_a_coefficient_past_the_answer_holds_no_shared_batch_open(self, config, monkeypatch):
+        # Past the answer (5e-4, at 16 iterations) 6e-4 would not converge
+        # within 20 iterations, or its converged rates would fall below the
+        # ladder. Driven with a scenario run of the same config, as
+        # ``reproduce_many`` drives table3, the one shared loop stops when
+        # both are answered, and nothing is solved again alone.
+        channel, users, rule = table3_escalation()
+        scenario = replace(table3_scenario(7), config=config)
+        want = serial_escalation(channel, users, rule, config)
+        run_trace, _ = run_scenario(scenario)
+        assert run_trace.iterations_used == 7
+        calls, sweeps = counted_loops(monkeypatch), counted_sweeps(monkeypatch)
+        got, (trace, _) = engine._drive([admission._escalation(channel, users, rule, config), _run(scenario)])
+        assert calls == [ESCALATION_WINDOW + 1]
+        assert sweeps == [16]
+        assert (got.tested, got.c_final, got.achieved) == (want.tested, want.c_final, want.achieved)
+        assert_same_outcome(got.trace, want.trace)
+        assert_same_outcome(trace, run_trace)
 
     def test_every_width_gives_the_serial_answer(self, monkeypatch):
         # Every width gives the serial answer; the constant only sets how

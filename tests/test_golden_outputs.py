@@ -18,7 +18,9 @@ scenario under both schedules (the scenario is rewritten with its
 ``[run] schedule`` set, since the command takes no schedule flag), and
 ``tune-pricing`` stdout on a two-station network written by this module
 that tests eight coefficients, under both schedules, in full and with a
-budget of three steps.
+budget of three steps. ``tune-pricing --dc 1e-5`` stdout is pinned on
+``crowded_cell.scn`` and on the synchronous two-station network; both
+escalate over several windows.
 A change that is meant to leave outputs alone must keep every digest; one
 that changes an output on purpose says so and re-pins that entry.
 ``PYTHONPATH=src python tests/test_golden_outputs.py`` prints the current
@@ -120,6 +122,11 @@ def _batch_outputs(tmp: Path) -> dict[str, bytes]:
         outputs[f"tune-pricing two-station {schedule}"] = _call(["tune-pricing", str(path)])
         key = f"tune-pricing two-station {schedule} max-steps 3"
         outputs[key] = _call(["tune-pricing", str(path), "--max-steps", "3"])
+        if schedule == "synchronous":
+            key = f"tune-pricing two-station {schedule} dc 1e-5"
+            outputs[key] = _call(["tune-pricing", str(path), "--dc", "1e-5"])
+    crowded = next(path for path in SCENARIOS if path.name == "crowded_cell.scn")
+    outputs["tune-pricing crowded_cell.scn dc 1e-5"] = _call(["tune-pricing", str(crowded), "--dc", "1e-5"])
     return outputs
 
 
@@ -198,6 +205,8 @@ GOLDEN = {
     "tune-pricing two-station synchronous max-steps 3": "56c8f15538ed11fa4dbe552d8f539db1be8e72df2f9633ec65414de3b63a30c2",
     "tune-pricing two-station sequential": "c20757b2f9cceb635a370fef99612271eefc3cf057bb40511ec33e49276b3b97",
     "tune-pricing two-station sequential max-steps 3": "523cfa4695ab842b1ae28dc7d0b6fc860f851479af92ab6433de936ae2fa2f92",
+    "tune-pricing two-station synchronous dc 1e-5": "688d06d8c15b9206d8f8387c9d2566676f967d121bf84bdcdc9105bf39e0860b",
+    "tune-pricing crowded_cell.scn dc 1e-5": "09d3b686e02b165edbcece46ec0186420357e1f09e3626d1f4f819d932f838ba",
 }
 
 
