@@ -412,63 +412,32 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     converges keeps its batch-mates stepping to ``config.max_iterations``;
     a batch whose loop raises is solved again one network at a time.
     """
-    return _batch(list(networks), config if config is not None else ConvergenceConfig(), {})
+    networks = list(networks)
+    return _batch(networks, config if config is not None else ConvergenceConfig(), [None] * len(networks))
 
 
-def _batch(networks, config, later) -> list:
-    # ``iterate_batch`` with windows: ``later`` maps each window member to
-    # the members after it and the window's test. Once a member's outcome
-    # ends its window's reading, the members after it stop holding their
-    # lockstep loop open, or are not solved alone, and their outcome is None.
+def _batch(networks, config, tags) -> list:
+    # ``iterate_batch`` with each network's window tag (``_drive``'s); a
+    # lockstep loop stops waiting for a window's members after its answer.
     outcomes = [_attempt(_enter, network, config) for network in networks]
-    groups: dict = {}  # lockstep networks by station count; None holds those that play alone
+    groups: dict = {}  # lockstep networks by station count, the rest alone
     for k, network in enumerate(outcomes):
         if isinstance(network, Network):
             alone = network.arrivals or config.schedule != SYNCHRONOUS
-            groups.setdefault(None if alone else network.channel.n_stations, []).append(k)
-    for key, group in groups.items():
+            groups.setdefault((k,) if alone else network.channel.n_stations, []).append(k)
+    for group in groups.values():
         batch = [outcomes[k] for k in group]
-        local = _local(later, group)
         solved = None
-        if key is not None and len(batch) > 1:
+        if len(batch) > 1:
             start = np.zeros(sum(len(net.users) for net in batch), dtype=int)
             pairs = [(net.channel, net.users) for net in batch]
-            solved = _attempt(_loop, pairs, config, start, later=local)
+            solved = _attempt(_loop, pairs, config, start, tags=[tags[k] for k in group])
         if not isinstance(solved, list):
-            solved = _one_by_one(batch, config, local)
+            # Each network alone gets its own trace or error.
+            solved = [_attempt(_play, net, config, _initial_assignment(None, net.channel)) for net in batch]
         for k, outcome in zip(group, solved):
             outcomes[k] = outcome
     return outcomes
-
-
-def _one_by_one(networks, config, later) -> list:
-    # Each entered network solved alone, in order, to its own trace or
-    # error; a window member after one whose outcome ends the window's
-    # reading (an error, a run that did not converge, or a reported row
-    # that passes the test) is not solved, and its outcome is None.
-    outcomes, skipped = [], set()
-    for k, network in enumerate(networks):
-        outcome = None
-        if k not in skipped:
-            assignment = _initial_assignment(None, network.channel)
-            outcome = _attempt(_play, network, config, assignment)
-        if k in later and (
-            not isinstance(outcome, IterationTrace)
-            or not outcome.converged
-            or later[k][1](outcome.final_sinrs)
-        ):
-            skipped.update(later[k][0])
-        outcomes.append(outcome)
-    return outcomes
-
-
-def _local(later, ks) -> dict:
-    # ``later`` over the networks ``ks`` only, each numbered by its place there.
-    members = [k for k in ks if k in later] if later else None
-    if not members:
-        return {}
-    place = {k: p for p, k in enumerate(ks)}
-    return {place[k]: ([place[j] for j in later[k][0] if j in place], later[k][1]) for k in members}
 
 
 def _attempt(function, *args, **kwargs):
@@ -541,10 +510,9 @@ class _Window(list):
     The answer is the first outcome that ends the reading: an error, a run
     that did not converge, or a converged run whose reported row passes
     ``accept``, which is given that row's SINRs (rates snapped first under
-    ``quantize_at_convergence``). The requests after the answer are not
-    awaited: they stop holding their lockstep loop open once an accepted
-    one meets delta, or are not solved when the batch is solved one network
-    at a time, and their outcomes may be None.
+    ``quantize_at_convergence``). The requests after an accepted one are not
+    awaited: they stop holding their lockstep loop open once it meets
+    delta, and their outcomes, which the chain does not read, may be None.
     """
 
     def __init__(self, requests, accept):
@@ -573,7 +541,7 @@ def _drive(chains) -> list:
     while running:
         asked = {}  # each stepped chain's requests, in chain order
         requests: list = []
-        later: dict = {}  # each window member's later members and its window's test
+        tags: list = []  # each request's (window, position in it), or None
         for i in running:
             if i > failed:
                 break
@@ -585,12 +553,11 @@ def _drive(chains) -> list:
             except Exception as exc:  # held for the serial order
                 failed, error = i, exc
                 continue
-            if isinstance(round_, _Window):
-                ks = range(len(requests), len(requests) + len(round_))
-                later.update((k, (ks[p + 1 :], round_.accept)) for p, k in enumerate(ks))
+            window = isinstance(round_, _Window)
+            tags += [(round_, p) if window else None for p in range(len(round_))]
             asked[i] = round_
             requests += round_
-        outcomes = iter(_solve(requests, later))
+        outcomes = iter(_solve(requests, tags))
         for i, round_ in asked.items():
             sent[i] = list(itertools.islice(outcomes, len(round_)))
         running = list(asked)
@@ -599,29 +566,29 @@ def _drive(chains) -> list:
     return results
 
 
-def _solve(requests, later) -> list:
+def _solve(requests, tags) -> list:
     # ``iterate_batch``'s outcomes for (network, config) requests, in order,
-    # from one batch per config, with the windows of ``_batch``'s ``later``;
-    # a ConvergenceConfig is frozen, so it keys the groups. A round of one
+    # from one batch per config, with each request's window tag; a
+    # ConvergenceConfig is frozen, so it keys the groups. A round of one
     # config, the usual case, skips the grouping.
     if not requests:
         return []
     config = requests[0][1]
     if all(c is config for _, c in requests):
-        return _batch([network for network, _ in requests], config, later)
+        return _batch([network for network, _ in requests], config, tags)
     outcomes = [None] * len(requests)
     groups: dict[ConvergenceConfig, list[int]] = {}
     for k, (_, config) in enumerate(requests):
         groups.setdefault(config, []).append(k)
     for config, ks in groups.items():
         networks = [requests[k][0] for k in ks]
-        for k, outcome in zip(ks, _batch(networks, config, _local(later, ks))):
+        for k, outcome in zip(ks, _batch(networks, config, [tags[k] for k in ks])):
             outcomes[k] = outcome
     return outcomes
 
 
 @_inf_clamps
-def _loop(networks, config, assignment, state=None, first=1, last=None, later=None) -> list:
+def _loop(networks, config, assignment, state=None, first=1, last=None, tags=None) -> list:
     """The fixed-point loop, stepping K fixed networks in lockstep; one trace each.
 
     The state is one fresh (2 x users) stack [powers; rates] per iteration
@@ -634,10 +601,10 @@ def _loop(networks, config, assignment, state=None, first=1, last=None, later=No
     met delta or ``config.max_iterations``; network k's one segment is cut
     at ``ends[k]``, the first iteration at which it met delta. Stepping a
     converged network on changes no other, as each is its own fixed-point
-    iteration. ``later`` holds ``_batch``'s windows: when a window member
-    first meets delta, its row's SINRs go to the window's test, and once one
-    passes, the members after it no longer hold the loop open; their traces
-    are None.
+    iteration. ``tags`` holds each network's window and its position there,
+    or None: when a window member first meets delta, its row's SINRs go to
+    the window's test, and once one passes, the members after it no longer
+    hold the loop open; their traces are None.
 
     Under "full" history each iteration appends the batch's row (assignment,
     state and assigned r_eff), stacked once into columns at the end; under
@@ -676,8 +643,8 @@ def _loop(networks, config, assignment, state=None, first=1, last=None, later=No
     history: list[tuple] = []
     ends: list[int | None] = [None] * blocks
     waiting = list(range(blocks))  # the networks holding the loop open
-    later = later or {}
-    dropped: set = set()  # window members after an accepted one
+    tags = tags or [None] * blocks
+    answers: list = []  # the tag of each accepted window member
     kept = None  # under "last", a batch row holding network k's row at ends[k]
     # The station totals of the current iterate, and its (users x stations)
     # r_eff matrix, formed only when a sweep or a row reads it: the
@@ -693,16 +660,22 @@ def _loop(networks, config, assignment, state=None, first=1, last=None, later=No
     def current_row():
         return assignment, state, current_reffs()[ids, assignment]
 
-    def row_sinrs(k):
-        # Network k's SINRs in the current row, as its trace would report
-        # them: the same elementwise operations as ``_sinrs_utilities``.
+    def answered(tag):
+        # Whether the tag is a window member after its window's accepted one.
+        return tag is not None and any(tag[0] is w and tag[1] > p for w, p in answers)
+
+    def accepted(k):
+        # Whether network k's window accepts its current row, the row its
+        # trace would report; only a member before its window's answer asks.
+        if tags[k] is None or answered(tags[k]):
+            return False
         span = spans[k]
         rates = state[1, span]
         if config.quantize_at_convergence:
             rates = config.rate_set.snap(rates)
         reffs = current_reffs()[ids[span], assignment[span]]
         b = bandwidth[span] if blocks > 1 else bandwidth
-        return (b / rates) * (state[0, span] / reffs)
+        return tags[k][0].accept(_sinrs(b, rates, state[0, span], reffs))
 
     iteration = first - 1
     while iteration < last:
@@ -728,12 +701,9 @@ def _loop(networks, config, assignment, state=None, first=1, last=None, later=No
                 ends[k] = iteration
             waiting = [k for k in waiting if ends[k] is None]
             for k in met:
-                if k in later and k not in dropped:
-                    rest, accept = later[k]
-                    # The test matters only while a member after k holds the loop open.
-                    if any(j in waiting for j in rest) and accept(row_sinrs(k)):
-                        dropped.update(rest)
-                        waiting = [j for j in waiting if j not in dropped]
+                if accepted(k):
+                    answers.append(tags[k])
+                    waiting = [j for j in waiting if not answered(tags[j])]
             if not waiting:
                 break
             if not full:
@@ -750,17 +720,18 @@ def _loop(networks, config, assignment, state=None, first=1, last=None, later=No
             earlier = np.array([e is not None and e < iteration for e in ends])[owner]
             a, states, r = _pick(earlier, kept, (a, states, r))
         a, states, r = a[None], states[None], r[None]
+    dropped = [answered(tag) for tag in tags]
     if config.quantize_at_convergence:
         # Quantizing at convergence snaps each converged row's rates.
         for k, (end, span) in enumerate(zip(ends, spans)):
-            if end is not None and k not in dropped:
+            if end is not None and not dropped[k]:
                 s = end - first if full else 0
                 states[s, 1, span] = config.rate_set.snap(states[s, 1, span])
     sinrs, utilities = _sinrs_utilities(table, bandwidth, states, r)
     columns = (a, states[:, 0], states[:, 1], sinrs, utilities)
     traces = []
     for k, span in enumerate(spans):
-        if k in dropped:
+        if dropped[k]:
             traces.append(None)
             continue
         converged, end = ends[k] is not None, ends[k] or iteration
@@ -960,11 +931,16 @@ def _sinrs_utilities(table, bandwidth, states, reffs) -> tuple[np.ndarray, np.nd
     powers, rates = states[:, 0], states[:, 1]
     if not (reffs > 0).all():
         raise ValueError("effective interference must be positive")
-    sinrs = (bandwidth / rates) * (powers / reffs)
+    sinrs = _sinrs(bandwidth, rates, powers, reffs)
     a1, a2, lam = table.alpha1, table.alpha2, table.lam
     price = 0.5 * lam * ((a2 / a1) * reffs * rates**2 + (a1 / a2) * powers**2 / reffs)
     utilities = np.log(a2 * reffs * rates + a1 * powers) - price
     return sinrs, utilities
+
+
+def _sinrs(bandwidth, rates, powers, reffs):
+    # The SINR, elementwise; the window test and the trace both read this.
+    return (bandwidth / rates) * (powers / reffs)
 
 
 def _pick(mask, chosen: tuple, other: tuple) -> tuple:
