@@ -27,8 +27,6 @@ _HOMES = {
         "NoFeasibleRateError",
         "PricingRule",
         "RateSet",
-        "Strategy",
-        "UserParams",
         "UserTable",
     ),
     "engine": (
@@ -41,7 +39,6 @@ _HOMES = {
         "IterationTrace",
         "Network",
         "Segment",
-        "bounded_step",
         "bounded_step_array",
         "iterate_batch",
         "iterate_to_convergence",

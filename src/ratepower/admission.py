@@ -4,9 +4,9 @@ Escalation raises the coefficient of a ``core.PricingRule``, the one home
 of the coefficient and of its step: it tests each coefficient as
 ``replace(rule, c=c)``, stepping by ``rule.dc``, on an ``engine.Network``
 that carries the rule, and the engine prices the users. Escalation and
-removal take the solve's settings as one ``ConvergenceConfig``. A user
-counts as at target when its SINR lies within the relative band
-``AT_TARGET_TOL`` of its target.
+removal take the users as one ``UserTable`` and the solve's settings as
+one ``ConvergenceConfig``. A user counts as at target when its SINR lies
+within the relative band ``AT_TARGET_TOL`` of its target.
 
 Each loop is a chain, a generator that yields the (network, config) pairs
 one round needs (an escalation window, a removal round) and is sent their
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ChannelModel, PricingRule, UserParams, UserTable, _require_count
+from .core import ChannelModel, PricingRule, UserTable, _require_count, _require_table
 from .engine import SYNCHRONOUS, ConvergenceConfig, IterationTrace, Network, _drive, _Window
 
 __all__ = [
@@ -93,7 +93,7 @@ class EscalationResult:
 
 def escalate_pricing(
     channel: ChannelModel,
-    users: UserTable | list[UserParams],
+    users: UserTable,
     rule: PricingRule,
     config: ConvergenceConfig | None = None,
     max_steps: int = 40,
@@ -130,8 +130,7 @@ def _escalation(channel, users, rule, config=None, max_steps=40):
     # solve its extra coefficients one by one, for nothing.
     width = ESCALATION_WINDOW if config.schedule == SYNCHRONOUS else 1
 
-    users = UserTable.from_users(users)
-    targets = users.target_sinrs(channel.bandwidth_hz)
+    targets = _require_table(users).target_sinrs(channel.bandwidth_hz)
 
     def achieved(sinrs) -> bool:
         return BELOW_TARGET not in _outcomes(sinrs, targets)
@@ -172,7 +171,7 @@ class RemovalResult:
 
 def removal_loop(
     channel: ChannelModel,
-    users: UserTable | list[UserParams],
+    users: UserTable,
     config: ConvergenceConfig | None = None,
 ) -> RemovalResult:
     """Remove below-target users one at a time until none remain below target.
@@ -189,8 +188,7 @@ def _removal(channel, users, config=None):
     # ``removal_loop`` as a chain for ``engine._drive``: each round yields
     # the survivors' network.
     config = config if config is not None else ConvergenceConfig()
-    users = UserTable.from_users(users)
-    active = list(range(len(users)))
+    active = list(range(len(_require_table(users))))
     removed: list[int] = []
     while active:
         ch = channel.subset(active)

@@ -9,10 +9,9 @@ its own gains. The functions are pure and nothing mutable is shared, so every
 operation is safe to call concurrently.
 
 A user set is held as one ``UserTable``, from the scenario parser to the
-summary: a column per ``UserParams`` field, checked once, vectorised, when
-the table is built from columns, with ``UserParams``' own message for the
-first bad user. ``UserParams`` is the table's row view and the scalar
-oracles' input; a table made from checked users is not checked again.
+summary, an arriving user as a table of one: a column per ``UserParams``
+field, checked once, vectorised, with ``UserParams``' own message for the
+first bad user. ``from_users`` builds one from the oracles' scalar users.
 
 A ``RateSet`` is the ladder of admissible rates a solve snaps onto. A
 ``PricingRule`` maps one coefficient to every user's pricing factor, and
@@ -198,12 +197,13 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class UserParams:
-    """One user's game constants.
+    """One user's game constants, as the scalar oracles take them.
 
     The ratio alpha2/alpha1 times the bandwidth fixes the SINR the user
     settles at when its strategy stays interior; ``lam`` scales the quadratic
     price on rate and power. The strategy box bounds both coordinates and the
-    initial strategy defaults to the box's lower corner.
+    initial strategy defaults to the box's lower corner. The benchmark's
+    ``perfbench/workloads.py`` builds one by name for ``engine.bounded_step``.
     """
 
     alpha1: float = 1e6
@@ -241,13 +241,6 @@ class UserParams:
         if self.r_init is not None and not self.r_min <= self.r_init <= self.r_max:
             raise ValueError(f"r_init {self.r_init} outside [{self.r_min}, {self.r_max}]")
 
-    @classmethod
-    def _trusted(cls, values: dict) -> "UserParams":
-        # A user of checked field values, built without the constructor's checks.
-        user = object.__new__(cls)
-        user.__dict__.update(values)
-        return user
-
     @property
     def initial_power(self) -> float:
         return self.p_min if self.p_init is None else self.p_init
@@ -276,8 +269,8 @@ _DERIVED = {
 
 
 def _row_values(row) -> dict:
-    # One column of a table's block as UserParams' fields; a NaN initial
-    # strategy is None.
+    # One user's values, in field order, as UserParams' fields; a NaN
+    # initial strategy is None.
     values = dict(zip(_USER_FIELDS, row))
     for name in _INITS:
         if math.isnan(values[name]):
@@ -305,13 +298,13 @@ class UserTable:
     checks the columns once, vectorised, and hands the first row that
     fails, in order, to ``UserParams``, so the error is the one that user
     would raise. A table of checked users (``from_users``, indexing,
-    ``concat``, ``with_user``) is not checked again, and ``with_lam`` checks
-    only its new column. Tables share their blocks: none is written in place.
+    ``concat``) is not checked again, and ``with_lam`` checks only its new
+    column. Tables share their blocks: none is written in place.
 
-    The table is also a sequence of ``UserParams`` row views: ``len``, an
-    integer index and iteration give rows, a slice or an index array a
-    table, and a table equals any sequence of the same users. The solver
-    reads the constants every best response needs, computed on first use:
+    The table hands out columns and tables, never rows: a slice or an index
+    array gives a table, an integer index or iteration raises TypeError, and
+    a table equals only a table of the same users. The solver reads the
+    constants every best response needs, computed on first use:
     ``half_a2_a1 = 0.5 * (alpha2 / alpha1)``, ``half_a1_a2 = 0.5 * (alpha1
     / alpha2)``, and the strategy box as stacked (2, n) arrays ``lo = [p_min;
     r_min]`` and ``hi = [p_max; r_max]``.
@@ -394,20 +387,14 @@ class UserTable:
 
     @classmethod
     def from_users(cls, users) -> "UserTable":
-        """Table of ``users``, which are checked already; a table passes through unchanged."""
-        if isinstance(users, UserTable):
-            return users
+        """Table of the ``UserParams`` in ``users``, which are checked already."""
         rows = np.array(list(map(_fields_of, users)), dtype=float)
         return cls._of(rows.reshape(-1, len(_USER_FIELDS)).T.copy())
 
     @classmethod
     def concat(cls, tables) -> "UserTable":
         """The tables' users, one after another, in one table."""
-        return cls._of(np.concatenate([cls.from_users(t)._block for t in tables], axis=1))
-
-    def with_user(self, user: UserParams) -> "UserTable":
-        """Table extended by one arriving user."""
-        return UserTable.concat([self, [user]])
+        return cls._of(np.concatenate([t._block for t in tables], axis=1))
 
     def with_lam(self, lam) -> "UserTable":
         """This table at pricing factor ``lam``, a number or one per user.
@@ -441,21 +428,17 @@ class UserTable:
 
     def __getitem__(self, index):
         try:
-            i = operator.index(index)
+            operator.index(index)
         except TypeError:
             return UserTable._of(self._block[:, index])
-        return UserParams._trusted(_row_values(self._block[:, range(len(self))[i]].tolist()))
+        raise TypeError("a UserTable indexes by slice or index array, not by one integer")
 
-    def __iter__(self):
-        for row in self._block.T.tolist():
-            yield UserParams._trusted(_row_values(row))
+    # Not a sequence of rows: ``iter`` and ``in`` raise TypeError.
+    __iter__ = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UserTable):
-            try:
-                other = UserTable.from_users(other)
-            except (TypeError, AttributeError):
-                return NotImplemented
+            return NotImplemented
         return np.array_equal(self._block, other._block, equal_nan=True)
 
     __hash__ = None
@@ -463,6 +446,19 @@ class UserTable:
     def __repr__(self) -> str:
         columns = ", ".join(f"{name}={getattr(self, name).tolist()!r}" for name in _USER_FIELDS)
         return f"UserTable({columns})"
+
+
+def _require_table(users) -> UserTable:
+    # ``users``, refused unless a table, with the bridge from a list named.
+    if not isinstance(users, UserTable):
+        kind = type(users).__name__
+        raise TypeError(f"users must be a UserTable, not {kind}; see UserTable.from_users")
+    return users
+
+
+def _require_newcomer(user) -> None:
+    if not (isinstance(user, UserTable) and len(user) == 1):
+        raise ValueError("an arrival's user must be a UserTable of one user")
 
 
 @dataclass(frozen=True)
@@ -579,17 +575,14 @@ class PricingRule:
 
 
 @np.errstate(over="ignore")
-def priced_users(
-    rule: PricingRule | None, channel: ChannelModel, users: UserTable | list[UserParams]
-) -> UserTable:
+def priced_users(rule: PricingRule | None, channel: ChannelModel, users: UserTable) -> UserTable:
     """Users with their pricing factor replaced by the rule's value, as one new column.
 
     With no rule the users keep their own factors. A gain-dependent rule is
     refused on more than one station. A factor that overflows to inf is
     refused as the table's ``with_lam`` refuses it.
     """
-    users = UserTable.from_users(users)
-    if rule is None or not len(users):
+    if rule is None or not len(_require_table(users)):
         return users
     if rule.kind in GAIN_DEPENDENT_KINDS and channel.n_stations > 1:
         raise ValueError(

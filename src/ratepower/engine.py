@@ -22,8 +22,8 @@ user at once and takes every best response from the array kernel behind
 plain floats, and keeps the same totals current as each user moves. The
 array kernel and the sequential sweep evaluate the floating-point
 operations of the scalar best response in ``oracle`` in its order, so all
-agree exactly; the public ``bounded_step`` is the array kernel on a
-one-user table.
+agree exactly; ``bounded_step``, one ``UserParams``' step, is the array
+kernel on a one-user table.
 
 The trace is its ``Segment``s, each a run of iterations on one fixed
 network held as (rows x users) columns, user k in column k; one loop call
@@ -35,11 +35,11 @@ the kept rows of every network of a loop come from one vectorised pass;
 both are elementwise, so a kept last row has the same bits either way, and
 in any batch.
 
-A solve takes a ``Network``: a channel, its users as a ``UserTable`` (a
-list of ``UserParams`` is converted once), their ``PricingRule`` and its
-arrivals. One entry step checks the row count, prices the users, and
-refuses a lone user with zero noise, an arrival that could not fire and a
-user whose rate box holds no rung of the config's ladder
+A solve takes a ``Network``: a channel, its users as a ``UserTable``, their
+``PricingRule`` and its arrivals, each arriving user a table of one. One
+entry step refuses users in any other form, checks the row count, prices
+the users, and refuses a lone user with zero noise, an arrival that could
+not fire and a user whose rate box holds no rung of the config's ladder
 (``RateSet.gap``). A network with arrivals plays them as windows: a loop
 call plays the iterations before an arrival, its last row starts the grown
 network, which the rule prices again, and a last call runs under the stop
@@ -82,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ChannelModel, PricingRule, RateSet, Strategy, UserParams, UserTable, priced_users
-from .core import _require_count, _require_finite
+from .core import _require_count, _require_finite, _require_newcomer, _require_table
 
 __all__ = [
     "CLAMP",
@@ -288,14 +288,14 @@ class IterationTrace:
 class Network:
     """One network to solve: a channel, its users, their pricing rule and its arrivals.
 
-    ``users`` is a ``UserTable`` or a list of ``UserParams``. A ``pricing``
-    rule prices every user, at entry and after each arrival group; with none
-    each user plays at its own factor. ``arrivals`` are events with
-    ``iteration``, ``distances_m`` and ``user``, joined in iteration order.
+    ``users`` is a ``UserTable``. A ``pricing`` rule prices every user, at
+    entry and after each arrival group; with none each user plays at its own
+    factor. ``arrivals`` are events with ``iteration``, ``distances_m`` and
+    ``user``, a table of one, joined in iteration order.
     """
 
     channel: ChannelModel
-    users: UserTable | list[UserParams]
+    users: UserTable
     pricing: PricingRule | None = None
     arrivals: tuple = ()
 
@@ -309,7 +309,8 @@ def bounded_step(user: UserParams, r_eff: float, policy: str = CLAMP) -> Strateg
     coordinate is re-optimized from the matching stationarity quadratic (then
     projected too, in case the re-optimized value leaves the box); when both
     coordinates violate, both are projected. The result always lies in the
-    box. This is ``bounded_step_array`` on a one-user table.
+    box. This is ``bounded_step_array`` on a one-user table;
+    ``perfbench/workloads.py`` calls it by name to certify a fixed point.
     """
     (p,), (r,) = bounded_step_array(UserTable.from_users([user]), [r_eff], policy)
     return Strategy(float(p), float(r))
@@ -369,7 +370,7 @@ def _step_metric(prev: np.ndarray, new: np.ndarray, kind: str, starts=(0,)) -> n
 
 def iterate_to_convergence(
     channel: ChannelModel,
-    users: UserTable | list[UserParams],
+    users: UserTable,
     config: ConvergenceConfig | None = None,
     initial_assignment=None,
     arrivals=(),
@@ -452,7 +453,7 @@ def _enter(network: Network, config: ConvergenceConfig) -> Network:
     # The network as the loop plays it, its users a priced table and its
     # arrivals in order; raises what a solve refuses at entry. The row count
     # comes first, as pricing reads one gain row per user.
-    channel, users = network.channel, UserTable.from_users(network.users)
+    channel, users = network.channel, _require_table(network.users)
     n = len(users)
     # A channel has at least one row, so this also refuses a solve of no users.
     if n != channel.n_users:
@@ -469,10 +470,11 @@ def _enter(network: Network, config: ConvergenceConfig) -> Network:
             f"max_iterations = {config.max_iterations} and would never fire"
         )
     for ev in arrivals:
+        _require_newcomer(ev.user)
         # Grow a throwaway channel so a bad row fails here, not when it fires.
         channel.with_user(ev.distances_m)
     # Arrivals join in iteration order, after the users already there.
-    everyone = UserTable.concat([users, [ev.user for ev in arrivals]]) if arrivals else users
+    everyone = UserTable.concat([users, *(ev.user for ev in arrivals)]) if arrivals else users
     gap = None if config.rate_set is None else config.rate_set.gap(everyone)
     if gap is not None:
         raise ValueError("user {}: {}".format(*gap))
@@ -494,8 +496,8 @@ def _play(network: Network, config, assignment) -> IterationTrace:
             end = window.final
             state, assignment = np.array([end.powers, end.rates]), end.assignment
         for ev in group:
-            channel, users = channel.with_user(ev.distances_m), users.with_user(ev.user)
-            state = np.append(state, [[ev.user.initial_power], [ev.user.initial_rate]], axis=1)
+            channel, users = channel.with_user(ev.distances_m), UserTable.concat([users, ev.user])
+            state = np.append(state, ev.user.initial, axis=1)
             assignment = np.append(assignment, 0)
         users = priced_users(network.pricing, channel, users)
         done = t - 1

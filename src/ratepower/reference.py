@@ -21,7 +21,7 @@ from itertools import islice
 import numpy as np
 
 from .admission import _escalation, _removal
-from .core import ChannelModel, PricingRule, UserParams, UserTable
+from .core import ChannelModel, PricingRule, UserTable
 from .engine import KKT, ConvergenceConfig, _drive
 from .scenario import ArrivalEvent, MoveEvent, Scenario, _run
 
@@ -136,7 +136,7 @@ def fig3_scenario() -> Scenario:
     # The newcomer starts from the box's lower corner, so the stopping
     # threshold is eased one decade; the post-arrival state still sits within
     # 1e-8 of the fixed point, far inside the 1e-4 target-SINR tolerance.
-    newcomer = UserParams(alpha2=20.0, lam=1e-4, p_max=3.0, r_max=96000.0)
+    newcomer = UserTable(alpha2=[20.0], lam=[1e-4], p_max=[3.0], r_max=[96000.0])
     return _scenario(
         [110, 130, 210],
         [20, 25, 30],
@@ -267,7 +267,7 @@ def _table2():
         checks = _triple_checks("scenario2", s2, [TABLE2_SCENARIO2] * 5, 0.005)
         checks.append(_bool_check("scenario1.converged", s1.converged))
         checks.append(
-            _rel_check("scenario1.u3.power_pinned", s1.powers[2], scenarios[1].users[2].p_max, 1e-9)
+            _rel_check("scenario1.u3.power_pinned", s1.powers[2], scenarios[1].users.p_max[2], 1e-9)
         )
         for k, (p, r) in enumerate(TABLE2_SCENARIO1, start=1):
             checks.append(_rel_check(f"scenario1.u{k}.p_w", s1.powers[k - 1], p, 0.02))

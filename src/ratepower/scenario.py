@@ -24,11 +24,11 @@ checks them together; a key a section lacks keeps the ``UserParams``
 default, and an arrival's user is a table of one. The first fault of each
 kind is reported, in file order: names and missing distances, numbers,
 distance counts and per-station lambdas, then the users' constants. The
-writer prints every field that is set. Arrivals and moves share one event
-reader. Four rules sit outside the table: a per-station ``lambda`` list
-must hold one value, ``quantize`` needs ``rates``, every user's rate box
-must hold a rung of ``rates``, and gain-dependent pricing needs a single
-station.
+writer reads the users' columns and prints every field that is set, so a NaN
+initial strategy is left out. Arrivals and moves share one event reader.
+Four rules sit outside the table: a per-station ``lambda`` list must hold
+one value, ``quantize`` needs ``rates``, every user's rate box must hold a
+rung of ``rates``, and gain-dependent pricing needs a single station.
 
 Numbers accept scientific notation and must be finite; lists (distances_m,
 rates) are whitespace separated; '#' starts a comment. Events share one
@@ -56,7 +56,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import GAIN_DEPENDENT_KINDS, PRICING_KINDS, ChannelModel, PricingRule, RateSet
-from .core import _USER_DEFAULTS, UserParams, UserTable, _require_index, _RowError
+from .core import _USER_DEFAULTS, UserTable, _require_index, _require_newcomer, _require_table
+from .core import _row_values, _RowError
 from .engine import (
     CLAMP,
     KKT,
@@ -100,12 +101,12 @@ class ScenarioFormatError(ValueError):
 
 @dataclass
 class ArrivalEvent:
-    """A user that starts transmitting at the given iteration."""
+    """A user that starts transmitting at the given iteration; ``user`` is a table of one."""
 
     iteration: int
     name: str
     distances_m: np.ndarray
-    user: UserParams
+    user: UserTable
 
 
 @dataclass
@@ -121,11 +122,11 @@ class MoveEvent:
 class Scenario:
     """Everything needed to execute one experiment; ``config`` holds the solve's settings.
 
-    ``users`` is a ``UserTable``; a list of ``UserParams`` is converted to one.
-    A scenario built in code is refused when it is built, as its file would
-    be at parse: each user and arrival needs its own name and each user a
-    channel row; events count from 1, move a user of the table and give
-    one positive distance per station.
+    ``users`` is a ``UserTable`` and each arrival's user a table of one. A
+    scenario built in code is refused when it is built, as its file would be
+    at parse: each user and arrival needs its own name and each user a
+    channel row; events count from 1, move a user of the table and give one
+    positive distance per station.
     """
 
     channel: ChannelModel
@@ -137,7 +138,7 @@ class Scenario:
     moves: list[MoveEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.users = UserTable.from_users(self.users)
+        _require_table(self.users)
         n, rows, n_stations = len(self.users), self.channel.n_users, self.channel.n_stations
         if {len(self.user_names), rows} != {n}:
             raise ValueError(f"{len(self.user_names)} user names and {rows} channel rows for {n} users")
@@ -150,6 +151,8 @@ class Scenario:
             taken.add(name)
         if any(ev.iteration < 1 for ev in self.arrivals):
             raise ValueError("arrival iterations must be at least 1")
+        for ev in self.arrivals:
+            _require_newcomer(ev.user)
         for ev in self.moves:
             k = _require_index("user index", ev.user, n)
             if ev.step < 1:
@@ -546,7 +549,7 @@ def _read_events(sections, kind, index, config, n_stations) -> list:
             user_section = [(name, line_no, body)]
             users, _ = _read_users(user_section)
             _check_ladder(config, users, user_section)
-            events.append(ArrivalEvent(at, name, d, users[0]))
+            events.append(ArrivalEvent(at, name, d, users))
         else:
             events.append(MoveEvent(at, index[name], d))
     return events
@@ -563,17 +566,22 @@ def scenario_to_text(s: Scenario) -> str:
         config = {**config, "quantize_at_convergence": None}
     sections = [("network", "network", vars(s.channel))]
     sections += [
-        (f"user {name}", "user", {"distances_m": row, **vars(user)})
-        for name, user, row in zip(s.user_names, s.users, s.channel.distances_m)
+        (f"user {name}", "user", {"distances_m": row, **values})
+        for name, values, row in zip(s.user_names, _user_values(s.users), s.channel.distances_m)
     ]
     sections.append(("run", "run", config))
     if s.pricing is not None:
         sections.append(("pricing", "pricing", vars(s.pricing)))
-    sections += [(_ARRIVAL, _ARRIVAL, vars(ev) | vars(ev.user)) for ev in s.arrivals]
+    sections += [(_ARRIVAL, _ARRIVAL, vars(ev) | _user_values(ev.user)[0]) for ev in s.arrivals]
     sections += [
         ("event move", "event move", vars(ev) | {"user": s.user_names[ev.user]}) for ev in s.moves
     ]
     return "\n\n".join(_section_text(*section) for section in sections) + "\n"
+
+
+def _user_values(users) -> list[dict]:
+    # Each user's fields from the table's columns; a NaN initial strategy is None.
+    return [_row_values(row) for row in zip(*(getattr(users, f).tolist() for f in _USER_DEFAULTS))]
 
 
 def _section_text(header, kind, values) -> str:
@@ -658,10 +666,11 @@ def _run(scenario: Scenario):
     channel, users = scenario.channel, scenario.users
     networks = []
     for step_no in steps:
-        if step_no > 1:
+        if step_no > 1 and arrivals:
             # The later steps play the network step 1's arrivals grew.
             for ev in arrivals:
-                channel, users = channel.with_user(ev.distances_m), users.with_user(ev.user)
+                channel = channel.with_user(ev.distances_m)
+            users = UserTable.concat([users, *(ev.user for ev in arrivals)])
             arrivals = ()
         for ev in moves_by_step.get(step_no, []):
             channel = channel.moved(ev.user, ev.distances_m)
@@ -720,7 +729,7 @@ def summarize_run(trace: IterationTrace, names) -> RunSummary:
     ``names`` holds one name per user of that network, in table order.
     """
     final = trace.final
-    users = UserTable.from_users(trace.users)
+    users = trace.users
     names = list(names)
     if len(names) != len(users):
         raise ValueError(f"{len(names)} names for a trace of {len(users)} users")

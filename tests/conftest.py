@@ -1,4 +1,4 @@
-from dataclasses import replace
+from ratepower.core import UserTable
 
 
 def sample_calculus_point(rng):
@@ -21,14 +21,15 @@ def sample_calculus_point(rng):
 
 
 def starting_at(users, powers, rates):
-    """The users with their initial strategies set to the given powers and rates.
+    """The table ``users`` with its initial strategies set to the given powers and rates.
 
     A solve starts at each user's own initial strategy, so this is how a test
-    starts one from a chosen state.
+    starts one from a chosen state. The new table is checked as any table
+    built from columns, so a start outside a box raises ``UserParams``'
+    message for it.
     """
-    return [
-        replace(u, p_init=float(p), r_init=float(r)) for u, p, r in zip(users, powers, rates)
-    ]
+    constants = ("alpha1", "alpha2", "lam", "p_min", "p_max", "r_min", "r_max")
+    return UserTable(**{name: getattr(users, name) for name in constants}, p_init=powers, r_init=rates)
 
 
 def rows(trace):

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import sample_calculus_point, starting_at
 from ratepower.admission import escalate_pricing
-from ratepower.core import ChannelModel, PricingRule, RateSet, UserParams
+from ratepower.core import ChannelModel, PricingRule, RateSet, UserParams, UserTable
 from ratepower.engine import KKT, ConvergenceConfig, iterate_to_convergence
 from ratepower.oracle import (
     fd_gradient_check,
@@ -89,7 +89,7 @@ def test_criterion_02_mixed_distance_equilibrium():
     scenario = table2_scenario(1)
     _, summary = run_scenario(scenario)
     assert summary.converged
-    assert summary.powers[2] == pytest.approx(scenario.users[2].p_max, rel=1e-9)
+    assert summary.powers[2] == pytest.approx(scenario.users.p_max[2], rel=1e-9)
     expected = [
         (0.0388, 32201.0),
         (0.0569, 21949.0),
@@ -309,8 +309,9 @@ def test_criterion_14_uniqueness_from_two_initializations():
     rng = np.random.default_rng(107)
     for _ in range(20):
         channel, users = random_single_cell(rng)
+        users = UserTable.from_users(users)
         a = iterate_to_convergence(channel, users)
-        corner = starting_at(users, [u.p_max for u in users], [u.r_max for u in users])
+        corner = starting_at(users, users.p_max, users.r_max)
         b = iterate_to_convergence(channel, corner)
         assert a.converged and b.converged
         assert a.final_powers == pytest.approx(b.final_powers, rel=1e-6)
@@ -343,7 +344,8 @@ def test_criterion_16_discrete_rates_hold_target():
     rng = np.random.default_rng(109)
     for _ in range(20):
         channel, users = random_single_cell(rng)
-        trace = iterate_to_convergence(channel, users, ConvergenceConfig(rate_set=ladder))
+        config = ConvergenceConfig(rate_set=ladder)
+        trace = iterate_to_convergence(channel, UserTable.from_users(users), config)
         assert trace.converged
         targets = np.array(
             [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]

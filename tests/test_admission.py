@@ -16,23 +16,22 @@ from ratepower.admission import (
     escalate_pricing,
     removal_loop,
 )
-from ratepower.core import ChannelModel, PricingRule, UserParams, priced_users
+from ratepower.core import ChannelModel, PricingRule, UserParams, UserTable, priced_users
 from ratepower.engine import ConvergenceConfig, iterate_to_convergence
 from ratepower.oracle import pricing_rule_eval, target_sinr
 
 
 def table1_setup(lam):
     channel = ChannelModel([110, 130, 210])
-    users = [UserParams(alpha2=20, lam=lam, p_max=3.0, r_max=47000.0) for _ in range(3)]
+    users = UserTable.from_users([UserParams(alpha2=20, lam=lam, p_max=3.0, r_max=47000.0)] * 3)
     return channel, users
 
 
 def table3_setup(n_users, lam=4e-4):
     channel = ChannelModel([110.0] * n_users)
-    users = [
-        UserParams(alpha2=12.9492, lam=lam, p_max=0.0647, r_max=96000.0)
-        for _ in range(n_users)
-    ]
+    users = UserTable.from_users(
+        [UserParams(alpha2=12.9492, lam=lam, p_max=0.0647, r_max=96000.0)] * n_users
+    )
     return channel, users
 
 
@@ -67,7 +66,7 @@ class TestPricingRuleEval:
         for kind in ("direct_gain", "inverse_gain"):
             message = f"pricing rule '{kind}' depends on the channel gain and cannot be used"
             with pytest.raises(ValueError, match=message):
-                priced_users(PricingRule(kind, c=1.0), channel, [UserParams()] * 3)
+                priced_users(PricingRule(kind, c=1.0), channel, UserTable.from_users([UserParams()] * 3))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -255,9 +254,7 @@ class TestRemovalLoop:
     def test_everyone_below_target_empties_network(self):
         # rate floors force both users below target no matter who remains
         channel = ChannelModel([1.0, 1.0], shadowing=1e-10, noise_w=1e-10)
-        users = [
-            UserParams(alpha2=20, lam=1e-4, r_min=50000.0, r_max=96000.0) for _ in range(2)
-        ]
+        users = UserTable(alpha2=20.0, lam=1e-4, r_min=[50000.0] * 2, r_max=96000.0)
         result = removal_loop(channel, users)
         assert result.empty_network
         assert sorted(result.removed) == [0, 1]

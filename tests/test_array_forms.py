@@ -20,7 +20,8 @@ the same users with a second station that none can pick, bit for bit.
 The sweeps are reached through ``iterate_to_convergence``: one iteration from
 a given state is one sweep, with the users starting at that state. The
 sequential kernel's tests also call the sweep directly, from powers that
-need not lie in the users' boxes.
+need not lie in the users' boxes. The oracles take the users as a list of
+``UserParams``, and the solver takes their ``UserTable.from_users``.
 """
 
 import bisect
@@ -79,6 +80,7 @@ from ratepower.oracle import (
 )
 
 EPS = np.finfo(float).eps
+FIELDS = ("alpha1", "alpha2", "lam", "p_min", "p_max", "r_min", "r_max", "p_init", "r_init")
 
 POLICIES = st.sampled_from([CLAMP, KKT])
 
@@ -199,8 +201,11 @@ class TestBestResponseKernel:
             bounded_step_array(table, np.array([1.0, 0.0]))
 
     def test_table_passes_through(self):
+        # ``from_users`` takes a list of users only: a table is refused, not
+        # passed through, as it hands out no rows.
         table = UserTable.from_users([UserParams(alpha2=12.0)])
-        assert UserTable.from_users(table) is table
+        with pytest.raises(TypeError):
+            UserTable.from_users(table)
         np.testing.assert_array_equal(table.alpha2, [12.0])
 
 
@@ -261,13 +266,13 @@ def networks(draw, max_users=8, max_stations=4, min_users=1):
 
 
 def sweep(channel, users, state, policy=CLAMP, rate_set=None, schedule=SYNCHRONOUS):
-    """One iteration of the loop from ``state``."""
+    """One iteration of the loop from ``state``, on the table of the listed users."""
     config = ConvergenceConfig(
         max_iterations=1, policy=policy, schedule=schedule, rate_set=rate_set
     )
     trace = iterate_to_convergence(
         channel,
-        starting_at(users, state.powers, state.rates),
+        starting_at(UserTable.from_users(users), state.powers, state.rates),
         config,
         initial_assignment=state.assignment,
     )
@@ -653,9 +658,15 @@ class TestSequentialKernel:
 
 
 class Arrival(NamedTuple):
+    """An arrival with its user as the oracle takes it, one ``UserParams``."""
+
     iteration: int
     distances_m: list
     user: UserParams
+
+    def to_engine(self):
+        """The same arrival as the solver takes it, its user a table of one."""
+        return self._replace(user=UserTable.from_users([self.user]))
 
 
 def oracle_loop(channel, users, state, policy, schedule, config, arrival=None):
@@ -700,9 +711,9 @@ class TestOneStationLoop:
         config = ConvergenceConfig(max_iterations=300, policy=policy, schedule=schedule)
         trace = iterate_to_convergence(
             channel,
-            starting_at(users, state.powers, state.rates),
+            starting_at(UserTable.from_users(users), state.powers, state.rates),
             config,
-            arrivals=[] if arrival is None else [arrival],
+            arrivals=[] if arrival is None else [arrival.to_engine()],
         )
         iterations, channel, want = oracle_loop(channel, users, state, policy, schedule, config, arrival)
         assert trace.iterations_used == iterations
@@ -716,7 +727,8 @@ class TestRecords:
     def test_utilities_and_sinrs_match_scalar_model(self, network, data):
         channel, users, state = network
         rates = np.array([data.draw(st.floats(u.r_min, u.r_max)) for u in users])
-        record = make_record(channel, users, state.assignment, state.powers, rates)
+        table = UserTable.from_users(users)
+        record = make_record(channel, table, state.assignment, state.powers, rates)
         for i, u in enumerate(users):
             a = int(state.assignment[i])
             r_eff = float(effective_interference_by_station(channel, state.powers, i)[a])
@@ -739,8 +751,10 @@ class TestRecords:
 # alone, exactly, priced as that segment was played.
 
 
-def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0.0):
+def make_record(channel, table, assignment, powers, rates, iteration=1, metric=0.0):
     """One record built alone: its row put through the loop's SINR and utility pass.
+
+    ``table`` holds the record's users.
 
     The row's effective interference comes from the oracle, which subtracts
     and clips as the loop does, so it equals the loop's bit for bit.
@@ -751,7 +765,6 @@ def make_record(channel, users, assignment, powers, rates, iteration=1, metric=0
         for i, a in enumerate(assignment)
     ]
     state = np.array([[powers, rates]], dtype=float)
-    table = UserTable.from_users(users)
     (sinrs,), (utilities,) = _sinrs_utilities(table, channel.bandwidth_hz, state, np.array([r_eff]))
     return IterationRecord(iteration, 1, assignment, *state[0], sinrs, utilities, metric)
 
@@ -777,7 +790,10 @@ class CountPricing:
 
     def __call__(self, rule, channel, users):
         priced = priced_users(rule, channel, users)
-        want = [replace(u, lam=self.c * len(users)) for u in users]
+        # The other columns as they are, and c * N set user by user.
+        n = len(users)
+        constants = {name: getattr(users, name) for name in FIELDS if name != "lam"}
+        want = UserTable(**constants, lam=[self.c * n for _ in range(n)])
         assert rule == self.rule and priced == want
         self.segments.append((channel, want))
         return priced
@@ -811,10 +827,10 @@ def run_priced(
     with mock.patch.object(engine, "priced_users", pricing):
         trace = iterate_to_convergence(
             channel,
-            starting_at(users, state.powers, state.rates),
+            starting_at(UserTable.from_users(users), state.powers, state.rates),
             config,
             initial_assignment=state.assignment,
-            arrivals=events,
+            arrivals=[ev.to_engine() for ev in events],
             pricing=pricing.rule,
         )
     return trace, pricing.segments
@@ -889,7 +905,7 @@ class TestSegmentRecords:
     def test_make_record_copies_its_inputs(self):
         channel = ChannelModel([110, 130])
         powers, rates = np.array([0.1, 0.2]), np.array([1e3, 2e3])
-        record = make_record(channel, [UserParams()] * 2, [0, 0], powers, rates)
+        record = make_record(channel, UserTable.from_users([UserParams()] * 2), [0, 0], powers, rates)
         powers[:] = rates[:] = 7.0
         np.testing.assert_array_equal(record.powers, [0.1, 0.2])
         np.testing.assert_array_equal(record.rates, [1e3, 2e3])
@@ -898,7 +914,7 @@ class TestSegmentRecords:
         # A lone noise-free user sees no interference at all.
         channel = ChannelModel([110], noise_w=0.0)
         with pytest.raises(ValueError, match="effective interference must be positive"):
-            make_record(channel, [UserParams()], [0], np.array([0.1]), np.array([1e3]))
+            make_record(channel, UserTable.from_users([UserParams()]), [0], np.array([0.1]), np.array([1e3]))
 
 
 @st.composite

@@ -36,6 +36,7 @@ from ratepower.core import (
     PricingRule,
     RateSet,
     UserParams,
+    UserTable,
     priced_users,
 )
 from ratepower.engine import (
@@ -161,14 +162,16 @@ def batches(draw):
         d = draw(st.lists(distance, min_size=n * b, max_size=n * b))
         noise = draw(st.sampled_from([5e-15, 1e-12]))
         scale = 10.0 ** draw(st.floats(-6.0, -2.0))
-        users = [
-            UserParams(
-                alpha2=draw(st.sampled_from([12.9492, 20.0, 30.0])),
-                lam=scale * draw(st.floats(0.5, 2.0)),
-                p_max=draw(st.floats(0.01, 3.0)),
-            )
-            for _ in range(n)
-        ]
+        users = UserTable.from_users(
+            [
+                UserParams(
+                    alpha2=draw(st.sampled_from([12.9492, 20.0, 30.0])),
+                    lam=scale * draw(st.floats(0.5, 2.0)),
+                    p_max=draw(st.floats(0.01, 3.0)),
+                )
+                for _ in range(n)
+            ]
+        )
         networks.append(Network(ChannelModel(np.reshape(d, (n, b)), noise_w=noise), users))
     return networks, config
 
@@ -183,7 +186,7 @@ class TestIterateBatch:
     def test_sequential_schedule_equals_serial_solves(self, policy):
         rng = np.random.default_rng(3)
         networks = [
-            Network(ChannelModel(rng.uniform(20.0, 400.0, (5, 2))), [UserParams(lam=lam)] * 5)
+            Network(ChannelModel(rng.uniform(20.0, 400.0, (5, 2))), UserTable(lam=[lam] * 5))
             for lam in (1e-5, 1e-4, 1e-3)
         ]
         assert_batch_is_serial(networks, ConvergenceConfig(policy=policy, schedule=SEQUENTIAL))
@@ -206,7 +209,7 @@ class TestIterateBatch:
         # keeps its own error, and networks 0 and 3 finish as if alone.
         config = ConvergenceConfig(rate_set=LADDERS[2], quantize_at_convergence=at_convergence)
         channel = ChannelModel([110.0, 130.0, 210.0])
-        networks = [Network(channel, [UserParams(alpha2=20.0, lam=lam)] * 3) for lam in (1e-5, 100.0, 300.0, 1e-5)]
+        networks = [Network(channel, UserTable(alpha2=20.0, lam=[lam] * 3)) for lam in (1e-5, 100.0, 300.0, 1e-5)]
         got = assert_batch_is_serial(networks, config)
         assert not isinstance(got[0], Exception) and not isinstance(got[3], Exception)
         assert isinstance(got[1], NoFeasibleRateError) and isinstance(got[2], NoFeasibleRateError)
@@ -218,8 +221,8 @@ class TestIterateBatch:
         # its end. Either order must still give the serial solves.
         ladder = RateSet((7e4, 96000, 2e5, 5e5, 1e6))
         config = ConvergenceConfig(metric=METRIC_ABSOLUTE, delta=1e5, rate_set=ladder)
-        a = Network(ChannelModel([110.0, 130.0]), [UserParams(lam=0.1)] * 2)
-        b = Network(ChannelModel([300.0, 310.0]), [UserParams(lam=1e-6, r_max=1e6)] * 2)
+        a = Network(ChannelModel([110.0, 130.0]), UserTable(lam=[0.1] * 2))
+        b = Network(ChannelModel([300.0, 310.0]), UserTable(lam=1e-6, r_max=[1e6] * 2))
         with pytest.raises(NoFeasibleRateError):
             iterate_to_convergence(a.channel, a.users, replace(config, delta=1e-30, max_iterations=2))
         got = assert_batch_is_serial([a, b], config)
@@ -231,8 +234,9 @@ class TestIterateBatch:
         # of the near user's, so the near user sees no interference at all.
         silent = ChannelModel([[10.0], [1e4], [1e4]], noise_w=0.0)
         loud = ChannelModel([[110.0], [130.0], [210.0]])
-        users = [UserParams(p_init=3.0), UserParams(), UserParams()]
-        networks = [Network(loud, users), Network(silent, users), Network(loud, [UserParams()] * 3)]
+        users = UserTable.from_users([UserParams(p_init=3.0), UserParams(), UserParams()])
+        plain = UserTable.from_users([UserParams()] * 3)
+        networks = [Network(loud, users), Network(silent, users), Network(loud, plain)]
         got = assert_batch_is_serial(networks, None)
         assert str(got[1]) == "effective interference must be positive"
         assert got[0].converged and got[2].converged
@@ -243,7 +247,7 @@ class TestIterateBatch:
         config = ConvergenceConfig(rate_set=LADDERS[2])
         scenario = Scenario(
             ChannelModel([110.0, 130.0, 210.0]),
-            [UserParams(alpha2=20.0)] * 3,
+            UserTable(alpha2=[20.0] * 3),
             ["u1", "u2", "u3"],
             config,
         )
@@ -261,10 +265,11 @@ class TestIterateBatch:
     def test_entry_errors_stand_in_place(self):
         channel = ChannelModel([110.0, 130.0])
         lone = ChannelModel([110.0], noise_w=0.0)
-        networks = [Network(channel, [UserParams()] * n) for n in (2, 1, 2)]
+        networks = [Network(channel, UserTable.from_users([UserParams()] * n)) for n in (2, 1, 2)]
         got = assert_batch_is_serial(networks, None)
         assert str(got[1]) == "1 users but channel has 2 rows"
-        got = assert_batch_is_serial([Network(lone, [UserParams()]), Network(lone, [UserParams(lam=1e-3)])], None)
+        lone_users = [UserTable.from_users([UserParams()]), UserTable(lam=[1e-3])]
+        got = assert_batch_is_serial([Network(lone, users) for users in lone_users], None)
         assert all(isinstance(outcome, ValueError) for outcome in got)
 
     def test_networks_of_different_user_counts_equal_serial_solves(self):
@@ -278,7 +283,8 @@ class TestIterateBatch:
     def test_networks_of_different_station_counts_equal_their_serial_solves(self, monkeypatch):
         one, two = ChannelModel([110.0, 130.0]), ChannelModel([[110.0, 400.0], [130.0, 380.0]])
         three = ChannelModel([110.0, 130.0, 210.0])
-        networks = [Network(one, [UserParams()] * 2), Network(two, [UserParams()] * 2), Network(three, [UserParams()] * 3)]
+        pair, trio = UserTable.from_users([UserParams()] * 2), UserTable.from_users([UserParams()] * 3)
+        networks = [Network(one, pair), Network(two, pair), Network(three, trio)]
         calls = counted_loops(monkeypatch)
         assert_batch_is_serial(networks, None)
         # The batch splits by station count: the one-station pair, then the
@@ -303,7 +309,7 @@ class TestIterateBatch:
             quantize_at_convergence=bool(ladder),
         )
         networks = [
-            Network(ChannelModel(rng.uniform(20.0, 400.0, (n, 2))), [UserParams(alpha2=20.0, lam=lam)] * n)
+            Network(ChannelModel(rng.uniform(20.0, 400.0, (n, 2))), UserTable(alpha2=20.0, lam=[lam] * n))
             for n, lam in zip([3, 5, 3, 1, 5, 3], [1e-4, 1e-5, 1e-3, 1e-4, 2e-4, 3e-5])
         ]
         calls = counted_loops(monkeypatch)
@@ -318,7 +324,7 @@ class TestIterateBatch:
         # Gains read in Fortran order would round ``p @ g`` differently from
         # the stacked product; the channel stores both matrices C-ordered.
         rng = np.random.default_rng(7)
-        users = [UserParams(alpha2=20.0, lam=1e-4)] * 6
+        users = UserTable(alpha2=20.0, lam=[1e-4] * 6)
         distances = rng.uniform(20.0, 400.0, (6, 3))
         f_ordered = ChannelModel(np.asfortranarray(distances))
         c_ordered = ChannelModel(np.ascontiguousarray(distances))
@@ -347,8 +353,8 @@ class TestEntry:
     )
     def test_unpriced_starting_users_play_as_hand_priced_ones(self, rule, distances, schedule):
         channel = ChannelModel(distances)
-        users = [UserParams(alpha2=a2, lam=4e-4) for a2 in (12.9492, 20.0, 16.0)]
-        late = [ArrivalEvent(6, "late", np.full(channel.n_stations, 150.0), UserParams(alpha2=20.0))]
+        users = UserTable(alpha2=[12.9492, 20.0, 16.0], lam=4e-4)
+        late = [ArrivalEvent(6, "late", np.full(channel.n_stations, 150.0), UserTable(alpha2=[20.0]))]
         for config in histories(ConvergenceConfig(schedule=schedule)):
             got = iterate_to_convergence(channel, users, config, arrivals=late, pricing=rule)
             by_hand = priced_users(rule, channel, users)
@@ -372,7 +378,7 @@ class TestEntry:
     )
     def test_a_network_that_fails_pricing_fails_alone(self, rule, message, monkeypatch):
         rng = np.random.default_rng(27)
-        users = [UserParams(alpha2=20.0)] * 3
+        users = UserTable(alpha2=[20.0] * 3)
         networks = [
             Network(ChannelModel(rng.uniform(20.0, 400.0, (3, 2))), users, PricingRule("constant", 3e-4)),
             Network(ChannelModel(rng.uniform(20.0, 400.0, (3, 2))), users, rule),
@@ -418,7 +424,8 @@ def chain(log, name, rounds, fail_at=None):
     It logs each round it is sent and raises in round ``fail_at``, once it
     has the outcome; it returns its name.
     """
-    network = (Network(ChannelModel([110.0, 130.0]), [UserParams()] * 2), ConvergenceConfig())
+    users = UserTable.from_users([UserParams()] * 2)
+    network = (Network(ChannelModel([110.0, 130.0]), users), ConvergenceConfig())
     for round_no in range(1, rounds + 1):
         (trace,) = yield [network]
         assert trace.converged
@@ -484,14 +491,14 @@ def walk_with_arrival(rate_set=None):
     # Two stations; u4 arrives at iteration 5 of step 1, u1 walks far away at
     # step 2, where its rate falls furthest, and back at step 3.
     channel = ChannelModel([[110.0, 400.0], [130.0, 380.0], [390.0, 120.0]])
-    arrival = ArrivalEvent(5, "u4", np.array([200.0, 300.0]), UserParams(alpha2=20.0))
+    arrival = ArrivalEvent(5, "u4", np.array([200.0, 300.0]), UserTable(alpha2=[20.0]))
     moves = [
         MoveEvent(2, 0, np.array([600.0, 600.0])),
         MoveEvent(3, 0, np.array([250.0, 260.0])),
     ]
     config = ConvergenceConfig(rate_set=rate_set)
     return Scenario(
-        channel, [UserParams(alpha2=20.0)] * 3, ["u1", "u2", "u3"], config, None, [arrival], moves
+        channel, UserTable(alpha2=[20.0] * 3), ["u1", "u2", "u3"], config, None, [arrival], moves
     )
 
 
@@ -612,7 +619,7 @@ class TestScenarioBatches:
         early = ConvergenceConfig(rate_set=LADDERS[2])
         late = replace(early, delta=1e-8)
         channel = ChannelModel([110.0, 130.0, 210.0])
-        base = Scenario(channel, [UserParams(alpha2=20.0)] * 3, ["u1", "u2", "u3"])
+        base = Scenario(channel, UserTable(alpha2=[20.0] * 3), ["u1", "u2", "u3"])
         runs = [(early, 1e-5), (late, 100.0), (early, 300.0)]
         scenarios = [replace(base, config=c, pricing=PricingRule("constant", lam)) for c, lam in runs]
         errors = []
@@ -670,13 +677,13 @@ class TestScenarioBatches:
         # iteration order whatever order the scenario lists them in.
         channel = ChannelModel([[110.0, 400.0], [130.0, 380.0], [390.0, 120.0]])
         arrivals = [
-            ArrivalEvent(9, "late", np.array([200.0, 300.0]), UserParams(alpha2=20.0, p_max=0.5)),
-            ArrivalEvent(4, "early", np.array([350.0, 150.0]), UserParams(alpha2=12.9492)),
+            ArrivalEvent(9, "late", np.array([200.0, 300.0]), UserTable(alpha2=[20.0], p_max=0.5)),
+            ArrivalEvent(4, "early", np.array([350.0, 150.0]), UserTable(alpha2=[12.9492])),
         ]
         moves = [MoveEvent(2, 0, np.array([600.0, 600.0])), MoveEvent(3, 0, np.array([250.0, 260.0]))]
         names = ["u1", "u2", "u3"]
         rule = PricingRule("per_user_count", 2e-5)
-        users = [UserParams(alpha2=20.0)] * 3
+        users = UserTable(alpha2=[20.0] * 3)
         scenario = Scenario(channel, users, names, ConvergenceConfig(), rule, arrivals, moves)
         trace, summary = run_scenario(scenario)
         segments, last = serial_run(scenario)
@@ -717,7 +724,7 @@ def history_runs(draw):
         b = networks[0].channel.n_stations
         for iteration in sorted(draw(st.lists(st.integers(1, config.max_iterations), max_size=3))):
             distances = np.array(draw(st.lists(st.floats(20.0, 400.0), min_size=b, max_size=b)))
-            user = UserParams(alpha2=draw(st.sampled_from([12.9492, 20.0])), lam=networks[0].users[0].lam)
+            user = UserTable(alpha2=[draw(st.sampled_from([12.9492, 20.0]))], lam=networks[0].users.lam[:1])
             arrivals.append(ArrivalEvent(iteration, "late", distances, user))
     return networks, config, arrivals
 
@@ -780,13 +787,14 @@ class TestHistory:
         assert all(reproduce(target).passed for target in REPRODUCE_TARGETS)
         full = ConvergenceConfig(history=HISTORY_FULL)
         with pytest.raises(AssertionError, match="rows stacked"):
-            iterate_to_convergence(ChannelModel([110.0, 130.0]), [UserParams()] * 2, full)
+            iterate_to_convergence(ChannelModel([110.0, 130.0]), UserTable(alpha2=[20.0] * 2), full)
 
 
 def serial_escalation(channel, users, rule, config=None, max_steps=40):
     """Escalation one coefficient at a time, the loop the window must agree with."""
     step = rule.dc if rule.dc is not None else 0.25 * rule.c
-    targets = [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]
+    weights = zip(users.alpha1.tolist(), users.alpha2.tolist())
+    targets = [target_sinr(a1, a2, channel.bandwidth_hz) for a1, a2 in weights]
     tested, trace = [], None
     for k in range(max_steps):
         c = rule.c + k * step
@@ -838,7 +846,7 @@ class TestEscalationWindow:
         rng = np.random.default_rng(seed)
         channel = ChannelModel(rng.uniform(20.0, 400.0, (n, b)))
         alpha2 = rng.choice([12.9492, 16.0, 20.0], n)
-        users = [UserParams(alpha2=float(a), p_max=float(p)) for a, p in zip(alpha2, rng.uniform(0.02, 2.0, n))]
+        users = UserTable(alpha2=alpha2, p_max=rng.uniform(0.02, 2.0, n))
         c = float(10.0 ** rng.uniform(-6.0, -3.0))
         rule = PricingRule("constant", c, dc=c * float(rng.uniform(0.2, 1.0)))
         config = ConvergenceConfig(
@@ -892,7 +900,7 @@ class TestEscalationWindow:
         # loop prices the third coefficient, which overflows to inf.
         channel = ChannelModel([97.0**0.25, 97.0**0.25], noise_w=1e-3)
         rule = PricingRule("constant", 1e307, dc=1e308)
-        exc = assert_escalation_is_serial(channel, [UserParams()] * 2, rule)
+        exc = assert_escalation_is_serial(channel, UserTable.from_users([UserParams()] * 2), rule)
         assert str(exc) == "c must be finite, got inf"
 
     def test_the_answered_window_stops_at_its_answer(self, monkeypatch):
@@ -914,7 +922,7 @@ class TestEscalationWindow:
         # raises, as serially, after 26 iterations.
         distances = [[352.0, 129.0, 458.0], [440.0, 370.0, 499.0], [419.0, 534.0, 254.0]]
         channel = ChannelModel(distances, noise_w=2.2e-16)
-        users = [UserParams(alpha2=a, p_max=p) for a, p in [(20.0, 0.056), (20.0, 1.3), (40.0, 0.028)]]
+        users = UserTable(alpha2=[20.0, 20.0, 40.0], p_max=[0.056, 1.3, 0.028])
         rule = PricingRule("constant", 1.4e-5, dc=3.1e-5)
         config = ConvergenceConfig(delta=1e-5, metric=METRIC_ABSOLUTE)
         traces = [
@@ -987,15 +995,15 @@ class TestPricedUsers:
             UserParams(alpha1=2e6, alpha2=30.0, r_max=5e4, r_init=100.0),
             UserParams(alpha2=20.0, lam=7.0),
         ]
-        got = priced_users(rule, channel, users)
+        got = priced_users(rule, channel, UserTable.from_users(users))
         n = len(users)
         gains = channel.gains[:, 0]
         want = [
             replace(u, lam=pricing_rule_eval(rule, n, float(g), u.alpha1, u.alpha2))
             for u, g in zip(users, gains)
         ]
-        assert got == want
-        assert [type(u) for u in got] == [UserParams] * n
+        assert got == UserTable.from_users(want)
+        assert isinstance(got, UserTable) and len(got) == n
 
     @pytest.mark.parametrize(
         "rule, distances, message",
@@ -1013,5 +1021,5 @@ class TestPricedUsers:
         with pytest.raises(ValueError) as want:
             replace(users[0], lam=lam)
         with pytest.raises(ValueError) as got:
-            priced_users(rule, channel, users)
+            priced_users(rule, channel, UserTable.from_users(users))
         assert str(got.value) == str(want.value) == message

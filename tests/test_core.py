@@ -9,6 +9,7 @@ from ratepower.core import (
     PricingRule,
     Strategy,
     UserParams,
+    UserTable,
 )
 from ratepower.engine import IterationTrace, iterate_to_convergence
 from ratepower.oracle import (
@@ -335,14 +336,14 @@ REFUSALS = {
     "arrival_at_iteration_0": (
         lambda: iterate_to_convergence(
             ChannelModel([110.0]),
-            [UserParams()],
-            arrivals=[ArrivalEvent(0, "late", np.array([130.0]), UserParams())],
+            UserTable(alpha2=[20.0]),
+            arrivals=[ArrivalEvent(0, "late", np.array([130.0]), UserTable(alpha2=[20.0]))],
         ),
         "arrival iterations must be at least 1",
     ),
     # A channel has a row, so a solve of no users fails the row count.
     "no_users": (
-        lambda: iterate_to_convergence(ChannelModel([110.0]), []),
+        lambda: iterate_to_convergence(ChannelModel([110.0]), UserTable.from_users([])),
         "0 users but channel has 1 rows",
     ),
     "empty_trace": (lambda: IterationTrace([], True, 0).final, "trace is empty"),

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import rows, starting_at
 from ratepower import engine
-from ratepower.core import ChannelModel, Strategy, UserParams
+from ratepower.core import ChannelModel, Strategy, UserParams, UserTable
 from ratepower.engine import (
     CLAMP,
     HISTORY_FULL,
@@ -55,11 +55,12 @@ def one_step(channel, users, powers, rates):
     return trace.final_powers, trace.final_rates
 
 
+def table3_user(lam=4e-4):
+    return UserParams(alpha2=12.9492, lam=lam, p_max=0.0647, r_max=96000.0)
+
+
 def table3_users(n_users, lam=4e-4):
-    return [
-        UserParams(alpha2=12.9492, lam=lam, p_max=0.0647, r_max=96000.0)
-        for _ in range(n_users)
-    ]
+    return UserTable.from_users([table3_user(lam)] * n_users)
 
 
 class TestNjrpcgEquilibrium:
@@ -228,7 +229,8 @@ class TestIterateToConvergence:
         # gain 1e-10 at unit distance with matching noise pins R_eff at 1
         channel = ChannelModel([1.0], shadowing=1e-10, noise_w=1e-10)
         user = UserParams(alpha2=20, lam=1e-4)
-        trace = iterate_to_convergence(channel, [user], ConvergenceConfig(history=HISTORY_FULL))
+        config = ConvergenceConfig(history=HISTORY_FULL)
+        trace = iterate_to_convergence(channel, UserTable.from_users([user]), config)
         expected = unconstrained_best_response(1.0, 1e6, 20, 1e-4)
         assert rows(trace)[0].powers[0] == pytest.approx(expected.power, rel=1e-12)
         assert rows(trace)[0].rates[0] == pytest.approx(expected.rate, rel=1e-12)
@@ -238,7 +240,7 @@ class TestIterateToConvergence:
         channel = equidistant_channel(5)
         users = table3_users(5)
         low = iterate_to_convergence(channel, users)
-        corner = starting_at(users, [u.p_max for u in users], [u.r_max for u in users])
+        corner = starting_at(users, users.p_max, users.r_max)
         high = iterate_to_convergence(channel, corner)
         assert low.converged and high.converged
         assert low.final_powers == pytest.approx(high.final_powers, rel=1e-6)
@@ -246,7 +248,7 @@ class TestIterateToConvergence:
 
     def test_sequential_schedule_reaches_same_fixed_point(self):
         channel = ChannelModel([110, 130, 210])
-        users = [UserParams(alpha2=20, lam=1e-4, r_max=47000.0) for _ in range(3)]
+        users = UserTable.from_users([UserParams(alpha2=20, lam=1e-4, r_max=47000.0)] * 3)
         sync = iterate_to_convergence(channel, users)
         seq = iterate_to_convergence(channel, users, ConvergenceConfig(schedule=SEQUENTIAL))
         assert seq.converged
@@ -337,13 +339,13 @@ class TestIterateToConvergence:
         with pytest.raises(ValueError, match="p_init 1.0 outside"):
             starting_at(table3_users(2), [1.0, 1.0], [1000.0, 1000.0])
         with pytest.raises(ValueError, match="r_init 1000000.0 outside"):
-            starting_at([UserParams(r_max=47000.0)] * 2, [0.1, 0.1], [1e6, 1e6])
+            starting_at(UserTable(r_max=[47000.0] * 2), [0.1, 0.1], [1e6, 1e6])
 
     @pytest.mark.parametrize("distances", [[110], [[110, 410]]])
     def test_lone_noise_free_user_rejected_before_iteration_1(self, distances):
         channel = ChannelModel(distances, noise_w=0.0)
         with pytest.raises(ValueError, match="lone user with zero noise"):
-            iterate_to_convergence(channel, [UserParams()])
+            iterate_to_convergence(channel, UserTable.from_users([UserParams()]))
 
     @pytest.mark.parametrize(
         "override",
@@ -355,11 +357,11 @@ class TestIterateToConvergence:
     def test_initial_state_needs_one_entry_per_user(self, override):
         channel = ChannelModel([[110, 410], [410, 110]])
         with pytest.raises(ValueError):
-            iterate_to_convergence(channel, [UserParams(), UserParams()], **override)
+            iterate_to_convergence(channel, UserTable(alpha2=[20.0, 20.0]), **override)
 
     def test_trace_carries_its_network(self):
         channel = ChannelModel([110, 130])
-        users = [UserParams(alpha2=20), UserParams(alpha2=25)]
+        users = UserTable(alpha2=[20.0, 25.0])
         trace = iterate_to_convergence(channel, users)
         assert trace.channel is channel
         assert trace.users == users
@@ -376,8 +378,8 @@ class TestIterateToConvergence:
     )
     def test_bad_arrival_rejected_before_iteration_1(self, monkeypatch, stations, row, match):
         channel = ChannelModel([[110.0] * stations, [130.0] * stations])
-        users = [UserParams(alpha2=20), UserParams(alpha2=20)]
-        late = ArrivalEvent(50, "late", np.array(row), UserParams(alpha2=20))
+        users = UserTable(alpha2=[20.0, 20.0])
+        late = ArrivalEvent(50, "late", np.array(row), UserTable(alpha2=[20.0]))
 
         def no_sweep(*args):
             raise AssertionError("a sweep ran before the arrival was checked")
@@ -389,9 +391,9 @@ class TestIterateToConvergence:
     def test_arrival_after_max_iterations_rejected_at_entry(self, monkeypatch):
         # It could never fire, so the run could never converge.
         channel = ChannelModel([110.0, 130.0])
-        users = [UserParams(alpha2=20), UserParams(alpha2=20)]
+        users = UserTable(alpha2=[20.0, 20.0])
         config = ConvergenceConfig(max_iterations=50)
-        at_end = ArrivalEvent(50, "last", np.array([150.0]), UserParams(alpha2=20))
+        at_end = ArrivalEvent(50, "last", np.array([150.0]), UserTable(alpha2=[20.0]))
         trace = iterate_to_convergence(channel, users, config=config, arrivals=[at_end])
         assert len(trace.users) == 3 and trace.final_powers.shape == (3,)
 
@@ -399,18 +401,19 @@ class TestIterateToConvergence:
             raise AssertionError("a sweep ran before the arrival was checked")
 
         monkeypatch.setattr(engine, "_synchronous_sweep", no_sweep)
-        late = ArrivalEvent(80, "late", np.array([150.0]), UserParams(alpha2=20))
+        late = ArrivalEvent(80, "late", np.array([150.0]), UserTable(alpha2=[20.0]))
         with pytest.raises(ValueError, match="iteration 80 comes after max_iterations = 50"):
             iterate_to_convergence(channel, users, config=config, arrivals=[at_end, late])
 
     def test_fixed_point_residual_small_at_convergence(self):
         # Table 3's users end at their power cap, where the clamp hides the
         # interference; the three users of two stations end inside their boxes.
-        cases = [(equidistant_channel(n), table3_users(n)) for n in (5, 6)]
+        cases = [(equidistant_channel(n), [table3_user()] * n) for n in (5, 6)]
         interior = [UserParams(alpha2=a2, lam=1e-4, r_max=96000.0) for a2 in (20.0, 25.0, 30.0)]
         cases.append((ChannelModel([[110, 410], [130, 390], [390, 130]]), interior))
         for channel, users in cases:
-            trace = iterate_to_convergence(channel, users)
+            # The oracle's map takes the scalar users, the solve their table.
+            trace = iterate_to_convergence(channel, UserTable.from_users(users))
             assert trace.converged
             clamped = power_update_map(channel, users, clamped=True)
             p = trace.final_powers
@@ -420,7 +423,7 @@ class TestIterateToConvergence:
     def test_rate_decoupling_between_users(self):
         # nudging one user's rate leaves everyone else's next update untouched
         channel = ChannelModel([110, 130, 210])
-        users = [UserParams(alpha2=20, lam=1e-4, r_max=47000.0) for _ in range(3)]
+        users = UserTable.from_users([UserParams(alpha2=20, lam=1e-4, r_max=47000.0)] * 3)
         powers = np.array([0.1, 0.2, 0.4])
         rates = np.array([1000.0, 2000.0, 3000.0])
         base_p, base_r = one_step(channel, users, powers, rates)
@@ -436,23 +439,23 @@ class TestIterateToConvergence:
         w = 1e6
         channel = ChannelModel([1.0], shadowing=1e-10, noise_w=1e-10)  # R_eff pinned at 1
         # power forced up to its floor: attained SINR at or above target
-        user = UserParams(alpha2=20, lam=1e-4, p_min=0.5, p_max=3.0)
+        users = UserTable.from_users([UserParams(alpha2=20, lam=1e-4, p_min=0.5, p_max=3.0)])
         for policy in (CLAMP, KKT):
-            trace = iterate_to_convergence(channel, [user], ConvergenceConfig(policy=policy))
+            trace = iterate_to_convergence(channel, users, ConvergenceConfig(policy=policy))
             assert trace.converged
             assert trace.final_powers[0] == pytest.approx(0.5)
             assert trace.final_sinrs[0] >= target_sinr(1e6, 20, w) * (1 - 1e-9)
         # rate forced up to its floor: attained SINR at or below target
-        user = UserParams(alpha2=20, lam=1e-4, r_min=30000.0, r_max=96000.0)
+        users = UserTable.from_users([UserParams(alpha2=20, lam=1e-4, r_min=30000.0, r_max=96000.0)])
         for policy in (CLAMP, KKT):
-            trace = iterate_to_convergence(channel, [user], ConvergenceConfig(policy=policy))
+            trace = iterate_to_convergence(channel, users, ConvergenceConfig(policy=policy))
             assert trace.converged
             assert trace.final_rates[0] == pytest.approx(30000.0)
             assert trace.final_sinrs[0] <= target_sinr(1e6, 20, w) * (1 + 1e-9)
         # cap-pinned cases from the bounded three-user network: the rate cap
         # buys SINR above target, the power cap leaves its user below target
         channel = ChannelModel([110, 130, 210])
-        users = [UserParams(alpha2=20, lam=1e-5, p_max=3.0, r_max=47000.0) for _ in range(3)]
+        users = UserTable.from_users([UserParams(alpha2=20, lam=1e-5, p_max=3.0, r_max=47000.0)] * 3)
         for policy in (CLAMP, KKT):
             trace = iterate_to_convergence(channel, users, ConvergenceConfig(policy=policy))
             assert trace.converged
@@ -467,7 +470,7 @@ class TestIterateToConvergence:
         users = [
             UserParams(alpha2=a2, lam=1e-4, r_max=96000.0) for a2 in (20.0, 25.0, 30.0)
         ]
-        trace = iterate_to_convergence(channel, users)
+        trace = iterate_to_convergence(channel, UserTable.from_users(users))
         targets = [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]
         assert trace.final_sinrs == pytest.approx(targets, rel=1e-6)
 

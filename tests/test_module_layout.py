@@ -14,6 +14,10 @@ fields of the settings objects: a setting that already has a home (a
 user's initial strategy, a rule's coefficient and escalation step, the
 at-target band, the solve's policy, schedule, stopping rule, rate ladder
 and history in ``ConvergenceConfig``) does not come back as a parameter.
+The scalar user types (``UserParams``, ``Strategy``) and the one-user step
+``bounded_step`` stay in their modules but are not package names, and the
+modules above the engine never import the scalar types: their user sets
+are tables.
 """
 
 import ast
@@ -40,8 +44,8 @@ PUBLIC_NAMES = [
     "ComparisonReport", "ConvergenceConfig", "EscalationResult", "IterationRecord",
     "IterationTrace", "KKT", "MoveEvent", "Network", "NoFeasibleRateError", "NotConvergedError",
     "PricingRule", "REPRODUCE_TARGETS", "RateSet", "RemovalResult", "RunSummary", "SEQUENTIAL",
-    "SYNCHRONOUS", "Scenario", "ScenarioFormatError", "Segment", "Strategy", "UserParams",
-    "UserTable", "bounded_step", "bounded_step_array", "classify_users", "emit_trace",
+    "SYNCHRONOUS", "Scenario", "ScenarioFormatError", "Segment", "UserTable",
+    "bounded_step_array", "classify_users", "emit_trace",
     "escalate_pricing", "iterate_batch", "iterate_to_convergence", "parse_scenario",
     "removal_loop", "reproduce", "reproduce_many", "run_scenario", "run_scenarios",
     "scenario_to_text", "summarize_run", "summary_to_text", "sweep_lambda", "write_summary",
@@ -95,6 +99,13 @@ def test_no_production_module_imports_the_oracle(name):
     tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
     if name != "oracle":
         assert "ratepower.oracle" not in imported_modules(tree)
+
+
+@pytest.mark.parametrize("name", ["admission", "scenario", "reference", "cli"])
+def test_the_modules_above_the_engine_import_no_scalar_user_type(name):
+    tree = ast.parse((PACKAGE_DIR / f"{name}.py").read_text())
+    found = imported_modules(tree)
+    assert [n for n in found if n.rsplit(".", 1)[-1] in ("UserParams", "Strategy")] == []
 
 
 def test_oracle_takes_only_constants_and_types_from_the_engine():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import starting_at
-from ratepower.core import ChannelModel, UserParams
+from ratepower.core import ChannelModel, UserParams, UserTable
 from ratepower.engine import (
     CLAMP,
     SEQUENTIAL,
@@ -35,11 +35,10 @@ def five_users():
 
 
 def one_step(channel, users, powers, rates, assignment):
-    """The final record of a one-iteration clamp solve from the given state."""
+    """The final record of a one-iteration clamp solve of the listed users from the given state."""
     config = ConvergenceConfig(max_iterations=1)
-    trace = iterate_to_convergence(
-        channel, starting_at(users, powers, rates), config, initial_assignment=assignment
-    )
+    start = starting_at(UserTable.from_users(users), powers, rates)
+    trace = iterate_to_convergence(channel, start, config, initial_assignment=assignment)
     return trace.final
 
 
@@ -123,8 +122,8 @@ class TestNjrpcgpbIterate:
         single = ChannelModel([110, 130, 210])
         duplicated = ChannelModel([[110, 110], [130, 130], [210, 210]])
         users = [UserParams(alpha2=20, lam=1e-4, r_max=96000.0) for _ in range(3)]
-        trace_single = iterate_to_convergence(single, users)
-        trace_multi = iterate_to_convergence(duplicated, users)
+        trace_single = iterate_to_convergence(single, UserTable.from_users(users))
+        trace_multi = iterate_to_convergence(duplicated, UserTable.from_users(users))
         assert trace_multi.converged
         assert trace_multi.final_powers == pytest.approx(trace_single.final_powers, rel=1e-9)
         assert trace_multi.final_rates == pytest.approx(trace_single.final_rates, rel=1e-9)
@@ -132,7 +131,7 @@ class TestNjrpcgpbIterate:
     def test_interior_convergence_hits_targets_at_assigned_station(self):
         channel = two_cell_channel()
         users = five_users()
-        trace = iterate_to_convergence(channel, users)
+        trace = iterate_to_convergence(channel, UserTable.from_users(users))
         assert trace.converged
         targets = [target_sinr(u.alpha1, u.alpha2, channel.bandwidth_hz) for u in users]
         assert trace.final_sinrs == pytest.approx(targets, rel=1e-6)
@@ -142,7 +141,7 @@ class TestNjrpcgpbIterate:
 
     def test_two_initial_assignments_converge_identically(self):
         channel = two_cell_channel()
-        users = five_users()
+        users = UserTable.from_users(five_users())
         a = iterate_to_convergence(channel, users)
         b = iterate_to_convergence(channel, users, initial_assignment=np.ones(5, dtype=int))
         assert a.converged and b.converged
@@ -151,7 +150,7 @@ class TestNjrpcgpbIterate:
 
     def test_sequential_schedule_agrees(self):
         channel = two_cell_channel()
-        users = five_users()
+        users = UserTable.from_users(five_users())
         sync = iterate_to_convergence(channel, users)
         seq = iterate_to_convergence(channel, users, ConvergenceConfig(schedule=SEQUENTIAL))
         assert seq.converged
@@ -160,7 +159,7 @@ class TestNjrpcgpbIterate:
     def test_walker_closer_to_far_station_switches_and_improves(self):
         # step-7 geometry: the walker prefers station 2; by the end of the
         # walk it spends less power and sends faster than at the crossing
-        users = five_users()
+        users = UserTable.from_users(five_users())
         at_270 = iterate_to_convergence(two_cell_channel(270.0, 250.0), users)
         at_240 = iterate_to_convergence(two_cell_channel(310.0, 210.0), users)
         assert at_270.final_assignment[2] == 1
@@ -170,7 +169,7 @@ class TestNjrpcgpbIterate:
 
     def test_bad_initial_assignment_rejected(self):
         channel = two_cell_channel()
-        users = five_users()
+        users = UserTable.from_users(five_users())
         with pytest.raises(ValueError, match="missing station"):
             iterate_to_convergence(channel, users, initial_assignment=np.full(5, 9))
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import starting_at
-from ratepower.core import ChannelModel, NoFeasibleRateError, RateSet, UserParams
+from ratepower.core import ChannelModel, NoFeasibleRateError, RateSet, UserParams, UserTable
 from ratepower.engine import ConvergenceConfig, iterate_to_convergence
 from ratepower.oracle import rate_floor, target_sinr
 
@@ -44,10 +44,9 @@ class TestQuantizeDown:
 class TestQuantizedRuns:
     def test_quantized_run_holds_target_from_above(self):
         channel = ChannelModel([110.0] * 5)
-        users = [
-            UserParams(alpha2=12.9492, lam=4e-4, p_max=0.0647, r_max=96000.0)
-            for _ in range(5)
-        ]
+        users = UserTable.from_users(
+            [UserParams(alpha2=12.9492, lam=4e-4, p_max=0.0647, r_max=96000.0)] * 5
+        )
         trace = iterate_to_convergence(channel, users, ConvergenceConfig(rate_set=LADDER))
         assert trace.converged
         assert np.all(trace.final_rates == 19200.0)
@@ -56,7 +55,7 @@ class TestQuantizedRuns:
 
     def test_quantization_mode_does_not_change_powers(self):
         channel = ChannelModel([110, 130, 210])
-        users = [UserParams(alpha2=20, lam=1e-4, r_max=96000.0) for _ in range(3)]
+        users = UserTable.from_users([UserParams(alpha2=20, lam=1e-4, r_max=96000.0)] * 3)
         per_iter = iterate_to_convergence(channel, users, ConvergenceConfig(rate_set=LADDER))
         at_end = iterate_to_convergence(
             channel, users, ConvergenceConfig(rate_set=LADDER, quantize_at_convergence=True)
@@ -69,7 +68,7 @@ class TestQuantizedRuns:
         # user 0's rate never enters anyone's effective interference, so
         # quantizing it cannot move the other users' next steps
         channel = ChannelModel([110, 130, 210])
-        users = [UserParams(alpha2=20, lam=1e-4, r_max=96000.0) for _ in range(3)]
+        users = UserTable.from_users([UserParams(alpha2=20, lam=1e-4, r_max=96000.0)] * 3)
         powers = np.array([0.1, 0.2, 0.4])
         rates = np.array([11111.0, 22222.0, 33333.0])
 

@@ -18,6 +18,7 @@ from ratepower.core import (
     PricingRule,
     RateSet,
     UserParams,
+    UserTable,
     priced_users,
 )
 from ratepower.engine import (
@@ -118,7 +119,7 @@ class TestParsing:
         assert s.config.schedule == "synchronous"
         assert s.config.delta == 1e-9
         assert s.config.max_iterations == 500
-        assert s.users[0].initial_power == s.users[0].p_min
+        assert s.users.initial[0, 0] == s.users.p_min[0]
 
     @pytest.mark.parametrize("kind", ["constant", "per_user_count", "inverse_gain"])
     def test_absent_keys_take_the_dataclass_defaults(self, kind):
@@ -132,10 +133,10 @@ class TestParsing:
     def test_full_document_literal_values(self):
         s = parse_scenario(FULL)
         assert len(s.users) == 2
-        assert s.users[0].alpha2 == 12.9492
-        assert s.users[0].lam == 4e-4
-        assert s.users[0].p_max == 0.0647
-        assert s.users[1].alpha1 == 1e6  # default carried through
+        assert s.users.alpha2[0] == 12.9492
+        assert s.users.lam[0] == 4e-4
+        assert s.users.p_max[0] == 0.0647
+        assert s.users.alpha1[1] == 1e6  # default carried through
 
     def test_unknown_key_reports_line(self):
         bad = MINIMAL + "bandwidth = 5\n"
@@ -163,7 +164,7 @@ class TestParsing:
 
     def test_per_station_lambda_equal_collapses(self):
         text = "[user a]\ndistances_m = 110 410\nlambda = 1e-4 1e-4\n"
-        assert parse_scenario(text).users[0].lam == 1e-4
+        assert parse_scenario(text).users.lam[0] == 1e-4
 
     def test_duplicate_user_names_rejected(self):
         text = "[user a]\ndistances_m = 110\n\n[user a]\ndistances_m = 130\n"
@@ -496,16 +497,18 @@ def scenarios(draw):
         noise_w=draw(finite(0.0, 1e-9)),
         bandwidth_hz=draw(finite(1e3, 1e8)),
     )
-    users = [draw(user_params()) for _ in range(n_users)]
+    users = UserTable.from_users([draw(user_params()) for _ in range(n_users)])
     iterations = sorted(draw(st.sets(st.integers(1, 1000), max_size=min(2, len(names) - n_users))))
     arrivals = [
-        ArrivalEvent(at, name, np.array(draw(rows)), draw(user_params()))
+        ArrivalEvent(at, name, np.array(draw(rows)), UserTable.from_users([draw(user_params())]))
         for at, name in zip(iterations, names[n_users:])
     ]
     ladder = {}
     if draw(st.booleans()):
         # A ladder holds a rung in every user's rate box.
-        boxed = [draw(finite(u.r_min, u.r_max)) for u in users + [ev.user for ev in arrivals]]
+        everyone = UserTable.concat([users, *(ev.user for ev in arrivals)])
+        boxes = zip(everyone.r_min.tolist(), everyone.r_max.tolist())
+        boxed = [draw(finite(r_min, r_max)) for r_min, r_max in boxes]
         rungs = draw(st.lists(finite(1.0, 1e6), max_size=5)) + boxed
         ladder = {"rate_set": RateSet(tuple(rungs)), "quantize_at_convergence": draw(st.booleans())}
     config = ConvergenceConfig(
@@ -641,7 +644,7 @@ class TestReferenceScenarios:
 
 
 def two_cell_arrival(iteration=5, distances=(130.0, 300.0), name="late"):
-    return ArrivalEvent(iteration, name, np.array(distances), UserParams(alpha2=20.0))
+    return ArrivalEvent(iteration, name, np.array(distances), UserTable(alpha2=[20.0]))
 
 
 def two_cell_move(user=1, distances=(150.0, 300.0), step=2):
@@ -793,7 +796,7 @@ class TestRunScenario:
         # both users priced at c * 2 once the second one is transmitting
         assert summary.lam == pytest.approx([1e-4, 1e-4])
         # and the run solved at that price: it ends where a solve of both users does
-        users = [UserParams(alpha2=20, lam=1e-4), UserParams(alpha2=20, lam=1e-4)]
+        users = UserTable.from_users([UserParams(alpha2=20, lam=1e-4), UserParams(alpha2=20, lam=1e-4)])
         direct = iterate_to_convergence(ChannelModel([110, 130]), users)
         assert summary.powers == pytest.approx(direct.final_powers, rel=1e-6)
         assert summary.rates == pytest.approx(direct.final_rates, rel=1e-6)
@@ -888,16 +891,17 @@ class TestRunScenario:
         assert np.array_equal(trace.channel.gains, grown.gains)
         assert trace.channel.noise_w == grown.noise_w
         assert trace.channel.bandwidth_hz == grown.bandwidth_hz
-        assert trace.users == priced_users(s.pricing, grown, s.users.with_user(s.arrivals[0].user))
-        assert [u.lam for u in trace.users] == pytest.approx([1e-4, 1e-4])
-        assert list(summary.lam) == [u.lam for u in trace.users]
+        everyone = UserTable.concat([s.users, s.arrivals[0].user])
+        assert trace.users == priced_users(s.pricing, grown, everyone)
+        assert trace.users.lam.tolist() == pytest.approx([1e-4, 1e-4])
+        assert list(summary.lam) == trace.users.lam.tolist()
 
     def test_sweep_lambda_prices_arriving_users(self):
         s = parse_scenario((SCENARIO_DIR / "new_user.scn").read_text())
         [(lam, trace, summary)] = sweep_lambda(s, [0.05])
         assert summary.user_names == ["u1", "u2", "u3", "u4"]
         assert list(summary.lam) == [0.05] * 4
-        assert [u.lam for u in trace.users] == [0.05] * 4
+        assert trace.users.lam.tolist() == [0.05] * 4
 
     def test_sweep_lambda_sets_uniform_price(self):
         s = parse_scenario(FULL)
@@ -910,7 +914,7 @@ class TestRunScenario:
 class TestTraceOutput:
     def run_three_iterations(self):
         channel = ChannelModel([110, 130])
-        users = [UserParams(alpha2=20, lam=1e-4) for _ in range(2)]
+        users = UserTable.from_users([UserParams(alpha2=20, lam=1e-4)] * 2)
         config = ConvergenceConfig(delta=1e-30, max_iterations=3, history=HISTORY_FULL)
         return iterate_to_convergence(channel, users, config=config)
 

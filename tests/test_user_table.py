@@ -1,12 +1,14 @@
 """The array form of a user set against the scalar ``UserParams`` it stands for.
 
 A ``UserTable`` built from columns checks them vectorised, and the first bad
-row raises what ``UserParams`` raises for it; its rows read back as the users
-they came from; pricing writes one column equal to ``oracle.with_lam`` of
-each user at ``oracle.pricing_rule_eval``; and
-parsing, pricing and solving a scenario builds no ``UserParams`` at all. A
-solve refuses at entry a user whose rate box holds no rung of the ladder, and
-arithmetic that reaches NaN as a ValueError.
+row raises what ``UserParams`` raises for it; its columns read back as the
+users they came from, and it hands out columns and tables, never rows;
+pricing writes one column equal to ``oracle.with_lam`` of each user at
+``oracle.pricing_rule_eval``; and parsing, pricing and solving a scenario
+builds no ``UserParams`` at all. A solve and a scenario take a user set as
+a table only, and an arriving user as a table of one. A solve refuses at
+entry a user whose rate box holds no rung of the ladder, and arithmetic
+that reaches NaN as a ValueError.
 """
 
 import contextlib
@@ -29,9 +31,10 @@ from ratepower.core import (
     _RowError,
     priced_users,
 )
+from ratepower.admission import escalate_pricing, removal_loop
 from ratepower.engine import ConvergenceConfig, Network, iterate_batch, iterate_to_convergence
 from ratepower.oracle import pricing_rule_eval, with_lam
-from ratepower.scenario import ArrivalEvent, parse_scenario, run_scenario, summary_to_text
+from ratepower.scenario import ArrivalEvent, Scenario, parse_scenario, run_scenario, summary_to_text
 
 FIELDS = ("alpha1", "alpha2", "lam", "p_min", "p_max", "r_min", "r_max", "p_init", "r_init")
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -117,13 +120,15 @@ class TestChecks:
 
     def test_left_out_columns_take_the_defaults_and_numbers_repeat(self):
         table = UserTable(alpha2=[20.0, 25.0], p_max=1.0)
-        assert list(table) == [UserParams(alpha2=20.0, p_max=1.0), UserParams(alpha2=25.0, p_max=1.0)]
+        users = [UserParams(alpha2=20.0, p_max=1.0), UserParams(alpha2=25.0, p_max=1.0)]
+        assert table == UserTable.from_users(users)
         assert np.isnan(table.p_init).all() and np.isnan(table.r_init).all()
 
     def test_a_table_of_no_users_builds_from_columns(self):
         table = UserTable(alpha2=[], lam=4e-4)
-        assert len(table) == 0 and list(table) == [] and table.initial.shape == (2, 0)
-        assert table == UserTable(alpha2=[]) == UserTable.from_users([]) == []
+        assert len(table) == 0 and table.lam.shape == (0,) and table.initial.shape == (2, 0)
+        assert table == UserTable(alpha2=[]) == UserTable.from_users([])
+        assert table != []
         assert table == UserTable.from_users([UserParams(), UserParams()])[0:0]
 
     @pytest.mark.parametrize("alpha2", [[20.0, 25.0], [[20.0]], 20.0])
@@ -136,29 +141,46 @@ class TestRowViews:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(rows(), max_size=6))
     def test_rows_equal_the_users_they_came_from(self, table):
+        # Column k of every field holds user k's value, NaN for no initial
+        # strategy; slices, index arrays and concatenation keep that order.
         users = [UserParams(**row) for row in table]
         t = UserTable.from_users(users)
         assert len(t) == len(users)
-        assert list(t) == users
-        assert [t[k] for k in range(len(users))] == users
-        assert t == users and users == t
-        assert all(type(u) is UserParams for u in t)
+        for name in FIELDS:
+            want = [np.nan if getattr(u, name) is None else getattr(u, name) for u in users]
+            assert np.array_equal(getattr(t, name), np.array(want, dtype=float), equal_nan=True)
+        assert t == UserTable(**columns_of(table))
+        assert t != users and users != t
         if users:
-            assert t[-1] == users[-1]
-            assert t[1:] == users[1:]
-            assert t[[0, 0]] == [users[0], users[0]]
-            assert t.with_user(users[0]) == users + [users[0]]
-            assert UserTable.concat([t, users]) == users + users
+            assert t[-1:] == UserTable.from_users(users[-1:])
+            assert t[1:] == UserTable.from_users(users[1:])
+            assert t[[0, 0]] == UserTable.from_users([users[0], users[0]])
+            assert UserTable.concat([t, t[:1]]) == UserTable.from_users(users + [users[0]])
+            assert UserTable.concat([t, t]) == UserTable.from_users(users + users)
 
     def test_a_table_differs_from_other_users(self):
         t = UserTable.from_users([UserParams(), UserParams(p_init=1.0)])
-        assert t != [UserParams(), UserParams()]
-        assert t != [UserParams()]
+        assert t != UserTable.from_users([UserParams(), UserParams()])
+        assert t != UserTable.from_users([UserParams()])
+        # A list of the very same users is not a table.
+        assert t != [UserParams(), UserParams(p_init=1.0)]
         assert t != 5 and t != "users"
-        with pytest.raises(IndexError):
+        with pytest.raises(TypeError):
             t[2]
         with pytest.raises(TypeError):
             hash(t)
+
+    def test_a_table_hands_out_no_rows(self):
+        t = UserTable(alpha2=[20.0, 25.0])
+        refused = "^a UserTable indexes by slice or index array, not by one integer$"
+        for index in (0, -1, np.int64(1)):
+            with pytest.raises(TypeError, match=refused):
+                t[index]
+        with pytest.raises(TypeError):
+            iter(t)
+        with pytest.raises(TypeError):
+            UserParams() in t
+        assert not hasattr(UserTable, "with_user") and not hasattr(UserParams, "_trusted")
 
     def test_initial_strategies_default_to_the_lower_corner(self):
         t = UserTable.from_users([UserParams(p_init=2.0), UserParams(r_init=7.0)])
@@ -200,11 +222,13 @@ class TestPricing:
     @settings(max_examples=150, deadline=None)
     @given(priced_networks())
     def test_the_column_equals_per_user_with_lam(self, network):
-        got, want = (outcome(f, *network) for f in (priced_users, priced_one_by_one))
+        rule, channel, users = network
+        got = outcome(priced_users, rule, channel, UserTable.from_users(users))
+        want = outcome(priced_one_by_one, rule, channel, users)
         if isinstance(want, str):
             assert got == want
         else:
-            assert got == want
+            assert got == UserTable.from_users(want)
             assert isinstance(got, UserTable)
 
     @pytest.mark.parametrize("kind", PRICING_KINDS)
@@ -212,7 +236,8 @@ class TestPricing:
         channel = ChannelModel([110.0, 130.0, 210.0])
         users = [UserParams(alpha2=a2) for a2 in (12.0, 20.0, 25.0)]
         rule = PricingRule(kind, 3e-5)
-        assert priced_users(rule, channel, users) == priced_one_by_one(rule, channel, users)
+        want = UserTable.from_users(priced_one_by_one(rule, channel, users))
+        assert priced_users(rule, channel, UserTable.from_users(users)) == want
 
     @pytest.mark.parametrize("lam", [[1e-4, math.inf], [1e-4, 0.0], [math.nan, 1e-4], -1.0])
     def test_a_bad_factor_raises_the_scalar_message(self, lam):
@@ -229,7 +254,7 @@ class TestPricing:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^lam must be finite, got inf$"):
-                priced_users(PricingRule("direct_gain", 1e300), channel, [UserParams()] * 2)
+                priced_users(PricingRule("direct_gain", 1e300), channel, UserTable(lam=[1e-4] * 2))
 
 
 def cell_text(n=100):
@@ -259,12 +284,56 @@ def test_parsing_pricing_and_solving_build_no_user_params(monkeypatch):
     assert len(built) == 1
 
 
+class TestOneForm:
+    """A solve and a scenario take a user set as a table, and an arrival's user as a table of one."""
+
+    CHANNEL = ChannelModel([110.0, 130.0])
+    USERS = UserTable(alpha2=[20.0, 25.0])
+    REFUSED = r"^users must be a UserTable, not (list|tuple); see UserTable\.from_users$"
+
+    @pytest.mark.parametrize("users", [[UserParams(), UserParams()], (UserParams(), UserParams())])
+    def test_a_solve_refuses_users_that_are_not_a_table(self, users):
+        with pytest.raises(TypeError, match=self.REFUSED):
+            iterate_to_convergence(self.CHANNEL, users)
+        with pytest.raises(TypeError, match=self.REFUSED):
+            iterate_batch([Network(self.CHANNEL, self.USERS), Network(self.CHANNEL, users)])
+        with pytest.raises(TypeError, match=self.REFUSED):
+            priced_users(PricingRule(), self.CHANNEL, users)
+        with pytest.raises(TypeError, match=self.REFUSED):
+            escalate_pricing(self.CHANNEL, users, PricingRule())
+        with pytest.raises(TypeError, match=self.REFUSED):
+            removal_loop(self.CHANNEL, users)
+        with pytest.raises(TypeError, match=self.REFUSED):
+            Scenario(self.CHANNEL, users, ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "user",
+        [UserParams(), UserTable(alpha2=[20.0, 25.0]), UserTable(alpha2=[])],
+        ids=["row", "two", "none"],
+    )
+    def test_an_arrival_user_must_be_a_table_of_one(self, user):
+        message = "^an arrival's user must be a UserTable of one user$"
+        newcomer = ArrivalEvent(3, "c", np.array([150.0]), user)
+        with pytest.raises(ValueError, match=message):
+            iterate_to_convergence(self.CHANNEL, self.USERS, arrivals=[newcomer])
+        (got,) = iterate_batch([Network(self.CHANNEL, self.USERS, arrivals=(newcomer,))])
+        assert isinstance(got, ValueError) and str(got) == message[1:-1]
+        with pytest.raises(ValueError, match=message):
+            Scenario(self.CHANNEL, self.USERS, ["a", "b"], arrivals=[newcomer])
+
+    def test_an_arrival_user_of_one_joins_the_table(self):
+        newcomer = ArrivalEvent(3, "c", np.array([150.0]), UserTable(alpha2=[30.0], p_init=[0.5]))
+        trace = iterate_to_convergence(self.CHANNEL, self.USERS, arrivals=[newcomer])
+        assert trace.converged
+        assert trace.users == UserTable(alpha2=[20.0, 25.0, 30.0], p_init=[np.nan, np.nan, 0.5])
+
+
 class TestLadderAtEntry:
     LADDER = ConvergenceConfig(rate_set=RateSet((50000.0, 96000.0)))
     MESSAGE = "user 1: rate box [0.1, 47000.0] holds no rung of the rate ladder"
 
     def test_a_solve_refuses_a_user_below_the_ladder(self):
-        users = [UserParams(), UserParams(r_max=47000.0), UserParams(r_max=47000.0)]
+        users = UserTable(r_max=[96000.0, 47000.0, 47000.0])
         channel = ChannelModel([110.0, 130.0, 210.0])
         with pytest.raises(ValueError) as info:
             iterate_to_convergence(channel, users, self.LADDER)
@@ -273,17 +342,18 @@ class TestLadderAtEntry:
         assert str(got) == self.MESSAGE
 
     def test_a_box_above_the_ladder_is_refused(self):
-        users = [UserParams(r_min=1e5, r_max=2e5)] * 2
+        users = UserTable(r_min=1e5, r_max=[2e5, 2e5])
         with pytest.raises(ValueError, match="^user 0: rate box"):
             iterate_to_convergence(ChannelModel([110.0, 130.0]), users, self.LADDER)
 
     def test_an_arriving_user_is_checked_before_the_first_iteration(self):
-        newcomer = ArrivalEvent(3, "c", np.array([150.0]), UserParams(r_min=60000.0, r_max=90000.0))
+        newcomer = ArrivalEvent(3, "c", np.array([150.0]), UserTable(r_min=60000.0, r_max=[90000.0]))
+        users = UserTable(r_max=[96000.0] * 2)
         with pytest.raises(ValueError, match="^user 2: rate box"):
-            iterate_to_convergence(ChannelModel([110.0, 130.0]), [UserParams()] * 2, self.LADDER, arrivals=[newcomer])
+            iterate_to_convergence(ChannelModel([110.0, 130.0]), users, self.LADDER, arrivals=[newcomer])
 
     def test_a_box_holding_a_rung_at_either_end_solves(self):
-        users = [UserParams(r_min=50000.0, r_max=60000.0), UserParams(r_min=96000.0, r_max=96000.0)]
+        users = UserTable(r_min=[50000.0, 96000.0], r_max=[60000.0, 96000.0])
         trace = iterate_to_convergence(ChannelModel([110.0, 130.0]), users, self.LADDER)
         assert set(trace.final_rates.tolist()) <= {50000.0, 96000.0}
 
@@ -307,7 +377,7 @@ class TestLadderAtEntry:
 
 class TestOutOfRange:
     def test_a_nan_in_the_loop_is_a_value_error(self):
-        users = [UserParams(alpha2=1e308)] * 3
+        users = UserTable(alpha2=[1e308] * 3)
         config = ConvergenceConfig(policy="kkt")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
