@@ -43,12 +43,15 @@ one segment at a time, with ``encoder``; its output is byte for byte what
 ``format(x, ".10e")`` and ``str(n)`` give, field by field. The summary
 takes its targets and prices from the users' columns, and its float
 columns go through the same encoder. Only the commands that write a trace
-or a summary import ``encoder``.
+or a summary import ``encoder``. Both write an existing file over from its
+first byte and cut it to length; like an emptying open, that is not atomic.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -764,24 +767,20 @@ def emit_trace(trace: IterationTrace, destination) -> None:
     digits, exactly as ``format(x, ".10e")`` writes them, so re-running a
     scenario produces byte-identical files. Each segment's columns are
     encoded whole in numpy, in chunks of about ``encoder.TRACE_CHUNK_ROWS``
-    rows.
+    rows. An existing file is written over from its first byte and cut to
+    length; like an emptying open, that is not atomic.
     A trace solved under "last" history holds only each segment's last row
     and raises ValueError, before anything is written.
     """
     if not all(seg.complete for seg in trace.segments):
         raise ValueError("the trace keeps only each segment's last row; solve with history='full'")
-    if hasattr(destination, "write"):
-        _write_trace(trace, lambda data: destination.write(data.decode("ascii")))
-        return
-    with open(destination, "wb") as f:
-        _write_trace(trace, f.write)
-
-
-def _write_trace(trace: IterationTrace, write) -> None:
     from .encoder import write_segments  # only commands that write text compile it
 
-    write(TRACE_HEADER.encode("ascii") + b"\n")
-    write_segments(trace.segments, write)
+    def fill(write):
+        write(TRACE_HEADER.encode("ascii") + b"\n")
+        write_segments(trace.segments, write)
+
+    _write_out(destination, fill)
 
 
 def summary_to_text(summary: RunSummary) -> str:
@@ -821,12 +820,32 @@ def summary_to_text(summary: RunSummary) -> str:
 
 
 def write_summary(summary: RunSummary, destination) -> None:
+    """Write ``summary_to_text`` to a stream, or over a file from byte 0, cut; not atomic."""
     _write_text(destination, summary_to_text(summary))
 
 
 def _write_text(destination, text: str) -> None:
+    _write_out(destination, lambda write: write(text.encode("utf-8")))
+
+
+def _write_out(destination, fill) -> None:
+    """Pass ``fill`` a ``write`` of bytes to a text stream, or to a path's file at byte 0.
+
+    The open does not empty the file, which costs several times the write on a
+    filesystem that discards freed blocks; the file is cut where the bytes
+    written end, also when ``fill`` raises. Only a regular file is cut: a device
+    or a FIFO refuses it.
+    """
     if hasattr(destination, "write"):
-        destination.write(text)
+        fill(lambda data: destination.write(data.decode("utf-8")))
         return
-    with open(destination, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+    with open(destination, "wb", opener=_open_unemptied) as f:
+        try:
+            fill(f.write)
+        finally:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
+
+
+def _open_unemptied(name, flags: int) -> int:
+    return os.open(name, flags & ~os.O_TRUNC, 0o666)

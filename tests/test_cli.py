@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import inspect
+import os
 import runpy
 import sys
 import warnings
@@ -13,7 +14,8 @@ from ratepower.cli import _parser, main
 from ratepower.reference import REPRODUCE_TARGETS
 from ratepower.scenario import TRACE_HEADER, parse_scenario
 
-SHIPPED_SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.scn"))
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED_SCENARIOS = sorted(SCENARIO_DIR.glob("*.scn"))
 
 THREE_USER = """
 [user u1]
@@ -374,3 +376,78 @@ class TestTuneAndRemove:
         assert summary["n_users"] == "2"
         assert "u3.bs" not in summary
         assert summary["u1.outcome"] != "below_target" and summary["u2.outcome"] != "below_target"
+
+
+# Every command that writes a file: the scenario fixture it runs and its
+# arguments, SCN standing for the scenario and OUT for the file.
+WRITERS = {
+    "run --trace": ("three_user_file", ["run", "SCN", "--trace", "OUT"]),
+    "run --summary": ("three_user_file", ["run", "SCN", "--summary", "OUT"]),
+    "sweep-lambda --out": (
+        "three_user_file",
+        ["sweep-lambda", "SCN", "--from", "0.05", "--to", "0.2", "--steps", "3", "--out", "OUT"],
+    ),
+    "tune-pricing --summary": ("crowded_file", ["tune-pricing", "SCN", "--dc", "1e-4", "--summary", "OUT"]),
+    "remove-loop --summary": ("three_user_file", ["remove-loop", "SCN", "--summary", "OUT"]),
+}
+
+
+class TestOutputFiles:
+    """An existing output file is written over from its first byte and cut to length."""
+
+    @pytest.mark.parametrize("command", WRITERS)
+    def test_a_longer_file_is_written_over_and_cut(self, command, request, tmp_path, capsys):
+        fixture, argv = WRITERS[command]
+        scenario = request.getfixturevalue(fixture)
+
+        def run(out):
+            return main([{"SCN": scenario, "OUT": str(out)}.get(arg, arg) for arg in argv])
+
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        reused.write_bytes(b"9" * 100_000)
+        assert run(fresh) == run(reused) == 0
+        assert 0 < len(fresh.read_bytes()) < 100_000
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    def test_a_shorter_scenario_run_into_the_same_paths(self, tmp_path, capsys):
+        def run(scenario, stem):
+            trace, summary = tmp_path / f"{stem}.csv", tmp_path / f"{stem}.txt"
+            argv = ["run", str(SCENARIO_DIR / scenario), "--trace", str(trace), "--summary", str(summary)]
+            assert main(argv) == 0
+            return trace.read_bytes(), summary.read_bytes()
+
+        long_trace, long_summary = run("station_walk.scn", "out")
+        short = run("three_users.scn", "out")
+        assert run("three_users.scn", "fresh") == short
+        assert len(short[0]) < len(long_trace) and len(short[1]) < len(long_summary)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_a_device_is_written_but_not_cut(self, three_user_file, capsys):
+        # /dev/null refuses ftruncate, and the writer does not try.
+        assert main(["run", three_user_file, "--trace", "/dev/null", "--summary", "/dev/null"]) == 0
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="Windows refuses a directory with EACCES")
+    @pytest.mark.parametrize("flag", ["--trace", "--summary"])
+    def test_a_directory_destination_fails_cleanly(self, flag, three_user_file, tmp_path, capsys):
+        assert main(["run", three_user_file, flag, str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_no_output_is_emptied_on_open(self, three_user_file, tmp_path, monkeypatch, capsys):
+        # Emptying a file and refilling it costs several times the write on a
+        # filesystem that discards freed blocks, so every output is opened
+        # through os.open without O_TRUNC; a plain open(path, "wb") would
+        # bypass the spy and fail the first assert.
+        opened = {}
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened[os.fspath(path)] = flags
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        trace, summary, sweep = (str(tmp_path / name) for name in ("t.csv", "s.txt", "w.csv"))
+        assert main(["run", three_user_file, "--trace", trace, "--summary", summary]) == 0
+        sweep_argv = ["sweep-lambda", three_user_file, "--from", "0.05", "--to", "0.2", "--steps", "3"]
+        assert main(sweep_argv + ["--out", sweep]) == 0
+        assert {trace, summary, sweep} <= opened.keys()
+        assert not [path for path, flags in opened.items() if flags & os.O_TRUNC]

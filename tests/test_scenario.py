@@ -957,14 +957,33 @@ class TestTraceOutput:
         emit_trace(trace, path)
         assert path.read_text().startswith(TRACE_HEADER)
         # A trace that kept only each segment's last row is refused before
-        # anything is written, to a file or a stream.
+        # anything is written, to a new file, an existing one or a stream.
         config = ConvergenceConfig(delta=1e-30, max_iterations=3)
         last = iterate_to_convergence(trace.channel, trace.users, config=config)
         buf = io.StringIO()
-        for destination in (tmp_path / "last.csv", buf):
+        old = path.read_bytes()
+        for destination in (tmp_path / "last.csv", path, buf):
             with pytest.raises(ValueError, match="^the trace keeps only each segment's last row"):
                 emit_trace(last, destination)
         assert not (tmp_path / "last.csv").exists() and buf.getvalue() == ""
+        assert path.read_bytes() == old
+
+    def test_a_failed_write_leaves_the_bytes_written_so_far(self, tmp_path, monkeypatch):
+        # The file is cut where the writing stopped, so no byte of the longer
+        # file it replaces survives past the first chunk.
+        trace = self.run_three_iterations()
+        first = encoder.encode_rows(trace.segments[0], slice(0, 1))
+
+        def fail_after_first_chunk(segments, write):
+            write(first)
+            raise RuntimeError("disk gone")
+
+        monkeypatch.setattr(encoder, "write_segments", fail_after_first_chunk)
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"x" * 10_000)
+        with pytest.raises(RuntimeError, match="disk gone"):
+            emit_trace(trace, path)
+        assert path.read_bytes() == TRACE_HEADER.encode("ascii") + b"\n" + first
 
 
 def per_field_trace(trace):
