@@ -43,8 +43,8 @@ one segment at a time, with ``encoder``; its output is byte for byte what
 ``format(x, ".10e")`` and ``str(n)`` give, field by field. The summary
 takes its targets and prices from the users' columns, and its float
 columns go through the same encoder. Only the commands that write a trace
-or a summary import ``encoder``. Both write an existing file over from its
-first byte and cut it to length; like an emptying open, that is not atomic.
+or a summary import ``encoder``. Both write a file over from byte 0, then
+cut it; a run killed before the cut leaves the old file's tail after them.
 """
 
 from __future__ import annotations
@@ -767,8 +767,8 @@ def emit_trace(trace: IterationTrace, destination) -> None:
     digits, exactly as ``format(x, ".10e")`` writes them, so re-running a
     scenario produces byte-identical files. Each segment's columns are
     encoded whole in numpy, in chunks of about ``encoder.TRACE_CHUNK_ROWS``
-    rows. An existing file is written over from its first byte and cut to
-    length; like an emptying open, that is not atomic.
+    rows. An existing file is written over from byte 0 and cut at the end, not
+    atomically: before the cut, or if the run is killed, the old tail follows.
     A trace solved under "last" history holds only each segment's last row
     and raises ValueError, before anything is written.
     """
@@ -820,7 +820,8 @@ def summary_to_text(summary: RunSummary) -> str:
 
 
 def write_summary(summary: RunSummary, destination) -> None:
-    """Write ``summary_to_text`` to a stream, or over a file from byte 0, cut; not atomic."""
+    """Write ``summary_to_text`` to a stream, or over a file from byte 0 and cut it
+    after; a run killed before the cut leaves the old file's tail after the text."""
     _write_text(destination, summary_to_text(summary))
 
 
@@ -831,21 +832,20 @@ def _write_text(destination, text: str) -> None:
 def _write_out(destination, fill) -> None:
     """Pass ``fill`` a ``write`` of bytes to a text stream, or to a path's file at byte 0.
 
-    The open does not empty the file, which costs several times the write on a
-    filesystem that discards freed blocks; the file is cut where the bytes
-    written end, also when ``fill`` raises. Only a regular file is cut: a device
-    or a FIFO refuses it.
+    The open does not empty the file. After ``fill``, also when it or the flush
+    raises, a longer regular file is cut where the bytes that reached it end;
+    until then, or for good if the process dies first, the old tail follows them.
     """
     if hasattr(destination, "write"):
         fill(lambda data: destination.write(data.decode("utf-8")))
         return
-    with open(destination, "wb", opener=_open_unemptied) as f:
+    with open(destination, "wb", opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as f:
         try:
             fill(f.write)
         finally:
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-                f.truncate()
-
-
-def _open_unemptied(name, flags: int) -> int:
-    return os.open(name, flags & ~os.O_TRUNC, 0o666)
+            try:
+                f.flush()
+            finally:  # a device or a FIFO is never cut
+                st = os.fstat(f.fileno())
+                if stat.S_ISREG(st.st_mode) and st.st_size > f.raw.tell():
+                    f.raw.truncate()

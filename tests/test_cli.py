@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import os
 import runpy
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -432,11 +433,34 @@ class TestOutputFiles:
         assert main(["run", three_user_file, flag, str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
+    @pytest.mark.skipif(sys.platform == "win32", reason="no RLIMIT_FSIZE on Windows")
+    def test_a_failed_flush_still_cuts_the_file(self, three_user_file, tmp_path, capsys):
+        # A 256-byte file-size limit makes the last flush of a longer summary
+        # fail part-way with EFBIG. The file is cut where the bytes that
+        # reached it end, so no byte of the longer file it replaces survives.
+        fresh, reused = tmp_path / "fresh.txt", tmp_path / "reused.txt"
+        assert main(["run", three_user_file, "--summary", str(fresh)]) == 0
+        assert len(fresh.read_bytes()) > 256
+        reused.write_bytes(b"9" * 100_000)
+        child = (
+            "import resource, signal, sys\n"
+            "from ratepower.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (256, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(inspect.getfile(main)).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-c", child, "run", three_user_file, "--summary", str(reused)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (1, "error: [Errno 27] File too large\n")
+        assert reused.read_bytes() == fresh.read_bytes()[:256]
+
     def test_no_output_is_emptied_on_open(self, three_user_file, tmp_path, monkeypatch, capsys):
-        # Emptying a file and refilling it costs several times the write on a
-        # filesystem that discards freed blocks, so every output is opened
-        # through os.open without O_TRUNC; a plain open(path, "wb") would
-        # bypass the spy and fail the first assert.
+        # Emptying an existing file and refilling it costs several times the
+        # write on a filesystem that discards freed blocks, so every output is
+        # opened through os.open without O_TRUNC; a plain open(path, "wb")
+        # would bypass the spy and fail the first assert.
         opened = {}
         real_open = os.open
 
