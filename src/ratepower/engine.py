@@ -40,36 +40,43 @@ A solve takes a ``Network``: a channel, its users as a ``UserTable``, their
 entry step refuses users in any other form, checks the row count, prices
 the users, and refuses a lone user with zero noise, an arrival that could
 not fire and a user whose rate box holds no rung of the config's ladder
-(``RateSet.gap``). A network with arrivals plays them as windows: a loop
-call plays the iterations before an arrival, its last row starts the grown
-network, which the rule prices again, and a last call runs under the stop
-rule. Each user starts at its own initial strategy (the ``p_init`` and
-``r_init`` columns). With a rate ladder the loop, not the sweeps, snaps the
-rates with ``RateSet.snap``: every iteration's, or only the converged
-row's. Rates never enter the power update or the station rule, so both
-placements give the powers and stations of the continuous game.
+(``RateSet.gap``). A network with arrivals plays as a chain of legs
+(``_play``), each a fixed network with its start state, start assignment
+and iteration range: a window plays the iterations before an arrival whole,
+its last row starts the grown network, which the rule prices again, and a
+last leg runs under the stop rule. Each user starts at its own initial
+strategy (the ``p_init`` and ``r_init`` columns). With a rate ladder the
+loop, not the sweeps, snaps the rates with ``RateSet.snap``: every
+iteration's, or only the converged row's. Rates never enter the power
+update or the station rule, so both placements give the powers and stations
+of the continuous game.
 
-``iterate_batch`` steps the networks without arrivals of one station count
-in lockstep, whatever their user counts: one (2 x users) state over their
-concatenated table, each network owning a span of its columns. The station
-totals of the K networks of one size come from one stacked (K x 1 x n) @
+``iterate_batch`` steps the networks of one station count in lockstep,
+whatever their user counts: one (2 x users) state over their concatenated
+table, each network owning a span of its columns. The station totals of the
+K networks of one size come from one stacked (K x 1 x n) @
 (K x n x stations) product, which makes for each network the BLAS call its
 own ``p @ g`` makes, on the same C-ordered gains (``ChannelModel`` stores
 them so), and each network has its own step metric, so each network's
 trace equals its solve alone, bit for bit. Every network steps to the
 batch's end and keeps its rows up to its own convergence: each is its own
 fixed-point iteration, so stepping a converged network on changes no
-other. A network with arrivals plays alone, as does every network under
-the sequential sweep, a per-user loop that lockstep does not speed up.
+other. The loop takes each network's first iteration, window end,
+``delta`` and ``max_iterations``, so a batch groups its networks by
+station count and by their config less that stop rule, and each window of
+a network with arrivals steps in the lockstep round of its turn. Only
+under the sequential sweep, a per-user loop that lockstep does not speed
+up, does each network play alone.
 
 Solves that depend on earlier ones (escalation windows, removal rounds, a
-scenario's steps) are written as chains, generators that yield each
-round's (network, config) pairs and are sent their outcomes; ``_drive``
-steps several chains together, one ``iterate_batch`` per config and round,
-and raises the error running them one after another meets first. A round
-may be an ordered ``_Window`` with a test of a converged row's SINRs: the
-loop applies it when a member first meets delta, and once a member passes,
-the members after it are not waited for.
+scenario's steps) are written as chains, generators that yield each round's
+(network, config) pairs and are sent their outcomes; ``_drive`` steps
+several chains together, plays each of their requests as a chain of legs,
+solves every round's legs with one ``_batch``, and raises the error running
+them one after another meets first. A round may be an ordered ``_Window``
+with a test of a converged row's SINRs: the loop applies it when a member
+first meets delta, and once a member passes, the members after it are not
+waited for.
 """
 
 from __future__ import annotations
@@ -77,7 +84,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -398,8 +406,11 @@ def iterate_to_convergence(
     max_iterations is reported on the trace, not raised.
     """
     config = config if config is not None else ConvergenceConfig()
-    network = _enter(Network(channel, users, pricing, arrivals), config)
-    return _play(network, config, _initial_assignment(initial_assignment, channel))
+    network = Network(channel, users, pricing, arrivals)
+    (outcome,) = _solve([(network, config, initial_assignment)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
@@ -408,36 +419,23 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     Network k's outcome is the trace its ``iterate_to_convergence`` returns,
     bit for bit, or the ``ValueError`` that call raises, a pricing error
     included; the caller raises the first one its serial order would reach.
-    The networks without arrivals on one station count step in lockstep,
-    each keeping its rows up to its own convergence, so one that never
-    converges keeps its batch-mates stepping to ``config.max_iterations``;
-    a batch whose loop raises is solved again one network at a time.
+    The networks of one station count step in lockstep, each keeping its
+    rows up to its own convergence, so one that never converges keeps its
+    batch-mates stepping to ``config.max_iterations``. A network with
+    arrivals steps each of its windows in the lockstep round of its turn.
+    A group whose loop raises is solved again one network at a time.
     """
-    networks = list(networks)
-    return _batch(networks, config if config is not None else ConvergenceConfig(), [None] * len(networks))
+    config = config if config is not None else ConvergenceConfig()
+    return _solve([(network, config) for network in networks])
 
 
-def _batch(networks, config, tags) -> list:
-    # ``iterate_batch`` with each network's window tag (``_drive``'s); a
-    # lockstep loop stops waiting for a window's members after its answer.
-    outcomes = [_attempt(_enter, network, config) for network in networks]
-    groups: dict = {}  # lockstep networks by station count, the rest alone
-    for k, network in enumerate(outcomes):
-        if isinstance(network, Network):
-            alone = network.arrivals or config.schedule != SYNCHRONOUS
-            groups.setdefault((k,) if alone else network.channel.n_stations, []).append(k)
-    for group in groups.values():
-        batch = [outcomes[k] for k in group]
-        solved = None
-        if len(batch) > 1:
-            start = np.zeros(sum(len(net.users) for net in batch), dtype=int)
-            pairs = [(net.channel, net.users) for net in batch]
-            solved = _attempt(_loop, pairs, config, start, tags=[tags[k] for k in group])
-        if not isinstance(solved, list):
-            # Each network alone gets its own trace or error.
-            solved = [_attempt(_play, net, config, _initial_assignment(None, net.channel)) for net in batch]
-        for k, outcome in zip(group, solved):
-            outcomes[k] = outcome
+def _solve(requests) -> list:
+    # Each request's outcome, errors included, from ``_drive`` of one chain
+    # that asks for them all in one round.
+    def one_round():
+        return (yield requests)
+
+    (outcomes,) = _drive([one_round()])
     return outcomes
 
 
@@ -481,28 +479,68 @@ def _enter(network: Network, config: ConvergenceConfig) -> Network:
     return Network(channel, users, network.pricing, tuple(arrivals))
 
 
-def _play(network: Network, config, assignment) -> IterationTrace:
-    # An entered network's run: a window before each arrival group, whose
-    # last row, with the newcomers appended at their initial strategies on
-    # station 0, starts the grown network the rule prices again; then a run
-    # under the stop rule.
+@dataclass
+class _Leg:
+    """One network's share of one loop call: a fixed network, its start and its iterations.
+
+    ``state`` (2 x users) and ``assignment`` start it; None stands for the
+    users' initial strategies on station 0. It plays iterations ``first`` to
+    ``last`` whole, as the window before an arrival, or with no ``last``
+    until it meets ``config.delta`` or reaches ``config.max_iterations``.
+    """
+
+    channel: ChannelModel
+    users: UserTable
+    config: ConvergenceConfig
+    state: np.ndarray | None = None
+    assignment: np.ndarray | None = None
+    first: int = 1
+    last: int | None = None
+
+
+def _play(network: Network, config, initial_assignment=None):
+    """One network's run as a chain of legs; returns its trace or the error it met.
+
+    The chain yields a ``_Leg`` for the window before each arrival group,
+    then one under the stop rule, and is sent each leg's outcome: a trace,
+    the ValueError its loop raised, or None past a ``_Window``'s answer,
+    which ends the run with that outcome. Between windows it grows the
+    network: the window's last row, with the newcomers appended at their
+    initial strategies on station 0, starts the grown network, which the
+    rule prices again. Entry refusals and pricing errors are returned too.
+    """
+    try:
+        network = _enter(network, config)
+        if initial_assignment is not None:
+            initial_assignment = _initial_assignment(initial_assignment, network.channel)
+    except ValueError as exc:
+        return exc
     channel, users = network.channel, network.users
-    state, segments, done = users.initial, [], 0
+    state, assignment, segments, done = None, initial_assignment, [], 0
     for t, group in itertools.groupby(network.arrivals, key=lambda ev: ev.iteration):
         if t > done + 1:
             # No run converges while an arrival is pending: the window plays whole.
-            (window,) = _loop([(channel, users)], config, assignment, state, done + 1, t - 1)
+            window = yield _Leg(channel, users, config, state, assignment, done + 1, t - 1)
+            if not isinstance(window, IterationTrace):
+                return window
             segments += window.segments
             end = window.final
             state, assignment = np.array([end.powers, end.rates]), end.assignment
+        elif state is None:
+            # Arrivals at iteration 1 join the users' initial strategies.
+            state, assignment = users.initial, _initial_assignment(assignment, channel)
         for ev in group:
             channel, users = channel.with_user(ev.distances_m), UserTable.concat([users, ev.user])
             state = np.append(state, ev.user.initial, axis=1)
             assignment = np.append(assignment, 0)
-        users = priced_users(network.pricing, channel, users)
+        try:
+            users = priced_users(network.pricing, channel, users)
+        except ValueError as exc:
+            return exc
         done = t - 1
-    (trace,) = _loop([(channel, users)], config, assignment, state, done + 1)
-    trace.segments[:0] = segments
+    trace = yield _Leg(channel, users, config, state, assignment, done + 1)
+    if segments and isinstance(trace, IterationTrace):
+        trace.segments[:0] = segments
     return trace
 
 
@@ -525,26 +563,43 @@ class _Window(list):
 def _drive(chains) -> list:
     """Step chains of dependent solves together; each chain's result, in order.
 
-    A chain is a generator: it yields the (network, config) pairs one of its
-    rounds needs, or a ``_Window`` of them, is sent their outcomes in order
-    (each the trace or the exception ``iterate_batch`` gives, or None past a
-    window's answer), and returns its result. Each round the requests of
-    every chain still running are solved together, with one
-    ``iterate_batch`` per config. An error a chain raises is held until
-    every chain before it has finished, and chains after it are not stepped
-    again; then the first held error is raised, which is the error running
-    the chains one after another meets first.
+    A chain is a generator: it yields the requests one of its rounds needs,
+    each the arguments of ``_play`` (a network, a config and optionally an
+    initial assignment), or a ``_Window`` of them, is sent their outcomes in
+    order (each the trace or the exception ``iterate_batch`` gives, or None
+    past a window's answer), and returns its result. Each request plays as
+    a ``_play`` chain of legs, and each round the legs of every play still
+    running are solved together by one ``_batch``: a network with arrivals
+    plays a window a round, so its chain is sent its round's outcomes when
+    its last leg is done, while the other chains step on. An error a chain
+    raises is held until every chain before it has finished, and chains
+    after it are not stepped again; then the first held error is raised,
+    which is the error running the chains one after another meets first.
     """
     chains = list(chains)
     results: list = [None] * len(chains)
     failed, error = len(chains), None  # the first chain that raised, and its error
-    sent: list = [None] * len(chains)  # each chain's outcomes of its last round
-    running = range(len(chains))
-    while running:
-        asked = {}  # each stepped chain's requests, in chain order
-        requests: list = []
-        tags: list = []  # each request's (window, position in it), or None
-        for i in running:
+    sent: list = [None] * len(chains)  # each chain's outcomes of its round
+    left = [0] * len(chains)  # each chain's plays still running
+    ready = list(range(len(chains)))  # the chains whose round is done
+    plays: dict = {}  # (chain, request) -> (its play, its window tag)
+    legs: dict = {}  # (chain, request) -> the leg its play asks for
+
+    def send(key, outcome):
+        # Send a play its leg's outcome; a play that returns fills its slot.
+        try:
+            legs[key] = plays[key][0].send(outcome)
+        except StopIteration as stop:
+            del plays[key]
+            i, p = key
+            sent[i][p] = stop.value
+            left[i] -= 1
+            if not left[i]:
+                ready.append(i)
+
+    while ready or legs:
+        stepping, ready = sorted(ready), []
+        for i in stepping:
             if i > failed:
                 break
             try:
@@ -556,59 +611,82 @@ def _drive(chains) -> list:
                 failed, error = i, exc
                 continue
             window = isinstance(round_, _Window)
-            tags += [(round_, p) if window else None for p in range(len(round_))]
-            asked[i] = round_
-            requests += round_
-        outcomes = iter(_solve(requests, tags))
-        for i, round_ in asked.items():
-            sent[i] = list(itertools.islice(outcomes, len(round_)))
-        running = list(asked)
+            sent[i], left[i] = [None] * len(round_), len(round_)
+            if not round_:
+                ready.append(i)
+            for p, request in enumerate(round_):
+                plays[i, p] = (_play(*request), (round_, p) if window else None)
+                send((i, p), None)
+        # The plays of a chain after the failed one are not stepped again.
+        keys = [key for key in legs if key[0] < failed]
+        outcomes = _batch([legs[key] for key in keys], [plays[key][1] for key in keys])
+        legs.clear()
+        for key, outcome in zip(keys, outcomes):
+            send(key, outcome)
     if error is not None:
         raise error
     return results
 
 
-def _solve(requests, tags) -> list:
-    # ``iterate_batch``'s outcomes for (network, config) requests, in order,
-    # from one batch per config, with each request's window tag; a
-    # ConvergenceConfig is frozen, so it keys the groups. A round of one
-    # config, the usual case, skips the grouping.
-    if not requests:
-        return []
-    config = requests[0][1]
-    if all(c is config for _, c in requests):
-        return _batch([network for network, _ in requests], config, tags)
-    outcomes = [None] * len(requests)
-    groups: dict[ConvergenceConfig, list[int]] = {}
-    for k, (_, config) in enumerate(requests):
-        groups.setdefault(config, []).append(k)
-    for config, ks in groups.items():
-        networks = [requests[k][0] for k in ks]
-        for k, outcome in zip(ks, _batch(networks, config, [tags[k] for k in ks])):
+# A loop's settings: its config less the stop rule, which it takes per network.
+_LOOP_SETTINGS = operator.attrgetter(
+    *(f.name for f in fields(ConvergenceConfig) if f.name not in ("delta", "max_iterations"))
+)
+
+
+def _batch(legs, tags) -> list:
+    """Each leg's trace, or the ValueError its loop raises; ``tags`` are ``_drive``'s.
+
+    Legs whose configs agree but for ``delta`` and ``max_iterations``, and
+    whose networks have one station count, step in one lockstep loop; a
+    sequential leg plays alone, as the per-user sweep gains nothing from
+    lockstep. A group whose loop raises is solved again one leg at a time,
+    each through the same per-network arguments, so each gets its own trace
+    or error.
+    """
+    groups: dict = {}
+    for k, leg in enumerate(legs):
+        config = leg.config
+        alone = config.schedule != SYNCHRONOUS
+        key = k if alone else (_LOOP_SETTINGS(config), leg.channel.n_stations)
+        groups.setdefault(key, []).append(k)
+    outcomes: list = [None] * len(legs)
+    for ks in groups.values():
+        solved = None
+        if len(ks) > 1:
+            solved = _attempt(_loop, [legs[k] for k in ks], [tags[k] for k in ks])
+        if not isinstance(solved, list):
+            # Alone, a leg has no window-mates to stop waiting for.
+            solved = [_attempt(_loop, [legs[k]]) for k in ks]
+            solved = [s[0] if isinstance(s, list) else s for s in solved]
+        for k, outcome in zip(ks, solved):
             outcomes[k] = outcome
     return outcomes
 
 
 @_inf_clamps
-def _loop(networks, config, assignment, state=None, first=1, last=None, tags=None) -> list:
-    """The fixed-point loop, stepping K fixed networks in lockstep; one trace each.
+def _loop(legs, tags=None) -> list:
+    """The fixed-point loop, stepping K legs in lockstep; one trace each.
 
-    The state is one fresh (2 x users) stack [powers; rates] per iteration
-    over the networks' concatenated table, from ``state`` (default the
-    table's initial strategies); network k owns the columns ``spans[k]``,
-    its station totals come from its own ``p @ g``, stacked with those of
-    the networks of its size (``_totals``), and its step metric from one
-    ``np.maximum.reduceat`` over the span starts. The loop plays iterations
-    ``first`` to ``last`` whole, or with no ``last`` until every network has
-    met delta or ``config.max_iterations``; network k's one segment is cut
-    at ``ends[k]``, the first iteration at which it met delta. Stepping a
-    converged network on changes no other, as each is its own fixed-point
-    iteration. ``tags`` holds each network's window and its position there,
-    or None: when a window member first meets delta, its row's SINRs go to
-    the window's test, and once one passes, the members after it no longer
-    hold the loop open; their traces are None.
+    Every leg's config agrees but for its stop rule, which the loop reads
+    per network: each leg plays from its own ``first`` iteration to the end
+    of its window, or until it meets its own ``delta`` or reaches its own
+    ``max_iterations``. The state is one fresh (2 x users) stack [powers;
+    rates] per step over the legs' concatenated table, from each leg's
+    start; network k owns the columns ``spans[k]``, its station totals come
+    from its own ``p @ g``, stacked with those of the networks of its size
+    (``_totals``), and its step metric from one ``np.maximum.reduceat`` over
+    the span starts. Network k's one segment is cut at ``ends[k]``, the step
+    at which it met delta or its range ended; only the first counts as
+    converged, and delta is not tested inside a window. The loop steps until
+    no network holds it open; stepping a finished network on changes no
+    other, as each is its own fixed-point iteration. ``tags`` holds each
+    network's window and its position there, or None: when a window member
+    first meets delta, its row's SINRs go to the window's test, and once one
+    passes, the members after it no longer hold the loop open; their traces
+    are None.
 
-    Under "full" history each iteration appends the batch's row (assignment,
+    Under "full" history each step appends the batch's row (assignment,
     state and assigned r_eff), stacked once into columns at the end; under
     "last" the loop holds the latest iterate and one batch row that keeps
     each network's columns from ``ends[k]`` while the others step on. SINR
@@ -617,16 +695,29 @@ def _loop(networks, config, assignment, state=None, first=1, last=None, tags=Non
     step, the final snap or that pass raises, the loop raises. The
     sequential schedule only ever comes with one network.
     """
-    channels, users = zip(*networks)
+    channels = [leg.channel for leg in legs]
+    users = [leg.users for leg in legs]
+    config = legs[0].config  # every setting but the stop rule is the batch's
     table = users[0] if len(users) == 1 else UserTable.concat(users)
-    state = table.initial if state is None else state
-    blocks = len(networks)
+    blocks = len(legs)
     sizes, starts, spans = _spans([len(us) for us in users])
+    state, assignment = table.initial, np.zeros(len(table), dtype=int)
+    for leg, span in zip(legs, spans):
+        if leg.state is not None:
+            state[:, span] = leg.state
+        if leg.assignment is not None:
+            assignment[span] = leg.assignment
     kkt = config.policy == KKT
     snap_each = None if config.quantize_at_convergence else config.rate_set
     full = config.history == HISTORY_FULL
-    converging, delta = last is None, config.delta
-    last = config.max_iterations if converging else last
+    # Each network's delta, which a window's -inf keeps any metric from
+    # meeting, and the networks whose range ends at each step.
+    deltas: list[float] = []
+    stops: dict[int, list[int]] = {}
+    for k, leg in enumerate(legs):
+        deltas.append(leg.config.delta if leg.last is None else -math.inf)
+        last = leg.config.max_iterations if leg.last is None else leg.last
+        stops.setdefault(last - leg.first + 1, []).append(k)
 
     gains = [channel.gains for channel in channels]
     g, noise, bandwidth = gains[0], channels[0].noise_w, channels[0].bandwidth_hz
@@ -639,11 +730,12 @@ def _loop(networks, config, assignment, state=None, first=1, last=None, tags=Non
         owner = np.arange(blocks).repeat(sizes)  # each column's network
     ids = np.arange(state.shape[1])
     plain = None if config.schedule == SYNCHRONOUS else _plain(g, table, kkt)
-    # Every iteration's per-network metrics, and under full history the
-    # batch's (assignment, state, assigned r_eff) rows.
+    # Every step's per-network metrics, and under full history the batch's
+    # (assignment, state, assigned r_eff) rows.
     series: list[list[float]] = []
     history: list[tuple] = []
-    ends: list[int | None] = [None] * blocks
+    ends: list[int | None] = [None] * blocks  # the step each network's segment ends at
+    converged = [False] * blocks
     waiting = list(range(blocks))  # the networks holding the loop open
     tags = tags or [None] * blocks
     answers: list = []  # the tag of each accepted window member
@@ -679,9 +771,9 @@ def _loop(networks, config, assignment, state=None, first=1, last=None, tags=Non
         b = bandwidth[span] if blocks > 1 else bandwidth
         return tags[k][0].accept(_sinrs(b, rates, state[0, span], reffs))
 
-    iteration = first - 1
-    while iteration < last:
-        iteration += 1
+    step = 0
+    while waiting:
+        step += 1
         if config.schedule == SYNCHRONOUS:
             new, assignment = _synchronous_sweep(table, current_reffs(), assignment, kkt)
         else:
@@ -697,10 +789,14 @@ def _loop(networks, config, assignment, state=None, first=1, last=None, tags=Non
         series.append(metrics)
         if full:
             history.append(current_row())
-        met = [k for k in waiting if metrics[k] <= delta] if converging else None
-        if met:
+        met = [k for k in waiting if metrics[k] <= deltas[k]]
+        due = stops.get(step, ())
+        if met or due:
             for k in met:
-                ends[k] = iteration
+                converged[k] = True
+            leaving = met + [k for k in due if k in waiting and not converged[k]]
+            for k in leaving:
+                ends[k] = step
             waiting = [k for k in waiting if ends[k] is None]
             for k in met:
                 if accepted(k):
@@ -710,37 +806,37 @@ def _loop(networks, config, assignment, state=None, first=1, last=None, tags=Non
                 break
             if not full:
                 now = np.zeros(blocks, dtype=bool)
-                now[met] = True
+                now[leaving] = True
                 kept = current_row() if kept is None else _pick(now[owner], current_row(), kept)
 
-    iterations, metrics = np.arange(first, iteration + 1), np.array(series, dtype=float)
+    metrics = np.array(series, dtype=float)
     if full:
         a, states, r = _columns(history)
     else:
         a, states, r = current_row()
         if kept is not None:
-            earlier = np.array([e is not None and e < iteration for e in ends])[owner]
+            earlier = np.array([e is not None and e < step for e in ends])[owner]
             a, states, r = _pick(earlier, kept, (a, states, r))
         a, states, r = a[None], states[None], r[None]
     dropped = [answered(tag) for tag in tags]
     if config.quantize_at_convergence:
         # Quantizing at convergence snaps each converged row's rates.
-        for k, (end, span) in enumerate(zip(ends, spans)):
-            if end is not None and not dropped[k]:
-                s = end - first if full else 0
+        for k, span in enumerate(spans):
+            if converged[k] and not dropped[k]:
+                s = ends[k] - 1 if full else 0
                 states[s, 1, span] = config.rate_set.snap(states[s, 1, span])
     sinrs, utilities = _sinrs_utilities(table, bandwidth, states, r)
     columns = (a, states[:, 0], states[:, 1], sinrs, utilities)
     traces = []
-    for k, span in enumerate(spans):
+    for k, (leg, span) in enumerate(zip(legs, spans)):
         if dropped[k]:
             traces.append(None)
             continue
-        converged, end = ends[k] is not None, ends[k] or iteration
-        n = end - first + 1
+        n = ends[k]
         rows = slice(n) if full else slice(None)
-        seg = Segment(1, iterations[:n], *[c[rows, span] for c in columns], metrics[:n, k])
-        traces.append(IterationTrace([seg], converged, end, channels[k], users[k]))
+        iterations = np.arange(leg.first, leg.first + n)
+        seg = Segment(1, iterations, *[c[rows, span] for c in columns], metrics[:n, k])
+        traces.append(IterationTrace([seg], converged[k], leg.first + n - 1, channels[k], users[k]))
     return traces
 
 

@@ -7,10 +7,11 @@ one itemized report per target; ``reproduce(target)`` runs one. Each
 experiment is its independent runs, its adaptive solves (table1's removal
 loop, table3's escalations) and a check of their results. Every requested
 experiment's runs and adaptive solves are chains that ``engine._drive``
-steps together, one batch per (config, station count) and round, so round
-1 of ``all`` solves table1-4's and fig1-2's 22 one-station runs under the
-default config, table1's first removal round and table3's two escalation
-windows as one batch of 29 networks.
+steps together, one batch per round, station count and config less its
+stop rule (``delta`` and ``max_iterations``), so round 1 of ``all`` solves
+table1-4's and fig1-2's 22 one-station runs under the default config,
+table1's first removal round, table3's two escalation windows and fig3's
+window up to its arrival as one batch of 36 networks.
 """
 
 from __future__ import annotations
@@ -468,10 +469,10 @@ def reproduce_many(targets) -> list[ComparisonReport]:
 
     Every target name is checked before anything is solved. The runs and the
     adaptive solves of all the targets are then driven together, one batch
-    per (config, station count) and round, and each target's check reads
-    their results. So no report comes before everything is solved, and an
-    error in any target's solves surfaces before any report does; the
-    built-in experiments raise none.
+    per round, station count and config less its stop rule, and each
+    target's check reads their results. So no report comes before
+    everything is solved, and an error in any target's solves surfaces
+    before any report does; the built-in experiments raise none.
     """
     targets = list(targets)
     for target in targets:

@@ -640,14 +640,17 @@ def run_scenario(scenario: Scenario) -> tuple[IterationTrace, RunSummary]:
 
 
 def run_scenarios(scenarios) -> list[tuple[IterationTrace, RunSummary]]:
-    """``run_scenario`` of each scenario, their steps solved as one ``iterate_batch`` per config.
+    """``run_scenario`` of each scenario, their steps solved together in lockstep rounds.
 
     Each scenario solves under its own ``config``; configs, user counts and
-    station counts may all differ. Every step joins its config's batch, as a
-    ``Network`` that carries the scenario's pricing rule and, for step 1,
-    its arrivals. Each result equals its ``run_scenario``, bit for bit, and
-    the error raised is the one a loop over the scenarios in order meets
-    first, whatever config it solves under.
+    station counts may all differ. Every step is a ``Network`` that carries
+    the scenario's pricing rule and, for step 1, its arrivals; the steps of
+    one station count whose configs differ at most in ``delta`` and
+    ``max_iterations`` share a lockstep loop, and step 1 steps each of its
+    arrival windows in a round of its own. Each result equals its
+    ``run_scenario``, bit for bit, and the error raised is the one a loop
+    over the scenarios in order meets first, whatever config it solves
+    under.
     """
     return _drive(_run(scenario) for scenario in scenarios)
 

@@ -2,16 +2,19 @@
 serial escalation, and "last" history against "full".
 
 ``iterate_batch`` steps K independent networks, each with its own user
-count, in one loop per station count; network k's outcome must be what
-``iterate_to_convergence`` gives for it alone, bit for bit: every segment
-column, ``iterations_used`` and ``converged``, or the same exception with the
-same message; ``run_scenarios`` must likewise give each scenario's
-``run_scenario``. The escalation window solves the next few coefficients as
-one batch and reads them in order, and stops stepping them at its answer;
-what it reports and raises must be what testing one coefficient at a time
-gives, which ``serial_escalation`` below restates. A solve under "last"
-history keeps each segment's last row only; it must be the "full" trace's
-last row, bit for bit, with every other field of the outcome the same.
+count, in one loop per station count and round; a network with arrivals
+steps each of its windows in a round of its own, and a batch's networks may
+each stop under their own delta and max_iterations. Network k's outcome
+must be what ``iterate_to_convergence`` gives for it alone, bit for bit:
+every segment column, ``iterations_used`` and ``converged``, or the same
+exception with the same message; ``run_scenarios`` must likewise give each
+scenario's ``run_scenario``. The escalation window solves the next few
+coefficients as one batch and reads them in order, and stops stepping them
+at its answer; what it reports and raises must be what testing one
+coefficient at a time gives, which ``serial_escalation`` below restates. A
+solve under "last" history keeps each segment's last row only; it must be
+the "full" trace's last row, bit for bit, with every other field of the
+outcome the same.
 """
 
 from dataclasses import replace
@@ -30,6 +33,7 @@ from ratepower.admission import (
     classify_users,
     escalate_pricing,
 )
+from ratepower.cli import main
 from ratepower.core import (
     ChannelModel,
     NoFeasibleRateError,
@@ -74,7 +78,8 @@ from ratepower.scenario import (
     sweep_lambda,
 )
 
-CROWDED_CELL = Path(__file__).resolve().parent.parent / "scenarios" / "crowded_cell.scn"
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+CROWDED_CELL = SCENARIO_DIR / "crowded_cell.scn"
 
 ROW_COLUMNS = ("assignment", "powers", "rates", "sinrs", "utilities")
 COLUMNS = ("iterations", "metrics") + ROW_COLUMNS
@@ -138,26 +143,26 @@ def assert_batch_is_serial(networks, config):
 
 @st.composite
 def batches(draw):
-    """K networks on one station count, each with its own user count and
-    priced on its own scale so their convergence lengths differ, and a config
-    that may stop some of them at max_iterations or fail them on a rate
-    ladder."""
+    """K (network, config) requests on one station count. Each network has
+    its own user count, 0-3 arrivals and its own delta and max_iterations,
+    and is priced on its own scale so their convergence lengths differ; the
+    settings they share may stop some of them at max_iterations or fail
+    them on a rate ladder."""
     k = draw(st.integers(1, 6))
     b = draw(st.sampled_from([1, 2, 4]))
     metric = draw(st.sampled_from([METRIC_RELATIVE, METRIC_ABSOLUTE]))
-    delta = 1e-9 if metric == METRIC_RELATIVE else draw(st.sampled_from([1e-3, 1.0]))
+    deltas = [1e-9, 1e-8] if metric == METRIC_RELATIVE else [1e-3, 1.0]
     ladder = draw(st.sampled_from(LADDERS[:2] + LADDERS[3:]))
-    config = ConvergenceConfig(
-        delta=delta,
-        max_iterations=draw(st.integers(1, 120)),
+    shared = ConvergenceConfig(
         metric=metric,
         policy=draw(st.sampled_from([CLAMP, KKT])),
         rate_set=ladder,
         quantize_at_convergence=ladder is not None and draw(st.booleans()),
     )
     distance = st.floats(20.0, 400.0)
-    networks = []
+    requests = []
     for _ in range(k):
+        config = replace(shared, delta=draw(st.sampled_from(deltas)), max_iterations=draw(st.integers(1, 120)))
         n = draw(st.integers(1, 6))
         d = draw(st.lists(distance, min_size=n * b, max_size=n * b))
         noise = draw(st.sampled_from([5e-15, 1e-12]))
@@ -172,15 +177,33 @@ def batches(draw):
                 for _ in range(n)
             ]
         )
-        networks.append(Network(ChannelModel(np.reshape(d, (n, b)), noise_w=noise), users))
-    return networks, config
+        arrivals = tuple(
+            ArrivalEvent(
+                iteration,
+                "late",
+                np.array(draw(st.lists(distance, min_size=b, max_size=b))),
+                UserTable(alpha2=[draw(st.sampled_from([12.9492, 20.0]))], lam=users.lam[:1]),
+            )
+            for iteration in draw(st.lists(st.integers(1, config.max_iterations), max_size=3))
+        )
+        channel = ChannelModel(np.reshape(d, (n, b)), noise_w=noise)
+        requests.append((Network(channel, users, arrivals=arrivals), config))
+    return requests
+
+
+def with_history(requests, history):
+    return [(network, replace(config, history=history)) for network, config in requests]
 
 
 class TestIterateBatch:
     @settings(max_examples=200, deadline=None)
     @given(batches())
-    def test_each_network_equals_its_serial_solve(self, drawn):
-        assert_batch_is_serial(*drawn)
+    def test_each_network_equals_its_serial_solve(self, requests):
+        # Arrival windows and networks of every stop rule step together.
+        for history in (HISTORY_LAST, HISTORY_FULL):
+            requests = with_history(requests, history)
+            for (network, config), outcome in zip(requests, engine._solve(requests)):
+                assert_same_outcome(outcome, serial(network, config))
 
     @pytest.mark.parametrize("policy", [CLAMP, KKT])
     def test_sequential_schedule_equals_serial_solves(self, policy):
@@ -293,6 +316,25 @@ class TestIterateBatch:
 
     def test_an_empty_batch_has_no_outcomes(self):
         assert iterate_batch([]) == []
+
+    def test_a_group_whose_loop_raises_is_solved_again_one_leg_at_a_time(self, monkeypatch):
+        # Snapped at convergence, b's rates fall below the ladder, which
+        # raises from the loop it shares with a's window up to its arrival.
+        # Each is then solved alone, and a's last leg plays in round 2.
+        config = ConvergenceConfig(rate_set=LADDERS[2], quantize_at_convergence=True)
+        walk = walk_with_arrival()
+        a = Network(walk.channel, walk.users, arrivals=tuple(walk.arrivals))
+        b = Network(
+            ChannelModel([[110.0, 400.0], [130.0, 380.0], [210.0, 300.0]]),
+            UserTable(alpha2=20.0, lam=[100.0] * 3),
+        )
+        calls = counted_loops(monkeypatch)
+        got = iterate_batch([a, b], config)
+        assert calls == [2, 1, 1, 1]
+        assert_same_outcome(got[0], serial(a, config))
+        assert_same_outcome(got[1], serial(b, config))
+        assert got[0].converged and len(got[0].segments) == 2
+        assert isinstance(got[1], NoFeasibleRateError)
 
     @pytest.mark.parametrize("history", [HISTORY_LAST, HISTORY_FULL])
     @pytest.mark.parametrize("ladder", [None, False, True])
@@ -566,16 +608,16 @@ class TestScenarioBatches:
         assert len(got) == len(want)
         for pair in zip(got, want):
             assert_same_run(*pair)
-        # One batch per station count: the four one-station runs, and
-        # fig4's 11 steps with the walk's 2 later ones; the walk's arrival
-        # step plays alone, as a window up to the arrival and a run from
-        # it. The order of independent solves within a round is not
-        # behaviour.
-        assert sorted(calls) == [1, 1, 4, 13]
+        # One batch per station count and round. Round 1: the four
+        # one-station runs, and fig4's 11 steps with the walk's 2 later ones
+        # and its window up to the arrival. Round 2: the walk's run from the
+        # arrival, alone. The order of independent solves within a round is
+        # not behaviour.
+        assert sorted(calls) == [1, 4, 14]
 
     def test_run_scenarios_raises_the_error_a_serial_loop_meets_first(self):
-        # As below: at price 1 a batched step falls below the ladder, at
-        # price 100 the arrival step, which runs alone, already does.
+        # As below: at price 1 a later step falls below the ladder, at
+        # price 100 the arrival step already does.
         scenario = walk_with_arrival(LADDERS[2])
         priced = [replace(scenario, pricing=PricingRule("constant", lam)) for lam in (1.0, 100.0)]
         for order in (priced, priced[::-1]):
@@ -605,11 +647,14 @@ class TestScenarioBatches:
         assert len(got) == len(want)
         for pair in zip(got, want):
             assert_same_run(*pair)
-        # One batch per (config, station count), 2 one-station and 13
-        # two-station networks each, except that the sequential schedule
-        # solves its 15 one at a time; the five arrival steps play alone,
-        # two windows each.
-        assert sorted(calls) == [1] * 25 + [2] * 4 + [13] * 4
+        # One batch per (config less its stop rule, station count) and
+        # round, so the default config and delta = 1e-6 share theirs. Round
+        # 1: 4 one-station networks for those two and 2 each for kkt and the
+        # ladder; 28 and 14 two-station ones (per config, fig4's 11 steps,
+        # the walk's 2 later ones and its window up to the arrival). Round
+        # 2: the walks' runs from the arrival, 2, 1 and 1. The sequential
+        # schedule solves its 17 legs one at a time.
+        assert sorted(calls) == [1] * 19 + [2] * 3 + [4] + [14] * 2 + [28]
         assert run_scenarios([]) == []
 
     def test_the_first_serial_error_may_come_from_a_later_config_group(self):
@@ -641,18 +686,30 @@ class TestScenarioBatches:
         assert reproduce(target).passed
         assert len(calls) == loops
 
-    def test_reproduce_all_solves_every_target_in_six_loops(self, monkeypatch):
+    def test_reproduce_all_solves_every_target_in_four_loops(self, monkeypatch):
         # Round 1 is one batch of the 22 default-config one-station runs of
-        # table1-4 and fig1-2, table1's first removal round and table3's two
-        # escalation windows of ESCALATION_WINDOW = 6 coefficients each (35
-        # networks); with it come table3's kkt rows, fig4's 11 steps and
-        # fig3's arrival run as two windows. Round 2 is table1's second
-        # removal round.
+        # table1-4 and fig1-2, table1's first removal round, table3's two
+        # escalation windows of ESCALATION_WINDOW = 6 coefficients each and
+        # fig3's window up to its arrival, under delta = 1e-8 (36 networks);
+        # with it come table3's kkt rows and fig4's 11 steps. Round 2 is
+        # table1's second removal round with fig3's run from the arrival.
         want = [reproduce(target).lines() for target in REPRODUCE_TARGETS]
-        calls = counted_loops(monkeypatch)
+        calls, sweeps = counted_loops(monkeypatch), counted_sweeps(monkeypatch)
         got = reproduce_many(REPRODUCE_TARGETS)
         assert [report.lines() for report in got] == want
-        assert sorted(calls) == [1, 1, 1, 2, 11, 35]
+        assert sorted(calls) == [2, 2, 11, 36]
+        assert sum(sweeps) == 113
+
+    def test_a_sweep_steps_its_arrival_windows_together(self, monkeypatch, capsys):
+        # Five prices of new_user.scn, whose fourth user arrives at
+        # iteration 20: one loop for the five windows up to the arrival and
+        # one for the five runs from it.
+        calls = counted_loops(monkeypatch)
+        argv = ["sweep-lambda", str(SCENARIO_DIR / "new_user.scn"), "--from", "1e-5", "--to", "1e-3", "--steps", "5"]
+        assert main(argv) == 0
+        assert calls == [5, 5]
+        # A header, then a row for each of the four users at each price.
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 5 * 4
 
     def test_an_unknown_target_is_refused_before_any_solve(self, monkeypatch):
         calls = counted_loops(monkeypatch)
@@ -696,7 +753,7 @@ class TestScenarioBatches:
     def test_a_sweep_raises_the_error_serial_runs_meet_first(self):
         # At price 1 the walk's far step falls below the ladder; at price 100
         # step 1 already does. A price-by-price loop meets the first, though
-        # the second comes from step 1, which plays its arrival alone.
+        # the second comes from step 1, whose arrival takes two rounds.
         scenario = walk_with_arrival(LADDERS[2])
         priced = [replace(scenario, pricing=PricingRule("constant", lam)) for lam in (1.0, 100.0)]
         errors = []
@@ -716,35 +773,18 @@ def histories(config):
 
 @st.composite
 def history_runs(draw):
-    """``batches()`` under either schedule; a single network may also take 1-3 arrivals."""
-    networks, config = draw(batches())
-    config = replace(config, schedule=draw(st.sampled_from([SYNCHRONOUS, SEQUENTIAL])))
-    arrivals = []
-    if len(networks) == 1:
-        b = networks[0].channel.n_stations
-        for iteration in sorted(draw(st.lists(st.integers(1, config.max_iterations), max_size=3))):
-            distances = np.array(draw(st.lists(st.floats(20.0, 400.0), min_size=b, max_size=b)))
-            user = UserTable(alpha2=[draw(st.sampled_from([12.9492, 20.0]))], lam=networks[0].users.lam[:1])
-            arrivals.append(ArrivalEvent(iteration, "late", distances, user))
-    return networks, config, arrivals
+    """``batches()`` under either schedule."""
+    schedule = draw(st.sampled_from([SYNCHRONOUS, SEQUENTIAL]))
+    return [(network, replace(config, schedule=schedule)) for network, config in draw(batches())]
 
 
 class TestHistory:
     @settings(max_examples=200, deadline=None)
     @given(history_runs())
-    def test_last_history_is_the_full_traces_last_rows(self, drawn):
-        networks, config, arrivals = drawn
-        last, full = histories(config)
-        if arrivals:
-            (network,) = networks
-            outcomes = [
-                solved(lambda c=c: iterate_to_convergence(network.channel, network.users, c, arrivals=arrivals))
-                for c in (last, full)
-            ]
-            assert_same_outcome(*outcomes, last_rows=True)
-        else:
-            for pair in zip(iterate_batch(networks, last), iterate_batch(networks, full)):
-                assert_same_outcome(*pair, last_rows=True)
+    def test_last_history_is_the_full_traces_last_rows(self, requests):
+        last, full = (engine._solve(with_history(requests, h)) for h in (HISTORY_LAST, HISTORY_FULL))
+        for pair in zip(last, full):
+            assert_same_outcome(*pair, last_rows=True)
 
     @pytest.mark.parametrize("schedule", [SYNCHRONOUS, SEQUENTIAL])
     @pytest.mark.parametrize("policy", [CLAMP, KKT])

@@ -405,6 +405,21 @@ class TestIterateToConvergence:
         with pytest.raises(ValueError, match="iteration 80 comes after max_iterations = 50"):
             iterate_to_convergence(channel, users, config=config, arrivals=[at_end, late])
 
+    @pytest.mark.parametrize("history", [HISTORY_LAST, HISTORY_FULL])
+    def test_a_window_plays_whole_past_convergence(self, history):
+        # Alone the pair converges well before iteration 80; with an arrival
+        # there, delta is not tested until it fires.
+        channel = ChannelModel([110.0, 130.0])
+        users = UserTable(alpha2=[20.0, 20.0])
+        config = ConvergenceConfig(history=history)
+        alone = iterate_to_convergence(channel, users, config=config)
+        assert alone.converged and alone.iterations_used < 79
+        late = ArrivalEvent(80, "late", np.array([150.0]), UserTable(alpha2=[20.0]))
+        trace = iterate_to_convergence(channel, users, config=config, arrivals=[late])
+        window, rest = trace.segments
+        assert list(window.iterations) == list(range(1, 80))
+        assert rest.iterations[0] == 80 and trace.converged and trace.iterations_used > 80
+
     def test_fixed_point_residual_small_at_convergence(self):
         # Table 3's users end at their power cap, where the clamp hides the
         # interference; the three users of two stations end inside their boxes.
