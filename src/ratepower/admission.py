@@ -9,12 +9,15 @@ one ``ConvergenceConfig``. A user counts as at target when its SINR lies
 within the relative band ``AT_TARGET_TOL`` of its target.
 
 Each loop is a chain, a generator that yields the (network, config) pairs
-one round needs (an escalation window, a removal round) and is sent their
-outcomes; ``escalate_pricing`` and ``removal_loop`` drive one chain with
-``engine._drive``, and ``reference`` drives them with its scenario runs. An
-escalation window is an ordered ``engine._Window`` whose test is the
-classification ``classify_users`` makes, so the engine stops stepping the
-window once its answer is known.
+one round needs and is sent their outcomes; ``escalate_pricing`` and
+``removal_loop`` drive one chain with ``engine._drive``, and ``reference``
+drives them with its scenario runs. Each round is an ordered
+``engine._Window`` that the engine stops stepping once its answer is known:
+up to ``ESCALATION_WINDOW`` coefficients, or the survivors less 0 and 1
+predicted removals (``REMOVAL_WINDOW``; by best gain over target SINR, then
+by the last read SINR-to-target ratio), answered at nobody below target or
+at another removal than predicted. Errors past the answer do not surface;
+the sequential schedule solves one network a round.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ AT_TARGET_TOL = 1e-3
 # Coefficients escalation solves together as one batch under the
 # synchronous schedule; those after the answer stop stepping at it.
 ESCALATION_WINDOW = 6
+
+# Networks a synchronous removal round solves together; wider windows slow
+# cells that lose one user (every shipped scenario), stepping to the answer.
+REMOVAL_WINDOW = 2
 
 
 class NotConvergedError(RuntimeError):
@@ -132,7 +139,7 @@ def _escalation(channel, users, rule, config=None, max_steps=40):
 
     targets = _require_table(users).target_sinrs(channel.bandwidth_hz)
 
-    def achieved(sinrs) -> bool:
+    def achieved(_, sinrs) -> bool:
         return BELOW_TARGET not in _outcomes(sinrs, targets)
 
     tested: list[float] = []
@@ -179,29 +186,60 @@ def removal_loop(
     The user with the worst achieved-to-target SINR ratio goes first; after
     each removal the game is re-solved under ``config`` over the survivors.
     Terminates in at most len(users) rounds.
+
+    Under the synchronous schedule a round solves ``REMOVAL_WINDOW``
+    networks as one batch, the survivors less 0, 1, ... predicted removals
+    (see the module docstring), read while each removal is the predicted
+    one; the rest are not awaited, and their errors do not surface. What is
+    reported, raised included, is what the serial loop gives.
     """
     (result,) = _drive([_removal(channel, users, config)])
     return result
 
 
+def _worst(outcomes, sinrs, targets):
+    # The index of the below-target user with the worst SINR-to-target
+    # ratio, the one the loop removes, or None when nobody is below target.
+    below = [k for k, o in enumerate(outcomes) if o == BELOW_TARGET]
+    return min(below, key=lambda k: sinrs[k] / targets[k]) if below else None
+
+
 def _removal(channel, users, config=None):
     # ``removal_loop`` as a chain for ``engine._drive``: each round yields
-    # the survivors' network.
+    # a window of the survivors less 0, 1, ... predicted removals.
     config = config if config is not None else ConvergenceConfig()
-    active = list(range(len(_require_table(users))))
+    width = REMOVAL_WINDOW if config.schedule == SYNCHRONOUS else 1
+    targets = _require_table(users).target_sinrs(channel.bandwidth_hz)
+    active = list(range(len(users)))
+    # The prediction, lowest first: the best gain over the target, at first.
+    ratios = channel.subset(active).gains.max(axis=1) / targets if active else None
     removed: list[int] = []
     while active:
-        ch = channel.subset(active)
-        us = users[active]
-        (trace,) = yield [(Network(ch, us), config)]
-        if isinstance(trace, Exception):
-            raise trace
-        targets = us.target_sinrs(ch.bandwidth_hz)
-        outcomes = classify_users(trace, targets)
-        below = [k for k, o in enumerate(outcomes) if o == BELOW_TARGET]
-        if not below:
-            return RemovalResult(removed, active, trace, False)
-        sinrs = trace.final_sinrs
-        worst = min(below, key=lambda k: sinrs[k] / targets[k])
-        removed.append(active.pop(worst))
+        predicted = sorted(active, key=ratios.__getitem__)[: min(width, len(active)) - 1]
+        members = [active]
+        for k in predicted:
+            members.append([i for i in members[-1] if i != k])
+
+        def ends(j, worst):
+            # Whether member j + 1 is not the network the loop solves next.
+            return j == len(predicted) or worst is None or members[j][worst] != predicted[j]
+
+        def accept(j, sinrs):
+            t = targets[members[j]]
+            return ends(j, _worst(_outcomes(sinrs, t), sinrs, t))
+
+        requests = [(Network(channel.subset(m), users[m]), config) for m in members]
+        outcomes = yield _Window(requests, accept)
+        for j, (member, trace) in enumerate(zip(members, outcomes)):
+            if isinstance(trace, Exception):
+                raise trace
+            t, sinrs = targets[member], trace.final_sinrs
+            worst = _worst(classify_users(trace, t), sinrs, t)
+            if worst is None:
+                return RemovalResult(removed, member, trace, False)
+            ratios[member] = sinrs / t
+            removed.append(member[worst])
+            active = member[:worst] + member[worst + 1 :]
+            if ends(j, worst):
+                break
     return RemovalResult(removed, [], None, True)

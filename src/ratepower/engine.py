@@ -549,10 +549,11 @@ class _Window(list):
 
     The answer is the first outcome that ends the reading: an error, a run
     that did not converge, or a converged run whose reported row passes
-    ``accept``, which is given that row's SINRs (rates snapped first under
-    ``quantize_at_convergence``). The requests after an accepted one are not
-    awaited: they stop holding their lockstep loop open once it meets
-    delta, and their outcomes, which the chain does not read, may be None.
+    ``accept``, which is given the request's position in the window and that
+    row's SINRs (rates snapped first under ``quantize_at_convergence``). The
+    requests after an accepted one are not awaited: they stop holding their
+    lockstep loop open once it meets delta, and their outcomes, which the
+    chain does not read, may be None.
     """
 
     def __init__(self, requests, accept):
@@ -654,6 +655,8 @@ def _batch(legs, tags) -> list:
     for ks in groups.values():
         solved = None
         if len(ks) > 1:
+            # By user count, so each size's networks lie side by side (``_totals``).
+            ks.sort(key=lambda k: len(legs[k].users))
             solved = _attempt(_loop, [legs[k] for k in ks], [tags[k] for k in ks])
         if not isinstance(solved, list):
             # Alone, a leg has no window-mates to stop waiting for.
@@ -727,7 +730,7 @@ def _loop(legs, tags=None) -> list:
         noise = np.array([channel.noise_w for channel in channels]).repeat(sizes)[:, None]
         bandwidth = np.array([channel.bandwidth_hz for channel in channels]).repeat(sizes)
         groups = _size_groups(gains, starts, sizes)
-        owner = np.arange(blocks).repeat(sizes)  # each column's network
+        owner = groups[2]  # each column's network
     ids = np.arange(state.shape[1])
     plain = None if config.schedule == SYNCHRONOUS else _plain(g, table, kkt)
     # Every step's per-network metrics, and under full history the batch's
@@ -769,7 +772,7 @@ def _loop(legs, tags=None) -> list:
             rates = config.rate_set.snap(rates)
         reffs = current_reffs()[ids[span], assignment[span]]
         b = bandwidth[span] if blocks > 1 else bandwidth
-        return tags[k][0].accept(_sinrs(b, rates, state[0, span], reffs))
+        return tags[k][0].accept(tags[k][1], _sinrs(b, rates, state[0, span], reffs))
 
     step = 0
     while waiting:
@@ -868,37 +871,36 @@ def _station_reffs(g: np.ndarray, noise, powers: np.ndarray, totals: np.ndarray)
     return (totals - g * powers[:, None] + noise) / g
 
 
-def _size_groups(gains: list, starts: np.ndarray, sizes: np.ndarray) -> tuple[list, np.ndarray]:
-    # The batch's networks grouped by user count, for ``_totals``: each
-    # group's users' columns as a (K x n) index array with its gains as one
-    # (K x n x stations) stack, and each user's row among the groups'
-    # products, laid end to end.
-    groups: dict[int, list[int]] = {}
-    for k, n in enumerate(sizes.tolist()):
-        groups.setdefault(n, []).append(k)
-    stacks = [
-        (starts[ks][:, None] + np.arange(n), np.stack([gains[k] for k in ks]))
-        for n, ks in groups.items()
-    ]
-    # The inverse of the group order, by a scatter: ``np.argsort``'s first
-    # call alone grows the resident set by about 0.4 MB.
-    rows = np.empty(len(sizes), dtype=int)
-    rows[[k for ks in groups.values() for k in ks]] = np.arange(len(sizes))
-    return stacks, rows.repeat(sizes)
+def _size_groups(gains: list, starts: np.ndarray, sizes: np.ndarray) -> tuple:
+    # The batch's networks in runs of equal user count, for ``_totals``;
+    # ``_batch`` orders a loop's legs by user count, so each size is one
+    # run. A run's K networks of n users own one slice of the state's
+    # columns, which reshapes to a (K x 1 x n) view, and one slice of a
+    # (networks x 1 x stations) buffer, which its stacked product is
+    # written into (``out=``); then each user's network picks its totals.
+    runs, k = [], 0
+    buf = np.empty((len(sizes), 1, gains[0].shape[1]))
+    for n, run in itertools.groupby(sizes.tolist()):
+        m = len(list(run))
+        cols = slice(int(starts[k]), int(starts[k]) + m * n)
+        runs.append((cols, (m, 1, n), np.stack(gains[k : k + m]), buf[k : k + m]))
+        k += m
+    return runs, buf, np.arange(len(sizes)).repeat(sizes)
 
 
 def _totals(powers: np.ndarray, gains: list, groups) -> np.ndarray:
-    # The station totals each user sees: its own network's ``p @ g``. The
-    # networks of one size form one stacked (K x 1 x n) @ (K x n x stations)
-    # product, which makes for each network the BLAS call its product alone
-    # makes, on C-ordered gains, so each network's totals keep its bits. One
-    # network (``groups`` None) has its totals broadcast over its users as
-    # they are.
+    # The station totals each user sees: its own network's ``p @ g``. A run
+    # of networks of one size forms one stacked (K x 1 x n) @ (K x n x
+    # stations) product into its buffer rows, which makes for each network
+    # the BLAS call its product alone makes, on C-ordered gains and
+    # C-ordered views, so each network's totals keep its bits. One network
+    # (``groups`` None) has its totals broadcast over its users as they are.
     if groups is None:
         return powers @ gains[0]
-    stacks, rows = groups
-    products = [(powers[cols][:, None] @ g)[:, 0] for cols, g in stacks]
-    return (products[0] if len(products) == 1 else np.concatenate(products))[rows]
+    runs, buf, owner = groups
+    for cols, shape, g, out in runs:
+        np.matmul(powers[cols].reshape(shape), g, out=out)
+    return buf[owner, 0]
 
 
 def _spans(sizes: list) -> tuple[np.ndarray, np.ndarray, list[slice]]:

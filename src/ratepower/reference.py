@@ -10,8 +10,8 @@ experiment's runs and adaptive solves are chains that ``engine._drive``
 steps together, one batch per round, station count and config less its
 stop rule (``delta`` and ``max_iterations``), so round 1 of ``all`` solves
 table1-4's and fig1-2's 22 one-station runs under the default config,
-table1's first removal round, table3's two escalation windows and fig3's
-window up to its arrival as one batch of 36 networks.
+table1's removal window (both of its rounds), table3's two escalation
+windows and fig3's window up to its arrival as one batch of 37 networks.
 """
 
 from __future__ import annotations

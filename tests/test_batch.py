@@ -1,5 +1,5 @@
-"""Lockstep batches against serial solves, the escalation window against a
-serial escalation, and "last" history against "full".
+"""Lockstep batches against serial solves, the escalation and removal
+windows against serial loops, and "last" history against "full".
 
 ``iterate_batch`` steps K independent networks, each with its own user
 count, in one loop per station count and round; a network with arrivals
@@ -11,12 +11,15 @@ exception with the same message; ``run_scenarios`` must likewise give each
 scenario's ``run_scenario``. The escalation window solves the next few
 coefficients as one batch and reads them in order, and stops stepping them
 at its answer; what it reports and raises must be what testing one
-coefficient at a time gives, which ``serial_escalation`` below restates. A
-solve under "last" history keeps each segment's last row only; it must be
-the "full" trace's last row, bit for bit, with every other field of the
-outcome the same.
+coefficient at a time gives, which ``serial_escalation`` below restates.
+Likewise a removal window solves the survivors less the next few predicted
+removals, and must report and raise what removing one user per solve gives
+(``serial_removal``). A solve under "last" history keeps each segment's
+last row only; it must be the "full" trace's last row, bit for bit, with
+every other field of the outcome the same.
 """
 
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,10 +31,13 @@ from ratepower import admission, engine
 from ratepower.admission import (
     BELOW_TARGET,
     ESCALATION_WINDOW,
+    REMOVAL_WINDOW,
     EscalationResult,
     NotConvergedError,
+    RemovalResult,
     classify_users,
     escalate_pricing,
+    removal_loop,
 )
 from ratepower.cli import main
 from ratepower.core import (
@@ -455,9 +461,37 @@ class TestSizeGroups:
     def test_the_grouped_product_equals_each_networks_own(self, drawn):
         gains, powers = drawn
         sizes, starts, spans = engine._spans([len(g) for g in gains])
-        got = engine._totals(powers, gains, engine._size_groups(gains, starts, sizes))
+        groups = engine._size_groups(gains, starts, sizes)
+        got = engine._totals(powers, gains, groups)
         want = np.array([powers[span] @ g for span, g in zip(spans, gains)]).repeat(sizes, axis=0)
         assert got.tobytes() == want.tobytes()
+        # Unsorted sizes still give each network its totals: each run of
+        # equal sizes forms its own group.
+        runs = [n for n, _ in itertools.groupby(sizes.tolist())]
+        assert [shape[2] for _, shape, _, _ in groups[0]] == runs
+
+    def test_batch_hands_the_loop_each_group_by_size(self, monkeypatch):
+        # Ragged one- and two-station networks, listed out of size order:
+        # each loop call gets its legs in nondecreasing size order, a stable
+        # sort, and every outcome still lands in its request's place.
+        rng = np.random.default_rng(32)
+        shapes = [(5, 1), (2, 1), (7, 2), (2, 2), (3, 1), (5, 1), (1, 2), (2, 1)]
+        networks = [
+            Network(ChannelModel(rng.uniform(20.0, 400.0, shape)), UserTable(alpha2=20.0, lam=[1e-5] * shape[0]))
+            for shape in shapes
+        ]
+        sizes, loop = [], engine._loop
+
+        def spy(legs, *args, **kwargs):
+            sizes.append([len(leg.users) for leg in legs])
+            return loop(legs, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_loop", spy)
+        assert_batch_is_serial(networks, None)
+        assert sizes[:2] == [[2, 2, 3, 5, 5], [1, 2, 7]]
+        sizes.clear()
+        reproduce_many(REPRODUCE_TARGETS)
+        assert len(sizes) == 4 and all(s == sorted(s) for s in sizes)
 
 
 def chain(log, name, rounds, fail_at=None):
@@ -688,17 +722,18 @@ class TestScenarioBatches:
 
     def test_reproduce_all_solves_every_target_in_four_loops(self, monkeypatch):
         # Round 1 is one batch of the 22 default-config one-station runs of
-        # table1-4 and fig1-2, table1's first removal round, table3's two
-        # escalation windows of ESCALATION_WINDOW = 6 coefficients each and
-        # fig3's window up to its arrival, under delta = 1e-8 (36 networks);
-        # with it come table3's kkt rows and fig4's 11 steps. Round 2 is
-        # table1's second removal round with fig3's run from the arrival.
+        # table1-4 and fig1-2, table1's removal window (its three users, then
+        # less u3, its answer), table3's two escalation windows of
+        # ESCALATION_WINDOW = 6 coefficients each and fig3's window up to its
+        # arrival, under delta = 1e-8 (37 networks); with it come table3's
+        # kkt rows and fig4's 11 steps.
+        # Round 2 is fig3's run from the arrival, alone.
         want = [reproduce(target).lines() for target in REPRODUCE_TARGETS]
         calls, sweeps = counted_loops(monkeypatch), counted_sweeps(monkeypatch)
         got = reproduce_many(REPRODUCE_TARGETS)
         assert [report.lines() for report in got] == want
-        assert sorted(calls) == [2, 2, 11, 36]
-        assert sum(sweeps) == 113
+        assert sorted(calls) == [1, 2, 11, 37]
+        assert sum(sweeps) == 106
 
     def test_a_sweep_steps_its_arrival_windows_together(self, monkeypatch, capsys):
         # Five prices of new_user.scn, whose fourth user arrives at
@@ -1015,6 +1050,159 @@ class TestEscalationWindow:
             monkeypatch.setattr(admission, "ESCALATION_WINDOW", width)
             assert_escalation_is_serial(*table3_escalation())
             assert_escalation_is_serial(*table3_escalation(), ConvergenceConfig(max_iterations=12))
+
+
+def serial_removal(channel, users, config=None):
+    """Removal one user per solve, the loop the window must agree with."""
+    weights = zip(users.alpha1.tolist(), users.alpha2.tolist())
+    targets = np.array([target_sinr(a1, a2, channel.bandwidth_hz) for a1, a2 in weights])
+    active, removed = list(range(len(users))), []
+    while active:
+        trace = iterate_to_convergence(channel.subset(active), users[active], config)
+        outcomes = classify_users(trace, targets[active])
+        below = [k for k, o in enumerate(outcomes) if o == BELOW_TARGET]
+        if not below:
+            return RemovalResult(removed, active, trace, False)
+        ratios = trace.final_sinrs / targets[active]
+        removed.append(active.pop(min(below, key=ratios.__getitem__)))
+    return RemovalResult(removed, [], None, True)
+
+
+def assert_removal_is_serial(channel, users, config=None):
+    try:
+        want = serial_removal(channel, users, config)
+    except (ValueError, NotConvergedError) as exc:
+        with pytest.raises(type(exc)) as got:
+            removal_loop(channel, users, config)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return exc
+    got = removal_loop(channel, users, config)
+    assert (got.removed, got.remaining, got.empty_network) == (want.removed, want.remaining, want.empty_network)
+    if want.trace is None:
+        assert got.trace is None
+    else:
+        assert_same_outcome(got.trace, want.trace)
+    return got
+
+
+def overloaded_cell(n, seed=0, noise_w=5e-15):
+    """three_users.scn's constants for n users at U(50, 400) m from one station."""
+    rng = np.random.default_rng(seed)
+    channel = ChannelModel(rng.uniform(50.0, 400.0, n), noise_w=noise_w)
+    users = UserTable(alpha1=1e6, alpha2=[20.0] * n, lam=1e-5, p_max=3.0, r_max=47000.0)
+    return channel, users
+
+
+class TestRemovalWindow:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(1, 3),
+        st.sampled_from([SYNCHRONOUS, SEQUENTIAL]),
+        st.sampled_from([CLAMP, KKT]),
+        st.sampled_from([5e-15, 0.0]),
+        st.sampled_from([None, 28, 33]),
+        st.sampled_from([REMOVAL_WINDOW, 4, 6]),
+    )
+    def test_random_overloaded_cells_match_serial_removal(self, seed, n, b, schedule, policy, noise, budget, width):
+        # Mixed targets and power caps put several users below target and
+        # make some predictions miss; zero noise refuses a one-user network
+        # at entry, and most rounds need 25-35 iterations, so a budget of 28
+        # or 33 leaves some unconverged, before or past a window's answer.
+        # Every width gives the serial answer; the constant only sets how
+        # many networks a round solves together.
+        rng = np.random.default_rng(seed)
+        channel = ChannelModel(rng.uniform(50.0, 400.0, (n, b)), noise_w=noise)
+        users = UserTable(
+            alpha1=1e6,
+            alpha2=rng.choice([12.9492, 16.0, 20.0, 25.0], n),
+            lam=1e-5,
+            p_max=rng.uniform(0.05, 3.0, n),
+            r_max=47000.0,
+        )
+        config = ConvergenceConfig(schedule=schedule, policy=policy, max_iterations=budget or 500)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(admission, "REMOVAL_WINDOW", width)
+            assert_removal_is_serial(channel, users, config)
+
+    @pytest.mark.parametrize(
+        "width, n, loops",
+        [(REMOVAL_WINDOW, 20, 9), (REMOVAL_WINDOW, 40, 19), (REMOVAL_WINDOW, 80, 39)]
+        + [(6, 20, 3), (6, 40, 7), (6, 80, 13)],
+    )
+    def test_an_overloaded_cell_removes_a_window_a_loop(self, width, n, loops, monkeypatch):
+        # Every prediction holds, so each loop call serves ``width`` serial
+        # rounds: 18, 38 and 78 rounds, one loop call each, at width 1.
+        monkeypatch.setattr(admission, "REMOVAL_WINDOW", width)
+        channel, users = overloaded_cell(n)
+        want = serial_removal(channel, users)
+        calls = counted_loops(monkeypatch)
+        got = removal_loop(channel, users)
+        assert len(calls) == loops
+        assert (got.removed, got.remaining) == (want.removed, want.remaining)
+        assert len(got.removed) == n - 3
+        assert_same_outcome(got.trace, want.trace)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_the_sequential_schedule_solves_one_network_a_round(self, n, monkeypatch):
+        channel, users = overloaded_cell(n)
+        config = ConvergenceConfig(schedule=SEQUENTIAL)
+        calls = counted_loops(monkeypatch)
+        got = removal_loop(channel, users, config)
+        assert calls == [1] * (len(got.removed) + 1)
+
+    def test_table1_removes_u3_in_one_round(self, monkeypatch):
+        # The best gain over target names u3 first; its removal is the one
+        # predicted, and the two survivors, nobody below target, answer the
+        # window.
+        scenario = table1_scenario(1e-5)
+        calls, sweeps = counted_loops(monkeypatch), counted_sweeps(monkeypatch)
+        got = removal_loop(scenario.channel, scenario.users)
+        assert (got.removed, got.remaining) == ([2], [0, 1])
+        assert calls == [REMOVAL_WINDOW] and sweeps == [35]
+
+    def test_a_lone_zero_noise_user_past_the_answer_does_not_surface(self, monkeypatch):
+        # Under zero noise a one-user network is refused at entry. Two users
+        # both at target answer the window before its lone member; at width
+        # 3, of three users, user 0 goes as predicted and the two survivors
+        # answer before the last.
+        for width, n, removed in ((REMOVAL_WINDOW, 2, []), (3, 3, [0])):
+            monkeypatch.setattr(admission, "REMOVAL_WINDOW", width)
+            channel, users = overloaded_cell(n, noise_w=0.0)
+            got = assert_removal_is_serial(channel, users)
+            assert got.removed == removed and len(got.remaining) == 2
+
+    def test_a_lone_zero_noise_user_the_serial_loop_reaches_surfaces(self):
+        channel = ChannelModel([60.0, 390.0], noise_w=0.0)
+        users = UserTable(alpha1=1e6, alpha2=[20.0, 25.0], lam=1e-5, p_max=[3.0, 0.01], r_max=47000.0)
+        exc = assert_removal_is_serial(channel, users)
+        assert str(exc) == "a lone user with zero noise has no positive fixed point"
+
+    def test_non_convergence_past_the_answer_does_not_surface(self, monkeypatch):
+        # The first window's networks of 5 and 4 users converge in 11 and 23
+        # iterations; in the second, the 3 users' run converges in 27 and is
+        # the answer, and the two-user one past it would need 35. With a
+        # budget of 27 the loop drops it unconverged; with 26 the answer
+        # itself does not converge.
+        channel, users = overloaded_cell(5, seed=194)
+        outcomes, loop = [], engine._loop
+
+        def spy(legs, *args, **kwargs):
+            traces = loop(legs, *args, **kwargs)
+            outcomes.extend((len(leg.users), t and t.iterations_used) for leg, t in zip(legs, traces))
+            return traces
+
+        monkeypatch.setattr(engine, "_loop", spy)
+        got = assert_removal_is_serial(channel, users, ConvergenceConfig(max_iterations=27))
+        assert (got.removed, got.remaining) == ([1, 0], [2, 3, 4])
+        assert sorted(outcomes[-4:]) == [(2, None), (3, 27), (4, 23), (5, 11)]
+        # Users 2 and 4, what is left once user 3 goes next as predicted.
+        alone = iterate_to_convergence(channel.subset([2, 4]), users[[2, 4]], ConvergenceConfig(max_iterations=27))
+        assert not alone.converged
+        exc = assert_removal_is_serial(channel, users, ConvergenceConfig(max_iterations=26))
+        assert str(exc).startswith("run did not converge within 26 iterations")
 
 
 class TestPricedUsers:

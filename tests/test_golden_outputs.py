@@ -20,7 +20,9 @@ scenario under both schedules (the scenario is rewritten with its
 that tests eight coefficients, under both schedules, in full and with a
 budget of three steps. ``tune-pricing --dc 1e-5`` stdout is pinned on
 ``crowded_cell.scn`` and on the synchronous two-station network; both
-escalate over several windows.
+escalate over several windows. ``remove-loop`` stdout is pinned under both
+schedules on a 40-user one-station and a 12-user two-station overloaded
+cell written by this module, which remove 38 and 8 users one at a time.
 A change that is meant to leave outputs alone must keep every digest; one
 that changes an output on purpose says so and re-pins that entry.
 ``PYTHONPATH=src python tests/test_golden_outputs.py`` prints the current
@@ -305,6 +307,56 @@ LARGE_N_GOLDEN = {
 }
 
 
+# Overloaded cells that remove many users, one at a time, with the
+# constants of three_users.scn: a one-station cell of 40 users spread over
+# 50-400 m with four targets, and a two-station cell of 12 users spread
+# between the stations with three targets. remove-loop drops 38 and 8 users.
+REMOVAL_NETWORKS = {"one-station 40": 40, "two-station 12": 12}
+REMOVAL_ALPHA2 = (20.0, 16.0, 25.0, 12.9492)
+
+
+def removal_text(name: str, schedule: str) -> str:
+    n = REMOVAL_NETWORKS[name]
+    parts = [
+        "[network]\nbandwidth_hz = 1e6\nnoise_w = 5e-15\n"
+        "pathloss_exponent = 4\nshadowing = 0.097\n"
+    ]
+    for j in range(n):
+        if n == 40:
+            k = (17 * j) % n
+            distances = repr(50.0 + 350.0 * (k + ((29 * k) % 31) / 31) / n)
+            alpha2 = REMOVAL_ALPHA2[(3 * k) % 4]
+        else:
+            k = (5 * j) % n
+            d1 = 60.0 + 440.0 * ((7 * k) % n + 0.37) / n
+            distances = f"{d1!r} {560.0 - d1 + 30.0 * ((3 * k) % 5)!r}"
+            alpha2 = REMOVAL_ALPHA2[k % 3]
+        parts.append(
+            f"[user u{k:02d}]\ndistances_m = {distances}\nalpha1 = 1e6\n"
+            f"alpha2 = {alpha2!r}\nlambda = 1e-5\np_max = 3\nr_max = 47000\n"
+        )
+    parts.append(f"[run]\nschedule = {schedule}\n")
+    return "\n".join(parts)
+
+
+def _removal_digests(tmp: Path) -> dict[str, str]:
+    outputs = {}
+    for name in REMOVAL_NETWORKS:
+        for schedule in SCHEDULES:
+            path = tmp / "removal.scn"
+            path.write_text(removal_text(name, schedule))
+            outputs[f"remove-loop {name} {schedule}"] = _call(["remove-loop", str(path)])
+    return {key: hashlib.sha256(data).hexdigest() for key, data in outputs.items()}
+
+
+REMOVAL_GOLDEN = {
+    "remove-loop one-station 40 synchronous": "9bd0f5d016b2d71a6448e3c510ad27d18faa770d0ff4d4a4d9cc481662c1ce29",
+    "remove-loop one-station 40 sequential": "8fdcf03ce1652cb7e0649d12d35caa1ab9df6f0bbcacdefdf5a96ba6b98e03e1",
+    "remove-loop two-station 12 synchronous": "0a9a41f5473d19758d00d58a5426d17f5fbb1c83390f751d24c0b0d09f07e7e4",
+    "remove-loop two-station 12 sequential": "867ca4ffffc289f05b7a3baababd628da753dad85c031899c87bfd9938327d3e",
+}
+
+
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
     return _digests(tmp_path_factory.mktemp("golden"))
@@ -313,6 +365,11 @@ def digests(tmp_path_factory):
 @pytest.fixture(scope="module")
 def large_n_digests(tmp_path_factory):
     return _large_n_digests(tmp_path_factory.mktemp("golden_large_n"))
+
+
+@pytest.fixture(scope="module")
+def removal_digests(tmp_path_factory):
+    return _removal_digests(tmp_path_factory.mktemp("golden_removal"))
 
 
 def test_every_output_is_pinned(digests):
@@ -333,10 +390,19 @@ def test_large_n_output_is_unchanged(large_n_digests, key):
     assert large_n_digests[key] == LARGE_N_GOLDEN[key]
 
 
+def test_every_removal_output_is_pinned(removal_digests):
+    assert sorted(removal_digests) == sorted(REMOVAL_GOLDEN)
+
+
+@pytest.mark.parametrize("key", sorted(REMOVAL_GOLDEN))
+def test_removal_output_is_unchanged(removal_digests, key):
+    assert removal_digests[key] == REMOVAL_GOLDEN[key]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for table in (_digests(Path(tmp)), _large_n_digests(Path(tmp))):
+        for table in (_digests(Path(tmp)), _large_n_digests(Path(tmp)), _removal_digests(Path(tmp))):
             for key, digest in table.items():
                 print(f'    "{key}": "{digest}",')
