@@ -61,12 +61,14 @@ them so), and each network has its own step metric, so each network's
 trace equals its solve alone, bit for bit. Every network steps to the
 batch's end and keeps its rows up to its own convergence: each is its own
 fixed-point iteration, so stepping a converged network on changes no
-other. The loop takes each network's first iteration, window end,
-``delta`` and ``max_iterations``, so a batch groups its networks by
-station count and by their config less that stop rule, and each window of
-a network with arrivals steps in the lockstep round of its turn. Only
-under the sequential sweep, a per-user loop that lockstep does not speed
-up, does each network play alone.
+other. Under "last" history the loop fills one end row, a copy of the
+first row any network ends at, into which each network that ends later
+writes its own span. The loop takes each network's first iteration,
+window end, ``delta`` and ``max_iterations``, so a batch groups its
+networks by station count and by their config less that stop rule, and
+each window of a network with arrivals steps in the lockstep round of its
+turn. Only under the sequential sweep, a per-user loop that lockstep does
+not speed up, does each network play alone.
 
 Solves that depend on earlier ones (escalation windows, removal rounds, a
 scenario's steps) are written as chains, generators that yield each round's
@@ -74,7 +76,9 @@ scenario's steps) are written as chains, generators that yield each round's
 several chains together, plays each of their requests as a chain of legs,
 solves every round's legs with one ``_batch``, and raises the error running
 them one after another meets first. A round may be an ordered ``_Window``
-with a test of a converged row's SINRs: the loop applies it when a member
+with a test of a converged row's SINRs. Each leg of a member of a window of
+two or more carries the window and the member's position as its ``tag``; a
+window of one is untagged. The loop applies the test when a tagged network
 first meets delta, and once a member passes, the members after it are not
 waited for.
 """
@@ -487,6 +491,8 @@ class _Leg:
     users' initial strategies on station 0. It plays iterations ``first`` to
     ``last`` whole, as the window before an arrival, or with no ``last``
     until it meets ``config.delta`` or reaches ``config.max_iterations``.
+    ``tag`` is the ``_Window`` of two or more its request belongs to and its
+    position there, or None: a window of one is untagged.
     """
 
     channel: ChannelModel
@@ -496,18 +502,20 @@ class _Leg:
     assignment: np.ndarray | None = None
     first: int = 1
     last: int | None = None
+    tag: tuple | None = None
 
 
-def _play(network: Network, config, initial_assignment=None):
+def _play(network: Network, config, initial_assignment=None, tag=None):
     """One network's run as a chain of legs; returns its trace or the error it met.
 
     The chain yields a ``_Leg`` for the window before each arrival group,
-    then one under the stop rule, and is sent each leg's outcome: a trace,
-    the ValueError its loop raised, or None past a ``_Window``'s answer,
-    which ends the run with that outcome. Between windows it grows the
-    network: the window's last row, with the newcomers appended at their
-    initial strategies on station 0, starts the grown network, which the
-    rule prices again. Entry refusals and pricing errors are returned too.
+    then one under the stop rule, each carrying ``tag``, and is sent each
+    leg's outcome: a trace, the ValueError its loop raised, or None past a
+    ``_Window``'s answer, which ends the run with that outcome. Between
+    windows it grows the network: the window's last row, with the newcomers
+    appended at their initial strategies on station 0, starts the grown
+    network, which the rule prices again. Entry refusals and pricing errors
+    are returned too.
     """
     try:
         network = _enter(network, config)
@@ -520,7 +528,7 @@ def _play(network: Network, config, initial_assignment=None):
     for t, group in itertools.groupby(network.arrivals, key=lambda ev: ev.iteration):
         if t > done + 1:
             # No run converges while an arrival is pending: the window plays whole.
-            window = yield _Leg(channel, users, config, state, assignment, done + 1, t - 1)
+            window = yield _Leg(channel, users, config, state, assignment, done + 1, t - 1, tag)
             if not isinstance(window, IterationTrace):
                 return window
             segments += window.segments
@@ -538,7 +546,7 @@ def _play(network: Network, config, initial_assignment=None):
         except ValueError as exc:
             return exc
         done = t - 1
-    trace = yield _Leg(channel, users, config, state, assignment, done + 1)
+    trace = yield _Leg(channel, users, config, state, assignment, done + 1, None, tag)
     if segments and isinstance(trace, IterationTrace):
         trace.segments[:0] = segments
     return trace
@@ -569,7 +577,8 @@ def _drive(chains) -> list:
     initial assignment), or a ``_Window`` of them, is sent their outcomes in
     order (each the trace or the exception ``iterate_batch`` gives, or None
     past a window's answer), and returns its result. Each request plays as
-    a ``_play`` chain of legs, and each round the legs of every play still
+    a ``_play`` chain of legs, tagged with its window and position when the
+    window holds two or more, and each round the legs of every play still
     running are solved together by one ``_batch``: a network with arrivals
     plays a window a round, so its chain is sent its round's outcomes when
     its last leg is done, while the other chains step on. An error a chain
@@ -583,13 +592,13 @@ def _drive(chains) -> list:
     sent: list = [None] * len(chains)  # each chain's outcomes of its round
     left = [0] * len(chains)  # each chain's plays still running
     ready = list(range(len(chains)))  # the chains whose round is done
-    plays: dict = {}  # (chain, request) -> (its play, its window tag)
+    plays: dict = {}  # (chain, request) -> its play
     legs: dict = {}  # (chain, request) -> the leg its play asks for
 
     def send(key, outcome):
         # Send a play its leg's outcome; a play that returns fills its slot.
         try:
-            legs[key] = plays[key][0].send(outcome)
+            legs[key] = plays[key].send(outcome)
         except StopIteration as stop:
             del plays[key]
             i, p = key
@@ -611,16 +620,16 @@ def _drive(chains) -> list:
             except Exception as exc:  # held for the serial order
                 failed, error = i, exc
                 continue
-            window = isinstance(round_, _Window)
+            tagged = isinstance(round_, _Window) and len(round_) > 1
             sent[i], left[i] = [None] * len(round_), len(round_)
             if not round_:
                 ready.append(i)
             for p, request in enumerate(round_):
-                plays[i, p] = (_play(*request), (round_, p) if window else None)
+                plays[i, p] = _play(*request, tag=(round_, p) if tagged else None)
                 send((i, p), None)
         # The plays of a chain after the failed one are not stepped again.
         keys = [key for key in legs if key[0] < failed]
-        outcomes = _batch([legs[key] for key in keys], [plays[key][1] for key in keys])
+        outcomes = _batch([legs[key] for key in keys])
         legs.clear()
         for key, outcome in zip(keys, outcomes):
             send(key, outcome)
@@ -635,8 +644,8 @@ _LOOP_SETTINGS = operator.attrgetter(
 )
 
 
-def _batch(legs, tags) -> list:
-    """Each leg's trace, or the ValueError its loop raises; ``tags`` are ``_drive``'s.
+def _batch(legs) -> list:
+    """Each leg's trace, or the ValueError its loop raises.
 
     Legs whose configs agree but for ``delta`` and ``max_iterations``, and
     whose networks have one station count, step in one lockstep loop; a
@@ -657,9 +666,10 @@ def _batch(legs, tags) -> list:
         if len(ks) > 1:
             # By user count, so each size's networks lie side by side (``_totals``).
             ks.sort(key=lambda k: len(legs[k].users))
-            solved = _attempt(_loop, [legs[k] for k in ks], [tags[k] for k in ks])
+            solved = _attempt(_loop, [legs[k] for k in ks])
         if not isinstance(solved, list):
-            # Alone, a leg has no window-mates to stop waiting for.
+            # Alone, a tagged leg still asks its window's test, but its
+            # window-mates are in other loops: its answer drops none of them.
             solved = [_attempt(_loop, [legs[k]]) for k in ks]
             solved = [s[0] if isinstance(s, list) else s for s in solved]
         for k, outcome in zip(ks, solved):
@@ -668,7 +678,7 @@ def _batch(legs, tags) -> list:
 
 
 @_inf_clamps
-def _loop(legs, tags=None) -> list:
+def _loop(legs) -> list:
     """The fixed-point loop, stepping K legs in lockstep; one trace each.
 
     Every leg's config agrees but for its stop rule, which the loop reads
@@ -683,23 +693,24 @@ def _loop(legs, tags=None) -> list:
     at which it met delta or its range ended; only the first counts as
     converged, and delta is not tested inside a window. The loop steps until
     no network holds it open; stepping a finished network on changes no
-    other, as each is its own fixed-point iteration. ``tags`` holds each
-    network's window and its position there, or None: when a window member
-    first meets delta, its row's SINRs go to the window's test, and once one
-    passes, the members after it no longer hold the loop open; their traces
-    are None.
+    other, as each is its own fixed-point iteration. A leg's ``tag`` names
+    its window and its position there: when a tagged network first meets
+    delta, its row's SINRs go to the window's test, and once one passes,
+    the members after it no longer hold the loop open; their traces are
+    None.
 
     Under "full" history each step appends the batch's row (assignment,
     state and assigned r_eff), stacked once into columns at the end; under
-    "last" the loop holds the latest iterate and one batch row that keeps
-    each network's columns from ``ends[k]`` while the others step on. SINR
-    and utility come from one vectorised pass over the kept rows of every
-    network, and each network's segment is its span of them. Whatever a
-    step, the final snap or that pass raises, the loop raises. The
-    sequential schedule only ever comes with one network.
+    "last" the loop copies the first row any network ends at, and each
+    network that ends later writes its span of its own last row into that
+    copy. SINR and utility come from one vectorised pass over the kept rows
+    of every network, and each network's segment is its span of them.
+    Whatever a step, the final snap or that pass raises, the loop raises.
+    The sequential schedule only ever comes with one network.
     """
     channels = [leg.channel for leg in legs]
     users = [leg.users for leg in legs]
+    tags = [leg.tag for leg in legs]
     config = legs[0].config  # every setting but the stop rule is the batch's
     table = users[0] if len(users) == 1 else UserTable.concat(users)
     blocks = len(legs)
@@ -723,14 +734,11 @@ def _loop(legs, tags=None) -> list:
         stops.setdefault(last - leg.first + 1, []).append(k)
 
     gains = [channel.gains for channel in channels]
-    g, noise, bandwidth = gains[0], channels[0].noise_w, channels[0].bandwidth_hz
-    groups = owner = None  # only a batch groups its products and merges kept rows
-    if blocks > 1:
-        g = np.concatenate(gains)
-        noise = np.array([channel.noise_w for channel in channels]).repeat(sizes)[:, None]
-        bandwidth = np.array([channel.bandwidth_hz for channel in channels]).repeat(sizes)
-        groups = _size_groups(gains, starts, sizes)
-        owner = groups[2]  # each column's network
+    g = np.concatenate(gains)
+    noise = np.array([channel.noise_w for channel in channels]).repeat(sizes)[:, None]
+    bandwidth = np.array([channel.bandwidth_hz for channel in channels]).repeat(sizes)
+    # Only a batch stacks each size's products.
+    groups = _size_groups(gains, starts, sizes) if blocks > 1 else None
     ids = np.arange(state.shape[1])
     plain = None if config.schedule == SYNCHRONOUS else _plain(g, table, kkt)
     # Every step's per-network metrics, and under full history the batch's
@@ -740,9 +748,8 @@ def _loop(legs, tags=None) -> list:
     ends: list[int | None] = [None] * blocks  # the step each network's segment ends at
     converged = [False] * blocks
     waiting = list(range(blocks))  # the networks holding the loop open
-    tags = tags or [None] * blocks
     answers: list = []  # the tag of each accepted window member
-    kept = None  # under "last", a batch row holding network k's row at ends[k]
+    end = None  # under "last", a batch row holding network k's row at ends[k]
     # The station totals of the current iterate, and its (users x stations)
     # r_eff matrix, formed only when a sweep or a row reads it: the
     # sequential sweep reads the totals alone.
@@ -764,15 +771,15 @@ def _loop(legs, tags=None) -> list:
     def accepted(k):
         # Whether network k's window accepts its current row, the row its
         # trace would report; only a member before its window's answer asks.
+        # Its r_eff comes before the snap, as for the reported row.
         if tags[k] is None or answered(tags[k]):
             return False
         span = spans[k]
+        reffs = current_reffs()[ids[span], assignment[span]]
         rates = state[1, span]
         if config.quantize_at_convergence:
             rates = config.rate_set.snap(rates)
-        reffs = current_reffs()[ids[span], assignment[span]]
-        b = bandwidth[span] if blocks > 1 else bandwidth
-        return tags[k][0].accept(tags[k][1], _sinrs(b, rates, state[0, span], reffs))
+        return tags[k][0].accept(tags[k][1], _sinrs(bandwidth[span], rates, state[0, span], reffs))
 
     step = 0
     while waiting:
@@ -781,7 +788,7 @@ def _loop(legs, tags=None) -> list:
             new, assignment = _synchronous_sweep(table, current_reffs(), assignment, kkt)
         else:
             new, assignment = _sequential_sweep(
-                g, noise, table, state[0], totals, assignment, kkt, plain
+                g, channels[0].noise_w, table, state[0], totals, assignment, kkt, plain
             )
         if snap_each is not None:
             new[1] = snap_each.snap(new[1])
@@ -805,22 +812,16 @@ def _loop(legs, tags=None) -> list:
                 if accepted(k):
                     answers.append(tags[k])
                     waiting = [j for j in waiting if not answered(tags[j])]
-            if not waiting:
-                break
             if not full:
-                now = np.zeros(blocks, dtype=bool)
-                now[leaving] = True
-                kept = current_row() if kept is None else _pick(now[owner], current_row(), kept)
+                row = current_row()
+                if end is None:
+                    end = [column.copy() for column in row]
+                for k in leaving:
+                    for column, now in zip(end, row):
+                        column[..., spans[k]] = now[..., spans[k]]
 
     metrics = np.array(series, dtype=float)
-    if full:
-        a, states, r = _columns(history)
-    else:
-        a, states, r = current_row()
-        if kept is not None:
-            earlier = np.array([e is not None and e < step for e in ends])[owner]
-            a, states, r = _pick(earlier, kept, (a, states, r))
-        a, states, r = a[None], states[None], r[None]
+    a, states, r = _columns(history) if full else [column[None] for column in end]
     dropped = [answered(tag) for tag in tags]
     if config.quantize_at_convergence:
         # Quantizing at convergence snaps each converged row's rates.
@@ -940,15 +941,15 @@ def _plain(g, table, kkt) -> tuple:
     return (rows.tolist(), *(c.tolist() for c in columns))
 
 
-def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt, plain=None):
+def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt, plain):
     """Users in order against the freshest powers; returns (state, stations).
 
     ``plain`` is ``_plain(g, table, kkt)``, the gains and the table's
-    constants as plain floats; the loop converts them once per table, and a
-    sweep called without them converts them itself. ``totals`` are the
-    stations' received totals ``powers @ g``, as the loop formed them; kept
-    current as each user moves, they make a user cost O(stations) rather
-    than a fresh O(users x stations) product. The per-user loop runs on
+    constants as plain floats, which the loop converts once per table;
+    ``noise`` is the channel's, a float. ``totals`` are the stations'
+    received totals ``powers @ g``, as the loop formed them; kept current as
+    each user moves, they make a user cost O(stations) rather than a fresh
+    O(users x stations) product. The per-user loop runs on
     plain floats and moves only stations and powers: each user takes the
     least-interference station (ties keep the current one) and the power of
     the bounded best response there, computed inline with the table's
@@ -969,7 +970,7 @@ def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt, plain=No
     p = powers.tolist()
     a = assignment.tolist()
     seen = []
-    rows, c_p, lams, p_lo, p_hi, *rate_columns = plain or _plain(g, table, kkt)
+    rows, c_p, lams, p_lo, p_hi, *rate_columns = plain
     if kkt:
         c_r, a1s, a2s, r_lo, r_hi = rate_columns
     for i, g_i in enumerate(rows):
@@ -1041,12 +1042,6 @@ def _sinrs_utilities(table, bandwidth, states, reffs) -> tuple[np.ndarray, np.nd
 def _sinrs(bandwidth, rates, powers, reffs):
     # The SINR, elementwise; the window test and the trace both read this.
     return (bandwidth / rates) * (powers / reffs)
-
-
-def _pick(mask, chosen: tuple, other: tuple) -> tuple:
-    # Two batch rows (assignment, state, assigned r_eff) merged: each user's
-    # column from ``chosen`` where ``mask`` holds, else from ``other``.
-    return tuple(np.where(mask, x, y) for x, y in zip(chosen, other))
 
 
 def _columns(history) -> tuple:

@@ -60,6 +60,7 @@ from ratepower.engine import (
     bounded_step,
     bounded_step_array,
     IterationRecord,
+    _plain,
     _sinrs_utilities,
     _sequential_sweep,
     _station_reffs,
@@ -498,10 +499,10 @@ def kernel_sequential_sweep(channel, users, powers, assignment, policy):
 
 def engine_sequential_sweep(channel, users, powers, assignment, policy):
     """The engine's sequential sweep on a state that need not lie in the boxes."""
-    table = UserTable.from_users(users)
+    table, kkt = UserTable.from_users(users), policy == KKT
     g = channel.gains
     state, stations = _sequential_sweep(
-        g, channel.noise_w, table, powers, powers @ g, assignment, policy == KKT
+        g, channel.noise_w, table, powers, powers @ g, assignment, kkt, _plain(g, table, kkt)
     )
     return State(state[0], state[1], stations)
 
@@ -610,8 +611,9 @@ class TestSequentialKernel:
         table, kkt = UserTable.from_users(users), policy == KKT
         totals = powers @ channel.gains
         far_totals = np.append(totals, powers @ far.gains[:, 1])
-        got = _sequential_sweep(channel.gains, channel.noise_w, table, powers, totals, assignment, kkt)
-        want = _sequential_sweep(far.gains, far.noise_w, table, powers, far_totals, assignment, kkt)
+        plain, far_plain = _plain(channel.gains, table, kkt), _plain(far.gains, table, kkt)
+        got = _sequential_sweep(channel.gains, channel.noise_w, table, powers, totals, assignment, kkt, plain)
+        want = _sequential_sweep(far.gains, far.noise_w, table, powers, far_totals, assignment, kkt, far_plain)
         np.testing.assert_array_equal(want[1], np.zeros(len(users)))
         assert_states_equal(State(*got[0], got[1]), State(*want[0], want[1]))
 

@@ -864,6 +864,39 @@ class TestHistory:
         with pytest.raises(AssertionError, match="rows stacked"):
             iterate_to_convergence(ChannelModel([110.0, 130.0]), UserTable(alpha2=[20.0] * 2), full)
 
+    def test_the_last_history_end_row_holds_every_networks_last_row(self, monkeypatch):
+        # One loop of six networks under "last" history: a 3-user budget of 4
+        # ends first; crowded_cell at 4e-4 converges at 8, the step a second
+        # 3-user budget runs out, so two networks end at one later step;
+        # crowded_cell at 5e-4, a window's first member, converges at 16 and
+        # is accepted, which drops the 3-user member after it; and
+        # crowded_cell at 6e-4 converges at 35, the loop's last step.
+        crowded, small = parse_scenario(CROWDED_CELL.read_text()), table3_scenario(3)
+        config = small.config
+
+        def priced(c):
+            return Network(crowded.channel, crowded.users, PricingRule("constant", c))
+
+        small_net = Network(small.channel, small.users)
+        plain = [
+            (small_net, replace(config, max_iterations=4)),
+            (priced(4e-4), config),
+            (small_net, replace(config, max_iterations=8)),
+            (priced(6e-4), config),
+        ]
+        window = engine._Window([(priced(5e-4), config), (small_net, config)], lambda j, sinrs: True)
+
+        def one_round(requests):
+            return (yield requests)
+
+        calls = counted_loops(monkeypatch)
+        got, (answer, dropped) = engine._drive([one_round(plain), one_round(window)])
+        assert calls == [6] and dropped is None
+        assert [(t.iterations_used, t.converged) for t in got] == [(4, False), (8, True), (8, False), (35, True)]
+        assert (answer.iterations_used, answer.converged) == (16, True)
+        for outcome, request in zip(got + [answer], plain + window[:1]):
+            assert_same_outcome(outcome, serial(*request))
+
 
 def serial_escalation(channel, users, rule, config=None, max_steps=40):
     """Escalation one coefficient at a time, the loop the window must agree with."""
@@ -1203,6 +1236,40 @@ class TestRemovalWindow:
         assert not alone.converged
         exc = assert_removal_is_serial(channel, users, ConvergenceConfig(max_iterations=26))
         assert str(exc).startswith("run did not converge within 26 iterations")
+
+
+def counted_window_tests(monkeypatch):
+    """Patch ``admission._Window`` to log the position each window test is asked for."""
+    asked = []
+
+    class Counted(engine._Window):
+        def __init__(self, requests, accept):
+            def counted(j, sinrs):
+                asked.append(j)
+                return accept(j, sinrs)
+
+            super().__init__(requests, counted)
+
+    monkeypatch.setattr(admission, "_Window", Counted)
+    return asked
+
+
+class TestWindowTags:
+    @pytest.mark.parametrize("schedule", [SYNCHRONOUS, SEQUENTIAL])
+    def test_a_window_of_one_is_untagged(self, schedule, monkeypatch):
+        # Sequential escalation and removal solve windows of one, whose
+        # solves ask no window test; synchronous windows of several ask it.
+        scenario = parse_scenario(CROWDED_CELL.read_text())
+        config = replace(scenario.config, schedule=schedule)
+        rule = PricingRule("constant", 4e-4, dc=1e-4)
+        asked = counted_window_tests(monkeypatch)
+        got = escalate_pricing(scenario.channel, scenario.users, rule, config)
+        assert got.achieved and got.tested == [4e-4, 5e-4]
+        assert (len(asked) > 0) == (schedule == SYNCHRONOUS)
+        asked.clear()
+        got = removal_loop(scenario.channel, scenario.users, config)
+        assert got.removed == [0]
+        assert (len(asked) > 0) == (schedule == SYNCHRONOUS)
 
 
 class TestPricedUsers:
