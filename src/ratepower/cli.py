@@ -41,6 +41,9 @@ def main(argv=None) -> int:
     except (ScenarioFormatError, ValueError, OSError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 @functools.cache

@@ -78,9 +78,10 @@ solves every round's legs with one ``_batch``, and raises the error running
 them one after another meets first. A round may be an ordered ``_Window``
 with a test of a converged row's SINRs. Each leg of a member of a window of
 two or more carries the window and the member's position as its ``tag``; a
-window of one is untagged. The loop applies the test when a tagged network
-first meets delta, and once a member passes, the members after it are not
-waited for.
+window of one is untagged. The loop settles each network once, when it
+meets delta: it snaps the rates under ``quantize_at_convergence`` and
+applies a tagged network's window test. The window keeps its answer, and
+the members past it are neither waited for nor solved again.
 """
 
 from __future__ import annotations
@@ -555,18 +556,25 @@ def _play(network: Network, config, initial_assignment=None, tag=None):
 class _Window(list):
     """A chain's round of (network, config) requests, read in order up to its answer.
 
-    The answer is the first outcome that ends the reading: an error, a run
-    that did not converge, or a converged run whose reported row passes
-    ``accept``, which is given the request's position in the window and that
-    row's SINRs (rates snapped first under ``quantize_at_convergence``). The
-    requests after an accepted one are not awaited: they stop holding their
-    lockstep loop open once it meets delta, and their outcomes, which the
-    chain does not read, may be None.
+    The chain reads up to an error, a run that did not converge, or a
+    converged run whose reported row passes ``accept``, which is given the
+    request's position in the window and that row's SINRs (rates snapped
+    first under ``quantize_at_convergence``). ``answer`` is the least
+    position accepted so far, ``math.inf`` until one is; the loop sets it.
+    The requests past it (``_past``) are not awaited: they stop holding
+    their lockstep loop open, a re-solve skips them, and their outcomes,
+    which the chain does not read, may be None.
     """
 
     def __init__(self, requests, accept):
         super().__init__(requests)
         self.accept = accept
+        self.answer = math.inf
+
+
+def _past(leg) -> bool:
+    # Whether the leg's request comes after its window's answer.
+    return leg.tag is not None and leg.tag[1] > leg.tag[0].answer
 
 
 def _drive(chains) -> list:
@@ -652,7 +660,7 @@ def _batch(legs) -> list:
     sequential leg plays alone, as the per-user sweep gains nothing from
     lockstep. A group whose loop raises is solved again one leg at a time,
     each through the same per-network arguments, so each gets its own trace
-    or error.
+    or error, except a leg past its window's answer, whose outcome is None.
     """
     groups: dict = {}
     for k, leg in enumerate(legs):
@@ -668,9 +676,7 @@ def _batch(legs) -> list:
             ks.sort(key=lambda k: len(legs[k].users))
             solved = _attempt(_loop, [legs[k] for k in ks])
         if not isinstance(solved, list):
-            # Alone, a tagged leg still asks its window's test, but its
-            # window-mates are in other loops: its answer drops none of them.
-            solved = [_attempt(_loop, [legs[k]]) for k in ks]
+            solved = [None if _past(legs[k]) else _attempt(_loop, [legs[k]]) for k in ks]
             solved = [s[0] if isinstance(s, list) else s for s in solved]
         for k, outcome in zip(ks, solved):
             outcomes[k] = outcome
@@ -693,24 +699,26 @@ def _loop(legs) -> list:
     at which it met delta or its range ended; only the first counts as
     converged, and delta is not tested inside a window. The loop steps until
     no network holds it open; stepping a finished network on changes no
-    other, as each is its own fixed-point iteration. A leg's ``tag`` names
-    its window and its position there: when a tagged network first meets
-    delta, its row's SINRs go to the window's test, and once one passes,
-    the members after it no longer hold the loop open; their traces are
-    None.
+    other, as each is its own fixed-point iteration.
+
+    A network is settled once, at the step it meets delta: under
+    ``quantize_at_convergence`` its span of the state is snapped in place,
+    and a tagged leg's row goes to its ``_Window``'s test, which may set the
+    window's answer. A leg past that answer is not settled, stops holding
+    the loop open, and its trace is None.
 
     Under "full" history each step appends the batch's row (assignment,
     state and assigned r_eff), stacked once into columns at the end; under
     "last" the loop copies the first row any network ends at, and each
     network that ends later writes its span of its own last row into that
-    copy. SINR and utility come from one vectorised pass over the kept rows
-    of every network, and each network's segment is its span of them.
-    Whatever a step, the final snap or that pass raises, the loop raises.
-    The sequential schedule only ever comes with one network.
+    copy; either way the kept row is the settled one. SINR and utility come
+    from one vectorised pass over the kept rows of every network, and each
+    network's segment is its span of them. Whatever a step, a snap or that
+    pass raises, the loop raises. The sequential schedule only ever comes
+    with one network.
     """
     channels = [leg.channel for leg in legs]
     users = [leg.users for leg in legs]
-    tags = [leg.tag for leg in legs]
     config = legs[0].config  # every setting but the stop rule is the batch's
     table = users[0] if len(users) == 1 else UserTable.concat(users)
     blocks = len(legs)
@@ -748,7 +756,6 @@ def _loop(legs) -> list:
     ends: list[int | None] = [None] * blocks  # the step each network's segment ends at
     converged = [False] * blocks
     waiting = list(range(blocks))  # the networks holding the loop open
-    answers: list = []  # the tag of each accepted window member
     end = None  # under "last", a batch row holding network k's row at ends[k]
     # The station totals of the current iterate, and its (users x stations)
     # r_eff matrix, formed only when a sweep or a row reads it: the
@@ -761,25 +768,20 @@ def _loop(legs) -> list:
             reffs = _station_reffs(g, noise, state[0], totals)
         return reffs
 
-    def current_row():
-        return assignment, state, current_reffs()[ids, assignment]
-
-    def answered(tag):
-        # Whether the tag is a window member after its window's accepted one.
-        return tag is not None and any(tag[0] is w and tag[1] > p for w, p in answers)
-
-    def accepted(k):
-        # Whether network k's window accepts its current row, the row its
-        # trace would report; only a member before its window's answer asks.
-        # Its r_eff comes before the snap, as for the reported row.
-        if tags[k] is None or answered(tags[k]):
-            return False
-        span = spans[k]
-        reffs = current_reffs()[ids[span], assignment[span]]
-        rates = state[1, span]
+    def settle(k):
+        # Network k met delta: snap its converged row's rates in place, the
+        # row its trace reports, and put that row to its window's test. A
+        # member past its window's answer is left as it is.
+        leg, span = legs[k], spans[k]
+        if _past(leg):
+            return
         if config.quantize_at_convergence:
-            rates = config.rate_set.snap(rates)
-        return tags[k][0].accept(tags[k][1], _sinrs(bandwidth[span], rates, state[0, span], reffs))
+            state[1, span] = config.rate_set.snap(state[1, span])
+        if leg.tag is not None:
+            window, position = leg.tag
+            r_eff = current_reffs()[ids[span], assignment[span]]
+            if window.accept(position, _sinrs(bandwidth[span], state[1, span], state[0, span], r_eff)):
+                window.answer = position
 
     step = 0
     while waiting:
@@ -798,22 +800,20 @@ def _loop(legs) -> list:
         totals, reffs = _totals(state[0], gains, groups), None
         series.append(metrics)
         if full:
-            history.append(current_row())
+            # The row holds ``state`` itself, so a settle's snap reaches it.
+            history.append((assignment, state, current_reffs()[ids, assignment]))
         met = [k for k in waiting if metrics[k] <= deltas[k]]
         due = stops.get(step, ())
         if met or due:
             for k in met:
                 converged[k] = True
+                settle(k)
             leaving = met + [k for k in due if k in waiting and not converged[k]]
             for k in leaving:
                 ends[k] = step
-            waiting = [k for k in waiting if ends[k] is None]
-            for k in met:
-                if accepted(k):
-                    answers.append(tags[k])
-                    waiting = [j for j in waiting if not answered(tags[j])]
+            waiting = [k for k in waiting if ends[k] is None and not _past(legs[k])]
             if not full:
-                row = current_row()
+                row = (assignment, state, current_reffs()[ids, assignment])
                 if end is None:
                     end = [column.copy() for column in row]
                 for k in leaving:
@@ -822,18 +822,11 @@ def _loop(legs) -> list:
 
     metrics = np.array(series, dtype=float)
     a, states, r = _columns(history) if full else [column[None] for column in end]
-    dropped = [answered(tag) for tag in tags]
-    if config.quantize_at_convergence:
-        # Quantizing at convergence snaps each converged row's rates.
-        for k, span in enumerate(spans):
-            if converged[k] and not dropped[k]:
-                s = ends[k] - 1 if full else 0
-                states[s, 1, span] = config.rate_set.snap(states[s, 1, span])
     sinrs, utilities = _sinrs_utilities(table, bandwidth, states, r)
     columns = (a, states[:, 0], states[:, 1], sinrs, utilities)
     traces = []
     for k, (leg, span) in enumerate(zip(legs, spans)):
-        if dropped[k]:
+        if _past(leg):
             traces.append(None)
             continue
         n = ends[k]

@@ -1022,6 +1022,28 @@ class TestEscalationWindow:
         assert got.achieved and got.tested == [4e-4, 5e-4]
         assert calls == [ESCALATION_WINDOW] and sweeps == [16]
 
+    def test_a_re_solve_skips_the_members_past_the_answer(self, monkeypatch):
+        # The window's one loop answers it at 5e-4, its second member, and
+        # then raises. The window keeps that answer, so of its six members
+        # only the first two are solved again alone.
+        scenario = parse_scenario(CROWDED_CELL.read_text())
+        rule = PricingRule("constant", 4e-4, dc=1e-4)
+        want = escalate_pricing(scenario.channel, scenario.users, rule, scenario.config)
+        alone, loop = [], engine._loop
+
+        def raising_batch(legs):
+            traces = loop(legs)
+            if len(legs) > 1:
+                raise ValueError("the batched loop raised")
+            alone.append(legs[0].tag[1])
+            return traces
+
+        monkeypatch.setattr(engine, "_loop", raising_batch)
+        got = escalate_pricing(scenario.channel, scenario.users, rule, scenario.config)
+        assert alone == [0, 1]
+        assert (got.c_final, got.achieved, got.tested) == (5e-4, True, [4e-4, 5e-4])
+        assert_same_outcome(got.trace, want.trace)
+
     def test_non_convergence_before_the_answer_surfaces(self, monkeypatch):
         # Under this absolute stopping rule the first six coefficients need
         # 8, 27, 25, 24, 36 and 35 iterations, and the fourth is the first

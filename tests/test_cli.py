@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from ratepower import cli
 from ratepower.admission import PricingRule, escalate_pricing
 from ratepower.cli import _parser, main
 from ratepower.reference import REPRODUCE_TARGETS
@@ -256,6 +257,25 @@ class TestSweep:
         assert code == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: pricing values must be finite"]
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError(), "error: out of memory"),
+            (MemoryError("Unable to allocate 745. GiB"), "error: Unable to allocate 745. GiB"),
+        ],
+    )
+    def test_memory_error_is_an_error_line(self, three_user_file, exc, line, monkeypatch, capsys):
+        # A grid too large for memory, as --steps 100000000000 asks for, is
+        # refused by np.geomspace; the patch raises without allocating it.
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.np, "geomspace", refuse)
+        argv = ["sweep-lambda", three_user_file, "--from", "1e-5", "--to", "1e-3", "--steps", "100000000000"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [line]
 
 
 class TestTuneAndRemove:
