@@ -15,9 +15,10 @@ drives them with its scenario runs. Each round is an ordered
 ``engine._Window`` that the engine stops stepping once its answer is known:
 up to ``ESCALATION_WINDOW`` coefficients, or the survivors less 0 and 1
 predicted removals (``REMOVAL_WINDOW``; by best gain over target SINR, then
-by the last read SINR-to-target ratio), answered at nobody below target or
-at another removal than predicted. Errors past the answer do not surface;
-the sequential schedule solves one network a round.
+by the last read SINR-to-target ratio), answered at nobody below target, at
+another removal than predicted, or where the chain meets an error or a
+non-convergence; nothing past the answer surfaces. The windows are the
+same under either schedule, and only the engine reads which one runs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ChannelModel, PricingRule, UserTable, _require_count, _require_table
-from .engine import SYNCHRONOUS, ConvergenceConfig, IterationTrace, Network, _drive, _Window
+from .engine import ConvergenceConfig, IterationTrace, Network, _drive, _Window
 
 __all__ = [
     "BELOW_TARGET",
@@ -49,12 +50,12 @@ ABOVE_TARGET = "above_target"
 
 AT_TARGET_TOL = 1e-3
 
-# Coefficients escalation solves together as one batch under the
-# synchronous schedule; those after the answer stop stepping at it.
+# Coefficients an escalation round asks for: the synchronous schedule steps
+# them as one batch, the sequential one solves them in turn, up to the answer.
 ESCALATION_WINDOW = 6
 
-# Networks a synchronous removal round solves together; wider windows slow
-# cells that lose one user (every shipped scenario), stepping to the answer.
+# Networks a removal round asks for; wider windows slow cells that lose one
+# user (every shipped scenario), stepping to the answer in lockstep.
 REMOVAL_WINDOW = 2
 
 
@@ -112,14 +113,13 @@ def escalate_pricing(
     no below-target user. The step dc is ``rule.dc``, else a quarter of
     ``rule.c``.
 
-    Under the synchronous schedule the coefficients are solved
-    ``ESCALATION_WINDOW`` at a time, as one batch, and their outcomes read in
-    order; under the sequential schedule one at a time. The engine tests
-    each coefficient's reported row as it converges, and once one has no
-    user below target, the coefficients after it stop holding the batch
-    open. They are not in ``tested``, and an error or a non-convergence of
-    theirs does not surface. What is reported, raised included, is what
-    testing one coefficient at a time gives. A coefficient that overflows to
+    The coefficients are asked for ``ESCALATION_WINDOW`` at a time and read
+    in order; the synchronous schedule steps them as one batch. The engine
+    tests each coefficient's reported row as it converges, and once one has
+    no user below target, fails or does not converge, the coefficients after
+    it are not solved further: they are not in ``tested``, and their errors
+    do not surface. What is reported, raised included, is what testing one
+    coefficient at a time gives. A coefficient that overflows to
     inf makes no rule, so a window ends before it; it opens the next window,
     whose rule refuses it, only if no earlier coefficient is achieved.
     """
@@ -132,11 +132,6 @@ def _escalation(channel, users, rule, config=None, max_steps=40):
     # yields one window's networks.
     step = rule.dc if rule.dc is not None else 0.25 * rule.c
     max_steps = _require_count("max_steps", max_steps)
-    config = config if config is not None else ConvergenceConfig()
-    # Only the synchronous sweep runs in lockstep; a sequential window would
-    # solve its extra coefficients one by one, for nothing.
-    width = ESCALATION_WINDOW if config.schedule == SYNCHRONOUS else 1
-
     targets = _require_table(users).target_sinrs(channel.bandwidth_hz)
 
     def achieved(_, sinrs) -> bool:
@@ -146,7 +141,7 @@ def _escalation(channel, users, rule, config=None, max_steps=40):
     trace = None
     first = 0
     while first < max_steps:
-        window = [rule.c + k * step for k in range(first, min(first + width, max_steps))]
+        window = [rule.c + k * step for k in range(first, min(first + ESCALATION_WINDOW, max_steps))]
         # An infinite coefficient opens its window, where its rule refuses it.
         window = window[:1] + list(itertools.takewhile(math.isfinite, window[1:]))
         requests = [(Network(channel, users, replace(rule, c=c)), config) for c in window]
@@ -187,11 +182,11 @@ def removal_loop(
     each removal the game is re-solved under ``config`` over the survivors.
     Terminates in at most len(users) rounds.
 
-    Under the synchronous schedule a round solves ``REMOVAL_WINDOW``
-    networks as one batch, the survivors less 0, 1, ... predicted removals
-    (see the module docstring), read while each removal is the predicted
-    one; the rest are not awaited, and their errors do not surface. What is
-    reported, raised included, is what the serial loop gives.
+    A round asks for ``REMOVAL_WINDOW`` networks, the survivors less 0, 1,
+    ... predicted removals (see the module docstring), read while each
+    removal is the predicted one; the synchronous schedule steps them as one
+    batch. The rest are not awaited, and their errors do not surface. What
+    is reported, raised included, is what the serial loop gives.
     """
     (result,) = _drive([_removal(channel, users, config)])
     return result
@@ -207,15 +202,13 @@ def _worst(outcomes, sinrs, targets):
 def _removal(channel, users, config=None):
     # ``removal_loop`` as a chain for ``engine._drive``: each round yields
     # a window of the survivors less 0, 1, ... predicted removals.
-    config = config if config is not None else ConvergenceConfig()
-    width = REMOVAL_WINDOW if config.schedule == SYNCHRONOUS else 1
     targets = _require_table(users).target_sinrs(channel.bandwidth_hz)
     active = list(range(len(users)))
     # The prediction, lowest first: the best gain over the target, at first.
     ratios = channel.subset(active).gains.max(axis=1) / targets if active else None
     removed: list[int] = []
     while active:
-        predicted = sorted(active, key=ratios.__getitem__)[: min(width, len(active)) - 1]
+        predicted = sorted(active, key=ratios.__getitem__)[: min(REMOVAL_WINDOW, len(active)) - 1]
         members = [active]
         for k in predicted:
             members.append([i for i in members[-1] if i != k])

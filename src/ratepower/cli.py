@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -37,8 +38,19 @@ _REPRODUCE_TARGETS = ("table1", "table2", "table3", "table4", "fig1", "fig2", "f
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a reader that left early fails here, not at exit
+        return code
     except (ScenarioFormatError, ValueError, OSError, NotConvergedError) as exc:
+        # A broken pipe raised in this module's own code is stdout's, as only
+        # ``scenario`` writes files. Python flushes stdout again at exit: point
+        # it at devnull, as the SIGPIPE note of the ``signal`` docs says.
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        if isinstance(exc, BrokenPipeError) and tb.tb_frame.f_globals is globals():
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -13,17 +13,13 @@ formulas it runs, the step metric's among them, live in ``oracle``, which
 this module does not import.
 
 The loop steps a fixed set of networks from a given state. Each iterate's
-station totals come from each network's own ``p @ g``, the networks of one
-size stacked into one product, and its (users x stations)
-effective-interference matrix from them; the matrix feeds that
-iterate's trace row and the next synchronous sweep, which assigns every
-user at once and takes every best response from the array kernel behind
-``bounded_step_array``. The sequential sweep visits users in order, on
-plain floats, and keeps the same totals current as each user moves. The
-array kernel and the sequential sweep evaluate the floating-point
-operations of the scalar best response in ``oracle`` in its order, so all
-agree exactly; ``bounded_step``, one ``UserParams``' step, is the array
-kernel on a one-user table.
+station totals and (users x stations) effective-interference matrix feed
+its trace row and the next sweep: the synchronous one moves every user at
+once through the array kernel behind ``bounded_step_array``, the
+sequential one visits users in order, on plain floats. Both evaluate the
+floating-point operations of the scalar best response in ``oracle`` in its
+order, so all agree exactly; ``bounded_step``, one ``UserParams``' step, is
+the array kernel on a one-user table.
 
 The trace is its ``Segment``s, each a run of iterations on one fixed
 network held as (rows x users) columns, user k in column k; one loop call
@@ -36,39 +32,26 @@ both are elementwise, so a kept last row has the same bits either way, and
 in any batch.
 
 A solve takes a ``Network``: a channel, its users as a ``UserTable``, their
-``PricingRule`` and its arrivals, each arriving user a table of one. One
-entry step refuses users in any other form, checks the row count, prices
-the users, and refuses a lone user with zero noise, an arrival that could
-not fire and a user whose rate box holds no rung of the config's ladder
-(``RateSet.gap``). A network with arrivals plays as a chain of legs
+``PricingRule`` and its arrivals, each arriving user a table of one; one
+entry step (``_enter``) checks and prices it. It plays as a chain of legs
 (``_play``), each a fixed network with its start state, start assignment
 and iteration range: a window plays the iterations before an arrival whole,
-its last row starts the grown network, which the rule prices again, and a
-last leg runs under the stop rule. Each user starts at its own initial
-strategy (the ``p_init`` and ``r_init`` columns). With a rate ladder the
-loop, not the sweeps, snaps the rates with ``RateSet.snap``: every
-iteration's, or only the converged row's. Rates never enter the power
-update or the station rule, so both placements give the powers and stations
-of the continuous game.
+its last row starts the grown network, and a last leg runs under the stop
+rule. With a rate ladder the loop, not the sweeps, snaps the rates with
+``RateSet.snap``: every iteration's, or only the converged row's. Rates
+never enter the power update or the station rule, so both placements give
+the powers and stations of the continuous game.
 
-``iterate_batch`` steps the networks of one station count in lockstep,
-whatever their user counts: one (2 x users) state over their concatenated
-table, each network owning a span of its columns. The station totals of the
-K networks of one size come from one stacked (K x 1 x n) @
-(K x n x stations) product, which makes for each network the BLAS call its
-own ``p @ g`` makes, on the same C-ordered gains (``ChannelModel`` stores
-them so), and each network has its own step metric, so each network's
-trace equals its solve alone, bit for bit. Every network steps to the
-batch's end and keeps its rows up to its own convergence: each is its own
-fixed-point iteration, so stepping a converged network on changes no
-other. Under "last" history the loop fills one end row, a copy of the
-first row any network ends at, into which each network that ends later
-writes its own span. The loop takes each network's first iteration,
-window end, ``delta`` and ``max_iterations``, so a batch groups its
-networks by station count and by their config less that stop rule, and
-each window of a network with arrivals steps in the lockstep round of its
-turn. Only under the sequential sweep, a per-user loop that lockstep does
-not speed up, does each network play alone.
+``iterate_batch`` steps the networks of one station count and one config
+less its stop rule (``delta`` and ``max_iterations``, which the loop reads
+per network) in lockstep, whatever their user counts, and each window of a
+network with arrivals in the round of its turn. Each network owns a span
+of one (2 x users) state, its station totals come from the BLAS call its
+own ``p @ g`` makes (``_totals``), and it has its own step metric, so its
+trace equals its solve alone, bit for bit. A network that converged steps
+on to the batch's end, which changes no other, and keeps its rows up to
+its convergence. Only under the sequential sweep, a per-user loop that
+lockstep does not speed up, does each network play alone.
 
 Solves that depend on earlier ones (escalation windows, removal rounds, a
 scenario's steps) are written as chains, generators that yield each round's
@@ -76,12 +59,12 @@ scenario's steps) are written as chains, generators that yield each round's
 several chains together, plays each of their requests as a chain of legs,
 solves every round's legs with one ``_batch``, and raises the error running
 them one after another meets first. A round may be an ordered ``_Window``
-with a test of a converged row's SINRs. Each leg of a member of a window of
-two or more carries the window and the member's position as its ``tag``; a
-window of one is untagged. The loop settles each network once, when it
-meets delta: it snaps the rates under ``quantize_at_convergence`` and
-applies a tagged network's window test. The window keeps its answer, and
-the members past it are neither waited for nor solved again.
+with a test of a converged row's SINRs; every leg of its members carries
+the window and the member's position as its ``tag``. Its answer is where
+its chain stops reading: a converged row that passes the test, a final leg
+that did not converge, or an error. The members past it are neither waited
+for nor solved, so under either schedule a window solves the networks its
+chain would solve one request at a time.
 """
 
 from __future__ import annotations
@@ -166,6 +149,11 @@ def _inf_clamps(function):
 TIE_REL_TOL = 1e-9
 
 
+def _check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConvergenceConfig:
     """One solve's settings: its stopping rule, boundary policy, schedule, rate ladder and history.
@@ -202,6 +190,10 @@ class ConvergenceConfig:
         _check_choice("history", self.history, HISTORIES)
         if self.quantize_at_convergence and self.rate_set is None:
             raise ValueError("quantize_at_convergence needs a rate_set")
+
+
+# The settings of a solve given no config; frozen, so every play shares it.
+_DEFAULT_CONFIG = ConvergenceConfig()
 
 
 @dataclass(frozen=True)
@@ -395,22 +387,18 @@ def iterate_to_convergence(
     interference is least (ties keep the current station), then takes its
     bounded best response there; with one station this is the single-cell
     game. ``config`` (default ``ConvergenceConfig()``) holds every setting of
-    the solve. The synchronous schedule evaluates every user against the
-    previous iterate; the sequential schedule updates users in order against
-    the freshest powers. Users start at their initial strategies on station 0
-    (or ``initial_assignment``). ``config.rate_set`` snaps the rates as
-    ``ConvergenceConfig`` says; rates never enter the power update.
+    the solve: the synchronous schedule evaluates every user against the
+    previous iterate, the sequential one updates users in order against the
+    freshest powers. Users start at their initial strategies on station 0
+    (or ``initial_assignment``).
 
     This is the solve of one ``Network(channel, users, pricing, arrivals)``,
     raising the error ``iterate_batch`` would return for it. A ``pricing``
-    rule prices every user at entry and after each arrival group, so a rule
-    on the user count or the gains sees the newcomers. Each arrival adds its
-    user, at its initial strategy on station 0, just before that iteration's
-    sweep; the iterations before it play whole, as one segment, and every
-    arrival is checked before the first iteration. Non-convergence within
-    max_iterations is reported on the trace, not raised.
+    rule prices every user at entry and after each arrival group. Each
+    arrival adds its user, at its initial strategy on station 0, just before
+    that iteration's sweep; every arrival is checked before the first
+    iteration. Non-convergence is reported on the trace, not raised.
     """
-    config = config if config is not None else ConvergenceConfig()
     network = Network(channel, users, pricing, arrivals)
     (outcome,) = _solve([(network, config, initial_assignment)])
     if isinstance(outcome, Exception):
@@ -430,7 +418,6 @@ def iterate_batch(networks, config: ConvergenceConfig | None = None) -> list:
     arrivals steps each of its windows in the lockstep round of its turn.
     A group whose loop raises is solved again one network at a time.
     """
-    config = config if config is not None else ConvergenceConfig()
     return _solve([(network, config) for network in networks])
 
 
@@ -492,8 +479,8 @@ class _Leg:
     users' initial strategies on station 0. It plays iterations ``first`` to
     ``last`` whole, as the window before an arrival, or with no ``last``
     until it meets ``config.delta`` or reaches ``config.max_iterations``.
-    ``tag`` is the ``_Window`` of two or more its request belongs to and its
-    position there, or None: a window of one is untagged.
+    ``tag`` is the ``_Window`` its request belongs to and its position
+    there, or None.
     """
 
     channel: ChannelModel
@@ -516,8 +503,9 @@ def _play(network: Network, config, initial_assignment=None, tag=None):
     windows it grows the network: the window's last row, with the newcomers
     appended at their initial strategies on station 0, starts the grown
     network, which the rule prices again. Entry refusals and pricing errors
-    are returned too.
+    are returned too. A None ``config`` is the one shared default.
     """
+    config = config if config is not None else _DEFAULT_CONFIG
     try:
         network = _enter(network, config)
         if initial_assignment is not None:
@@ -559,11 +547,12 @@ class _Window(list):
     The chain reads up to an error, a run that did not converge, or a
     converged run whose reported row passes ``accept``, which is given the
     request's position in the window and that row's SINRs (rates snapped
-    first under ``quantize_at_convergence``). ``answer`` is the least
-    position accepted so far, ``math.inf`` until one is; the loop sets it.
-    The requests past it (``_past``) are not awaited: they stop holding
-    their lockstep loop open, a re-solve skips them, and their outcomes,
-    which the chain does not read, may be None.
+    first under ``quantize_at_convergence``). ``answer``, the least such
+    position found so far or ``math.inf``, is set by ``_loop`` at a row or
+    a non-convergence and by ``_alone`` at an error. The requests past it
+    (``_past``) are not awaited: they stop holding their loop open, a lone
+    solve skips them, and their outcomes, which the chain does not read,
+    may be None.
     """
 
     def __init__(self, requests, accept):
@@ -585,14 +574,14 @@ def _drive(chains) -> list:
     initial assignment), or a ``_Window`` of them, is sent their outcomes in
     order (each the trace or the exception ``iterate_batch`` gives, or None
     past a window's answer), and returns its result. Each request plays as
-    a ``_play`` chain of legs, tagged with its window and position when the
-    window holds two or more, and each round the legs of every play still
-    running are solved together by one ``_batch``: a network with arrivals
-    plays a window a round, so its chain is sent its round's outcomes when
-    its last leg is done, while the other chains step on. An error a chain
-    raises is held until every chain before it has finished, and chains
-    after it are not stepped again; then the first held error is raised,
-    which is the error running the chains one after another meets first.
+    a ``_play`` chain of legs, tagged with its window and position if it has
+    one, and each round the legs of every play still running are solved
+    together by one ``_batch``: a network with arrivals plays a window a
+    round, so its chain is sent its round's outcomes when its last leg is
+    done, while the other chains step on. An error a chain raises is held
+    until every chain before it has finished, and chains after it are not
+    stepped again; then the first held error is raised, which is the error
+    running the chains one after another meets first.
     """
     chains = list(chains)
     results: list = [None] * len(chains)
@@ -628,12 +617,11 @@ def _drive(chains) -> list:
             except Exception as exc:  # held for the serial order
                 failed, error = i, exc
                 continue
-            tagged = isinstance(round_, _Window) and len(round_) > 1
             sent[i], left[i] = [None] * len(round_), len(round_)
             if not round_:
                 ready.append(i)
             for p, request in enumerate(round_):
-                plays[i, p] = _play(*request, tag=(round_, p) if tagged else None)
+                plays[i, p] = _play(*request, tag=(round_, p) if isinstance(round_, _Window) else None)
                 send((i, p), None)
         # The plays of a chain after the failed one are not stepped again.
         keys = [key for key in legs if key[0] < failed]
@@ -653,14 +641,13 @@ _LOOP_SETTINGS = operator.attrgetter(
 
 
 def _batch(legs) -> list:
-    """Each leg's trace, or the ValueError its loop raises.
+    """Each leg's trace, or the ValueError its loop raises; None past a window's answer.
 
     Legs whose configs agree but for ``delta`` and ``max_iterations``, and
     whose networks have one station count, step in one lockstep loop; a
     sequential leg plays alone, as the per-user sweep gains nothing from
-    lockstep. A group whose loop raises is solved again one leg at a time,
-    each through the same per-network arguments, so each gets its own trace
-    or error, except a leg past its window's answer, whose outcome is None.
+    lockstep. A group whose loop raises is solved again one leg at a time
+    (``_alone``), in leg order, so each gets its own trace or error.
     """
     groups: dict = {}
     for k, leg in enumerate(legs):
@@ -670,17 +657,29 @@ def _batch(legs) -> list:
         groups.setdefault(key, []).append(k)
     outcomes: list = [None] * len(legs)
     for ks in groups.values():
-        solved = None
-        if len(ks) > 1:
-            # By user count, so each size's networks lie side by side (``_totals``).
-            ks.sort(key=lambda k: len(legs[k].users))
-            solved = _attempt(_loop, [legs[k] for k in ks])
+        # By user count, so each size's networks lie side by side (``_totals``).
+        ordered = sorted(ks, key=lambda k: len(legs[k].users))
+        solved = _attempt(_loop, [legs[k] for k in ordered]) if len(ks) > 1 else None
         if not isinstance(solved, list):
-            solved = [None if _past(legs[k]) else _attempt(_loop, [legs[k]]) for k in ks]
-            solved = [s[0] if isinstance(s, list) else s for s in solved]
-        for k, outcome in zip(ks, solved):
+            # In leg order, so an error answers its window before the members past it.
+            ordered, solved = ks, [_alone(legs[k]) for k in ks]
+        for k, outcome in zip(ordered, solved):
             outcomes[k] = outcome
     return outcomes
+
+
+def _alone(leg):
+    # The leg's trace from a loop of its own, or the error that loop raises,
+    # where its chain stops reading; None past its window's answer.
+    if _past(leg):
+        return None
+    try:
+        return _loop([leg])[0]
+    except ValueError as exc:
+        if leg.tag is not None:
+            window, position = leg.tag
+            window.answer = position
+        return exc
 
 
 @_inf_clamps
@@ -701,11 +700,12 @@ def _loop(legs) -> list:
     no network holds it open; stepping a finished network on changes no
     other, as each is its own fixed-point iteration.
 
-    A network is settled once, at the step it meets delta: under
-    ``quantize_at_convergence`` its span of the state is snapped in place,
+    A network is settled once, at the step it leaves: a converged one has
+    its span of the state snapped in place under ``quantize_at_convergence``,
     and a tagged leg's row goes to its ``_Window``'s test, which may set the
-    window's answer. A leg past that answer is not settled, stops holding
-    the loop open, and its trace is None.
+    window's answer; a final leg that leaves unconverged sets it. A leg past
+    that answer is not settled, stops holding the loop open, and its trace
+    is None.
 
     Under "full" history each step appends the batch's row (assignment,
     state and assigned r_eff), stacked once into columns at the end; under
@@ -769,19 +769,21 @@ def _loop(legs) -> list:
         return reffs
 
     def settle(k):
-        # Network k met delta: snap its converged row's rates in place, the
-        # row its trace reports, and put that row to its window's test. A
-        # member past its window's answer is left as it is.
+        # Network k leaves: snap a converged row, the row its trace reports,
+        # and answer its window as the docstring says, unless it is past.
         leg, span = legs[k], spans[k]
         if _past(leg):
             return
-        if config.quantize_at_convergence:
+        if converged[k] and config.quantize_at_convergence:
             state[1, span] = config.rate_set.snap(state[1, span])
-        if leg.tag is not None:
-            window, position = leg.tag
+        if leg.tag is None or leg.last is not None:
+            return
+        window, position = leg.tag
+        if converged[k]:
             r_eff = current_reffs()[ids[span], assignment[span]]
-            if window.accept(position, _sinrs(bandwidth[span], state[1, span], state[0, span], r_eff)):
-                window.answer = position
+            if not window.accept(position, _sinrs(bandwidth[span], state[1, span], state[0, span], r_eff)):
+                return
+        window.answer = position
 
     step = 0
     while waiting:
@@ -807,10 +809,10 @@ def _loop(legs) -> list:
         if met or due:
             for k in met:
                 converged[k] = True
-                settle(k)
             leaving = met + [k for k in due if k in waiting and not converged[k]]
             for k in leaving:
                 ends[k] = step
+                settle(k)
             waiting = [k for k in waiting if ends[k] is None and not _past(legs[k])]
             if not full:
                 row = (assignment, state, current_reffs()[ids, assignment])
@@ -838,11 +840,6 @@ def _loop(legs) -> list:
 
 
 # Internals.
-
-
-def _check_choice(name: str, value, choices: tuple) -> None:
-    if value not in choices:
-        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 def _initial_assignment(override, channel: ChannelModel) -> np.ndarray:
@@ -937,23 +934,18 @@ def _plain(g, table, kkt) -> tuple:
 def _sequential_sweep(g, noise, table, powers, totals, assignment, kkt, plain):
     """Users in order against the freshest powers; returns (state, stations).
 
-    ``plain`` is ``_plain(g, table, kkt)``, the gains and the table's
-    constants as plain floats, which the loop converts once per table;
-    ``noise`` is the channel's, a float. ``totals`` are the stations'
-    received totals ``powers @ g``, as the loop formed them; kept current as
-    each user moves, they make a user cost O(stations) rather than a fresh
-    O(users x stations) product. The per-user loop runs on
-    plain floats and moves only stations and powers: each user takes the
-    least-interference station (ties keep the current one) and the power of
-    the bounded best response there, computed inline with the table's
-    constants. On one station (``g`` has one column) the station rule has
-    nothing to choose, so the loop skips it: it keeps the one running total,
-    takes each user's interference there directly with the same operations,
-    and returns ``assignment`` itself. Under "kkt" the rate is evaluated
-    only to decide whether the power is re-optimized. The sweep's rates, and
-    its powers again, come from one ``_bounded_step_stack`` on the
-    interference each user saw; it evaluates the same operations, so the
-    powers equal the loop's.
+    ``plain`` is ``_plain(g, table, kkt)``, converted once per table, and
+    ``noise`` the channel's, a float. ``totals`` are ``powers @ g``, kept
+    current as each user moves, so a user costs O(stations) rather than a
+    fresh O(users x stations) product. The per-user loop moves only
+    stations and powers, on plain floats: each user takes the
+    least-interference station (ties keep the current one; on one station
+    there is none to choose, and ``assignment`` itself is returned) and the
+    power of the bounded best response there, inline. Under "kkt" the rate
+    is evaluated only to decide whether the power is re-optimized. The
+    rates, and the powers again, come from one ``_bounded_step_stack`` on
+    the interference each user saw, which evaluates the same operations,
+    so the powers equal the loop's.
     """
     sqrt = math.sqrt
     band = 1.0 + TIE_REL_TOL

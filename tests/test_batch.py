@@ -20,6 +20,7 @@ every other field of the outcome the same.
 """
 
 import itertools
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -1098,6 +1099,28 @@ class TestEscalationWindow:
         assert_same_outcome(got.trace, want.trace)
         assert_same_outcome(trace, run_trace)
 
+    @pytest.mark.parametrize(
+        "config, loops",
+        [
+            (LADDER, [ESCALATION_WINDOW, 1, 1]),
+            (replace(LADDER, schedule=SEQUENTIAL), [1, 1]),
+            (ConvergenceConfig(max_iterations=12, schedule=SEQUENTIAL), [1, 1]),
+        ],
+        ids=["ladder", "sequential-ladder", "sequential-budget"],
+    )
+    def test_the_window_is_answered_where_its_chain_stops_reading(self, config, loops, monkeypatch):
+        # At dc = 2e-4 the window is 4e-4, 6e-4, ...: 4e-4 stays below
+        # target, and 6e-4's rates fall below the ladder, or it needs 35
+        # iterations where 12 are given. The serial loop stops there, so
+        # 6e-4 answers the window. The batch that raises at its snap is
+        # solved again at positions 0 and 1 only, and the sequential
+        # schedule solves the two coefficients and nothing after them.
+        want = assert_escalation_is_serial(*table3_escalation(dc=2e-4), config)
+        calls = counted_loops(monkeypatch)
+        with pytest.raises(type(want), match=re.escape(str(want))):
+            escalate_pricing(*table3_escalation(dc=2e-4), config)
+        assert calls == loops
+
     def test_every_width_gives_the_serial_answer(self, monkeypatch):
         # Every width gives the serial answer; the constant only sets how
         # many coefficients are solved together.
@@ -1278,20 +1301,22 @@ def counted_window_tests(monkeypatch):
 
 class TestWindowTags:
     @pytest.mark.parametrize("schedule", [SYNCHRONOUS, SEQUENTIAL])
-    def test_a_window_of_one_is_untagged(self, schedule, monkeypatch):
-        # Sequential escalation and removal solve windows of one, whose
-        # solves ask no window test; synchronous windows of several ask it.
+    def test_every_window_asks_its_test_under_either_schedule(self, schedule, monkeypatch):
+        # Escalation and removal yield the same windows under both
+        # schedules, and every member is tagged. On crowded_cell each window
+        # is answered at its second member, so positions 0 and 1 are asked,
+        # whether they step in lockstep or are solved one after another.
         scenario = parse_scenario(CROWDED_CELL.read_text())
         config = replace(scenario.config, schedule=schedule)
         rule = PricingRule("constant", 4e-4, dc=1e-4)
         asked = counted_window_tests(monkeypatch)
         got = escalate_pricing(scenario.channel, scenario.users, rule, config)
         assert got.achieved and got.tested == [4e-4, 5e-4]
-        assert (len(asked) > 0) == (schedule == SYNCHRONOUS)
+        assert asked == [0, 1]
         asked.clear()
         got = removal_loop(scenario.channel, scenario.users, config)
         assert got.removed == [0]
-        assert (len(asked) > 0) == (schedule == SYNCHRONOUS)
+        assert asked == [0, 1]
 
 
 class TestPricedUsers:

@@ -495,3 +495,51 @@ class TestOutputFiles:
         assert main(sweep_argv + ["--out", sweep]) == 0
         assert {trace, summary, sweep} <= opened.keys()
         assert not [path for path, flags in opened.items() if flags & os.O_TRUNC]
+
+
+# One invocation of every command, each writing to stdout only.
+STDOUT_COMMANDS = {
+    "run": ["run", str(SCENARIO_DIR / "three_users.scn")],
+    "reproduce": ["reproduce", "all"],
+    "sweep-lambda": [
+        "sweep-lambda", str(SCENARIO_DIR / "three_users.scn"), "--from", "1e-5", "--to", "1e-4", "--steps", "3"
+    ],
+    "tune-pricing": ["tune-pricing", str(SCENARIO_DIR / "crowded_cell.scn")],
+    "remove-loop": ["remove-loop", str(SCENARIO_DIR / "crowded_cell.scn")],
+}
+
+
+def run_with_closed_stdout(argv, unbuffered):
+    """``python -m ratepower argv`` with stdout a pipe whose read end is closed: (exit code, stderr)."""
+    src = str(Path(inspect.getfile(main)).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        argv = [sys.executable, "-m", "ratepower", *argv]
+        done = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no EPIPE on a closed pipe on Windows")
+class TestClosedStdout:
+    """A reader that leaves early, as ``| head -1`` does, ends a command quietly."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", STDOUT_COMMANDS)
+    def test_every_command_exits_1_with_nothing_on_stderr(self, command, unbuffered):
+        assert run_with_closed_stdout(STDOUT_COMMANDS[command], unbuffered) == (1, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("flag", ["--trace", "--summary"])
+    def test_a_broken_pipe_on_an_output_file_is_an_error_line(self, flag, unbuffered):
+        # The file is written before anything is printed, so the broken
+        # pipe is the output file's, opened by its path.
+        argv = ["run", str(SCENARIO_DIR / "three_users.scn"), flag, "/dev/stdout"]
+        assert run_with_closed_stdout(argv, unbuffered) == (1, "error: [Errno 32] Broken pipe\n")
